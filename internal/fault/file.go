@@ -8,11 +8,11 @@ import (
 
 // File is the slice of *os.File behavior the storage layer depends on.
 // Wrapping it (rather than the Store interface) keeps fault injection
-// below the bufio write buffer, so torn writes land exactly where a
+// below the store's append buffer, so torn writes land exactly where a
 // crashed process would leave them: a partial frame at the file tail.
+// Reads are not part of it: the storage layer reads through a mapping.
 type File interface {
 	io.Writer
-	io.ReaderAt
 	io.Seeker
 	Truncate(size int64) error
 	Sync() error

@@ -1,14 +1,17 @@
 package kvstore
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"hash/maphash"
 	"io"
 	"os"
-	"sort"
+	"runtime/debug"
 	"sync"
+	"unsafe"
 
 	"subzero/internal/fault"
 )
@@ -33,43 +36,78 @@ var (
 	_ = fault.Register("kvstore/file/sync")
 )
 
-// FileStore is a log-structured Store: records are appended to a single
-// file through a write buffer, and an in-memory index maps each key to the
-// offset of its latest record. Overwritten values leave garbage in the log;
-// lineage workloads write each key once (or merge a handful of times), so
-// compaction is unnecessary and is deliberately omitted.
+// FileStore is a log-structured Store whose reads never leave user space.
+// Records are appended to one file; the bytes the kernel has accepted are
+// read through a read-only shared mapping of that file, and the bytes not
+// yet written sit in the store's own append buffer, which reads consult
+// directly — a read never forces a flush, makes a syscall, or copies a
+// value it only lends to a callback.
+//
+// The index is an open-addressing table of 8-byte slots, each the offset
+// of a key's latest record plus a few bits of the key's hash. It holds no
+// key: a probe whose tag matches compares against the key bytes of the
+// record itself, which sit next to the value the caller is about to read.
+// Overwritten values leave garbage in the log; lineage workloads write
+// each key once (or merge a handful of times), so compaction is
+// unnecessary and is deliberately omitted.
 //
 // Record layout (all integers little-endian / uvarint):
 //
 //	crc32(4) | klen uvarint | vlen uvarint | key | val
 //
-// The CRC covers the varint lengths, key, and value. On open the file is
-// scanned to rebuild the index; the first torn or corrupt record ends the
-// scan and the tail is truncated, matching the paper's "lineage is a
-// recoverable cache" stance.
+// The CRC covers the varint lengths, key, and value. On open the mapped
+// file is walked to rebuild the index; the first torn or corrupt record
+// ends the walk and the tail is truncated, matching the paper's "lineage
+// is a recoverable cache" stance.
+//
+// Locking: reads hold mu shared, so they run in parallel; appends, the
+// flush-time remap and Close hold it exclusively. Every slice of the
+// mapping or of the append buffer — including the ones lent to GetBatch
+// and Scan callbacks — is dead once the lock it was taken under is
+// released, because the next writer may remap or regrow the memory
+// behind it.
 type FileStore struct {
-	mu      sync.Mutex
-	f       fault.File
-	w       *bufio.Writer
-	index   map[string]recordRef
-	offset  int64 // next append position
-	dirty   bool
+	mu   sync.RWMutex
+	f    fault.File // the log; appends go through its fault-injection layer
+	fd   *os.File   // the same file, for mapping
+	path string
+
+	// data maps the log from offset 0. It is longer than the file (the
+	// length grows geometrically so that most flushes need no remap); only
+	// data[:tailOff] is ever read, and the kernel has accepted all of it.
+	data []byte
+	// tail buffers the records at [tailOff, tailOff+len(tail)). It always
+	// starts on a record boundary: a flush either hands all of it to the
+	// kernel and advances tailOff past it, or leaves it whole and remembers
+	// in written how many of its bytes the file already holds.
+	tail    []byte
+	tailOff int64
+	written int
+
+	slots   []uint64 // see slot; len is zero or a power of two
+	live    int      // occupied slots = live keys
+	seed    maphash.Seed
+	tagMask uint64 // tagAll; tests narrow it to force tag collisions
+
 	closed  bool
-	path    string
 	metaLen int64 // size of the committed meta sidecar, for accounting
 }
 
-type recordRef struct {
-	off  int64
-	klen int
-	vlen int
-}
+// A slot is zero when empty, else (record offset + 1) << tagBits | tag,
+// where tag is the top tagBits of the key's hash. The tag spares nearly
+// every probe of a neighbouring key the trip to that key's record.
+const (
+	tagBits     = 16
+	tagAll      = 1<<tagBits - 1
+	maxLogBytes = 1<<(64-tagBits) - 1
+)
 
 const (
 	crcSize       = 4
 	maxKeyLen     = 1 << 20
 	maxValLen     = 1 << 28
 	writeBufBytes = 1 << 18
+	minMapBytes   = 1 << 20
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -77,87 +115,292 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // OpenFile opens (or creates) a FileStore at path, rebuilding the key
 // index from the log and truncating any torn tail.
 func OpenFile(path string) (*FileStore, error) {
+	return openFile(path, tagAll)
+}
+
+func openFile(path string, tagMask uint64) (*FileStore, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("kvstore: open %s: %w", path, err)
 	}
 	s := &FileStore{
-		// The fault wrapper sits below the bufio buffer, so an injected
+		// The fault wrapper sits below the append buffer, so an injected
 		// torn write leaves exactly what a crashed process would: a
 		// partial frame at the file tail.
-		f:     fault.WrapFile("kvstore/file", f),
-		index: make(map[string]recordRef),
-		path:  path,
+		f:       fault.WrapFile("kvstore/file", f),
+		fd:      f,
+		path:    path,
+		seed:    maphash.MakeSeed(),
+		tagMask: tagMask,
 	}
 	if err := s.recover(); err != nil {
+		if s.data != nil {
+			_ = munmap(s.data) // the open already failed; its error is the one to report
+		}
 		f.Close()
 		return nil, err
 	}
-	if _, err := s.f.Seek(s.offset, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("kvstore: seek %s: %w", path, err)
-	}
-	s.w = bufio.NewWriterSize(s.f, writeBufBytes)
 	if info, err := os.Stat(s.metaPath()); err == nil {
 		s.metaLen = info.Size()
 	}
 	return s, nil
 }
 
-// recover scans the log, rebuilding the index. It stops at the first
-// invalid record and truncates the file there.
-func (s *FileStore) recover() error {
+// recover maps the log and walks it, rebuilding the index. It stops at the
+// first invalid record, truncates the file there and leaves the file
+// position at the new end.
+func (s *FileStore) recover() (err error) {
 	info, err := s.f.Stat()
 	if err != nil {
-		return fmt.Errorf("kvstore: stat: %w", err)
+		return fmt.Errorf("kvstore: stat %s: %w", s.path, err)
 	}
 	size := info.Size()
-	r := bufio.NewReaderSize(io.NewSectionReader(s.f, 0, size), writeBufBytes)
+	if size > maxLogBytes {
+		return fmt.Errorf("kvstore: %s: log of %d bytes exceeds the index's offset range", s.path, size)
+	}
+	if err := s.remap(size); err != nil {
+		return err
+	}
+	defer s.catchFault(debug.SetPanicOnFault(true), &err)
 	var off int64
-	hdr := make([]byte, crcSize)
-	var body []byte
 	for off < size {
-		if _, err := io.ReadFull(r, hdr); err != nil {
+		key, _, n, ok := splitRecord(s.data[off:size])
+		if !ok {
 			break // torn tail
 		}
-		wantCRC := binary.LittleEndian.Uint32(hdr)
-		klen, err1 := binary.ReadUvarint(r)
-		if err1 != nil || klen > maxKeyLen {
+		rec := s.data[off : off+int64(n)]
+		if crc32.Checksum(rec[crcSize:], crcTable) != binary.LittleEndian.Uint32(rec) {
 			break
 		}
-		vlen, err2 := binary.ReadUvarint(r)
-		if err2 != nil || vlen > maxValLen {
-			break
+		// Probes during the walk compare against earlier records, so the
+		// readable bound moves with it.
+		s.tailOff = off + int64(n)
+		if err := s.indexPut(key, off); err != nil {
+			return err
 		}
-		framing := uvarintLen(klen) + uvarintLen(vlen)
-		need := framing + int(klen) + int(vlen)
-		if cap(body) < need {
-			body = make([]byte, need)
-		}
-		body = body[:need]
-		n := binary.PutUvarint(body, klen)
-		n += binary.PutUvarint(body[n:], vlen)
-		if _, err := io.ReadFull(r, body[n:]); err != nil {
-			break
-		}
-		if crc32.Checksum(body, crcTable) != wantCRC {
-			break
-		}
-		key := string(body[framing : framing+int(klen)])
-		s.index[key] = recordRef{off: off, klen: int(klen), vlen: int(vlen)}
-		off += int64(crcSize + need)
+		off = s.tailOff
 	}
-	s.offset = off
+	s.tailOff = off
 	if off < size {
 		if err := s.f.Truncate(off); err != nil {
 			return fmt.Errorf("kvstore: truncate torn tail: %w", err)
 		}
 	}
+	if _, err := s.f.Seek(off, io.SeekStart); err != nil {
+		return fmt.Errorf("kvstore: seek %s: %w", s.path, err)
+	}
+	return nil
+}
+
+// splitRecord parses the record at the head of b and returns its key, its
+// value and the bytes it occupies, without checking the CRC. ok is false
+// when b ends inside the record or a length is out of range. The slices
+// are capped, so an append through one cannot reach the next record.
+func splitRecord(b []byte) (key, val []byte, size int, ok bool) {
+	if len(b) < crcSize {
+		return nil, nil, 0, false
+	}
+	klen, n1 := binary.Uvarint(b[crcSize:])
+	if n1 <= 0 || klen > maxKeyLen {
+		return nil, nil, 0, false
+	}
+	vlen, n2 := binary.Uvarint(b[crcSize+n1:])
+	if n2 <= 0 || vlen > maxValLen {
+		return nil, nil, 0, false
+	}
+	k := crcSize + n1 + n2
+	v := k + int(klen)
+	size = v + int(vlen)
+	if size > len(b) {
+		return nil, nil, 0, false
+	}
+	return b[k:v:v], b[v:size:size], size, true
+}
+
+// end returns the offset one past the last appended record.
+func (s *FileStore) end() int64 { return s.tailOff + int64(len(s.tail)) }
+
+// record returns the key, the value and the size of the record at off,
+// which the index or a log walk vouches for. The slices alias the mapping
+// or the append buffer.
+func (s *FileStore) record(off int64) (key, val []byte, size int, err error) {
+	var b []byte
+	if off < s.tailOff {
+		b = s.data[off:s.tailOff]
+	} else {
+		b = s.tail[off-s.tailOff:]
+	}
+	key, val, size, ok := splitRecord(b)
+	if !ok {
+		// Only bytes changed behind the store's back get here: recovery
+		// and append both framed this record.
+		return nil, nil, 0, fmt.Errorf("kvstore: %s: corrupt record at offset %d", s.path, off)
+	}
+	return key, val, size, nil
+}
+
+// catchFault is deferred around every path that reads the mapping, with
+// the result of debug.SetPanicOnFault(true) as prev. A page of a mapping
+// can fail to load — the file was truncated from outside, the device
+// returned an error — and the kernel reports that as a fault on the
+// address. The runtime would abort the process; this turns it into an
+// error naming the store and the offset. Any other panic continues.
+func (s *FileStore) catchFault(prev bool, err *error) {
+	debug.SetPanicOnFault(prev)
+	r := recover()
+	if r == nil {
+		return
+	}
+	if fe, ok := r.(interface {
+		error
+		Addr() uintptr
+	}); ok && len(s.data) > 0 {
+		base := uintptr(unsafe.Pointer(unsafe.SliceData(s.data)))
+		if a := fe.Addr(); a >= base && a-base < uintptr(len(s.data)) {
+			*err = fmt.Errorf("kvstore: %s: fault reading the mapped log at offset %d (truncated or unreadable underneath the store): %w",
+				s.path, a-base, fe)
+			return
+		}
+	}
+	panic(r)
+}
+
+// remap replaces the mapping with one that covers at least need bytes.
+// Callers hold mu exclusively (or own the store outright, in open), so no
+// slice of the old mapping is live.
+func (s *FileStore) remap(need int64) error {
+	n := max(2*need, minMapBytes)
+	if int64(int(n)) != n {
+		return fmt.Errorf("kvstore: map %s: %d bytes do not fit the address space", s.path, n)
+	}
+	data, err := mmap(s.fd, int(n))
+	if err != nil {
+		return fmt.Errorf("kvstore: map %s: %w", s.path, err)
+	}
+	old := s.data
+	s.data = data
+	if old != nil {
+		if err := munmap(old); err != nil {
+			return fmt.Errorf("kvstore: unmap %s: %w", s.path, err)
+		}
+	}
+	return nil
+}
+
+// hashKey returns the key's hash and the tag a slot stores for it.
+func (s *FileStore) hashKey(key []byte) (h, tag uint64) {
+	h = maphash.Bytes(s.seed, key)
+	return h, h >> (64 - tagBits) & s.tagMask
+}
+
+// probe walks key's probe sequence and returns the slot holding it, with
+// its record's offset and value, or the empty slot where it belongs, with
+// off = -1. The table must have an empty slot.
+func (s *FileStore) probe(key []byte, h, tag uint64) (slot uint64, off int64, val []byte, err error) {
+	mask := uint64(len(s.slots) - 1)
+	for slot = h & mask; ; slot = (slot + 1) & mask {
+		sl := s.slots[slot]
+		if sl == 0 {
+			return slot, -1, nil, nil
+		}
+		if sl&tagAll != tag {
+			continue
+		}
+		off = int64(sl>>tagBits) - 1
+		k, v, _, err := s.record(off)
+		if err != nil {
+			return 0, -1, nil, err
+		}
+		if bytes.Equal(k, key) {
+			return slot, off, v, nil
+		}
+	}
+}
+
+// find returns the offset and the value of key's latest record, or
+// off = -1 when the key is absent.
+func (s *FileStore) find(key []byte) (off int64, val []byte, err error) {
+	if len(s.slots) == 0 {
+		return -1, nil, nil
+	}
+	h, tag := s.hashKey(key)
+	_, off, val, err = s.probe(key, h, tag)
+	return off, val, err
+}
+
+// indexPut points key at the record at off, which must already be
+// readable through record.
+func (s *FileStore) indexPut(key []byte, off int64) error {
+	if (s.live+1)*4 > len(s.slots)*3 {
+		if err := s.growIndex(); err != nil {
+			return err
+		}
+	}
+	h, tag := s.hashKey(key)
+	slot, old, _, err := s.probe(key, h, tag)
+	if err != nil {
+		return err
+	}
+	if old < 0 {
+		s.live++
+	}
+	s.slots[slot] = uint64(off+1)<<tagBits | tag
+	return nil
+}
+
+// growIndex doubles the table. A slot keeps too few hash bits to be
+// re-placed by itself, so each key is hashed again from its record.
+func (s *FileStore) growIndex() error {
+	grown := make([]uint64, max(16, 2*len(s.slots)))
+	mask := uint64(len(grown) - 1)
+	for _, sl := range s.slots {
+		if sl == 0 {
+			continue
+		}
+		key, _, _, err := s.record(int64(sl>>tagBits) - 1)
+		if err != nil {
+			return err
+		}
+		h, _ := s.hashKey(key)
+		i := h & mask
+		for grown[i] != 0 {
+			i = (i + 1) & mask
+		}
+		grown[i] = sl
+	}
+	s.slots = grown
+	return nil
+}
+
+// appendRecord frames key/val at the end of the append buffer, draining
+// the buffer first when the record would overfill it, and indexes it.
+func (s *FileStore) appendRecord(key, val []byte) error {
+	need := crcSize + uvarintLen(uint64(len(key))) + uvarintLen(uint64(len(val))) + len(key) + len(val)
+	if len(s.tail) > 0 && len(s.tail)+need > writeBufBytes {
+		if err := s.flushLocked(); err != nil {
+			return err
+		}
+	}
+	off := s.end()
+	if off+int64(need) > maxLogBytes {
+		return fmt.Errorf("kvstore: %s: log is full (%d bytes)", s.path, off)
+	}
+	start := len(s.tail)
+	s.tail = append(s.tail, 0, 0, 0, 0)
+	s.tail = binary.AppendUvarint(s.tail, uint64(len(key)))
+	s.tail = binary.AppendUvarint(s.tail, uint64(len(val)))
+	s.tail = append(s.tail, key...)
+	s.tail = append(s.tail, val...)
+	binary.LittleEndian.PutUint32(s.tail[start:], crc32.Checksum(s.tail[start+crcSize:], crcTable))
+	if err := s.indexPut(key, off); err != nil {
+		s.tail = s.tail[:start]
+		return err
+	}
 	return nil
 }
 
 // Put implements Store.
-func (s *FileStore) Put(key, val []byte) error {
+func (s *FileStore) Put(key, val []byte) (err error) {
 	if len(key) > maxKeyLen || len(val) > maxValLen {
 		return fmt.Errorf("kvstore: record too large (key %d, val %d)", len(key), len(val))
 	}
@@ -169,32 +412,16 @@ func (s *FileStore) Put(key, val []byte) error {
 	if err := fault.Inject(fpPut); err != nil {
 		return err
 	}
-	framing := uvarintLen(uint64(len(key))) + uvarintLen(uint64(len(val)))
-	body := make([]byte, framing+len(key)+len(val))
-	n := binary.PutUvarint(body, uint64(len(key)))
-	n += binary.PutUvarint(body[n:], uint64(len(val)))
-	copy(body[n:], key)
-	copy(body[n+len(key):], val)
-	var hdr [crcSize]byte
-	binary.LittleEndian.PutUint32(hdr[:], crc32.Checksum(body, crcTable))
-	if _, err := s.w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("kvstore: append: %w", err)
-	}
-	if _, err := s.w.Write(body); err != nil {
-		return fmt.Errorf("kvstore: append: %w", err)
-	}
-	s.index[string(key)] = recordRef{off: s.offset, klen: len(key), vlen: len(val)}
-	s.offset += int64(crcSize + len(body))
-	s.dirty = true
-	return nil
+	defer s.catchFault(debug.SetPanicOnFault(true), &err)
+	return s.appendRecord(key, val)
 }
 
 // PutBatch implements BatchWriter: the whole batch is framed and appended
-// under one lock acquisition and one pass through the write buffer — the
+// under one lock acquisition and one pass through the append buffer — the
 // group commit the ingest shard workers rely on. A crash mid-batch tears
 // the log inside the batch; recovery truncates at the first bad record,
 // exactly as for individual Puts.
-func (s *FileStore) PutBatch(kvs []KV) error {
+func (s *FileStore) PutBatch(kvs []KV) (err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -210,30 +437,12 @@ func (s *FileStore) PutBatch(kvs []KV) error {
 			return fmt.Errorf("kvstore: record too large (key %d, val %d)", len(kv.Key), len(kv.Val))
 		}
 	}
-	var body []byte
+	defer s.catchFault(debug.SetPanicOnFault(true), &err)
 	for _, kv := range kvs {
-		framing := uvarintLen(uint64(len(kv.Key))) + uvarintLen(uint64(len(kv.Val)))
-		need := framing + len(kv.Key) + len(kv.Val)
-		if cap(body) < need {
-			body = make([]byte, need)
+		if err := s.appendRecord(kv.Key, kv.Val); err != nil {
+			return err
 		}
-		body = body[:need]
-		n := binary.PutUvarint(body, uint64(len(kv.Key)))
-		n += binary.PutUvarint(body[n:], uint64(len(kv.Val)))
-		copy(body[n:], kv.Key)
-		copy(body[n+len(kv.Key):], kv.Val)
-		var hdr [crcSize]byte
-		binary.LittleEndian.PutUint32(hdr[:], crc32.Checksum(body, crcTable))
-		if _, err := s.w.Write(hdr[:]); err != nil {
-			return fmt.Errorf("kvstore: append: %w", err)
-		}
-		if _, err := s.w.Write(body); err != nil {
-			return fmt.Errorf("kvstore: append: %w", err)
-		}
-		s.index[string(kv.Key)] = recordRef{off: s.offset, klen: len(kv.Key), vlen: len(kv.Val)}
-		s.offset += int64(crcSize + need)
 	}
-	s.dirty = true
 	return nil
 }
 
@@ -324,130 +533,91 @@ func (s *FileStore) LoadMeta() ([]byte, bool, error) {
 	return val, true, nil
 }
 
-// Get implements Store. It flushes pending writes first so index offsets
-// are always readable.
-func (s *FileStore) Get(key []byte) ([]byte, bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// Get implements Store. The value is a private copy: unlike GetBatch and
+// Scan, Get has no callback to bound the life of a slice of the mapping.
+func (s *FileStore) Get(key []byte) (val []byte, ok bool, err error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	if s.closed {
 		return nil, false, ErrClosed
 	}
-	ref, ok := s.index[string(key)]
-	if !ok {
-		return nil, false, nil
-	}
-	if err := s.flushLocked(); err != nil {
+	defer s.catchFault(debug.SetPanicOnFault(true), &err)
+	off, v, err := s.find(key)
+	if err != nil || off < 0 {
 		return nil, false, err
 	}
-	val, err := s.readValue(ref)
-	if err != nil {
-		return nil, false, err
-	}
-	return val, true, nil
+	return bytes.Clone(v), true, nil
 }
 
-// GetBatch implements GetBatcher: one lock acquisition and one write-
-// buffer flush serve the whole batch, and value buffers are reused
-// between keys (the val passed to fn is only valid during the call).
-func (s *FileStore) GetBatch(keys [][]byte, fn func(i int, val []byte, ok bool) bool) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// GetBatch implements GetBatcher: one shared lock acquisition serves the
+// whole batch. The val passed to fn is the record's bytes in place, in the
+// mapping or the append buffer; it is only valid during the call.
+func (s *FileStore) GetBatch(keys [][]byte, fn func(i int, val []byte, ok bool) bool) (err error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	if s.closed {
 		return ErrClosed
 	}
-	if err := s.flushLocked(); err != nil {
-		return err
-	}
-	var buf []byte
+	defer s.catchFault(debug.SetPanicOnFault(true), &err)
 	for i, k := range keys {
-		ref, ok := s.index[string(k)]
-		if !ok {
-			if !fn(i, nil, false) {
-				return nil
-			}
-			continue
-		}
-		var err error
-		if buf, err = s.readValueInto(ref, buf); err != nil {
+		off, val, err := s.find(k)
+		if err != nil {
 			return err
 		}
-		if !fn(i, buf, true) {
+		if !fn(i, val, off >= 0) {
 			return nil
 		}
 	}
 	return nil
 }
 
-func (s *FileStore) readValue(ref recordRef) ([]byte, error) {
-	return s.readValueInto(ref, nil)
-}
-
-// readValueInto reads a record's value, reusing buf's storage when it is
-// large enough. It owns the record framing arithmetic for all read paths.
-func (s *FileStore) readValueInto(ref recordRef, buf []byte) ([]byte, error) {
-	framing := uvarintLen(uint64(ref.klen)) + uvarintLen(uint64(ref.vlen))
-	skip := int64(crcSize + framing + ref.klen)
-	if cap(buf) < ref.vlen {
-		buf = make([]byte, ref.vlen)
-	}
-	buf = buf[:ref.vlen]
-	if _, err := s.f.ReadAt(buf, ref.off+skip); err != nil {
-		return nil, fmt.Errorf("kvstore: read record at %d: %w", ref.off, err)
-	}
-	return buf, nil
-}
-
-// Scan implements Store. Records are visited in log order (oldest live
-// version of each key at its final offset).
-func (s *FileStore) Scan(fn func(key, val []byte) bool) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// Scan implements Store. The log is walked in order and a record is
+// visited when the index still points at it, so each live key is seen
+// once, at its latest value, in log order. The slices passed to fn are
+// the record's bytes in place.
+func (s *FileStore) Scan(fn func(key, val []byte) bool) (err error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	if s.closed {
 		return ErrClosed
 	}
-	if err := s.flushLocked(); err != nil {
-		return err
-	}
-	// Sort refs by offset for sequential I/O.
-	type kv struct {
-		key string
-		ref recordRef
-	}
-	refs := make([]kv, 0, len(s.index))
-	for k, ref := range s.index {
-		refs = append(refs, kv{k, ref})
-	}
-	sort.Slice(refs, func(i, j int) bool { return refs[i].ref.off < refs[j].ref.off })
-	for _, e := range refs {
-		val, err := s.readValue(e.ref)
+	defer s.catchFault(debug.SetPanicOnFault(true), &err)
+	for off, end := int64(0), s.end(); off < end; {
+		key, val, size, err := s.record(off)
 		if err != nil {
 			return err
 		}
-		if !fn([]byte(e.key), val) {
+		latest, _, err := s.find(key)
+		if err != nil {
+			return err
+		}
+		if latest == off && !fn(key, val) {
 			return nil
 		}
+		off += int64(size)
 	}
 	return nil
 }
 
 // Len implements Store.
 func (s *FileStore) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.index)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.live
 }
 
-// SizeBytes implements Store: the log file size including garbage plus
-// the meta sidecar, which is what a real deployment pays for.
+// SizeBytes implements Store: the log size including garbage and the
+// records still buffered, plus the meta sidecar, which is what a real
+// deployment pays for.
 func (s *FileStore) SizeBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.offset + s.metaLen
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.end() + s.metaLen
 }
 
-// Sync implements Store: it drains the write buffer. Like the paper's
-// BerkeleyDB configuration it does NOT fsync — lineage is a recoverable
-// cache and crash durability is explicitly out of scope.
+// Sync implements Store: it hands the append buffer to the kernel. Like
+// the paper's BerkeleyDB configuration it does NOT fsync — lineage is a
+// recoverable cache and crash durability is explicitly out of scope.
 func (s *FileStore) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -457,17 +627,37 @@ func (s *FileStore) Sync() error {
 	return s.flushLocked()
 }
 
+// flushLocked writes the append buffer to the file and moves the readable
+// bound of the mapping past it, remapping first when the mapping is too
+// short. When the write is short or torn the file keeps the bytes it
+// accepted, the buffer stays whole — its records remain readable from it
+// — and the next flush writes the rest.
 func (s *FileStore) flushLocked() error {
-	if !s.dirty {
+	if len(s.tail) == 0 {
 		return nil
 	}
 	if err := fault.Inject(fpFlush); err != nil {
 		return err
 	}
-	if err := s.w.Flush(); err != nil {
-		return fmt.Errorf("kvstore: flush: %w", err)
+	if s.written < len(s.tail) {
+		n, err := s.f.Write(s.tail[s.written:])
+		s.written += n
+		if err != nil {
+			return fmt.Errorf("kvstore: flush: %w", err)
+		}
 	}
-	s.dirty = false
+	end := s.end()
+	if end > int64(len(s.data)) {
+		if err := s.remap(end); err != nil {
+			return err
+		}
+	}
+	s.tailOff, s.written = end, 0
+	if cap(s.tail) > 2*writeBufBytes {
+		s.tail = nil // grown for one oversized record; do not keep it
+	} else {
+		s.tail = s.tail[:0]
+	}
 	return nil
 }
 
@@ -479,13 +669,11 @@ func (s *FileStore) Close() error {
 		return nil
 	}
 	flushErr := s.flushLocked()
+	unmapErr := munmap(s.data)
 	closeErr := s.f.Close()
 	s.closed = true
-	s.index = nil
-	if flushErr != nil {
-		return flushErr
-	}
-	return closeErr
+	s.data, s.tail, s.slots = nil, nil, nil
+	return errors.Join(flushErr, unmapErr, closeErr)
 }
 
 // Path returns the backing file path.

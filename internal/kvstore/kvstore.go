@@ -8,10 +8,15 @@
 //
 //   - Store is a minimal hashtable interface (put/get/scan) with explicit
 //     size accounting so benchmarks can charge disk overhead.
-//   - FileStore is a log-structured, CRC-framed, buffered append file with
-//     an in-memory index — durable enough to survive a clean process exit,
-//     and like the paper's configuration it deliberately trades crash
-//     safety for speed: a torn tail is detected and discarded on open.
+//   - FileStore is a log-structured, CRC-framed append file read in place:
+//     lookups go through a read-only mapping of the log (and the store's
+//     own append buffer for records not yet written), and the index is a
+//     table of 8-byte offsets that compares against the key bytes in the
+//     record, so a probe costs memory accesses — no syscall, no copy, no
+//     per-key heap object. It is durable enough to survive a clean process
+//     exit, and like the paper's configuration it deliberately trades
+//     crash safety for speed: a torn tail is detected and discarded on
+//     open.
 //   - MemStore is a map-backed implementation used by tests and by
 //     benchmarks that isolate CPU cost from I/O.
 //   - Manager allocates one Store per operator instance ("operator
@@ -48,10 +53,11 @@ type Store interface {
 }
 
 // GetBatcher is an optional Store extension: resolve several point
-// lookups under a single lock acquisition and I/O pass. fn is called once
-// per key in order; the val slice follows the same aliasing rules as
-// Get's and is only valid for the duration of the call. Returning false
-// stops the batch early.
+// lookups under a single lock acquisition. fn is called once per key in
+// order, under that lock; the val slice is lent, not given — it may be the
+// store's own memory (FileStore passes the bytes of its mapping), must not
+// be modified, and is only valid for the duration of the call. fn must
+// not call back into the store. Returning false stops the batch early.
 type GetBatcher interface {
 	GetBatch(keys [][]byte, fn func(i int, val []byte, ok bool) bool) error
 }
