@@ -1,7 +1,7 @@
 // Ablation benchmarks for the design choices called out in DESIGN.md:
 // payload form (compact descriptor vs the paper's literal fanin×4 cell
-// list), the One/Many encoding crossover in fanout, the R-tree node
-// fan-out, and the cell-set codec against a fixed-width baseline.
+// list), the One/Many encoding crossover in fanout, and the R-tree node
+// fan-out.
 package subzero_test
 
 import (
@@ -10,7 +10,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"subzero/internal/binenc"
 	"subzero/internal/grid"
 	"subzero/internal/microbench"
 	"subzero/internal/rtree"
@@ -96,38 +95,4 @@ func BenchmarkAblationRTreeFanout(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkAblationCellSetCodec compares the delta+varint cell-set codec
-// against a fixed 8-byte baseline on clustered cells — the compression
-// that makes region lineage cheap (and that outperforms the paper's
-// fanin×4-byte payloads).
-func BenchmarkAblationCellSetCodec(b *testing.B) {
-	cells := make([]uint64, 1000)
-	base := uint64(500_000)
-	for i := range cells {
-		cells[i] = base + uint64(i*3)
-	}
-	b.Run("delta-varint", func(b *testing.B) {
-		var size int
-		buf := make([]byte, 0, 16*len(cells))
-		for i := 0; i < b.N; i++ {
-			buf = binenc.AppendCellSet(buf[:0], cells)
-			size = len(buf)
-		}
-		b.ReportMetric(float64(size)/float64(len(cells)), "bytes/cell")
-	})
-	b.Run("fixed-8-byte", func(b *testing.B) {
-		// The naive baseline: 8 bytes per cell, no compression.
-		buf := make([]byte, 0, 8*len(cells))
-		var size int
-		for i := 0; i < b.N; i++ {
-			buf = buf[:0]
-			for _, c := range cells {
-				buf = append(buf, binenc.PutUint64(c)...)
-			}
-			size = len(buf)
-		}
-		b.ReportMetric(float64(size)/float64(len(cells)), "bytes/cell")
-	})
 }

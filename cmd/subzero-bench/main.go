@@ -16,10 +16,6 @@
 //	subzero-bench trace   end-to-end tracing overhead on the backward
 //	                      lookup, span trees off vs on, plus retention
 //	                      counters
-//	subzero-bench compress  record-codec ablation: store size and encode
-//	                      time per pair under the v2 span codec vs the v3
-//	                      tiled container codec, per workload shape and
-//	                      encoding
 //	subzero-bench all     everything above
 //
 // Absolute numbers differ from the 2013 Python/BerkeleyDB prototype; the
@@ -122,7 +118,7 @@ func run(args []string) error {
 		opts.microSize = 300
 	}
 	if fs.NArg() < 1 {
-		return fmt.Errorf("usage: subzero-bench [flags] fig5a|fig5b|fig6a|fig6b|fig6c|fig7|fig8|fig9|capture|obs|trace|compress|all")
+		return fmt.Errorf("usage: subzero-bench [flags] fig5a|fig5b|fig6a|fig6b|fig6c|fig7|fig8|fig9|capture|obs|trace|all")
 	}
 	// Ctrl-C cancels the in-flight workflow or query via the v2 context-
 	// aware API.
@@ -134,10 +130,9 @@ func run(args []string) error {
 		"fig6a": fig6a, "fig6b": fig6b, "fig6c": fig6c,
 		"fig7": fig7, "fig8": fig8, "fig9": fig9,
 		"capture": capture, "obs": obsFigure, "trace": traceFigure,
-		"compress": compressFigure,
 	}
 	if cmd == "all" {
-		for _, name := range []string{"fig5a", "fig5b", "fig6a", "fig6b", "fig6c", "fig7", "fig8", "fig9", "capture", "obs", "trace", "compress"} {
+		for _, name := range []string{"fig5a", "fig5b", "fig6a", "fig6b", "fig6c", "fig7", "fig8", "fig9", "capture", "obs", "trace"} {
 			if err := runners[name](ctx, opts); err != nil {
 				return fmt.Errorf("%s: %w", name, err)
 			}
@@ -459,53 +454,6 @@ func obsFigure(ctx context.Context, opts options) error {
 	addHist("query forward", set.Query.Latency[1])
 	addHist("kvstore get-batch", set.KV.GetBatchLatency)
 	addHist("kvstore put-batch", set.KV.PutBatchLatency)
-	render(t)
-	return nil
-}
-
-// compressFigure is the v3-codec ablation: every compression workload ×
-// encoding is written twice — once under the v2 span codec, once under
-// the v3 tiled container codec — into otherwise identical stores, and
-// the table reports stored bytes, bytes/pair, encode time/pair, and the
-// v2/v3 size ratio, plus each store's ratio to its uncompressed logical
-// volume. Before measuring, each combination's backward answers are
-// cross-checked between the codecs.
-func compressFigure(ctx context.Context, opts options) error {
-	scale := opts.microSize / 300 // quick = 300 → 1, full = 1000 → 3
-	if scale < 1 {
-		scale = 1
-	}
-	fmt.Printf("record-codec ablation: v2 spans vs v3 containers (scale %dx)\n\n", scale)
-	t := benchfmt.NewTable("Compression: v2 span codec vs v3 container codec",
-		"workload", "encoding", "pairs",
-		"v2 bytes", "v3 bytes", "v2/v3",
-		"v2 B/pair", "v3 B/pair",
-		"v2 enc/pair", "v3 enc/pair",
-		"logical/v3")
-	for _, workload := range microbench.CompressWorkloads {
-		for _, strat := range microbench.CompressStrategies {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := microbench.CompressVerify(workload, strat, 1); err != nil {
-				return err
-			}
-			v2, err := microbench.CompressRun(workload, strat, lineage.CodecV2, scale)
-			if err != nil {
-				return fmt.Errorf("%s/%s v2: %w", workload, strat, err)
-			}
-			v3, err := microbench.CompressRun(workload, strat, lineage.CodecV3, scale)
-			if err != nil {
-				return fmt.Errorf("%s/%s v3: %w", workload, strat, err)
-			}
-			t.AddRow(workload, strat.String(), v3.Pairs,
-				benchfmt.Bytes(v2.LineageBytes), benchfmt.Bytes(v3.LineageBytes),
-				benchfmt.Ratio(float64(v2.LineageBytes), float64(v3.LineageBytes)),
-				fmt.Sprintf("%.1f", v2.BytesPerPair()), fmt.Sprintf("%.1f", v3.BytesPerPair()),
-				v2.EncodePerPair(), v3.EncodePerPair(),
-				benchfmt.Ratio(float64(v3.LogicalBytes), float64(v3.LineageBytes)))
-		}
-	}
 	render(t)
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 
 	"subzero"
 	"subzero/internal/fault"
+	"subzero/internal/kvstore"
 )
 
 // oneNodeRun executes a single FullOne-materialized identity operator
@@ -34,59 +35,134 @@ func oneNodeRun(t *testing.T, opts ...subzero.Option) (*subzero.System, *subzero
 	return sys, run
 }
 
-// TestCorruptionFallbackAndHeal is the tentpole's quarantine loop end to
-// end: a decode fault at lookup time degrades the store, the query still
+// TestCorruptionFallbackAndHeal is the quarantine loop end to end: a
+// record the lookup cannot use degrades the store, the query still
 // answers through re-execution, the healer rebuilds the store in the
 // background, and once the rebuild swaps in, queries serve from
-// materialized lineage again.
+// materialized lineage again. The loop takes two kinds of input: a decode
+// fault injected at lookup time, and a file-backed store whose pair keys
+// hold the record layouts earlier builds wrote (flags 0/1 and 2/3), which
+// no decoder is kept for.
 func TestCorruptionFallbackAndHeal(t *testing.T) {
-	defer fault.Reset()
-	sys, run := oneNodeRun(t, subzero.WithStorageDir(t.TempDir()))
-	q := subzero.BackwardQuery([]uint64{2}, subzero.Step{Node: "id"})
+	cases := map[string]func(t *testing.T, sys *subzero.System){
+		"decode-fault": func(t *testing.T, _ *subzero.System) {
+			if err := fault.Arm("lineage/lookup/decode", fault.Action{Kind: fault.KindError, Count: 1}); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"stale-format": func(t *testing.T, sys *subzero.System) {
+			// The pinned goldens of internal/lineage/compat_test.go: outs
+			// {1,5,9} with inputs {0,2},{7} in the per-cell (v1) and
+			// run-length (v2) layouts, planted under alternating pair keys
+			// ('P' + uvarint id) of the run's one store.
+			stale := [][]byte{
+				{0, 3, 1, 4, 4, 2, 2, 0, 2, 1, 7},
+				{2, 3, 1, 1, 3, 1, 3, 1, 2, 2, 0, 1, 1, 1, 1, 7, 1},
+			}
+			kv := onlyStore(t, sys)
+			for id := 0; id < 8; id++ {
+				if err := kv.Put([]byte{'P', byte(id)}, stale[id%2]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		},
+	}
+	for name, corrupt := range cases {
+		t.Run(name, func(t *testing.T) {
+			defer fault.Reset()
+			sys, run := oneNodeRun(t, subzero.WithStorageDir(t.TempDir()))
+			q := subzero.BackwardQuery([]uint64{2}, subzero.Step{Node: "id"})
+			corrupt(t, sys)
 
-	if err := fault.Arm("lineage/lookup/decode", fault.Action{Kind: fault.KindError, Count: 1}); err != nil {
+			// Dynamic off: the query-time optimizer's budget abort takes
+			// the same fallback as corruption and would mask whether the
+			// store degraded.
+			opts := subzero.DefaultQueryOptions()
+			opts.Dynamic = false
+			res, err := sys.QueryWith(context.Background(), run, q, opts)
+			if err != nil {
+				t.Fatalf("corrupt store must fall back, not fail: %v", err)
+			}
+			// Black-box answer of the identity operator: the cell itself.
+			if cells := res.Cells(); len(cells) != 1 || cells[0] != 2 {
+				t.Fatalf("fallback answer wrong: %v", cells)
+			}
+			if !res.Steps[0].FellBack || !strings.Contains(res.Steps[0].AccessPath, "reexec") {
+				t.Fatalf("expected re-execution fallback, got %+v", res.Steps[0])
+			}
+
+			// The healer claimed the degraded store and is rebuilding it
+			// in the background; wait for the inventory to clear.
+			deadline := time.Now().Add(10 * time.Second)
+			for len(sys.DegradedStores()) > 0 {
+				if time.Now().After(deadline) {
+					t.Fatalf("store still degraded after heal window: %+v", sys.DegradedStores())
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			attempts, successes, failures := sys.HealCounts()
+			if attempts < 1 || successes < 1 {
+				t.Fatalf("heal not recorded: attempts=%d successes=%d failures=%d", attempts, successes, failures)
+			}
+
+			// The swapped-in store holds every pair in the current format.
+			var healed []string
+			for _, ns := range sys.KVManager().Namespaces() {
+				if strings.Contains(ns, "@heal") {
+					healed = append(healed, ns)
+				}
+			}
+			if len(healed) != 1 {
+				t.Fatalf("healed namespaces = %v, want exactly one", healed)
+			}
+			kv, err := sys.KVManager().Open(healed[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			records := 0
+			if err := kv.Scan(func(key, val []byte) bool {
+				if key[0] == 'P' {
+					records++
+					if len(val) == 0 || (val[0] != 4 && val[0] != 5) {
+						t.Errorf("healed record %v carries flags %v, want 4 or 5", key, val[:1])
+					}
+				}
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if records != 8 {
+				t.Fatalf("healed store holds %d pair records, want 8", records)
+			}
+
+			// Post-heal, the swapped-in store serves from materialized
+			// lineage.
+			res2, err := sys.QueryWith(context.Background(), run, q, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res2.Steps[0].FellBack {
+				t.Fatalf("healed store still falling back: %+v", res2.Steps[0])
+			}
+			if cells := res2.Cells(); len(cells) != 1 || cells[0] != 2 {
+				t.Fatalf("healed answer wrong: %v", cells)
+			}
+		})
+	}
+}
+
+// onlyStore returns the hashtable of the system's single lineage store.
+func onlyStore(t *testing.T, sys *subzero.System) kvstore.Store {
+	t.Helper()
+	spaces := sys.KVManager().Namespaces()
+	if len(spaces) != 1 {
+		t.Fatalf("namespaces = %v, want exactly one", spaces)
+	}
+	kv, err := sys.KVManager().Open(spaces[0])
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Dynamic off: the query-time optimizer's budget abort takes the same
-	// fallback as corruption and would mask whether the fault fired.
-	opts := subzero.DefaultQueryOptions()
-	opts.Dynamic = false
-	res, err := sys.QueryWith(context.Background(), run, q, opts)
-	if err != nil {
-		t.Fatalf("corrupt store must fall back, not fail: %v", err)
-	}
-	if cells := res.Cells(); len(cells) != 1 || cells[0] != 2 {
-		t.Fatalf("fallback answer wrong: %v", cells)
-	}
-	if !res.Steps[0].FellBack || !strings.Contains(res.Steps[0].AccessPath, "reexec") {
-		t.Fatalf("expected re-execution fallback, got %+v", res.Steps[0])
-	}
-
-	// The healer claimed the degraded store and is rebuilding it in the
-	// background; wait for the inventory to clear.
-	deadline := time.Now().Add(10 * time.Second)
-	for len(sys.DegradedStores()) > 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("store still degraded after heal window: %+v", sys.DegradedStores())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	attempts, successes, failures := sys.HealCounts()
-	if attempts < 1 || successes < 1 {
-		t.Fatalf("heal not recorded: attempts=%d successes=%d failures=%d", attempts, successes, failures)
-	}
-
-	// Post-heal, the swapped-in store serves from materialized lineage.
-	res2, err := sys.QueryWith(context.Background(), run, q, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Steps[0].FellBack {
-		t.Fatalf("healed store still falling back: %+v", res2.Steps[0])
-	}
-	if cells := res2.Cells(); len(cells) != 1 || cells[0] != 2 {
-		t.Fatalf("healed answer wrong: %v", cells)
-	}
+	return kv
 }
 
 // TestQueryBatchPanicContainment: a panic inside one batch query fails

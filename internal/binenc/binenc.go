@@ -1,9 +1,9 @@
 // Package binenc implements the compact binary encodings SubZero uses to
-// serialize lineage data: delta+varint cell-set codecs, rectangle codecs,
-// and length-prefixed framing. The paper (§VI-B) bit-packs each coordinate
-// into a single integer when the array is small enough; we always address
-// cells by their uint64 row-major linear index (see internal/grid), so the
-// codecs here operate on sorted []uint64 index sets.
+// serialize lineage data: the tiled container cell-set codec, rectangle
+// codecs, and length-prefixed framing. The paper (§VI-B) bit-packs each
+// coordinate into a single integer when the array is small enough; we
+// always address cells by their uint64 row-major linear index (see
+// internal/grid), so the codecs here operate on sorted []uint64 index sets.
 package binenc
 
 import (
@@ -12,82 +12,6 @@ import (
 
 	"subzero/internal/grid"
 )
-
-// AppendUvarint appends v in unsigned-varint form.
-func AppendUvarint(dst []byte, v uint64) []byte {
-	return binary.AppendUvarint(dst, v)
-}
-
-// AppendCellSet appends a sorted, deduplicated cell-index set using
-// delta+varint coding: a count followed by the first index and successive
-// gaps. Sorted inputs with spatial locality compress to ~1-2 bytes/cell.
-func AppendCellSet(dst []byte, cells []uint64) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(cells)))
-	prev := uint64(0)
-	for i, v := range cells {
-		if i == 0 {
-			dst = binary.AppendUvarint(dst, v)
-		} else {
-			dst = binary.AppendUvarint(dst, v-prev)
-		}
-		prev = v
-	}
-	return dst
-}
-
-// DecodeCellSet decodes a cell set produced by AppendCellSet, returning the
-// cells and the number of bytes consumed.
-func DecodeCellSet(src []byte) ([]uint64, int, error) {
-	n, read := binary.Uvarint(src)
-	if read <= 0 {
-		return nil, 0, fmt.Errorf("binenc: truncated cell-set count")
-	}
-	off := read
-	if n > uint64(len(src)) { // each cell takes >=1 byte; cheap sanity bound
-		return nil, 0, fmt.Errorf("binenc: cell-set count %d exceeds buffer", n)
-	}
-	cells := make([]uint64, 0, n)
-	prev := uint64(0)
-	for i := uint64(0); i < n; i++ {
-		d, read := binary.Uvarint(src[off:])
-		if read <= 0 {
-			return nil, 0, fmt.Errorf("binenc: truncated cell-set entry %d/%d", i, n)
-		}
-		off += read
-		if i == 0 {
-			prev = d
-		} else {
-			prev += d
-		}
-		cells = append(cells, prev)
-	}
-	return cells, off, nil
-}
-
-// CellSetLen returns the encoded size of a cell set without materializing
-// the encoding; the cost model uses it for disk estimates.
-func CellSetLen(cells []uint64) int {
-	n := uvarintLen(uint64(len(cells)))
-	prev := uint64(0)
-	for i, v := range cells {
-		if i == 0 {
-			n += uvarintLen(v)
-		} else {
-			n += uvarintLen(v - prev)
-		}
-		prev = v
-	}
-	return n
-}
-
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
 
 // AppendRect appends a rectangle as rank followed by varint Lo/Hi bounds
 // (Hi stored as a delta from Lo, which is always >= 0 for valid rects).
@@ -143,20 +67,4 @@ func DecodeBytes(src []byte) ([]byte, int, error) {
 		return nil, 0, fmt.Errorf("binenc: byte string of %d bytes exceeds buffer", n)
 	}
 	return src[read : read+int(n)], read + int(n), nil
-}
-
-// PutUint64 encodes v as 8 fixed big-endian bytes; used for hash keys where
-// lexicographic order must match numeric order.
-func PutUint64(v uint64) []byte {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	return b[:]
-}
-
-// Uint64 decodes an 8-byte big-endian value.
-func Uint64(b []byte) (uint64, error) {
-	if len(b) != 8 {
-		return 0, fmt.Errorf("binenc: uint64 key has %d bytes, want 8", len(b))
-	}
-	return binary.BigEndian.Uint64(b), nil
 }

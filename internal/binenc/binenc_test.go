@@ -2,87 +2,12 @@ package binenc
 
 import (
 	"bytes"
-	"math/rand"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 
 	"subzero/internal/grid"
 )
-
-func TestCellSetRoundTrip(t *testing.T) {
-	cases := [][]uint64{
-		nil,
-		{0},
-		{5},
-		{1, 2, 3},
-		{0, 1000000, 1000001, 1 << 40},
-	}
-	for _, cells := range cases {
-		enc := AppendCellSet(nil, cells)
-		got, n, err := DecodeCellSet(enc)
-		if err != nil {
-			t.Fatalf("decode %v: %v", cells, err)
-		}
-		if n != len(enc) {
-			t.Fatalf("decode consumed %d of %d bytes", n, len(enc))
-		}
-		if len(got) != len(cells) {
-			t.Fatalf("got %v, want %v", got, cells)
-		}
-		for i := range cells {
-			if got[i] != cells[i] {
-				t.Fatalf("got %v, want %v", got, cells)
-			}
-		}
-	}
-}
-
-func TestCellSetLenMatchesEncoding(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 100; trial++ {
-		cells := make([]uint64, rng.Intn(40))
-		for i := range cells {
-			cells[i] = uint64(rng.Int63n(1 << 30))
-		}
-		cells = grid.SortCells(cells)
-		enc := AppendCellSet(nil, cells)
-		if got := CellSetLen(cells); got != len(enc) {
-			t.Fatalf("CellSetLen=%d, encoding is %d bytes", got, len(enc))
-		}
-	}
-}
-
-func TestCellSetLocalityCompression(t *testing.T) {
-	// A dense run of adjacent cells must encode in ~1 byte/cell after the
-	// first; this property is what makes region lineage cheap to store.
-	cells := make([]uint64, 1000)
-	for i := range cells {
-		cells[i] = uint64(1_000_000 + i)
-	}
-	enc := AppendCellSet(nil, cells)
-	if len(enc) > 1100 {
-		t.Fatalf("dense run encoded to %d bytes, expected ~1 byte/cell", len(enc))
-	}
-}
-
-func TestDecodeCellSetTruncated(t *testing.T) {
-	enc := AppendCellSet(nil, []uint64{1, 500, 100000, 1 << 33})
-	for cut := 0; cut < len(enc); cut++ {
-		if _, _, err := DecodeCellSet(enc[:cut]); err == nil {
-			// cut==0 decodes count 0? No: empty buffer returns error.
-			// A prefix that happens to be a full valid encoding of a
-			// shorter set is impossible here because count is fixed.
-			t.Fatalf("truncation at %d bytes not detected", cut)
-		}
-	}
-}
-
-func TestDecodeCellSetBogusCount(t *testing.T) {
-	enc := AppendUvarint(nil, 1<<40) // absurd count, tiny buffer
-	if _, _, err := DecodeCellSet(enc); err == nil {
-		t.Fatal("bogus count not rejected")
-	}
-}
 
 func TestRectRoundTrip(t *testing.T) {
 	cases := []grid.Rect{
@@ -106,7 +31,7 @@ func TestRectDecodeErrors(t *testing.T) {
 	if _, _, err := DecodeRect(nil); err == nil {
 		t.Fatal("empty rect buffer accepted")
 	}
-	bad := AppendUvarint(nil, 0) // rank 0
+	bad := binary.AppendUvarint(nil, 0) // rank 0
 	if _, _, err := DecodeRect(bad); err == nil {
 		t.Fatal("rank-0 rect accepted")
 	}
@@ -127,48 +52,18 @@ func TestBytesRoundTrip(t *testing.T) {
 			t.Fatalf("round trip failed for %d bytes", len(b))
 		}
 	}
-	if _, _, err := DecodeBytes(AppendUvarint(nil, 100)); err == nil {
+	if _, _, err := DecodeBytes(binary.AppendUvarint(nil, 100)); err == nil {
 		t.Fatal("oversize byte string accepted")
-	}
-}
-
-func TestUint64Key(t *testing.T) {
-	for _, v := range []uint64{0, 1, 1 << 63, ^uint64(0)} {
-		got, err := Uint64(PutUint64(v))
-		if err != nil || got != v {
-			t.Fatalf("Uint64 round trip %d -> %d err=%v", v, got, err)
-		}
-	}
-	if _, err := Uint64([]byte{1, 2}); err == nil {
-		t.Fatal("short key accepted")
-	}
-	// Lexicographic order must equal numeric order.
-	if bytes.Compare(PutUint64(5), PutUint64(300)) >= 0 {
-		t.Fatal("big-endian keys not order-preserving")
 	}
 }
 
 // Property: cell-set encoding round-trips for arbitrary sorted sets.
 func TestQuickCellSetRoundTrip(t *testing.T) {
 	f := func(raw []uint32) bool {
-		cells := make([]uint64, len(raw))
-		for i, v := range raw {
-			cells[i] = uint64(v)
-		}
-		cells = grid.SortCells(cells)
-		got, n, err := DecodeCellSet(AppendCellSet(nil, cells))
-		if err != nil || n == 0 {
-			return false
-		}
-		if len(got) != len(cells) {
-			return false
-		}
-		for i := range cells {
-			if got[i] != cells[i] {
-				return false
-			}
-		}
-		return true
+		cells := grid.SortCells(widen(raw))
+		enc := AppendCellSetContainers(nil, cells)
+		got, n, err := decodeCells(enc)
+		return err == nil && n == len(enc) && sameCells(got, cells)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -182,11 +77,11 @@ func TestQuickSequentialFrames(t *testing.T) {
 		ca := grid.SortCells(widen(a))
 		cb := grid.SortCells(widen(b))
 		var buf []byte
-		buf = AppendCellSet(buf, ca)
+		buf = AppendCellSetContainers(buf, ca)
 		buf = AppendBytes(buf, payload)
-		buf = AppendCellSet(buf, cb)
+		buf = AppendCellSetContainers(buf, cb)
 
-		g1, n1, err := DecodeCellSet(buf)
+		g1, n1, err := decodeCells(buf)
 		if err != nil {
 			return false
 		}
@@ -194,15 +89,27 @@ func TestQuickSequentialFrames(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		g2, n3, err := DecodeCellSet(buf[n1+n2:])
+		g2, n3, err := decodeCells(buf[n1+n2:])
 		if err != nil || n1+n2+n3 != len(buf) {
 			return false
 		}
-		return equalCells(g1, ca) && equalCells(g2, cb) && bytes.Equal(p, payload)
+		return sameCells(g1, ca) && sameCells(g2, cb) && bytes.Equal(p, payload)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// decodeCells materializes the container-form set at the head of src.
+func decodeCells(src []byte) ([]uint64, int, error) {
+	var cells []uint64
+	n, err := DecodeContainersInto(src, func(start, length uint64) bool {
+		for c := start; c < start+length; c++ {
+			cells = append(cells, c)
+		}
+		return true
+	})
+	return cells, n, err
 }
 
 func widen(in []uint32) []uint64 {
@@ -211,42 +118,4 @@ func widen(in []uint32) []uint64 {
 		out[i] = uint64(v)
 	}
 	return out
-}
-
-func equalCells(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func BenchmarkAppendCellSet1000(b *testing.B) {
-	cells := make([]uint64, 1000)
-	for i := range cells {
-		cells[i] = uint64(i * 3)
-	}
-	buf := make([]byte, 0, 4096)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		buf = AppendCellSet(buf[:0], cells)
-	}
-}
-
-func BenchmarkDecodeCellSet1000(b *testing.B) {
-	cells := make([]uint64, 1000)
-	for i := range cells {
-		cells[i] = uint64(i * 3)
-	}
-	enc := AppendCellSet(nil, cells)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := DecodeCellSet(enc); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

@@ -6,7 +6,7 @@ import (
 	"math/bits"
 )
 
-// Tiled container cell-set codec (v3). The cell space is cut into fixed
+// Tiled container cell-set codec. The cell space is cut into fixed
 // tiles of TileCells indices and each non-empty tile stores its cells in
 // whichever container form encodes smallest — roaring-style, but sized
 // for region lineage:
@@ -29,7 +29,7 @@ import (
 // tile−prevTile−1, so tiles are strictly increasing by construction.
 // Tiny sets (≤ SparseDirectMax cells — the singleton per-cell pairs that
 // dominate many workloads) skip tiling entirely: nTiles==0 is followed by
-// the cells as first+gap varints, costing no more than the v1 form.
+// the cells as first+gap varints.
 //
 // TileCells is a multiple of 64, so a tile's bit block aligns with the
 // uint64 words of the query bitmaps and lookups can OR/AND whole words
@@ -156,6 +156,16 @@ func chooseContainer(seg []uint64) byte {
 	return typ
 }
 
+// uvarintLen returns the encoded size of v as an unsigned varint.
+func uvarintLen(v uint64) int {
+	n := 1
+	for v >= 0x80 {
+		v >>= 7
+		n++
+	}
+	return n
+}
+
 // appendContainer appends one tile's payload in the chosen form.
 func appendContainer(dst []byte, typ byte, base uint64, seg []uint64) []byte {
 	switch typ {
@@ -241,8 +251,8 @@ func WalkContainers(src []byte,
 	}
 	off += read
 	if nTiles == 0 {
-		if total > uint64(len(src)) { // each cell takes >=1 byte
-			return 0, 0, fmt.Errorf("binenc: sparse cell count %d exceeds buffer", total)
+		if total > SparseDirectMax {
+			return 0, 0, fmt.Errorf("binenc: sparse-direct form holds %d cells, at most %d", total, SparseDirectMax)
 		}
 		prev := uint64(0)
 		emitting := sparse != nil
@@ -255,7 +265,7 @@ func WalkContainers(src []byte,
 			if i == 0 {
 				prev = d
 			} else {
-				if d == 0 {
+				if d == 0 || prev+d < prev {
 					return 0, 0, fmt.Errorf("binenc: non-increasing sparse cell %d/%d", i, total)
 				}
 				prev += d

@@ -2,24 +2,17 @@ package binenc
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math/bits"
 	"math/rand"
 	"testing"
 )
 
-// decodeContainerCells materializes a container-form set through the
-// streaming run decoder.
+// decodeContainerCells materializes a container-form set that must span
+// the whole of enc.
 func decodeContainerCells(t *testing.T, enc []byte) []uint64 {
 	t.Helper()
-	var cells []uint64
-	n, err := DecodeContainersInto(enc, func(start, length uint64) bool {
-		if length == 0 {
-			t.Fatal("zero-length run emitted")
-		}
-		for c := start; c < start+length; c++ {
-			cells = append(cells, c)
-		}
-		return true
-	})
+	cells, n, err := decodeCells(enc)
 	if err != nil {
 		t.Fatalf("DecodeContainersInto: %v", err)
 	}
@@ -79,8 +72,9 @@ func everyOther(base uint64, n int) []uint64 {
 	return cells
 }
 
-// Random sets across the density spectrum must round-trip exactly and
-// agree with the v2 span codec's decode of the same set.
+// Random sets across the density spectrum must round-trip exactly through
+// both decoders: the streaming run decoder and the tile walk the lookup
+// path probes in situ.
 func TestContainersRoundTripDensities(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	gapFns := []func() uint64{
@@ -104,37 +98,18 @@ func TestContainersRoundTripDensities(t *testing.T) {
 				t.Fatalf("gap fn %d trial %d: round trip mismatch (%d cells)", gi, trial, n)
 			}
 
-			// The v2 codec over the same set must agree cell for cell.
-			v2 := AppendCellSetRuns(nil, cells)
-			var fromV2 []uint64
-			if _, err := DecodeRunsInto(v2, func(start, length uint64) bool {
-				for c := start; c < start+length; c++ {
-					fromV2 = append(fromV2, c)
-				}
-				return true
-			}); err != nil {
-				t.Fatal(err)
-			}
-			if !sameCells(got, fromV2) {
-				t.Fatalf("gap fn %d trial %d: containers disagree with v2 runs", gi, trial)
+			if walked, _, err := walkCells(enc); err != nil || !sameCells(walked, cells) {
+				t.Fatalf("gap fn %d trial %d: tile walk disagrees with the run decoder (err %v)", gi, trial, err)
 			}
 		}
 	}
 }
 
-// Medium-density cell sets are the case the bitmap container exists
-// for. Strided masks (every other cell) are the v2 worst case — one
-// 2-byte run per cell pair vs 1 bit per cell — and must compress ≥5×.
-// Random scatter peaks at ~2 bytes per run around 50% density, so the
-// bound there is lower but still well above 3×.
+// Medium-density cell sets are the case the bitmap container exists for:
+// it bounds every tile at one bit per cell it spans, however the cells
+// scatter — strided masks (every other cell) and 40% random scatter both
+// cost two bytes per cell or more as varint gaps.
 func TestContainersCompressMediumDensity(t *testing.T) {
-	strided := everyOther(0, 32*1024)
-	v2 := len(AppendCellSetRuns(nil, strided))
-	v3 := len(AppendCellSetContainers(nil, strided))
-	if v3*5 > v2 {
-		t.Fatalf("strided: v3 = %dB, v2 = %dB — want at least 5x smaller", v3, v2)
-	}
-
 	rng := rand.New(rand.NewSource(7))
 	var scatter []uint64
 	for c := uint64(0); c < 64*1024; c++ {
@@ -142,10 +117,13 @@ func TestContainersCompressMediumDensity(t *testing.T) {
 			scatter = append(scatter, c)
 		}
 	}
-	v2 = len(AppendCellSetRuns(nil, scatter))
-	v3 = len(AppendCellSetContainers(nil, scatter))
-	if v3*3 > v2 {
-		t.Fatalf("scatter: v3 = %dB, v2 = %dB — want at least 3x smaller", v3, v2)
+	for name, cells := range map[string][]uint64{"strided": everyOther(0, 32*1024), "scatter": scatter} {
+		tiles := int(cells[len(cells)-1]>>tileShift) + 1
+		bound := tiles*(TileWords*8+2) + 2*binary.MaxVarintLen64
+		if got := len(AppendCellSetContainers(nil, cells)); got > bound {
+			t.Fatalf("%s: %d cells over %d tiles encode to %dB, want <= %dB (1 bit per spanned cell)",
+				name, len(cells), tiles, got, bound)
+		}
 	}
 }
 
@@ -158,6 +136,8 @@ func TestWalkContainersRejectsMalformed(t *testing.T) {
 		"sparse count too big":  {0xFF, 0xFF, 0x7F, 0},
 		"truncated sparse cell": {3, 0, 1, 1},
 		"sparse non-increasing": {3, 0, 1, 0, 1},
+		"sparse over the max":   {9, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1},
+		"sparse wraps uint64":   {2, 0, 2, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01},
 		"truncated header":      {9, 1},
 		"truncated bitmap":      valid[:len(valid)-1],
 		"array zero cells":      {9, 1, 0, 0},
@@ -171,6 +151,35 @@ func TestWalkContainersRejectsMalformed(t *testing.T) {
 			t.Errorf("%s: want error, got none", name)
 		}
 	}
+}
+
+// walkCells materializes the container-form set at the head of src
+// through WalkContainers and ExpandContainer — the decoder the lookup path
+// probes with, independent of DecodeContainersInto's run emission.
+func walkCells(src []byte) ([]uint64, int, error) {
+	var cells []uint64
+	var expandErr error
+	_, n, err := WalkContainers(src,
+		func(cell uint64) bool {
+			cells = append(cells, cell)
+			return true
+		},
+		func(base uint64, typ byte, payOff, payLen int) bool {
+			var w [TileWords]uint64
+			if _, expandErr = ExpandContainer(typ, src[payOff:payOff+payLen], &w); expandErr != nil {
+				return false
+			}
+			for i, word := range w {
+				for ; word != 0; word &= word - 1 {
+					cells = append(cells, base+uint64(i*64+bits.TrailingZeros64(word)))
+				}
+			}
+			return true
+		})
+	if err == nil {
+		err = expandErr
+	}
+	return cells, n, err
 }
 
 func sameCells(got, want []uint64) bool {

@@ -10,106 +10,6 @@ import (
 // non-minimal varints, so valid decodes of non-canonical bytes exist.
 // Seed corpora come from the golden-bytes fixtures the unit tests pin.
 
-func FuzzDecodeCellSet(f *testing.F) {
-	f.Add(AppendCellSet(nil, nil))
-	f.Add(AppendCellSet(nil, []uint64{0}))
-	f.Add(AppendCellSet(nil, []uint64{3, 4, 5, 9, 20, 21}))
-	f.Add(AppendCellSet(nil, []uint64{0, 1, 2, 63, 64, 65, 1 << 40}))
-	f.Add(AppendUvarint(nil, 1<<40)) // absurd count, tiny buffer
-	f.Add([]byte{})
-	f.Add([]byte{0x80}) // truncated varint
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		cells, n, err := DecodeCellSet(data)
-		if err != nil {
-			return
-		}
-		if n < 0 || n > len(data) {
-			t.Fatalf("consumed %d of %d bytes", n, len(data))
-		}
-
-		// The streaming decoder must agree with the materializing one.
-		var streamed []uint64
-		sn, serr := DecodeCellSetInto(data, func(cell uint64) bool {
-			streamed = append(streamed, cell)
-			return true
-		})
-		if serr != nil || sn != n {
-			t.Fatalf("DecodeCellSetInto = (%d, %v), DecodeCellSet = (%d, nil)", sn, serr, n)
-		}
-		assertSameCells(t, "streamed", streamed, cells)
-
-		// Encode→decode is the identity on whatever we decoded: the
-		// delta arithmetic is symmetric even across uint64 wraparound.
-		re := AppendCellSet(nil, cells)
-		if got := CellSetLen(cells); got != len(re) {
-			t.Fatalf("CellSetLen = %d, encoded length = %d", got, len(re))
-		}
-		cells2, n2, err := DecodeCellSet(re)
-		if err != nil || n2 != len(re) {
-			t.Fatalf("re-decode = (%d, %v), want (%d, nil)", n2, err, len(re))
-		}
-		assertSameCells(t, "re-decoded", cells2, cells)
-	})
-}
-
-func FuzzDecodeRuns(f *testing.F) {
-	f.Add(AppendCellSetRuns(nil, nil))
-	f.Add(AppendCellSetRuns(nil, []uint64{3, 4, 5, 9, 20, 21})) // golden: {3, 3,3, 3,1, 10,2}
-	f.Add(AppendCellSetRuns(nil, []uint64{0, 1, 2, 3}))
-	f.Add(AppendCellSetRuns(nil, []uint64{0, 2, 4, 6, 8}))
-	f.Add([]byte{1, 0, 0}) // zero-length run
-	f.Add([]byte{0x80})    // truncated varint
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		// Arbitrary bytes: the decoder must never panic, emit a
-		// zero-length run, or consume past the buffer. Run extents can
-		// span nearly the whole uint64 range, so runs are counted, not
-		// materialized.
-		const maxRuns = 4096
-		runs := 0
-		n, err := DecodeRunsInto(data, func(start, length uint64) bool {
-			if length == 0 {
-				t.Fatalf("decoder emitted a zero-length run at %d", start)
-			}
-			runs++
-			return runs < maxRuns
-		})
-		if err == nil && (n < 0 || n > len(data)) {
-			t.Fatalf("consumed %d of %d bytes", n, len(data))
-		}
-
-		// Canonical path: derive a sorted cell set from the input (a mix
-		// of adjacent and spread cells), encode it, and require the
-		// decoder to reproduce it exactly.
-		limit := len(data)
-		if limit > maxRuns {
-			limit = maxRuns
-		}
-		cells := make([]uint64, 0, limit)
-		pos := uint64(0)
-		for _, b := range data[:limit] {
-			pos += uint64(b>>3) + 1 // gap 1 (consecutive) up to 32
-			cells = append(cells, pos)
-		}
-		enc := AppendCellSetRuns(nil, cells)
-		if got := CellSetRunsLen(cells); got != len(enc) {
-			t.Fatalf("CellSetRunsLen = %d, encoded length = %d", got, len(enc))
-		}
-		var decoded []uint64
-		dn, err := DecodeRunsInto(enc, func(start, length uint64) bool {
-			for c := start; c < start+length; c++ {
-				decoded = append(decoded, c)
-			}
-			return true
-		})
-		if err != nil || dn != len(enc) {
-			t.Fatalf("decode canonical encoding = (%d, %v), want (%d, nil)", dn, err, len(enc))
-		}
-		assertSameCells(t, "canonical round-trip", decoded, cells)
-	})
-}
-
 func FuzzDecodeContainers(f *testing.F) {
 	f.Add(AppendCellSetContainers(nil, nil))
 	f.Add(AppendCellSetContainers(nil, []uint64{5, 9, 1024}))                                                       // sparse-direct golden
@@ -122,28 +22,47 @@ func FuzzDecodeContainers(f *testing.F) {
 	f.Add([]byte{0x80})                                                                                             // truncated varint
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Arbitrary bytes: the decoder must never panic, emit a
-		// zero-length run, or consume past the buffer.
-		const maxRuns = 4096
-		runs := 0
-		n, err := DecodeContainersInto(data, func(start, length uint64) bool {
+		// Arbitrary bytes: the two decoders — the streaming run decoder
+		// and the tile walk the lookup path expands in situ — must never
+		// panic or consume past the buffer, and must agree on what they
+		// accept and on every cell of it. Full tiles cost one byte per
+		// 1024 cells, so only sets of bounded size are materialized.
+		const maxCells = 1 << 13
+		total, n, err := WalkContainers(data, nil, nil)
+		var runCells uint64
+		rn, rerr := DecodeContainersInto(data, func(start, length uint64) bool {
 			if length == 0 {
 				t.Fatalf("decoder emitted a zero-length run at %d", start)
 			}
-			runs++
-			return runs < maxRuns
+			runCells += length
+			return true
 		})
-		if err == nil && (n < 0 || n > len(data)) {
-			t.Fatalf("consumed %d of %d bytes", n, len(data))
+		if (err == nil) != (rerr == nil) {
+			t.Fatalf("decoders disagree on validity: walk %v, runs %v", err, rerr)
+		}
+		if err == nil {
+			if n < 0 || n > len(data) || rn != n {
+				t.Fatalf("consumed %d (walk) / %d (runs) of %d bytes", n, rn, len(data))
+			}
+			if runCells != total {
+				t.Fatalf("runs cover %d cells, walk declares %d", runCells, total)
+			}
+			if total <= maxCells {
+				streamed, _, _ := decodeCells(data)
+				walked, _, werr := walkCells(data)
+				if werr != nil {
+					t.Fatalf("tile expansion rejects a set the walk accepted: %v", werr)
+				}
+				assertSameCells(t, "tile walk vs run decoder", walked, streamed)
+			}
 		}
 
-		// Canonical path: derive a sorted cell set from the input, encode
-		// it in container form, and require the streaming decode to agree
-		// cell for cell with the v2 span codec over the same set — the
-		// compatibility contract mixed-version stores rely on.
+		// Canonical path: derive a sorted cell set from the input (a mix
+		// of adjacent and spread cells), encode it in container form, and
+		// require both decoders to reproduce it exactly.
 		limit := len(data)
-		if limit > maxRuns {
-			limit = maxRuns
+		if limit > 4096 {
+			limit = 4096
 		}
 		cells := make([]uint64, 0, limit)
 		pos := uint64(0)
@@ -152,28 +71,16 @@ func FuzzDecodeContainers(f *testing.F) {
 			cells = append(cells, pos)
 		}
 		enc := AppendCellSetContainers(nil, cells)
-		var decoded []uint64
-		dn, err := DecodeContainersInto(enc, func(start, length uint64) bool {
-			for c := start; c < start+length; c++ {
-				decoded = append(decoded, c)
-			}
-			return true
-		})
+		decoded, dn, err := decodeCells(enc)
 		if err != nil || dn != len(enc) {
 			t.Fatalf("decode canonical encoding = (%d, %v), want (%d, nil)", dn, err, len(enc))
 		}
 		assertSameCells(t, "canonical container round-trip", decoded, cells)
-
-		var fromRuns []uint64
-		if _, err := DecodeRunsInto(AppendCellSetRuns(nil, cells), func(start, length uint64) bool {
-			for c := start; c < start+length; c++ {
-				fromRuns = append(fromRuns, c)
-			}
-			return true
-		}); err != nil {
-			t.Fatalf("v2 runs decode: %v", err)
+		walked, wn, err := walkCells(enc)
+		if err != nil || wn != len(enc) {
+			t.Fatalf("walk canonical encoding = (%d, %v), want (%d, nil)", wn, err, len(enc))
 		}
-		assertSameCells(t, "containers vs v2 runs", decoded, fromRuns)
+		assertSameCells(t, "canonical tile walk", walked, cells)
 
 		// Encode→decode must be a fixed point: re-encoding the decoded
 		// set reproduces the canonical bytes (the rebuild-determinism

@@ -2,7 +2,7 @@ package bitmap
 
 import "math/bits"
 
-// Container block operations. The v3 lineage codec stores cell sets as
+// Container block operations. The lineage record codec stores cell sets as
 // fixed 1024-cell tiles (internal/binenc containers); a tile's bit block
 // is BlockWords uint64 words whose first bit is a 64-aligned cell index,
 // so lookups can OR and AND whole words against the query bitmaps

@@ -38,24 +38,6 @@ func TestPutBatchBasics(t *testing.T) {
 	}
 }
 
-// PutBatch through the helper must behave identically for stores with and
-// without the native BatchWriter fast path.
-type plainStore struct{ Store }
-
-func TestPutBatchFallback(t *testing.T) {
-	s := plainStore{NewMem()}
-	if _, ok := any(s).(BatchWriter); ok {
-		t.Fatal("wrapper unexpectedly implements BatchWriter")
-	}
-	kvs := []KV{{Key: []byte("a"), Val: []byte("1")}, {Key: []byte("b"), Val: []byte("2")}}
-	if err := PutBatch(s, kvs); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok, _ := s.Get([]byte("b")); !ok || !bytes.Equal(v, []byte("2")) {
-		t.Fatalf("fallback batch lost key: %q ok=%v", v, ok)
-	}
-}
-
 // A batch written by FileStore.PutBatch must survive reopen, and the batch
 // must equal the bytes N individual Puts would have produced (so recovery
 // and size accounting are identical either way).
@@ -116,20 +98,16 @@ func TestFileStorePutBatchMatchesPuts(t *testing.T) {
 func TestMetaCommitRoundTrip(t *testing.T) {
 	for name, s := range storesUnderTest(t) {
 		t.Run(name, func(t *testing.T) {
-			mc, ok := s.(MetaCommitter)
-			if !ok {
-				t.Fatalf("%T does not implement MetaCommitter", s)
-			}
-			if _, ok, err := mc.LoadMeta(); err != nil || ok {
+			if _, ok, err := s.LoadMeta(); err != nil || ok {
 				t.Fatalf("fresh store reports meta ok=%v err=%v", ok, err)
 			}
-			if err := mc.CommitMeta([]byte("generation-1")); err != nil {
+			if err := s.CommitMeta([]byte("generation-1")); err != nil {
 				t.Fatal(err)
 			}
-			if err := mc.CommitMeta([]byte("generation-2")); err != nil {
+			if err := s.CommitMeta([]byte("generation-2")); err != nil {
 				t.Fatal(err)
 			}
-			v, ok, err := mc.LoadMeta()
+			v, ok, err := s.LoadMeta()
 			if err != nil || !ok || !bytes.Equal(v, []byte("generation-2")) {
 				t.Fatalf("LoadMeta = %q ok=%v err=%v", v, ok, err)
 			}

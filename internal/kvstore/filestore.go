@@ -416,7 +416,7 @@ func (s *FileStore) Put(key, val []byte) (err error) {
 	return s.appendRecord(key, val)
 }
 
-// PutBatch implements BatchWriter: the whole batch is framed and appended
+// PutBatch implements Store: the whole batch is framed and appended
 // under one lock acquisition and one pass through the append buffer — the
 // group commit the ingest shard workers rely on. A crash mid-batch tears
 // the log inside the batch; recovery truncates at the first bad record,
@@ -453,7 +453,7 @@ var metaMagic = []byte("szm1")
 // metadata blob.
 func (s *FileStore) metaPath() string { return s.path + ".meta" }
 
-// CommitMeta implements MetaCommitter: the blob is written to a temp file
+// CommitMeta implements Store: the blob is written to a temp file
 // and renamed over the sidecar, so a crash at any point leaves either the
 // previous blob or the new one — never a torn mix. A torn temp file is
 // ignored on load.
@@ -504,7 +504,7 @@ func (s *FileStore) CommitMeta(val []byte) error {
 	return nil
 }
 
-// LoadMeta implements MetaCommitter. A missing, truncated, or
+// LoadMeta implements Store. A missing, truncated, or
 // corrupt sidecar reads as absent: lineage is a recoverable cache, so the
 // caller rebuilds what the blob described instead of half-loading it.
 func (s *FileStore) LoadMeta() ([]byte, bool, error) {
@@ -549,7 +549,7 @@ func (s *FileStore) Get(key []byte) (val []byte, ok bool, err error) {
 	return bytes.Clone(v), true, nil
 }
 
-// GetBatch implements GetBatcher: one shared lock acquisition serves the
+// GetBatch implements Store: one shared lock acquisition serves the
 // whole batch. The val passed to fn is the record's bytes in place, in the
 // mapping or the append buffer; it is only valid during the call.
 func (s *FileStore) GetBatch(keys [][]byte, fn func(i int, val []byte, ok bool) bool) (err error) {

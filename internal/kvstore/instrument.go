@@ -1,7 +1,6 @@
 package kvstore
 
 import (
-	"fmt"
 	"time"
 
 	"subzero/internal/obs"
@@ -12,11 +11,8 @@ import (
 // including the 256-key GetBatch lookup hot path and the ingest workers'
 // group commits — is accounted without the callers knowing.
 //
-// The wrapper claims every optional Store extension and forwards through
-// the package helpers, which is sound because the Manager only creates
-// MemStore and FileStore and both implement all three extensions. Single
-// Gets and Puts pay only atomic adds; batch calls additionally pay two
-// clock reads and one closure allocation, amortized over the batch.
+// Single Gets and Puts pay only atomic adds; batch calls additionally pay
+// two clock reads and one closure allocation, amortized over the batch.
 type instrumented struct {
 	s Store
 	m *obs.KVObs
@@ -54,7 +50,7 @@ func (i *instrumented) Get(key []byte) ([]byte, bool, error) {
 func (i *instrumented) GetBatch(keys [][]byte, fn func(idx int, val []byte, ok bool) bool) error {
 	start := time.Now()
 	var bytes int64
-	err := GetBatch(i.s, keys, func(idx int, val []byte, ok bool) bool {
+	err := i.s.GetBatch(keys, func(idx int, val []byte, ok bool) bool {
 		if ok {
 			bytes += int64(len(val))
 		}
@@ -69,7 +65,7 @@ func (i *instrumented) GetBatch(keys [][]byte, fn func(idx int, val []byte, ok b
 
 func (i *instrumented) PutBatch(kvs []KV) error {
 	start := time.Now()
-	err := PutBatch(i.s, kvs)
+	err := i.s.PutBatch(kvs)
 	i.m.PutBatchLatency.ObserveSince(start)
 	i.m.PutBatches.Inc()
 	i.m.KeysWritten.Add(int64(len(kvs)))
@@ -84,11 +80,7 @@ func (i *instrumented) PutBatch(kvs []KV) error {
 }
 
 func (i *instrumented) CommitMeta(val []byte) error {
-	mc, ok := i.s.(MetaCommitter)
-	if !ok {
-		return fmt.Errorf("kvstore: store does not support metadata commits")
-	}
-	err := mc.CommitMeta(val)
+	err := i.s.CommitMeta(val)
 	if err == nil {
 		i.m.BytesWritten.Add(int64(len(val)))
 	}
@@ -96,11 +88,7 @@ func (i *instrumented) CommitMeta(val []byte) error {
 }
 
 func (i *instrumented) LoadMeta() ([]byte, bool, error) {
-	mc, okc := i.s.(MetaCommitter)
-	if !okc {
-		return nil, false, nil
-	}
-	v, ok, err := mc.LoadMeta()
+	v, ok, err := i.s.LoadMeta()
 	if ok {
 		i.m.BytesRead.Add(int64(len(v)))
 	}

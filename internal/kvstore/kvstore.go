@@ -6,8 +6,10 @@
 // turned off", because lineage is a cache that can always be recomputed by
 // re-running operators (§VI-A). This package is the stdlib-only substitute:
 //
-//   - Store is a minimal hashtable interface (put/get/scan) with explicit
-//     size accounting so benchmarks can charge disk overhead.
+//   - Store is a minimal hashtable interface (put/get/scan, batched
+//     probes and group commits, one atomically committed metadata blob)
+//     with explicit size accounting so benchmarks can charge disk
+//     overhead.
 //   - FileStore is a log-structured, CRC-framed append file read in place:
 //     lookups go through a read-only mapping of the log (and the store's
 //     own append buffer for records not yet written), and the index is a
@@ -38,6 +40,36 @@ type Store interface {
 	// returned slice must not be modified and is only valid until the
 	// next store operation.
 	Get(key []byte) (val []byte, ok bool, err error)
+	// GetBatch resolves several point lookups under a single lock
+	// acquisition. fn is called once per key in order, under that lock;
+	// the val slice is lent, not given — it may be the store's own memory
+	// (FileStore passes the bytes of its mapping), must not be modified,
+	// and is only valid for the duration of the call. fn must not call
+	// back into the store. Returning false stops the batch early.
+	GetBatch(keys [][]byte, fn func(i int, val []byte, ok bool) bool) error
+	// PutBatch applies several puts as one group commit — a single lock
+	// acquisition and a single pass through the backing medium's write
+	// path. The ingest shard workers commit encoded lineage through this,
+	// so N buffered records cost one lock/IO round instead of N.
+	//
+	// Against concurrent readers the batch is atomic: no Get/Scan
+	// observes a prefix of it, because the whole batch applies under the
+	// store's lock. Crash atomicity follows the log's usual stance — a
+	// torn batch is detected by the CRC framing on reopen and the tail is
+	// discarded.
+	PutBatch(kvs []KV) error
+	// CommitMeta atomically replaces the one metadata blob the store
+	// holds beside its record data: a reader either sees the previous
+	// blob or the new one, never a torn mix — even across a crash
+	// mid-commit (FileStore writes a temp file and renames it into
+	// place). Lineage stores commit their pair counter, statistics, and
+	// serialized spatial indexes as a single blob through this, so a
+	// crash mid-flush cannot leave a store that half-loads.
+	CommitMeta(val []byte) error
+	// LoadMeta returns the last committed blob, with ok=false when no
+	// valid blob exists (never committed, or corrupt on disk — corruption
+	// is treated as absence because lineage is a recoverable cache).
+	LoadMeta() (val []byte, ok bool, err error)
 	// Scan calls fn for every record until fn returns false. Iteration
 	// order is unspecified. The slices passed to fn must not be retained.
 	Scan(fn func(key, val []byte) bool) error
@@ -52,33 +84,9 @@ type Store interface {
 	Close() error
 }
 
-// GetBatcher is an optional Store extension: resolve several point
-// lookups under a single lock acquisition. fn is called once per key in
-// order, under that lock; the val slice is lent, not given — it may be the
-// store's own memory (FileStore passes the bytes of its mapping), must not
-// be modified, and is only valid for the duration of the call. fn must
-// not call back into the store. Returning false stops the batch early.
-type GetBatcher interface {
-	GetBatch(keys [][]byte, fn func(i int, val []byte, ok bool) bool) error
-}
-
-// GetBatch resolves keys against s, using the store's native batch path
-// when it implements GetBatcher and falling back to per-key Gets. The
-// lineage lookup hot path probes hashtables through this.
+// GetBatch resolves keys against s; see Store.GetBatch.
 func GetBatch(s Store, keys [][]byte, fn func(i int, val []byte, ok bool) bool) error {
-	if gb, ok := s.(GetBatcher); ok {
-		return gb.GetBatch(keys, fn)
-	}
-	for i, k := range keys {
-		v, ok, err := s.Get(k)
-		if err != nil {
-			return err
-		}
-		if !fn(i, v, ok) {
-			return nil
-		}
-	}
-	return nil
+	return s.GetBatch(keys, fn)
 }
 
 // KV is one record of a write batch.
@@ -86,48 +94,9 @@ type KV struct {
 	Key, Val []byte
 }
 
-// BatchWriter is an optional Store extension: apply several puts as one
-// group commit — a single lock acquisition and a single pass through the
-// backing medium's write path. The ingest shard workers commit encoded
-// lineage through this, so N buffered records cost one lock/IO round
-// instead of N.
-//
-// Against concurrent readers the batch is atomic: no Get/Scan observes a
-// prefix of it, because the whole batch applies under the store's lock.
-// Crash atomicity follows the log's usual stance — a torn batch is
-// detected by the CRC framing on reopen and the tail is discarded.
-type BatchWriter interface {
-	PutBatch(kvs []KV) error
-}
-
-// PutBatch applies a write batch to s, using the store's native group
-// commit when it implements BatchWriter and falling back to per-key Puts.
+// PutBatch applies a write batch to s; see Store.PutBatch.
 func PutBatch(s Store, kvs []KV) error {
-	if bw, ok := s.(BatchWriter); ok {
-		return bw.PutBatch(kvs)
-	}
-	for _, kv := range kvs {
-		if err := s.Put(kv.Key, kv.Val); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// MetaCommitter is an optional Store extension holding one metadata blob
-// beside the record data, committed atomically: a reader either sees the
-// previous blob or the new one, never a torn mix — even across a crash
-// mid-commit (FileStore writes a temp file and renames it into place).
-// Lineage stores commit their pair counter, statistics, and serialized
-// spatial indexes as a single blob through this, so a crash mid-flush
-// cannot leave a store that half-loads.
-type MetaCommitter interface {
-	// CommitMeta atomically replaces the store's metadata blob.
-	CommitMeta(val []byte) error
-	// LoadMeta returns the last committed blob, with ok=false when no
-	// valid blob exists (never committed, or corrupt on disk — corruption
-	// is treated as absence because lineage is a recoverable cache).
-	LoadMeta() (val []byte, ok bool, err error)
+	return s.PutBatch(kvs)
 }
 
 // MemStore is an in-memory Store backed by a map.
@@ -176,7 +145,7 @@ func (m *MemStore) Get(key []byte) ([]byte, bool, error) {
 	return v, ok, nil
 }
 
-// PutBatch implements BatchWriter: the whole batch applies under one
+// PutBatch implements Store: the whole batch applies under one
 // write lock, so no concurrent reader observes a partial batch.
 func (m *MemStore) PutBatch(kvs []KV) error {
 	m.mu.Lock()
@@ -197,7 +166,7 @@ func (m *MemStore) PutBatch(kvs []KV) error {
 	return nil
 }
 
-// CommitMeta implements MetaCommitter.
+// CommitMeta implements Store.
 func (m *MemStore) CommitMeta(val []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -209,7 +178,7 @@ func (m *MemStore) CommitMeta(val []byte) error {
 	return nil
 }
 
-// LoadMeta implements MetaCommitter.
+// LoadMeta implements Store.
 func (m *MemStore) LoadMeta() ([]byte, bool, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -224,7 +193,7 @@ func (m *MemStore) LoadMeta() ([]byte, bool, error) {
 	return cp, true, nil
 }
 
-// GetBatch implements GetBatcher: all keys are resolved under one read
+// GetBatch implements Store: all keys are resolved under one read
 // lock.
 func (m *MemStore) GetBatch(keys [][]byte, fn func(i int, val []byte, ok bool) bool) error {
 	m.mu.RLock()

@@ -90,13 +90,9 @@ func TestContainerSetProbeAllocFree(t *testing.T) {
 		cells = append(cells, c)
 	}
 	cells = append(cells, 40000, 40007, 40900) // scattered: array container
-	set, _, err := decodeCellSetContainers(binenc.AppendCellSetContainers(nil, cells))
+	cs, _, err := decodeCellSet(binenc.AppendCellSetContainers(nil, cells))
 	if err != nil {
 		t.Fatal(err)
-	}
-	cs, ok := set.(*containerSet)
-	if !ok {
-		t.Fatalf("decoded %T, want *containerSet", set)
 	}
 	dst := bitmap.New(sp)
 	q := bitmap.New(sp)
@@ -117,11 +113,11 @@ func TestContainerSetProbeAllocFree(t *testing.T) {
 	}
 }
 
-// A warmed Backward on a store holding container-form (v3) records must
+// A warmed Backward on a store holding tiled-container records must
 // meet the same ≤25 allocs/op budget as the sparse case above: the
 // in-situ probe path adds no per-record or per-tile allocations after
 // tile blocks promote on first touch.
-func TestBackwardLookupAllocBoundV3Containers(t *testing.T) {
+func TestBackwardLookupAllocBoundContainers(t *testing.T) {
 	outSp := grid.NewSpace(grid.Shape{64, 1024})
 	inSps := []*grid.Space{grid.NewSpace(grid.Shape{64, 1024})}
 	rng := rand.New(rand.NewSource(51))
@@ -164,6 +160,6 @@ func TestBackwardLookupAllocBoundV3Containers(t *testing.T) {
 		}
 	})
 	if allocs > 25 {
-		t.Fatalf("warmed v3 Backward allocates %.1f/op, want <= 25 (container probe path allocating?)", allocs)
+		t.Fatalf("warmed container Backward allocates %.1f/op, want <= 25 (container probe path allocating?)", allocs)
 	}
 }

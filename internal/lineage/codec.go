@@ -3,24 +3,22 @@ package lineage
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"subzero/internal/binenc"
-	"subzero/internal/bitmap"
 )
 
 // Physical key layout inside a store's hashtable:
 //
 //	'P' + uvarint(pairID)          region-pair record
 //	'K' + slot byte + 8-byte cell  per-cell entry (One encodings)
-//	'!' + name                     store metadata (next pair id, R-trees)
 //
 // For backward-optimized stores the only key slot is 0 (output cells); for
-// forward-optimized stores slot i holds the cells of input i.
+// forward-optimized stores slot i holds the cells of input i. Store
+// metadata (next pair id, statistics, R-trees) is not in the hashtable: it
+// is one blob committed atomically beside it (kvstore.Store.CommitMeta).
 const (
 	keyPair = 'P'
 	keyCell = 'K'
-	keyMeta = '!'
 )
 
 func pairKey(id uint64) []byte {
@@ -37,160 +35,32 @@ func cellKey(slot int, cell uint64) []byte {
 	return buf
 }
 
-func metaKey(name string) []byte { return append([]byte{keyMeta}, name...) }
-
-// cellSet is a decoded record cell set as the lookup path consumes it:
-// word-parallel application to destination bitmaps (addTo), word-parallel
-// probing against query bitmaps (intersects), point membership, and
-// ordered iteration. Two implementations exist — runSet for v1/v2 records
-// (materialized runs) and containerSet for v3 records, which answers all
-// of these directly on the compressed container form.
-type cellSet interface {
-	addTo(dst *bitmap.Bitmap) uint64
-	intersects(q *bitmap.Bitmap) bool
-	contains(cell uint64) bool
-	forEach(fn func(cell uint64) bool)
-	cells(dst []uint64) []uint64
-	size() uint64
-}
-
-// runSet is a decoded cell set held as maximal runs — flat (start,
-// length) pairs sorted by start — plus the total cell count. The lookup
-// hot path applies whole runs to destination bitmaps (Bitmap.SetRun) and
-// probes them word-parallel (Bitmap.AnyInRange) without ever
-// materializing a per-cell []uint64.
-type runSet struct {
-	runs  []uint64 // flat (start, length) pairs
-	count uint64
-}
-
-// appendRun appends a run, merging it into the previous run when
-// contiguous (legacy per-cell decoding produces adjacent cells).
-func (rs *runSet) appendRun(start, length uint64) {
-	if n := len(rs.runs); n > 0 && rs.runs[n-2]+rs.runs[n-1] == start {
-		rs.runs[n-1] += length
-	} else {
-		rs.runs = append(rs.runs, start, length)
-	}
-	rs.count += length
-}
-
-// addTo ORs the set's cells into dst word-parallel, returning the number
-// newly set.
-func (rs *runSet) addTo(dst *bitmap.Bitmap) uint64 {
-	var added uint64
-	for i := 0; i < len(rs.runs); i += 2 {
-		added += dst.SetRun(rs.runs[i], rs.runs[i+1])
-	}
-	return added
-}
-
-// intersects reports whether any cell of the set is set in q.
-func (rs *runSet) intersects(q *bitmap.Bitmap) bool {
-	for i := 0; i < len(rs.runs); i += 2 {
-		if q.AnyInRange(rs.runs[i], rs.runs[i+1]) {
-			return true
-		}
-	}
-	return false
-}
-
-// contains reports whether the set holds cell, by binary search over the
-// run starts.
-func (rs *runSet) contains(cell uint64) bool {
-	n := len(rs.runs) / 2
-	i := sort.Search(n, func(i int) bool { return rs.runs[2*i] > cell })
-	if i == 0 {
-		return false
-	}
-	start, length := rs.runs[2*(i-1)], rs.runs[2*(i-1)+1]
-	return cell-start < length
-}
-
-// forEach calls fn with every cell in ascending order until fn returns
-// false.
-func (rs *runSet) forEach(fn func(cell uint64) bool) {
-	for i := 0; i < len(rs.runs); i += 2 {
-		start, length := rs.runs[i], rs.runs[i+1]
-		for c := start; c < start+length; c++ {
-			if !fn(c) {
-				return
-			}
-		}
-	}
-}
-
-// cells materializes the set as a sorted index slice (tests and
-// diagnostics only — lookups stay on runs).
-func (rs *runSet) cells(dst []uint64) []uint64 {
-	rs.forEach(func(c uint64) bool {
-		dst = append(dst, c)
-		return true
-	})
-	return dst
-}
-
-// size returns the total cell count.
-func (rs *runSet) size() uint64 { return rs.count }
-
 // record is a decoded region-pair record. Cell sets stay in their
-// compact form — runs for v1/v2, compressed containers for v3 — so a
-// record held in recCache costs far less than per-cell slices and
-// replays into a destination bitmap word-parallel.
+// compressed container form, so a record held in recCache costs far less
+// than per-cell slices and replays into a destination bitmap
+// word-parallel.
 type record struct {
-	outs    cellSet
-	ins     []cellSet // nil for payload records
-	payload []byte
+	outs    containerSet
+	ins     []containerSet // nil for payload records
+	payload []byte         // nil for full records
 }
 
-// The leading flags byte doubles as the record-format version:
-//
-//	0, 1 — v1 (pre-span): cell sets in per-cell delta+varint form
-//	2, 3 — v2 (span): cell sets in run-length (gap, length) form
-//	4, 5 — v3 (containers): cell sets in tiled container form
-//	       (binenc.AppendCellSetContainers), probed in situ
-//
-// Writers emit the store's configured codec (v3 by default; see
-// Store.SetCodec); readers accept every version, so stores written by
-// earlier builds stay readable and versions may mix within one store.
+// There is one record format: a leading flags byte naming the record kind,
+// then cell sets in tiled container form (binenc.AppendCellSetContainers),
+// probed in situ. Any other flags byte — 0–3 marked the per-cell and
+// run-length layouts earlier builds wrote — is corruption like any other
+// undecodable value: the store degrades, the query answers by
+// re-execution, and the heal loop rebuilds the store in this format.
 const (
-	recFull              = 0 // v1: explicit input cell sets follow
-	recPayload           = 1 // v1: payload blob follows
-	recFullRuns          = 2 // v2: run-length input cell sets follow
-	recPayloadRuns       = 3 // v2: run-length outs + payload blob
-	recFullContainers    = 4 // v3: container input cell sets follow
-	recPayloadContainers = 5 // v3: container outs + payload blob
+	recFullContainers    = 4 // container input cell sets follow
+	recPayloadContainers = 5 // container outs + payload blob
 )
 
-// encodeRecord serializes a region pair with the default codec.
-func encodeRecord(rp *RegionPair) []byte { return encodeRecordV3(rp) }
-
-// encodeRecordV2 serializes a region pair as a (v2, run-length)
-// pair-record value. Kept callable — not just readable — so mixed-version
-// compat tests and the compress benchmark can build v2 stores, and the
-// golden v2 bytes stay pinned against the exact original encoder.
-func encodeRecordV2(rp *RegionPair) []byte {
-	var buf []byte
-	if rp.IsPayload() {
-		buf = append(buf, recPayloadRuns)
-		buf = binenc.AppendCellSetRuns(buf, rp.Out)
-		buf = binenc.AppendBytes(buf, rp.Payload)
-		return buf
-	}
-	buf = append(buf, recFullRuns)
-	buf = binenc.AppendCellSetRuns(buf, rp.Out)
-	buf = binary.AppendUvarint(buf, uint64(len(rp.Ins)))
-	for _, in := range rp.Ins {
-		buf = binenc.AppendCellSetRuns(buf, in)
-	}
-	return buf
-}
-
-// encodeRecordV3 serializes a region pair as a (v3, tiled container)
-// pair-record value. Cell offsets are delta-coded against their tile
-// base, and each tile independently picks the smallest of the array,
-// run, and bitmap container forms.
-func encodeRecordV3(rp *RegionPair) []byte {
+// encodeRecord serializes a region pair as a pair-record value. Cell
+// offsets are delta-coded against their tile base, and each tile
+// independently picks the smallest of the array, run, and bitmap
+// container forms.
+func encodeRecord(rp *RegionPair) []byte {
 	var buf []byte
 	if rp.IsPayload() {
 		buf = append(buf, recPayloadContainers)
@@ -207,59 +77,23 @@ func encodeRecordV3(rp *RegionPair) []byte {
 	return buf
 }
 
-// decodeCellSetAny decodes one cell set — run-length (v2) or per-cell
-// delta+varint (v1) according to runsForm — straight into a runSet via
-// the streaming visitors, returning the bytes consumed. Run storage is
-// sized once from the leading count (exact for v2, where it is the run
-// count; worst case for v1, where it counts cells) so decoding never
-// regrows the slice.
-func decodeCellSetAny(src []byte, runsForm bool, into *runSet) (int, error) {
-	if n, read := binary.Uvarint(src); read > 0 && n <= uint64(len(src)) && into.runs == nil {
-		into.runs = make([]uint64, 0, 2*n)
-	}
-	if runsForm {
-		return binenc.DecodeRunsInto(src, func(start, length uint64) bool {
-			into.appendRun(start, length)
-			return true
-		})
-	}
-	return binenc.DecodeCellSetInto(src, func(cell uint64) bool {
-		into.appendRun(cell, 1)
-		return true
-	})
-}
-
-// decodeCellSet decodes one cell set of the given record version into
-// its in-memory probe form: a runSet for v1/v2, and for v3 either a
-// containerSet wrapping the compressed bytes in situ or a runSet for the
-// tiny sparse-direct sets.
-func decodeCellSet(src []byte, flags byte) (cellSet, int, error) {
-	if flags >= recFullContainers {
-		return decodeCellSetContainers(src)
-	}
-	rs := &runSet{}
-	n, err := decodeCellSetAny(src, flags == recFullRuns || flags == recPayloadRuns, rs)
-	return rs, n, err
-}
-
-// decodeRecord parses a pair-record value of any format version.
+// decodeRecord parses a pair-record value.
 func decodeRecord(val []byte) (*record, error) {
 	if len(val) == 0 {
 		return nil, fmt.Errorf("lineage: empty pair record")
 	}
 	flags, rest := val[0], val[1:]
-	if flags > recPayloadContainers {
+	if flags != recFullContainers && flags != recPayloadContainers {
 		return nil, fmt.Errorf("lineage: unknown pair record flags %d", flags)
 	}
-	isPayload := flags == recPayload || flags == recPayloadRuns || flags == recPayloadContainers
 	rec := &record{}
-	outs, n, err := decodeCellSet(rest, flags)
+	outs, n, err := decodeCellSet(rest)
 	if err != nil {
 		return nil, fmt.Errorf("lineage: pair record outs: %w", err)
 	}
 	rec.outs = outs
 	rest = rest[n:]
-	if isPayload {
+	if flags == recPayloadContainers {
 		payload, _, err := binenc.DecodeBytes(rest)
 		if err != nil {
 			return nil, fmt.Errorf("lineage: pair record payload: %w", err)
@@ -273,9 +107,9 @@ func decodeRecord(val []byte) (*record, error) {
 		return nil, fmt.Errorf("lineage: pair record input count")
 	}
 	rest = rest[read:]
-	rec.ins = make([]cellSet, nIns)
+	rec.ins = make([]containerSet, nIns)
 	for i := range rec.ins {
-		in, n, err := decodeCellSet(rest, flags)
+		in, n, err := decodeCellSet(rest)
 		if err != nil {
 			return nil, fmt.Errorf("lineage: pair record input %d: %w", i, err)
 		}

@@ -2,102 +2,29 @@ package lineage
 
 import (
 	"bytes"
-	"encoding/binary"
-	"math/rand"
+	"errors"
 	"testing"
 
-	"subzero/internal/binenc"
 	"subzero/internal/bitmap"
-	"subzero/internal/grid"
 	"subzero/internal/kvstore"
 )
 
-// encodeRecordV1 reproduces the pre-span (v1) record encoding byte for
-// byte: flags 0/1 followed by per-cell delta+varint cell sets. Stores
-// written before the span codec hold records in exactly this form.
-func encodeRecordV1(rp *RegionPair) []byte {
-	var buf []byte
-	if rp.IsPayload() {
-		buf = append(buf, recPayload)
-		buf = binenc.AppendCellSet(buf, rp.Out)
-		buf = binenc.AppendBytes(buf, rp.Payload)
-		return buf
-	}
-	buf = append(buf, recFull)
-	buf = binenc.AppendCellSet(buf, rp.Out)
-	buf = binary.AppendUvarint(buf, uint64(len(rp.Ins)))
-	for _, in := range rp.Ins {
-		buf = binenc.AppendCellSet(buf, in)
-	}
-	return buf
-}
-
-// Golden v1 bytes must keep decoding: the flags byte doubles as the
-// format version, and 0/1 mark the legacy per-cell encoding.
-func TestDecodeGoldenV1Records(t *testing.T) {
-	// flags=0 (full), outs {1,5,9} as count+first+gaps, 2 inputs
-	// {0,2} and {7}.
-	goldenFull := []byte{0, 3, 1, 4, 4, 2, 2, 0, 2, 1, 7}
-	if want := encodeRecordV1(&RegionPair{Out: []uint64{1, 5, 9}, Ins: [][]uint64{{0, 2}, {7}}}); !bytes.Equal(goldenFull, want) {
-		t.Fatalf("golden v1 full bytes drifted from encoder: %v vs %v", goldenFull, want)
-	}
-	rec, err := decodeRecord(goldenFull)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := rec.outs.cells(nil); !equalU64(got, []uint64{1, 5, 9}) {
-		t.Fatalf("v1 outs = %v", got)
-	}
-	if len(rec.ins) != 2 || !equalU64(rec.ins[0].cells(nil), []uint64{0, 2}) || !equalU64(rec.ins[1].cells(nil), []uint64{7}) {
-		t.Fatalf("v1 ins = %+v", rec.ins)
-	}
-
-	// flags=1 (payload), outs {4}, 3-byte payload.
-	goldenPay := []byte{1, 1, 4, 3, 9, 8, 7}
-	rec, err = decodeRecord(goldenPay)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := rec.outs.cells(nil); !equalU64(got, []uint64{4}) || !bytes.Equal(rec.payload, []byte{9, 8, 7}) {
-		t.Fatalf("v1 payload record = %v %v", got, rec.payload)
-	}
-}
-
-// The v2 span encoding is pinned too, so accidental format drift is
-// caught before it ships. These bytes must never change: v2 stores on
-// disk hold exactly this form, and SetCodec(CodecV2) must keep producing
-// it byte for byte.
-func TestEncodeGoldenV2Records(t *testing.T) {
-	got := encodeRecordV2(&RegionPair{Out: []uint64{1, 5, 9}, Ins: [][]uint64{{0, 2}, {7}}})
-	// flags=2; outs: 3 runs (gap 1,len 1)(gap 3,len 1)(gap 3,len 1);
-	// 2 inputs: {0,2} = 2 runs, {7} = 1 run.
-	want := []byte{2, 3, 1, 1, 3, 1, 3, 1, 2, 2, 0, 1, 1, 1, 1, 7, 1}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("v2 full record bytes = %v, want %v", got, want)
-	}
-	// A dense run collapses: outs {10..15} is one (gap 10, len 6) pair.
-	got = encodeRecordV2(&RegionPair{Out: []uint64{10, 11, 12, 13, 14, 15}, Payload: []byte{1}})
-	want = []byte{3, 1, 10, 6, 1, 1}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("v2 payload record bytes = %v, want %v", got, want)
-	}
-}
-
-// The v3 container encoding is pinned the same way — and encodeRecord
-// (the default codec) must emit exactly these bytes.
-func TestEncodeGoldenV3Records(t *testing.T) {
+// The record encoding is pinned so accidental format drift is caught
+// before it ships: a store rebuilt by the heal loop must be byte-identical
+// to the one it replaces.
+func TestEncodeGoldenRecords(t *testing.T) {
 	got := encodeRecord(&RegionPair{Out: []uint64{1, 5, 9}, Ins: [][]uint64{{0, 2}, {7}}})
 	// flags=4; every set is tiny, so all take the sparse-direct form
 	// (count, nTiles=0, first+gaps): outs {1,5,9}, then 2 inputs {0,2}
 	// and {7}.
 	want := []byte{4, 3, 0, 1, 4, 4, 2, 2, 0, 0, 2, 1, 0, 7}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("v3 full record bytes = %v, want %v", got, want)
+		t.Fatalf("full record bytes = %v, want %v", got, want)
 	}
 	if rec, err := decodeRecord(got); err != nil {
 		t.Fatal(err)
 	} else if !equalU64(rec.outs.cells(nil), []uint64{1, 5, 9}) {
-		t.Fatalf("v3 sparse decode = %v", rec.outs.cells(nil))
+		t.Fatalf("sparse decode = %v", rec.outs.cells(nil))
 	}
 
 	// A full tile plus a 6-cell run in the next tile: count 1030 (2
@@ -114,247 +41,106 @@ func TestEncodeGoldenV3Records(t *testing.T) {
 	got = encodeRecord(&RegionPair{Out: out, Payload: []byte{1}})
 	want = []byte{5, 0x86, 0x08, 2, 3, 1, 1, 10, 6, 1, 1}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("v3 payload record bytes = %v, want %v", got, want)
+		t.Fatalf("payload record bytes = %v, want %v", got, want)
 	}
 	rec, err := decodeRecord(got)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rec.outs.size() != 1030 || !equalU64(rec.outs.cells(nil), out) || !bytes.Equal(rec.payload, []byte{1}) {
-		t.Fatalf("v3 container decode: size %d", rec.outs.size())
+		t.Fatalf("container decode: size %d", rec.outs.size())
 	}
 }
 
-// Every record any store could contain must decode to the same cell sets
-// whichever of the three codecs wrote it.
-func TestV1V2V3DecodeEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(40)
-		if trial%5 == 0 {
-			n = 600 + rng.Intn(1200) // force tiled containers in v3
-		}
-		rp := RegionPair{Out: randCells(rng, n)}
-		if rng.Intn(2) == 0 {
-			rp.Ins = [][]uint64{randCells(rng, 1+rng.Intn(40)), randCells(rng, 1+rng.Intn(10))}
-		} else {
-			rp.Payload = []byte{byte(trial)}
-		}
-		v1, err := decodeRecord(encodeRecordV1(&rp))
-		if err != nil {
-			t.Fatalf("trial %d v1: %v", trial, err)
-		}
-		for name, enc := range map[string]func(*RegionPair) []byte{"v2": encodeRecordV2, "v3": encodeRecordV3} {
-			rec, err := decodeRecord(enc(&rp))
-			if err != nil {
-				t.Fatalf("trial %d %s: %v", trial, name, err)
-			}
-			if !equalU64(v1.outs.cells(nil), rec.outs.cells(nil)) {
-				t.Fatalf("trial %d %s outs differ", trial, name)
-			}
-			if rec.outs.size() != uint64(len(v1.outs.cells(nil))) {
-				t.Fatalf("trial %d %s size = %d", trial, name, rec.outs.size())
-			}
-			if len(v1.ins) != len(rec.ins) {
-				t.Fatalf("trial %d %s ins arity differ", trial, name)
-			}
-			for i := range v1.ins {
-				if !equalU64(v1.ins[i].cells(nil), rec.ins[i].cells(nil)) {
-					t.Fatalf("trial %d %s input %d differ", trial, name, i)
-				}
-			}
-			if !bytes.Equal(v1.payload, rec.payload) {
-				t.Fatalf("trial %d %s payload differ", trial, name)
-			}
+// staleGoldens are the pinned bytes of the two record layouts earlier
+// builds wrote — flags 0/1, per-cell delta+varint cell sets, and flags
+// 2/3, run-length (gap, length) cell sets — for outs {1,5,9} with inputs
+// {0,2},{7}, outs {4} with a 3-byte payload, and outs {10..15} with a
+// 1-byte payload. No decoder is kept for them.
+var staleGoldens = map[string][]byte{
+	"v1 full":    {0, 3, 1, 4, 4, 2, 2, 0, 2, 1, 7},
+	"v1 payload": {1, 1, 4, 3, 9, 8, 7},
+	"v2 full":    {2, 3, 1, 1, 3, 1, 3, 1, 2, 2, 0, 1, 1, 1, 1, 7, 1},
+	"v2 payload": {3, 1, 10, 6, 1, 1},
+}
+
+func TestStaleFormatsRejected(t *testing.T) {
+	for name, val := range staleGoldens {
+		if rec, err := decodeRecord(val); err == nil {
+			t.Errorf("%s golden bytes decoded to %+v, want a flags error", name, rec)
 		}
 	}
 }
 
-func randCells(rng *rand.Rand, n int) []uint64 {
-	cells := make([]uint64, 0, n)
-	c := uint64(rng.Intn(5))
-	for i := 0; i < n; i++ {
-		cells = append(cells, c)
-		if rng.Intn(3) == 0 {
-			c += uint64(2 + rng.Intn(50)) // gap: new run
-		} else {
-			c++ // extend run
-		}
+// A pair-key value the store cannot use — a stale format, or a record
+// that decodes but is the wrong kind or carries the wrong number of input
+// sets for this store — is corruption on every lookup path: the lookup
+// returns ErrCorrupt and latches the store degraded (the executor then
+// re-executes and the heal loop rebuilds). It must never index past the
+// record's input sets.
+func TestUnusableRecordDegradesStore(t *testing.T) {
+	pairs := []RegionPair{
+		{Out: []uint64{1, 5, 9}, Ins: [][]uint64{{0, 2}, {7}}},
+		{Out: []uint64{30, 31}, Ins: [][]uint64{{40}, {3, 4}}},
 	}
-	return cells
-}
+	// What a Full store cannot use; a payload store cannot use a full
+	// record.
+	inFull := map[string][]byte{
+		"wrong kind":    encodeRecord(&RegionPair{Out: pairs[0].Out, Payload: testPayload(pairs[0].Ins)}),
+		"one input set": encodeRecord(&RegionPair{Out: []uint64{1, 5, 9}, Ins: [][]uint64{{0, 2}}}),
+		"no input sets": encodeRecord(&RegionPair{Out: []uint64{1, 5, 9}, Ins: [][]uint64{}}),
+	}
+	for name, val := range staleGoldens {
+		inFull[name] = val
+	}
+	inPay := map[string][]byte{"wrong kind": encodeRecord(&pairs[0])}
 
-// A mixed-version store — some pairs written with the v2 codec, some
-// with v3 — must answer queries identically to the same lineage written
-// all-v2. Versioning is per record, so codec flips mid-store (an old
-// store reopened by a new build keeps appending) must be invisible to
-// lookups.
-func TestMixedVersionStoreAnswersLikeV2(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	pairs := randomPairs(rng, 120)
-	for _, strat := range []Strategy{StratFullOne, StratFullMany} {
-		t.Run(strat.String(), func(t *testing.T) {
-			stV2, err := OpenStore(kvstore.NewMem(), strat, tOutSpace, tInSpaces)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := stV2.SetCodec(CodecV2); err != nil {
-				t.Fatal(err)
-			}
-			if err := stV2.WritePairs(pairs); err != nil {
-				t.Fatal(err)
-			}
-			if err := stV2.Flush(); err != nil {
-				t.Fatal(err)
-			}
-
-			stMix, err := OpenStore(kvstore.NewMem(), strat, tOutSpace, tInSpaces)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := stMix.SetCodec(CodecV2); err != nil {
-				t.Fatal(err)
-			}
-			if err := stMix.WritePairs(pairs[:60]); err != nil {
-				t.Fatal(err)
-			}
-			if err := stMix.SetCodec(CodecV3); err != nil {
-				t.Fatal(err)
-			}
-			if err := stMix.WritePairs(pairs[60:]); err != nil {
-				t.Fatal(err)
-			}
-			if err := stMix.Flush(); err != nil {
-				t.Fatal(err)
-			}
-
-			qrng := rand.New(rand.NewSource(5))
-			for trial := 0; trial < 25; trial++ {
-				q := randomQuery(qrng, tOutSpace, 40)
-				for input := range tInSpaces {
-					a, b := bitmap.New(tInSpaces[input]), bitmap.New(tInSpaces[input])
-					if err := stV2.Backward(q, a, input, testMapP, nil, nil); err != nil {
+	for _, strat := range []Strategy{StratFullOne, StratFullMany, StratFullOneFwd, StratFullManyFwd, StratPayMany} {
+		vals := inFull
+		if strat.Mode != Full {
+			vals = inPay
+		}
+		for name, val := range vals {
+			for _, forward := range []bool{false, true} {
+				dir := map[bool]string{false: "backward", true: "forward"}[forward]
+				t.Run(strat.ID()+"/"+name+"/"+dir, func(t *testing.T) {
+					kv := kvstore.NewMem()
+					st, err := OpenStore(kv, strat, tOutSpace, tInSpaces)
+					if err != nil {
 						t.Fatal(err)
 					}
-					if err := stMix.Backward(q, b, input, testMapP, nil, nil); err != nil {
+					if err := st.WritePairs(toStorePairs(strat, pairs)); err != nil {
 						t.Fatal(err)
 					}
-					if !sameBitmap(a, b) {
-						t.Fatalf("trial %d input %d: mixed-version backward differs from all-v2", trial, input)
+					if err := st.Flush(); err != nil {
+						t.Fatal(err)
 					}
-				}
-				fq := randomQuery(qrng, tInSpaces[0], 40)
-				a, b := bitmap.New(tOutSpace), bitmap.New(tOutSpace)
-				if err := stV2.Forward(fq, a, 0, testMapP, nil); err != nil {
-					t.Fatal(err)
-				}
-				if err := stMix.Forward(fq, b, 0, testMapP, nil); err != nil {
-					t.Fatal(err)
-				}
-				if !sameBitmap(a, b) {
-					t.Fatalf("trial %d: mixed-version forward differs from all-v2", trial)
-				}
-			}
-		})
-	}
-}
-
-// A store whose hashtable was written entirely by the v1 encoder must
-// reopen and answer queries identically to a freshly written store.
-func TestStoreReadsV1Records(t *testing.T) {
-	outSp := grid.NewSpace(grid.Shape{16, 16})
-	inSp := []*grid.Space{grid.NewSpace(grid.Shape{16, 16})}
-	rng := rand.New(rand.NewSource(7))
-	pairs := make([]RegionPair, 20)
-	for i := range pairs {
-		pairs[i] = RegionPair{Out: randCells(rng, 1+rng.Intn(8)), Ins: [][]uint64{randCells(rng, 1+rng.Intn(8))}}
-		pairs[i].Normalize()
-		clip(&pairs[i], outSp.Size())
-	}
-
-	// v2 store written through the normal path.
-	kvNew := kvstore.NewMem()
-	stNew, err := OpenStore(kvNew, StratFullOne, outSp, inSp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := stNew.WritePairs(pairs); err != nil {
-		t.Fatal(err)
-	}
-	if err := stNew.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	// v1 store: same pairs, but pair records hand-written in v1 bytes.
-	kvOld := kvstore.NewMem()
-	stOld, err := OpenStore(kvOld, StratFullOne, outSp, inSp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := stOld.WritePairs(pairs); err != nil {
-		t.Fatal(err)
-	}
-	if err := stOld.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	for id := range pairs {
-		if err := kvOld.Put(pairKey(uint64(id)), encodeRecordV1(&pairs[id])); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Reopen so no cached v2 record survives.
-	stOld, err = OpenStore(kvOld, StratFullOne, outSp, inSp)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for trial := 0; trial < 20; trial++ {
-		q := bitmap.New(outSp)
-		for i := 0; i < 30; i++ {
-			q.Set(uint64(rng.Intn(int(outSp.Size()))))
-		}
-		dstOld, dstNew := bitmap.New(inSp[0]), bitmap.New(inSp[0])
-		if err := stOld.Backward(q, dstOld, 0, nil, nil, nil); err != nil {
-			t.Fatal(err)
-		}
-		if err := stNew.Backward(q, dstNew, 0, nil, nil, nil); err != nil {
-			t.Fatal(err)
-		}
-		if !sameBitmap(dstOld, dstNew) {
-			t.Fatalf("trial %d: v1-record store answers differ from v2", trial)
-		}
-	}
-}
-
-func clip(rp *RegionPair, size uint64) {
-	trim := func(cells []uint64) []uint64 {
-		out := cells[:0]
-		for _, c := range cells {
-			if c < size {
-				out = append(out, c)
+					for id := range pairs {
+						if err := kv.Put(pairKey(uint64(id)), val); err != nil {
+							t.Fatal(err)
+						}
+					}
+					// Reopen so the lookup decodes from the hashtable.
+					if st, err = OpenStore(kv, strat, tOutSpace, tInSpaces); err != nil {
+						t.Fatal(err)
+					}
+					if forward {
+						q := bitmap.New(tInSpaces[1])
+						q.SetAll()
+						err = st.Forward(q, bitmap.New(tOutSpace), 1, testMapP, nil)
+					} else {
+						q := bitmap.New(tOutSpace)
+						q.SetAll()
+						err = st.Backward(q, bitmap.New(tInSpaces[1]), 1, testMapP, nil, nil)
+					}
+					if !errors.Is(err, ErrCorrupt) {
+						t.Fatalf("lookup error = %v, want ErrCorrupt", err)
+					}
+					if !st.Degraded() {
+						t.Fatal("store not degraded after an unusable record")
+					}
+				})
 			}
 		}
-		if len(out) == 0 {
-			out = append(out, 0)
-		}
-		return out
 	}
-	rp.Out = trim(rp.Out)
-	for i := range rp.Ins {
-		rp.Ins[i] = trim(rp.Ins[i])
-	}
-}
-
-func sameBitmap(a, b *bitmap.Bitmap) bool {
-	if a.Count() != b.Count() {
-		return false
-	}
-	same := true
-	a.Iterate(func(idx uint64) bool {
-		if !b.Get(idx) {
-			same = false
-		}
-		return same
-	})
-	return same
 }

@@ -16,10 +16,16 @@ import (
 var _ [binenc.TileWords - bitmap.BlockWords]struct{}
 var _ [bitmap.BlockWords - binenc.TileWords]struct{}
 
-// containerSet is a v3 record cell set answered directly on its
-// compressed form. It keeps one copy of the encoded container bytes and
-// an index of (tile base, type, payload) built in a single validating
-// pass at decode time — no per-cell materialization.
+// containerSet is a decoded record cell set, answered directly on its
+// compressed form: word-parallel application to destination bitmaps
+// (addTo), word-parallel probing against query bitmaps (intersects), point
+// membership, and ordered iteration. A set holds one of the codec's two
+// layouts. Tiled sets keep one copy of the encoded container bytes and an
+// index of (tile base, type, payload) built in a single validating pass at
+// decode time — no per-cell materialization. Sparse-direct sets (at most
+// binenc.SparseDirectMax cells, the singleton per-cell pairs that dominate
+// many workloads) carry no containers and are held as the sorted cells
+// themselves.
 //
 // Probes work in situ: full tiles go through the existing word-parallel
 // run primitives, bitmap containers are tested straight off their
@@ -29,37 +35,38 @@ var _ [bitmap.BlockWords - binenc.TileWords]struct{}
 // are probed by concurrent lookups, so blocks install via CAS on an
 // atomic pointer (losing a benign race just discards a duplicate block).
 type containerSet struct {
-	data   []byte // copied container encoding; tile payloads alias it
 	total  uint64
-	tiles  []ctile
-	blocks []atomic.Pointer[[binenc.TileWords]uint64]
+	sparse []uint64 // sparse-direct form
+	tiles  []ctile  // tiled form
 }
 
 // ctile is one indexed container: the tile's first cell index, its
-// container type, and its payload bytes within data.
+// container type, its payload bytes (aliasing the set's private copy of
+// the encoding), and the bit block it promotes to on first probe.
 type ctile struct {
 	base uint64
 	typ  byte
 	pay  []byte
+	blk  atomic.Pointer[[binenc.TileWords]uint64]
 }
 
-// decodeCellSetContainers parses a v3 container-form cell set. Tiny
-// sparse-direct sets decode to a runSet (they carry no containers);
-// everything else wraps the compressed bytes in a containerSet.
-func decodeCellSetContainers(src []byte) (cellSet, int, error) {
+// decodeCellSet parses one container-form cell set into its probe form,
+// returning the bytes consumed.
+func decodeCellSet(src []byte) (containerSet, int, error) {
 	type tileMeta struct {
 		base           uint64
 		typ            byte
 		payOff, payLen int
 	}
-	var rs *runSet
+	// The walk admits at most SparseDirectMax sparse cells, so they gather
+	// on the stack and the set pays one exactly-sized allocation.
+	var direct [binenc.SparseDirectMax]uint64
+	nDirect := 0
 	var metas []tileMeta
 	total, n, err := binenc.WalkContainers(src,
 		func(cell uint64) bool {
-			if rs == nil {
-				rs = &runSet{}
-			}
-			rs.appendRun(cell, 1)
+			direct[nDirect] = cell
+			nDirect++
 			return true
 		},
 		func(base uint64, typ byte, payOff, payLen int) bool {
@@ -67,40 +74,36 @@ func decodeCellSetContainers(src []byte) (cellSet, int, error) {
 			return true
 		})
 	if err != nil {
-		return nil, 0, err
+		return containerSet{}, 0, err
 	}
-	if metas == nil {
-		if rs == nil {
-			rs = &runSet{} // empty set
+	cs := containerSet{total: total}
+	if nDirect > 0 {
+		cs.sparse = append([]uint64(nil), direct[:nDirect]...)
+	}
+	if metas != nil {
+		data := make([]byte, n)
+		copy(data, src[:n])
+		cs.tiles = make([]ctile, len(metas))
+		for i, m := range metas {
+			t := &cs.tiles[i]
+			t.base, t.typ, t.pay = m.base, m.typ, data[m.payOff:m.payOff+m.payLen]
 		}
-		return rs, n, nil
-	}
-	data := make([]byte, n)
-	copy(data, src[:n])
-	cs := &containerSet{
-		data:   data,
-		total:  total,
-		tiles:  make([]ctile, len(metas)),
-		blocks: make([]atomic.Pointer[[binenc.TileWords]uint64], len(metas)),
-	}
-	for i, m := range metas {
-		cs.tiles[i] = ctile{base: m.base, typ: m.typ, pay: data[m.payOff : m.payOff+m.payLen]}
 	}
 	return cs, n, nil
 }
 
-// block returns tile i promoted to its bit block, promoting on first use.
-func (cs *containerSet) block(i int) *[binenc.TileWords]uint64 {
-	if blk := cs.blocks[i].Load(); blk != nil {
+// block returns the tile promoted to its bit block, promoting on first use.
+func (t *ctile) block() *[binenc.TileWords]uint64 {
+	if blk := t.blk.Load(); blk != nil {
 		return blk
 	}
 	blk := new([binenc.TileWords]uint64)
 	// The payload was validated by WalkContainers at decode time, so
 	// expansion cannot fail; a zero block is the safe result if it ever
 	// did.
-	_, _ = binenc.ExpandContainer(cs.tiles[i].typ, cs.tiles[i].pay, blk)
-	if !cs.blocks[i].CompareAndSwap(nil, blk) {
-		blk = cs.blocks[i].Load()
+	_, _ = binenc.ExpandContainer(t.typ, t.pay, blk)
+	if !t.blk.CompareAndSwap(nil, blk) {
+		blk = t.blk.Load()
 	}
 	return blk
 }
@@ -108,20 +111,25 @@ func (cs *containerSet) block(i int) *[binenc.TileWords]uint64 {
 // addTo ORs the set's cells into dst word-parallel, returning the number
 // newly set.
 func (cs *containerSet) addTo(dst *bitmap.Bitmap) uint64 {
-	var added uint64
+	added := dst.SetCells(cs.sparse)
 	for i := range cs.tiles {
 		t := &cs.tiles[i]
 		if t.typ == binenc.ContainerFull {
 			added += dst.SetRun(t.base, binenc.TileCells)
 			continue
 		}
-		added += dst.OrBlock(t.base, cs.block(i))
+		added += dst.OrBlock(t.base, t.block())
 	}
 	return added
 }
 
 // intersects reports whether any cell of the set is set in q.
 func (cs *containerSet) intersects(q *bitmap.Bitmap) bool {
+	for _, c := range cs.sparse {
+		if q.Get(c) {
+			return true
+		}
+	}
 	for i := range cs.tiles {
 		t := &cs.tiles[i]
 		if t.typ == binenc.ContainerFull {
@@ -130,17 +138,23 @@ func (cs *containerSet) intersects(q *bitmap.Bitmap) bool {
 			}
 			continue
 		}
-		if q.AnyBlock(t.base, cs.block(i)) {
+		if q.AnyBlock(t.base, t.block()) {
 			return true
 		}
 	}
 	return false
 }
 
-// contains reports whether the set holds cell, by binary search over the
-// tile bases. Bitmap containers are tested straight off their payload
-// bytes; array/run containers through their promoted block.
+// contains reports whether the set holds cell: a scan of the few sparse
+// cells, or a binary search over the tile bases. Bitmap containers are
+// tested straight off their payload bytes; array/run containers through
+// their promoted block.
 func (cs *containerSet) contains(cell uint64) bool {
+	for _, c := range cs.sparse {
+		if c == cell {
+			return true
+		}
+	}
 	i := sort.Search(len(cs.tiles), func(i int) bool { return cs.tiles[i].base > cell })
 	if i == 0 {
 		return false
@@ -157,13 +171,17 @@ func (cs *containerSet) contains(cell uint64) bool {
 		word := binary.LittleEndian.Uint64(t.pay[(off/64)*8:])
 		return word&(uint64(1)<<(off%64)) != 0
 	}
-	blk := cs.block(i - 1)
-	return blk[off/64]&(uint64(1)<<(off%64)) != 0
+	return t.block()[off/64]&(uint64(1)<<(off%64)) != 0
 }
 
 // forEach calls fn with every cell in ascending order until fn returns
 // false.
 func (cs *containerSet) forEach(fn func(cell uint64) bool) {
+	for _, c := range cs.sparse {
+		if !fn(c) {
+			return
+		}
+	}
 	for i := range cs.tiles {
 		t := &cs.tiles[i]
 		if t.typ == binenc.ContainerFull {
@@ -174,7 +192,7 @@ func (cs *containerSet) forEach(fn func(cell uint64) bool) {
 			}
 			continue
 		}
-		blk := cs.block(i)
+		blk := t.block()
 		for wi := range blk {
 			word := blk[wi]
 			base := t.base + uint64(wi)*64

@@ -21,6 +21,11 @@ const (
 	CostLookupMany = 3500 * time.Nanosecond
 	// CostScanPair is scanning and decoding one pair record.
 	CostScanPair = 1500 * time.Nanosecond
+	// CostProbePair is probing one pair record in an unindexed scan, as
+	// the strategy optimizer prices it: the query bitmap is intersected in
+	// situ against the compressed containers, word-parallel, with nothing
+	// materialized.
+	CostProbePair = 900 * time.Nanosecond
 	// CostMapPCall is one payload-function (map_p) evaluation.
 	CostMapPCall = 400 * time.Nanosecond
 	// CostTraceJoin is joining one traced pair against the query during
@@ -37,8 +42,12 @@ const (
 // optimizer to extrapolate un-profiled encodings from profiled volumes.
 const (
 	// EstBytesPerCell is the average encoded size of one cell index in a
-	// delta+varint cell set.
-	EstBytesPerCell = 2.3
+	// record: the bitmap container caps every tile at 1 bit per cell
+	// (0.125 B), run containers compress clustered regions below that,
+	// and tiny sets take the varint sparse-direct form at a byte or two
+	// per cell. The blend across the benchmark workloads sits well under
+	// one byte per cell.
+	EstBytesPerCell = 0.6
 	// EstRecordOverhead is the fixed per-record cost (CRC, framing, key).
 	EstRecordOverhead = 18.0
 	// EstCellEntryBytes is one per-cell hash entry (One encodings):
@@ -49,29 +58,9 @@ const (
 
 	// EstWritePerByte is the time to serialize+buffer one byte.
 	EstWritePerByte = 8 * time.Nanosecond
-	// EstWritePerPair is the fixed per-pair lwrite cost.
-	EstWritePerPair = 700 * time.Nanosecond
+	// EstWritePerPair is the fixed per-pair lwrite cost: dense tiles are
+	// emitted as fixed-width words or run pairs, not per-cell appends.
+	EstWritePerPair = 550 * time.Nanosecond
 	// EstTreeInsert is one R-tree insertion.
 	EstTreeInsert = 1800 * time.Nanosecond
-)
-
-// v3 container-codec estimation constants. Stores default to the tiled
-// container record form (CodecV3), which changes both the size and the
-// probe cost the optimizers should assume for un-profiled strategies.
-const (
-	// EstBytesPerCellV3 is the average encoded size of one cell index
-	// under the v3 container codec: the bitmap container caps every tile
-	// at 1 bit per cell (0.125 B), run containers compress clustered
-	// regions below that, and tiny sets fall back to varint sparse-direct
-	// near the v1 cost. The blend across the benchmark workloads sits well
-	// under one byte per cell.
-	EstBytesPerCellV3 = 0.6
-	// EstWritePerPairV3 is the fixed per-pair lwrite cost under the v3
-	// encoder — below EstWritePerPair because dense tiles are emitted as
-	// fixed-width words or run pairs instead of per-cell varint appends.
-	EstWritePerPairV3 = 550 * time.Nanosecond
-	// CostScanPairV3 is scanning one v3 pair record in an unindexed
-	// probe: the query bitmap is intersected in situ against the
-	// compressed containers, word-parallel, with no run materialization.
-	CostScanPairV3 = 900 * time.Nanosecond
 )

@@ -70,9 +70,9 @@ func TestCrashPointMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Batch B goes through the lineage write path. Points that
-			// path bypasses (the legacy single-record Put — FileStore is
-			// a MetaCommitter, so lineage group-commits via PutBatch)
-			// are driven directly so every registered point proves out.
+			// path bypasses (the single-record Put — lineage
+			// group-commits via PutBatch) are driven directly so every
+			// registered point proves out.
 			if err := st.WritePairs(toStorePairs(strat, pairsB)); err == nil {
 				_ = st.Flush()
 			}
@@ -141,23 +141,19 @@ func assertSubset(t *testing.T, sub, super *bitmap.Bitmap, msg string) {
 // stores produces byte-identical logs — record for record, key and
 // value. This is the foundation of the self-healing path: a store
 // rebuilt from re-execution is indistinguishable from one that never
-// saw corruption. Both record codecs must hold the property: the v3
-// container encoder's per-tile form choice is deterministic, so a
-// rebuilt v3 store is as reproducible as a v2 one.
+// saw corruption. The container encoder's per-tile form choice is
+// deterministic, so the property holds for every record.
 func TestRebuildByteIdentical(t *testing.T) {
 	strat := StratFullOne
 	rng := rand.New(rand.NewSource(11))
 	pairs := randomPairs(rng, 80)
-	build := func(path string, codec int) map[string]string {
+	build := func(path string) map[string]string {
 		fs, err := kvstore.OpenFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		st, err := OpenStore(fs, strat, tOutSpace, tInSpaces)
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := st.SetCodec(codec); err != nil {
 			t.Fatal(err)
 		}
 		if err := st.WritePairs(toStorePairs(strat, pairs[:40])); err != nil {
@@ -184,18 +180,14 @@ func TestRebuildByteIdentical(t *testing.T) {
 		}
 		return m
 	}
-	for codec, name := range map[int]string{CodecV2: "v2", CodecV3: "v3"} {
-		t.Run(name, func(t *testing.T) {
-			a := build(filepath.Join(t.TempDir(), "a.log"), codec)
-			b := build(filepath.Join(t.TempDir(), "b.log"), codec)
-			if len(a) != len(b) {
-				t.Fatalf("rebuild record counts differ: %d vs %d", len(a), len(b))
-			}
-			for k, va := range a {
-				if vb, ok := b[k]; !ok || vb != va {
-					t.Fatalf("rebuild differs at key %q", k)
-				}
-			}
-		})
+	a := build(filepath.Join(t.TempDir(), "a.log"))
+	b := build(filepath.Join(t.TempDir(), "b.log"))
+	if len(a) != len(b) {
+		t.Fatalf("rebuild record counts differ: %d vs %d", len(a), len(b))
+	}
+	for k, va := range a {
+		if vb, ok := b[k]; !ok || vb != va {
+			t.Fatalf("rebuild differs at key %q", k)
+		}
 	}
 }

@@ -1,0 +1,82 @@
+package lineage
+
+import (
+	"bytes"
+	"testing"
+)
+
+// decodeRecord must never panic on arbitrary bytes, must reject every
+// stale flags byte, and whatever it accepts must re-encode to itself: the
+// decoded pair encodes to a canonical value that decodes to the same cells
+// and payload and encodes to the same bytes again (the rebuild-determinism
+// contract). Byte-exact equality with the input is not asserted —
+// binary.Uvarint accepts non-minimal varints and a tile may arrive in a
+// form the encoder would not have chosen.
+func FuzzDecodeRecord(f *testing.F) {
+	for _, val := range staleGoldens {
+		f.Add(val)
+	}
+	dense := make([]uint64, 0, 1500)
+	for c := uint64(1000); c < 2500; c++ {
+		dense = append(dense, c)
+	}
+	f.Add(encodeRecord(&RegionPair{Out: []uint64{1, 5, 9}, Ins: [][]uint64{{0, 2}, {7}}}))
+	f.Add(encodeRecord(&RegionPair{Out: []uint64{4}, Payload: []byte{9, 8, 7}}))
+	f.Add(encodeRecord(&RegionPair{Out: dense, Ins: [][]uint64{{3, 40, 41, 42, 900, 2000, 2002, 2004, 5000, 70000}}}))
+	f.Add(encodeRecord(&RegionPair{Out: dense, Payload: []byte{}}))
+	f.Add([]byte{})
+	f.Add([]byte{4, 0x80})
+
+	// asPair materializes a decoded record, or reports false when its
+	// cell sets are too large to be worth expanding (a full tile costs
+	// one byte per 1024 cells).
+	asPair := func(rec *record) (RegionPair, bool) {
+		total := rec.outs.size()
+		for i := range rec.ins {
+			total += rec.ins[i].size()
+		}
+		if total > 1<<16 {
+			return RegionPair{}, false
+		}
+		rp := RegionPair{Out: rec.outs.cells(nil), Payload: rec.payload}
+		if rec.payload == nil {
+			rp.Ins = make([][]uint64, len(rec.ins))
+			for i := range rec.ins {
+				rp.Ins[i] = rec.ins[i].cells(nil)
+			}
+		}
+		return rp, true
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rec, err := decodeRecord(data)
+		if err != nil {
+			return
+		}
+		if data[0] != recFullContainers && data[0] != recPayloadContainers {
+			t.Fatalf("record with flags %d accepted", data[0])
+		}
+		rp, ok := asPair(rec)
+		if !ok {
+			return
+		}
+		enc := encodeRecord(&rp)
+		rec2, err := decodeRecord(enc)
+		if err != nil {
+			t.Fatalf("canonical re-encoding rejected: %v", err)
+		}
+		rp2, _ := asPair(rec2)
+		if !equalU64(rp2.Out, rp.Out) || len(rp2.Ins) != len(rp.Ins) || !bytes.Equal(rp2.Payload, rp.Payload) ||
+			(rp2.Payload == nil) != (rp.Payload == nil) {
+			t.Fatalf("re-decoded record differs: %+v vs %+v", rp2, rp)
+		}
+		for i := range rp.Ins {
+			if !equalU64(rp2.Ins[i], rp.Ins[i]) {
+				t.Fatalf("re-decoded input %d differs: %v vs %v", i, rp2.Ins[i], rp.Ins[i])
+			}
+		}
+		if enc2 := encodeRecord(&rp2); !bytes.Equal(enc2, enc) {
+			t.Fatalf("re-encode is not a fixed point: %v vs %v", enc2, enc)
+		}
+	})
+}

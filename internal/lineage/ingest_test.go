@@ -51,28 +51,6 @@ func writeThrough(t *testing.T, st *Store, strat Strategy, pairs []RegionPair, c
 	}
 }
 
-// encodeLegacyStats reproduces the pre-pipeline stats record layout: four
-// varint volumes plus one fixed-width WriteTime.
-func encodeLegacyStats(ss StoreStats) []byte {
-	buf := make([]byte, 0, 40)
-	buf = appendUvarint(buf, uint64(ss.Pairs))
-	buf = appendUvarint(buf, uint64(ss.OutCells))
-	buf = appendUvarint(buf, uint64(ss.InCells))
-	buf = appendUvarint(buf, uint64(ss.PayloadBytes))
-	for i := 0; i < 8; i++ {
-		buf = append(buf, byte(uint64(ss.WriteTime)>>(8*i)))
-	}
-	return buf
-}
-
-func appendUvarint(buf []byte, v uint64) []byte {
-	for v >= 0x80 {
-		buf = append(buf, byte(v)|0x80)
-		v >>= 7
-	}
-	return append(buf, byte(v))
-}
-
 // corruptFile flips bytes in the middle of a file.
 func corruptFile(path string) error {
 	buf, err := os.ReadFile(path)
@@ -388,22 +366,6 @@ func TestStatsEncodingTimingIndependent(t *testing.T) {
 		if got, want := st2.Stats(), st.Stats(); got != want {
 			t.Fatalf("stats round-trip = %+v, want %+v", got, want)
 		}
-	}
-}
-
-// Legacy stats records (4 varints + one fixed-width WriteTime) written by
-// pre-pipeline builds must keep decoding.
-func TestStatsDecodeLegacyFormat(t *testing.T) {
-	st, err := OpenStore(kvstore.NewMem(), StratFullOne, tOutSpace, tInSpaces)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy := encodeLegacyStats(StoreStats{Pairs: 7, OutCells: 70, InCells: 700, PayloadBytes: 3, WriteTime: 12345 * time.Nanosecond})
-	st.decodeStats(legacy)
-	got := st.Stats()
-	want := StoreStats{Pairs: 7, OutCells: 70, InCells: 700, PayloadBytes: 3, WriteTime: 12345 * time.Nanosecond}
-	if got != want {
-		t.Fatalf("legacy stats decode = %+v, want %+v", got, want)
 	}
 }
 

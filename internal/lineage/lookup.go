@@ -8,7 +8,6 @@ import (
 
 	"subzero/internal/bitmap"
 	"subzero/internal/grid"
-	"subzero/internal/kvstore"
 	"subzero/internal/obs"
 	"subzero/internal/rtree"
 	"subzero/internal/trace"
@@ -16,14 +15,14 @@ import (
 
 // The lookup hot path is span-oriented end to end: query bitmaps are
 // walked as runs, hashtable probes are grouped into batches served under
-// one kvstore lock, records decode into run sets replayed word-parallel
-// into the destination bitmap, and Many-encoding index probes are
-// rectangle window queries instead of per-cell point queries. Per-lookup
-// buffers live in a sync.Pool so a steady query load allocates almost
-// nothing.
+// one kvstore lock, records stay in container form and replay
+// word-parallel into the destination bitmap, and Many-encoding index
+// probes are rectangle window queries instead of per-cell point queries.
+// Per-lookup buffers live in a sync.Pool so a steady query load allocates
+// almost nothing.
 
 // probeBatchSize is how many per-cell hashtable probes are grouped into
-// one kvstore.GetBatch call (one lock acquisition / I/O pass per batch).
+// one kvstore GetBatch call (one lock acquisition / I/O pass per batch).
 // It is also the abort-poll granularity of the One-encoding paths.
 const probeBatchSize = 256
 
@@ -151,7 +150,7 @@ func (s *Store) lookupFullOne(sp *trace.Span, q, dst *bitmap.Bitmap, slot, input
 		sc.ids = sc.ids[:0]
 		ksp := sp.Child("kvstore.GetBatch", obs.SpanKVProbe)
 		ksp.SetAttrInt("keys", int64(len(sc.keys)))
-		berr := kvstore.GetBatch(s.kv, sc.keys, func(_ int, val []byte, ok bool) bool {
+		berr := s.kv.GetBatch(sc.keys, func(_ int, val []byte, ok bool) bool {
 			if !ok {
 				return true
 			}
@@ -255,7 +254,7 @@ func (s *Store) backwardPayOne(sp *trace.Span, q, dst *bitmap.Bitmap, inputIdx i
 		sc.buildKeys(0)
 		ksp := sp.Child("kvstore.GetBatch", obs.SpanKVProbe)
 		ksp.SetAttrInt("keys", int64(len(sc.keys)))
-		berr := kvstore.GetBatch(s.kv, sc.keys, func(i int, val []byte, ok bool) bool {
+		berr := s.kv.GetBatch(sc.keys, func(i int, val []byte, ok bool) bool {
 			if !ok {
 				return true
 			}

@@ -121,11 +121,6 @@ type Store struct {
 	// deterministic regardless of shard scheduling.
 	nextPair atomic.Uint64
 
-	// codec is the record format written for new pairs (CodecV2 or
-	// CodecV3); reads always accept every version, so one store may mix
-	// them.
-	codec atomic.Uint32
-
 	// mu guards the pending buffers and the record cache.
 	mu sync.Mutex
 
@@ -193,7 +188,6 @@ func OpenStore(kv kvstore.Store, strat Strategy, outSpace *grid.Space, inSpaces 
 		kv:       kv,
 		recCache: make(map[uint64]*record),
 	}
-	s.codec.Store(CodecV3)
 	nSlots := 1
 	if strat.Orient == ForwardOpt {
 		nSlots = len(inSpaces)
@@ -228,70 +222,27 @@ func (s *Store) slotSpace(slot int) *grid.Space {
 	return s.outSpace
 }
 
-// loadMeta restores the pair counter, stats, and spatial indexes. The
-// atomically committed meta blob (kvstore.MetaCommitter) is preferred;
-// stores written by earlier builds keep their metadata under in-log '!'
-// keys and load through the legacy path. If neither source yields
-// metadata but the hashtable holds pair records — a crash threw away the
-// sidecar, or it was corrupted — the store rebuilds what it can from the
-// records themselves rather than half-loading.
+// loadMeta restores the pair counter, stats, and spatial indexes from the
+// atomically committed meta blob. If no usable blob exists but the
+// hashtable holds records — a crash threw away the sidecar, or it was
+// corrupted — the store rebuilds what it can from the records themselves
+// rather than half-loading.
 func (s *Store) loadMeta() error {
-	if mc, ok := s.kv.(kvstore.MetaCommitter); ok {
-		blob, ok2, err := mc.LoadMeta()
-		if err != nil {
-			return err
-		}
-		if ok2 {
-			if err := s.decodeMetaBlob(blob); err == nil {
-				return nil
-			}
-			// Undecodable blob: treat as absent and fall through.
-		}
-	}
-	if err := s.loadLegacyMeta(); err != nil {
+	blob, ok, err := s.kv.LoadMeta()
+	if err != nil {
 		return err
 	}
-	if s.nextPair.Load() == 0 && s.kv.Len() > 0 {
+	if ok && s.decodeMetaBlob(blob) == nil {
+		return nil
+	}
+	if s.kv.Len() > 0 {
 		return s.rebuildMeta()
 	}
 	return nil
 }
 
-// loadLegacyMeta reads the pre-sidecar metadata keys from the hashtable.
-func (s *Store) loadLegacyMeta() error {
-	val, ok, err := s.kv.Get(metaKey("next"))
-	if err != nil {
-		return err
-	}
-	if ok {
-		id, n := binary.Uvarint(val)
-		if n <= 0 {
-			return fmt.Errorf("lineage: corrupt store meta")
-		}
-		s.nextPair.Store(id)
-		// Restore stats snapshot if present.
-		if sv, ok2, _ := s.kv.Get(metaKey("stats")); ok2 {
-			s.decodeStats(sv)
-		}
-	}
-	for i := range s.trees {
-		tv, ok, err := s.kv.Get(metaKey(fmt.Sprintf("idx%d", i)))
-		if err != nil {
-			return err
-		}
-		if ok {
-			tr, err := rtree.Decode(tv)
-			if err != nil {
-				return fmt.Errorf("lineage: decode index %d: %w", i, err)
-			}
-			s.trees[i] = tr
-		}
-	}
-	return nil
-}
-
 // metaBlobVersion frames the single metadata blob committed through
-// kvstore.MetaCommitter: version byte, pair counter, stats, and one
+// kvstore.Store.CommitMeta: version byte, pair counter, stats, and one
 // serialized R-tree per slot, so a flush is all-or-nothing on disk.
 const metaBlobVersion = 1
 
@@ -400,37 +351,11 @@ func (s *Store) rebuildMeta() error {
 	return nil
 }
 
-// Record codec versions selectable for newly written pairs. Reads accept
-// every version regardless of this setting.
-const (
-	// CodecV2 is the run-length record format (flags 2/3).
-	CodecV2 = 2
-	// CodecV3 is the tiled container format (flags 4/5), answered in
-	// situ by lookups. The default.
-	CodecV3 = 3
-)
-
-// SetCodec selects the record format for subsequently written pairs.
-// Benchmarks and compat tests use it to build v2 stores; production
-// stores keep the v3 default.
-func (s *Store) SetCodec(v int) error {
-	if v != CodecV2 && v != CodecV3 {
-		return fmt.Errorf("lineage: unknown record codec %d", v)
-	}
-	s.codec.Store(uint32(v))
-	return nil
-}
-
-// Codec returns the record format written for new pairs.
-func (s *Store) Codec() int { return int(s.codec.Load()) }
-
-// encodePair serializes one region pair with the store's codec.
-func (s *Store) encodePair(rp *RegionPair) []byte {
-	if s.codec.Load() == CodecV2 {
-		return encodeRecordV2(rp)
-	}
-	return encodeRecordV3(rp)
-}
+// Codec returns the record format version the store writes and reads.
+// There is one — the tiled container format, version 3 — so this is a
+// constant; the stats surfaces keep reporting it so a future layout
+// change is visible per store.
+func (s *Store) Codec() int { return 3 }
 
 // Strategy returns the store's strategy.
 func (s *Store) Strategy() Strategy { return s.strat }
@@ -549,10 +474,16 @@ func (s *Store) storesRecords() bool {
 func (s *Store) checkPairKind(rp *RegionPair) error {
 	wantPayload := s.strat.Mode == Pay || s.strat.Mode == Comp
 	if rp.IsPayload() != wantPayload {
-		return fmt.Errorf("lineage: %s store got %s pair", s.strat,
-			map[bool]string{true: "payload", false: "full"}[rp.IsPayload()])
+		return fmt.Errorf("lineage: %s store got %s pair", s.strat, pairKind(rp.IsPayload()))
 	}
 	return nil
+}
+
+func pairKind(payload bool) string {
+	if payload {
+		return "payload"
+	}
+	return "full"
 }
 
 // batchVolumes sums the volume counters of a batch.
@@ -596,9 +527,9 @@ func (s *Store) ingestBatch(pairs []RegionPair, ids []uint64) error {
 	if ids != nil {
 		recs := make([]kvstore.KV, len(pairs))
 		for i := range pairs {
-			recs[i] = kvstore.KV{Key: pairKey(ids[i]), Val: s.encodePair(&pairs[i])}
+			recs[i] = kvstore.KV{Key: pairKey(ids[i]), Val: encodeRecord(&pairs[i])}
 		}
-		if err := kvstore.PutBatch(s.kv, recs); err != nil {
+		if err := s.kv.PutBatch(recs); err != nil {
 			return err
 		}
 	}
@@ -829,7 +760,7 @@ func flushCellMap[V any](kv kvstore.Store, slot int, pend map[uint64]V,
 	}
 	var mergeErr error
 	batch := make([]kvstore.KV, len(cells))
-	if err := kvstore.GetBatch(kv, keys, func(i int, val []byte, ok bool) bool {
+	if err := kv.GetBatch(keys, func(i int, val []byte, ok bool) bool {
 		v := pend[cells[i]]
 		if ok {
 			if v, mergeErr = merge(val, v); mergeErr != nil {
@@ -844,15 +775,14 @@ func flushCellMap[V any](kv kvstore.Store, slot int, pend map[uint64]V,
 	if mergeErr != nil {
 		return mergeErr
 	}
-	return kvstore.PutBatch(kv, batch)
+	return kv.PutBatch(batch)
 }
 
-// Flush persists pending entries, spatial indexes, and metadata, then
-// syncs the hashtable. When the backing store supports atomic meta
-// commits the pair counter, stats, and serialized indexes go down as one
-// all-or-nothing blob after the data sync, so a crash mid-flush leaves
-// either the previous consistent metadata or the new one — never a store
-// that half-loads. SizeBytes is exact after Flush.
+// Flush persists pending entries, then syncs the hashtable and commits the
+// pair counter, stats, and serialized indexes as one all-or-nothing blob,
+// so a crash mid-flush leaves either the previous consistent metadata or
+// the new one — never a store that half-loads. SizeBytes is exact after
+// Flush.
 func (s *Store) Flush() error {
 	s.mu.Lock()
 	if err := s.flushPendingLocked(); err != nil {
@@ -863,33 +793,16 @@ func (s *Store) Flush() error {
 
 	s.idxMu.Lock()
 	defer s.idxMu.Unlock()
-	if mc, ok := s.kv.(kvstore.MetaCommitter); ok {
-		// Data first, then the meta blob: metadata must never describe
-		// records the log has not durably absorbed.
-		if err := s.kv.Sync(); err != nil {
-			return err
-		}
-		if err := mc.CommitMeta(s.encodeMetaBlob()); err != nil {
-			return err
-		}
-		s.dirtyIdx = false
-		return nil
-	}
-	if s.dirtyIdx {
-		for i, tr := range s.trees {
-			if err := s.kv.Put(metaKey(fmt.Sprintf("idx%d", i)), tr.Encode()); err != nil {
-				return err
-			}
-		}
-		s.dirtyIdx = false
-	}
-	if err := s.kv.Put(metaKey("next"), binary.AppendUvarint(nil, s.nextPair.Load())); err != nil {
+	// Data first, then the meta blob: metadata must never describe
+	// records the log has not durably absorbed.
+	if err := s.kv.Sync(); err != nil {
 		return err
 	}
-	if err := s.kv.Put(metaKey("stats"), s.encodeStats()); err != nil {
+	if err := s.kv.CommitMeta(s.encodeMetaBlob()); err != nil {
 		return err
 	}
-	return s.kv.Sync()
+	s.dirtyIdx = false
+	return nil
 }
 
 func (s *Store) encodeStats() []byte {
@@ -900,9 +813,7 @@ func (s *Store) encodeStats() []byte {
 	buf = binary.AppendUvarint(buf, uint64(st.PayloadBytes))
 	// Durations are fixed-width: a varint here would make the record's
 	// size — and thus SizeBytes — depend on wall-clock timing, breaking
-	// the determinism the benchmarks and their tests rely on. The legacy
-	// prefix (4 varints + WriteTime) is preserved so stores written by
-	// earlier builds load unchanged; the ingest extension follows it.
+	// the determinism the benchmarks and their tests rely on.
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(st.WriteTime))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(st.EnqueueTime))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(st.FlushTime))
@@ -920,8 +831,7 @@ func (s *Store) decodeStats(val []byte) {
 		vals = append(vals, v)
 		off += n
 	}
-	rest := len(val) - off
-	if len(vals) != 4 || (rest != 8 && rest != 8+8+8+4) {
+	if len(vals) != 4 || len(val)-off != 8+8+8+4 {
 		return
 	}
 	st := StoreStats{
@@ -930,11 +840,9 @@ func (s *Store) decodeStats(val []byte) {
 		InCells:      int64(vals[2]),
 		PayloadBytes: int64(vals[3]),
 		WriteTime:    time.Duration(binary.LittleEndian.Uint64(val[off:])),
-	}
-	if rest > 8 {
-		st.EnqueueTime = time.Duration(binary.LittleEndian.Uint64(val[off+8:]))
-		st.FlushTime = time.Duration(binary.LittleEndian.Uint64(val[off+16:]))
-		st.Shards = int(binary.LittleEndian.Uint32(val[off+24:]))
+		EnqueueTime:  time.Duration(binary.LittleEndian.Uint64(val[off+8:])),
+		FlushTime:    time.Duration(binary.LittleEndian.Uint64(val[off+16:])),
+		Shards:       int(binary.LittleEndian.Uint32(val[off+24:])),
 	}
 	s.statsMu.Lock()
 	s.stats = st
@@ -992,9 +900,9 @@ func (s *Store) getRecord(id uint64) (*record, error) {
 		// does not hold: the store's invariants are broken, not the query.
 		return nil, s.corruptf(fmt.Errorf("lineage: dangling pair id %d", id))
 	}
-	rec, err = decodeRecord(val)
+	rec, err = s.loadRecord(val)
 	if err != nil {
-		return nil, s.corruptf(err)
+		return nil, err
 	}
 	s.mu.Lock()
 	if len(s.recCache) >= recCacheLimit {
@@ -1002,6 +910,27 @@ func (s *Store) getRecord(id uint64) (*record, error) {
 	}
 	s.recCache[id] = rec
 	s.mu.Unlock()
+	return rec, nil
+}
+
+// loadRecord decodes a pair-record value and checks it is a record this
+// store's lookups can index — the kind the strategy stores, carrying one
+// input set per input space. Every record enters through here, so a value
+// that does not decode, or decodes to the wrong shape, degrades the store
+// instead of panicking a lookup.
+func (s *Store) loadRecord(val []byte) (*record, error) {
+	rec, err := decodeRecord(val)
+	if err != nil {
+		return nil, s.corruptf(err)
+	}
+	isPayload := rec.payload != nil
+	if wantPayload := s.strat.Mode == Pay || s.strat.Mode == Comp; isPayload != wantPayload {
+		return nil, s.corruptf(fmt.Errorf("lineage: %s store holds a %s record", s.strat, pairKind(isPayload)))
+	}
+	if !isPayload && len(rec.ins) != len(s.inSpaces) {
+		return nil, s.corruptf(fmt.Errorf("lineage: pair record carries %d input sets, store has %d input spaces",
+			len(rec.ins), len(s.inSpaces)))
+	}
 	return rec, nil
 }
 
@@ -1017,9 +946,9 @@ func (s *Store) scanRecords(fn func(id uint64, rec *record) (bool, error)) error
 			scanErr = s.corruptf(fmt.Errorf("lineage: corrupt pair key"))
 			return false
 		}
-		rec, err := decodeRecord(val)
+		rec, err := s.loadRecord(val)
 		if err != nil {
-			scanErr = s.corruptf(err)
+			scanErr = err
 			return false
 		}
 		cont, err := fn(id, rec)

@@ -24,23 +24,28 @@ var (
 func testPayload(ins [][]uint64) []byte {
 	var buf []byte
 	for _, in := range ins {
-		buf = binenc.AppendCellSet(buf, in)
+		buf = binenc.AppendCellSetContainers(buf, in)
 	}
 	return buf
 }
 
 // testMapP is the operator's map_p: decode the inputIdx'th cell set.
 func testMapP(_ uint64, payload []byte, inputIdx int, dst []uint64) []uint64 {
-	off := 0
 	for i := 0; ; i++ {
-		cells, n, err := binenc.DecodeCellSet(payload[off:])
+		keep := i == inputIdx
+		n, err := binenc.DecodeContainersInto(payload, func(start, length uint64) bool {
+			for c := start; keep && c < start+length; c++ {
+				dst = append(dst, c)
+			}
+			return keep
+		})
 		if err != nil {
 			panic(err)
 		}
-		if i == inputIdx {
-			return append(dst, cells...)
+		if keep {
+			return dst
 		}
-		off += n
+		payload = payload[n:]
 	}
 }
 

@@ -11,8 +11,9 @@
 // output array."
 //
 // Payload form. The paper's payload strategy stores fanin×4 bytes per
-// pair. This implementation's cell-set codec (delta+varint) stores full
-// lineage at ~1.5 bytes/cell — tighter than a 4-bytes/cell payload — so a
+// pair. This implementation's cell-set codec (tiled containers) stores
+// full lineage at a byte or two per scattered cell and far less for
+// clustered ones — tighter than a 4-bytes/cell payload — so a
 // literal fanin×4 payload would be *larger* than full lineage here,
 // inverting the paper's Figure 8. The default payload is therefore the
 // compact equivalent the paper's real operators use (CRD stores a radius

@@ -187,10 +187,7 @@ func (o *Optimizer) estimate(p *nodeProfile, s lineage.Strategy, wl *workloadInf
 
 // overheads estimates a strategy's storage and runtime overhead, using the
 // profiling run's exact measurements when that strategy was profiled and
-// the analytic model otherwise. The analytic model assumes the v3
-// container codec — the default for every store this optimizer would
-// cause to be created — so cell volume is costed at EstBytesPerCellV3
-// and the per-pair write at EstWritePerPairV3.
+// the analytic model otherwise.
 func (o *Optimizer) overheads(p *nodeProfile, s lineage.Strategy) (int64, time.Duration) {
 	if m, ok := p.measured[s]; ok {
 		return m.bytes, m.writeTime
@@ -202,27 +199,27 @@ func (o *Optimizer) overheads(p *nodeProfile, s lineage.Strategy) (int64, time.D
 		return 0, 0
 	case s.Mode == lineage.Full && s.Enc == lineage.One && s.Orient == lineage.BackwardOpt:
 		bytes = p.pairs*lineage.EstRecordOverhead +
-			lineage.EstBytesPerCellV3*(p.outCells+p.inCells) +
+			lineage.EstBytesPerCell*(p.outCells+p.inCells) +
 			p.outCells*lineage.EstCellEntryBytes
 	case s.Mode == lineage.Full && s.Enc == lineage.One && s.Orient == lineage.ForwardOpt:
 		bytes = p.pairs*lineage.EstRecordOverhead +
-			lineage.EstBytesPerCellV3*(p.outCells+p.inCells) +
+			lineage.EstBytesPerCell*(p.outCells+p.inCells) +
 			p.inCells*lineage.EstCellEntryBytes
 	case s.Mode == lineage.Full && s.Enc == lineage.Many && s.Orient == lineage.BackwardOpt:
 		bytes = p.pairs*(lineage.EstRecordOverhead+lineage.EstTreeEntryBytes) +
-			lineage.EstBytesPerCellV3*(p.outCells+p.inCells)
+			lineage.EstBytesPerCell*(p.outCells+p.inCells)
 		treeInserts = p.pairs
 	case s.Mode == lineage.Full && s.Enc == lineage.Many && s.Orient == lineage.ForwardOpt:
 		nIn := float64(p.op.NumInputs())
 		bytes = p.pairs*(lineage.EstRecordOverhead+nIn*lineage.EstTreeEntryBytes) +
-			lineage.EstBytesPerCellV3*(p.outCells+p.inCells)
+			lineage.EstBytesPerCell*(p.outCells+p.inCells)
 		treeInserts = p.pairs * nIn
 	case s.Enc == lineage.One: // PayOne / CompOne
 		perPair := p.payBytes / p.payPairs
 		bytes = p.payOutCells * (lineage.EstCellEntryBytes + perPair)
 	default: // PayMany / CompMany
 		bytes = p.payPairs*(lineage.EstRecordOverhead+lineage.EstTreeEntryBytes) +
-			lineage.EstBytesPerCellV3*p.payOutCells + p.payBytes
+			lineage.EstBytesPerCell*p.payOutCells + p.payBytes
 		treeInserts = p.payPairs
 	}
 	pairs := p.pairs
@@ -230,7 +227,7 @@ func (o *Optimizer) overheads(p *nodeProfile, s lineage.Strategy) (int64, time.D
 		pairs = p.payPairs
 	}
 	rt := time.Duration(bytes)*lineage.EstWritePerByte +
-		time.Duration(pairs)*lineage.EstWritePerPairV3 +
+		time.Duration(pairs)*lineage.EstWritePerPair +
 		time.Duration(treeInserts)*lineage.EstTreeInsert
 	return int64(bytes), rt
 }
@@ -260,9 +257,9 @@ func (o *Optimizer) queryCost(p *nodeProfile, s lineage.Strategy, wl *workloadIn
 	matched := (d == query.Backward && s.Orient == lineage.BackwardOpt) ||
 		(d == query.Forward && s.Orient == lineage.ForwardOpt && s.Mode == lineage.Full)
 	if !matched {
-		// Scan every pair, probing in situ on the v3 containers; payload
+		// Scan every pair, probing in situ on the containers; payload
 		// modes additionally evaluate map_p per stored output cell.
-		cost := pairs * lineage.CostScanPairV3
+		cost := pairs * lineage.CostProbePair
 		if s.Mode == lineage.Pay || s.Mode == lineage.Comp {
 			outsPerPair := time.Duration(p.payOutCells / p.payPairs)
 			if outsPerPair == 0 {
