@@ -1,15 +1,8 @@
 // Command subzerolint runs SubZero's invariant analyzers (internal/lint)
-// over Go packages. It supports two modes:
-//
-// Standalone, over package patterns (the way CI runs it):
+// over Go package patterns:
 //
 //	subzerolint ./...
 //	subzerolint -dir /path/to/module ./internal/...
-//
-// As a go vet tool, speaking the vet config protocol:
-//
-//	go build -o bin/subzerolint ./cmd/subzerolint
-//	go vet -vettool=$(pwd)/bin/subzerolint ./...
 //
 // Exit status is 0 when the tree is clean, 1 when findings were
 // reported, and 2 on loader or usage errors. Findings are suppressed
@@ -18,12 +11,9 @@
 package main
 
 import (
-	"crypto/sha256"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"strings"
 
 	"subzero/internal/lint"
 )
@@ -33,43 +23,15 @@ func main() {
 }
 
 func run(args []string) int {
-	// The go vet driver probes its tool before use: -V=full must print a
-	// version line ending in a content hash of the executable (the build
-	// cache keys vet results on it), -flags the supported flag set.
-	if len(args) == 1 && strings.HasPrefix(args[0], "-V=") {
-		return printVersion()
-	}
 	fs := flag.NewFlagSet("subzerolint", flag.ContinueOnError)
-	dir := fs.String("dir", ".", "directory of the module to analyze (standalone mode)")
-	listFlags := fs.Bool("flags", false, "print the tool's flags as JSON (vet protocol)")
+	dir := fs.String("dir", ".", "directory of the module to analyze")
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-	if *listFlags {
-		fmt.Println("[]")
-		return 0
 	}
 	rest := fs.Args()
 
 	if len(rest) > 0 && rest[0] == "help" {
 		printHelp(rest[1:])
-		return 0
-	}
-
-	// A single *.cfg argument is the vet driver handing us one package's
-	// compilation unit.
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		findings, err := runVetUnit(rest[0])
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "subzerolint: %v\n", err)
-			return 2
-		}
-		for _, f := range findings {
-			fmt.Fprintf(os.Stderr, "%s: %s [%s]\n", f.Pos, f.Message, "subzero/"+f.Analyzer)
-		}
-		if len(findings) > 0 {
-			return 1
-		}
 		return 0
 	}
 
@@ -95,29 +57,6 @@ func run(args []string) int {
 		}
 	}
 	return exit
-}
-
-// printVersion emits the `-V=full` line in the form cmd/go parses:
-// "<name> version <version> buildID=<hash of the binary>".
-func printVersion() int {
-	exe, err := os.Executable()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "subzerolint: %v\n", err)
-		return 2
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "subzerolint: %v\n", err)
-		return 2
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		fmt.Fprintf(os.Stderr, "subzerolint: %v\n", err)
-		return 2
-	}
-	fmt.Printf("subzerolint version devel buildID=%02x\n", h.Sum(nil))
-	return 0
 }
 
 func printHelp(names []string) {

@@ -2,15 +2,8 @@ package main
 
 import "testing"
 
-// TestVetProtocolProbes covers the handshakes the go vet driver performs
-// before handing the tool any work.
-func TestVetProtocolProbes(t *testing.T) {
-	if got := run([]string{"-V=full"}); got != 0 {
-		t.Errorf("run(-V=full) = %d, want 0", got)
-	}
-	if got := run([]string{"-flags"}); got != 0 {
-		t.Errorf("run(-flags) = %d, want 0", got)
-	}
+// TestHelp covers the help subcommand, with and without an analyzer name.
+func TestHelp(t *testing.T) {
 	if got := run([]string{"help"}); got != 0 {
 		t.Errorf("run(help) = %d, want 0", got)
 	}

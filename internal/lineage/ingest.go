@@ -36,8 +36,12 @@ var (
 // Operators pay only the enqueue cost (plus backpressure stalls when the
 // shards fall behind); the expensive span encoding (internal/binenc) and
 // hashtable/R-tree construction run on the shard workers. Flush becomes
-// a drain barrier, and a lookup racing an unflushed store barriers first
-// so it sees a consistent merged view (Store.beginRead).
+// a drain barrier. Each store has one gate (see Store): a shard worker
+// encodes and commits a batch's records outside it and applies the batch's
+// index items or cell entries holding it exclusively, lookups hold it
+// shared, and a lookup against a store with a coordinator attached drains
+// the pipeline first (Store.beginRead) — so it sees every pair enqueued
+// before it started and never a torn batch.
 
 // DefaultIngestDepth is the per-shard queue depth, in batches, when the
 // config leaves Depth unset. The queue is deliberately shallow: each
@@ -76,11 +80,12 @@ type ingestTask struct {
 	barrier *sync.WaitGroup
 }
 
-// ingestShard is one worker's queue plus its utilization counters.
+// ingestShard is one worker's queue plus its utilization series, resolved
+// once at startup so the worker loop pays only atomic adds.
 type ingestShard struct {
-	ch     chan ingestTask
-	pairs  int64         // guarded by Coordinator.statsMu
-	busyNS time.Duration // guarded by Coordinator.statsMu
+	ch    chan ingestTask
+	busy  *obs.Counter
+	pairs *obs.Counter
 }
 
 // Coordinator hash-partitions raw region pairs across N shard workers —
@@ -93,12 +98,17 @@ type ingestShard struct {
 // cancellation) is latched; subsequent enqueues fail fast with it and
 // the drain barrier re-reports it, so the error reaches the operator
 // through the writer exactly as a synchronous write failure would.
+//
+// Two locks, both about the pipeline's own lifetime and neither about
+// store data: life orders channel sends against Close, mu guards the
+// latched error and the closed flag. Pipeline counters live in the
+// obs.IngestObs the coordinator reports into and nowhere else.
 type Coordinator struct {
 	ctx     context.Context
 	cfg     IngestConfig
 	shards  []*ingestShard
 	wg      sync.WaitGroup
-	metrics *IngestMetrics // optional, shared across runs
+	metrics *obs.IngestObs // shared across an executor's runs
 
 	// inFlight counts tasks enqueued but not yet fully applied; Barrier
 	// short-circuits when it reads zero, so lookups against a quiescent
@@ -114,16 +124,14 @@ type Coordinator struct {
 	mu     sync.Mutex
 	err    error
 	closed bool
-
-	statsMu sync.Mutex // guards per-shard utilization counters
 }
 
 // NewCoordinator starts cfg.Shards shard workers. The context bounds the
 // pipeline's lifetime: cancellation fails the coordinator, unblocks
 // producers stuck in backpressure, and surfaces through Barrier so the
 // run aborts on the executor's existing cancellation path. Close must be
-// called when the run ends. metrics may be nil.
-func NewCoordinator(ctx context.Context, cfg IngestConfig, metrics *IngestMetrics) *Coordinator {
+// called when the run ends. A nil metrics counts into a private bundle.
+func NewCoordinator(ctx context.Context, cfg IngestConfig, metrics *obs.IngestObs) *Coordinator {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -131,25 +139,27 @@ func NewCoordinator(ctx context.Context, cfg IngestConfig, metrics *IngestMetric
 	if cfg.Shards < 1 {
 		cfg.Shards = 1
 	}
-	c := &Coordinator{ctx: ctx, cfg: cfg, metrics: metrics}
-	if metrics != nil {
-		metrics.ensureShards(cfg.Shards)
+	if metrics == nil {
+		metrics = obs.NewIngestObs()
 	}
+	c := &Coordinator{ctx: ctx, cfg: cfg, metrics: metrics}
 	c.shards = make([]*ingestShard, cfg.Shards)
 	for i := range c.shards {
-		sh := &ingestShard{ch: make(chan ingestTask, cfg.Depth)}
+		label := strconv.Itoa(i)
+		sh := &ingestShard{
+			ch:    make(chan ingestTask, cfg.Depth),
+			busy:  metrics.ShardBusy.With1(label),
+			pairs: metrics.ShardPairs.With1(label),
+		}
 		c.shards[i] = sh
 		c.wg.Add(1)
-		go c.worker(i, sh)
+		go c.worker(sh)
 	}
 	return c
 }
 
 // Shards returns the worker count.
 func (c *Coordinator) Shards() int { return c.cfg.Shards }
-
-// Depth returns the per-shard queue depth in batches.
-func (c *Coordinator) Depth() int { return c.cfg.Depth }
 
 // Err returns the latched pipeline error, if any.
 func (c *Coordinator) Err() error {
@@ -169,7 +179,7 @@ func (c *Coordinator) fail(err error) {
 // worker drains one shard queue. After a failure (or cancellation) it
 // keeps consuming so producers and barriers never deadlock, but drops the
 // work.
-func (c *Coordinator) worker(idx int, sh *ingestShard) {
+func (c *Coordinator) worker(sh *ingestShard) {
 	defer c.wg.Done()
 	for t := range sh.ch {
 		if t.barrier != nil {
@@ -190,13 +200,8 @@ func (c *Coordinator) worker(idx int, sh *ingestShard) {
 		elapsed := time.Since(start)
 		t.store.AddWriteTime(elapsed)
 		c.inFlight.Add(-1)
-		c.statsMu.Lock()
-		sh.pairs += int64(len(t.pairs))
-		sh.busyNS += elapsed
-		c.statsMu.Unlock()
-		if c.metrics != nil {
-			c.metrics.recordTask(idx, len(t.pairs), elapsed)
-		}
+		sh.busy.Add(int64(elapsed))
+		sh.pairs.Add(int64(len(t.pairs)))
 		if err != nil {
 			c.fail(err)
 		}
@@ -303,18 +308,18 @@ func (c *Coordinator) Enqueue(stores []*Store, pairs []RegionPair) error {
 				return err
 			}
 			batches++
-			if c.metrics != nil {
-				c.metrics.observeDepth(len(c.shards[sh].ch))
-			}
+			depth := int64(len(c.shards[sh].ch))
+			c.metrics.QueueDepth.Set(depth)
+			c.metrics.QueueHighWater.SetMax(depth)
 		}
 		st.AddEnqueueTime(time.Since(start))
 	}
-	if c.metrics != nil {
-		// The stall covers the whole hand-off — partitioning, id
-		// reservation, and time blocked on full shard queues — i.e. what
-		// async capture still costs the operator thread.
-		c.metrics.recordEnqueue(batches, len(pairs), time.Since(enqueueStart))
-	}
+	c.metrics.Batches.Add(int64(batches))
+	c.metrics.Pairs.Add(int64(len(pairs)))
+	// The stall covers the whole hand-off — partitioning, id reservation,
+	// and time blocked on full shard queues — i.e. what async capture
+	// still costs the operator thread.
+	c.metrics.EnqueueStall.ObserveSince(enqueueStart)
 	return c.Err()
 }
 
@@ -359,9 +364,7 @@ func (c *Coordinator) Barrier() error {
 	}
 	c.life.RUnlock()
 	wg.Wait()
-	if c.metrics != nil {
-		c.metrics.recordBarrier(time.Since(start))
-	}
+	c.metrics.Flush.ObserveSince(start)
 	return c.Err()
 }
 
@@ -387,134 +390,6 @@ func (c *Coordinator) Close() error {
 	return c.Err()
 }
 
-// ShardLoads returns per-shard (pairs, busy time) — the utilization view
-// the serving layer exposes.
-func (c *Coordinator) ShardLoads() ([]int64, []time.Duration) {
-	c.statsMu.Lock()
-	defer c.statsMu.Unlock()
-	pairs := make([]int64, len(c.shards))
-	busy := make([]time.Duration, len(c.shards))
-	for i, sh := range c.shards {
-		pairs[i] = sh.pairs
-		busy[i] = sh.busyNS
-	}
-	return pairs, busy
-}
-
-// ---------------------------------------------------------------------
-// Metrics
-// ---------------------------------------------------------------------
-
-// IngestMetrics aggregates pipeline counters across every coordinator of
-// an executor — the numbers GET /v1/stats serves: queue pressure, shard
-// utilization, and flush (drain barrier) latency.
-type IngestMetrics struct {
-	mu             sync.Mutex
-	batches        int64
-	pairs          int64
-	queueHighWater int
-	encodeNS       time.Duration
-	barrierNS      time.Duration
-	barrierMinNS   time.Duration // 0 until the first barrier
-	barrierMaxNS   time.Duration
-	barriers       int64
-	shardPairs     []int64
-	shardBusyNS    []time.Duration
-
-	// obs mirrors the counters into the process-wide metric registry; nil
-	// when the owning System has no observability set attached. The
-	// per-shard series are resolved once in ensureShards so the worker
-	// loop pays only atomic adds.
-	obs           *obs.IngestObs
-	obsShardBusy  []*obs.Counter
-	obsShardPairs []*obs.Counter
-}
-
-// SetObs attaches the obs ingest bundle. Attach before the first
-// coordinator is created; per-shard series resolve lazily as shard counts
-// grow.
-func (m *IngestMetrics) SetObs(o *obs.IngestObs) {
-	m.mu.Lock()
-	m.obs = o
-	n := len(m.shardPairs)
-	m.mu.Unlock()
-	if n > 0 {
-		m.ensureShards(n)
-	}
-}
-
-func (m *IngestMetrics) ensureShards(n int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for len(m.shardPairs) < n {
-		m.shardPairs = append(m.shardPairs, 0)
-		m.shardBusyNS = append(m.shardBusyNS, 0)
-	}
-	if m.obs != nil {
-		for len(m.obsShardBusy) < n {
-			label := strconv.Itoa(len(m.obsShardBusy))
-			m.obsShardBusy = append(m.obsShardBusy, m.obs.ShardBusy.With1(label))
-			m.obsShardPairs = append(m.obsShardPairs, m.obs.ShardPairs.With1(label))
-		}
-	}
-}
-
-func (m *IngestMetrics) recordEnqueue(batches, pairs int, stall time.Duration) {
-	m.mu.Lock()
-	m.batches += int64(batches)
-	m.pairs += int64(pairs)
-	o := m.obs
-	m.mu.Unlock()
-	if o != nil {
-		o.Batches.Add(int64(batches))
-		o.Pairs.Add(int64(pairs))
-		o.EnqueueStall.ObserveDuration(stall)
-	}
-}
-
-func (m *IngestMetrics) observeDepth(depth int) {
-	m.mu.Lock()
-	if depth > m.queueHighWater {
-		m.queueHighWater = depth
-	}
-	o := m.obs
-	m.mu.Unlock()
-	if o != nil {
-		o.QueueDepth.Set(int64(depth))
-	}
-}
-
-func (m *IngestMetrics) recordTask(shard, pairs int, busy time.Duration) {
-	m.mu.Lock()
-	m.encodeNS += busy
-	if shard < len(m.shardPairs) {
-		m.shardPairs[shard] += int64(pairs)
-		m.shardBusyNS[shard] += busy
-	}
-	if shard < len(m.obsShardBusy) {
-		m.obsShardBusy[shard].Add(int64(busy))
-		m.obsShardPairs[shard].Add(int64(pairs))
-	}
-	m.mu.Unlock()
-}
-
-func (m *IngestMetrics) recordBarrier(d time.Duration) {
-	m.mu.Lock()
-	m.barrierNS += d
-	m.barriers++
-	if m.barrierMinNS == 0 || d < m.barrierMinNS {
-		m.barrierMinNS = d
-	}
-	if d > m.barrierMaxNS {
-		m.barrierMaxNS = d
-	}
-	o := m.obs
-	m.mu.Unlock()
-	if o != nil {
-		o.Flush.ObserveDuration(d)
-	}
-}
-
 // IngestSnapshot is a point-in-time copy of the pipeline counters.
 type IngestSnapshot struct {
 	Shards         int             // configured shard workers (0 = serial ingest)
@@ -532,25 +407,31 @@ type IngestSnapshot struct {
 	ShardBusy      []time.Duration // per-shard busy time
 }
 
-// Snapshot captures the counters under the given configuration.
-func (m *IngestMetrics) Snapshot(cfg IngestConfig) IngestSnapshot {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+// SnapshotIngest reads the pipeline counters out of the obs bundle every
+// coordinator of an executor reports into — the numbers GET /v1/stats
+// serves: queue pressure, shard utilization, and flush (drain barrier)
+// latency — under the given configuration.
+func SnapshotIngest(o *obs.IngestObs, cfg IngestConfig) IngestSnapshot {
+	flush := o.Flush.Snapshot()
 	snap := IngestSnapshot{
-		Batches:        m.batches,
-		Pairs:          m.pairs,
-		QueueHighWater: m.queueHighWater,
-		EncodeTime:     m.encodeNS,
-		FlushTime:      m.barrierNS,
-		FlushMin:       m.barrierMinNS,
-		FlushMax:       m.barrierMaxNS,
-		Flushes:        m.barriers,
-		ShardPairs:     append([]int64(nil), m.shardPairs...),
-		ShardBusy:      append([]time.Duration(nil), m.shardBusyNS...),
+		Batches:        o.Batches.Load(),
+		Pairs:          o.Pairs.Load(),
+		QueueHighWater: int(o.QueueHighWater.Load()),
+		FlushTime:      time.Duration(flush.Sum),
+		FlushMin:       time.Duration(flush.Min),
+		FlushAvg:       time.Duration(flush.Mean()),
+		FlushMax:       time.Duration(flush.Max),
+		Flushes:        flush.Count,
 	}
-	if m.barriers > 0 {
-		snap.FlushAvg = m.barrierNS / time.Duration(m.barriers)
-	}
+	// NewCoordinator resolves shard i's series only after shard i-1's, so
+	// insertion order — the order Each visits — is shard order.
+	o.ShardPairs.Each(func(_ []string, n int64) {
+		snap.ShardPairs = append(snap.ShardPairs, n)
+	})
+	o.ShardBusy.Each(func(_ []string, ns int64) {
+		snap.ShardBusy = append(snap.ShardBusy, time.Duration(ns))
+		snap.EncodeTime += time.Duration(ns)
+	})
 	if cfg.Enabled() {
 		cfg = cfg.normalized()
 		snap.Shards = cfg.Shards

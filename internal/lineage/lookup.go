@@ -90,7 +90,8 @@ func (sc *lookupScratch) buildKeys(slot int) {
 // query executor uses this to apply the composite default mapping to the
 // remaining cells. abort, if non-nil, is polled periodically; returning
 // true cancels the lookup with ErrAborted (the query-time optimizer's
-// dynamic fallback hook).
+// dynamic fallback hook). mapp and abort run with the store's gate held
+// shared and must not call back into the store (see Store).
 func (s *Store) Backward(q, dst *bitmap.Bitmap, inputIdx int, mapp PayloadFn, covered *bitmap.Bitmap, abort func() bool) error {
 	return s.BackwardSpan(nil, q, dst, inputIdx, mapp, covered, abort)
 }
@@ -105,11 +106,10 @@ func (s *Store) BackwardSpan(sp *trace.Span, q, dst *bitmap.Bitmap, inputIdx int
 	if (s.strat.Mode == Pay || s.strat.Mode == Comp) && mapp == nil {
 		return fmt.Errorf("lineage: %s store requires a payload mapping function", s.strat)
 	}
-	release, err := s.beginRead()
-	if err != nil {
+	if err := s.beginRead(); err != nil {
 		return err
 	}
-	defer release()
+	defer s.gate.RUnlock()
 	if s.strat.Orient == ForwardOpt {
 		// Mismatched orientation: fall back to a full scan of records.
 		return s.scanBackward(q, dst, inputIdx, abort)
@@ -353,11 +353,10 @@ func (s *Store) ForwardSpan(sp *trace.Span, q, dst *bitmap.Bitmap, inputIdx int,
 	if (s.strat.Mode == Pay || s.strat.Mode == Comp) && mapp == nil {
 		return fmt.Errorf("lineage: %s store requires a payload mapping function", s.strat)
 	}
-	release, err := s.beginRead()
-	if err != nil {
+	if err := s.beginRead(); err != nil {
 		return err
 	}
-	defer release()
+	defer s.gate.RUnlock()
 	switch {
 	case s.strat.Mode == Pay || s.strat.Mode == Comp:
 		if s.strat.Enc == One {
@@ -458,11 +457,10 @@ func (s *Store) forwardPayManyScan(q, dst *bitmap.Bitmap, inputIdx int, mapp Pay
 // (payload) pair. The query executor uses it to decide which output cells
 // of a composite operator keep their default mapping on the forward path.
 func (s *Store) ContainsOut(cell uint64) (bool, error) {
-	release, err := s.beginRead()
-	if err != nil {
+	if err := s.beginRead(); err != nil {
 		return false, err
 	}
-	defer release()
+	defer s.gate.RUnlock()
 	if s.strat.Enc == One {
 		_, ok, err := s.kv.Get(cellKey(0, cell))
 		return ok, err

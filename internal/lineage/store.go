@@ -90,30 +90,35 @@ func (ss StoreStats) CriticalWriteTime() time.Duration {
 // hashtable according to the strategy's encoding and orientation, and
 // serves backward/forward lookups over them.
 //
-// The store is split into an immutable read side and a write side. The
-// read side (Backward, Forward, ContainsOut) is safe for concurrent use.
-// The write side has two modes: the synchronous path (WritePairs, called
-// from one goroutine, never overlapping lookups — the pre-pipeline
-// contract) and the sharded ingest path, where a Coordinator's shard
-// workers call ingestBatch concurrently with each other AND with lookups.
-// For that mode liveMu arbitrates: workers hold it shared for the span of
-// a batch, and a lookup racing the ingest drains the coordinator
-// (Coordinator.Barrier) and then holds liveMu exclusively, so it observes
-// a consistent merged view — every pair enqueued before the lookup
-// started, and no torn batch.
+// One reader/writer lock, gate, guards everything a lookup reads and a write
+// mutates in place: the R-trees, the buffered per-cell entries, the volume
+// counters and the dirty flag. Lookups (Backward, Forward, ContainsOut) and
+// the accessors (Stats, NumPairs, SizeBytes) hold it shared for their whole
+// span, so any number run concurrently; index inserts, cell-entry buffering
+// with its threshold flush, the volume counters and Flush hold it
+// exclusively. Record encoding and the record group commit stay outside
+// it, so shard workers still encode one store in parallel. A lookup
+// therefore never sees a torn batch, whether the writer is WritePairs on
+// another goroutine or a Coordinator's shard workers; when a coordinator
+// is attached the lookup drains it first (Coordinator.Barrier), so it also
+// sees every pair enqueued before it started.
+//
+// The gate is not re-entrant: nothing that holds it may call back into the
+// store's locking methods, and the callbacks a lookup runs (abort hooks,
+// payload mapping functions) must not touch the store. Lock order is
+// gate → recMu → kvstore.
 type Store struct {
 	strat    Strategy
 	outSpace *grid.Space
 	inSpaces []*grid.Space
 	kv       kvstore.Store
 
+	gate sync.RWMutex
+
 	// trees index the key side of Many encodings: slot 0 holds output
 	// bounding boxes for backward-optimized stores; slot i holds input-i
-	// bounding boxes for forward-optimized stores. idxMu guards inserts
-	// and the dirty flag against concurrent shard workers; reads are
-	// lock-free once the write side is quiescent (see liveMu).
+	// bounding boxes for forward-optimized stores. Guarded by gate.
 	trees    []*rtree.Tree
-	idxMu    sync.Mutex
 	dirtyIdx bool
 
 	// nextPair allocates record ids; the ingest coordinator reserves id
@@ -121,39 +126,29 @@ type Store struct {
 	// deterministic regardless of shard scheduling.
 	nextPair atomic.Uint64
 
-	// mu guards the pending buffers and the record cache.
-	mu sync.Mutex
-
 	// Pending per-cell entries for One encodings, merged into the
 	// hashtable in batches so key collisions don't force a read-modify-
-	// write per lwrite call.
+	// write per lwrite call. Guarded by gate.
 	pendingIDs   []map[uint64][]uint64
 	pendingPay   map[uint64][][]byte
 	pendingCount int
 
-	// pending mirrors pendingCount for the lock-free read fast path:
-	// lookups check it before taking mu, so concurrent queries against a
-	// flushed store never serialize on the mutex just to discover there
-	// is nothing to flush.
-	pending atomic.Int64
-
+	// recMu guards recCache, which lookups fill while holding the gate
+	// only shared.
+	recMu    sync.Mutex
 	recCache map[uint64]*record
 
-	// statsMu guards the volume counters; the duration counters are
-	// atomics so concurrent shard workers aggregate without a lock and
-	// without under-reporting (a read-modify-write race would drop
-	// increments).
-	statsMu   sync.Mutex
-	stats     StoreStats // volumes + Shards; durations live in the atomics
+	// stats holds the volume counters and Shards, guarded by gate; the
+	// duration counters are atomics so concurrent shard workers aggregate
+	// without a lock and without under-reporting.
+	stats     StoreStats
 	writeNS   atomic.Int64
 	enqueueNS atomic.Int64
 	flushNS   atomic.Int64
 
 	// ingest is the coordinator currently feeding this store, if any;
-	// lookups use it to barrier racing writes. liveMu is the shared/
-	// exclusive gate described above.
+	// lookups drain it before taking the gate.
 	ingest atomic.Pointer[Coordinator]
-	liveMu sync.RWMutex
 
 	// degraded latches when a lookup hits corruption (see ErrCorrupt);
 	// healing claims the store for a single background rebuild.
@@ -390,12 +385,17 @@ func (s *Store) corruptf(err error) error {
 	return fmt.Errorf("%w: %w", ErrCorrupt, err)
 }
 
-// Stats returns the accumulated write statistics, merging the atomic
-// duration counters into the volume snapshot.
+// Stats returns the accumulated write statistics.
 func (s *Store) Stats() StoreStats {
-	s.statsMu.Lock()
+	s.gate.RLock()
+	defer s.gate.RUnlock()
+	return s.statsLocked()
+}
+
+// statsLocked merges the atomic duration counters into the volume
+// snapshot. The caller holds the gate.
+func (s *Store) statsLocked() StoreStats {
 	st := s.stats
-	s.statsMu.Unlock()
 	st.WriteTime = time.Duration(s.writeNS.Load())
 	st.EnqueueTime = time.Duration(s.enqueueNS.Load())
 	st.FlushTime = time.Duration(s.flushNS.Load())
@@ -415,27 +415,26 @@ func (s *Store) AddEnqueueTime(d time.Duration) { s.enqueueNS.Add(int64(d)) }
 // AddFlushTime accrues operator-thread drain/flush time.
 func (s *Store) AddFlushTime(d time.Duration) { s.flushNS.Add(int64(d)) }
 
-// addVolumes accumulates the pair/cell volume counters for one batch.
+// addVolumes accumulates the pair/cell volume counters for one batch. The
+// caller holds the gate exclusively.
 func (s *Store) addVolumes(pairs int, outCells, inCells, payloadBytes int64) {
-	s.statsMu.Lock()
 	s.stats.Pairs += pairs
 	s.stats.OutCells += outCells
 	s.stats.InCells += inCells
 	s.stats.PayloadBytes += payloadBytes
-	s.statsMu.Unlock()
 }
 
 // setShards records how many ingest shard workers feed this store.
 func (s *Store) setShards(n int) {
-	s.statsMu.Lock()
+	s.gate.Lock()
 	s.stats.Shards = n
-	s.statsMu.Unlock()
+	s.gate.Unlock()
 }
 
 // NumPairs returns the number of region pairs written.
 func (s *Store) NumPairs() int {
-	s.statsMu.Lock()
-	defer s.statsMu.Unlock()
+	s.gate.RLock()
+	defer s.gate.RUnlock()
 	return s.stats.Pairs
 }
 
@@ -515,12 +514,9 @@ func (s *Store) WritePairs(pairs []RegionPair) error {
 // ingestBatch applies one batch of pairs: encode records, group-commit
 // them, index them, and buffer the per-cell entries. It is the shared
 // write path of WritePairs (synchronous) and the coordinator's shard
-// workers (concurrent); liveMu is held shared so a racing lookup can
-// exclude in-flight batches wholesale.
+// workers (concurrent). Encoding, the record commit and the bounding boxes
+// run outside the gate, so workers serialize only on the in-place updates.
 func (s *Store) ingestBatch(pairs []RegionPair, ids []uint64) error {
-	s.liveMu.RLock()
-	defer s.liveMu.RUnlock()
-
 	// Encode and group-commit the pair records first: per-cell entries
 	// and index items must never reference a record the hashtable does
 	// not hold yet.
@@ -533,30 +529,36 @@ func (s *Store) ingestBatch(pairs []RegionPair, ids []uint64) error {
 			return err
 		}
 	}
-
-	switch {
-	case s.strat.Enc == Many:
-		if err := s.indexBatch(pairs, ids); err != nil {
-			return err
-		}
-	default:
-		if err := s.bufferCellEntries(pairs, ids); err != nil {
-			return err
-		}
+	var items []slotItem
+	if s.strat.Enc == Many {
+		items = s.indexItems(pairs, ids)
 	}
 	out, in, pay := batchVolumes(pairs)
+
+	s.gate.Lock()
+	defer s.gate.Unlock()
+	if s.strat.Enc == Many {
+		for _, it := range items {
+			if err := s.trees[it.slot].Insert(it.item); err != nil {
+				return err
+			}
+		}
+		s.dirtyIdx = true
+	} else if err := s.bufferCellEntries(pairs, ids); err != nil {
+		return err
+	}
 	s.addVolumes(len(pairs), out, in, pay)
 	return nil
 }
 
-// indexBatch inserts one R-tree item per (pair, slot) for Many encodings.
-// Bounding boxes are computed outside the index lock so concurrent shard
-// workers only serialize on the tree inserts themselves.
-func (s *Store) indexBatch(pairs []RegionPair, ids []uint64) error {
-	type slotItem struct {
-		slot int
-		item rtree.Item
-	}
+// slotItem is one R-tree insert awaiting the gate.
+type slotItem struct {
+	slot int
+	item rtree.Item
+}
+
+// indexItems computes one R-tree item per (pair, slot) for Many encodings.
+func (s *Store) indexItems(pairs []RegionPair, ids []uint64) []slotItem {
 	items := make([]slotItem, 0, len(pairs))
 	for i := range pairs {
 		rp := &pairs[i]
@@ -572,23 +574,14 @@ func (s *Store) indexBatch(pairs []RegionPair, ids []uint64) error {
 			}
 		}
 	}
-	s.idxMu.Lock()
-	defer s.idxMu.Unlock()
-	for _, it := range items {
-		if err := s.trees[it.slot].Insert(it.item); err != nil {
-			return err
-		}
-	}
-	s.dirtyIdx = true
-	return nil
+	return items
 }
 
 // bufferCellEntries merges one batch's per-cell references (FullOne ids,
-// PayOne payload duplicates) into the pending buffers under one lock
-// acquisition, flushing to the hashtable when the threshold is crossed.
+// PayOne payload duplicates) into the pending buffers, flushing to the
+// hashtable when the threshold is crossed. The caller holds the gate
+// exclusively.
 func (s *Store) bufferCellEntries(pairs []RegionPair, ids []uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for i := range pairs {
 		rp := &pairs[i]
 		switch {
@@ -612,45 +605,38 @@ func (s *Store) bufferCellEntries(pairs []RegionPair, ids []uint64) error {
 			}
 		}
 	}
-	s.pending.Store(int64(s.pendingCount))
 	if s.pendingCount >= pendingFlushThreshold {
 		return s.flushPendingLocked()
 	}
 	return nil
 }
 
-// flushPending merges buffered per-cell entries into the hashtable under
-// the store lock; lookup paths call it before reading so late buffered
-// writes are visible.
-func (s *Store) flushPending() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.flushPendingLocked()
-}
-
-// beginRead is the lookup-path gate. The fast path — no ingest
-// coordinator attached, nothing pending — is a single atomic load. When a
-// coordinator is feeding the store, the lookup drains it (so every pair
-// enqueued before the lookup is fully applied) and then holds the write
-// gate exclusively, so batches enqueued after the drain cannot tear the
-// view mid-lookup. The returned release must be called when the lookup
-// finishes.
-func (s *Store) beginRead() (release func(), err error) {
+// beginRead is the lookup-path gate: drain the coordinator feeding the
+// store, if any, so every pair enqueued before the lookup is applied, then
+// take the gate shared with no per-cell entry still buffered. Buffered
+// entries are merged under the exclusive gate first; a writer can slip in
+// between that merge and the shared acquisition, hence the loop. On a nil
+// return the caller holds the gate shared and must RUnlock it when the
+// lookup finishes.
+func (s *Store) beginRead() error {
 	if c := s.ingest.Load(); c != nil {
 		if err := c.Barrier(); err != nil {
-			return nil, err
+			return err
 		}
-		s.liveMu.Lock()
-		if err := s.flushPendingIfAny(); err != nil {
-			s.liveMu.Unlock()
-			return nil, err
+	}
+	for {
+		s.gate.RLock()
+		if s.pendingCount == 0 {
+			return nil
 		}
-		return s.liveMu.Unlock, nil
+		s.gate.RUnlock()
+		s.gate.Lock()
+		err := s.flushPendingLocked()
+		s.gate.Unlock()
+		if err != nil {
+			return err
+		}
 	}
-	if err := s.maybeFlushPending(); err != nil {
-		return nil, err
-	}
-	return func() {}, nil
 }
 
 // attachIngest marks the store as being fed by a coordinator; lookups
@@ -660,38 +646,16 @@ func (s *Store) attachIngest(c *Coordinator) {
 	s.setShards(c.Shards())
 }
 
-// detachIngest returns the store to the quiescent read contract.
+// detachIngest ends the barrier-before-lookup contract of attachIngest.
 func (s *Store) detachIngest() { s.ingest.Store(nil) }
-
-// maybeFlushPending is the quiescent-store gate: a lock-free check of the
-// atomic pending counter, falling through to the locked flush only when
-// buffered writes actually exist. Writes never overlap lookups in this
-// mode (see the Store contract), so a zero reading is stable for the
-// whole lookup.
-func (s *Store) maybeFlushPending() error {
-	if s.pending.Load() == 0 {
-		return nil
-	}
-	return s.flushPending()
-}
-
-// flushPendingIfAny is maybeFlushPending for callers already holding the
-// write gate.
-func (s *Store) flushPendingIfAny() error {
-	if s.pending.Load() == 0 {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.flushPendingLocked()
-}
 
 // flushPendingLocked merges buffered per-cell entries into the hashtable.
 // Existing entries are read through one GetBatch pass and the merged
 // entries written back through one PutBatch group commit, so the backing
 // store is locked twice per flush rather than twice per key. Merged id
 // lists are sorted so the stored bytes are deterministic regardless of
-// which shard worker buffered which pair. Callers hold s.mu.
+// which shard worker buffered which pair. The caller holds the gate
+// exclusively.
 func (s *Store) flushPendingLocked() error {
 	if s.pendingCount == 0 {
 		return nil
@@ -740,7 +704,6 @@ func (s *Store) flushPendingLocked() error {
 		s.pendingIDs[slot] = make(map[uint64][]uint64)
 	}
 	s.pendingCount = 0
-	s.pending.Store(0)
 	return nil
 }
 
@@ -784,15 +747,11 @@ func flushCellMap[V any](kv kvstore.Store, slot int, pend map[uint64]V,
 // the new one — never a store that half-loads. SizeBytes is exact after
 // Flush.
 func (s *Store) Flush() error {
-	s.mu.Lock()
+	s.gate.Lock()
+	defer s.gate.Unlock()
 	if err := s.flushPendingLocked(); err != nil {
-		s.mu.Unlock()
 		return err
 	}
-	s.mu.Unlock()
-
-	s.idxMu.Lock()
-	defer s.idxMu.Unlock()
 	// Data first, then the meta blob: metadata must never describe
 	// records the log has not durably absorbed.
 	if err := s.kv.Sync(); err != nil {
@@ -805,8 +764,10 @@ func (s *Store) Flush() error {
 	return nil
 }
 
+// encodeStats serializes the write statistics for the meta blob. Flush
+// calls it holding the gate, so it must not go through Stats.
 func (s *Store) encodeStats() []byte {
-	st := s.Stats()
+	st := s.statsLocked()
 	buf := binary.AppendUvarint(nil, uint64(st.Pairs))
 	buf = binary.AppendUvarint(buf, uint64(st.OutCells))
 	buf = binary.AppendUvarint(buf, uint64(st.InCells))
@@ -844,9 +805,7 @@ func (s *Store) decodeStats(val []byte) {
 		FlushTime:    time.Duration(binary.LittleEndian.Uint64(val[off+16:])),
 		Shards:       int(binary.LittleEndian.Uint32(val[off+24:])),
 	}
-	s.statsMu.Lock()
 	s.stats = st
-	s.statsMu.Unlock()
 	s.writeNS.Store(int64(st.WriteTime))
 	s.enqueueNS.Store(int64(st.EnqueueTime))
 	s.flushNS.Store(int64(st.FlushTime))
@@ -865,26 +824,21 @@ func (s *Store) LogicalBytes() int64 {
 // SizeBytes returns the storage charged to this store: the hashtable size
 // plus an estimate for any not-yet-flushed state.
 func (s *Store) SizeBytes() int64 {
-	s.mu.Lock()
-	size := s.kv.SizeBytes()
-	if s.pendingCount > 0 {
-		size += int64(s.pendingCount) * 14
-	}
-	s.mu.Unlock()
-	s.idxMu.Lock()
+	s.gate.RLock()
+	defer s.gate.RUnlock()
+	size := s.kv.SizeBytes() + int64(s.pendingCount)*14
 	if s.dirtyIdx {
 		for _, tr := range s.trees {
 			size += int64(tr.EncodedLen())
 		}
 	}
-	s.idxMu.Unlock()
 	return size
 }
 
 func (s *Store) getRecord(id uint64) (*record, error) {
-	s.mu.Lock()
+	s.recMu.Lock()
 	rec, ok := s.recCache[id]
-	s.mu.Unlock()
+	s.recMu.Unlock()
 	if ok {
 		return rec, nil
 	}
@@ -904,12 +858,12 @@ func (s *Store) getRecord(id uint64) (*record, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
+	s.recMu.Lock()
 	if len(s.recCache) >= recCacheLimit {
 		s.recCache = make(map[uint64]*record)
 	}
 	s.recCache[id] = rec
-	s.mu.Unlock()
+	s.recMu.Unlock()
 	return rec, nil
 }
 

@@ -194,8 +194,8 @@ func (w *Writer) flushBuffers() error {
 // Flush drains buffered pairs into the stores and persists their indexes.
 // Under asynchronous ingest it is the end-of-run barrier: the shard
 // workers drain, then each store commits its pending entries and metadata
-// and returns to the quiescent read contract. The executor calls it once
-// when the operator's run completes.
+// and is detached from the coordinator. The executor calls it once when
+// the operator's run completes.
 func (w *Writer) Flush() error {
 	start := time.Now()
 	defer func() { w.elapsed += time.Since(start) }()
@@ -203,10 +203,9 @@ func (w *Writer) Flush() error {
 		return err
 	}
 	if w.coord != nil {
-		// However Flush exits, the stores must return to the quiescent
-		// read contract: a store left attached to a coordinator that the
-		// executor is about to close would route every later lookup into
-		// a dead pipeline.
+		// However Flush exits, the stores must be detached: a store left
+		// attached to a coordinator that the executor is about to close
+		// would route every later lookup into a dead pipeline.
 		defer func() {
 			for _, s := range w.fullStores {
 				s.detachIngest()

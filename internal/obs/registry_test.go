@@ -177,6 +177,7 @@ func TestNewSetRegistersAllFamilies(t *testing.T) {
 		"subzero_ingest_batches_total",
 		"subzero_ingest_pairs_total",
 		"subzero_ingest_queue_depth",
+		"subzero_ingest_queue_high_water",
 		"subzero_ingest_shard_busy_seconds_total",
 		"subzero_ingest_shard_pairs_total",
 		"subzero_kvstore_ops_total",
@@ -189,6 +190,7 @@ func TestNewSetRegistersAllFamilies(t *testing.T) {
 		"subzero_http_in_flight",
 		"subzero_http_shed_total",
 		"subzero_http_cancelled_total",
+		"subzero_http_responses_total",
 	} {
 		if !strings.Contains(out, "# TYPE "+fam+" ") {
 			t.Errorf("family %s not registered", fam)

@@ -188,7 +188,9 @@ func (q *QueryObs) AttachExemplar(direction int, elapsed time.Duration, traceID 
 	q.Latency[direction].SetExemplar(int64(elapsed), traceID)
 }
 
-// IngestObs instruments the sharded capture pipeline.
+// IngestObs instruments the sharded capture pipeline. It is the only copy
+// of the pipeline's counters: the coordinator observes into it and
+// lineage.SnapshotIngest reads the /v1/stats view back out.
 type IngestObs struct {
 	// EnqueueStall observes the time Enqueue spent handing a batch to the
 	// shard queues — backpressure shows up here.
@@ -199,12 +201,21 @@ type IngestObs struct {
 	// Batches and Pairs count enqueued lineage batches and region pairs.
 	Batches *Counter
 	Pairs   *Counter
-	// QueueDepth tracks the most recently observed total queue depth.
-	QueueDepth *Gauge
+	// QueueDepth tracks the most recently observed shard queue depth,
+	// QueueHighWater the deepest one ever observed.
+	QueueDepth     *Gauge
+	QueueHighWater *Gauge
 	// ShardBusy and ShardPairs break worker time and pair volume down by
 	// shard; the coordinator resolves per-shard series once at startup.
 	ShardBusy  *CounterVec
 	ShardPairs *CounterVec
+}
+
+// NewIngestObs returns a standalone ingest bundle over a private registry,
+// for an executor or coordinator no Set is attached to.
+func NewIngestObs() *IngestObs {
+	o := newIngestObs(NewRegistry())
+	return &o
 }
 
 func newIngestObs(r *Registry) IngestObs {
@@ -219,6 +230,8 @@ func newIngestObs(r *Registry) IngestObs {
 			"Region pairs enqueued to the capture pipeline.", Raw),
 		QueueDepth: r.NewGauge("subzero_ingest_queue_depth",
 			"Most recently observed total ingest queue depth, in batches."),
+		QueueHighWater: r.NewGauge("subzero_ingest_queue_high_water",
+			"Deepest ingest shard queue observed, in batches."),
 		ShardBusy: r.NewCounterVec("subzero_ingest_shard_busy_seconds_total",
 			"Cumulative busy time of ingest shard workers.", Nanos, "shard"),
 		ShardPairs: r.NewCounterVec("subzero_ingest_shard_pairs_total",
@@ -280,9 +293,17 @@ type HTTPObs struct {
 	// Cancelled counts requests abandoned by the client mid-flight.
 	Shed      *Counter
 	Cancelled *Counter
+	// OK, ClientErrors and ServerErrors count every answered request once,
+	// by response class (status < 400, 4xx, 5xx) — routed or not, so their
+	// sum is the server's request total.
+	OK           *Counter
+	ClientErrors *Counter
+	ServerErrors *Counter
 }
 
 func newHTTPObs(r *Registry) HTTPObs {
+	responses := r.NewCounterVec("subzero_http_responses_total",
+		"HTTP requests answered, by response class.", Raw, "class")
 	return HTTPObs{
 		Requests: r.NewCounterVec("subzero_http_requests_total",
 			"HTTP requests served, by route.", Raw, "endpoint"),
@@ -294,6 +315,9 @@ func newHTTPObs(r *Registry) HTTPObs {
 			"Requests shed by the capacity gate or while draining.", Raw),
 		Cancelled: r.NewCounter("subzero_http_cancelled_total",
 			"Requests abandoned by the client before completion.", Raw),
+		OK:           responses.With1("ok"),
+		ClientErrors: responses.With1("client_error"),
+		ServerErrors: responses.With1("server_error"),
 	}
 }
 

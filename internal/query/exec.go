@@ -63,7 +63,7 @@ func (e *Executor) executeStep(ctx context.Context, d Direction, st Step, cur *b
 	start := time.Now()
 	// Step span: the class starts as "other" and is rewritten to the
 	// chosen access path's SpanClass family once execution settles it.
-	ssp := trace.FromContext(ctx).Child("step "+st.Node, "other")
+	ssp := trace.FromContext(ctx).ChildNamed("step ", st.Node, "other")
 	ssp.SetAttrInt("input", int64(st.InputIdx))
 	ssp.SetAttrInt("in_cells", int64(report.InCells))
 	defer func() {

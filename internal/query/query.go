@@ -251,7 +251,7 @@ func (e *Executor) Execute(ctx context.Context, q Query) (*Result, error) {
 	// Query span: every step span below parents under it via the context.
 	// On the sampled-off path FromContext yields nil and the whole chain
 	// costs nothing.
-	qsp := trace.FromContext(ctx).Child("query "+q.Direction.String(), obs.SpanQuery)
+	qsp := trace.FromContext(ctx).ChildNamed("query ", q.Direction.String(), obs.SpanQuery)
 	qsp.SetAttr("run", e.run.ID)
 	qsp.SetAttr("direction", q.Direction.String())
 	qsp.SetAttrInt("cells", int64(len(q.Cells)))

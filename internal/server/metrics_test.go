@@ -178,6 +178,44 @@ func TestMetricsUnderQueryStorm(t *testing.T) {
 		t.Error("workload profile has no operator hit counts")
 	}
 
+	// /v1/stats server.* and /v1/metrics read the same series. A 404 first,
+	// so the error classes are not all zero; the stats request is answered
+	// after it takes its snapshot, so the scrape that follows sees exactly
+	// one more ok response than the snapshot's request total implies.
+	if _, err := c.Run(ctx, "no-such-run"); err == nil {
+		t.Fatal("unknown run did not 404")
+	}
+	stats, err := c.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scrape, err := c.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sv := stats.Server
+	if sv.ClientErrors == 0 {
+		t.Error("/v1/stats server.client_errors = 0 after a 404")
+	}
+	for _, row := range []struct {
+		field string
+		stat  int64
+		prom  float64
+	}{
+		{"requests+1", sv.Requests + 1, scrape[`subzero_http_responses_total{class="ok"}`] +
+			scrape[`subzero_http_responses_total{class="client_error"}`] +
+			scrape[`subzero_http_responses_total{class="server_error"}`]},
+		{"client_errors", sv.ClientErrors, scrape[`subzero_http_responses_total{class="client_error"}`]},
+		{"server_errors", sv.ServerErrors, scrape[`subzero_http_responses_total{class="server_error"}`]},
+		{"rejected", sv.Rejected, scrape["subzero_http_shed_total"]},
+		{"cancelled", sv.Cancelled, scrape["subzero_http_cancelled_total"]},
+		{"in_flight", sv.InFlight, scrape["subzero_http_in_flight"]},
+	} {
+		if float64(row.stat) != row.prom {
+			t.Errorf("/v1/stats server.%s = %d, /v1/metrics says %v", row.field, row.stat, row.prom)
+		}
+	}
+
 	// The raw exposition parses line by line: HELP/TYPE precede samples,
 	// every sample matches the text format, histogram _count is consistent.
 	checkExposition(t, ts.URL)

@@ -92,9 +92,10 @@ type Config struct {
 	EnablePprof bool
 }
 
-// Metrics is a point-in-time snapshot of the serving counters.
+// Metrics is a point-in-time snapshot of the serving counters, read from
+// obs.HTTPObs — the same series /v1/metrics exposes.
 type Metrics struct {
-	Requests     int64 // requests accepted into a handler
+	Requests     int64 // requests answered, any status
 	InFlight     int64 // heavy requests currently executing
 	Rejected     int64 // requests shed by the in-flight cap or drain
 	Cancelled    int64 // requests aborted by client disconnect/timeout
@@ -120,13 +121,6 @@ type Server struct {
 	// (0 when Drain was called without one); shed clients get a
 	// Retry-After spanning the remainder.
 	drainDeadline atomic.Int64
-
-	requests     atomic.Int64
-	inFlight     atomic.Int64
-	rejected     atomic.Int64
-	cancelled    atomic.Int64
-	clientErrors atomic.Int64
-	serverErrors atomic.Int64
 }
 
 // New builds a Server from the config.
@@ -240,10 +234,10 @@ func (s *Server) invoke(pattern string, h http.HandlerFunc, sp *trace.Span, w ht
 				"stack", string(perr.Stack))
 		}
 		if sr, ok := w.(*statusRecorder); ok && sr.wrote {
-			// The status line is gone; count the fault ourselves since
-			// ServeHTTP's by-status accounting saw whatever the handler
+			// The status line is gone, but ServeHTTP's by-status accounting
+			// must still see a server fault, not whatever the handler
 			// managed to write before dying.
-			s.serverErrors.Add(1)
+			sr.status = http.StatusInternalServerError
 			return
 		}
 		s.writeErrorTraced(w, sp.TraceIDString(), http.StatusInternalServerError, "%v", perr)
@@ -259,14 +253,15 @@ func (s *Server) invoke(pattern string, h http.HandlerFunc, sp *trace.Span, w ht
 // requests are not logged — latency lands in the per-endpoint histograms
 // (see Summary and /v1/metrics); only slow queries get their own line.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
 	rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 	s.mux.ServeHTTP(rec, r)
 	switch {
 	case rec.status >= 500:
-		s.serverErrors.Add(1)
+		s.obs.HTTP.ServerErrors.Inc()
 	case rec.status >= 400:
-		s.clientErrors.Add(1)
+		s.obs.HTTP.ClientErrors.Inc()
+	default:
+		s.obs.HTTP.OK.Inc()
 	}
 }
 
@@ -291,14 +286,16 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 
 // MetricsSnapshot returns the current serving counters.
 func (s *Server) MetricsSnapshot() Metrics {
-	return Metrics{
-		Requests:     s.requests.Load(),
-		InFlight:     s.inFlight.Load(),
-		Rejected:     s.rejected.Load(),
-		Cancelled:    s.cancelled.Load(),
-		ClientErrors: s.clientErrors.Load(),
-		ServerErrors: s.serverErrors.Load(),
+	h := &s.obs.HTTP
+	m := Metrics{
+		InFlight:     h.InFlight.Load(),
+		Rejected:     h.Shed.Load(),
+		Cancelled:    h.Cancelled.Load(),
+		ClientErrors: h.ClientErrors.Load(),
+		ServerErrors: h.ServerErrors.Load(),
 	}
+	m.Requests = h.OK.Load() + m.ClientErrors + m.ServerErrors
+	return m
 }
 
 // Summary returns a one-line serving digest for periodic logging: request
@@ -347,7 +344,6 @@ func (r *statusRecorder) Write(p []byte) (int, error) {
 func (s *Server) limited(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if s.draining.Load() {
-			s.rejected.Add(1)
 			s.obs.HTTP.Shed.Inc()
 			w.Header().Set("Retry-After", s.retryAfterDraining())
 			s.writeError(w, http.StatusServiceUnavailable, "server is draining")
@@ -356,16 +352,13 @@ func (s *Server) limited(h http.HandlerFunc) http.HandlerFunc {
 		select {
 		case s.sem <- struct{}{}:
 		default:
-			s.rejected.Add(1)
 			s.obs.HTTP.Shed.Inc()
 			w.Header().Set("Retry-After", s.retryAfterCapacity())
 			s.writeError(w, http.StatusServiceUnavailable, "server at capacity (%d requests in flight)", cap(s.sem))
 			return
 		}
-		s.inFlight.Add(1)
 		s.obs.HTTP.InFlight.Add(1)
 		defer func() {
-			s.inFlight.Add(-1)
 			s.obs.HTTP.InFlight.Add(-1)
 			<-s.sem
 		}()
@@ -390,7 +383,7 @@ func (s *Server) retryAfterCapacity() string {
 			p50 = q
 		}
 	}
-	inFlight := s.inFlight.Load()
+	inFlight := s.obs.HTTP.InFlight.Load()
 	if inFlight < 1 {
 		inFlight = 1
 	}
@@ -436,7 +429,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		Status:           "ok",
 		UptimeNS:         time.Since(s.started).Nanoseconds(),
 		Runs:             len(s.sys.Runs()),
-		InFlight:         s.inFlight.Load(),
+		InFlight:         s.obs.HTTP.InFlight.Load(),
 		IngestQueueDepth: s.obs.Ingest.QueueDepth.Load(),
 		DegradedStores:   len(degraded),
 		HealingStores:    healing,
@@ -695,7 +688,6 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	// A batch whose every query died on the request context counts as a
 	// cancelled request even though QueryBatch itself returned no error.
 	if ctxErr := r.Context().Err(); ctxErr != nil && br.Report.Failed == br.Report.Queries {
-		s.cancelled.Add(1)
 		s.obs.HTTP.Cancelled.Inc()
 	}
 	resp := subzero.WireBatchResponse{
@@ -844,7 +836,6 @@ const StatusClientClosedRequest = 499
 
 // abortCancelled accounts for a request whose client went away mid-query.
 func (s *Server) abortCancelled(w http.ResponseWriter, r *http.Request, err error) {
-	s.cancelled.Add(1)
 	s.obs.HTTP.Cancelled.Inc()
 	s.writeError(w, StatusClientClosedRequest, "request cancelled: %v", err)
 }

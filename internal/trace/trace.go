@@ -328,6 +328,16 @@ func (s *Span) Child(name, class string) *Span {
 	}
 }
 
+// ChildNamed is Child for a name built at the call site: prefix and name
+// are joined only when the span is live, so the sampled-off path does not
+// pay for a string it would drop.
+func (s *Span) ChildNamed(prefix, name, class string) *Span {
+	if s == nil {
+		return nil
+	}
+	return s.Child(prefix+name, class)
+}
+
 // SetClass sets the span's class after creation (used when the class is
 // only known once an access path is chosen).
 func (s *Span) SetClass(class string) {

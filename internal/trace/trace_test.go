@@ -297,6 +297,10 @@ func TestNilTracerAndSpan(t *testing.T) {
 	}
 }
 
+// offPathNode is a variable so the compiler cannot fold the span name
+// ChildNamed would build from it.
+var offPathNode = "conv"
+
 // TestOffPathAllocFree pins the sampled-off hot path at zero allocations:
 // unsampled StartRequest, context plumbing, and every nil-span method.
 func TestOffPathAllocFree(t *testing.T) {
@@ -311,6 +315,8 @@ func TestOffPathAllocFree(t *testing.T) {
 		child.SetAttrInt("cells", 3)
 		child.MarkSlow()
 		child.End()
+		step := cur.ChildNamed("step ", offPathNode, "other")
+		step.End()
 		sp.End()
 		_ = sp.TraceIDString()
 	})

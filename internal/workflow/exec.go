@@ -50,10 +50,11 @@ type Executor struct {
 	runSeq   atomic.Int64
 
 	// ingestCfg sizes the sharded asynchronous capture pipeline; the zero
-	// value keeps the synchronous write path. ingestMetrics aggregates
-	// pipeline counters across every run for the serving layer.
-	ingestCfg     lineage.IngestConfig
-	ingestMetrics lineage.IngestMetrics
+	// value keeps the synchronous write path. ingestObs holds the pipeline
+	// counters of every run: the owning System's bundle once SetObs
+	// attaches it, a private one until then.
+	ingestCfg lineage.IngestConfig
+	ingestObs *obs.IngestObs
 
 	// healSeq distinguishes the kvstore namespaces of successive store
 	// rebuilds, so a rebuild never reopens the corrupt log it replaces.
@@ -62,7 +63,7 @@ type Executor struct {
 
 // NewExecutor creates an executor.
 func NewExecutor(versions *array.Versions, manager *kvstore.Manager, stats *lineage.Collector) *Executor {
-	return &Executor{versions: versions, manager: manager, stats: stats}
+	return &Executor{versions: versions, manager: manager, stats: stats, ingestObs: obs.NewIngestObs()}
 }
 
 // SetIngest configures the asynchronous lineage ingest pipeline for
@@ -75,14 +76,14 @@ func (e *Executor) SetIngest(cfg lineage.IngestConfig) { e.ingestCfg = cfg }
 // IngestConfig returns the configured ingest pipeline parameters.
 func (e *Executor) IngestConfig() lineage.IngestConfig { return e.ingestCfg }
 
-// SetObs mirrors the executor's ingest counters into the process-wide
+// SetObs makes the executor count its ingest pipeline in the process-wide
 // metric registry. Call before Execute, alongside SetIngest.
-func (e *Executor) SetObs(o *obs.IngestObs) { e.ingestMetrics.SetObs(o) }
+func (e *Executor) SetObs(o *obs.IngestObs) { e.ingestObs = o }
 
 // IngestSnapshot returns the aggregated ingest pipeline counters across
 // all runs executed so far.
 func (e *Executor) IngestSnapshot() lineage.IngestSnapshot {
-	return e.ingestMetrics.Snapshot(e.ingestCfg)
+	return lineage.SnapshotIngest(e.ingestObs, e.ingestCfg)
 }
 
 // Versions exposes the executor's no-overwrite array store.
@@ -157,10 +158,10 @@ func (e *Executor) Execute(ctx context.Context, spec *Spec, plan Plan, sources m
 	// fails the pipeline and surfaces through the writer's flush barrier).
 	var coord *lineage.Coordinator
 	if e.ingestCfg.Enabled() {
-		coord = lineage.NewCoordinator(ctx, e.ingestCfg, &e.ingestMetrics)
+		coord = lineage.NewCoordinator(ctx, e.ingestCfg, e.ingestObs)
 		defer coord.Close()
 	}
-	esp := trace.FromContext(ctx).Child("execute "+spec.Name, obs.SpanExecute)
+	esp := trace.FromContext(ctx).ChildNamed("execute ", spec.Name, obs.SpanExecute)
 	esp.SetAttr("run", run.ID)
 	esp.SetAttrInt("nodes", int64(len(order)))
 	defer esp.End()
@@ -200,7 +201,7 @@ func (e *Executor) releasePartial(run *Run) {
 }
 
 func (e *Executor) runNode(sp *trace.Span, run *Run, node *Node, sources map[string]*array.Array, coord *lineage.Coordinator) error {
-	nsp := sp.Child("node "+node.ID, obs.SpanNode)
+	nsp := sp.ChildNamed("node ", node.ID, obs.SpanNode)
 	defer nsp.End()
 	ins, err := e.resolveInputs(run, node, sources)
 	if err != nil {
@@ -575,7 +576,7 @@ func (e *Executor) RebuildStore(ctx context.Context, run *Run, nodeID string, st
 	}
 	writer := lineage.NewWriter(mc.OutSpace, mc.InSpaces, fullStores, payStores, nil)
 	if e.ingestCfg.Enabled() {
-		coord := lineage.NewCoordinator(ctx, e.ingestCfg, &e.ingestMetrics)
+		coord := lineage.NewCoordinator(ctx, e.ingestCfg, e.ingestObs)
 		defer coord.Close()
 		writer.UseIngest(coord)
 	}
