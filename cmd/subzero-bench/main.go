@@ -9,18 +9,13 @@
 //	subzero-bench fig7    genomics optimizer sweep over storage budgets
 //	subzero-bench fig8    microbenchmark overhead vs fanin/fanout
 //	subzero-bench fig9    microbenchmark backward query cost
-//	subzero-bench capture capture overhead with lineage on/off, serial vs
-//	                      sharded asynchronous ingest (-ingest-shards)
-//	subzero-bench obs     observability snapshot: ingest stall/flush and
-//	                      query/kvstore latency histograms under load
-//	subzero-bench trace   end-to-end tracing overhead on the backward
-//	                      lookup, span trees off vs on, plus retention
-//	                      counters
 //	subzero-bench all     everything above
 //
 // Absolute numbers differ from the 2013 Python/BerkeleyDB prototype; the
 // harness reports the same rows/series so shapes and ratios can be
-// compared (see EXPERIMENTS.md).
+// compared (README "Performance" and "Commands"). Capture overhead,
+// latency histograms and tracing overhead are measured by the bench/
+// module, in the one metric schema of BENCHMARK.json.
 package main
 
 import (
@@ -33,13 +28,10 @@ import (
 	"runtime/pprof"
 	"time"
 
-	"subzero"
 	"subzero/internal/astro"
 	"subzero/internal/benchfmt"
 	"subzero/internal/genomics"
-	"subzero/internal/lineage"
 	"subzero/internal/microbench"
-	"subzero/internal/obs"
 )
 
 func main() {
@@ -50,12 +42,10 @@ func main() {
 }
 
 type options struct {
-	astroScale   float64
-	genScale     int
-	microSize    int
-	dir          string
-	ingestShards int
-	ingestDepth  int
+	astroScale float64
+	genScale   int
+	microSize  int
+	dir        string
 }
 
 // jsonReport collects every rendered table when -json is set, for the
@@ -76,8 +66,6 @@ func run(args []string) error {
 	fs.IntVar(&opts.genScale, "gen-scale", 100, "genomics patient replication (100 = paper)")
 	fs.IntVar(&opts.microSize, "micro-size", 1000, "microbenchmark array side (1000 = paper)")
 	fs.StringVar(&opts.dir, "dir", "", "lineage storage directory (default: in-memory stores)")
-	fs.IntVar(&opts.ingestShards, "ingest-shards", 4, "shard workers for the capture table's sharded rows (capture figure)")
-	fs.IntVar(&opts.ingestDepth, "ingest-depth", 0, "per-shard ingest queue depth in batches (default 8)")
 	jsonPath := fs.String("json", "", "also write the figure tables as machine-readable JSON to this path (e.g. BENCH.json)")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this path")
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile at exit to this path")
@@ -118,7 +106,7 @@ func run(args []string) error {
 		opts.microSize = 300
 	}
 	if fs.NArg() < 1 {
-		return fmt.Errorf("usage: subzero-bench [flags] fig5a|fig5b|fig6a|fig6b|fig6c|fig7|fig8|fig9|capture|obs|trace|all")
+		return fmt.Errorf("usage: subzero-bench [flags] fig5a|fig5b|fig6a|fig6b|fig6c|fig7|fig8|fig9|all")
 	}
 	// Ctrl-C cancels the in-flight workflow or query via the v2 context-
 	// aware API.
@@ -129,10 +117,9 @@ func run(args []string) error {
 		"fig5a": fig5a, "fig5b": fig5b,
 		"fig6a": fig6a, "fig6b": fig6b, "fig6c": fig6c,
 		"fig7": fig7, "fig8": fig8, "fig9": fig9,
-		"capture": capture, "obs": obsFigure, "trace": traceFigure,
 	}
 	if cmd == "all" {
-		for _, name := range []string{"fig5a", "fig5b", "fig6a", "fig6b", "fig6c", "fig7", "fig8", "fig9", "capture", "obs", "trace"} {
+		for _, name := range []string{"fig5a", "fig5b", "fig6a", "fig6b", "fig6c", "fig7", "fig8", "fig9"} {
 			if err := runners[name](ctx, opts); err != nil {
 				return fmt.Errorf("%s: %w", name, err)
 			}
@@ -321,140 +308,6 @@ func fig7(ctx context.Context, opts options) error {
 		}
 	}
 	fmt.Println()
-	return nil
-}
-
-// capture reproduces the BENCH_5 capture-overhead table: workflow runtime
-// with lineage off (BlackBox) and on, comparing the serial write path
-// against the sharded asynchronous ingest pipeline on the genomics and
-// astronomy workloads. "op overhead" is the lineage time the operator
-// threads pay — under sharding it collapses to the enqueue + drain cost,
-// while the encode work moves to the shard workers ("encode" column).
-func capture(ctx context.Context, opts options) error {
-	shards := opts.ingestShards
-	if shards < 2 {
-		shards = 2
-	}
-	configs := []struct {
-		label  string
-		ingest lineage.IngestConfig
-	}{
-		{"serial", lineage.IngestConfig{}},
-		{fmt.Sprintf("sharded x%d", shards), lineage.IngestConfig{Shards: shards, Depth: opts.ingestDepth}},
-	}
-	t := benchfmt.NewTable("Capture overhead: serial vs sharded asynchronous ingest",
-		"workload", "strategy", "ingest", "pairs", "runtime", "op write", "drain", "capture total", "encode")
-	fmt.Printf("capture-overhead sweep (shards=%d)\n\n", shards)
-
-	type captureRow struct {
-		workload, strategy, ingestLabel   string
-		pairs                             int64
-		elapsed, opWrite, drain, overhead time.Duration
-		encode                            time.Duration
-	}
-	var rows []captureRow
-	genCfg := genomics.DefaultGenConfig().Scaled(opts.genScale)
-	for _, strat := range []string{"BlackBox", "FullOne", "FullMany"} {
-		for _, cfg := range configs {
-			if strat == "BlackBox" && cfg.ingest.Enabled() {
-				continue // no lineage to capture; one baseline row suffices
-			}
-			res, err := genomics.CaptureRun(ctx, strat, genCfg, cfg.ingest, opts.dir)
-			if err != nil {
-				return fmt.Errorf("genomics %s/%s: %w", strat, cfg.label, err)
-			}
-			rows = append(rows, captureRow{"genomics", strat, cfg.label, res.Pairs, res.Elapsed, res.OpWrite, res.Drain, res.Overhead, res.Encode})
-		}
-	}
-	astroCfg := astro.DefaultGenConfig().Scaled(opts.astroScale)
-	for _, strat := range []string{"BlackBox", "FullOne", "FullMany"} {
-		for _, cfg := range configs {
-			if strat == "BlackBox" && cfg.ingest.Enabled() {
-				continue
-			}
-			res, err := astro.CaptureRun(ctx, strat, astroCfg, cfg.ingest, opts.dir)
-			if err != nil {
-				return fmt.Errorf("astronomy %s/%s: %w", strat, cfg.label, err)
-			}
-			rows = append(rows, captureRow{"astronomy", strat, cfg.label, res.Pairs, res.Elapsed, res.OpWrite, res.Drain, res.Overhead, res.Encode})
-		}
-	}
-	for _, r := range rows {
-		t.AddRow(r.workload, r.strategy, r.ingestLabel, r.pairs, r.elapsed, r.opWrite, r.drain, r.overhead, r.encode)
-	}
-	render(t)
-	return nil
-}
-
-// obsFigure snapshots the observability layer under load: the genomics
-// workflow executes on a full System with sharded ingest (so enqueue-stall
-// and drain-barrier histograms fill), the paper's query workload runs a
-// few rounds, and the resulting obs histograms — the same ones
-// subzero-serve exposes at /v1/metrics — land in the JSON report so
-// latency-distribution regressions are tracked alongside the figure
-// tables.
-func obsFigure(ctx context.Context, opts options) error {
-	shards := opts.ingestShards
-	if shards < 2 {
-		shards = 2
-	}
-	sys, err := subzero.NewSystem(subzero.WithIngest(shards, opts.ingestDepth))
-	if err != nil {
-		return err
-	}
-	defer sys.Close()
-	cfg := genomics.DefaultGenConfig().Scaled(opts.genScale)
-	fmt.Printf("observability snapshot: genomics scale %dx, ingest shards=%d\n\n", cfg.Scale, shards)
-	spec, err := genomics.NewSpec()
-	if err != nil {
-		return err
-	}
-	data, err := genomics.Generate(cfg)
-	if err != nil {
-		return err
-	}
-	plan, err := genomics.Plan("PayBoth")
-	if err != nil {
-		return err
-	}
-	run, err := sys.Execute(ctx, spec, plan, map[string]*subzero.Array{"train": data.Train, "test": data.Test})
-	if err != nil {
-		return err
-	}
-	qmap, err := genomics.Queries(run)
-	if err != nil {
-		return err
-	}
-	var queries []subzero.Query
-	for _, qn := range genomics.QueryNames {
-		queries = append(queries, qmap[qn])
-	}
-	const rounds = 5
-	for r := 0; r < rounds; r++ {
-		br, err := sys.QueryBatch(ctx, run, queries, subzero.DefaultQueryOptions())
-		if err != nil {
-			return err
-		}
-		if br.Report.Failed != 0 {
-			return fmt.Errorf("obs: %d workload queries failed", br.Report.Failed)
-		}
-	}
-	set := sys.Observability()
-	t := benchfmt.NewTable("Observability: ingest + query + kvstore latency histograms",
-		"metric", "count", "p50", "p95", "p99", "mean", "total")
-	addHist := func(name string, h *obs.Histogram) {
-		s := h.Snapshot()
-		t.AddRow(name, s.Count,
-			time.Duration(s.Quantile(0.50)), time.Duration(s.Quantile(0.95)),
-			time.Duration(s.Quantile(0.99)), time.Duration(s.Mean()), time.Duration(s.Sum))
-	}
-	addHist("ingest enqueue stall", set.Ingest.EnqueueStall)
-	addHist("ingest flush barrier", set.Ingest.Flush)
-	addHist("query backward", set.Query.Latency[0])
-	addHist("query forward", set.Query.Latency[1])
-	addHist("kvstore get-batch", set.KV.GetBatchLatency)
-	addHist("kvstore put-batch", set.KV.PutBatchLatency)
-	render(t)
 	return nil
 }
 

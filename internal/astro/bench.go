@@ -323,62 +323,3 @@ func runQuery(ctx context.Context, run *workflow.Run, exec *workflow.Executor, n
 
 // QueryNames lists the benchmark queries in report order.
 var QueryNames = []string{"BQ0", "BQ1", "BQ2", "BQ3", "BQ4", "FQ0", "FQ0Slow"}
-
-// CaptureResult is one row of the capture-overhead table: how much the
-// write path costs the operator threads under one ingest configuration.
-type CaptureResult struct {
-	Strategy string
-	Shards   int
-	Elapsed  time.Duration // workflow wall clock
-	Overhead time.Duration // operator-thread lineage time (enqueue + drain when sharded)
-	OpWrite  time.Duration // operator-thread write time: inline encode when serial, enqueue when sharded
-	Drain    time.Duration // end-of-node drain barrier + flush wait (sharded only)
-	Encode   time.Duration // encode+commit work, summed across shard workers
-	Pairs    int64
-}
-
-// CaptureRun executes the workflow under one Table-II configuration and
-// the given ingest pipeline config, measuring capture overhead only (no
-// queries). It backs the before/after capture table of BENCH_5.
-func CaptureRun(ctx context.Context, name string, cfg GenConfig, ingest lineage.IngestConfig, storageRoot string) (*CaptureResult, error) {
-	plan, err := Plan(name)
-	if err != nil {
-		return nil, err
-	}
-	spec, err := NewSpec()
-	if err != nil {
-		return nil, err
-	}
-	sky, err := Generate(cfg)
-	if err != nil {
-		return nil, err
-	}
-	root := storageRoot
-	if root != "" {
-		root = filepath.Join(storageRoot, fmt.Sprintf("astro-cap-%s-%d", name, ingest.Shards))
-	}
-	mgr, err := kvstore.NewManager(root)
-	if err != nil {
-		return nil, err
-	}
-	defer mgr.Close()
-	exec := workflow.NewExecutor(array.NewVersions(), mgr, lineage.NewCollector())
-	exec.SetIngest(ingest)
-	run, err := exec.Execute(ctx, spec, plan, map[string]*array.Array{
-		"img1": sky.Exposure1, "img2": sky.Exposure2,
-	})
-	if err != nil {
-		return nil, err
-	}
-	cs := run.CaptureStats()
-	return &CaptureResult{
-		Strategy: name,
-		Shards:   ingest.Shards,
-		Elapsed:  run.Elapsed,
-		Overhead: run.LineageOverhead,
-		OpWrite:  cs.OpWrite,
-		Drain:    cs.Drain,
-		Encode:   cs.Encode,
-		Pairs:    cs.Pairs,
-	}, nil
-}

@@ -319,62 +319,3 @@ func OptimizerSweep(ctx context.Context, cfg GenConfig, budgets []int64, storage
 	}
 	return out, nil
 }
-
-// CaptureResult is one row of the capture-overhead table: the write
-// path's cost to the operator threads under one ingest configuration.
-type CaptureResult struct {
-	Strategy string
-	Shards   int
-	Elapsed  time.Duration // workflow wall clock
-	Overhead time.Duration // operator-thread lineage time (enqueue + drain when sharded)
-	OpWrite  time.Duration // operator-thread write time: inline encode when serial, enqueue when sharded
-	Drain    time.Duration // end-of-node drain barrier + flush wait (sharded only)
-	Encode   time.Duration // encode+commit work, summed across shard workers
-	Pairs    int64
-}
-
-// CaptureRun executes the workflow under one configuration and the given
-// ingest pipeline config, measuring capture overhead only (no queries).
-// It backs the before/after capture table of BENCH_5.
-func CaptureRun(ctx context.Context, name string, cfg GenConfig, ingest lineage.IngestConfig, storageRoot string) (*CaptureResult, error) {
-	plan, err := Plan(name)
-	if err != nil {
-		return nil, err
-	}
-	spec, err := NewSpec()
-	if err != nil {
-		return nil, err
-	}
-	data, err := Generate(cfg)
-	if err != nil {
-		return nil, err
-	}
-	root := storageRoot
-	if root != "" {
-		root = filepath.Join(storageRoot, fmt.Sprintf("gen-cap-%s-%d", name, ingest.Shards))
-	}
-	mgr, err := kvstore.NewManager(root)
-	if err != nil {
-		return nil, err
-	}
-	defer mgr.Close()
-	exec := workflow.NewExecutor(array.NewVersions(), mgr, lineage.NewCollector())
-	exec.SetIngest(ingest)
-	run, err := exec.Execute(ctx, spec, plan, map[string]*array.Array{
-		"train": data.Train, "test": data.Test,
-	})
-	if err != nil {
-		return nil, err
-	}
-	cs := run.CaptureStats()
-	return &CaptureResult{
-		Strategy: name,
-		Shards:   ingest.Shards,
-		Elapsed:  run.Elapsed,
-		Overhead: run.LineageOverhead,
-		OpWrite:  cs.OpWrite,
-		Drain:    cs.Drain,
-		Encode:   cs.Encode,
-		Pairs:    cs.Pairs,
-	}, nil
-}

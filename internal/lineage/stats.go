@@ -22,11 +22,9 @@ type OpStats struct {
 	PayloadBytes int64
 
 	// Query path.
-	QuerySteps    int
-	QueryTime     time.Duration
-	QueryInCells  int64 // cells entering a step at this operator
-	QueryOutCells int64 // cells produced by the step
-	Reexecs       int
+	QuerySteps int
+	QueryTime  time.Duration
+	Reexecs    int
 }
 
 // AvgFanout returns the average output cells per region pair, the operator
@@ -92,16 +90,13 @@ func (c *Collector) RecordRun(nodeID string, exec, lineageTime time.Duration, pa
 }
 
 // RecordQueryStep records one lineage-query step executed at an operator:
-// how many cells entered, how many came out, how long it took, and whether
-// it required re-executing the operator.
-func (c *Collector) RecordQueryStep(nodeID string, inCells, outCells int64, elapsed time.Duration, reexec bool) {
+// how long it took, and whether it required re-executing the operator.
+func (c *Collector) RecordQueryStep(nodeID string, elapsed time.Duration, reexec bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := c.get(nodeID)
 	st.QuerySteps++
 	st.QueryTime += elapsed
-	st.QueryInCells += inCells
-	st.QueryOutCells += outCells
 	if reexec {
 		st.Reexecs++
 	}

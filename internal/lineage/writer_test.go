@@ -138,14 +138,14 @@ func TestCollector(t *testing.T) {
 	c := NewCollector()
 	c.RecordRun("op1", 100, 10, 5, 50, 200, 0)
 	c.RecordRun("op1", 100, 10, 5, 50, 200, 0)
-	c.RecordQueryStep("op1", 10, 40, 25, false)
-	c.RecordQueryStep("op1", 10, 40, 25, true)
+	c.RecordQueryStep("op1", 25, false)
+	c.RecordQueryStep("op1", 25, true)
 
 	st := c.Get("op1")
 	if st.Runs != 2 || st.Pairs != 10 || st.ExecTime != 200 {
 		t.Fatalf("run stats=%+v", st)
 	}
-	if st.QuerySteps != 2 || st.Reexecs != 1 || st.QueryInCells != 20 {
+	if st.QuerySteps != 2 || st.Reexecs != 1 || st.QueryTime != 50 {
 		t.Fatalf("query stats=%+v", st)
 	}
 	if st.AvgFanout() != 10 || st.AvgFanin() != 40 {

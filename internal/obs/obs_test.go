@@ -154,11 +154,8 @@ func TestObservationAllocBounds(t *testing.T) {
 	}
 
 	set := NewSet()
-	set.Query.RecordStep("node", "store(FullOne<-)", time.Millisecond, false)
-	if n := testing.AllocsPerRun(100, func() {
-		set.Query.RecordStep("node", "store(FullOne<-)", time.Millisecond, false)
-	}); n > 1 {
-		t.Errorf("QueryObs.RecordStep allocates %v times, want <=1", n)
+	if n := testing.AllocsPerRun(100, func() { set.Query.ObserveStep(SpanStore, time.Millisecond) }); n != 0 {
+		t.Errorf("QueryObs.ObserveStep allocates %v times", n)
 	}
 	kv := &set.KV
 	if n := testing.AllocsPerRun(100, func() {
@@ -170,29 +167,29 @@ func TestObservationAllocBounds(t *testing.T) {
 	}
 }
 
-func TestSpanClass(t *testing.T) {
-	cases := map[string]string{
-		"entire-array":           SpanEntireArray,
-		"map":                    SpanMap,
-		"map(<-)":                SpanMap,
-		"composite(Comp/One)":    SpanComposite,
-		"store(FullOne<-)":       SpanStore,
-		"store-scan(->F/One)":    SpanStoreScan,
-		"store(PayOne<-)+reexec": SpanStore,
-		"reexec":                 SpanReexec,
-		"reexec-conservative":    SpanReexec,
+// TestObserveStep checks that every step class reaches its own
+// pre-resolved series and that an unknown class lands in "other".
+func TestObserveStep(t *testing.T) {
+	set := NewSet()
+	for i, class := range stepClasses {
+		set.Query.ObserveStep(class, time.Duration(i+1))
 	}
-	for in, want := range cases {
-		if got := SpanClass(in); got != want {
-			t.Errorf("SpanClass(%q) = %q, want %q", in, got, want)
+	set.Query.ObserveStep("no-such-class", 100)
+	for i, class := range stepClasses {
+		wantN, wantSum := int64(1), int64(i+1)
+		if class == SpanOther {
+			wantN, wantSum = 2, wantSum+100
+		}
+		if n, sum := set.Query.Steps.With1(class).Load(), set.Query.StepLatency.With1(class).Sum(); n != wantN || sum != wantSum {
+			t.Errorf("class %s: count %d sum %d, want %d and %d", class, n, sum, wantN, wantSum)
 		}
 	}
 }
 
 func TestRecordQuery(t *testing.T) {
 	set := NewSet()
-	set.Query.RecordQuery(0, time.Millisecond, []uint64{10, 4, 30})
-	set.Query.RecordQuery(1, 2*time.Millisecond, []uint64{7})
+	set.Query.RecordQuery(0, time.Millisecond, []uint64{10, 4, 30}, "")
+	set.Query.RecordQuery(1, 2*time.Millisecond, []uint64{7}, "")
 	if set.Query.Backward.Load() != 1 || set.Query.Forward.Load() != 1 {
 		t.Fatalf("direction counters = %d/%d, want 1/1",
 			set.Query.Backward.Load(), set.Query.Forward.Load())
@@ -262,8 +259,8 @@ func TestConcurrentObserveAndWrite(t *testing.T) {
 					return
 				default:
 				}
-				set.Query.RecordQuery(0, time.Microsecond, []uint64{1, 2, 3})
-				set.Query.RecordStep("n", "store(FullOne<-)", time.Microsecond, false)
+				set.Query.RecordQuery(0, time.Microsecond, []uint64{1, 2, 3}, "")
+				set.Query.ObserveStep(SpanStore, time.Microsecond)
 				set.KV.GetBatchLatency.Observe(100)
 				set.HTTP.InFlight.Add(1)
 				set.HTTP.InFlight.Add(-1)

@@ -260,7 +260,7 @@ func TestSpanClassesComplete(t *testing.T) {
 
 func TestAttachExemplar(t *testing.T) {
 	set := NewSet()
-	set.Query.AttachExemplar(0, 100*time.Nanosecond, "abc123")
+	set.Query.RecordQuery(0, 100*time.Nanosecond, nil, "abc123")
 	found := false
 	for i := 0; i < NumBuckets; i++ {
 		if e := set.Query.Latency[0].Exemplar(i); e != nil {
@@ -271,9 +271,9 @@ func TestAttachExemplar(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Fatal("AttachExemplar stored nothing")
+		t.Fatal("RecordQuery stored no exemplar")
 	}
-	set.Query.AttachExemplar(1, time.Millisecond, "") // no-op
+	set.Query.RecordQuery(1, time.Millisecond, nil, "") // unsampled: no exemplar
 	for i := 0; i < NumBuckets; i++ {
 		if set.Query.Latency[1].Exemplar(i) != nil {
 			t.Fatal("empty trace ID attached an exemplar")

@@ -1,14 +1,11 @@
 package obs
 
-import (
-	"strings"
-	"time"
-)
+import "time"
 
-// Span classes for per-step query tracing. These mirror the executor's
-// access-path families: the class is the prefix of a StepReport access
-// path ("store(FullOne<-)" -> "store"), plus "probe" for candidate
-// enumeration, which has no access path of its own.
+// Span classes for per-step query tracing. These are the executor's
+// access-path kinds — a step's class is the kind of the candidate it
+// chose (query.PathStore is SpanStore, ...) — plus "probe" for candidate
+// enumeration and "other" for a step that failed before settling on one.
 const (
 	SpanProbe       = "probe"
 	SpanEntireArray = "entire-array"
@@ -17,12 +14,17 @@ const (
 	SpanStore       = "store"
 	SpanStoreScan   = "store-scan"
 	SpanReexec      = "reexec"
-	spanOther       = "other"
+	SpanOther       = "other"
 )
 
+// stepClasses lists the classes above in series order; SpanOther is last
+// and absorbs any class ObserveStep does not know.
+var stepClasses = [...]string{SpanProbe, SpanEntireArray, SpanMap,
+	SpanComposite, SpanStore, SpanStoreScan, SpanReexec, SpanOther}
+
 // Span classes for the layers above and below the executor, used by
-// internal/trace span trees (they have no StepReport access path, so
-// RecordStep never sees them). Every span a tracer emits must carry one
+// internal/trace span trees (they are not step classes, so
+// ObserveStep never sees them). Every span a tracer emits must carry one
 // of the SpanClasses() families — see CONTRIBUTING.
 const (
 	SpanHTTP          = "http"
@@ -40,20 +42,22 @@ const (
 func SpanClasses() []string {
 	return []string{
 		SpanProbe, SpanEntireArray, SpanMap, SpanComposite, SpanStore,
-		SpanStoreScan, SpanReexec, spanOther,
+		SpanStoreScan, SpanReexec, SpanOther,
 		SpanHTTP, SpanQuery, SpanExecute, SpanNode, SpanKVProbe,
 		SpanIngestEnqueue, SpanIngestDrain,
 	}
 }
 
-// spanObs couples the per-class step counter and latency histogram.
-type spanObs struct {
-	steps   *Counter
+// stepSeries couples the per-class step counter and latency histogram.
+type stepSeries struct {
+	count   *Counter
 	latency *Histogram
 }
 
 // QueryObs instruments the query executor: workload mix, latency by
-// direction, region locality, and per-step span tracing.
+// direction, region locality, and per-class step counts and latency. It
+// owns no clock: the executor measures a step (or a query) once and hands
+// the same duration to its report, its trace span and these series.
 type QueryObs struct {
 	// Backward and Forward count completed query executions by direction.
 	Backward *Counter
@@ -75,9 +79,9 @@ type QueryObs struct {
 	// strategy hit counts.
 	OperatorHits *CounterVec
 
-	// spans pre-resolves the common classes; read-only after newQueryObs,
-	// so RecordStep reads it without locks.
-	spans map[string]spanObs
+	// steps pre-resolves the Steps/StepLatency series of every step class,
+	// indexed like stepClasses; read-only after newQueryObs.
+	steps [len(stepClasses)]stepSeries
 }
 
 func newQueryObs(r *Registry) QueryObs {
@@ -103,54 +107,32 @@ func newQueryObs(r *Registry) QueryObs {
 		"Lineage query latency, by direction.", Nanos, "direction")
 	q.Latency[0] = lat.With1("backward")
 	q.Latency[1] = lat.With1("forward")
-	q.spans = make(map[string]spanObs)
-	for _, class := range []string{SpanProbe, SpanEntireArray, SpanMap,
-		SpanComposite, SpanStore, SpanStoreScan, SpanReexec, spanOther} {
-		q.spans[class] = spanObs{steps: q.Steps.With1(class), latency: q.StepLatency.With1(class)}
+	for i, class := range stepClasses {
+		q.steps[i] = stepSeries{count: q.Steps.With1(class), latency: q.StepLatency.With1(class)}
 	}
 	return q
 }
 
-// SpanClass reduces a step access-path label to its span class: the
-// prefix before the first '(' ("store(FullOne<-)+reexec" -> "store",
-// "reexec-conservative" -> "reexec").
-func SpanClass(accessPath string) string {
-	if i := strings.IndexByte(accessPath, '('); i >= 0 {
-		accessPath = accessPath[:i]
+// ObserveStep counts one finished span of a step class — an executed path
+// step, or a candidate enumeration (SpanProbe) — and observes its duration.
+func (q *QueryObs) ObserveStep(class string, elapsed time.Duration) {
+	i := len(stepClasses) - 1
+	for j, c := range stepClasses {
+		if c == class {
+			i = j
+			break
+		}
 	}
-	if accessPath == "reexec-conservative" {
-		return SpanReexec
-	}
-	return accessPath
-}
-
-// RecordStep records one executed path step: span class counters and
-// latency, the per-operator access-path hit, and the fallback counter.
-// At most one allocation (the composite node+path key).
-func (q *QueryObs) RecordStep(node, accessPath string, elapsed time.Duration, fellBack bool) {
-	class := SpanClass(accessPath)
-	so, ok := q.spans[class]
-	if !ok {
-		so = q.spans[spanOther]
-	}
-	so.steps.Inc()
-	so.latency.ObserveDuration(elapsed)
-	q.OperatorHits.With2(node, accessPath).Inc()
-	if fellBack {
-		q.Fallbacks.Inc()
-	}
-}
-
-// RecordProbe records a candidate-enumeration span.
-func (q *QueryObs) RecordProbe(elapsed time.Duration) {
-	so := q.spans[SpanProbe]
-	so.steps.Inc()
-	so.latency.ObserveDuration(elapsed)
+	q.steps[i].count.Inc()
+	q.steps[i].latency.ObserveDuration(elapsed)
 }
 
 // RecordQuery records a completed query: direction mix, latency, cell
-// count, and region extent (span = max-min+1 over the queried cells).
-func (q *QueryObs) RecordQuery(direction int, elapsed time.Duration, cells []uint64) {
+// count, and region extent (span = max-min+1 over the queried cells). A
+// non-empty traceID (a sampled request) becomes the exemplar of the latency
+// bucket covering elapsed, so a spike in subzero_query_duration_seconds
+// points at a retained trace.
+func (q *QueryObs) RecordQuery(direction int, elapsed time.Duration, cells []uint64, traceID string) {
 	if direction == 0 {
 		q.Backward.Inc()
 	} else {
@@ -160,6 +142,7 @@ func (q *QueryObs) RecordQuery(direction int, elapsed time.Duration, cells []uin
 		direction = 0
 	}
 	q.Latency[direction].ObserveDuration(elapsed)
+	q.Latency[direction].SetExemplar(int64(elapsed), traceID)
 	q.Cells.Add(int64(len(cells)))
 	if len(cells) > 0 {
 		min, max := cells[0], cells[0]
@@ -173,19 +156,6 @@ func (q *QueryObs) RecordQuery(direction int, elapsed time.Duration, cells []uin
 		}
 		q.RegionSpan.Observe(int64(max-min) + 1)
 	}
-}
-
-// AttachExemplar links the query-latency bucket covering elapsed to the
-// given trace ID, so a spike in subzero_query_duration_seconds points at
-// a retained trace. No-op when traceID is empty (untraced request).
-func (q *QueryObs) AttachExemplar(direction int, elapsed time.Duration, traceID string) {
-	if traceID == "" {
-		return
-	}
-	if direction < 0 || direction > 1 {
-		direction = 0
-	}
-	q.Latency[direction].SetExemplar(int64(elapsed), traceID)
 }
 
 // IngestObs instruments the sharded capture pipeline. It is the only copy

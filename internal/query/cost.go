@@ -29,22 +29,19 @@ const (
 // output size — without this, re-execution looks spuriously cheap and
 // the dynamic optimizer prefers it over mapping functions on large
 // intermediate sets.
-func (e *Executor) reexecEstimate(nodeID string) time.Duration {
-	st := e.stats.Get(nodeID)
+func reexecEstimate(st *lineage.OpStats, mc *workflow.MapCtx) time.Duration {
 	if st.Runs == 0 {
 		return lineage.CostDefaultReexec
 	}
 	pairs := st.Pairs / int64(st.Runs)
 	if pairs == 0 {
-		if mc, err := e.run.MapCtx(nodeID); err == nil {
-			pairs = int64(mc.OutSpace.Size())
-		}
+		pairs = int64(mc.OutSpace.Size())
 	}
 	return st.AvgExecTime() + time.Duration(pairs)*lineage.CostTraceJoin
 }
 
 // storeCost estimates resolving n query cells against a store.
-func (e *Executor) storeCost(d Direction, store *lineage.Store, opStats lineage.OpStats, n time.Duration, matched bool) time.Duration {
+func storeCost(d Direction, store *lineage.Store, n time.Duration, matched bool) time.Duration {
 	ss := store.Stats()
 	pairs := time.Duration(ss.Pairs)
 	if pairs == 0 {
@@ -88,20 +85,14 @@ func (e *Executor) storeCost(d Direction, store *lineage.Store, opStats lineage.
 // probeMapFan estimates the per-cell fan of a mapping function by invoking
 // it on one sample query cell — mapping functions are pure and cheap, so a
 // single probe is an adequate estimator for the cost model.
-func (e *Executor) probeMapFan(d Direction, st Step, node *workflow.Node, mc *workflow.MapCtx, cur *bitmap.Bitmap) float64 {
+func probeMapFan(mapper cellMapFn, mc *workflow.MapCtx, inputIdx int, cur *bitmap.Bitmap) float64 {
 	if cur.Empty() {
 		return 1
 	}
 	var sample uint64
 	cur.Iterate(func(c uint64) bool { sample = c; return false })
-	var out []uint64
-	if d == Backward {
-		out = node.Op.(workflow.BackwardMapper).MapB(mc, sample, st.InputIdx, nil)
-	} else {
-		out = node.Op.(workflow.ForwardMapper).MapF(mc, sample, st.InputIdx, nil)
+	if out := mapper(mc, sample, inputIdx, nil); len(out) > 0 {
+		return float64(len(out))
 	}
-	if len(out) == 0 {
-		return 1
-	}
-	return float64(len(out))
+	return 1
 }

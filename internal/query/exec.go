@@ -13,14 +13,16 @@ import (
 	"subzero/internal/workflow"
 )
 
-// Access-path labels used in step reports.
+// Access-path kinds, as step reports label them. A kind is its obs span
+// class, so a step's metric series and span class need no translation;
+// PathConservative is a label only (its class is PathReexec).
 const (
-	PathEntireArray  = "entire-array"
-	PathMap          = "map"
-	PathComposite    = "composite"
-	PathStore        = "store"
-	PathStoreScan    = "store-scan"
-	PathReexec       = "reexec"
+	PathEntireArray  = obs.SpanEntireArray
+	PathMap          = obs.SpanMap
+	PathComposite    = obs.SpanComposite
+	PathStore        = obs.SpanStore
+	PathStoreScan    = obs.SpanStoreScan
+	PathReexec       = obs.SpanReexec
 	PathConservative = "reexec-conservative"
 )
 
@@ -35,15 +37,52 @@ var errTraceDone = errors.New("query: trace complete")
 // are never returned to the pool.
 var stepPool bitmap.Pool
 
-// candidate is one way to resolve a step, with its cost estimate.
+// candidate is one way to resolve a step: plain data, priced by candidates
+// and run by runCandidate. kind is one of the Path* constants and is the
+// step's metric and span class as it stands — nothing is parsed back out of
+// a label.
 type candidate struct {
-	label string
+	kind  string
+	store *lineage.Store // set for the composite, store and store-scan kinds
 	cost  time.Duration
-	run   func(abort func() bool) error
+}
+
+// label formats the access path a settled step reports — the one place a
+// path string is built, and only for the candidate that ran: its kind, the
+// store's strategy for store-backed kinds, "+reexec" after a fallback.
+func (c candidate) label(fellBack bool) string {
+	s := c.kind
+	if c.store != nil {
+		s = s + "(" + c.store.Strategy().String() + ")"
+	}
+	if fellBack {
+		s += "+" + PathReexec
+	}
+	return s
+}
+
+// cellMapFn is the shape workflow.BackwardMapper.MapB and
+// workflow.ForwardMapper.MapF share.
+type cellMapFn func(mc *workflow.MapCtx, cell uint64, inputIdx int, dst []uint64) []uint64
+
+// cellMapper resolves the operator's mapping function for a direction, nil
+// when it has none.
+func cellMapper(d Direction, node *workflow.Node) cellMapFn {
+	if d == Backward {
+		if m, ok := node.Op.(workflow.BackwardMapper); ok {
+			return m.MapB
+		}
+	} else if m, ok := node.Op.(workflow.ForwardMapper); ok {
+		return m.MapF
+	}
+	return nil
 }
 
 // executeStep resolves one path step, returning the report and the next
-// intermediate bitmap.
+// intermediate bitmap. The step is measured once: the clock is read when
+// the step starts and again in finishStep, and that one interval is the
+// report's Elapsed, the step span's duration and the class histogram's
+// observation.
 func (e *Executor) executeStep(ctx context.Context, d Direction, st Step, cur *bitmap.Bitmap) (StepReport, *bitmap.Bitmap, error) {
 	report := StepReport{Node: st.Node, InputIdx: st.InputIdx, InCells: cur.Count()}
 	destSpace, err := e.stepDestSpace(d, st)
@@ -61,21 +100,11 @@ func (e *Executor) executeStep(ctx context.Context, d Direction, st Step, cur *b
 	// private clone.
 	mc = mc.Clone()
 	start := time.Now()
-	// Step span: the class starts as "other" and is rewritten to the
-	// chosen access path's SpanClass family once execution settles it.
-	ssp := trace.FromContext(ctx).ChildNamed("step ", st.Node, "other")
+	// The step span keeps class "other" only if the step fails; finishStep
+	// sets the class of the access path that answered it.
+	ssp := trace.FromContext(ctx).ChildNamed("step ", st.Node, obs.SpanOther)
 	ssp.SetAttrInt("input", int64(st.InputIdx))
 	ssp.SetAttrInt("in_cells", int64(report.InCells))
-	defer func() {
-		if c := obs.SpanClass(report.AccessPath); c != "" {
-			ssp.SetClass(c)
-		}
-		if report.AccessPath != "" {
-			ssp.SetAttr("path", report.AccessPath)
-		}
-		ssp.SetAttrInt("out_cells", int64(report.OutCells))
-		ssp.End()
-	}()
 
 	// Entire-array optimization (paper §VI-C), two forms: an annotated
 	// all-to-all operator relates every input cell to every output cell,
@@ -90,25 +119,21 @@ func (e *Executor) executeStep(ctx context.Context, d Direction, st Step, cur *b
 			(cur.Full() && workflow.IsEntireArraySafe(node.Op, d == Forward, st.InputIdx)) {
 			next.SetAll()
 			report.AccessPath = PathEntireArray
-			report.OutCells = next.Count()
-			report.Elapsed = time.Since(start)
-			e.record(report, false)
+			e.finishStep(ssp, PathEntireArray, start, next, &report)
 			return report, next, nil
 		}
 	}
 
-	// Candidate probe span: enumerating access paths costs store metadata
-	// lookups and cost estimates, attributed separately from execution.
-	var probeStart time.Time
-	if e.obs != nil {
-		probeStart = time.Now()
-	}
+	// Candidate enumeration costs store metadata lookups and cost
+	// estimates; it is timed like a step, as class "probe". The operator's
+	// statistics are read once here and every estimate prices from them.
+	probeStart := time.Now()
 	psp := ssp.Child("candidates", obs.SpanProbe)
-	cands := e.candidates(ctx, ssp, d, st, node, mc, cur, next, &report)
-	psp.End()
-	if e.obs != nil {
-		e.obs.RecordProbe(time.Since(probeStart))
-	}
+	opStats := e.stats.Get(st.Node)
+	reexecCost := reexecEstimate(&opStats, mc)
+	var candBuf [4]candidate // map, two stores, re-execution: the usual step stays off the heap
+	cands := e.candidates(candBuf[:0], d, st, node, mc, cur, report.InCells, reexecCost)
+	e.endSpan(psp, obs.SpanProbe, probeStart)
 	chosen := cands[0]
 	if e.opts.Dynamic {
 		for _, c := range cands[1:] {
@@ -117,30 +142,25 @@ func (e *Executor) executeStep(ctx context.Context, d Direction, st Step, cur *b
 			}
 		}
 	}
-	reexecBudget := e.reexecEstimate(st.Node)
 
-	report.AccessPath = chosen.label
-	runErr := func() error {
-		if !e.opts.Dynamic || chosen.label == PathReexec {
-			// Saturation short-circuit: even without the query-time
-			// optimizer, store lookups close early once every
-			// destination cell is set — the abort surfaces as a "full"
-			// ErrAborted, which is the entire-array fast path succeeding
-			// mid-step.
-			return chosen.run(next.Full)
-		}
+	// Saturation short-circuit: even without the query-time optimizer,
+	// store lookups close early once every destination cell is set — the
+	// abort surfaces as a "full" ErrAborted, which is the entire-array fast
+	// path succeeding mid-step.
+	abort := next.Full
+	if e.opts.Dynamic && chosen.kind != PathReexec {
 		// Query-time optimizer: monitor the lineage access and abort once
 		// it has consumed the re-execution budget; the subsequent fallback
 		// bounds the step at ~2x black-box (paper §VII-A).
-		deadline := start.Add(reexecBudget)
-		return chosen.run(func() bool { return next.Full() || time.Now().After(deadline) })
-	}()
+		deadline := start.Add(reexecCost)
+		abort = func() bool { return next.Full() || time.Now().After(deadline) }
+	}
+	conservative, runErr := e.runCandidate(ctx, ssp, chosen, d, st, node, mc, cur, next, abort)
 
 	if runErr != nil {
 		corrupt := errors.Is(runErr, lineage.ErrCorrupt)
 		if !corrupt && !errors.Is(runErr, lineage.ErrAborted) {
-			stepPool.Put(next)
-			return report, nil, runErr
+			return e.failStep(ssp, report, next, runErr)
 		}
 		if corrupt {
 			// Corruption quarantine: the store has already latched its
@@ -154,147 +174,169 @@ func (e *Executor) executeStep(ctx context.Context, d Direction, st Step, cur *b
 			// Genuine abort: discard partial work and re-execute.
 			next.Clear()
 			report.FellBack = true
-			report.AccessPath = chosen.label + "+" + PathReexec
-			if err := e.runReexec(ctx, d, st, cur, next, &report); err != nil {
-				stepPool.Put(next)
-				return report, nil, err
+			if conservative, err = e.runReexec(ctx, d, st, cur, next); err != nil {
+				return e.failStep(ssp, report, next, err)
 			}
 		}
 		// A "full" abort is the early-close optimization succeeding:
 		// lineage lookups only ever set true positives, so a saturated
 		// intermediate is exact no matter why the path stopped early.
 	}
-	report.OutCells = next.Count()
-	report.Elapsed = time.Since(start)
-	e.record(report, report.FellBack || chosen.label == PathReexec || chosen.label == PathConservative)
+	class := chosen.kind
+	report.AccessPath = chosen.label(report.FellBack)
+	if conservative {
+		// The operator cannot trace: whichever path was tried first, the
+		// answer is the conservative whole array and counts as re-execution.
+		class, report.AccessPath = PathReexec, PathConservative
+	}
+	e.finishStep(ssp, class, start, next, &report)
 	return report, next, nil
 }
 
-func (e *Executor) record(r StepReport, reexec bool) {
-	e.stats.RecordQueryStep(r.Node, int64(r.InCells), int64(r.OutCells), r.Elapsed, reexec)
+// endSpan closes a timed region on one clock read: sp ends over exactly
+// [start, start+d] and the class series observe the same d, which is
+// returned for the caller's report.
+func (e *Executor) endSpan(sp *trace.Span, class string, start time.Time) time.Duration {
+	d := time.Since(start)
+	sp.EndAt(start, d)
 	if e.obs != nil {
-		e.obs.RecordStep(r.Node, r.AccessPath, r.Elapsed, r.FellBack)
+		e.obs.ObserveStep(class, d)
 	}
+	return d
 }
 
-// candidates enumerates the access paths available for a step, cheapest
-// estimates included. The slice is ordered by static preference: mapping
-// functions, then composite, then orientation-matched stores, then
-// mismatched stores, then re-execution.
-func (e *Executor) candidates(ctx context.Context, sp *trace.Span, d Direction, st Step, node *workflow.Node, mc *workflow.MapCtx, cur, next *bitmap.Bitmap, report *StepReport) []candidate {
-	var cands []candidate
-	strategies := e.run.Strategies(st.Node)
-	opStats := e.stats.Get(st.Node)
-	n := time.Duration(cur.Count())
+// finishStep is the single record of a step that produced an answer: it
+// fills the report's OutCells and Elapsed, ends the step span with its
+// class and attributes, observes the class counter and histogram, bumps
+// the operator-hit and fallback counters, and feeds the collector.
+func (e *Executor) finishStep(sp *trace.Span, class string, start time.Time, next *bitmap.Bitmap, r *StepReport) {
+	r.OutCells = next.Count()
+	sp.SetClass(class)
+	sp.SetAttr("path", r.AccessPath)
+	sp.SetAttrInt("out_cells", int64(r.OutCells))
+	r.Elapsed = e.endSpan(sp, class, start)
+	if e.obs != nil {
+		e.obs.OperatorHits.With2(r.Node, r.AccessPath).Inc()
+		if r.FellBack {
+			e.obs.Fallbacks.Inc()
+		}
+	}
+	e.stats.RecordQueryStep(r.Node, r.Elapsed, r.FellBack || class == PathReexec)
+}
+
+// failStep abandons a step that produced no answer: the span ends as it
+// started (class "other") and the destination bitmap goes back to the pool.
+func (e *Executor) failStep(sp *trace.Span, r StepReport, next *bitmap.Bitmap, err error) (StepReport, *bitmap.Bitmap, error) {
+	sp.End()
+	stepPool.Put(next)
+	return r, nil, err
+}
+
+// candidates prices the access paths available for a step into buf, in
+// static preference order: mapping functions, then composite, then
+// orientation-matched stores, then mismatched stores, then re-execution.
+// n is the query cell count.
+func (e *Executor) candidates(buf []candidate, d Direction, st Step, node *workflow.Node, mc *workflow.MapCtx, cur *bitmap.Bitmap, n uint64, reexecCost time.Duration) []candidate {
+	cells := time.Duration(n)
 
 	// Mapping functions: available when the Map strategy is assigned and
 	// the operator implements the needed direction.
 	hasMap := false
-	for _, s := range strategies {
+	for _, s := range e.run.Strategies(st.Node) {
 		if s.Mode == lineage.Map {
 			hasMap = true
 		}
 	}
-	if hasMap && e.hasMapper(d, node) {
-		fanPerCell := e.probeMapFan(d, st, node, mc, cur)
-		cands = append(cands, candidate{
-			label: PathMap,
-			cost:  n*cMapCall + time.Duration(float64(n)*fanPerCell)*cCellSet,
-			run: func(abort func() bool) error {
-				return e.runMap(d, st, node, mc, cur, next, abort)
-			},
+	if mapper := cellMapper(d, node); hasMap && mapper != nil {
+		fanPerCell := probeMapFan(mapper, mc, st.InputIdx, cur)
+		buf = append(buf, candidate{
+			kind: PathMap,
+			cost: cells*cMapCall + time.Duration(float64(n)*fanPerCell)*cCellSet,
 		})
 	}
 
-	// Materialized stores.
-	var matched, mismatched []*lineage.Store
+	// Materialized stores: the composite store (usable only when the
+	// operator can evaluate payloads), then matched orientation, then
+	// mismatched.
+	stores := e.run.Stores(st.Node)
 	var comp *lineage.Store
-	for _, s := range e.run.Stores(st.Node) {
-		strat := s.Strategy()
-		switch {
-		case strat.Mode == lineage.Comp:
+	for _, s := range stores {
+		if s.Strategy().Mode == lineage.Comp {
 			comp = s
-		case d == Backward && strat.Orient == lineage.BackwardOpt,
-			d == Forward && strat.Orient == lineage.ForwardOpt && strat.Mode == lineage.Full:
-			matched = append(matched, s)
-		default:
-			mismatched = append(mismatched, s)
 		}
 	}
 	if _, isPM := node.Op.(workflow.PayloadMapper); comp != nil && isPM {
-		store := comp
-		cands = append(cands, candidate{
-			label: fmt.Sprintf("%s(%s)", PathComposite, store.Strategy()),
-			cost:  e.storeCost(d, store, opStats, n, true),
-			run: func(abort func() bool) error {
-				return e.runComposite(sp, d, st, node, mc, store, cur, next, abort)
-			},
-		})
+		buf = append(buf, candidate{kind: PathComposite, store: comp, cost: storeCost(d, comp, cells, true)})
 	}
-	for _, s := range matched {
-		store := s
-		cands = append(cands, candidate{
-			label: fmt.Sprintf("%s(%s)", PathStore, store.Strategy()),
-			cost:  e.storeCost(d, store, opStats, n, true),
-			run: func(abort func() bool) error {
-				return e.runStore(sp, d, st, node, mc, store, cur, next, abort)
-			},
-		})
-	}
-	for _, s := range mismatched {
-		store := s
-		cands = append(cands, candidate{
-			label: fmt.Sprintf("%s(%s)", PathStoreScan, store.Strategy()),
-			cost:  e.storeCost(d, store, opStats, n, false),
-			run: func(abort func() bool) error {
-				return e.runStore(sp, d, st, node, mc, store, cur, next, abort)
-			},
-		})
+	for _, matched := range [2]bool{true, false} {
+		kind := PathStore
+		if !matched {
+			kind = PathStoreScan
+		}
+		for _, s := range stores {
+			if strat := s.Strategy(); strat.Mode != lineage.Comp && orientMatches(d, strat) == matched {
+				buf = append(buf, candidate{kind: kind, store: s, cost: storeCost(d, s, cells, matched)})
+			}
+		}
 	}
 
 	// Black-box re-execution: always available.
-	cands = append(cands, candidate{
-		label: PathReexec,
-		cost:  e.reexecEstimate(st.Node),
-		run: func(abort func() bool) error {
-			return e.runReexec(ctx, d, st, cur, next, report)
-		},
-	})
-	return cands
+	return append(buf, candidate{kind: PathReexec, cost: reexecCost})
 }
 
-func (e *Executor) hasMapper(d Direction, node *workflow.Node) bool {
+// orientMatches reports whether a store's layout serves direction d by
+// lookup rather than by scan.
+func orientMatches(d Direction, strat lineage.Strategy) bool {
 	if d == Backward {
-		_, ok := node.Op.(workflow.BackwardMapper)
-		return ok
+		return strat.Orient == lineage.BackwardOpt
 	}
-	_, ok := node.Op.(workflow.ForwardMapper)
-	return ok
+	return strat.Orient == lineage.ForwardOpt && strat.Mode == lineage.Full
 }
 
-// runMap resolves a step with pure mapping functions, closing early once
-// the destination saturates.
-func (e *Executor) runMap(d Direction, st Step, node *workflow.Node, mc *workflow.MapCtx, cur, next *bitmap.Bitmap, abort func() bool) error {
+// runCandidate runs the chosen access path — the one dispatch on a
+// candidate's kind. conservative reports that re-execution could not trace
+// the operator and set the whole destination array.
+func (e *Executor) runCandidate(ctx context.Context, sp *trace.Span, c candidate, d Direction, st Step, node *workflow.Node, mc *workflow.MapCtx, cur, next *bitmap.Bitmap, abort func() bool) (conservative bool, err error) {
+	switch c.kind {
+	case PathMap:
+		return false, mapCells(cellMapper(d, node), mc, st.InputIdx, cur, nil, next, abort, nil)
+	case PathComposite:
+		return false, e.runComposite(sp, d, st, node, mc, c.store, cur, next, abort)
+	case PathStore, PathStoreScan:
+		return false, e.runStore(sp, d, st, node, mc, c.store, cur, next, abort)
+	default:
+		return e.runReexec(ctx, d, st, cur, next)
+	}
+}
+
+// mapCells drives a per-cell mapping function over the query cells that
+// are not in skip (nil skips none), handing each cell's mapped cells to
+// sink (nil sets them in next). Every 64 mapped cells it closes early once
+// next saturates and polls abort.
+func mapCells(mapper cellMapFn, mc *workflow.MapCtx, inputIdx int, cur, skip, next *bitmap.Bitmap, abort func() bool, sink func(mapped []uint64) error) error {
 	var buf []uint64
 	var stepErr error
 	n := 0
 	cur.Iterate(func(cell uint64) bool {
+		if skip != nil && skip.Get(cell) {
+			return true
+		}
 		if n++; n%64 == 0 {
 			if next.Full() {
 				return false // early close
 			}
-			if abort != nil && abort() {
+			if abort() {
 				stepErr = lineage.ErrAborted
 				return false
 			}
 		}
-		if d == Backward {
-			buf = node.Op.(workflow.BackwardMapper).MapB(mc, cell, st.InputIdx, buf[:0])
-		} else {
-			buf = node.Op.(workflow.ForwardMapper).MapF(mc, cell, st.InputIdx, buf[:0])
+		buf = mapper(mc, cell, inputIdx, buf[:0])
+		if sink == nil {
+			next.SetCells(buf)
+			return true
 		}
-		next.SetCells(buf)
-		return true
+		stepErr = sink(buf)
+		return stepErr == nil
 	})
 	return stepErr
 }
@@ -312,6 +354,10 @@ func (e *Executor) runStore(sp *trace.Span, d Direction, st Step, node *workflow
 // runComposite resolves a step against a composite store: stored payload
 // pairs override the operator's default mapping (paper §V-A4).
 func (e *Executor) runComposite(sp *trace.Span, d Direction, st Step, node *workflow.Node, mc *workflow.MapCtx, store *lineage.Store, cur, next *bitmap.Bitmap, abort func() bool) error {
+	mapper := cellMapper(d, node)
+	if mapper == nil {
+		return fmt.Errorf("composite operator %s lacks the %s default mapping", node.Op.Name(), d)
+	}
 	mapp := e.payloadFn(node, mc)
 	if d == Backward {
 		covered := stepPool.Get(mc.OutSpace)
@@ -320,31 +366,7 @@ func (e *Executor) runComposite(sp *trace.Span, d Direction, st Step, node *work
 			return err
 		}
 		// Default mapping for the query cells no payload pair covered.
-		bm, ok := node.Op.(workflow.BackwardMapper)
-		if !ok {
-			return fmt.Errorf("composite operator %s lacks map_b", node.Op.Name())
-		}
-		var buf []uint64
-		var stepErr error
-		n := 0
-		cur.Iterate(func(cell uint64) bool {
-			if covered.Get(cell) {
-				return true
-			}
-			if n++; n%64 == 0 {
-				if next.Full() {
-					return false
-				}
-				if abort != nil && abort() {
-					stepErr = lineage.ErrAborted
-					return false
-				}
-			}
-			buf = bm.MapB(mc, cell, st.InputIdx, buf[:0])
-			next.SetCells(buf)
-			return true
-		})
-		return stepErr
+		return mapCells(mapper, mc, st.InputIdx, cur, covered, next, abort, nil)
 	}
 
 	// Forward: payload pairs are scanned by the store; output cells not
@@ -352,46 +374,28 @@ func (e *Executor) runComposite(sp *trace.Span, d Direction, st Step, node *work
 	if err := store.ForwardSpan(sp, cur, next, st.InputIdx, mapp, abort); err != nil {
 		return err
 	}
-	fm, ok := node.Op.(workflow.ForwardMapper)
-	if !ok {
-		return fmt.Errorf("composite operator %s lacks map_f", node.Op.Name())
-	}
-	var buf []uint64
-	var stepErr error
-	n := 0
-	cur.Iterate(func(cell uint64) bool {
-		if n++; n%64 == 0 {
-			if next.Full() {
-				return false
-			}
-			if abort != nil && abort() {
-				stepErr = lineage.ErrAborted
-				return false
-			}
-		}
-		buf = fm.MapF(mc, cell, st.InputIdx, buf[:0])
-		for _, out := range buf {
+	return mapCells(mapper, mc, st.InputIdx, cur, nil, next, abort, func(mapped []uint64) error {
+		for _, out := range mapped {
 			if next.Get(out) {
 				continue
 			}
 			inStore, err := store.ContainsOut(out)
 			if err != nil {
-				stepErr = err
-				return false
+				return err
 			}
 			if !inStore {
 				next.Set(out)
 			}
 		}
-		return true
+		return nil
 	})
-	return stepErr
 }
 
 // runReexec re-runs the operator in tracing mode and joins the streamed
 // region pairs with the query cells (paper §V-B). Operators that cannot
-// trace resolve conservatively to the entire destination array.
-func (e *Executor) runReexec(ctx context.Context, d Direction, st Step, cur, next *bitmap.Bitmap, report *StepReport) error {
+// trace resolve conservatively to the entire destination array, which the
+// first result reports.
+func (e *Executor) runReexec(ctx context.Context, d Direction, st Step, cur, next *bitmap.Bitmap) (conservative bool, err error) {
 	sink := func(rp *lineage.RegionPair) error {
 		if d == Backward {
 			for _, out := range rp.Out {
@@ -413,17 +417,16 @@ func (e *Executor) runReexec(ctx context.Context, d Direction, st Step, cur, nex
 		}
 		return nil
 	}
-	_, err := e.run.Reexecute(ctx, st.Node, sink)
+	_, err = e.run.Reexecute(ctx, st.Node, sink)
 	switch {
 	case err == nil || errors.Is(err, errTraceDone):
-		return nil
+		return false, nil
 	case errors.Is(err, workflow.ErrNoTracing):
 		// No lineage API at all: assume all-to-all (paper §IV).
 		next.SetAll()
-		report.AccessPath = PathConservative
-		return nil
+		return true, nil
 	default:
-		return err
+		return false, err
 	}
 }
 

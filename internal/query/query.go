@@ -134,8 +134,8 @@ func New(run *workflow.Run, stats *lineage.Collector, opts Options) *Executor {
 	return &Executor{run: run, stats: stats, opts: opts}
 }
 
-// WithObs attaches query metrics (workload mix, latency, per-step spans)
-// and returns the executor for chaining. A nil bundle leaves the executor
+// WithObs attaches query metrics (workload mix, latency, per-class step
+// series) and returns the executor for chaining. A nil bundle leaves the executor
 // unobserved with zero overhead.
 func (e *Executor) WithObs(o *obs.QueryObs) *Executor {
 	e.obs = o
@@ -250,14 +250,15 @@ func (e *Executor) Execute(ctx context.Context, q Query) (*Result, error) {
 	}
 	// Query span: every step span below parents under it via the context.
 	// On the sampled-off path FromContext yields nil and the whole chain
-	// costs nothing.
+	// costs nothing. The deferred End only closes the span of a query that
+	// fails; a completed one is ended below on the query's own clock.
+	start := time.Now()
 	qsp := trace.FromContext(ctx).ChildNamed("query ", q.Direction.String(), obs.SpanQuery)
 	qsp.SetAttr("run", e.run.ID)
 	qsp.SetAttr("direction", q.Direction.String())
 	qsp.SetAttrInt("cells", int64(len(q.Cells)))
 	defer qsp.End()
 	ctx = trace.ContextWithSpan(ctx, qsp)
-	start := time.Now()
 	srcSpace, err := e.stepSourceSpace(q.Direction, q.Path[0])
 	if err != nil {
 		return nil, err
@@ -285,12 +286,14 @@ func (e *Executor) Execute(ctx context.Context, q Query) (*Result, error) {
 		}
 	}
 	res.Bitmap = cur
+	// One measurement per query, as per step: the result's Elapsed, the
+	// query span's duration and the latency observation are the same
+	// number, and the exemplar links that bucket to the retained trace so
+	// a histogram spike points at evidence.
 	res.Elapsed = time.Since(start)
+	qsp.EndAt(start, res.Elapsed)
 	if e.obs != nil {
-		e.obs.RecordQuery(int(q.Direction), res.Elapsed, q.Cells)
-		// Exemplar: link the latency bucket this query landed in to its
-		// retained trace, so a histogram spike points at evidence.
-		e.obs.AttachExemplar(int(q.Direction), res.Elapsed, qsp.TraceIDString())
+		e.obs.RecordQuery(int(q.Direction), res.Elapsed, q.Cells, qsp.TraceIDString())
 	}
 	return res, nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"subzero/internal/array"
+	"subzero/internal/fault"
 	"subzero/internal/grid"
 	"subzero/internal/kvstore"
 	"subzero/internal/lineage"
@@ -267,9 +268,15 @@ func (o *blackboxUDF) Run(_ *workflow.RunCtx, ins []*array.Array) (*array.Array,
 	return ins[0].Clone().WithName("opaque"), nil
 }
 
-func TestConservativeAllToAllForOpaqueUDF(t *testing.T) {
-	mgr, _ := kvstore.NewManager("")
-	defer mgr.Close()
+// buildOpaqueRun executes a one-node workflow whose UDF supports no
+// lineage API at all.
+func buildOpaqueRun(t *testing.T) (*workflow.Executor, *workflow.Run) {
+	t.Helper()
+	mgr, err := kvstore.NewManager("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { mgr.Close() })
 	exec := workflow.NewExecutor(array.NewVersions(), mgr, lineage.NewCollector())
 	spec := workflow.NewSpec("opaque")
 	spec.Add("udf", &blackboxUDF{Meta: workflow.Meta{OpName: "opaque", NIn: 1}}, workflow.FromExternal("src"))
@@ -278,6 +285,11 @@ func TestConservativeAllToAllForOpaqueUDF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return exec, run
+}
+
+func TestConservativeAllToAllForOpaqueUDF(t *testing.T) {
+	exec, run := buildOpaqueRun(t)
 	qe := query.New(run, exec.Stats(), query.DefaultOptions())
 	res, err := qe.Execute(context.Background(), query.Query{Direction: query.Backward, Cells: []uint64{3}, Path: []query.Step{{Node: "udf"}}})
 	if err != nil {
@@ -363,6 +375,48 @@ func TestStepReports(t *testing.T) {
 	}
 	if res.Elapsed <= 0 {
 		t.Fatal("no elapsed time")
+	}
+
+	// Every path kind's label, byte for byte: bench/'s step classifier,
+	// the wire goldens and the slow-query log all parse these strings.
+	withPlan := func(udf ...lineage.Strategy) func(*testing.T) (*workflow.Executor, *workflow.Run) {
+		return func(t *testing.T) (*workflow.Executor, *workflow.Run) { return buildRun(t, mapPlan(udf)) }
+	}
+	static := query.Options{EntireArray: true}
+	for _, tc := range []struct {
+		name  string
+		build func(*testing.T) (*workflow.Executor, *workflow.Run)
+		opts  query.Options
+		node  string
+		fault bool // fail the store's first record decode: forced fallback
+		want  string
+	}{
+		{"map", withPlan(), static, "scale", false, "map"},
+		{"composite", withPlan(lineage.StratCompOne), static, "mask", false, "composite(<-Comp/One)"},
+		{"store", withPlan(lineage.StratFullMany), static, "mask", false, "store(<-Full/Many)"},
+		{"store-scan", withPlan(lineage.StratFullOneFwd), static, "mask", false, "store-scan(->Full/One)"},
+		{"reexec", withPlan(), static, "mask", false, "reexec"},
+		{"entire-array", withPlan(), static, "agg", false, "entire-array"},
+		{"store+reexec", withPlan(lineage.StratFullOne), static, "mask", true, "store(<-Full/One)+reexec"},
+		{"reexec-conservative", buildOpaqueRun, query.DefaultOptions(), "udf", false, "reexec-conservative"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			exec, run := tc.build(t)
+			if tc.fault {
+				defer fault.Reset()
+				if err := fault.Arm("lineage/lookup/decode", fault.Action{Kind: fault.KindError, Count: 1}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			res, err := query.New(run, exec.Stats(), tc.opts).Execute(context.Background(),
+				query.Query{Direction: query.Backward, Cells: []uint64{0}, Path: []query.Step{{Node: tc.node}}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := res.Steps[0]; got.AccessPath != tc.want || got.FellBack != tc.fault {
+				t.Fatalf("access path %q (fell back %v), want %q (fell back %v)", got.AccessPath, got.FellBack, tc.want, tc.fault)
+			}
+		})
 	}
 }
 

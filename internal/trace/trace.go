@@ -312,7 +312,7 @@ type Span struct {
 	ended    bool
 }
 
-// Child starts a child span. class must be one of the obs.SpanClass
+// Child starts a child span. class must be one of the obs.SpanClasses()
 // families (see CONTRIBUTING). Returns nil on a nil receiver.
 func (s *Span) Child(name, class string) *Span {
 	if s == nil {
@@ -418,7 +418,7 @@ func (s *Span) Name() string {
 	return s.name
 }
 
-// Class returns the span's obs.SpanClass family.
+// Class returns the span's obs.SpanClasses() family.
 func (s *Span) Class() string {
 	if s == nil {
 		return ""
@@ -450,11 +450,20 @@ func (s *Span) Attrs() []Attr {
 	return s.attrs
 }
 
-// End completes the span, recording its duration and appending it to the
-// trace. Ending the root span finalizes the trace: an immutable *Trace is
-// built and published to the retention rings. End is idempotent and
-// nil-safe.
+// End completes the span on its own clock, recording its duration and
+// appending it to the trace. Ending the root span finalizes the trace: an
+// immutable *Trace is built and published to the retention rings. End is
+// idempotent and nil-safe.
 func (s *Span) End() {
+	if s != nil {
+		s.EndAt(s.start, time.Since(s.start))
+	}
+}
+
+// EndAt is End on the caller's clock: the span covers exactly
+// [start, start+elapsed], so a caller that also reports or observes the
+// interval records one measurement, not two.
+func (s *Span) EndAt(start time.Time, elapsed time.Duration) {
 	if s == nil {
 		return
 	}
@@ -465,7 +474,7 @@ func (s *Span) End() {
 		return
 	}
 	s.ended = true
-	s.duration = time.Since(s.start)
+	s.start, s.duration = start, elapsed
 	switch {
 	case td.done:
 		td.tracer.late.Add(1)

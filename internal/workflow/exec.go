@@ -412,7 +412,7 @@ func (r *Run) MapCtx(nodeID string) (*MapCtx, error) {
 func (r *Run) Strategies(nodeID string) []lineage.Strategy { return r.Plan.Strategies(nodeID) }
 
 // CaptureStats sums write-path statistics across every lineage store of
-// the run — the capture-overhead quantities of the BENCH_5 table.
+// the run — the capture-overhead quantities behind bench/'s ingest.* rows.
 type CaptureStats struct {
 	OpWrite time.Duration // operator-thread write time (inline encode, or enqueue when sharded)
 	Drain   time.Duration // end-of-node drain barrier + flush wait (sharded only)
