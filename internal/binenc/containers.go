@@ -479,6 +479,28 @@ func ExpandContainer(typ byte, pay []byte, w *[TileWords]uint64) (uint64, error)
 	}
 }
 
+// ArrayCells calls fn with the tile-local offset of every cell of an array
+// container payload, in ascending order. The payload must be one
+// WalkContainers validated; lookups use it to set an array container's few
+// cells without expanding a whole tile block.
+func ArrayCells(pay []byte, fn func(off uint64)) {
+	cells, off := binary.Uvarint(pay)
+	prev := uint64(0)
+	for i := uint64(0); i < cells; i++ {
+		d, read := binary.Uvarint(pay[off:])
+		if read <= 0 {
+			return
+		}
+		off += read
+		if i == 0 {
+			prev = d
+		} else {
+			prev += d
+		}
+		fn(prev)
+	}
+}
+
 // setLocalRun sets [start, start+length) in a tile block word-parallel.
 func setLocalRun(w *[TileWords]uint64, start, length uint64) {
 	end := start + length // exclusive, <= TileCells

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -53,6 +54,43 @@ func TestContainersGoldenBytes(t *testing.T) {
 				t.Fatalf("round trip = %v, want %v", back, tc.cells)
 			}
 		})
+	}
+}
+
+// ArrayCells must yield exactly the offsets ExpandContainer sets, for
+// every array container the encoder writes.
+func TestArrayCellsMatchesExpand(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		seen := map[uint64]bool{}
+		var cells []uint64
+		for n := 9 + rng.Intn(40); len(cells) < n; {
+			if c := uint64(rng.Intn(TileCells)); !seen[c] {
+				seen[c] = true
+				cells = append(cells, c)
+			}
+		}
+		slices.Sort(cells)
+		enc := AppendCellSetContainers(nil, cells)
+		_, _, err := WalkContainers(enc, nil, func(base uint64, typ byte, payOff, payLen int) bool {
+			if typ != ContainerArray {
+				return true
+			}
+			pay := enc[payOff : payOff+payLen]
+			var want [TileWords]uint64
+			if _, err := ExpandContainer(typ, pay, &want); err != nil {
+				t.Fatal(err)
+			}
+			var got [TileWords]uint64
+			ArrayCells(pay, func(off uint64) { got[off/64] |= 1 << (off % 64) })
+			if got != want {
+				t.Fatalf("trial %d: ArrayCells block %v, ExpandContainer %v", trial, got, want)
+			}
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"sync"
 	"time"
 
 	"subzero/internal/obs"
@@ -12,10 +13,35 @@ import (
 // group commits — is accounted without the callers knowing.
 //
 // Single Gets and Puts pay only atomic adds; batch calls additionally pay
-// two clock reads and one closure allocation, amortized over the batch.
+// two clock reads and a histogram observation, amortized over the batch.
+// Nothing is allocated per call (TestInstrumentedGetBatchAllocFree).
 type instrumented struct {
 	s Store
 	m *obs.KVObs
+}
+
+// byteCounter sums the value bytes a GetBatch lends its callback. It is
+// pooled and its count method value is bound once, so wrapping a caller's
+// callback allocates nothing.
+type byteCounter struct {
+	fn    func(idx int, val []byte, ok bool) bool
+	bytes int64
+	count func(idx int, val []byte, ok bool) bool // c.add
+}
+
+func (c *byteCounter) add(idx int, val []byte, ok bool) bool {
+	if ok {
+		c.bytes += int64(len(val))
+	}
+	return c.fn(idx, val, ok)
+}
+
+var counterPool = sync.Pool{
+	New: func() any {
+		c := new(byteCounter)
+		c.count = c.add
+		return c
+	},
 }
 
 // Instrument wraps s so every operation is counted in m. It returns s
@@ -49,17 +75,15 @@ func (i *instrumented) Get(key []byte) ([]byte, bool, error) {
 
 func (i *instrumented) GetBatch(keys [][]byte, fn func(idx int, val []byte, ok bool) bool) error {
 	start := time.Now()
-	var bytes int64
-	err := i.s.GetBatch(keys, func(idx int, val []byte, ok bool) bool {
-		if ok {
-			bytes += int64(len(val))
-		}
-		return fn(idx, val, ok)
-	})
+	c := counterPool.Get().(*byteCounter)
+	c.fn, c.bytes = fn, 0
+	err := i.s.GetBatch(keys, c.count)
 	i.m.GetBatchLatency.ObserveSince(start)
 	i.m.GetBatches.Inc()
 	i.m.KeysRead.Add(int64(len(keys)))
-	i.m.BytesRead.Add(bytes)
+	i.m.BytesRead.Add(c.bytes)
+	c.fn = nil
+	counterPool.Put(c)
 	return err
 }
 

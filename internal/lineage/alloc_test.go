@@ -100,7 +100,7 @@ func TestContainerSetProbeAllocFree(t *testing.T) {
 	dst := bitmap.New(sp)
 	q := bitmap.New(sp)
 	q.Set(4096)
-	cs.addTo(dst) // warm: promotes every tile block
+	cs.addTo(dst) // addTo promotes nothing; AllocsPerRun's warm-up call promotes the probed tiles
 	if allocs := testing.AllocsPerRun(100, func() {
 		cs.addTo(dst)
 		cs.intersects(q)

@@ -38,11 +38,26 @@ func cellKey(slot int, cell uint64) []byte {
 // record is a decoded region-pair record. Cell sets stay in their
 // compressed container form, so a record held in recCache costs far less
 // than per-cell slices and replays into a destination bitmap
-// word-parallel.
+// word-parallel. Decoding is what the cache pays for: a FullOne lookup
+// that will not cache a record replays it from its bytes instead
+// (fullRecordSide + orCellSet), and the two replays set the same cells.
 type record struct {
 	outs    containerSet
 	ins     []containerSet // nil for payload records
 	payload []byte         // nil for full records
+}
+
+// outSide names a record's output set where a lookup picks the side it
+// applies; 0..n-1 name its input sets.
+const outSide = -1
+
+// side returns the cell set a lookup applies: outs for outSide, else that
+// input set.
+func (r *record) side(i int) *containerSet {
+	if i == outSide {
+		return &r.outs
+	}
+	return &r.ins[i]
 }
 
 // There is one record format: a leading flags byte naming the record kind,
@@ -117,6 +132,51 @@ func decodeRecord(val []byte) (*record, error) {
 		rest = rest[n:]
 	}
 	return rec, nil
+}
+
+// fullRecordSide validates a pair-record value for a Full store with nIns
+// input spaces — the flags byte, every cell set in order, the input count —
+// and returns the encoded cell set of one side (see outSide) without
+// decoding anything. It accepts exactly the values Store.loadRecord accepts
+// for such a store, and orCellSet on the returned bytes sets exactly the
+// cells rec.side(side) holds (FuzzReplayRecord). Nothing is returned until
+// the whole record has validated, so a corrupt record never half-applies.
+func fullRecordSide(val []byte, nIns, side int) ([]byte, error) {
+	if len(val) == 0 {
+		return nil, fmt.Errorf("lineage: empty pair record")
+	}
+	switch val[0] {
+	case recFullContainers:
+	case recPayloadContainers:
+		return nil, fmt.Errorf("lineage: full store holds a payload record")
+	default:
+		return nil, fmt.Errorf("lineage: unknown pair record flags %d", val[0])
+	}
+	rest := val[1:]
+	_, n, err := binenc.WalkContainers(rest, nil, nil)
+	if err != nil {
+		return nil, fmt.Errorf("lineage: pair record outs: %w", err)
+	}
+	set := rest[:n]
+	rest = rest[n:]
+	got, read := binary.Uvarint(rest)
+	if read <= 0 || got > 255 {
+		return nil, fmt.Errorf("lineage: pair record input count")
+	}
+	if got != uint64(nIns) {
+		return nil, fmt.Errorf("lineage: pair record carries %d input sets, store has %d input spaces", got, nIns)
+	}
+	rest = rest[read:]
+	for i := 0; i < nIns; i++ {
+		if _, n, err = binenc.WalkContainers(rest, nil, nil); err != nil {
+			return nil, fmt.Errorf("lineage: pair record input %d: %w", i, err)
+		}
+		if i == side {
+			set = rest[:n]
+		}
+		rest = rest[n:]
+	}
+	return set, nil
 }
 
 // encodeIDList serializes the pair-id list stored in a One-encoding cell

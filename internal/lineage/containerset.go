@@ -27,13 +27,16 @@ var _ [bitmap.BlockWords - binenc.TileWords]struct{}
 // many workloads) carry no containers and are held as the sorted cells
 // themselves.
 //
-// Probes work in situ: full tiles go through the existing word-parallel
-// run primitives, bitmap containers are tested straight off their
-// little-endian payload, and array/run containers are lazily promoted —
-// once, on first probe — to a 16-word bit block shared by later probes.
-// Promotion is per tile and race-safe: records live in the recCache and
-// are probed by concurrent lookups, so blocks install via CAS on an
-// atomic pointer (losing a benign race just discards a duplicate block).
+// Everything works in situ. Applying a set (addTo, forEach) never
+// promotes: full tiles are runs, array containers set their few cells
+// directly, and run and bitmap containers expand into a block on the
+// stack — the same replay orCellSet does on a record's raw bytes. Only the
+// probes (intersects, contains) promote a non-full tile, once, to a
+// 16-word bit block shared by later probes, because they test the tile
+// against a query many times. Promotion is per tile and race-safe: records
+// live in the recCache and are probed by concurrent lookups, so blocks
+// install via CAS on an atomic pointer (losing a benign race just discards
+// a duplicate block).
 type containerSet struct {
 	total  uint64
 	sparse []uint64 // sparse-direct form
@@ -93,6 +96,7 @@ func decodeCellSet(src []byte) (containerSet, int, error) {
 }
 
 // block returns the tile promoted to its bit block, promoting on first use.
+// Only the probes (intersects, contains) call it.
 func (t *ctile) block() *[binenc.TileWords]uint64 {
 	if blk := t.blk.Load(); blk != nil {
 		return blk
@@ -108,19 +112,43 @@ func (t *ctile) block() *[binenc.TileWords]uint64 {
 	return blk
 }
 
-// addTo ORs the set's cells into dst word-parallel, returning the number
-// newly set.
-func (cs *containerSet) addTo(dst *bitmap.Bitmap) uint64 {
-	added := dst.SetCells(cs.sparse)
+// addTo ORs the set's cells into dst without promoting any tile.
+func (cs *containerSet) addTo(dst *bitmap.Bitmap) {
+	dst.SetCells(cs.sparse)
 	for i := range cs.tiles {
 		t := &cs.tiles[i]
-		if t.typ == binenc.ContainerFull {
-			added += dst.SetRun(t.base, binenc.TileCells)
-			continue
-		}
-		added += dst.OrBlock(t.base, t.block())
+		orContainer(dst, t.base, t.typ, t.pay)
 	}
-	return added
+}
+
+// orCellSet ORs an encoded container-form cell set into dst straight from
+// its bytes, which the caller has already validated (fullRecordSide).
+func orCellSet(dst *bitmap.Bitmap, set []byte) {
+	_, _, _ = binenc.WalkContainers(set,
+		func(cell uint64) bool {
+			dst.Set(cell)
+			return true
+		},
+		func(base uint64, typ byte, payOff, payLen int) bool {
+			orContainer(dst, base, typ, set[payOff:payOff+payLen])
+			return true
+		})
+}
+
+// orContainer ORs one validated container into dst: a full tile is a run,
+// an array container sets its few cells directly, and run and bitmap
+// containers expand into a block on the stack.
+func orContainer(dst *bitmap.Bitmap, base uint64, typ byte, pay []byte) {
+	switch typ {
+	case binenc.ContainerFull:
+		dst.SetRun(base, binenc.TileCells)
+	case binenc.ContainerArray:
+		binenc.ArrayCells(pay, func(off uint64) { dst.Set(base + off) })
+	default:
+		var blk [binenc.TileWords]uint64
+		_, _ = binenc.ExpandContainer(typ, pay, &blk)
+		dst.OrBlock(base, &blk)
+	}
 }
 
 // intersects reports whether any cell of the set is set in q.
@@ -192,7 +220,8 @@ func (cs *containerSet) forEach(fn func(cell uint64) bool) {
 			}
 			continue
 		}
-		blk := t.block()
+		var blk [binenc.TileWords]uint64
+		_, _ = binenc.ExpandContainer(t.typ, t.pay, &blk)
 		for wi := range blk {
 			word := blk[wi]
 			base := t.base + uint64(wi)*64

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"subzero/internal/bitmap"
+	"subzero/internal/fault"
 	"subzero/internal/grid"
 	"subzero/internal/obs"
 	"subzero/internal/rtree"
@@ -15,35 +16,85 @@ import (
 
 // The lookup hot path is span-oriented end to end: query bitmaps are
 // walked as runs, hashtable probes are grouped into batches served under
-// one kvstore lock, records stay in container form and replay
-// word-parallel into the destination bitmap, and Many-encoding index
-// probes are rectangle window queries instead of per-cell point queries.
-// Per-lookup buffers live in a sync.Pool so a steady query load allocates
-// almost nothing.
+// one kvstore lock, records replay word-parallel into the destination
+// bitmap without a per-cell slice, and Many-encoding index probes are
+// rectangle window queries instead of per-cell point queries.
+//
+// FullOne lookups (both directions, lookupFullOne) touch thousands of
+// records per query and decode none they do not keep: each 256-cell batch
+// probes its cell entries, dedups the referenced pair ids against a
+// per-lookup bitset, serves the ids the record cache holds under one recMu
+// acquisition, and fetches the rest with one GetBatch. A fetched record is
+// decoded only while the cache has room to admit it; otherwise it is
+// validated whole from its bytes and only then is the one side the query
+// needs ORed into dst. Per-lookup buffers and callbacks live in a
+// sync.Pool, so a steady query load allocates almost nothing.
 
 // probeBatchSize is how many per-cell hashtable probes are grouped into
 // one kvstore GetBatch call (one lock acquisition / I/O pass per batch).
 // It is also the abort-poll granularity of the One-encoding paths.
 const probeBatchSize = 256
 
-// lookupScratch holds the reusable buffers of one in-flight lookup.
+// lookupScratch holds the reusable buffers of one in-flight lookup and,
+// for lookupFullOne, its state. The callbacks it hands to kvstore are
+// method values bound once when the scratch is made: a func passed through
+// the kvstore.Store interface escapes, so binding it per call would
+// allocate.
 type lookupScratch struct {
-	cells  []uint64            // batched query cells awaiting probe
-	keyBuf []byte              // arena backing the probe keys
-	keys   [][]byte            // per-cell probe keys, slices of keyBuf
-	ids    []uint64            // decoded pair-id list of one cell entry
-	seen   map[uint64]struct{} // pair ids already applied this lookup
+	cells  []uint64 // batched query cells awaiting probe
+	keyBuf []byte   // arena backing the probe keys
+	keys   [][]byte // per-batch probe keys, slices of keyBuf
+	ids    []uint64 // pair ids one batch's cell entries reference
+
+	// lookupFullOne state. done is a bitset over the dense pair ids
+	// [0, nextPair) applied this lookup and replayed lists them in order
+	// (release clears their words; an id past the bitset — only a
+	// crash-recovered store holds one — is never marked, so at worst it
+	// applies twice). hits and misses split one batch's new ids by cache
+	// presence; decoded holds the misses decoded for admission.
+	done     []uint64
+	replayed []uint64
+	hits     []*record
+	misses   []uint64
+	decoded  []cachedRecord
+	room     int // misses the cache can still admit
+	st       *Store
+	sp       *trace.Span
+	dst      *bitmap.Bitmap
+	slot     int
+	side     int // outSide or an input index
+	abort    func() bool
+	err      error
+
+	entryFn  func(int, []byte, bool) bool // sc.onCellEntry
+	recordFn func(int, []byte, bool) bool // sc.onRecord
+}
+
+// cachedRecord is a record decoded by a lookup, awaiting cache admission.
+type cachedRecord struct {
+	id  uint64
+	rec *record
 }
 
 var scratchPool = sync.Pool{
-	New: func() any { return &lookupScratch{seen: make(map[uint64]struct{}, 64)} },
+	New: func() any {
+		sc := new(lookupScratch)
+		sc.entryFn, sc.recordFn = sc.onCellEntry, sc.onRecord
+		return sc
+	},
 }
 
 func getScratch() *lookupScratch { return scratchPool.Get().(*lookupScratch) }
 
 func (sc *lookupScratch) release() {
 	sc.cells = sc.cells[:0]
-	clear(sc.seen)
+	for _, id := range sc.replayed {
+		if w := id / 64; w < uint64(len(sc.done)) {
+			sc.done[w] = 0
+		}
+	}
+	sc.replayed = sc.replayed[:0]
+	sc.st, sc.sp, sc.dst, sc.abort, sc.err = nil, nil, nil, nil, nil
 	scratchPool.Put(sc)
 }
 
@@ -116,7 +167,7 @@ func (s *Store) BackwardSpan(sp *trace.Span, q, dst *bitmap.Bitmap, inputIdx int
 	}
 	switch {
 	case s.strat.Enc == One && s.strat.Mode == Full:
-		return s.lookupFullOne(sp, q, dst, 0, inputIdx, false, abort)
+		return s.lookupFullOne(sp, q, dst, 0, inputIdx, abort)
 	case s.strat.Enc == Many && s.strat.Mode == Full:
 		return s.backwardFullMany(q, dst, inputIdx, abort)
 	case s.strat.Enc == One:
@@ -126,68 +177,149 @@ func (s *Store) BackwardSpan(sp *trace.Span, q, dst *bitmap.Bitmap, inputIdx int
 	}
 }
 
-// lookupFullOne serves both directions of the FullOne encodings: probe
-// the slot's per-cell hash entries in batches, then replay each distinct
-// referenced pair record into dst exactly once (records repeat under
-// fanout, so the dedup both batches record fetches and skips redundant
-// bitmap writes).
-func (s *Store) lookupFullOne(sp *trace.Span, q, dst *bitmap.Bitmap, slot, inputIdx int, forward bool, abort func() bool) error {
+// lookupFullOne serves both directions of the FullOne encodings: probe the
+// slot's per-cell hash entries in batches and apply the side of each
+// distinct referenced pair record into dst exactly once (records repeat
+// under fanout, so the dedup both saves fetches and skips redundant bitmap
+// writes). See the file comment for the per-batch steps.
+func (s *Store) lookupFullOne(sp *trace.Span, q, dst *bitmap.Bitmap, slot, side int, abort func() bool) error {
 	sc := getScratch()
 	defer sc.release()
-	var err error
-	process := func() bool {
-		if len(sc.cells) == 0 {
-			return true
-		}
-		if aborted(abort) {
-			err = ErrAborted
-			return false
-		}
-		sc.buildKeys(slot)
-		// Phase 1: drain the hashtable batch into the id scratch. No
-		// store re-entry happens under the batch's lock; record fetches
-		// wait for phase 2.
-		sc.ids = sc.ids[:0]
-		ksp := sp.Child("kvstore.GetBatch", obs.SpanKVProbe)
-		ksp.SetAttrInt("keys", int64(len(sc.keys)))
-		berr := s.kv.GetBatch(sc.keys, func(_ int, val []byte, ok bool) bool {
-			if !ok {
-				return true
-			}
-			if sc.ids, err = appendIDList(sc.ids, val); err != nil {
-				err = s.corruptf(err)
-			}
-			return err == nil
-		})
-		ksp.End()
-		if berr != nil && err == nil {
-			err = berr
-		}
-		if err != nil {
-			return false
-		}
-		// Phase 2: replay each referenced pair record exactly once.
-		for _, id := range sc.ids {
-			if _, dup := sc.seen[id]; dup {
-				continue
-			}
-			sc.seen[id] = struct{}{}
-			rec, rerr := s.getRecord(id)
-			if rerr != nil {
-				err = rerr
-				return false
-			}
-			if forward {
-				rec.outs.addTo(dst)
-			} else {
-				rec.ins[inputIdx].addTo(dst)
-			}
-		}
-		sc.cells = sc.cells[:0]
+	sc.st, sc.sp, sc.dst, sc.slot, sc.side, sc.abort = s, sp, dst, slot, side, abort
+	if n := (s.nextPair.Load() + 63) / 64; n <= uint64(cap(sc.done)) {
+		sc.done = sc.done[:n] // release left every word zero
+	} else {
+		sc.done = make([]uint64, n)
+	}
+	sc.forEachBatch(q, sc.fullOneBatch)
+	return sc.err
+}
+
+// fullOneBatch resolves one batch of query cells for lookupFullOne.
+func (sc *lookupScratch) fullOneBatch() bool {
+	if len(sc.cells) == 0 {
 		return true
 	}
-	sc.forEachBatch(q, process)
-	return err
+	if aborted(sc.abort) {
+		sc.err = ErrAborted
+		return false
+	}
+	s := sc.st
+	// Probe the batch's cell entries into the id scratch.
+	sc.buildKeys(sc.slot)
+	sc.ids = sc.ids[:0]
+	if !sc.getBatch(sc.entryFn) {
+		return false
+	}
+	sc.cells = sc.cells[:0]
+
+	// Keep the ids no earlier batch applied, then serve the cached ones.
+	from := len(sc.replayed)
+	for _, id := range sc.ids {
+		if w := id / 64; w < uint64(len(sc.done)) {
+			bit := uint64(1) << (id % 64)
+			if sc.done[w]&bit != 0 {
+				continue
+			}
+			sc.done[w] |= bit
+		}
+		sc.replayed = append(sc.replayed, id)
+	}
+	s.recMu.Lock()
+	for _, id := range sc.replayed[from:] {
+		if rec, ok := s.recCache[id]; ok {
+			sc.hits = append(sc.hits, rec)
+		} else {
+			sc.misses = append(sc.misses, id)
+		}
+	}
+	sc.room = recCacheLimit - len(s.recCache)
+	s.recMu.Unlock()
+	for _, rec := range sc.hits {
+		rec.side(sc.side).addTo(sc.dst)
+	}
+	clear(sc.hits)
+	sc.hits = sc.hits[:0]
+	if len(sc.misses) == 0 {
+		return true
+	}
+
+	// Fetch the misses with one batch; onRecord applies each one.
+	sc.keyBuf, sc.keys = sc.keyBuf[:0], sc.keys[:0]
+	for _, id := range sc.misses {
+		if err := fault.Inject(fpDecode); err != nil {
+			sc.err = s.corruptf(err)
+			break
+		}
+		off := len(sc.keyBuf)
+		sc.keyBuf = append(sc.keyBuf, keyPair)
+		sc.keyBuf = binary.AppendUvarint(sc.keyBuf, id)
+		sc.keys = append(sc.keys, sc.keyBuf[off:len(sc.keyBuf):len(sc.keyBuf)])
+	}
+	ok := sc.err == nil && sc.getBatch(sc.recordFn)
+	sc.misses = sc.misses[:0]
+	// Admission waits until the batch is over: recMu is never taken
+	// inside a kvstore callback.
+	if len(sc.decoded) > 0 {
+		s.recMu.Lock()
+		for _, d := range sc.decoded {
+			s.admitLocked(d.id, d.rec)
+		}
+		s.recMu.Unlock()
+		clear(sc.decoded)
+		sc.decoded = sc.decoded[:0]
+	}
+	return ok
+}
+
+// getBatch runs one kvstore batch over sc.keys under a probe span,
+// reporting whether the lookup may go on.
+func (sc *lookupScratch) getBatch(fn func(int, []byte, bool) bool) bool {
+	ksp := sc.sp.Child("kvstore.GetBatch", obs.SpanKVProbe)
+	ksp.SetAttrInt("keys", int64(len(sc.keys)))
+	err := sc.st.kv.GetBatch(sc.keys, fn)
+	ksp.End()
+	if err != nil && sc.err == nil {
+		sc.err = err
+	}
+	return sc.err == nil
+}
+
+// onCellEntry appends one cell entry's pair ids to sc.ids.
+func (sc *lookupScratch) onCellEntry(_ int, val []byte, ok bool) bool {
+	if !ok {
+		return true
+	}
+	var err error
+	if sc.ids, err = appendIDList(sc.ids, val); err != nil {
+		sc.err = sc.st.corruptf(err)
+		return false
+	}
+	return true
+}
+
+// onRecord applies the fetched record of sc.misses[i]: decoded, if the
+// cache has room to admit it afterwards, else replayed from its bytes.
+// Either way the whole record validates before any cell reaches dst.
+func (sc *lookupScratch) onRecord(i int, val []byte, ok bool) bool {
+	s, id := sc.st, sc.misses[i]
+	if !ok {
+		sc.err = s.danglingf(id)
+		return false
+	}
+	if sc.room <= 0 {
+		sc.err = s.replayRecord(val, sc.side, sc.dst)
+		return sc.err == nil
+	}
+	rec, err := s.loadRecord(val)
+	if err != nil {
+		sc.err = err
+		return false
+	}
+	sc.room--
+	sc.decoded = append(sc.decoded, cachedRecord{id, rec})
+	rec.side(sc.side).addTo(sc.dst)
+	return true
 }
 
 // candidateIDs collects the distinct pair ids whose key-side bounding box
@@ -376,7 +508,7 @@ func (s *Store) ForwardSpan(sp *trace.Span, q, dst *bitmap.Bitmap, inputIdx int,
 			return true, nil
 		})
 	case s.strat.Enc == One:
-		return s.lookupFullOne(sp, q, dst, inputIdx, inputIdx, true, abort)
+		return s.lookupFullOne(sp, q, dst, inputIdx, outSide, abort)
 	default:
 		return s.forwardFullMany(q, dst, inputIdx, abort)
 	}
@@ -419,7 +551,7 @@ func (s *Store) forwardPayOneScan(q, dst *bitmap.Bitmap, inputIdx int, mapp Payl
 		}
 		err := forEachPayload(val, func(p []byte) error {
 			buf = mapp(cell, p, inputIdx, buf[:0])
-			if anyInBitmap(buf, q) {
+			if intersectsBitmap(buf, q) {
 				dst.Set(cell)
 				return errPayloadHit
 			}
@@ -444,7 +576,7 @@ func (s *Store) forwardPayManyScan(q, dst *bitmap.Bitmap, inputIdx int, mapp Pay
 				return true
 			}
 			buf = mapp(out, rec.payload, inputIdx, buf[:0])
-			if anyInBitmap(buf, q) {
+			if intersectsBitmap(buf, q) {
 				dst.Set(out)
 			}
 			return true
@@ -493,5 +625,3 @@ func intersectsBitmap(cells []uint64, b *bitmap.Bitmap) bool {
 	}
 	return false
 }
-
-func anyInBitmap(cells []uint64, b *bitmap.Bitmap) bool { return intersectsBitmap(cells, b) }

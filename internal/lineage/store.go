@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"subzero/internal/bitmap"
 	"subzero/internal/fault"
 	"subzero/internal/grid"
 	"subzero/internal/kvstore"
@@ -134,7 +135,10 @@ type Store struct {
 	pendingCount int
 
 	// recMu guards recCache, which lookups fill while holding the gate
-	// only shared.
+	// only shared. The cache admits decoded records while it has room
+	// (recCacheLimit) and is never wiped, so a working set larger than the
+	// limit keeps the records it admitted first and replays the rest from
+	// their bytes. recMu is never taken inside a kvstore callback.
 	recMu    sync.Mutex
 	recCache map[uint64]*record
 
@@ -850,21 +854,44 @@ func (s *Store) getRecord(id uint64) (*record, error) {
 		return nil, err
 	}
 	if !ok {
-		// A cell entry or index item references a record the hashtable
-		// does not hold: the store's invariants are broken, not the query.
-		return nil, s.corruptf(fmt.Errorf("lineage: dangling pair id %d", id))
+		return nil, s.danglingf(id)
 	}
 	rec, err = s.loadRecord(val)
 	if err != nil {
 		return nil, err
 	}
 	s.recMu.Lock()
-	if len(s.recCache) >= recCacheLimit {
-		s.recCache = make(map[uint64]*record)
-	}
-	s.recCache[id] = rec
+	s.admitLocked(id, rec)
 	s.recMu.Unlock()
 	return rec, nil
+}
+
+// admitLocked caches a decoded record if the cache has room; a full cache
+// is left as it is. The caller holds recMu.
+func (s *Store) admitLocked(id uint64, rec *record) {
+	if len(s.recCache) < recCacheLimit {
+		s.recCache[id] = rec
+	}
+}
+
+// danglingf reports a cell entry or index item that references a record
+// the hashtable does not hold: the store's invariants are broken, not the
+// query.
+func (s *Store) danglingf(id uint64) error {
+	return s.corruptf(fmt.Errorf("lineage: dangling pair id %d", id))
+}
+
+// replayRecord is loadRecord's in-place twin for Full stores: it validates
+// a pair-record value whole (fullRecordSide) and only then ORs one side's
+// cells into dst, decoding nothing. A value loadRecord would reject is
+// corruption here too, and leaves dst untouched.
+func (s *Store) replayRecord(val []byte, side int, dst *bitmap.Bitmap) error {
+	set, err := fullRecordSide(val, len(s.inSpaces), side)
+	if err != nil {
+		return s.corruptf(err)
+	}
+	orCellSet(dst, set)
+	return nil
 }
 
 // loadRecord decodes a pair-record value and checks it is a record this
