@@ -197,8 +197,8 @@ func BenchmarkFig6bGenomicsStatic(b *testing.B) { genomicsQueryBench(b, false) }
 // BenchmarkFig6cGenomicsDynamic: Figure 6(c), query-time optimizer on.
 func BenchmarkFig6cGenomicsDynamic(b *testing.B) { genomicsQueryBench(b, true) }
 
-// BenchmarkFig7OptimizerSweep: Figure 7 — per storage budget, the ILP
-// solve plus the workload under the chosen plan.
+// BenchmarkFig7OptimizerSweep: Figure 7 — per storage budget, the
+// optimizer's plan search plus the workload under the chosen plan.
 func BenchmarkFig7OptimizerSweep(b *testing.B) {
 	budgets := []int64{1 << 20, 20 << 20, 100 << 20}
 	for _, budget := range budgets {

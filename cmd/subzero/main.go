@@ -5,8 +5,8 @@
 //
 //	subzero [-scale 0.25] [-strategy SubZero] [-dir /tmp/subzero] [-optimize]
 //
-// With -optimize it additionally profiles the workflow, runs the ILP
-// strategy optimizer under the given -budget, and reports the chosen plan.
+// With -optimize it additionally profiles the genomics workflow, solves the
+// paper's §VII strategy program under the given -budget, and reports the plan.
 package main
 
 import (
@@ -22,7 +22,6 @@ import (
 	"subzero/internal/genomics"
 	"subzero/internal/kvstore"
 	"subzero/internal/lineage"
-	"subzero/internal/opt"
 	"subzero/internal/query"
 	"subzero/internal/workflow"
 
@@ -40,7 +39,7 @@ func run() error {
 	scale := flag.Float64("scale", 0.25, "astronomy image scale (1.0 = 512x2000)")
 	strategy := flag.String("strategy", "SubZero", "lineage strategy: BlackBox|BlackBoxOpt|FullOne|FullMany|SubZero")
 	dir := flag.String("dir", "", "lineage storage directory (default in-memory)")
-	optimize := flag.Bool("optimize", false, "also run the ILP strategy optimizer (genomics workflow)")
+	optimize := flag.Bool("optimize", false, "also run the strategy optimizer (genomics workflow)")
 	budget := flag.Int64("budget", 20<<20, "optimizer storage budget in bytes")
 	flag.Parse()
 
@@ -143,6 +142,5 @@ func demoOptimizer(ctx context.Context, budget int64) error {
 	for _, qn := range genomics.QueryNames {
 		fmt.Printf("  %-4s %s\n", qn, benchfmt.Duration(r.QueryTimes[qn]))
 	}
-	_ = opt.Constraints{} // (package reference for documentation linkage)
 	return nil
 }

@@ -1,5 +1,5 @@
 // Optimizer: the Figure-7 story through the public API. A payload UDF's
-// lineage can be stored many ways; the ILP optimizer picks the best mix
+// lineage can be stored many ways; the optimizer finds the exact best mix
 // for a sample workload under a storage budget, switching from black-box
 // (tight budget) to backward-optimized payload lineage to
 // both-orientations lineage as the budget grows.

@@ -251,7 +251,7 @@ type SweepResult struct {
 }
 
 // OptimizerSweep reproduces Figure 7: a profiling run measures per-UDF
-// lineage volumes, then for each storage budget the ILP chooses a plan,
+// lineage volumes, then for each storage budget the optimizer chooses a plan,
 // the workflow re-runs under it, and the workload is measured.
 func OptimizerSweep(ctx context.Context, cfg GenConfig, budgets []int64, storageRoot string) ([]SweepResult, error) {
 	// Profiling run: built-ins Map, UDFs materialize both a Full and a

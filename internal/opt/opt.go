@@ -2,9 +2,9 @@
 // §VII): given per-operator statistics from a profiling run, a sample
 // lineage query workload, and user storage/runtime constraints, it chooses
 // the set of storage strategies per operator that minimizes expected
-// workload query cost, by formulating and solving a 0/1 integer program.
+// workload query cost.
 //
-// The formulation follows the paper:
+// The program is the paper's 0/1 integer program:
 //
 //	min_x  Σ_i p_i · min_{j | x_ij=1} q_ij  +  ε·Σ_ij (disk_ij + β·run_ij)·x_ij
 //	s.t.   Σ_ij disk_ij·x_ij ≤ MaxDISK
@@ -16,9 +16,14 @@
 // the query processor picks the cheapest *chosen* strategy per query, and
 // a backward-optimized store answers backward queries cheaply while being
 // useless for forward ones (this is what makes "store both orientations"
-// configurations like the paper's FullBoth/SubZero20 worthwhile). Each
-// min-term is linearized exactly with assignment variables y_ij ≤ x_ij,
-// Σ_j y_ij = 1.
+// configurations like the paper's FullBoth/SubZero20 worthwhile).
+//
+// Operators interact only through the two budget sums, so the program is
+// solved exactly without an LP solver (frontier.go): each operator
+// contributes a short list of selections — its cheapest backward and
+// forward strategies plus the forced ones — and operators are merged one
+// at a time, keeping only the (disk, runtime, objective) partial plans no
+// other partial plan dominates.
 package opt
 
 import (
@@ -27,7 +32,6 @@ import (
 	"time"
 
 	"subzero/internal/lineage"
-	"subzero/internal/lp"
 	"subzero/internal/query"
 	"subzero/internal/workflow"
 )
@@ -63,7 +67,6 @@ type Report struct {
 	DiskBytes int64         // total estimated disk of the chosen plan
 	Runtime   time.Duration // total estimated runtime overhead
 	SolveTime time.Duration
-	Status    lp.Status
 }
 
 // Optimizer chooses lineage strategies for a workflow using statistics
@@ -89,10 +92,11 @@ func (o *Optimizer) Force(nodeID string, strategies ...lineage.Strategy) {
 	o.forced[nodeID] = append(o.forced[nodeID], strategies...)
 }
 
-// Choose solves the strategy-selection ILP for the given sample workload
-// and constraints and returns the plan plus a report. The context is
-// checked between per-node candidate enumeration and before the ILP
-// solve; cancellation returns a wrapped ctx.Err().
+// Choose finds the minimum-objective plan for the given sample workload
+// and constraints and returns it with a report. The context is checked
+// before each node is priced and merged; cancellation returns a wrapped
+// ctx.Err(). Constraints no plan meets return an error that says
+// "infeasible".
 func (o *Optimizer) Choose(ctx context.Context, workload []query.Query, cons Constraints) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -106,8 +110,9 @@ func (o *Optimizer) Choose(ctx context.Context, workload []query.Query, cons Con
 	}
 	wl := analyzeWorkload(workload)
 
-	// Enumerate candidate strategies with estimates per node.
+	start := time.Now()
 	perNode := make(map[string][]Choice, len(nodes))
+	f := newFrontier(cons)
 	for _, nodeID := range nodes {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("opt: cancelled at node %q: %w", nodeID, err)
@@ -115,14 +120,11 @@ func (o *Optimizer) Choose(ctx context.Context, workload []query.Query, cons Con
 		cands := o.candidates(nodeID, profiles[nodeID], wl)
 		cands = pruneCandidates(cands, wl, o.forced[nodeID], cons)
 		perNode[nodeID] = cands
+		if err := f.add(nodeID, cands, wl.pBackward(nodeID), wl.pForward(nodeID), o.forced[nodeID]); err != nil {
+			return nil, err
+		}
 	}
-
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("opt: cancelled before solve: %w", err)
-	}
-	rep, err := o.solve(nodes, perNode, wl, cons)
-	if err != nil {
-		return nil, err
-	}
+	rep := f.report(nodes, perNode)
+	rep.SolveTime = time.Since(start)
 	return rep, nil
 }

@@ -10,7 +10,7 @@
 // it under one of several encodings (FullOne, FullMany, PayOne, PayMany —
 // each backward- or forward-optimized), computes it from coordinates
 // (mapping lineage), or re-derives it by re-running operators (black-box
-// lineage). An ILP-based optimizer picks the strategy mix that minimizes
+// lineage). An optimizer picks the strategy mix that exactly minimizes
 // expected query cost under user storage/runtime budgets, and the query
 // executor traces forward and backward lineage queries through the
 // workflow, dynamically falling back to re-execution when materialized

@@ -327,7 +327,7 @@ func NewWireOptimizeReport(rep *OptimizeReport) *WireOptimizeReport {
 		DiskBytes:   rep.DiskBytes,
 		RuntimeNS:   rep.Runtime.Nanoseconds(),
 		SolveTimeNS: rep.SolveTime.Nanoseconds(),
-		Status:      rep.Status.String(),
+		Status:      "optimal", // Choose returns a report only for an optimum
 	}
 }
 
