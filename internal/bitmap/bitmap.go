@@ -134,29 +134,76 @@ func (b *Bitmap) Or(o *Bitmap) error {
 }
 
 // IntersectsRect reports whether any set cell lies inside the rectangle.
+// Parts of r outside the space are ignored, and a rectangle of another
+// rank holds no cell. Each row of the clipped rectangle — its extent along
+// the last dimension — is one word-parallel AnyInRange; nothing is
+// allocated.
 func (b *Bitmap) IntersectsRect(r grid.Rect) bool {
-	clipped, ok := r.Clip(b.space.Shape())
-	if !ok {
+	shape := b.space.Shape()
+	if len(r.Lo) != len(shape) || len(r.Hi) != len(shape) {
 		return false
 	}
-	cur := clipped.Lo.Clone()
-	for {
-		if b.Get(b.space.Ravel(cur)) {
+	last := len(shape) - 1
+	lo, hi := max(r.Lo[last], 0), min(r.Hi[last], shape[last]-1)
+	if lo > hi {
+		return false
+	}
+	return b.anyInRows(r, 0, uint64(lo), uint64(hi-lo+1))
+}
+
+// anyInRows reports whether a set cell lies in a row of r (clipped to the
+// space) whose first cell is base plus a multiple of the strides of
+// dimensions d and up; a row is width cells long. Dimensions before d are
+// already fixed in base, and a dimension r misses leaves nothing to test.
+func (b *Bitmap) anyInRows(r grid.Rect, d int, base, width uint64) bool {
+	shape := b.space.Shape()
+	if d == len(shape)-1 {
+		return b.AnyInRange(base, width)
+	}
+	stride := b.space.Stride(d)
+	lo, hi := max(r.Lo[d], 0), min(r.Hi[d], shape[d]-1)
+	base += uint64(lo) * stride
+	for x := lo; x <= hi; x, base = x+1, base+stride {
+		if d == len(shape)-2 {
+			if b.AnyInRange(base, width) {
+				return true
+			}
+		} else if b.anyInRows(r, d+1, base, width) {
 			return true
 		}
-		d := len(cur) - 1
-		for d >= 0 {
-			cur[d]++
-			if cur[d] <= clipped.Hi[d] {
-				break
-			}
-			cur[d] = clipped.Lo[d]
-			d--
-		}
-		if d < 0 {
-			return false
-		}
 	}
+	return false
+}
+
+// Bounds writes the bounding box of the set cells into lo and hi (each of
+// the space's rank) and reports whether any cell is set. It walks the set
+// cells as runs and does not allocate.
+func (b *Bitmap) Bounds(lo, hi grid.Coord) bool {
+	if b.count == 0 {
+		return false
+	}
+	shape := b.space.Shape()
+	for d, n := range shape {
+		lo[d], hi[d] = n, -1
+	}
+	b.IterateRuns(func(start, length uint64) bool {
+		first, last := start, start+length-1
+		for d, n := range shape {
+			// The run's cells take the consecutive slab numbers
+			// first/stride .. last/stride along dimension d; their
+			// coordinates are those numbers mod n, which cover the whole
+			// extent once they wrap.
+			stride := b.space.Stride(d)
+			a, z := first/stride, last/stride
+			ca, cz := int(a%uint64(n)), int(z%uint64(n))
+			if z-a >= uint64(n) || ca > cz {
+				ca, cz = 0, n-1
+			}
+			lo[d], hi[d] = min(lo[d], ca), max(hi[d], cz)
+		}
+		return true
+	})
+	return true
 }
 
 // Iterate calls fn with each set index in ascending order until fn returns

@@ -95,6 +95,128 @@ func TestIntersectsRect(t *testing.T) {
 	if b.IntersectsRect(grid.Rect{Lo: grid.Coord{0, 0}, Hi: grid.Coord{3, 3}}) {
 		t.Fatal("should not intersect")
 	}
+	// Rows past the edge of an inner dimension must not wrap into the
+	// next slab, whose first rows follow them in linear order.
+	sp3 := space(3, 5, 67)
+	b3 := New(sp3)
+	b3.Set(sp3.Ravel(grid.Coord{1, 0, 10}))
+	b3.Set(sp3.Ravel(grid.Coord{0, 4, 67 - 1}))
+	if b3.IntersectsRect(grid.Rect{Lo: grid.Coord{0, 3, 5}, Hi: grid.Coord{0, 6, 20}}) {
+		t.Fatal("rect wrapped into the next slab")
+	}
+	if b3.IntersectsRect(grid.Rect{Lo: grid.Coord{1, 0, -70}, Hi: grid.Coord{1, 0, 9}}) {
+		t.Fatal("rect wrapped into the previous row")
+	}
+}
+
+// randomBitmaps returns bitmaps over sp from empty to full, with random
+// densities and a single set cell in between.
+func randomBitmaps(rng *rand.Rand, sp *grid.Space) []*Bitmap {
+	var out []*Bitmap
+	for _, density := range []float64{0, 0.001, 0.02, 0.3, 1} {
+		b := New(sp)
+		for i := uint64(0); i < sp.Size(); i++ {
+			if rng.Float64() < density {
+				b.Set(i)
+			}
+		}
+		out = append(out, b)
+	}
+	one := New(sp)
+	one.Set(uint64(rng.Int63n(int64(sp.Size()))))
+	return append(out, one)
+}
+
+// randomRect draws a rectangle of the given rank that may stick out of
+// shape on any side, lie wholly outside it, or be inverted.
+func randomRect(rng *rand.Rand, shape grid.Shape, rank int) grid.Rect {
+	r := grid.Rect{Lo: make(grid.Coord, rank), Hi: make(grid.Coord, rank)}
+	for d := range r.Lo {
+		n := 4
+		if d < len(shape) {
+			n = shape[d]
+		}
+		r.Lo[d] = rng.Intn(n+6) - 3
+		r.Hi[d] = r.Lo[d] + rng.Intn(n/2+3) - 1
+	}
+	return r
+}
+
+// IntersectsRect must agree with a per-cell scan of the space on every
+// rank, including rectangles clipped by or outside the space, inverted
+// ones and ones of another rank, and must not allocate.
+func TestIntersectsRectMatchesCells(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, sp := range []*grid.Space{space(70), space(200), space(9, 70), space(3, 5, 67)} {
+		shape := sp.Shape()
+		coord := make(grid.Coord, sp.Rank())
+		for _, b := range randomBitmaps(rng, sp) {
+			var rects []grid.Rect
+			for i := 0; i < 300; i++ {
+				rank := sp.Rank()
+				if i%50 == 0 {
+					rank++ // another rank holds no cell
+				}
+				r := randomRect(rng, shape, rank)
+				want := false
+				for c := uint64(0); c < sp.Size() && !want; c++ {
+					sp.UnravelInto(c, coord)
+					want = b.Get(c) && r.Contains(coord)
+				}
+				if got := b.IntersectsRect(r); got != want {
+					t.Fatalf("shape %v, %d set, rect %v: IntersectsRect = %v, want %v", shape, b.Count(), r, got, want)
+				}
+				rects = append(rects, r)
+			}
+			if allocs := testing.AllocsPerRun(10, func() {
+				for _, r := range rects {
+					b.IntersectsRect(r)
+				}
+			}); allocs != 0 {
+				t.Fatalf("IntersectsRect allocates %.1f per %d rects, want 0", allocs, len(rects))
+			}
+		}
+	}
+}
+
+// Bounds must be the bounding box of the set cells on every rank, false
+// for an empty bitmap, and allocation-free.
+func TestBoundsMatchesCells(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for _, sp := range []*grid.Space{space(70), space(9, 70), space(64, 64), space(3, 5, 67)} {
+		rank := sp.Rank()
+		lo, hi := make(grid.Coord, rank), make(grid.Coord, rank)
+		coord := make(grid.Coord, rank)
+		for _, b := range randomBitmaps(rng, sp) {
+			// A lone run across row boundaries, too.
+			run := New(sp)
+			start := uint64(rng.Int63n(int64(sp.Size())))
+			run.SetRun(start, uint64(rng.Int63n(int64(sp.Size()-start)))+1)
+			for _, b := range []*Bitmap{b, run} {
+				wantLo, wantHi := make(grid.Coord, rank), make(grid.Coord, rank)
+				for d := range wantLo {
+					wantLo[d], wantHi[d] = sp.Shape()[d], -1
+				}
+				b.Iterate(func(c uint64) bool {
+					sp.UnravelInto(c, coord)
+					for d := range coord {
+						wantLo[d], wantHi[d] = min(wantLo[d], coord[d]), max(wantHi[d], coord[d])
+					}
+					return true
+				})
+				ok := b.Bounds(lo, hi)
+				if ok != !b.Empty() {
+					t.Fatalf("shape %v, %d set: Bounds ok = %v", sp.Shape(), b.Count(), ok)
+				}
+				if ok && (!lo.Equal(wantLo) || !hi.Equal(wantHi)) {
+					t.Fatalf("shape %v, %d set: Bounds = %v..%v, want %v..%v", sp.Shape(), b.Count(), lo, hi, wantLo, wantHi)
+				}
+				if allocs := testing.AllocsPerRun(10, func() { b.Bounds(lo, hi) }); allocs != 0 {
+					t.Fatalf("Bounds allocates %.1f, want 0", allocs)
+				}
+			}
+		}
+	}
 }
 
 func TestIterateOrderAndEarlyStop(t *testing.T) {

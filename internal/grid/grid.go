@@ -146,6 +146,10 @@ func (sp *Space) Size() uint64 { return sp.size }
 // Contains reports whether c lies inside the space.
 func (sp *Space) Contains(c Coord) bool { return sp.shape.Contains(c) }
 
+// Stride returns the distance in linear index between neighbouring cells
+// along dimension d.
+func (sp *Space) Stride(d int) uint64 { return sp.strides[d] }
+
 // Ravel converts a coordinate to its row-major linear index. The coordinate
 // must be inside the space.
 func (sp *Space) Ravel(c Coord) uint64 {

@@ -54,6 +54,43 @@ func TestBackwardLookupAllocBound(t *testing.T) {
 	}
 }
 
+// A warmed FullMany backward lookup walks the R-tree once into the pooled
+// id scratch and replays cached records: no candidate map, no window
+// rectangle, no closure per record. The pointer-per-entry index with one
+// window search per query rectangle took 17 allocations on this fixture;
+// the bound leaves room for a pool refill after a GC.
+func TestBackwardFullManyAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("pooled lookup scratch: sync.Pool drops Puts at random under -race")
+	}
+	rng := rand.New(rand.NewSource(21))
+	pairs := randomPairs(rng, 400)
+	st, err := OpenStore(kvstore.NewMem(), StratFullMany, tOutSpace, tInSpaces)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.WritePairs(pairs); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	q := randomQuery(rng, tOutSpace, 600)
+	dst := bitmap.New(tInSpaces[0])
+	lookup := func() {
+		dst.Clear()
+		if err := st.Backward(q, dst, 0, nil, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		lookup()
+	}
+	if allocs := testing.AllocsPerRun(20, lookup); allocs > 2 {
+		t.Fatalf("warmed FullMany Backward allocates %.1f/op, want <= 2", allocs)
+	}
+}
+
 // The write path must stay within a small constant allocation budget per
 // pair: one record encode, one batched key, and amortized map growth.
 // This guards the enqueue-side cost of the ingest pipeline — if per-pair

@@ -14,8 +14,9 @@ import (
 // that starts while it is in flight waits for it — with no coordinator
 // attached, the case the old lock-free fast path left open to R-tree
 // inserts under a running search. The test needs no race detector: the
-// lookup parks inside its abort hook (polled per rectangle in candidateIDs
-// for Many encodings, per probe batch in lookupFullOne for One), WritePairs
+// lookup parks inside its abort hook (polled before the index walk in
+// candidateIDs for Many encodings, per probe batch in lookupFullOne for
+// One), WritePairs
 // starts on another goroutine, and must not return until the lookup is
 // released.
 func TestWriteWaitsForInFlightLookup(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"subzero/internal/bitmap"
@@ -16,9 +17,15 @@ import (
 
 // The lookup hot path is span-oriented end to end: query bitmaps are
 // walked as runs, hashtable probes are grouped into batches served under
-// one kvstore lock, records replay word-parallel into the destination
-// bitmap without a per-cell slice, and Many-encoding index probes are
-// rectangle window queries instead of per-cell point queries.
+// one kvstore lock, and records replay word-parallel into the destination
+// bitmap without a per-cell slice.
+//
+// Many-encoding lookups (candidateIDs) walk the slot's R-tree once per
+// query: every node and item box is clipped to the query's bounding box,
+// computed once, and tested against the query bitmap one row per
+// word-parallel AnyInRange. Each pair has one item per slot tree, so the
+// walk yields every candidate pair id once, in tree order, into the
+// pooled id scratch; no map and no per-rectangle window search.
 //
 // FullOne lookups (both directions, lookupFullOne) touch thousands of
 // records per query and decode none they do not keep: each 256-cell batch
@@ -36,15 +43,23 @@ import (
 const probeBatchSize = 256
 
 // lookupScratch holds the reusable buffers of one in-flight lookup and,
-// for lookupFullOne, its state. The callbacks it hands to kvstore are
-// method values bound once when the scratch is made: a func passed through
-// the kvstore.Store interface escapes, so binding it per call would
-// allocate.
+// for lookupFullOne and candidateIDs, their state. The callbacks it hands
+// to kvstore are method values bound once when the scratch is made: a
+// func passed through the kvstore.Store interface escapes, so binding it
+// per call would allocate.
 type lookupScratch struct {
 	cells  []uint64 // batched query cells awaiting probe
 	keyBuf []byte   // arena backing the probe keys
 	keys   [][]byte // per-batch probe keys, slices of keyBuf
-	ids    []uint64 // pair ids one batch's cell entries reference
+	ids    []uint64 // pair ids one batch's cell entries reference, or a Many lookup's candidates
+
+	// candidateIDs state, beside abort and err below: the query, its
+	// bounding box, the box under test clipped to it, and the boxes tested
+	// since the walk began.
+	q            *bitmap.Bitmap
+	qlo, qhi     grid.Coord
+	boxLo, boxHi grid.Coord
+	tested       int
 
 	// lookupFullOne state. done is a bitset over the dense pair ids
 	// [0, nextPair) applied this lookup and replayed lists them in order
@@ -94,7 +109,7 @@ func (sc *lookupScratch) release() {
 		}
 	}
 	sc.replayed = sc.replayed[:0]
-	sc.st, sc.sp, sc.dst, sc.abort, sc.err = nil, nil, nil, nil, nil
+	sc.st, sc.sp, sc.dst, sc.q, sc.abort, sc.err = nil, nil, nil, nil, nil, nil
 	scratchPool.Put(sc)
 }
 
@@ -322,51 +337,84 @@ func (sc *lookupScratch) onRecord(i int, val []byte, ok bool) bool {
 	return true
 }
 
-// candidateIDs collects the distinct pair ids whose key-side bounding box
-// intersects the query, by decomposing the query bitmap into covering
-// rectangles and running one R-tree window query per rectangle.
-func (s *Store) candidateIDs(q *bitmap.Bitmap, slot int, abort func() bool) (map[uint64]struct{}, error) {
-	ids := make(map[uint64]struct{})
-	tr := s.trees[slot]
-	var err error
-	q.IterateRects(func(r grid.Rect) bool {
-		// One rect replaces a whole batch of point probes, so poll the
-		// abort hook on every window query.
-		if aborted(abort) {
-			err = ErrAborted
-			return false
-		}
-		tr.SearchRect(r, func(it rtree.Item) bool {
-			ids[it.ID] = struct{}{}
-			return true
-		})
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return ids, nil
-}
-
-func (s *Store) backwardFullMany(q, dst *bitmap.Bitmap, inputIdx int, abort func() bool) error {
-	ids, err := s.candidateIDs(q, 0, abort)
-	if err != nil {
+// forEachCandidate calls fn with the record of every pair whose key-side
+// bounding box in slot's index holds a cell of q, once each, polling abort
+// between records as candidateIDs does between boxes.
+func (s *Store) forEachCandidate(q *bitmap.Bitmap, slot int, abort func() bool, fn func(*record)) error {
+	sc := getScratch()
+	defer sc.release()
+	if err := sc.candidateIDs(s.trees[slot], q, abort); err != nil {
 		return err
 	}
-	n := 0
-	for id := range ids {
-		if n++; n%abortCheckInterval == 0 && aborted(abort) {
+	for i, id := range sc.ids {
+		if (i+1)%abortCheckInterval == 0 && aborted(abort) {
 			return ErrAborted
 		}
 		rec, err := s.getRecord(id)
 		if err != nil {
 			return err
 		}
+		fn(rec)
+	}
+	return nil
+}
+
+// candidateIDs fills sc.ids with the id of every item of tr whose box
+// holds a cell of q, in one walk of the tree (see the file comment). The
+// abort hook is polled once before the walk and then every
+// abortCheckInterval tested boxes.
+func (sc *lookupScratch) candidateIDs(tr *rtree.Tree, q *bitmap.Bitmap, abort func() bool) error {
+	sc.ids = sc.ids[:0]
+	if aborted(abort) {
+		return ErrAborted
+	}
+	rank := q.Space().Rank()
+	sc.qlo, sc.qhi = resize(sc.qlo, rank), resize(sc.qhi, rank)
+	sc.boxLo, sc.boxHi = resize(sc.boxLo, rank), resize(sc.boxHi, rank)
+	if !q.Bounds(sc.qlo, sc.qhi) {
+		return nil
+	}
+	sc.q, sc.abort, sc.tested = q, abort, 0
+	tr.Walk(sc.keepBox, sc.addCandidate)
+	return sc.err
+}
+
+// keepBox is candidateIDs' Walk predicate: does the box, clipped to the
+// query's bounding box, hold a query cell? Once the lookup is aborted it
+// keeps nothing, so the walk unwinds without descending.
+func (sc *lookupScratch) keepBox(lo, hi []int) bool {
+	if sc.err != nil {
+		return false
+	}
+	if sc.tested++; sc.tested%abortCheckInterval == 0 && aborted(sc.abort) {
+		sc.err = ErrAborted
+		return false
+	}
+	// Slicing everything to one length lets the compiler drop the bounds
+	// checks in the loop, which runs for every box of every Many lookup.
+	n := len(lo)
+	hi, qlo, qhi, boxLo, boxHi := hi[:n], sc.qlo[:n], sc.qhi[:n], sc.boxLo[:n], sc.boxHi[:n]
+	for d := range n {
+		boxLo[d], boxHi[d] = max(lo[d], qlo[d]), min(hi[d], qhi[d])
+		if boxLo[d] > boxHi[d] {
+			return false
+		}
+	}
+	return sc.q.IntersectsRect(grid.Rect{Lo: boxLo, Hi: boxHi})
+}
+
+// addCandidate is candidateIDs' Walk visitor.
+func (sc *lookupScratch) addCandidate(id uint64, _, _ []int) bool {
+	sc.ids = append(sc.ids, id)
+	return true
+}
+
+func (s *Store) backwardFullMany(q, dst *bitmap.Bitmap, inputIdx int, abort func() bool) error {
+	return s.forEachCandidate(q, 0, abort, func(rec *record) {
 		if rec.outs.intersects(q) {
 			rec.ins[inputIdx].addTo(dst)
 		}
-	}
-	return nil
+	})
 }
 
 func (s *Store) backwardPayOne(sp *trace.Span, q, dst *bitmap.Bitmap, inputIdx int, mapp PayloadFn, covered *bitmap.Bitmap, abort func() bool) error {
@@ -422,20 +470,8 @@ func (s *Store) backwardPayOne(sp *trace.Span, q, dst *bitmap.Bitmap, inputIdx i
 }
 
 func (s *Store) backwardPayMany(q, dst *bitmap.Bitmap, inputIdx int, mapp PayloadFn, covered *bitmap.Bitmap, abort func() bool) error {
-	ids, err := s.candidateIDs(q, 0, abort)
-	if err != nil {
-		return err
-	}
 	var buf []uint64
-	n := 0
-	for id := range ids {
-		if n++; n%abortCheckInterval == 0 && aborted(abort) {
-			return ErrAborted
-		}
-		rec, err := s.getRecord(id)
-		if err != nil {
-			return err
-		}
+	return s.forEachCandidate(q, 0, abort, func(rec *record) {
 		rec.outs.forEach(func(out uint64) bool {
 			if !q.Get(out) {
 				return true
@@ -447,8 +483,7 @@ func (s *Store) backwardPayMany(q, dst *bitmap.Bitmap, inputIdx int, mapp Payloa
 			}
 			return true
 		})
-	}
-	return nil
+	})
 }
 
 // scanBackward answers a backward query against a forward-optimized store
@@ -515,24 +550,11 @@ func (s *Store) ForwardSpan(sp *trace.Span, q, dst *bitmap.Bitmap, inputIdx int,
 }
 
 func (s *Store) forwardFullMany(q, dst *bitmap.Bitmap, inputIdx int, abort func() bool) error {
-	ids, err := s.candidateIDs(q, inputIdx, abort)
-	if err != nil {
-		return err
-	}
-	n := 0
-	for id := range ids {
-		if n++; n%abortCheckInterval == 0 && aborted(abort) {
-			return ErrAborted
-		}
-		rec, err := s.getRecord(id)
-		if err != nil {
-			return err
-		}
+	return s.forEachCandidate(q, inputIdx, abort, func(rec *record) {
 		if rec.ins[inputIdx].intersects(q) {
 			rec.outs.addTo(dst)
 		}
-	}
-	return nil
+	})
 }
 
 // errPayloadHit stops a payload scan early once the current cell is
@@ -597,10 +619,13 @@ func (s *Store) ContainsOut(cell uint64) (bool, error) {
 		_, ok, err := s.kv.Get(cellKey(0, cell))
 		return ok, err
 	}
-	coord := s.outSpace.Unravel(cell)
+	sc := getScratch()
+	defer sc.release()
+	sc.qlo = resize(sc.qlo, s.outSpace.Rank())
+	s.outSpace.UnravelInto(cell, sc.qlo)
 	found := false
 	var ferr error
-	s.trees[0].SearchPoint(coord, func(it rtree.Item) bool {
+	s.trees[0].SearchPoint(sc.qlo, func(it rtree.Item) bool {
 		rec, err := s.getRecord(it.ID)
 		if err != nil {
 			ferr = err
@@ -616,6 +641,9 @@ func (s *Store) ContainsOut(cell uint64) (bool, error) {
 }
 
 func aborted(abort func() bool) bool { return abort != nil && abort() }
+
+// resize returns c with length rank, reusing its storage when it can.
+func resize(c grid.Coord, rank int) grid.Coord { return slices.Grow(c[:0], rank)[:rank] }
 
 func intersectsBitmap(cells []uint64, b *bitmap.Bitmap) bool {
 	for _, c := range cells {

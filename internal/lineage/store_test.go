@@ -1,6 +1,7 @@
 package lineage
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -348,6 +349,48 @@ func TestStoreAbort(t *testing.T) {
 		dst := bitmap.New(tInSpaces[0])
 		if err := st.Backward(fullQ, dst, 0, testMapP, nil, abort); err != ErrAborted {
 			t.Fatalf("%s: backward abort err=%v, want ErrAborted", strat, err)
+		}
+	}
+}
+
+// A Many lookup polls its abort hook once before the index walk, then
+// every abortCheckInterval tested boxes and every abortCheckInterval
+// records; whichever poll says stop, the lookup returns ErrAborted.
+func TestManyLookupHonorsEveryAbortPoll(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	pairs := randomPairs(rng, 400)
+	for _, strat := range []Strategy{StratFullMany, StratPayMany, StratFullManyFwd} {
+		st, err := OpenStore(kvstore.NewMem(), strat, tOutSpace, tInSpaces)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.WritePairs(toStorePairs(strat, pairs)); err != nil {
+			t.Fatal(err)
+		}
+		lookup := func(abort func() bool) error {
+			if strat.Orient == ForwardOpt {
+				q := bitmap.New(tInSpaces[0])
+				q.SetAll()
+				return st.Forward(q, bitmap.New(tOutSpace), 0, nil, abort)
+			}
+			q := bitmap.New(tOutSpace)
+			q.SetAll()
+			return st.Backward(q, bitmap.New(tInSpaces[0]), 0, testMapP, nil, abort)
+		}
+		polls := 0
+		if err := lookup(func() bool { polls++; return false }); err != nil {
+			t.Fatal(err)
+		}
+		// One before the walk, at least one per 64 of the 400 leaf boxes
+		// and one per 64 of the 400 records.
+		if polls < 1+2*(400/abortCheckInterval) {
+			t.Fatalf("%s: a full-array lookup polled abort %d times", strat, polls)
+		}
+		for k := 1; k <= polls; k++ {
+			n := 0
+			if err := lookup(func() bool { n++; return n == k }); !errors.Is(err, ErrAborted) {
+				t.Fatalf("%s: abort on poll %d of %d: err = %v, want ErrAborted", strat, k, polls, err)
+			}
 		}
 	}
 }

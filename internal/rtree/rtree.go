@@ -8,12 +8,23 @@
 // incremental inserts, an STR (sort-tile-recursive) bulk loader used when a
 // lineage store is reopened, and a compact serialization so the index can
 // be persisted beside its store and charged against the storage budget.
+//
+// Nodes are flat: a node keeps its entries' boxes inline, 2·rank ints per
+// entry (the low corner, then the high corner) in one slice, beside its
+// children or its item ids. Choose-leaf, the quadratic split and MBR
+// refresh read and write those coordinates in place, so an insert
+// allocates only when it creates a node. grid.Rect and Item appear only at
+// the API boundary. There is one traversal, Walk, driven by a predicate
+// over boxes: Search is Walk with a rectangle-overlap predicate, and the
+// lineage store walks once per lookup with a predicate that tests each
+// box against the query bitmap.
 package rtree
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"subzero/internal/grid"
 )
@@ -30,25 +41,49 @@ type Item struct {
 	ID   uint64
 }
 
-type entry struct {
-	rect  grid.Rect
-	child *node // nil in leaves
-	id    uint64
+// node is one tree node. Entry i's box is boxes[i*w : (i+1)*w] with
+// w = 2·rank: its low corner, then its high corner. An internal node's
+// entry i is the MBR of kids[i]; a leaf's entry i is the item ids[i].
+type node struct {
+	leaf  bool
+	boxes []int
+	kids  []*node
+	ids   []uint64
 }
 
-type node struct {
-	leaf    bool
-	entries []entry
-}
+// len returns the number of entries.
+func (n *node) len() int { return len(n.kids) + len(n.ids) }
 
 // Tree is an R-tree. The zero value is not usable; call New or BulkLoad.
-// Tree is not safe for concurrent mutation; concurrent Search is safe.
+// Tree is not safe for concurrent mutation; concurrent Search and Walk
+// are safe.
 type Tree struct {
 	root       *node
 	rank       int
 	maxEntries int
 	minEntries int
 	size       int
+
+	// Insert scratch, reused so that an insert allocates only new nodes.
+	box   []int      // the box being inserted
+	path  []pathStep // ancestors of the chosen leaf
+	split splitScratch
+}
+
+// pathStep is an ancestor on an insert path and the entry taken from it.
+type pathStep struct {
+	n *node
+	i int
+}
+
+// splitScratch holds the entries of a node being split and the running
+// MBRs of the two groups.
+type splitScratch struct {
+	boxes        []int
+	kids         []*node
+	ids          []uint64
+	rest         []int
+	rectA, rectB []int
 }
 
 // New creates an empty tree for rectangles of the given rank.
@@ -68,12 +103,25 @@ func NewWithFanout(rank, maxEntries int) *Tree {
 	if minEntries < 2 {
 		minEntries = 2
 	}
-	return &Tree{
-		root:       &node{leaf: true},
+	t := &Tree{
 		rank:       rank,
 		maxEntries: maxEntries,
 		minEntries: minEntries,
 	}
+	t.root = t.newNode(true)
+	return t
+}
+
+// newNode makes a node with room for one entry past the fan-out, the
+// overflow a split resolves.
+func (t *Tree) newNode(leaf bool) *node {
+	n := &node{leaf: leaf, boxes: make([]int, 0, (t.maxEntries+1)*2*t.rank)}
+	if leaf {
+		n.ids = make([]uint64, 0, t.maxEntries+1)
+	} else {
+		n.kids = make([]*node, 0, t.maxEntries+1)
+	}
+	return n
 }
 
 // Len returns the number of items in the tree.
@@ -90,175 +138,250 @@ func (t *Tree) Insert(it Item) error {
 	if it.Rect.Rank() != t.rank {
 		return fmt.Errorf("rtree: rect rank %d, tree rank %d", it.Rect.Rank(), t.rank)
 	}
-	t.insertEntry(entry{rect: it.Rect, id: it.ID})
+	t.box = append(append(t.box[:0], it.Rect.Lo...), it.Rect.Hi...)
+	leaf := t.chooseLeaf(t.box)
+	leaf.boxes = append(leaf.boxes, t.box...)
+	leaf.ids = append(leaf.ids, it.ID)
+	t.adjust(leaf)
 	t.size++
 	return nil
 }
 
-func (t *Tree) insertEntry(e entry) {
-	leaf, path := t.chooseLeaf(e.rect)
-	leaf.entries = append(leaf.entries, e)
-	t.adjust(leaf, path)
-}
-
-// chooseLeaf descends to the leaf whose MBR needs least enlargement,
-// recording the path of ancestors for upward adjustment.
-func (t *Tree) chooseLeaf(r grid.Rect) (*node, []*node) {
-	var path []*node
+// chooseLeaf descends to the leaf whose MBR needs least enlargement to
+// take box (ties to the smaller MBR, then the earlier entry), recording
+// the path of ancestors for upward adjustment.
+func (t *Tree) chooseLeaf(box []int) *node {
+	t.path = t.path[:0]
 	n := t.root
+	w := 2 * t.rank
 	for !n.leaf {
-		path = append(path, n)
 		best := 0
 		bestEnl, bestArea := math.Inf(1), math.Inf(1)
-		for i := range n.entries {
-			area := rectAreaF(n.entries[i].rect)
-			enl := rectAreaF(n.entries[i].rect.Union(r)) - area
+		for i, o := 0, 0; o < len(n.boxes); i, o = i+1, o+w {
+			e := n.boxes[o : o+w]
+			area := t.area(e)
+			enl := t.unionArea(e, box) - area
 			if enl < bestEnl || (enl == bestEnl && area < bestArea) {
 				best, bestEnl, bestArea = i, enl, area
 			}
 		}
-		n = n.entries[best].child
+		t.path = append(t.path, pathStep{n, best})
+		n = n.kids[best]
 	}
-	return n, path
+	return n
 }
 
 // adjust walks from a modified leaf to the root, splitting overflowing
 // nodes and refreshing ancestor MBRs.
-func (t *Tree) adjust(n *node, path []*node) {
+func (t *Tree) adjust(n *node) {
+	w := 2 * t.rank
 	for {
 		var split *node
-		if len(n.entries) > t.maxEntries {
+		if n.len() > t.maxEntries {
 			split = t.splitNode(n)
 		}
-		if len(path) == 0 {
+		if len(t.path) == 0 {
 			if split != nil {
 				// Root split: grow the tree.
-				newRoot := &node{leaf: false, entries: []entry{
-					{rect: mbr(n), child: n},
-					{rect: mbr(split), child: split},
-				}}
-				t.root = newRoot
+				root := t.newNode(false)
+				root.boxes = t.appendMBR(t.appendMBR(root.boxes, n), split)
+				root.kids = append(root.kids, n, split)
+				t.root = root
 			}
 			return
 		}
-		parent := path[len(path)-1]
-		path = path[:len(path)-1]
-		for i := range parent.entries {
-			if parent.entries[i].child == n {
-				parent.entries[i].rect = mbr(n)
-				break
-			}
-		}
+		step := t.path[len(t.path)-1]
+		t.path = t.path[:len(t.path)-1]
+		parent := step.n
+		t.setMBR(parent.boxes[step.i*w:(step.i+1)*w], n)
 		if split != nil {
-			parent.entries = append(parent.entries, entry{rect: mbr(split), child: split})
+			parent.boxes = t.appendMBR(parent.boxes, split)
+			parent.kids = append(parent.kids, split)
 		}
 		n = parent
 	}
 }
 
-// splitNode performs Guttman's quadratic split, moving roughly half the
-// entries into a returned sibling node.
+// splitNode performs Guttman's quadratic split: n keeps group A and the
+// returned sibling takes group B, each in the order entries joined it.
 func (t *Tree) splitNode(n *node) *node {
-	ents := n.entries
+	w := 2 * t.rank
+	s := &t.split
+	s.boxes = append(s.boxes[:0], n.boxes...)
+	s.kids = append(s.kids[:0], n.kids...)
+	s.ids = append(s.ids[:0], n.ids...)
+	box := func(k int) []int { return s.boxes[k*w : (k+1)*w] }
+	cnt := n.len()
+
 	// Pick seeds: the pair wasting the most area if grouped together.
 	si, sj, worst := 0, 1, math.Inf(-1)
-	for i := 0; i < len(ents); i++ {
-		for j := i + 1; j < len(ents); j++ {
-			d := rectAreaF(ents[i].rect.Union(ents[j].rect)) - rectAreaF(ents[i].rect) - rectAreaF(ents[j].rect)
+	for i := 0; i < cnt; i++ {
+		for j := i + 1; j < cnt; j++ {
+			d := t.unionArea(box(i), box(j)) - t.area(box(i)) - t.area(box(j))
 			if d > worst {
 				si, sj, worst = i, j, d
 			}
 		}
 	}
-	groupA := []entry{ents[si]}
-	groupB := []entry{ents[sj]}
-	rectA, rectB := ents[si].rect, ents[sj].rect
-	rest := make([]entry, 0, len(ents)-2)
-	for k := range ents {
-		if k != si && k != sj {
-			rest = append(rest, ents[k])
+	sib := t.newNode(n.leaf)
+	n.boxes, n.kids, n.ids = n.boxes[:0], n.kids[:0], n.ids[:0]
+	move := func(dst *node, k int) {
+		dst.boxes = append(dst.boxes, box(k)...)
+		if n.leaf {
+			dst.ids = append(dst.ids, s.ids[k])
+		} else {
+			dst.kids = append(dst.kids, s.kids[k])
 		}
 	}
-	for len(rest) > 0 {
+	move(n, si)
+	move(sib, sj)
+	s.rectA = append(s.rectA[:0], box(si)...)
+	s.rectB = append(s.rectB[:0], box(sj)...)
+	s.rest = s.rest[:0]
+	for k := 0; k < cnt; k++ {
+		if k != si && k != sj {
+			s.rest = append(s.rest, k)
+		}
+	}
+	for len(s.rest) > 0 {
 		// Force assignment if one group must take all remaining entries
 		// to reach minimum fill.
-		if len(groupA)+len(rest) == t.minEntries {
-			groupA = append(groupA, rest...)
-			for _, e := range rest {
-				rectA = rectA.Union(e.rect)
+		if n.len()+len(s.rest) == t.minEntries {
+			for _, k := range s.rest {
+				move(n, k)
 			}
 			break
 		}
-		if len(groupB)+len(rest) == t.minEntries {
-			groupB = append(groupB, rest...)
-			for _, e := range rest {
-				rectB = rectB.Union(e.rect)
+		if sib.len()+len(s.rest) == t.minEntries {
+			for _, k := range s.rest {
+				move(sib, k)
 			}
 			break
 		}
 		// Pick next: entry with greatest preference for one group.
 		bestK, bestDiff := 0, -1.0
 		var bestDA, bestDB float64
-		for k, e := range rest {
-			dA := rectAreaF(rectA.Union(e.rect)) - rectAreaF(rectA)
-			dB := rectAreaF(rectB.Union(e.rect)) - rectAreaF(rectB)
+		for k, e := range s.rest {
+			dA := t.unionArea(s.rectA, box(e)) - t.area(s.rectA)
+			dB := t.unionArea(s.rectB, box(e)) - t.area(s.rectB)
 			diff := math.Abs(dA - dB)
 			if diff > bestDiff {
 				bestK, bestDiff, bestDA, bestDB = k, diff, dA, dB
 			}
 		}
-		e := rest[bestK]
-		rest = append(rest[:bestK], rest[bestK+1:]...)
-		switch {
-		case bestDA < bestDB:
-			groupA = append(groupA, e)
-			rectA = rectA.Union(e.rect)
-		case bestDB < bestDA:
-			groupB = append(groupB, e)
-			rectB = rectB.Union(e.rect)
-		case len(groupA) <= len(groupB):
-			groupA = append(groupA, e)
-			rectA = rectA.Union(e.rect)
-		default:
-			groupB = append(groupB, e)
-			rectB = rectB.Union(e.rect)
+		e := s.rest[bestK]
+		s.rest = append(s.rest[:bestK], s.rest[bestK+1:]...)
+		// Ties go to the smaller group, then to A.
+		if bestDA < bestDB || (bestDA == bestDB && n.len() <= sib.len()) {
+			move(n, e)
+			t.extend(s.rectA, box(e))
+		} else {
+			move(sib, e)
+			t.extend(s.rectB, box(e))
 		}
 	}
-	n.entries = groupA
-	return &node{leaf: n.leaf, entries: groupB}
+	return sib
 }
 
-// Search calls fn for every item whose rectangle intersects q, until fn
-// returns false. The traversal order is unspecified.
-func (t *Tree) Search(q grid.Rect, fn func(Item) bool) {
-	if t.size == 0 {
-		return
+// area returns the number of cells a box covers, as the float the
+// choose-leaf and split heuristics compare.
+func (t *Tree) area(b []int) float64 {
+	a := 1.0
+	for d := 0; d < t.rank; d++ {
+		a *= float64(b[t.rank+d] - b[d] + 1)
 	}
-	t.search(t.root, q, fn)
+	return a
 }
 
-func (t *Tree) search(n *node, q grid.Rect, fn func(Item) bool) bool {
-	for i := range n.entries {
-		e := &n.entries[i]
-		if !e.rect.Intersects(q) {
+// unionArea returns the area of the smallest box covering a and b.
+func (t *Tree) unionArea(a, b []int) float64 {
+	r := t.rank
+	area := 1.0
+	for d := 0; d < r; d++ {
+		area *= float64(max(a[r+d], b[r+d]) - min(a[d], b[d]) + 1)
+	}
+	return area
+}
+
+// extend grows box a in place to cover box b.
+func (t *Tree) extend(a, b []int) {
+	r := t.rank
+	for d := 0; d < r; d++ {
+		a[d] = min(a[d], b[d])
+		a[r+d] = max(a[r+d], b[r+d])
+	}
+}
+
+// setMBR overwrites box with the box covering every entry of n.
+func (t *Tree) setMBR(box []int, n *node) {
+	w := 2 * t.rank
+	copy(box, n.boxes[:w])
+	for o := w; o < len(n.boxes); o += w {
+		t.extend(box, n.boxes[o:o+w])
+	}
+}
+
+// appendMBR appends the box covering every entry of n.
+func (t *Tree) appendMBR(dst []int, n *node) []int {
+	off := len(dst)
+	dst = append(dst, n.boxes[:2*t.rank]...)
+	t.setMBR(dst[off:], n)
+	return dst
+}
+
+// Walk is the tree's one traversal. keep is called with the box of every
+// entry Walk reaches — an internal entry's MBR or an item's rectangle — as
+// its low and high corners; Walk descends only into subtrees whose MBR
+// keep accepts, and calls visit for every item keep accepts, in tree
+// order, until visit returns false. A keep that accepts an MBR must
+// accept it whenever it would accept a box inside it (as "holds a cell
+// of the query" and "overlaps a rectangle" do), or Walk misses items.
+// The corners alias the tree's storage: they are valid only during the
+// call and must not be modified.
+func (t *Tree) Walk(keep func(lo, hi []int) bool, visit func(id uint64, lo, hi []int) bool) {
+	if t.size > 0 {
+		t.walk(t.root, keep, visit)
+	}
+}
+
+func (t *Tree) walk(n *node, keep func(lo, hi []int) bool, visit func(id uint64, lo, hi []int) bool) bool {
+	r, w := t.rank, 2*t.rank
+	boxes := n.boxes
+	for i := 0; len(boxes) >= w; i, boxes = i+1, boxes[w:] {
+		lo, hi := boxes[:r:r], boxes[r:w:w]
+		if !keep(lo, hi) {
 			continue
 		}
 		if n.leaf {
-			if !fn(Item{Rect: e.rect, ID: e.id}) {
+			if !visit(n.ids[i], lo, hi) {
 				return false
 			}
-		} else if !t.search(e.child, q, fn) {
+		} else if !t.walk(n.kids[i], keep, visit) {
 			return false
 		}
 	}
 	return true
 }
 
-// SearchRect calls fn for every item whose rectangle intersects the
-// window q — one window query replaces a batch of SearchPoint probes when
-// the query cells decompose into rectangles. The window is not retained.
-func (t *Tree) SearchRect(q grid.Rect, fn func(Item) bool) {
-	t.Search(q, fn)
+// Search calls fn for every item whose rectangle intersects q, until fn
+// returns false. The traversal order is unspecified. The item's Rect
+// aliases the tree's storage: it is valid only during the call and must
+// not be modified.
+func (t *Tree) Search(q grid.Rect, fn func(Item) bool) {
+	if q.Rank() != t.rank || len(q.Hi) != t.rank {
+		return
+	}
+	qlo, qhi := q.Lo, q.Hi
+	t.Walk(func(lo, hi []int) bool {
+		for d, l := range lo {
+			if hi[d] < qlo[d] || qhi[d] < l {
+				return false
+			}
+		}
+		return true
+	}, func(id uint64, lo, hi []int) bool {
+		return fn(Item{Rect: grid.Rect{Lo: lo, Hi: hi}, ID: id})
+	})
 }
 
 // SearchPoint calls fn for every item whose rectangle contains the
@@ -267,27 +390,13 @@ func (t *Tree) SearchPoint(c grid.Coord, fn func(Item) bool) {
 	t.Search(grid.Rect{Lo: c, Hi: c}, fn)
 }
 
-// Items returns all indexed items in unspecified order.
-func (t *Tree) Items() []Item {
-	out := make([]Item, 0, t.size)
-	var walk func(*node)
-	walk = func(n *node) {
-		for i := range n.entries {
-			if n.leaf {
-				out = append(out, Item{Rect: n.entries[i].rect, ID: n.entries[i].id})
-			} else {
-				walk(n.entries[i].child)
-			}
-		}
-	}
-	walk(t.root)
-	return out
-}
+// all is the Walk predicate that keeps every box.
+func all(_, _ []int) bool { return true }
 
 // Height returns the number of levels (1 for a lone leaf root).
 func (t *Tree) Height() int {
 	h := 1
-	for n := t.root; !n.leaf; n = n.entries[0].child {
+	for n := t.root; !n.leaf; n = n.kids[0] {
 		h++
 	}
 	return h
@@ -295,106 +404,118 @@ func (t *Tree) Height() int {
 
 // BulkLoad builds a tree from items using sort-tile-recursive packing,
 // which produces better-clustered nodes than repeated insertion and is used
-// when rebuilding the index for a reopened lineage store.
+// when rebuilding the index for a reopened lineage store. Every item's
+// rectangle must have the tree's rank.
 func BulkLoad(rank int, items []Item) *Tree {
+	boxes := make([]int, 0, len(items)*2*rank)
+	ids := make([]uint64, len(items))
+	for i, it := range items {
+		boxes = append(append(boxes, it.Rect.Lo...), it.Rect.Hi...)
+		ids[i] = it.ID
+	}
+	return bulkLoad(rank, boxes, ids)
+}
+
+// bulkLoad is BulkLoad over flat boxes, 2·rank ints per item.
+func bulkLoad(rank int, boxes []int, ids []uint64) *Tree {
 	t := New(rank)
-	if len(items) == 0 {
+	if len(ids) == 0 {
 		return t
 	}
-	ents := make([]entry, len(items))
-	for i, it := range items {
-		ents[i] = entry{rect: it.Rect, id: it.ID}
-	}
-	leaves := tile(ents, 0, rank, t.maxEntries)
-	level := make([]*node, len(leaves))
-	for i, le := range leaves {
-		level[i] = &node{leaf: true, entries: le}
-	}
-	t.size = len(items)
+	t.size = len(ids)
+	level := t.pack(true, boxes, ids, nil)
 	// Build upper levels by tiling node MBRs until one node remains.
 	for len(level) > 1 {
-		parentEnts := make([]entry, len(level))
-		for i, n := range level {
-			parentEnts[i] = entry{rect: mbr(n), child: n}
+		boxes = boxes[:0]
+		for _, n := range level {
+			boxes = t.appendMBR(boxes, n)
 		}
-		groups := tile(parentEnts, 0, rank, t.maxEntries)
-		next := make([]*node, len(groups))
-		for i, g := range groups {
-			next[i] = &node{leaf: false, entries: g}
-		}
-		level = next
+		level = t.pack(false, boxes, nil, level)
 	}
 	t.root = level[0]
 	return t
 }
 
-// tile recursively sorts entries by successive dimensions and chops them
-// into groups of at most max entries (STR packing).
-func tile(ents []entry, dim, rank, max int) [][]entry {
-	if len(ents) <= max {
-		return [][]entry{ents}
+// pack STR-tiles one level's entries — boxes plus ids for leaves, or kids
+// for internal nodes — into nodes of at most maxEntries entries.
+func (t *Tree) pack(leaf bool, boxes []int, ids []uint64, kids []*node) []*node {
+	w := 2 * t.rank
+	order := make([]int, len(boxes)/w)
+	for i := range order {
+		order[i] = i
 	}
-	sort.SliceStable(ents, func(i, j int) bool {
-		return center(ents[i].rect, dim) < center(ents[j].rect, dim)
+	groups := tile(order, boxes, 0, t.rank, t.maxEntries)
+	nodes := make([]*node, len(groups))
+	for gi, g := range groups {
+		n := &node{leaf: leaf, boxes: make([]int, 0, len(g)*w)}
+		if leaf {
+			n.ids = make([]uint64, 0, len(g))
+		} else {
+			n.kids = make([]*node, 0, len(g))
+		}
+		for _, k := range g {
+			n.boxes = append(n.boxes, boxes[k*w:(k+1)*w]...)
+			if leaf {
+				n.ids = append(n.ids, ids[k])
+			} else {
+				n.kids = append(n.kids, kids[k])
+			}
+		}
+		nodes[gi] = n
+	}
+	return nodes
+}
+
+// tile recursively sorts entry indices by the centre of their boxes along
+// successive dimensions and chops them into groups of at most max entries
+// (STR packing).
+func tile(order, boxes []int, dim, rank, fanout int) [][]int {
+	if len(order) <= fanout {
+		return [][]int{order}
+	}
+	w := 2 * rank
+	// Comparing lo+hi orders the entries as their centres would.
+	slices.SortStableFunc(order, func(a, b int) int {
+		return cmp.Compare(boxes[a*w+dim]+boxes[a*w+rank+dim], boxes[b*w+dim]+boxes[b*w+rank+dim])
 	})
 	if dim == rank-1 {
-		var groups [][]entry
-		for i := 0; i < len(ents); i += max {
-			end := i + max
-			if end > len(ents) {
-				end = len(ents)
-			}
-			groups = append(groups, ents[i:end:end])
+		var groups [][]int
+		for i := 0; i < len(order); i += fanout {
+			end := min(i+fanout, len(order))
+			groups = append(groups, order[i:end:end])
 		}
 		return groups
 	}
-	nGroups := int(math.Ceil(float64(len(ents)) / float64(max)))
+	nGroups := int(math.Ceil(float64(len(order)) / float64(fanout)))
 	slabs := int(math.Ceil(math.Pow(float64(nGroups), 1/float64(rank-dim))))
 	if slabs < 1 {
 		slabs = 1
 	}
-	slabSize := int(math.Ceil(float64(len(ents)) / float64(slabs)))
-	var groups [][]entry
-	for i := 0; i < len(ents); i += slabSize {
-		end := i + slabSize
-		if end > len(ents) {
-			end = len(ents)
-		}
-		groups = append(groups, tile(ents[i:end:end], dim+1, rank, max)...)
+	slabSize := int(math.Ceil(float64(len(order)) / float64(slabs)))
+	var groups [][]int
+	for i := 0; i < len(order); i += slabSize {
+		end := min(i+slabSize, len(order))
+		groups = append(groups, tile(order[i:end:end], boxes, dim+1, rank, fanout)...)
 	}
 	return groups
-}
-
-func center(r grid.Rect, d int) float64 { return float64(r.Lo[d]+r.Hi[d]) / 2 }
-
-func mbr(n *node) grid.Rect {
-	r := n.entries[0].rect
-	for i := 1; i < len(n.entries); i++ {
-		r = r.Union(n.entries[i].rect)
-	}
-	return r
-}
-
-func rectAreaF(r grid.Rect) float64 {
-	a := 1.0
-	for d := range r.Lo {
-		a *= float64(r.Hi[d] - r.Lo[d] + 1)
-	}
-	return a
 }
 
 // CheckInvariants validates structural invariants (every child MBR is
 // contained in its parent entry rect, leaf depth uniform, fill bounds).
 // Used by tests.
 func (t *Tree) CheckInvariants() error {
+	w := 2 * t.rank
 	depth := -1
 	var walk func(n *node, level int, root bool) error
 	walk = func(n *node, level int, root bool) error {
-		if !root && (len(n.entries) < t.minEntries || len(n.entries) > t.maxEntries) {
+		if len(n.boxes) != n.len()*w || (n.leaf && n.kids != nil) || (!n.leaf && n.ids != nil) {
+			return fmt.Errorf("rtree: node holds %d coordinates for %d entries", len(n.boxes), n.len())
+		}
+		if !root && (n.len() < t.minEntries || n.len() > t.maxEntries) {
 			// Bulk-loaded trees may have one under-filled trailing node
 			// per level; allow >=1 instead of strict minimum.
-			if len(n.entries) < 1 || len(n.entries) > t.maxEntries {
-				return fmt.Errorf("rtree: node fill %d outside [1,%d]", len(n.entries), t.maxEntries)
+			if n.len() < 1 || n.len() > t.maxEntries {
+				return fmt.Errorf("rtree: node fill %d outside [1,%d]", n.len(), t.maxEntries)
 			}
 		}
 		if n.leaf {
@@ -405,15 +526,18 @@ func (t *Tree) CheckInvariants() error {
 			}
 			return nil
 		}
-		for i := range n.entries {
-			e := &n.entries[i]
-			if e.child == nil {
+		for i, kid := range n.kids {
+			if kid == nil {
 				return fmt.Errorf("rtree: internal entry without child")
 			}
-			if !e.rect.Equal(mbr(e.child)) {
-				return fmt.Errorf("rtree: stale MBR %v for child MBR %v", e.rect, mbr(e.child))
+			if kid.len() == 0 {
+				return fmt.Errorf("rtree: empty child node")
 			}
-			if err := walk(e.child, level+1, false); err != nil {
+			got, want := n.boxes[i*w:(i+1)*w], t.appendMBR(nil, kid)
+			if !slices.Equal(got, want) {
+				return fmt.Errorf("rtree: stale MBR %v for child MBR %v", got, want)
+			}
+			if err := walk(kid, level+1, false); err != nil {
 				return err
 			}
 		}

@@ -1,10 +1,12 @@
 package rtree
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"subzero/internal/bitmap"
 	"subzero/internal/grid"
 )
 
@@ -253,6 +255,186 @@ func TestQuickSearchEquivalence(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// randomItems draws n items of the given rank whose rectangles start
+// inside [0, universe) and may run past it by up to maxExt-1 cells.
+func randomItems(rng *rand.Rand, rank, n, universe, maxExt int) []Item {
+	items := make([]Item, n)
+	for i := range items {
+		lo, hi := make(grid.Coord, rank), make(grid.Coord, rank)
+		for d := range lo {
+			lo[d] = rng.Intn(universe)
+			hi[d] = lo[d] + rng.Intn(maxExt)
+		}
+		items[i] = Item{Rect: grid.Rect{Lo: lo, Hi: hi}, ID: uint64(i)}
+	}
+	return items
+}
+
+// checkBitmapWalk walks tr with the predicate the lineage store uses — a
+// box is kept iff it holds a set cell of b — and compares the visits with
+// a per-cell scan of every item: each item whose rectangle holds a set
+// cell must be visited exactly once, and no other.
+func checkBitmapWalk(tr *Tree, items []Item, b *bitmap.Bitmap) error {
+	sp := b.Space()
+	want := map[uint64]bool{}
+	for _, it := range items {
+		if r, ok := it.Rect.Clip(sp.Shape()); ok {
+			for _, c := range r.Cells(sp, nil) {
+				if b.Get(c) {
+					want[it.ID] = true
+					break
+				}
+			}
+		}
+	}
+	got := map[uint64]int{}
+	tr.Walk(func(lo, hi []int) bool {
+		return b.IntersectsRect(grid.Rect{Lo: lo, Hi: hi})
+	}, func(id uint64, _, _ []int) bool {
+		got[id]++
+		return true
+	})
+	for id, n := range got {
+		if n != 1 || !want[id] {
+			return fmt.Errorf("item %d visited %d times, want %v", id, n, want[id])
+		}
+	}
+	if len(got) != len(want) {
+		return fmt.Errorf("walk visited %d items, want %d", len(got), len(want))
+	}
+	return nil
+}
+
+// queryBitmaps returns the query shapes the lineage store meets: empty,
+// full, one cell, an edge block and random cells.
+func queryBitmaps(rng *rand.Rand, sp *grid.Space) map[string]*bitmap.Bitmap {
+	shape := sp.Shape()
+	qs := map[string]*bitmap.Bitmap{"empty": bitmap.New(sp)}
+	full := bitmap.New(sp)
+	full.SetAll()
+	qs["full"] = full
+	one := bitmap.New(sp)
+	one.Set(uint64(rng.Int63n(int64(sp.Size()))))
+	qs["one-cell"] = one
+	block := bitmap.New(sp)
+	lo, hi := make(grid.Coord, len(shape)), make(grid.Coord, len(shape))
+	for d, n := range shape {
+		lo[d] = rng.Intn(n)
+		hi[d] = n - 1 // touches the far edge
+	}
+	block.SetRect(grid.Rect{Lo: lo, Hi: hi})
+	qs["block"] = block
+	scattered := bitmap.New(sp)
+	for i := 0; i < 40; i++ {
+		scattered.Set(uint64(rng.Int63n(int64(sp.Size()))))
+	}
+	qs["scattered"] = scattered
+	return qs
+}
+
+// A Walk driven by a bitmap predicate finds exactly the items holding a
+// query cell, each once, on incremental and bulk-loaded trees of every
+// rank, including items that run past the space's edge.
+func TestWalkBitmapMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, shape := range []grid.Shape{{300}, {40, 40}, {12, 10, 14}} {
+		sp := grid.NewSpace(shape)
+		rank := len(shape)
+		items := randomItems(rng, rank, 1500, shape[0]+3, 6)
+		inc := New(rank)
+		for _, it := range items {
+			if err := inc.Insert(it); err != nil {
+				t.Fatal(err)
+			}
+		}
+		trees := map[string]*Tree{"insert": inc, "bulk": BulkLoad(rank, items)}
+		for tname, tr := range trees {
+			for qname, q := range queryBitmaps(rng, sp) {
+				if err := checkBitmapWalk(tr, items, q); err != nil {
+					t.Fatalf("shape %v, %s tree, %s query: %v", shape, tname, qname, err)
+				}
+			}
+		}
+	}
+}
+
+// Walk asks keep only about entries whose parent keep accepted: a keep
+// that rejects everything sees the root's entries and nothing below.
+func TestWalkPrunesRejectedSubtrees(t *testing.T) {
+	tr := BulkLoad(2, randomItems(rand.New(rand.NewSource(41)), 2, 3000, 200, 5))
+	if tr.Height() < 3 {
+		t.Fatalf("height %d, want a tree with internal levels", tr.Height())
+	}
+	asked, visited := 0, 0
+	tr.Walk(func(_, _ []int) bool { asked++; return false }, func(uint64, []int, []int) bool { visited++; return true })
+	if asked != tr.root.len() || visited != 0 {
+		t.Fatalf("keep asked %d times, visit called %d times; want %d and 0", asked, visited, tr.root.len())
+	}
+}
+
+// FuzzTreeSearch checks a bitmap-driven Walk against brute force on
+// random trees and random query bitmaps.
+func FuzzTreeSearch(f *testing.F) {
+	f.Add(int64(1), uint16(200), uint8(3), uint8(2), false)
+	f.Add(int64(2), uint16(40), uint8(90), uint8(1), true)
+	f.Add(int64(3), uint16(900), uint8(0), uint8(3), false)
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, density uint8, rank uint8, bulk bool) {
+		rng := rand.New(rand.NewSource(seed))
+		shape := make(grid.Shape, 1+int(rank)%3)
+		for d := range shape {
+			shape[d] = 1 + rng.Intn(40)
+		}
+		sp := grid.NewSpace(shape)
+		items := randomItems(rng, len(shape), int(n)%2000, shape[0]+2, 5)
+		tr := BulkLoad(len(shape), items)
+		if !bulk {
+			tr = NewWithFanout(len(shape), 4+int(seed&7))
+			for _, it := range items {
+				if err := tr.Insert(it); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		q := bitmap.New(sp)
+		for c := uint64(0); c < sp.Size(); c++ {
+			if rng.Intn(256) < int(density) {
+				q.Set(c)
+			}
+		}
+		if err := checkBitmapWalk(tr, items, q); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// An insert allocates only when it creates a node: one split per several
+// inserts, so well under one allocation per insert amortized.
+func TestInsertAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for rank := 1; rank <= 3; rank++ {
+		items := randomItems(rng, rank, 20000, 2000, 8)
+		tr := New(rank)
+		i := 0
+		allocs := testing.AllocsPerRun(len(items)-1, func() {
+			if err := tr.Insert(items[i]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		if allocs > 1 {
+			t.Fatalf("rank %d: Insert allocates %.2f per item, want <= 1", rank, allocs)
+		}
+	}
+}
+
+// EncodedLen walks the node storage: no item slice, no allocation.
+func TestEncodedLenAllocFree(t *testing.T) {
+	tr := BulkLoad(2, randomItems(rand.New(rand.NewSource(37)), 2, 16000, 400, 6))
+	if allocs := testing.AllocsPerRun(10, func() { tr.EncodedLen() }); allocs != 0 {
+		t.Fatalf("EncodedLen allocates %.1f, want 0", allocs)
 	}
 }
 

@@ -5,21 +5,22 @@ import (
 	"fmt"
 
 	"subzero/internal/binenc"
+	"subzero/internal/grid"
 )
 
-// Encode serializes the tree's items (rank, count, then rect+id per item).
-// Decoding bulk-loads a fresh tree, so node structure need not be
-// preserved; this keeps the format trivially forward-compatible and lets a
-// reopened store regain a well-packed index.
+// Encode serializes the tree's items (rank, count, then rect+id per item,
+// in tree order). Decoding bulk-loads a fresh tree, so node structure need
+// not be preserved; this keeps the format trivially forward-compatible and
+// lets a reopened store regain a well-packed index.
 func (t *Tree) Encode() []byte {
-	items := t.Items()
-	buf := make([]byte, 0, 16+len(items)*12)
+	buf := make([]byte, 0, 16+t.size*12)
 	buf = binary.AppendUvarint(buf, uint64(t.rank))
-	buf = binary.AppendUvarint(buf, uint64(len(items)))
-	for _, it := range items {
-		buf = binenc.AppendRect(buf, it.Rect)
-		buf = binary.AppendUvarint(buf, it.ID)
-	}
+	buf = binary.AppendUvarint(buf, uint64(t.size))
+	t.Walk(all, func(id uint64, lo, hi []int) bool {
+		buf = binenc.AppendRect(buf, grid.Rect{Lo: lo, Hi: hi})
+		buf = binary.AppendUvarint(buf, id)
+		return true
+	})
 	return buf
 }
 
@@ -35,11 +36,18 @@ func Decode(data []byte) (*Tree, error) {
 		return nil, fmt.Errorf("rtree: truncated item count")
 	}
 	off += read
-	items := make([]Item, 0, count)
+	// Every item takes at least 2·rank+2 bytes, which bounds the
+	// preallocation by the input's size.
+	hint := min(count, uint64(len(data))/(2*rank+2))
+	boxes := make([]int, 0, hint*2*rank)
+	ids := make([]uint64, 0, hint)
 	for i := uint64(0); i < count; i++ {
 		r, n, err := binenc.DecodeRect(data[off:])
 		if err != nil {
 			return nil, fmt.Errorf("rtree: item %d: %w", i, err)
+		}
+		if r.Rank() != int(rank) {
+			return nil, fmt.Errorf("rtree: item %d has rank %d, tree rank %d", i, r.Rank(), rank)
 		}
 		off += n
 		id, read := binary.Uvarint(data[off:])
@@ -47,22 +55,24 @@ func Decode(data []byte) (*Tree, error) {
 			return nil, fmt.Errorf("rtree: truncated item %d id", i)
 		}
 		off += read
-		items = append(items, Item{Rect: r, ID: id})
+		boxes = append(append(boxes, r.Lo...), r.Hi...)
+		ids = append(ids, id)
 	}
-	return BulkLoad(int(rank), items), nil
+	return bulkLoad(int(rank), boxes, ids), nil
 }
 
 // EncodedLen estimates the serialized size without materializing it; the
 // cost model charges this against the storage budget for *Many encodings.
 func (t *Tree) EncodedLen() int {
 	n := 10
-	for _, it := range t.Items() {
+	t.Walk(all, func(id uint64, lo, hi []int) bool {
 		n += 2 // rank varint + id varint lower bound
-		for d := range it.Rect.Lo {
-			n += uvarintLen(uint64(it.Rect.Lo[d])) + uvarintLen(uint64(it.Rect.Hi[d]-it.Rect.Lo[d]))
+		for d := range lo {
+			n += uvarintLen(uint64(lo[d])) + uvarintLen(uint64(hi[d]-lo[d]))
 		}
-		n += uvarintLen(it.ID)
-	}
+		n += uvarintLen(id)
+		return true
+	})
 	return n
 }
 
