@@ -21,7 +21,7 @@ func registryPipeline(t *testing.T) (*subzero.System, *subzero.Spec, subzero.Pla
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { sys.Close() })
-	spec := subzero.NewSpec("v2")
+	spec := subzero.NewSpec("registry")
 	spec.Add("double", subzero.UnaryOp("double", func(x float64) float64 { return 2 * x }),
 		subzero.FromExternal("src"))
 	kernel, err := subzero.StandardKernels("box3")

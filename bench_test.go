@@ -1,12 +1,15 @@
-// Benchmarks regenerating every figure of the paper's evaluation (§VIII).
+// Benchmarks regenerating every figure of the paper's evaluation (§VIII),
+// one BenchmarkFig… per figure (README "Commands"):
+//
+//	go test -run '^$' -bench 'Fig5a' .
+//
 // Each benchmark is the measurement loop behind one figure; custom metrics
-// report the non-time quantities (lineage bytes). The subzero-bench binary
-// prints the full paper-style tables; these benches integrate the same
-// measurements with `go test -bench`.
+// report the non-time quantities (lineage bytes, disk over inputs) and
+// Figure 7 logs each budget's chosen plan. go test's -cpuprofile and
+// -memprofile profile a figure.
 //
 // Scales are reduced so the full suite completes in minutes; pass
-// -bench-paper-scale to run the astronomy and genomics figures at the
-// paper's data sizes.
+// -bench-paper-scale to run every figure at the paper's data sizes.
 package subzero_test
 
 import (
@@ -81,20 +84,20 @@ func prepareAstro(b *testing.B, strategy string) (*subzero.System, *subzero.Run,
 }
 
 // BenchmarkFig5aAstroOverhead measures workflow execution per strategy:
-// the runtime bars of Figure 5(a), with lineage bytes as a custom metric
-// (the disk bars).
+// the runtime bars of Figure 5(a), with lineage bytes and the disk
+// (inputs plus lineage) over the inputs as custom metrics (the disk bars).
 func BenchmarkFig5aAstroOverhead(b *testing.B) {
 	for _, name := range astro.StrategyNames {
 		b.Run(name, func(b *testing.B) {
-			var lineageBytes int64
+			var res *astro.StrategyResult
 			for i := 0; i < b.N; i++ {
-				res, err := astro.RunStrategy(context.Background(), name, astroCfg(), "")
-				if err != nil {
+				var err error
+				if res, err = astro.RunStrategy(context.Background(), name, astroCfg(), ""); err != nil {
 					b.Fatal(err)
 				}
-				lineageBytes = res.LineageBytes
 			}
-			b.ReportMetric(float64(lineageBytes), "lineage-bytes")
+			b.ReportMetric(float64(res.LineageBytes), "lineage-bytes")
+			b.ReportMetric(float64(res.LineageBytes+res.BaselineBytes)/float64(res.BaselineBytes), "disk/inputs")
 		})
 	}
 }
@@ -155,19 +158,20 @@ func prepareGenomics(b *testing.B, strategy string) (*subzero.System, *subzero.R
 	return sys, run, queries
 }
 
-// BenchmarkFig6aGenomicsOverhead: Figure 6(a).
+// BenchmarkFig6aGenomicsOverhead: Figure 6(a), with the lineage bytes
+// over the inputs as the disk metric.
 func BenchmarkFig6aGenomicsOverhead(b *testing.B) {
 	for _, name := range genomics.StrategyNames {
 		b.Run(name, func(b *testing.B) {
-			var lineageBytes int64
+			var res *genomics.StrategyResult
 			for i := 0; i < b.N; i++ {
-				res, err := genomics.RunStrategy(context.Background(), name, genCfg(), "")
-				if err != nil {
+				var err error
+				if res, err = genomics.RunStrategy(context.Background(), name, genCfg(), ""); err != nil {
 					b.Fatal(err)
 				}
-				lineageBytes = res.LineageBytes
 			}
-			b.ReportMetric(float64(lineageBytes), "lineage-bytes")
+			b.ReportMetric(float64(res.LineageBytes), "lineage-bytes")
+			b.ReportMetric(float64(res.LineageBytes)/float64(res.BaselineBytes), "disk/inputs")
 		})
 	}
 }
@@ -198,20 +202,24 @@ func BenchmarkFig6bGenomicsStatic(b *testing.B) { genomicsQueryBench(b, false) }
 func BenchmarkFig6cGenomicsDynamic(b *testing.B) { genomicsQueryBench(b, true) }
 
 // BenchmarkFig7OptimizerSweep: Figure 7 — per storage budget, the
-// optimizer's plan search plus the workload under the chosen plan.
+// optimizer's plan search plus the workload under the chosen plan, whose
+// per-UDF strategies are logged.
 func BenchmarkFig7OptimizerSweep(b *testing.B) {
 	budgets := []int64{1 << 20, 20 << 20, 100 << 20}
 	for _, budget := range budgets {
 		b.Run(fmt.Sprintf("budget-%dMB", budget>>20), func(b *testing.B) {
-			var lineageBytes int64
+			var results []genomics.SweepResult
 			for i := 0; i < b.N; i++ {
-				results, err := genomics.OptimizerSweep(context.Background(), genCfg(), []int64{budget}, "")
-				if err != nil {
+				var err error
+				if results, err = genomics.OptimizerSweep(context.Background(), genCfg(), []int64{budget}, ""); err != nil {
 					b.Fatal(err)
 				}
-				lineageBytes = results[0].LineageBytes
 			}
-			b.ReportMetric(float64(lineageBytes), "lineage-bytes")
+			r := results[0]
+			b.ReportMetric(float64(r.LineageBytes), "lineage-bytes")
+			for _, id := range genomics.UDFIDs {
+				b.Logf("%-16s %v", id, r.Plan.Strategies(id))
+			}
 		})
 	}
 }

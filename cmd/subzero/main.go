@@ -16,9 +16,9 @@ import (
 	"os"
 	"os/signal"
 	"sort"
+	"time"
 
 	"subzero/internal/astro"
-	"subzero/internal/benchfmt"
 	"subzero/internal/genomics"
 	"subzero/internal/kvstore"
 	"subzero/internal/lineage"
@@ -43,8 +43,7 @@ func run() error {
 	budget := flag.Int64("budget", 20<<20, "optimizer storage budget in bytes")
 	flag.Parse()
 
-	// Ctrl-C cancels the workflow or query mid-flight through the v2
-	// context-aware API.
+	// Ctrl-C cancels the workflow or query mid-flight through its context.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
@@ -90,8 +89,8 @@ func demoAstro(ctx context.Context, scale float64, strategy, dir string) error {
 	fmt.Printf("workflow: %d operators (%d built-ins, %d UDFs)\n",
 		len(spec.Nodes()), len(astro.BuiltinIDs()), len(astro.UDFIDs))
 	fmt.Printf("executed in %s; lineage overhead %s; lineage storage %s\n\n",
-		benchfmt.Duration(run.Elapsed), benchfmt.Duration(run.LineageOverhead),
-		benchfmt.ByteCount(run.LineageBytes()))
+		run.Elapsed.Round(time.Microsecond), run.LineageOverhead.Round(time.Microsecond),
+		byteCount(run.LineageBytes()))
 
 	fmt.Println("strategy assignment (UDFs):")
 	for _, id := range astro.UDFIDs {
@@ -116,31 +115,43 @@ func demoAstro(ctx context.Context, scale float64, strategy, dir string) error {
 			return fmt.Errorf("query %s: %w", name, err)
 		}
 		fmt.Printf("%s (%s, %d query cells -> %d result cells, %s)\n",
-			name, q.Direction, len(q.Cells), res.Bitmap.Count(), benchfmt.Duration(res.Elapsed))
+			name, q.Direction, len(q.Cells), res.Bitmap.Count(), res.Elapsed.Round(time.Microsecond))
 		for _, step := range res.Steps {
 			fmt.Printf("    %-16s input %d  via %-28s %8d -> %-8d %s\n",
 				step.Node, step.InputIdx, step.AccessPath, step.InCells, step.OutCells,
-				benchfmt.Duration(step.Elapsed))
+				step.Elapsed.Round(time.Microsecond))
 		}
 	}
 	return nil
 }
 
 func demoOptimizer(ctx context.Context, budget int64) error {
-	fmt.Printf("\nstrategy optimizer demo — genomics workflow (budget %s)\n\n", benchfmt.ByteCount(budget))
+	fmt.Printf("\nstrategy optimizer demo — genomics workflow (budget %s)\n\n", byteCount(budget))
 	results, err := genomics.OptimizerSweep(ctx, genomics.DefaultGenConfig().Scaled(10), []int64{budget}, "")
 	if err != nil {
 		return err
 	}
 	r := results[0]
 	fmt.Printf("chosen plan (lineage %s, runtime %s):\n",
-		benchfmt.ByteCount(r.LineageBytes), benchfmt.Duration(r.RunTime))
+		byteCount(r.LineageBytes), r.RunTime.Round(time.Microsecond))
 	for _, id := range genomics.UDFIDs {
 		fmt.Printf("  %-16s %v\n", id, r.Plan.Strategies(id))
 	}
 	fmt.Println("\nquery costs under the chosen plan:")
 	for _, qn := range genomics.QueryNames {
-		fmt.Printf("  %-4s %s\n", qn, benchfmt.Duration(r.QueryTimes[qn]))
+		fmt.Printf("  %-4s %s\n", qn, r.QueryTimes[qn].Round(time.Microsecond))
 	}
 	return nil
+}
+
+// byteCount renders a byte count with binary units.
+func byteCount(n int64) string {
+	switch {
+	case n < 1<<10:
+		return fmt.Sprintf("%dB", n)
+	case n < 1<<20:
+		return fmt.Sprintf("%.1fKB", float64(n)/(1<<10))
+	default:
+		return fmt.Sprintf("%.2fMB", float64(n)/(1<<20))
+	}
 }

@@ -1,7 +1,7 @@
 // Package badmod is a known-bad fixture module: subzerolint must exit
 // non-zero when run over it. It violates two invariants — a context is
-// minted in library code, and a variable written via sync/atomic is
-// read plainly.
+// minted in library code, and a variable is accessed through a
+// pointer-style sync/atomic function instead of a typed atomic.
 package badmod
 
 import (
@@ -11,7 +11,7 @@ import (
 
 var hits int64
 
-// Touch mixes atomic and plain access to the same variable.
+// Touch updates hits with a pointer-style atomic, then reads it plainly.
 func Touch() int64 {
 	atomic.AddInt64(&hits, 1)
 	return hits

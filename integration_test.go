@@ -156,8 +156,10 @@ func TestMicrobenchCrossoverShape(t *testing.T) {
 	}
 }
 
-// TestBenchmarkHarnessSmoke runs one strategy of each benchmark end to end
-// exactly as the subzero-bench binary would, at smoke scale.
+// TestBenchmarkHarnessSmoke runs the helpers behind the BenchmarkFig…
+// benchmarks (one strategy of each workload, and the optimizer sweep) end
+// to end at smoke scale, on file-backed stores where the benchmarks use
+// in-memory ones.
 func TestBenchmarkHarnessSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")

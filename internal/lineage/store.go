@@ -56,17 +56,6 @@ type StoreStats struct {
 	Shards       int           // shard workers that built the store (0 = serial)
 }
 
-// OperatorTime returns the write-path time spent on the operator's own
-// thread — the capture overhead the paper's optimizer trades against
-// query speed. Serial stores pay the full WriteTime inline; sharded
-// stores pay only the enqueue and drain costs.
-func (ss StoreStats) OperatorTime() time.Duration {
-	if ss.Shards > 0 {
-		return ss.EnqueueTime + ss.FlushTime
-	}
-	return ss.WriteTime
-}
-
 // CriticalWriteTime estimates the wall-clock the strategy adds to a
 // workflow run: for sharded ingest the encode work spreads across Shards
 // workers while the operator thread pays enqueue + drain, so the critical
@@ -350,12 +339,6 @@ func (s *Store) rebuildMeta() error {
 	return nil
 }
 
-// Codec returns the record format version the store writes and reads.
-// There is one — the tiled container format, version 3 — so this is a
-// constant; the stats surfaces keep reporting it so a future layout
-// change is visible per store.
-func (s *Store) Codec() int { return 3 }
-
 // Strategy returns the store's strategy.
 func (s *Store) Strategy() Strategy { return s.strat }
 
@@ -363,13 +346,6 @@ func (s *Store) Strategy() Strategy { return s.strat }
 // A degraded store still answers queries — the executor falls back to
 // operator re-execution — until a background rebuild replaces it.
 func (s *Store) Degraded() bool { return s.degraded.Load() }
-
-// MarkDegraded latches the degraded flag. Lookup paths call it through
-// corruptf; tests and the rebuild coordinator may call it directly.
-func (s *Store) MarkDegraded() { s.degraded.Store(true) }
-
-// ClearDegraded re-arms the store after a successful rebuild.
-func (s *Store) ClearDegraded() { s.degraded.Store(false) }
 
 // BeginHeal claims the store for one background rebuild; the second and
 // later claimants get false, so concurrent corrupt lookups schedule a

@@ -5,7 +5,6 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		AtomicField,
 		CtxFlow,
-		FixedEnc,
 		PoolReturn,
 		RecoverCheck,
 		WireTag,

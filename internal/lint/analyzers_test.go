@@ -27,11 +27,6 @@ func TestPoolReturn(t *testing.T) {
 	linttest.Run(t, lint.PoolReturn, "./testdata/src/poolreturn")
 }
 
-func TestFixedEnc(t *testing.T) {
-	linttest.Run(t, lint.FixedEnc,
-		"./testdata/src/fixedenc/lineage", "./testdata/src/fixedenc/other")
-}
-
 func TestRecoverCheck(t *testing.T) {
 	linttest.Run(t, lint.RecoverCheck, "./testdata/src/recovercheck")
 }

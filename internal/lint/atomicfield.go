@@ -6,64 +6,29 @@ import (
 	"strings"
 )
 
-// AtomicField enforces the all-or-nothing atomics discipline: once any
-// code accesses a variable through sync/atomic (atomic.AddInt64(&x, ...),
-// atomic.LoadUint64(&x), ...), every other access to that variable in
-// the package must also go through sync/atomic. A plain read racing an
-// atomic write is a data race the race detector only catches when the
-// interleaving happens; this check makes it structural. Typed atomics
-// (atomic.Int64 & co.) are immune by construction and preferred.
+// AtomicField enforces typed atomics: a pointer-style sync/atomic call
+// (atomic.AddInt64(&x, ...), atomic.LoadUint64(&x), ...) is a finding.
+// Such calls leave x a plain variable, so a plain read racing an atomic
+// write compiles and is only caught when the race detector sees the
+// interleaving. A typed atomic (atomic.Int64 & co.) makes that mixed
+// access a compile error.
 var AtomicField = &Analyzer{
 	Name: "atomicfield",
-	Doc: "check that variables accessed via sync/atomic are never read " +
-		"or written plainly elsewhere",
+	Doc: "check that sync/atomic is used only through typed atomics, never " +
+		"the pointer-style functions",
 	Run: runAtomicField,
 }
 
 func runAtomicField(pass *Pass) error {
-	// Pass 1: collect every variable (struct field or package-level var)
-	// whose address is taken by a sync/atomic call.
-	atomicVars := make(map[*types.Var]ast.Node)
-	InspectStack(pass.Files, func(n ast.Node, stack []ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || !isAtomicCall(pass.TypesInfo, call) {
-			return true
-		}
-		for _, arg := range call.Args {
-			if v := addressedVar(pass.TypesInfo, arg); v != nil {
-				if _, seen := atomicVars[v]; !seen {
-					atomicVars[v] = call
-				}
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok && isAtomicCall(pass.TypesInfo, call) {
+				pass.Reportf(call.Pos(),
+					"pointer-style sync/atomic call leaves the variable open to plain access; use a typed atomic (atomic.Int64 & co.)")
 			}
-		}
-		return true
-	})
-	if len(atomicVars) == 0 {
-		return nil
+			return true
+		})
 	}
-
-	// Pass 2: every other use of those variables must itself be the
-	// &-operand of a sync/atomic call.
-	InspectStack(pass.Files, func(n ast.Node, stack []ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		obj, _ := pass.TypesInfo.Uses[id].(*types.Var)
-		if obj == nil {
-			return true
-		}
-		if _, tracked := atomicVars[obj]; !tracked {
-			return true
-		}
-		if insideAtomicOperand(pass.TypesInfo, stack) {
-			return true
-		}
-		pass.Reportf(id.Pos(),
-			"%q is accessed with sync/atomic elsewhere in this package; plain access is a data race — use sync/atomic consistently or a typed atomic",
-			id.Name)
-		return true
-	})
 	return nil
 }
 
@@ -75,8 +40,7 @@ func isAtomicCall(info *types.Info, call *ast.CallExpr) bool {
 	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
 		return false
 	}
-	// Typed-atomic methods have receivers; only the legacy pointer
-	// functions mix with plain access.
+	// Typed-atomic methods have receivers.
 	if fn.Signature().Recv() != nil {
 		return false
 	}
@@ -84,62 +48,6 @@ func isAtomicCall(info *types.Info, call *ast.CallExpr) bool {
 		if strings.HasPrefix(fn.Name(), prefix) {
 			return true
 		}
-	}
-	return false
-}
-
-// addressedVar resolves &expr arguments to the field or package-level
-// variable being addressed, or nil.
-func addressedVar(info *types.Info, arg ast.Expr) *types.Var {
-	unary, ok := ast.Unparen(arg).(*ast.UnaryExpr)
-	if !ok || unary.Op.String() != "&" {
-		return nil
-	}
-	switch x := ast.Unparen(unary.X).(type) {
-	case *ast.Ident:
-		v, _ := info.Uses[x].(*types.Var)
-		return v
-	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[x]; ok && sel.Kind() == types.FieldVal {
-			v, _ := sel.Obj().(*types.Var)
-			return v
-		}
-		// Package-qualified var: pkg.X
-		v, _ := info.Uses[x.Sel].(*types.Var)
-		return v
-	}
-	return nil
-}
-
-// insideAtomicOperand reports whether the innermost interesting ancestors
-// are `&<expr>` directly inside a sync/atomic call's argument list.
-func insideAtomicOperand(info *types.Info, stack []ast.Node) bool {
-	// Walk outward past the selector chain to the unary & and its call.
-	i := len(stack) - 1
-	for i >= 0 {
-		if _, ok := stack[i].(*ast.SelectorExpr); ok {
-			i--
-			continue
-		}
-		if _, ok := stack[i].(*ast.ParenExpr); ok {
-			i--
-			continue
-		}
-		break
-	}
-	if i < 1 {
-		return false
-	}
-	unary, ok := stack[i].(*ast.UnaryExpr)
-	if !ok || unary.Op.String() != "&" {
-		return false
-	}
-	for j := i - 1; j >= 0; j-- {
-		if _, ok := stack[j].(*ast.ParenExpr); ok {
-			continue
-		}
-		call, ok := stack[j].(*ast.CallExpr)
-		return ok && isAtomicCall(info, call)
 	}
 	return false
 }

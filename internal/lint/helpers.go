@@ -87,12 +87,6 @@ func isPkgFunc(info *types.Info, call *ast.CallExpr, pkgPath string, names ...st
 	return false
 }
 
-// isConversion reports whether the call expression is a type conversion.
-func isConversion(info *types.Info, call *ast.CallExpr) bool {
-	tv, ok := info.Types[call.Fun]
-	return ok && tv.IsType()
-}
-
 // enclosingFuncDecl returns the innermost FuncDecl on the stack, or nil.
 func enclosingFuncDecl(stack []ast.Node) *ast.FuncDecl {
 	for i := len(stack) - 1; i >= 0; i-- {
@@ -101,12 +95,4 @@ func enclosingFuncDecl(stack []ast.Node) *ast.FuncDecl {
 		}
 	}
 	return nil
-}
-
-// pkgPathTail returns the last element of an import path.
-func pkgPathTail(path string) string {
-	if i := strings.LastIndex(path, "/"); i >= 0 {
-		return path[i+1:]
-	}
-	return path
 }

@@ -1,11 +1,10 @@
 // Package lint implements subzerolint, the static-analysis suite that
 // mechanically enforces the invariants SubZero's concurrent service
 // depends on: context propagation into every blocking path (ctxflow),
-// no mixing of sync/atomic and plain access to the same variable
-// (atomicfield), pool values returned on every path (poolreturn),
-// fixed-width — never varint — encoding of durations so store sizes
-// stay timing-independent (fixedenc), and explicitly json-tagged,
-// wire-safe Wire* DTOs (wiretag).
+// sync/atomic only through typed atomics (atomicfield), pool values
+// returned on every path (poolreturn), recover() binding the panic
+// value (recovercheck), and explicitly json-tagged, wire-safe Wire* DTOs
+// (wiretag).
 //
 // The suite is intentionally built on the standard library alone
 // (go/ast, go/types, and the go command): the repository vendors no

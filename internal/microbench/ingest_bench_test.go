@@ -85,8 +85,14 @@ func benchmarkIngest(b *testing.B, strat lineage.Strategy, shards int) {
 				b.Fatal(err)
 			}
 		}
+		// The operator thread pays the whole write serially, only the
+		// handoff and drain when sharded.
 		ss := st.Stats()
-		opNS += float64(ss.OperatorTime())
+		if ss.Shards > 0 {
+			opNS += float64(ss.EnqueueTime + ss.FlushTime)
+		} else {
+			opNS += float64(ss.WriteTime)
+		}
 		encodeNS += float64(ss.WriteTime)
 	}
 	pairs := float64(b.N * ingestPairs)

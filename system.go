@@ -345,7 +345,7 @@ func (s *System) StoreInventory() []StoreStat {
 				Run:          id,
 				Node:         nodeID,
 				Strategy:     st.Strategy().ID(),
-				Codec:        st.Codec(),
+				Codec:        3, // the one record format: tiled containers
 				Pairs:        st.NumPairs(),
 				StoredBytes:  st.SizeBytes(),
 				LogicalBytes: st.LogicalBytes(),
