@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"math/rand/v2"
 	"net/http"
 	"net/url"
@@ -344,28 +343,25 @@ func (c *Client) WorkloadProfile(ctx context.Context) (*subzero.WireWorkloadProf
 	return &stats.Workload, nil
 }
 
-// Metrics fetches GET /v1/metrics and parses the Prometheus text
-// exposition into a flat map keyed by sample name including its label
-// set, exactly as exposed (e.g. `subzero_queries_total{direction="backward"}`).
-// Comment lines (# HELP / # TYPE) are skipped. For structured access
-// prefer Stats or WorkloadProfile; this accessor exists so tests and
-// tooling can assert on the exposition without a Prometheus dependency.
-func (c *Client) Metrics(ctx context.Context) (map[string]float64, error) {
+// Metrics fetches GET /v1/metrics and returns the Prometheus text
+// exposition as served. For structured access prefer Stats or
+// WorkloadProfile.
+func (c *Client) Metrics(ctx context.Context) (string, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/metrics", nil)
 	if err != nil {
-		return nil, fmt.Errorf("client: build request: %w", err)
+		return "", fmt.Errorf("client: build request: %w", err)
 	}
 	if tp := traceparentFrom(ctx); tp != "" {
 		req.Header.Set("Traceparent", tp)
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return nil, fmt.Errorf("client: GET /v1/metrics: %w", err)
+		return "", fmt.Errorf("client: GET /v1/metrics: %w", err)
 	}
 	defer resp.Body.Close()
 	blob, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
 	if err != nil {
-		return nil, fmt.Errorf("client: read /v1/metrics: %w", err)
+		return "", fmt.Errorf("client: read /v1/metrics: %w", err)
 	}
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		msg := strings.TrimSpace(string(blob))
@@ -373,89 +369,9 @@ func (c *Client) Metrics(ctx context.Context) (map[string]float64, error) {
 		if err := json.Unmarshal(blob, &wire); err == nil && wire.Error.Message != "" {
 			msg = wire.Error.Message
 		}
-		return nil, &APIError{Status: resp.StatusCode, Message: msg}
+		return "", &APIError{Status: resp.StatusCode, Message: msg}
 	}
-	return ParseExposition(string(blob))
-}
-
-// ParseExposition parses Prometheus text-format samples into a map keyed
-// by `name{labels}` (or bare name when unlabeled). The key ends at the
-// label set's closing brace — found by scanning, so label values may
-// contain spaces, escaped quotes, and escaped backslashes — and the value
-// is the first field after it; trailing fields (timestamps, OpenMetrics
-// exemplars) are ignored. A body without a trailing newline parses the
-// same as one with it.
-func ParseExposition(text string) (map[string]float64, error) {
-	out := make(map[string]float64)
-	for lineNo, line := range strings.Split(text, "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		var cut int
-		if open := strings.IndexByte(line, '{'); open >= 0 {
-			end, ok := endOfLabels(line, open)
-			if !ok {
-				return nil, fmt.Errorf("client: metrics line %d: unterminated label set: %q", lineNo+1, line)
-			}
-			cut = end
-		} else {
-			cut = strings.IndexAny(line, " \t")
-		}
-		if cut <= 0 || cut >= len(line) {
-			return nil, fmt.Errorf("client: metrics line %d: no value separator: %q", lineNo+1, line)
-		}
-		key := line[:cut]
-		rest := strings.TrimLeft(line[cut:], " \t")
-		if k := strings.IndexAny(rest, " \t"); k >= 0 {
-			rest = rest[:k]
-		}
-		f, err := parsePromValue(rest)
-		if err != nil {
-			return nil, fmt.Errorf("client: metrics line %d: %w", lineNo+1, err)
-		}
-		out[key] = f
-	}
-	return out, nil
-}
-
-// endOfLabels returns the index just past the '}' closing the label set
-// opened at open, honoring quoted label values with \" and \\ escapes.
-func endOfLabels(line string, open int) (int, bool) {
-	inQuote, escaped := false, false
-	for j := open + 1; j < len(line); j++ {
-		c := line[j]
-		switch {
-		case escaped:
-			escaped = false
-		case inQuote && c == '\\':
-			escaped = true
-		case c == '"':
-			inQuote = !inQuote
-		case !inQuote && c == '}':
-			return j + 1, true
-		}
-	}
-	return 0, false
-}
-
-func parsePromValue(s string) (float64, error) {
-	if s == "" {
-		return 0, fmt.Errorf("empty sample value")
-	}
-	switch s {
-	case "+Inf":
-		return math.Inf(1), nil
-	case "-Inf":
-		return math.Inf(-1), nil
-	case "NaN":
-		return math.NaN(), nil
-	}
-	f, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad sample value %q: %w", s, err)
-	}
-	return f, nil
+	return string(blob), nil
 }
 
 // TraceListOptions filters GET /v1/traces. The zero value lists the most

@@ -3,7 +3,6 @@ package client_test
 import (
 	"context"
 	"encoding/json"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,79 +11,6 @@ import (
 	"subzero"
 	"subzero/client"
 )
-
-func TestParseExpositionEdgeCases(t *testing.T) {
-	body := strings.Join([]string{
-		`# HELP m_total a counter`,
-		`# TYPE m_total counter`,
-		`m_total 3`,
-		`m_total{direction="backward"} 7`,
-		// Label values with spaces, escaped quotes, and escaped
-		// backslashes: the key must end at the real closing brace.
-		`m_msg{text="a b"} 1`,
-		`m_msg{text="say \"hi\" twice"} 2`,
-		`m_msg{path="C:\\temp\\x"} 3`,
-		`m_msg{text="brace \"}\" inside"} 4`,
-		// Non-finite samples.
-		`m_nan NaN`,
-		`m_bucket{le="+Inf"} 42`,
-		`m_inf +Inf`,
-		`m_neg_inf -Inf`,
-		// Optional trailing timestamp is ignored, not glued to the key.
-		`m_ts 5 1700000000000`,
-		`m_ts_labeled{x="y"} 6 1700000000000`,
-		// OpenMetrics exemplar suffix is ignored too.
-		`m_ex_bucket{le="0.1"} 9 # {trace_id="4bf92f3577b34da6a3ce929d0e0e4736"} 1e-07`,
-		`# EOF`,
-	}, "\n") // deliberately no trailing newline
-
-	got, err := client.ParseExposition(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]float64{
-		`m_total`:                          3,
-		`m_total{direction="backward"}`:    7,
-		`m_msg{text="a b"}`:                1,
-		`m_msg{text="say \"hi\" twice"}`:   2,
-		`m_msg{path="C:\\temp\\x"}`:        3,
-		`m_msg{text="brace \"}\" inside"}`: 4,
-		`m_bucket{le="+Inf"}`:              42,
-		`m_inf`:                            math.Inf(1),
-		`m_neg_inf`:                        math.Inf(-1),
-		`m_ts`:                             5,
-		`m_ts_labeled{x="y"}`:              6,
-		`m_ex_bucket{le="0.1"}`:            9,
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Errorf("sample %q = %v, want %v", k, got[k], v)
-		}
-	}
-	if !math.IsNaN(got["m_nan"]) {
-		t.Errorf("m_nan = %v, want NaN", got["m_nan"])
-	}
-	if len(got) != len(want)+1 { // +1 for the NaN sample
-		t.Errorf("parsed %d samples, want %d: %v", len(got), len(want)+1, got)
-	}
-}
-
-func TestParseExpositionErrors(t *testing.T) {
-	cases := []struct {
-		name string
-		body string
-	}{
-		{"unterminated labels", `m{text="no close 1`},
-		{"missing value", `m_alone`},
-		{"missing value after labels", `m{x="y"}`},
-		{"garbage value", `m not-a-number`},
-	}
-	for _, tc := range cases {
-		if _, err := client.ParseExposition(tc.body); err == nil {
-			t.Errorf("%s: parsed %q without error", tc.name, tc.body)
-		}
-	}
-}
 
 // TestWithTraceparentPropagates asserts every client request issued with
 // a traceparent-carrying context sends the header, including the raw

@@ -71,18 +71,13 @@ func run() error {
 
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 
-	// Failpoint activation: the -faults flag wins; otherwise the
-	// SUBZERO_FAULTS environment variable. Both are no-ops in normal
-	// operation — unarmed failpoints compile to an atomic load.
+	// Failpoint activation; a no-op in normal operation — unarmed
+	// failpoints compile to an atomic load.
 	if *faults != "" {
 		if err := fault.ArmSpec(*faults); err != nil {
 			return fmt.Errorf("-faults: %w", err)
 		}
 		logger.Warn("failpoints armed from -faults", "spec", *faults)
-	} else if err := fault.ArmFromEnv(); err != nil {
-		return fmt.Errorf("%s: %w", fault.EnvVar, err)
-	} else if spec := os.Getenv(fault.EnvVar); spec != "" {
-		logger.Warn("failpoints armed from environment", "spec", spec)
 	}
 
 	var opts []subzero.Option

@@ -9,7 +9,6 @@
 package bitmap
 
 import (
-	"fmt"
 	"math/bits"
 
 	"subzero/internal/grid"
@@ -119,20 +118,6 @@ func (b *Bitmap) SetRect(r grid.Rect) uint64 {
 	}
 }
 
-// Or merges another bitmap over the same space into b.
-func (b *Bitmap) Or(o *Bitmap) error {
-	if !b.space.Shape().Equal(o.space.Shape()) {
-		return fmt.Errorf("bitmap: OR of mismatched shapes %v and %v", b.space.Shape(), o.space.Shape())
-	}
-	var count uint64
-	for i := range b.words {
-		b.words[i] |= o.words[i]
-		count += uint64(bits.OnesCount64(b.words[i]))
-	}
-	b.count = count
-	return nil
-}
-
 // IntersectsRect reports whether any set cell lies inside the rectangle.
 // Parts of r outside the space are ignored, and a rectangle of another
 // rank holds no cell. Each row of the clipped rectangle — its extent along
@@ -238,20 +223,9 @@ func (b *Bitmap) Clear() {
 	b.count = 0
 }
 
-// Clone returns an independent copy.
-func (b *Bitmap) Clone() *Bitmap {
-	c := &Bitmap{space: b.space, words: make([]uint64, len(b.words)), count: b.count}
-	copy(c.words, b.words)
-	return c
-}
-
 // FromCells builds a bitmap over space with the given cells set.
 func FromCells(space *grid.Space, cells []uint64) *Bitmap {
 	b := New(space)
 	b.SetCells(cells)
 	return b
 }
-
-// MemoryBytes returns the approximate heap footprint, used by the query
-// executor's accounting.
-func (b *Bitmap) MemoryBytes() uint64 { return uint64(len(b.words)) * 8 }

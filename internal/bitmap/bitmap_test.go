@@ -240,36 +240,6 @@ func TestIterateOrderAndEarlyStop(t *testing.T) {
 	}
 }
 
-func TestOr(t *testing.T) {
-	a := New(space(4, 16))
-	b := New(space(4, 16))
-	a.SetCells([]uint64{1, 2, 3})
-	b.SetCells([]uint64{3, 4, 63})
-	if err := a.Or(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Count() != 5 {
-		t.Fatalf("Or count=%d, want 5", a.Count())
-	}
-	c := New(space(8, 8))
-	if err := a.Or(c); err == nil {
-		t.Fatal("shape-mismatched Or accepted")
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	a := New(space(32))
-	a.Set(7)
-	c := a.Clone()
-	c.Set(9)
-	if a.Get(9) {
-		t.Fatal("clone aliases parent")
-	}
-	if !c.Get(7) {
-		t.Fatal("clone missing parent bits")
-	}
-}
-
 func TestClear(t *testing.T) {
 	b := New(space(10))
 	b.SetAll()
@@ -316,32 +286,6 @@ func TestQuickBitmapVsReference(t *testing.T) {
 			return true
 		})
 		return ok && len(ref) == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Or(a,b) has count == |union| computed by reference.
-func TestQuickOrMatchesUnion(t *testing.T) {
-	f := func(as, bs []uint16) bool {
-		sp := space(33, 7)
-		a, b := New(sp), New(sp)
-		ref := map[uint64]bool{}
-		for _, v := range as {
-			idx := uint64(v) % sp.Size()
-			a.Set(idx)
-			ref[idx] = true
-		}
-		for _, v := range bs {
-			idx := uint64(v) % sp.Size()
-			b.Set(idx)
-			ref[idx] = true
-		}
-		if err := a.Or(b); err != nil {
-			return false
-		}
-		return a.Count() == uint64(len(ref))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -1,7 +1,6 @@
 package bitmap
 
 import (
-	"fmt"
 	"math/bits"
 
 	"subzero/internal/grid"
@@ -72,21 +71,6 @@ func (b *Bitmap) AnyInRange(start, n uint64) bool {
 	}
 	last := ^uint64(0) >> (64 - (end-1)%64 - 1)
 	return b.words[w1]&last != 0
-}
-
-// AndNot clears every cell of b that is set in o (b = b &^ o). The two
-// bitmaps must cover the same shape.
-func (b *Bitmap) AndNot(o *Bitmap) error {
-	if !b.space.Shape().Equal(o.space.Shape()) {
-		return fmt.Errorf("bitmap: ANDNOT of mismatched shapes %v and %v", b.space.Shape(), o.space.Shape())
-	}
-	var count uint64
-	for i := range b.words {
-		b.words[i] &^= o.words[i]
-		count += uint64(bits.OnesCount64(b.words[i]))
-	}
-	b.count = count
-	return nil
 }
 
 // IterateRuns calls fn with each maximal run of set cells — (start,

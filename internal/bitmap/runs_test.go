@@ -75,22 +75,6 @@ func TestAnyInRange(t *testing.T) {
 	}
 }
 
-func TestAndNot(t *testing.T) {
-	sp := space(2, 70)
-	a, b := New(sp), New(sp)
-	a.SetRun(0, 100)
-	b.SetRun(50, 100)
-	if err := a.AndNot(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Count() != 50 || !a.Get(49) || a.Get(50) {
-		t.Fatalf("AndNot wrong: count=%d", a.Count())
-	}
-	if err := a.AndNot(New(space(140))); err == nil {
-		t.Fatal("mismatched shapes accepted")
-	}
-}
-
 func TestIterateRunsRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 300; trial++ {
@@ -247,25 +231,9 @@ func TestPoolReuseAndRebind(t *testing.T) {
 // The word-parallel ops must not allocate: they are the per-step inner
 // loop of every lineage lookup.
 func TestWordParallelOpsAllocFree(t *testing.T) {
-	sp := space(1000, 1000)
-	a, b := New(sp), New(sp)
-	b.SetRun(1000, 500000)
+	a := New(space(1000, 1000))
 	if n := testing.AllocsPerRun(10, func() { a.SetRun(0, 900000) }); n > 0 {
 		t.Fatalf("SetRun allocates %.1f/op", n)
-	}
-	if n := testing.AllocsPerRun(10, func() {
-		if err := a.Or(b); err != nil {
-			t.Fatal(err)
-		}
-	}); n > 0 {
-		t.Fatalf("Or allocates %.1f/op", n)
-	}
-	if n := testing.AllocsPerRun(10, func() {
-		if err := a.AndNot(b); err != nil {
-			t.Fatal(err)
-		}
-	}); n > 0 {
-		t.Fatalf("AndNot allocates %.1f/op", n)
 	}
 	if n := testing.AllocsPerRun(10, func() { a.AnyInRange(5, 999000) }); n > 0 {
 		t.Fatalf("AnyInRange allocates %.1f/op", n)
@@ -299,17 +267,5 @@ func BenchmarkIterateRuns(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var total uint64
 		bm.IterateRuns(func(_, n uint64) bool { total += n; return true })
-	}
-}
-
-func BenchmarkOr(b *testing.B) {
-	sp := space(1000, 1000)
-	x, y := New(sp), New(sp)
-	y.SetRun(0, 500000)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := x.Or(y); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package fault is a deterministic, stdlib-only failpoint framework in
 // the style of mature storage engines: named injection points compiled
-// into the binary as no-ops, armed per-process (environment) or per-test
-// (programmatic API) with a small action vocabulary — return an error,
+// into the binary as no-ops, armed per-process (ArmSpec, behind
+// subzero-serve's -faults flag) or per-test (programmatic API) with a small action vocabulary — return an error,
 // tear a write after N bytes, delay, or panic.
 //
 // The disabled fast path is one atomic load and must stay allocation-free
@@ -26,7 +26,6 @@ package fault
 import (
 	"errors"
 	"fmt"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -34,12 +33,6 @@ import (
 	"sync/atomic"
 	"time"
 )
-
-// EnvVar names the environment variable ArmFromEnv reads. Its value is a
-// spec in the ArmSpec grammar, e.g.
-//
-//	SUBZERO_FAULTS='kvstore/flush=error(disk full);lineage/decode=error'
-const EnvVar = "SUBZERO_FAULTS"
 
 // Kind enumerates failpoint actions.
 type Kind int
@@ -254,17 +247,6 @@ func ArmSpec(spec string) error {
 		}
 	}
 	return nil
-}
-
-// ArmFromEnv arms failpoints from the SUBZERO_FAULTS environment
-// variable. An unset or empty variable is a no-op. Call from main after
-// all hosting packages have init-registered their points.
-func ArmFromEnv() error {
-	spec := os.Getenv(EnvVar)
-	if spec == "" {
-		return nil
-	}
-	return ArmSpec(spec)
 }
 
 func parseAction(s string) (Action, error) {

@@ -214,23 +214,3 @@ func TestAsError(t *testing.T) {
 		t.Fatalf("stack looks wrong: %q", err.Stack[:min(64, len(err.Stack))])
 	}
 }
-
-func TestArmFromEnv(t *testing.T) {
-	defer fault.Reset()
-	name := fault.Register("env/point")
-	t.Setenv(fault.EnvVar, "env/point=error(from env)")
-	if err := fault.ArmFromEnv(); err != nil {
-		t.Fatal(err)
-	}
-	if err := fault.Inject(name); !errors.Is(err, fault.ErrInjected) {
-		t.Fatalf("env-armed point injected %v", err)
-	}
-	fault.Reset()
-	t.Setenv(fault.EnvVar, "")
-	if err := fault.ArmFromEnv(); err != nil {
-		t.Fatal(err)
-	}
-	if err := fault.Inject(name); err != nil {
-		t.Fatalf("point armed from empty env: %v", err)
-	}
-}

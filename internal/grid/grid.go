@@ -143,9 +143,6 @@ func (sp *Space) Rank() int { return len(sp.shape) }
 // Size returns the total number of cells.
 func (sp *Space) Size() uint64 { return sp.size }
 
-// Contains reports whether c lies inside the space.
-func (sp *Space) Contains(c Coord) bool { return sp.shape.Contains(c) }
-
 // Stride returns the distance in linear index between neighbouring cells
 // along dimension d.
 func (sp *Space) Stride(d int) uint64 { return sp.strides[d] }
@@ -229,16 +226,6 @@ func (r Rect) Contains(c Coord) bool {
 	return true
 }
 
-// ContainsRect reports whether o lies entirely inside r.
-func (r Rect) ContainsRect(o Rect) bool {
-	for d := range r.Lo {
-		if o.Lo[d] < r.Lo[d] || o.Hi[d] > r.Hi[d] {
-			return false
-		}
-	}
-	return true
-}
-
 // Intersects reports whether the two rectangles share at least one cell.
 func (r Rect) Intersects(o Rect) bool {
 	if len(r.Lo) != len(o.Lo) {
@@ -250,20 +237,6 @@ func (r Rect) Intersects(o Rect) bool {
 		}
 	}
 	return true
-}
-
-// Union returns the smallest rectangle covering both r and o.
-func (r Rect) Union(o Rect) Rect {
-	u := Rect{Lo: r.Lo.Clone(), Hi: r.Hi.Clone()}
-	for d := range u.Lo {
-		if o.Lo[d] < u.Lo[d] {
-			u.Lo[d] = o.Lo[d]
-		}
-		if o.Hi[d] > u.Hi[d] {
-			u.Hi[d] = o.Hi[d]
-		}
-	}
-	return u
 }
 
 // Clip intersects the rectangle with the bounds of the shape, returning
@@ -365,54 +338,4 @@ func SortCells(cells []uint64) []uint64 {
 		}
 	}
 	return out
-}
-
-// UnionSorted merges two sorted, deduplicated index slices into a new
-// sorted, deduplicated slice.
-func UnionSorted(a, b []uint64) []uint64 {
-	out := make([]uint64, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
-}
-
-// IntersectSorted returns the intersection of two sorted, deduplicated
-// index slices as a new sorted slice.
-func IntersectSorted(a, b []uint64) []uint64 {
-	var out []uint64
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
-}
-
-// ContainsSorted reports whether a sorted index slice contains v.
-func ContainsSorted(cells []uint64, v uint64) bool {
-	i := sort.Search(len(cells), func(i int) bool { return cells[i] >= v })
-	return i < len(cells) && cells[i] == v
 }

@@ -1,7 +1,6 @@
 package grid
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -51,7 +50,7 @@ func TestRavelUnravelRoundTrip(t *testing.T) {
 	sp := NewSpace(Shape{3, 7, 11})
 	for idx := uint64(0); idx < sp.Size(); idx++ {
 		c := sp.Unravel(idx)
-		if !sp.Contains(c) {
+		if !sp.Shape().Contains(c) {
 			t.Fatalf("Unravel(%d)=%v out of bounds", idx, c)
 		}
 		if back := sp.Ravel(c); back != idx {
@@ -100,7 +99,7 @@ func TestRectBasics(t *testing.T) {
 	}
 }
 
-func TestRectIntersectsUnion(t *testing.T) {
+func TestRectIntersects(t *testing.T) {
 	a := Rect{Lo: Coord{0, 0}, Hi: Coord{2, 2}}
 	b := Rect{Lo: Coord{2, 2}, Hi: Coord{4, 4}}
 	c := Rect{Lo: Coord{3, 3}, Hi: Coord{4, 4}}
@@ -109,13 +108,6 @@ func TestRectIntersectsUnion(t *testing.T) {
 	}
 	if a.Intersects(c) || c.Intersects(a) {
 		t.Fatal("disjoint rects must not intersect")
-	}
-	u := a.Union(c)
-	if !u.Equal(Rect{Lo: Coord{0, 0}, Hi: Coord{4, 4}}) {
-		t.Fatalf("Union=%v", u)
-	}
-	if !u.ContainsRect(a) || !u.ContainsRect(c) {
-		t.Fatal("union must contain operands")
 	}
 }
 
@@ -204,62 +196,6 @@ func TestSortCells(t *testing.T) {
 	if out := SortCells(nil); len(out) != 0 {
 		t.Fatal("nil input should remain empty")
 	}
-}
-
-func TestSetOpsAgainstReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 200; trial++ {
-		a := randomSortedSet(rng, 30, 50)
-		b := randomSortedSet(rng, 30, 50)
-		ref := map[uint64]int{}
-		for _, v := range a {
-			ref[v] |= 1
-		}
-		for _, v := range b {
-			ref[v] |= 2
-		}
-		u := UnionSorted(a, b)
-		if len(u) != len(ref) {
-			t.Fatalf("union size=%d, want %d", len(u), len(ref))
-		}
-		for i := 1; i < len(u); i++ {
-			if u[i] <= u[i-1] {
-				t.Fatal("union not strictly sorted")
-			}
-		}
-		inter := IntersectSorted(a, b)
-		nBoth := 0
-		for _, m := range ref {
-			if m == 3 {
-				nBoth++
-			}
-		}
-		if len(inter) != nBoth {
-			t.Fatalf("intersect size=%d, want %d", len(inter), nBoth)
-		}
-		for _, v := range inter {
-			if ref[v] != 3 {
-				t.Fatal("intersect element not in both")
-			}
-		}
-		for _, v := range a {
-			if !ContainsSorted(a, v) {
-				t.Fatal("ContainsSorted missed present element")
-			}
-		}
-		if ContainsSorted(a, 1<<60) {
-			t.Fatal("ContainsSorted found absent element")
-		}
-	}
-}
-
-func randomSortedSet(rng *rand.Rand, maxLen int, universe uint64) []uint64 {
-	n := rng.Intn(maxLen)
-	s := make([]uint64, 0, n)
-	for i := 0; i < n; i++ {
-		s = append(s, uint64(rng.Int63n(int64(universe))))
-	}
-	return SortCells(s)
 }
 
 // Property: Ravel/Unravel round-trips for arbitrary coordinates in

@@ -676,9 +676,6 @@ func (s *FileStore) Close() error {
 	return errors.Join(flushErr, unmapErr, closeErr)
 }
 
-// Path returns the backing file path.
-func (s *FileStore) Path() string { return s.path }
-
 func uvarintLen(v uint64) int {
 	n := 1
 	for v >= 0x80 {

@@ -289,9 +289,6 @@ func TestManagerFileAndMemory(t *testing.T) {
 			if m.TotalBytes() <= 0 {
 				t.Fatal("TotalBytes not accounted")
 			}
-			if err := m.SyncAll(); err != nil {
-				t.Fatal(err)
-			}
 			if err := m.Drop("op-2"); err != nil {
 				t.Fatal(err)
 			}

@@ -34,9 +34,6 @@ func NewManager(root string) (*Manager, error) {
 	return &Manager{root: root, stores: make(map[string]Store)}, nil
 }
 
-// InMemory reports whether the manager hands out memory-backed stores.
-func (m *Manager) InMemory() bool { return m.root == "" }
-
 // SetMetrics attaches obs counters; stores opened afterwards are wrapped
 // so every Get/GetBatch/Put/PutBatch/Scan is counted. Attach before the
 // first Open — already-open stores stay unwrapped.
@@ -138,18 +135,6 @@ func (m *Manager) TotalBytes() int64 {
 		total += s.SizeBytes()
 	}
 	return total
-}
-
-// SyncAll flushes every open store.
-func (m *Manager) SyncAll() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for ns, s := range m.stores {
-		if err := s.Sync(); err != nil {
-			return fmt.Errorf("kvstore: sync %s: %w", ns, err)
-		}
-	}
-	return nil
 }
 
 // Close closes every open store.

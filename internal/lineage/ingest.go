@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"subzero/internal/fault"
@@ -14,8 +13,7 @@ import (
 
 // Failpoints covering the async capture path: a shard worker applying a
 // batch (error and panic actions exercise the latched-error and panic-
-// containment contracts) and the drain barrier (delay actions widen the
-// lookup/ingest race window deterministically).
+// containment contracts) and the end-of-run drain barrier.
 var (
 	fpIngestBatch = fault.Register("lineage/ingest/batch")
 	fpIngestDrain = fault.Register("lineage/ingest/drain")
@@ -38,10 +36,10 @@ var (
 // hashtable/R-tree construction run on the shard workers. Flush becomes
 // a drain barrier. Each store has one gate (see Store): a shard worker
 // encodes and commits a batch's records outside it and applies the batch's
-// index items or cell entries holding it exclusively, lookups hold it
-// shared, and a lookup against a store with a coordinator attached drains
-// the pipeline first (Store.beginRead) — so it sees every pair enqueued
-// before it started and never a torn batch.
+// index items or cell entries holding it exclusively, and lookups hold it
+// shared — so a lookup during ingest sees every applied batch and never a
+// torn one, and never waits on queued batches. Its answer is a subset of
+// the final answer until the writer's Flush drains the pipeline.
 
 // DefaultIngestDepth is the per-shard queue depth, in batches, when the
 // config leaves Depth unset. The queue is deliberately shallow: each
@@ -109,11 +107,6 @@ type Coordinator struct {
 	shards  []*ingestShard
 	wg      sync.WaitGroup
 	metrics *obs.IngestObs // shared across an executor's runs
-
-	// inFlight counts tasks enqueued but not yet fully applied; Barrier
-	// short-circuits when it reads zero, so lookups against a quiescent
-	// store don't pay a token round-trip per call.
-	inFlight atomic.Int64
 
 	// life arbitrates channel sends against Close: producers hold it
 	// shared around sends, Close holds it exclusively around closing the
@@ -188,18 +181,15 @@ func (c *Coordinator) worker(sh *ingestShard) {
 		}
 		if err := c.ctx.Err(); err != nil {
 			c.fail(fmt.Errorf("lineage: ingest cancelled: %w", err))
-			c.inFlight.Add(-1)
 			continue
 		}
 		if c.Err() != nil {
-			c.inFlight.Add(-1)
 			continue
 		}
 		start := time.Now()
 		err := c.runBatch(t.store, t.pairs, t.ids)
 		elapsed := time.Since(start)
 		t.store.AddWriteTime(elapsed)
-		c.inFlight.Add(-1)
 		sh.busy.Add(int64(elapsed))
 		sh.pairs.Add(int64(len(t.pairs)))
 		if err != nil {
@@ -298,11 +288,9 @@ func (c *Coordinator) Enqueue(stores []*Store, pairs []RegionPair) error {
 				}
 			}
 			task := ingestTask{store: st, pairs: subs[sh], ids: subIDs}
-			c.inFlight.Add(1)
 			select {
 			case c.shards[sh].ch <- task:
 			case <-c.ctx.Done():
-				c.inFlight.Add(-1)
 				err := fmt.Errorf("lineage: ingest cancelled: %w", c.ctx.Err())
 				c.fail(err)
 				return err
@@ -325,17 +313,9 @@ func (c *Coordinator) Enqueue(stores []*Store, pairs []RegionPair) error {
 
 // Barrier drains the pipeline: it returns once every task enqueued
 // before the call has been fully applied to its store, then reports the
-// latched pipeline error, if any. Lookups racing an unflushed store and
-// the writer's end-of-run Flush both synchronize through this.
+// latched pipeline error, if any. The writer's end-of-run Flush
+// synchronizes through this; lookups never do.
 func (c *Coordinator) Barrier() error {
-	// Fast path: nothing enqueued-but-unapplied means there is nothing to
-	// drain. Tasks racing this read arrived after the barrier's point in
-	// time, so skipping the token round-trip is still consistent. This
-	// keeps per-cell read gates (ContainsOut under an attached
-	// coordinator) from paying a full pipeline drain each call.
-	if c.inFlight.Load() == 0 {
-		return c.Err()
-	}
 	if err := fault.Inject(fpIngestDrain); err != nil {
 		c.fail(err)
 		return err

@@ -84,21 +84,6 @@ func (rp *RegionPair) CellCount() (out, in int) {
 	return out, in
 }
 
-// Clone deep-copies the pair.
-func (rp *RegionPair) Clone() RegionPair {
-	c := RegionPair{Out: append([]uint64(nil), rp.Out...)}
-	if rp.Ins != nil {
-		c.Ins = make([][]uint64, len(rp.Ins))
-		for i, s := range rp.Ins {
-			c.Ins[i] = append([]uint64(nil), s...)
-		}
-	}
-	if rp.Payload != nil {
-		c.Payload = append([]byte(nil), rp.Payload...)
-	}
-	return c
-}
-
 // PayloadFn recomputes the input cells of input inputIdx for one output
 // cell given the pair's payload — the operator's map_p (paper §V-A3).
 // Implementations append to dst and return the extended slice; results

@@ -55,16 +55,6 @@ func TestRegionPairValidateErrors(t *testing.T) {
 	}
 }
 
-func TestRegionPairClone(t *testing.T) {
-	rp := RegionPair{Out: []uint64{1}, Ins: [][]uint64{{2, 3}}, Payload: nil}
-	c := rp.Clone()
-	c.Out[0] = 99
-	c.Ins[0][0] = 99
-	if rp.Out[0] != 1 || rp.Ins[0][0] != 2 {
-		t.Fatal("clone aliases parent")
-	}
-}
-
 func TestRecordCodecRoundTrip(t *testing.T) {
 	full := RegionPair{Out: []uint64{1, 5, 9}, Ins: [][]uint64{{0, 2}, {7}}}
 	rec, err := decodeRecord(encodeRecord(&full))

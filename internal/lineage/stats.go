@@ -27,23 +27,6 @@ type OpStats struct {
 	Reexecs    int
 }
 
-// AvgFanout returns the average output cells per region pair, the operator
-// property that drives the FullOne/FullMany crossover (paper §VIII-C).
-func (s *OpStats) AvgFanout() float64 {
-	if s.Pairs == 0 {
-		return 0
-	}
-	return float64(s.OutCells) / float64(s.Pairs)
-}
-
-// AvgFanin returns the average input cells per region pair.
-func (s *OpStats) AvgFanin() float64 {
-	if s.Pairs == 0 {
-		return 0
-	}
-	return float64(s.InCells) / float64(s.Pairs)
-}
-
 // AvgExecTime returns the mean single-run execution time, the cost of a
 // black-box re-execution.
 func (s *OpStats) AvgExecTime() time.Duration {
@@ -122,11 +105,4 @@ func (c *Collector) All() []OpStats {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].NodeID < out[j].NodeID })
 	return out
-}
-
-// Reset clears all statistics.
-func (c *Collector) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.byNode = make(map[string]*OpStats)
 }

@@ -88,10 +88,11 @@ func (ss StoreStats) CriticalWriteTime() time.Duration {
 // with its threshold flush, the volume counters and Flush hold it
 // exclusively. Record encoding and the record group commit stay outside
 // it, so shard workers still encode one store in parallel. A lookup
-// therefore never sees a torn batch, whether the writer is WritePairs on
-// another goroutine or a Coordinator's shard workers; when a coordinator
-// is attached the lookup drains it first (Coordinator.Barrier), so it also
-// sees every pair enqueued before it started.
+// therefore sees every batch applied before it took the gate and never a
+// torn one, whether the writer is WritePairs on another goroutine or a
+// Coordinator's shard workers. It never waits on batches still queued in
+// a pipeline: an answer during ingest is a subset of the final answer, and
+// exact once the writer's Flush returns.
 //
 // The gate is not re-entrant: nothing that holds it may call back into the
 // store's locking methods, and the callbacks a lookup runs (abort hooks,
@@ -138,10 +139,6 @@ type Store struct {
 	writeNS   atomic.Int64
 	enqueueNS atomic.Int64
 	flushNS   atomic.Int64
-
-	// ingest is the coordinator currently feeding this store, if any;
-	// lookups drain it before taking the gate.
-	ingest atomic.Pointer[Coordinator]
 
 	// degraded latches when a lookup hits corruption (see ErrCorrupt);
 	// healing claims the store for a single background rebuild.
@@ -591,19 +588,12 @@ func (s *Store) bufferCellEntries(pairs []RegionPair, ids []uint64) error {
 	return nil
 }
 
-// beginRead is the lookup-path gate: drain the coordinator feeding the
-// store, if any, so every pair enqueued before the lookup is applied, then
-// take the gate shared with no per-cell entry still buffered. Buffered
-// entries are merged under the exclusive gate first; a writer can slip in
-// between that merge and the shared acquisition, hence the loop. On a nil
-// return the caller holds the gate shared and must RUnlock it when the
-// lookup finishes.
+// beginRead is the lookup-path gate: take the gate shared with no per-cell
+// entry still buffered. Buffered entries are merged under the exclusive
+// gate first; a writer can slip in between that merge and the shared
+// acquisition, hence the loop. On a nil return the caller holds the gate
+// shared and must RUnlock it when the lookup finishes.
 func (s *Store) beginRead() error {
-	if c := s.ingest.Load(); c != nil {
-		if err := c.Barrier(); err != nil {
-			return err
-		}
-	}
 	for {
 		s.gate.RLock()
 		if s.pendingCount == 0 {
@@ -618,16 +608,6 @@ func (s *Store) beginRead() error {
 		}
 	}
 }
-
-// attachIngest marks the store as being fed by a coordinator; lookups
-// barrier against it until detachIngest.
-func (s *Store) attachIngest(c *Coordinator) {
-	s.ingest.Store(c)
-	s.setShards(c.Shards())
-}
-
-// detachIngest ends the barrier-before-lookup contract of attachIngest.
-func (s *Store) detachIngest() { s.ingest.Store(nil) }
 
 // flushPendingLocked merges buffered per-cell entries into the hashtable.
 // Existing entries are read through one GetBatch pass and the merged

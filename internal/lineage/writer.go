@@ -36,11 +36,10 @@ type Writer struct {
 	// end-of-run drain barrier. Nil (the sampled-off path) costs nothing.
 	span *trace.Span
 
-	fullBuf   []RegionPair
-	payBuf    []RegionPair
-	bufCells  int
-	elapsed   time.Duration
-	pairCount int
+	fullBuf  []RegionPair
+	payBuf   []RegionPair
+	bufCells int
+	elapsed  time.Duration
 }
 
 // flushCellThreshold bounds the cells buffered before a bulk encode.
@@ -61,19 +60,18 @@ func NewWriter(outSpace *grid.Space, inSpaces []*grid.Space, fullStores, payStor
 
 // UseIngest switches the writer to the asynchronous ingest pipeline:
 // buffered blocks are handed to the coordinator's shard workers instead
-// of being encoded on the calling thread. Every attached store is marked
-// so lookups racing the ingest barrier against the coordinator first.
-// Call before the first LWrite.
+// of being encoded on the calling thread, and every store records the
+// shard count that builds it. Call before the first LWrite.
 func (w *Writer) UseIngest(c *Coordinator) {
 	if c == nil || !c.cfg.Enabled() {
 		return
 	}
 	w.coord = c
 	for _, s := range w.fullStores {
-		s.attachIngest(c)
+		s.setShards(c.Shards())
 	}
 	for _, s := range w.payStores {
-		s.attachIngest(c)
+		s.setShards(c.Shards())
 	}
 }
 
@@ -98,7 +96,6 @@ func (w *Writer) LWrite(out []uint64, ins ...[]uint64) error {
 	if err := rp.Validate(w.outSpace, w.inSpaces); err != nil {
 		return err
 	}
-	w.pairCount++
 	if w.sink != nil {
 		if err := w.sink(&rp); err != nil {
 			return err
@@ -133,7 +130,6 @@ func (w *Writer) LWritePayload(out []uint64, payload []byte) error {
 	if err := rp.Validate(w.outSpace, w.inSpaces); err != nil {
 		return err
 	}
-	w.pairCount++
 	if len(w.payStores) == 0 {
 		return nil
 	}
@@ -193,9 +189,9 @@ func (w *Writer) flushBuffers() error {
 
 // Flush drains buffered pairs into the stores and persists their indexes.
 // Under asynchronous ingest it is the end-of-run barrier: the shard
-// workers drain, then each store commits its pending entries and metadata
-// and is detached from the coordinator. The executor calls it once when
-// the operator's run completes.
+// workers drain, then each store commits its pending entries and
+// metadata. The executor calls it once when the operator's run completes;
+// from then on every lookup sees the whole run.
 func (w *Writer) Flush() error {
 	start := time.Now()
 	defer func() { w.elapsed += time.Since(start) }()
@@ -203,17 +199,6 @@ func (w *Writer) Flush() error {
 		return err
 	}
 	if w.coord != nil {
-		// However Flush exits, the stores must be detached: a store left
-		// attached to a coordinator that the executor is about to close
-		// would route every later lookup into a dead pipeline.
-		defer func() {
-			for _, s := range w.fullStores {
-				s.detachIngest()
-			}
-			for _, s := range w.payStores {
-				s.detachIngest()
-			}
-		}()
 		bstart := time.Now()
 		dsp := w.span.Child("ingest.drain", obs.SpanIngestDrain)
 		if err := w.coord.Barrier(); err != nil {
@@ -259,6 +244,3 @@ func (w *Writer) Flush() error {
 // Elapsed returns the wall-clock time spent inside the lwrite API for this
 // execution — the runtime overhead attributable to lineage capture.
 func (w *Writer) Elapsed() time.Duration { return w.elapsed }
-
-// Pairs returns the number of pairs written through this writer.
-func (w *Writer) Pairs() int { return w.pairCount }

@@ -28,9 +28,6 @@ func TestWriterRoutesToStores(t *testing.T) {
 	if pay.NumPairs() != 1 {
 		t.Fatalf("pay store pairs=%d, want 1", pay.NumPairs())
 	}
-	if w.Pairs() != 2 {
-		t.Fatalf("writer pairs=%d", w.Pairs())
-	}
 	if w.Elapsed() <= 0 {
 		t.Fatal("elapsed not recorded")
 	}
@@ -81,7 +78,7 @@ func TestWriterCopiesCallerBuffers(t *testing.T) {
 func TestWriterSinkMode(t *testing.T) {
 	var captured []RegionPair
 	sink := func(rp *RegionPair) error {
-		captured = append(captured, rp.Clone())
+		captured = append(captured, *rp)
 		return nil
 	}
 	w := NewWriter(tOutSpace, tInSpaces, nil, nil, sink)
@@ -148,9 +145,6 @@ func TestCollector(t *testing.T) {
 	if st.QuerySteps != 2 || st.Reexecs != 1 || st.QueryTime != 50 {
 		t.Fatalf("query stats=%+v", st)
 	}
-	if st.AvgFanout() != 10 || st.AvgFanin() != 40 {
-		t.Fatalf("fanout=%f fanin=%f", st.AvgFanout(), st.AvgFanin())
-	}
 	if st.AvgExecTime() != 100 {
 		t.Fatalf("avg exec=%v", st.AvgExecTime())
 	}
@@ -162,15 +156,11 @@ func TestCollector(t *testing.T) {
 	if len(all) != 2 || all[0].NodeID != "op0" {
 		t.Fatalf("All=%v", all)
 	}
-	c.Reset()
-	if len(c.All()) != 0 {
-		t.Fatal("Reset failed")
-	}
 }
 
 func TestOpStatsZeroDivision(t *testing.T) {
 	var st OpStats
-	if st.AvgFanin() != 0 || st.AvgFanout() != 0 || st.AvgExecTime() != 0 {
+	if st.AvgExecTime() != 0 {
 		t.Fatal("zero stats must not divide by zero")
 	}
 }

@@ -6,30 +6,17 @@ import (
 	"strings"
 )
 
-// AtomicField enforces typed atomics: a pointer-style sync/atomic call
+// atomicField enforces typed atomics: a pointer-style sync/atomic call
 // (atomic.AddInt64(&x, ...), atomic.LoadUint64(&x), ...) is a finding.
 // Such calls leave x a plain variable, so a plain read racing an atomic
 // write compiles and is only caught when the race detector sees the
 // interleaving. A typed atomic (atomic.Int64 & co.) makes that mixed
 // access a compile error.
-var AtomicField = &Analyzer{
-	Name: "atomicfield",
-	Doc: "check that sync/atomic is used only through typed atomics, never " +
-		"the pointer-style functions",
-	Run: runAtomicField,
-}
-
-func runAtomicField(pass *Pass) error {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok && isAtomicCall(pass.TypesInfo, call) {
-				pass.Reportf(call.Pos(),
-					"pointer-style sync/atomic call leaves the variable open to plain access; use a typed atomic (atomic.Int64 & co.)")
-			}
-			return true
-		})
+func atomicField(p *pass, n ast.Node, _ []ast.Node) {
+	if call, ok := n.(*ast.CallExpr); ok && isAtomicCall(p.TypesInfo, call) {
+		p.reportf(call.Pos(),
+			"pointer-style sync/atomic call leaves the variable open to plain access; use a typed atomic (atomic.Int64 & co.)")
 	}
-	return nil
 }
 
 // isAtomicCall reports whether the call is a sync/atomic package function

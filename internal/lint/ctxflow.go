@@ -5,7 +5,7 @@ import (
 	"go/types"
 )
 
-// CtxFlow enforces context propagation into every blocking path:
+// ctxFlow enforces context propagation into every blocking path:
 //
 //   - Library (non-main) packages must never mint their own context:
 //     context.Background() and context.TODO() are flagged unless they are
@@ -21,45 +21,29 @@ import (
 //   - A named context parameter that the function body never references
 //     was accepted but dropped: the blocking work it guards is
 //     uncancellable.
-var CtxFlow = &Analyzer{
-	Name: "ctxflow",
-	Doc: "check that caller contexts are accepted first, forwarded, and " +
-		"never replaced by context.Background/TODO in library code",
-	Run: runCtxFlow,
-}
-
-func runCtxFlow(pass *Pass) error {
-	isMain := pass.Pkg.Name() == "main"
-
-	InspectStack(pass.Files, func(n ast.Node, stack []ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			name := backgroundOrTODO(pass.TypesInfo, n)
-			if name == "" {
-				return true
-			}
-			if isNilGuardAssign(pass.TypesInfo, n, stack) {
-				return true
-			}
-			if !isMain {
-				pass.Reportf(n.Pos(),
-					"context.%s() in library code: accept a context.Context from the caller and forward it", name)
-				return true
-			}
-			if fd := enclosingFuncDecl(stack); fd != nil {
-				if prior := inScopeCtx(pass.TypesInfo, fd, stack, n); prior != nil {
-					pass.Reportf(n.Pos(),
-						"context.%s() discards %q already in scope; derive from it (context.WithoutCancel for detached shutdown work)",
-						name, prior.Name())
-				}
-			}
-		case *ast.FuncDecl:
-			checkCtxParamPosition(pass, n)
-			checkCtxParamForwarded(pass, n)
+func ctxFlow(p *pass, n ast.Node, stack []ast.Node) {
+	switch n := n.(type) {
+	case *ast.CallExpr:
+		name := backgroundOrTODO(p.TypesInfo, n)
+		if name == "" || isNilGuardAssign(p.TypesInfo, n, stack) {
+			return
 		}
-		return true
-	})
-	return nil
+		if p.Types.Name() != "main" {
+			p.reportf(n.Pos(),
+				"context.%s() in library code: accept a context.Context from the caller and forward it", name)
+			return
+		}
+		if fd := enclosingFuncDecl(stack); fd != nil {
+			if prior := inScopeCtx(p.TypesInfo, fd, stack, n); prior != nil {
+				p.reportf(n.Pos(),
+					"context.%s() discards %q already in scope; derive from it (context.WithoutCancel for detached shutdown work)",
+					name, prior.Name())
+			}
+		}
+	case *ast.FuncDecl:
+		checkCtxParamPosition(p, n)
+		checkCtxParamForwarded(p, n)
+	}
 }
 
 // backgroundOrTODO returns "Background" or "TODO" if the call is one of
@@ -171,7 +155,7 @@ func ctxParam(info *types.Info, fd *ast.FuncDecl) *types.Var {
 }
 
 // checkCtxParamPosition flags context parameters that are not first.
-func checkCtxParamPosition(pass *Pass, fd *ast.FuncDecl) {
+func checkCtxParamPosition(p *pass, fd *ast.FuncDecl) {
 	if fd.Type.Params == nil {
 		return
 	}
@@ -181,9 +165,9 @@ func checkCtxParamPosition(pass *Pass, fd *ast.FuncDecl) {
 		if n == 0 {
 			n = 1
 		}
-		if tv, ok := pass.TypesInfo.Types[field.Type]; ok && isContextType(tv.Type) {
+		if tv, ok := p.TypesInfo.Types[field.Type]; ok && isContextType(tv.Type) {
 			if idx > 0 {
-				pass.Reportf(field.Pos(),
+				p.reportf(field.Pos(),
 					"context.Context should be the first parameter of %s", fd.Name.Name)
 			}
 			return
@@ -194,7 +178,7 @@ func checkCtxParamPosition(pass *Pass, fd *ast.FuncDecl) {
 
 // checkCtxParamForwarded flags a named, non-blank context parameter the
 // body never references: the function accepted a context and dropped it.
-func checkCtxParamForwarded(pass *Pass, fd *ast.FuncDecl) {
+func checkCtxParamForwarded(p *pass, fd *ast.FuncDecl) {
 	if fd.Body == nil || len(fd.Body.List) == 0 || fd.Type.Params == nil {
 		return
 	}
@@ -203,20 +187,20 @@ func checkCtxParamForwarded(pass *Pass, fd *ast.FuncDecl) {
 			if name.Name == "_" {
 				continue
 			}
-			obj, ok := pass.TypesInfo.Defs[name].(*types.Var)
+			obj, ok := p.TypesInfo.Defs[name].(*types.Var)
 			if !ok || !isContextType(obj.Type()) {
 				continue
 			}
 			used := false
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if id, ok := n.(*ast.Ident); ok && pass.TypesInfo.Uses[id] == obj {
+				if id, ok := n.(*ast.Ident); ok && p.TypesInfo.Uses[id] == obj {
 					used = true
 					return false
 				}
 				return !used
 			})
 			if !used {
-				pass.Reportf(name.Pos(),
+				p.reportf(name.Pos(),
 					"context parameter %q is accepted but never forwarded; the work %s does cannot be cancelled",
 					name.Name, fd.Name.Name)
 			}

@@ -19,8 +19,6 @@ import (
 // A Package is one type-checked target package ready for analysis.
 type Package struct {
 	PkgPath   string
-	Name      string
-	Dir       string
 	Fset      *token.FileSet
 	Files     []*ast.File
 	Types     *types.Package
@@ -30,7 +28,6 @@ type Package struct {
 // listedPkg mirrors the `go list -json` fields the loader consumes.
 type listedPkg struct {
 	ImportPath string
-	Name       string
 	Dir        string
 	Export     string
 	GoFiles    []string
@@ -49,7 +46,7 @@ type listedPkg struct {
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	args := append([]string{
 		"list", "-export", "-deps",
-		"-json=ImportPath,Name,Dir,Export,GoFiles,CgoFiles,ImportMap,Standard,DepOnly",
+		"-json=ImportPath,Dir,Export,GoFiles,CgoFiles,ImportMap,Standard,DepOnly",
 	}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -104,7 +101,6 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		pkg.Name = t.Name
 		out = append(out, pkg)
 	}
 	return out, nil
@@ -138,7 +134,6 @@ func checkPackage(fset *token.FileSet, imp types.Importer, pkgPath, dir string, 
 	}
 	return &Package{
 		PkgPath:   pkgPath,
-		Dir:       dir,
 		Fset:      fset,
 		Files:     files,
 		Types:     tpkg,

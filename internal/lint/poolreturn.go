@@ -6,7 +6,7 @@ import (
 	"go/types"
 )
 
-// PoolReturn checks that values obtained from bitmap.Pool.Get or
+// poolReturn checks that values obtained from bitmap.Pool.Get or
 // sync.Pool.Get reach the matching Put on every return path. A pooled
 // bitmap leaked on an error path silently degrades the pool back to
 // per-query allocation — exactly the regression the pooling work was
@@ -18,23 +18,10 @@ import (
 // is not the Get-site's responsibility anymore. For values that stay
 // local, either a deferred Put must exist, or no return statement may
 // occur between the Get and the first Put.
-var PoolReturn = &Analyzer{
-	Name: "poolreturn",
-	Doc: "check that pool.Get values are returned with Put on every " +
-		"path, including error and early-abort paths",
-	Run: runPoolReturn,
-}
-
-func runPoolReturn(pass *Pass) error {
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if ok && fd.Body != nil {
-				checkPoolFunc(pass, fd)
-			}
-		}
+func poolReturn(p *pass, n ast.Node, _ []ast.Node) {
+	if fd, ok := n.(*ast.FuncDecl); ok && fd.Body != nil {
+		checkPoolFunc(p, fd)
 	}
-	return nil
 }
 
 // poolUse accumulates what one function does with one Get-value.
@@ -48,8 +35,8 @@ type poolUse struct {
 	leakReturns []token.Pos // returns between Get and first Put
 }
 
-func checkPoolFunc(pass *Pass, fd *ast.FuncDecl) {
-	info := pass.TypesInfo
+func checkPoolFunc(p *pass, fd *ast.FuncDecl) {
+	info := p.TypesInfo
 
 	// Find `x := pool.Get(...)` bindings (possibly via type assertion for
 	// sync.Pool) and dropped Get results.
@@ -58,7 +45,7 @@ func checkPoolFunc(pass *Pass, fd *ast.FuncDecl) {
 		switch n := n.(type) {
 		case *ast.ExprStmt:
 			if call, ok := ast.Unparen(n.X).(*ast.CallExpr); ok && isPoolGet(info, call) {
-				pass.Reportf(call.Pos(), "result of pool Get is dropped: the pooled value can never be returned with Put")
+				p.reportf(call.Pos(), "result of pool Get is dropped: the pooled value can never be returned with Put")
 			}
 		case *ast.AssignStmt:
 			if len(n.Lhs) != 1 || len(n.Rhs) != 1 {
@@ -74,7 +61,7 @@ func checkPoolFunc(pass *Pass, fd *ast.FuncDecl) {
 			}
 			id, ok := n.Lhs[0].(*ast.Ident)
 			if !ok || id.Name == "_" {
-				pass.Reportf(call.Pos(), "result of pool Get is dropped: the pooled value can never be returned with Put")
+				p.reportf(call.Pos(), "result of pool Get is dropped: the pooled value can never be returned with Put")
 				return true
 			}
 			obj, _ := info.Defs[id].(*types.Var)
@@ -93,7 +80,7 @@ func checkPoolFunc(pass *Pass, fd *ast.FuncDecl) {
 		return
 	}
 
-	classifyPoolUses(pass, fd, uses)
+	classifyPoolUses(p, fd, uses)
 
 	for obj, u := range uses {
 		switch {
@@ -103,11 +90,11 @@ func checkPoolFunc(pass *Pass, fd *ast.FuncDecl) {
 		case u.escapes:
 			// Ownership transferred: returned, stored, or handed off.
 		case u.putCount == 0:
-			pass.Reportf(u.getPos,
+			p.reportf(u.getPos,
 				"%q is obtained from a pool but never returned with Put on any path", obj.Name())
 		default:
 			for _, pos := range u.leakReturns {
-				pass.Reportf(pos,
+				p.reportf(pos,
 					"return leaks pooled value %q: no Put on this path (defer the Put, or Put before returning)", obj.Name())
 			}
 		}
@@ -117,8 +104,8 @@ func checkPoolFunc(pass *Pass, fd *ast.FuncDecl) {
 // classifyPoolUses walks the function recording how each tracked value is
 // used: Put calls (deferred or not), escapes, reassignments, and return
 // statements that precede the first Put.
-func classifyPoolUses(pass *Pass, fd *ast.FuncDecl, uses map[*types.Var]*poolUse) {
-	info := pass.TypesInfo
+func classifyPoolUses(p *pass, fd *ast.FuncDecl, uses map[*types.Var]*poolUse) {
+	info := p.TypesInfo
 
 	lookup := func(id *ast.Ident) *poolUse {
 		obj, _ := info.Uses[id].(*types.Var)
@@ -132,12 +119,7 @@ func classifyPoolUses(pass *Pass, fd *ast.FuncDecl, uses map[*types.Var]*poolUse
 	}
 
 	var returns []token.Pos
-	stack := make([]ast.Node, 0, 32)
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
+	inspectStack(fd.Body, func(n ast.Node, stack []ast.Node) {
 		if ret, ok := n.(*ast.ReturnStmt); ok {
 			returns = append(returns, ret.Pos())
 		}
@@ -146,8 +128,6 @@ func classifyPoolUses(pass *Pass, fd *ast.FuncDecl, uses map[*types.Var]*poolUse
 				classifyUse(info, id, u, stack)
 			}
 		}
-		stack = append(stack, n)
-		return true
 	})
 
 	// Returns between a Get and its first Put leak on that path.

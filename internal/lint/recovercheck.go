@@ -6,7 +6,7 @@ import (
 	"go/types"
 )
 
-// RecoverCheck flags recover() uses that swallow the panic value: a bare
+// recoverCheck flags recover() uses that swallow the panic value: a bare
 // `recover()` statement, `_ = recover()`, or a comparison like
 // `recover() != nil` that tests for a panic without binding it. A
 // containment site that discards the value turns every future panic into
@@ -14,41 +14,28 @@ import (
 // the failure mode the fault-injection work exists to prevent. Bind the
 // value (`if rec := recover(); rec != nil { ... }`) and carry it into a
 // structured error (fault.AsError) or a log record.
-var RecoverCheck = &Analyzer{
-	Name: "recovercheck",
-	Doc: "check that recover() binds the panic value instead of " +
-		"swallowing it; containment must preserve evidence",
-	Run: runRecoverCheck,
-}
-
-func runRecoverCheck(pass *Pass) error {
-	info := pass.TypesInfo
-	for _, file := range pass.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.ExprStmt:
-				if isRecoverCall(info, n.X) {
-					pass.Reportf(n.Pos(), "recover() swallows the panic value: bind it and carry it into an error or log record")
-				}
-			case *ast.AssignStmt:
-				for i, rhs := range n.Rhs {
-					if isRecoverCall(info, rhs) && i < len(n.Lhs) && isBlankIdent(n.Lhs[i]) {
-						pass.Reportf(n.Pos(), "recover() swallows the panic value: bind it instead of assigning to _")
-					}
-				}
-			case *ast.BinaryExpr:
-				if n.Op != token.EQL && n.Op != token.NEQ {
-					return true
-				}
-				if (isRecoverCall(info, n.X) && isNilExpr(info, n.Y)) ||
-					(isRecoverCall(info, n.Y) && isNilExpr(info, n.X)) {
-					pass.Reportf(n.Pos(), "recover() swallows the panic value: use `if rec := recover(); rec != nil` so the value survives")
-				}
+func recoverCheck(p *pass, n ast.Node, _ []ast.Node) {
+	info := p.TypesInfo
+	switch n := n.(type) {
+	case *ast.ExprStmt:
+		if isRecoverCall(info, n.X) {
+			p.reportf(n.Pos(), "recover() swallows the panic value: bind it and carry it into an error or log record")
+		}
+	case *ast.AssignStmt:
+		for i, rhs := range n.Rhs {
+			if isRecoverCall(info, rhs) && i < len(n.Lhs) && isBlankIdent(n.Lhs[i]) {
+				p.reportf(n.Pos(), "recover() swallows the panic value: bind it instead of assigning to _")
 			}
-			return true
-		})
+		}
+	case *ast.BinaryExpr:
+		if n.Op != token.EQL && n.Op != token.NEQ {
+			return
+		}
+		if (isRecoverCall(info, n.X) && isNilExpr(info, n.Y)) ||
+			(isRecoverCall(info, n.Y) && isNilExpr(info, n.X)) {
+			p.reportf(n.Pos(), "recover() swallows the panic value: use `if rec := recover(); rec != nil` so the value survives")
+		}
 	}
-	return nil
 }
 
 // isRecoverCall reports whether e is a call of the recover builtin.

@@ -1,4 +1,4 @@
-// Package atomicfield is a subzerolint fixture: sync/atomic is used only
+// Package atomicfield is a lint fixture: sync/atomic is used only
 // through typed atomics, never the pointer-style functions.
 package atomicfield
 

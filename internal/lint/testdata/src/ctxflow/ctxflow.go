@@ -1,5 +1,5 @@
-// Package ctxflow is a subzerolint fixture: context-propagation
-// violations in library code, with the diagnostics the analyzer must
+// Package ctxflow is a lint fixture: context-propagation
+// violations in library code, with the diagnostics the check must
 // produce and the idioms it must accept.
 package ctxflow
 

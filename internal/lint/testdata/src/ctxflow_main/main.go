@@ -1,4 +1,4 @@
-// Command ctxflow_main is a subzerolint fixture: package-main context
+// Command ctxflow_main is a lint fixture: package-main context
 // rules. Creating the root context is main's job and is not flagged;
 // minting a second context while one is already in scope discards it.
 package main

@@ -1,6 +1,6 @@
-// Package ignorecheck is a subzerolint fixture for the suppression
+// Package ignorecheck is a lint fixture for the suppression
 // machinery itself: a directive without a reason is a finding and does
-// not suppress anything, and a directive naming a different analyzer
+// not suppress anything, and a directive naming a different check
 // leaves the original diagnostic standing. This fixture is asserted
 // directly by a Go test rather than with want comments, because the
 // expected diagnostics land on the directive lines themselves.
@@ -15,7 +15,7 @@ func Bare() context.Context {
 	return context.Background()
 }
 
-// WrongName suppresses the wrong analyzer: the ctxflow finding stands.
+// WrongName suppresses the wrong check: the ctxflow finding stands.
 func WrongName() context.Context {
 	//lint:ignore subzero/wiretag this reason applies to another analyzer
 	return context.Background()

@@ -1,4 +1,4 @@
-// Package poolreturn is a subzerolint fixture: values obtained from
+// Package poolreturn is a lint fixture: values obtained from
 // bitmap.Pool.Get or sync.Pool.Get must reach the matching Put on every
 // return path, unless ownership is transferred out of the function.
 package poolreturn

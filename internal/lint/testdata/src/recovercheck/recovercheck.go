@@ -1,4 +1,4 @@
-// Package recovercheck is a subzerolint fixture: recover() must bind the
+// Package recovercheck is a lint fixture: recover() must bind the
 // panic value so containment sites preserve evidence instead of turning
 // panics into silent no-ops.
 package recovercheck

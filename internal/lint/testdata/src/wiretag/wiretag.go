@@ -1,4 +1,4 @@
-// Package wiretag is a subzerolint fixture: every exported field of a
+// Package wiretag is a lint fixture: every exported field of a
 // Wire*-named DTO carries an explicit json tag and a wire-safe type.
 package wiretag
 

@@ -9,78 +9,67 @@ import (
 	"strings"
 )
 
-// WireTag enforces the wire-format DTO contract: every exported field of
+// wireTag enforces the wire-format DTO contract: every exported field of
 // a Wire*-named struct carries an explicit json tag with a non-empty
 // name, and only wire-safe types cross the boundary — no time.Duration
 // (durations travel as int64 nanoseconds with an _ns suffix), no
 // time.Time, no interfaces, channels, funcs, and no internal package
 // types leaking into the public surface.
-var WireTag = &Analyzer{
-	Name: "wiretag",
-	Doc: "check that Wire* DTO fields carry explicit json tags and only " +
-		"wire-safe types",
-	Run: runWireTag,
+func wireTag(p *pass, n ast.Node, _ []ast.Node) {
+	ts, ok := n.(*ast.TypeSpec)
+	if !ok || !strings.HasPrefix(ts.Name.Name, "Wire") {
+		return
+	}
+	st, ok := ts.Type.(*ast.StructType)
+	if !ok {
+		return
+	}
+	for _, field := range st.Fields.List {
+		checkWireField(p, ts.Name.Name, field)
+	}
 }
 
-func runWireTag(pass *Pass) error {
-	InspectStack(pass.Files, func(n ast.Node, stack []ast.Node) bool {
-		ts, ok := n.(*ast.TypeSpec)
-		if !ok || !strings.HasPrefix(ts.Name.Name, "Wire") {
-			return true
-		}
-		st, ok := ts.Type.(*ast.StructType)
-		if !ok {
-			return true
-		}
-		for _, field := range st.Fields.List {
-			checkWireField(pass, ts.Name.Name, field)
-		}
-		return true
-	})
-	return nil
-}
-
-func checkWireField(pass *Pass, dto string, field *ast.Field) {
+func checkWireField(p *pass, dto string, field *ast.Field) {
 	if len(field.Names) == 0 {
-		pass.Reportf(field.Pos(),
+		p.reportf(field.Pos(),
 			"%s embeds a field: wire DTOs must spell every field out with an explicit json tag", dto)
 		return
 	}
 	for _, name := range field.Names {
 		if !name.IsExported() {
-			pass.Reportf(name.Pos(),
+			p.reportf(name.Pos(),
 				"%s.%s is unexported and will not serialize; export it or remove it from the wire DTO", dto, name.Name)
 			continue
 		}
-		checkJSONTag(pass, dto, name, field)
-		if tv, ok := pass.TypesInfo.Types[field.Type]; ok {
+		checkJSONTag(p, dto, name, field)
+		if tv, ok := p.TypesInfo.Types[field.Type]; ok {
 			if reason := wireUnsafe(tv.Type, make(map[types.Type]bool)); reason != "" {
-				pass.Reportf(name.Pos(), "%s.%s: %s", dto, name.Name, reason)
+				p.reportf(name.Pos(), "%s.%s: %s", dto, name.Name, reason)
 			}
 		}
 	}
 }
 
-func checkJSONTag(pass *Pass, dto string, name *ast.Ident, field *ast.Field) {
+func checkJSONTag(p *pass, dto string, name *ast.Ident, field *ast.Field) {
 	if field.Tag == nil {
-		pass.Reportf(name.Pos(),
+		p.reportf(name.Pos(),
 			"%s.%s has no json tag: wire field names must be explicit, not derived from the Go name", dto, name.Name)
 		return
 	}
 	raw, err := strconv.Unquote(field.Tag.Value)
 	if err != nil {
-		pass.Reportf(field.Tag.Pos(), "%s.%s has an unparsable struct tag", dto, name.Name)
+		p.reportf(field.Tag.Pos(), "%s.%s has an unparsable struct tag", dto, name.Name)
 		return
 	}
 	tag, ok := reflect.StructTag(raw).Lookup("json")
 	if !ok {
-		pass.Reportf(name.Pos(),
+		p.reportf(name.Pos(),
 			"%s.%s has no json tag: wire field names must be explicit, not derived from the Go name", dto, name.Name)
 		return
 	}
 	jsonName, _, _ := strings.Cut(tag, ",")
 	if jsonName == "" {
-		pass.Reportf(field.Tag.Pos(),
+		p.reportf(field.Tag.Pos(),
 			"%s.%s json tag has no field name: spell the wire name out explicitly", dto, name.Name)
 	}
 }

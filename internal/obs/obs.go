@@ -173,9 +173,6 @@ func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(int64(d)) }
 // ObserveSince records the time elapsed since start.
 func (h *Histogram) ObserveSince(start time.Time) { h.Observe(int64(time.Since(start))) }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() int64 { return h.sum.Load() }
 

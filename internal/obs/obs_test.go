@@ -201,9 +201,8 @@ func TestRecordQuery(t *testing.T) {
 	if rs.Count != 2 || rs.Max != 27 || rs.Min != 1 {
 		t.Fatalf("region span snapshot = %+v, want count 2, min 1, max 27", rs)
 	}
-	if set.Query.Latency[0].Count() != 1 || set.Query.Latency[1].Count() != 1 {
-		t.Fatalf("latency counts = %d/%d, want 1/1",
-			set.Query.Latency[0].Count(), set.Query.Latency[1].Count())
+	if b, f := set.Query.Latency[0].Snapshot().Count, set.Query.Latency[1].Snapshot().Count; b != 1 || f != 1 {
+		t.Fatalf("latency counts = %d/%d, want 1/1", b, f)
 	}
 }
 
@@ -229,7 +228,7 @@ func TestVecLabelArityPanics(t *testing.T) {
 			t.Fatal("wrong label arity did not panic")
 		}
 	}()
-	cv.With("only-one")
+	cv.With1("only-one")
 }
 
 func TestDuplicateFamilyPanics(t *testing.T) {

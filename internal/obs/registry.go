@@ -170,15 +170,12 @@ func (r *Registry) NewCounterVec(name, help string, unit Unit, labels ...string)
 	return &CounterVec{f: r.register(name, help, kindCounter, unit, labels)}
 }
 
-// With returns the counter for the given label values, creating it on
-// first use. Resolve once and cache the pointer on hot paths.
-func (v *CounterVec) With(values ...string) *Counter { return v.f.ensure(values).c }
-
-// With1 is a non-variadic With for single-label families.
+// With1 returns the counter of a single-label family for the label value,
+// creating it on first use. Resolve once and cache the pointer on hot paths.
 func (v *CounterVec) With1(a string) *Counter { return v.f.ensure1(a).c }
 
-// With2 is a non-variadic With for two-label families; its only allocation
-// is the composite key string.
+// With2 is With1 for two-label families; its only allocation is the
+// composite key string.
 func (v *CounterVec) With2(a, b string) *Counter { return v.f.ensure2(a, b).c }
 
 // Each calls fn for every series with its raw label values and current
@@ -204,10 +201,7 @@ func (r *Registry) NewHistogramVec(name, help string, unit Unit, labels ...strin
 	return &HistogramVec{f: r.register(name, help, kindHistogram, unit, labels)}
 }
 
-// With returns the histogram for the given label values.
-func (v *HistogramVec) With(values ...string) *Histogram { return v.f.ensure(values).h }
-
-// With1 is a non-variadic With for single-label families.
+// With1 returns the histogram of a single-label family for the label value.
 func (v *HistogramVec) With1(a string) *Histogram { return v.f.ensure1(a).h }
 
 // ensure1 and ensure2 mirror ensure without a variadic slice, keeping

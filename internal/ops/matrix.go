@@ -183,9 +183,6 @@ func NewConvolve2D(name string, kernel [][]float64) (*Convolve2D, error) {
 	}, nil
 }
 
-// Radius returns the kernel radius.
-func (c *Convolve2D) Radius() int { return c.radius }
-
 // OutShape implements Operator.
 func (c *Convolve2D) OutShape(in []grid.Shape) (grid.Shape, error) {
 	if len(in) != 1 || len(in[0]) != 2 {

@@ -2,10 +2,12 @@ package server_test
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -20,6 +22,36 @@ import (
 // sampleLineRE matches one Prometheus text-format sample:
 // name, optional {labels}, one space, value.
 var sampleLineRE = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{.*\})? (-?[0-9][0-9.eE+-]*|[+-]Inf|NaN)$`)
+
+// parseSamples reads an exposition body into sample → value, the key being
+// the sample name with its label set exactly as exposed. Comment lines and
+// OpenMetrics exemplars are skipped; every other line ends in a space and
+// the value.
+func parseSamples(text string) (map[string]float64, error) {
+	m := make(map[string]float64)
+	for _, line := range strings.Split(strings.TrimSpace(text), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		line, _, _ = strings.Cut(line, " # ")
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if i < 0 || err != nil {
+			return nil, fmt.Errorf("malformed sample %q", line)
+		}
+		m[line[:i]] = v
+	}
+	return m, nil
+}
+
+// scrape fetches /v1/metrics through the client and parses it.
+func scrape(ctx context.Context, c *client.Client) (map[string]float64, error) {
+	text, err := c.Metrics(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return parseSamples(text)
+}
 
 // TestMetricsUnderQueryStorm scrapes /v1/metrics while concurrent clients
 // hammer query-batch, asserting the exposition stays well-formed, counters
@@ -64,7 +96,7 @@ func TestMetricsUnderQueryStorm(t *testing.T) {
 		}
 	}
 
-	base, err := c.Metrics(ctx)
+	base, err := scrape(ctx, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +131,7 @@ func TestMetricsUnderQueryStorm(t *testing.T) {
 		defer close(scrapeDone)
 		prev := map[string]float64{}
 		for i := 0; i < 20; i++ {
-			m, err := c.Metrics(ctx)
+			m, err := scrape(ctx, c)
 			if err != nil {
 				errs <- err
 				return
@@ -127,7 +159,7 @@ func TestMetricsUnderQueryStorm(t *testing.T) {
 	}
 
 	// Final totals reconcile with the queries actually executed.
-	final, err := c.Metrics(ctx)
+	final, err := scrape(ctx, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +221,7 @@ func TestMetricsUnderQueryStorm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scrape, err := c.Metrics(ctx)
+	exposed, err := scrape(ctx, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,14 +234,14 @@ func TestMetricsUnderQueryStorm(t *testing.T) {
 		stat  int64
 		prom  float64
 	}{
-		{"requests+1", sv.Requests + 1, scrape[`subzero_http_responses_total{class="ok"}`] +
-			scrape[`subzero_http_responses_total{class="client_error"}`] +
-			scrape[`subzero_http_responses_total{class="server_error"}`]},
-		{"client_errors", sv.ClientErrors, scrape[`subzero_http_responses_total{class="client_error"}`]},
-		{"server_errors", sv.ServerErrors, scrape[`subzero_http_responses_total{class="server_error"}`]},
-		{"rejected", sv.Rejected, scrape["subzero_http_shed_total"]},
-		{"cancelled", sv.Cancelled, scrape["subzero_http_cancelled_total"]},
-		{"in_flight", sv.InFlight, scrape["subzero_http_in_flight"]},
+		{"requests+1", sv.Requests + 1, exposed[`subzero_http_responses_total{class="ok"}`] +
+			exposed[`subzero_http_responses_total{class="client_error"}`] +
+			exposed[`subzero_http_responses_total{class="server_error"}`]},
+		{"client_errors", sv.ClientErrors, exposed[`subzero_http_responses_total{class="client_error"}`]},
+		{"server_errors", sv.ServerErrors, exposed[`subzero_http_responses_total{class="server_error"}`]},
+		{"rejected", sv.Rejected, exposed["subzero_http_shed_total"]},
+		{"cancelled", sv.Cancelled, exposed["subzero_http_cancelled_total"]},
+		{"in_flight", sv.InFlight, exposed["subzero_http_in_flight"]},
 	} {
 		if float64(row.stat) != row.prom {
 			t.Errorf("/v1/stats server.%s = %d, /v1/metrics says %v", row.field, row.stat, row.prom)
@@ -293,7 +325,7 @@ func checkExposition(t *testing.T, baseURL string) {
 		}
 	}
 	// Every histogram must close with an +Inf bucket equal to _count.
-	m, err := client.ParseExposition(text)
+	m, err := parseSamples(text)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -281,9 +281,6 @@ func (s *Server) DrainFor(timeout time.Duration) {
 	s.draining.Store(true)
 }
 
-// Draining reports whether Drain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // MetricsSnapshot returns the current serving counters.
 func (s *Server) MetricsSnapshot() Metrics {
 	h := &s.obs.HTTP

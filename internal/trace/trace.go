@@ -139,9 +139,6 @@ func New(cfg Config) *Tracer {
 	}
 }
 
-// SlowThreshold returns the configured slow-trace duration rule.
-func (t *Tracer) SlowThreshold() time.Duration { return t.slow }
-
 // Snapshot returns the tracer's own counters.
 func (t *Tracer) Snapshot() Stats {
 	return Stats{
@@ -372,9 +369,6 @@ func (s *Span) MarkSlow() {
 	td.slow = true
 	td.mu.Unlock()
 }
-
-// Sampled reports whether the span is real (non-nil).
-func (s *Span) Sampled() bool { return s != nil }
 
 // TraceIDString returns the trace ID as hex, or "" on a nil span — the
 // form exemplars and log records carry.

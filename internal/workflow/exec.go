@@ -73,9 +73,6 @@ func NewExecutor(versions *array.Versions, manager *kvstore.Manager, stats *line
 // to runs already in flight.
 func (e *Executor) SetIngest(cfg lineage.IngestConfig) { e.ingestCfg = cfg }
 
-// IngestConfig returns the configured ingest pipeline parameters.
-func (e *Executor) IngestConfig() lineage.IngestConfig { return e.ingestCfg }
-
 // SetObs makes the executor count its ingest pipeline in the process-wide
 // metric registry. Call before Execute, alongside SetIngest.
 func (e *Executor) SetObs(o *obs.IngestObs) { e.ingestObs = o }
@@ -85,9 +82,6 @@ func (e *Executor) SetObs(o *obs.IngestObs) { e.ingestObs = o }
 func (e *Executor) IngestSnapshot() lineage.IngestSnapshot {
 	return lineage.SnapshotIngest(e.ingestObs, e.ingestCfg)
 }
-
-// Versions exposes the executor's no-overwrite array store.
-func (e *Executor) Versions() *array.Versions { return e.versions }
 
 // Stats exposes the statistics collector.
 func (e *Executor) Stats() *lineage.Collector { return e.stats }

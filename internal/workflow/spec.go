@@ -122,24 +122,3 @@ func (s *Spec) TopoOrder() ([]*Node, error) {
 	}
 	return order, nil
 }
-
-// Consumers returns, for each node id, the (consumer node, input index)
-// pairs that read its output — the forward edges, used to validate
-// forward query paths.
-func (s *Spec) Consumers() map[string][]Edge {
-	out := make(map[string][]Edge)
-	for _, n := range s.nodes {
-		for i, in := range n.Inputs {
-			if in.Node != "" {
-				out[in.Node] = append(out[in.Node], Edge{Node: n.ID, InputIdx: i})
-			}
-		}
-	}
-	return out
-}
-
-// Edge is a consumer endpoint: node's input InputIdx.
-type Edge struct {
-	Node     string
-	InputIdx int
-}

@@ -16,12 +16,18 @@ import (
 
 func newExecutor(t *testing.T) *workflow.Executor {
 	t.Helper()
+	return newExecutorOver(t, array.NewVersions())
+}
+
+// newExecutorOver builds an executor storing arrays in versions.
+func newExecutorOver(t *testing.T, versions *array.Versions) *workflow.Executor {
+	t.Helper()
 	mgr, err := kvstore.NewManager("")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { mgr.Close() })
-	return workflow.NewExecutor(array.NewVersions(), mgr, lineage.NewCollector())
+	return workflow.NewExecutor(versions, mgr, lineage.NewCollector())
 }
 
 func twoStepSpec(t *testing.T) *workflow.Spec {
@@ -80,7 +86,7 @@ func assertPanics(t *testing.T, fn func()) {
 	fn()
 }
 
-func TestTopoOrderAndConsumers(t *testing.T) {
+func TestTopoOrder(t *testing.T) {
 	spec := workflow.NewSpec("diamond")
 	id := func(x float64) float64 { return x }
 	add := ops.NewBinary("add", func(a, b float64) float64 { return a + b })
@@ -99,17 +105,11 @@ func TestTopoOrderAndConsumers(t *testing.T) {
 	if pos["join"] < pos["left"] || pos["join"] < pos["right"] {
 		t.Fatalf("topo order wrong: %v", pos)
 	}
-	cons := spec.Consumers()
-	if len(cons["left"]) != 1 || cons["left"][0].Node != "join" || cons["left"][0].InputIdx != 0 {
-		t.Fatalf("consumers wrong: %+v", cons)
-	}
-	if cons["right"][0].InputIdx != 1 {
-		t.Fatalf("consumers wrong: %+v", cons)
-	}
 }
 
 func TestExecuteBlackbox(t *testing.T) {
-	e := newExecutor(t)
+	versions := array.NewVersions()
+	e := newExecutorOver(t, versions)
 	run, err := e.Execute(context.Background(), twoStepSpec(t), nil, map[string]*array.Array{"src": sourceArray(1, 2, 3)})
 	if err != nil {
 		t.Fatal(err)
@@ -131,10 +131,10 @@ func TestExecuteBlackbox(t *testing.T) {
 		t.Fatal("blackbox node has stores")
 	}
 	// Intermediate results must be in the versioned store (no-overwrite).
-	if _, err := e.Versions().Latest(run.ID + "/double"); err != nil {
+	if _, err := versions.Latest(run.ID + "/double"); err != nil {
 		t.Fatal("intermediate result not versioned")
 	}
-	if _, err := e.Versions().Latest("src"); err != nil {
+	if _, err := versions.Latest("src"); err != nil {
 		t.Fatal("source not versioned")
 	}
 }
