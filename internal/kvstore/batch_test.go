@@ -95,6 +95,55 @@ func TestFileStorePutBatchMatchesPuts(t *testing.T) {
 	}
 }
 
+// A PutBatch of fresh keys grows the index once, to the table size the
+// same keys written by one-at-a-time Puts reach — so batching cannot move
+// a store's heap footprint — for batches that stay under the load bound,
+// cross it once, or cross it several times.
+func TestPutBatchIndexSizeMatchesPuts(t *testing.T) {
+	dir := t.TempDir()
+	n := 0
+	for _, pre := range []int{0, 5, 11, 12, 13, 100, 767, 768, 769} {
+		for _, size := range []int{0, 1, 2, 11, 12, 13, 100, 1000, 3000} {
+			kvs := make([]KV, pre+size)
+			for i := range kvs {
+				kvs[i] = KV{Key: []byte(fmt.Sprintf("key-%d", i)), Val: []byte{byte(i)}}
+			}
+			open := func() *FileStore {
+				n++
+				s, err := OpenFile(filepath.Join(dir, fmt.Sprintf("%d.log", n)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { s.Close() })
+				for _, kv := range kvs[:pre] {
+					if err := s.Put(kv.Key, kv.Val); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return s
+			}
+			serial, batched := open(), open()
+			for _, kv := range kvs[pre:] {
+				if err := serial.Put(kv.Key, kv.Val); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := batched.PutBatch(kvs[pre:]); err != nil {
+				t.Fatal(err)
+			}
+			if len(batched.slots) != len(serial.slots) {
+				t.Fatalf("%d keys then a batch of %d: index of %d slots, one-at-a-time Puts reach %d",
+					pre, size, len(batched.slots), len(serial.slots))
+			}
+			for _, kv := range kvs {
+				if v, ok, err := batched.Get(kv.Key); err != nil || !ok || !bytes.Equal(v, kv.Val) {
+					t.Fatalf("Get(%q) = %q ok=%v err=%v", kv.Key, v, ok, err)
+				}
+			}
+		}
+	}
+}
+
 func TestMetaCommitRoundTrip(t *testing.T) {
 	for name, s := range storesUnderTest(t) {
 		t.Run(name, func(t *testing.T) {

@@ -175,7 +175,7 @@ func (s *FileStore) recover() (err error) {
 		// Probes during the walk compare against earlier records, so the
 		// readable bound moves with it.
 		s.tailOff = off + int64(n)
-		if err := s.indexPut(key, off); err != nil {
+		if err := s.indexPut(key, off, 0); err != nil {
 			return err
 		}
 		off = s.tailOff
@@ -329,10 +329,12 @@ func (s *FileStore) find(key []byte) (off int64, val []byte, err error) {
 }
 
 // indexPut points key at the record at off, which must already be
-// readable through record.
-func (s *FileStore) indexPut(key []byte, off int64) error {
+// readable through record. more counts the keys still to come in the same
+// batch: when the table must grow, it grows once for all of them, to the
+// size the same keys inserted one at a time would reach if all were new.
+func (s *FileStore) indexPut(key []byte, off int64, more int) error {
 	if (s.live+1)*4 > len(s.slots)*3 {
-		if err := s.growIndex(); err != nil {
+		if err := s.growIndex(s.live + 1 + more); err != nil {
 			return err
 		}
 	}
@@ -348,10 +350,15 @@ func (s *FileStore) indexPut(key []byte, off int64) error {
 	return nil
 }
 
-// growIndex doubles the table. A slot keeps too few hash bits to be
-// re-placed by itself, so each key is hashed again from its record.
-func (s *FileStore) growIndex() error {
-	grown := make([]uint64, max(16, 2*len(s.slots)))
+// growIndex doubles the table until it holds need keys under the 3/4 load
+// bound. A slot keeps too few hash bits to be re-placed by itself, so each
+// key is hashed again from its record.
+func (s *FileStore) growIndex(need int) error {
+	n := max(16, 2*len(s.slots))
+	for need*4 > n*3 {
+		n *= 2
+	}
+	grown := make([]uint64, n)
 	mask := uint64(len(grown) - 1)
 	for _, sl := range s.slots {
 		if sl == 0 {
@@ -373,8 +380,9 @@ func (s *FileStore) growIndex() error {
 }
 
 // appendRecord frames key/val at the end of the append buffer, draining
-// the buffer first when the record would overfill it, and indexes it.
-func (s *FileStore) appendRecord(key, val []byte) error {
+// the buffer first when the record would overfill it, and indexes it; more
+// is passed on to indexPut.
+func (s *FileStore) appendRecord(key, val []byte, more int) error {
 	need := crcSize + uvarintLen(uint64(len(key))) + uvarintLen(uint64(len(val))) + len(key) + len(val)
 	if len(s.tail) > 0 && len(s.tail)+need > writeBufBytes {
 		if err := s.flushLocked(); err != nil {
@@ -392,7 +400,7 @@ func (s *FileStore) appendRecord(key, val []byte) error {
 	s.tail = append(s.tail, key...)
 	s.tail = append(s.tail, val...)
 	binary.LittleEndian.PutUint32(s.tail[start:], crc32.Checksum(s.tail[start+crcSize:], crcTable))
-	if err := s.indexPut(key, off); err != nil {
+	if err := s.indexPut(key, off, more); err != nil {
 		s.tail = s.tail[:start]
 		return err
 	}
@@ -413,12 +421,13 @@ func (s *FileStore) Put(key, val []byte) (err error) {
 		return err
 	}
 	defer s.catchFault(debug.SetPanicOnFault(true), &err)
-	return s.appendRecord(key, val)
+	return s.appendRecord(key, val, 0)
 }
 
 // PutBatch implements Store: the whole batch is framed and appended
 // under one lock acquisition and one pass through the append buffer — the
-// group commit the ingest shard workers rely on. A crash mid-batch tears
+// group commit the ingest shard workers rely on — and the index grows at
+// most once, with room for the rest of the batch. A crash mid-batch tears
 // the log inside the batch; recovery truncates at the first bad record,
 // exactly as for individual Puts.
 func (s *FileStore) PutBatch(kvs []KV) (err error) {
@@ -438,8 +447,8 @@ func (s *FileStore) PutBatch(kvs []KV) (err error) {
 		}
 	}
 	defer s.catchFault(debug.SetPanicOnFault(true), &err)
-	for _, kv := range kvs {
-		if err := s.appendRecord(kv.Key, kv.Val); err != nil {
+	for i, kv := range kvs {
+		if err := s.appendRecord(kv.Key, kv.Val, len(kvs)-1-i); err != nil {
 			return err
 		}
 	}

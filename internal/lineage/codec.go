@@ -28,11 +28,12 @@ func pairKey(id uint64) []byte {
 }
 
 func cellKey(slot int, cell uint64) []byte {
-	buf := make([]byte, 10)
-	buf[0] = keyCell
-	buf[1] = byte(slot)
-	binary.BigEndian.PutUint64(buf[2:], cell)
-	return buf
+	return appendCellKey(make([]byte, 0, 10), slot, cell)
+}
+
+func appendCellKey(buf []byte, slot int, cell uint64) []byte {
+	buf = append(buf, keyCell, byte(slot))
+	return binary.BigEndian.AppendUint64(buf, cell)
 }
 
 // record is a decoded region-pair record. Cell sets stay in their
@@ -179,10 +180,10 @@ func fullRecordSide(val []byte, nIns, side int) ([]byte, error) {
 	return set, nil
 }
 
-// encodeIDList serializes the pair-id list stored in a One-encoding cell
+// appendIDEntry appends the pair-id list stored in a One-encoding cell
 // entry (usually a single id).
-func encodeIDList(ids []uint64) []byte {
-	buf := binary.AppendUvarint(nil, uint64(len(ids)))
+func appendIDEntry(buf []byte, ids []uint64) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(ids)))
 	for _, id := range ids {
 		buf = binary.AppendUvarint(buf, id)
 	}
@@ -208,18 +209,12 @@ func appendIDList(dst []uint64, val []byte) ([]uint64, error) {
 	return dst, nil
 }
 
-// decodeIDList parses a cell entry's pair-id list into a fresh slice
-// (write-path merges; lookups use appendIDList).
-func decodeIDList(val []byte) ([]uint64, error) {
-	return appendIDList(nil, val)
-}
-
-// encodePayloadList serializes the payload list stored in a PayOne cell
+// appendPayloadEntry appends the payload list stored in a PayOne cell
 // entry (paper Figure 4.4 stores "a duplicate of the payload in each hash
 // value"; a list handles the rare case of one output cell appearing in
 // multiple payload pairs).
-func encodePayloadList(payloads [][]byte) []byte {
-	buf := binary.AppendUvarint(nil, uint64(len(payloads)))
+func appendPayloadEntry(buf []byte, payloads [][]byte) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(payloads)))
 	for _, p := range payloads {
 		buf = binenc.AppendBytes(buf, p)
 	}
@@ -247,21 +242,4 @@ func forEachPayload(val []byte, fn func(p []byte) error) error {
 		off += consumed
 	}
 	return nil
-}
-
-// decodePayloadList parses a PayOne cell entry into copied payload slices
-// (write-path merges; lookups use forEachPayload).
-func decodePayloadList(val []byte) ([][]byte, error) {
-	var out [][]byte
-	err := forEachPayload(val, func(p []byte) error {
-		out = append(out, append([]byte(nil), p...))
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if out == nil {
-		out = [][]byte{}
-	}
-	return out, nil
 }

@@ -45,7 +45,7 @@ func (rp *RegionPair) Validate(outSpace *grid.Space, inSpaces []*grid.Space) err
 	if rp.Payload != nil && rp.Ins != nil {
 		return fmt.Errorf("lineage: region pair has both payload and input cells")
 	}
-	if err := checkCells(rp.Out, outSpace.Size(), "output"); err != nil {
+	if err := checkCells(rp.Out, outSpace.Size(), outSide); err != nil {
 		return err
 	}
 	if rp.Ins != nil {
@@ -54,7 +54,7 @@ func (rp *RegionPair) Validate(outSpace *grid.Space, inSpaces []*grid.Space) err
 				len(rp.Ins), len(inSpaces))
 		}
 		for i, in := range rp.Ins {
-			if err := checkCells(in, inSpaces[i].Size(), fmt.Sprintf("input %d", i)); err != nil {
+			if err := checkCells(in, inSpaces[i].Size(), i); err != nil {
 				return err
 			}
 		}
@@ -62,16 +62,26 @@ func (rp *RegionPair) Validate(outSpace *grid.Space, inSpaces []*grid.Space) err
 	return nil
 }
 
-func checkCells(cells []uint64, size uint64, what string) error {
+// checkCells checks one cell set of a pair, side naming it as in
+// record.side. The set's label is built only for the error, so a valid
+// pair validates without allocating.
+func checkCells(cells []uint64, size uint64, side int) error {
 	for i, c := range cells {
 		if c >= size {
-			return fmt.Errorf("lineage: %s cell %d out of range (size %d)", what, c, size)
+			return fmt.Errorf("lineage: %s cell %d out of range (size %d)", sideLabel(side), c, size)
 		}
 		if i > 0 && cells[i-1] >= c {
-			return fmt.Errorf("lineage: %s cells not sorted/deduplicated", what)
+			return fmt.Errorf("lineage: %s cells not sorted/deduplicated", sideLabel(side))
 		}
 	}
 	return nil
+}
+
+func sideLabel(side int) string {
+	if side == outSide {
+		return "output"
+	}
+	return fmt.Sprintf("input %d", side)
 }
 
 // CellCount returns the total number of cells referenced by the pair, used

@@ -55,6 +55,35 @@ func TestRegionPairValidateErrors(t *testing.T) {
 	}
 }
 
+// Validate names the failing cell set in its error, and builds that name
+// only on failure: a valid pair validates without allocating.
+func TestRegionPairValidateLabels(t *testing.T) {
+	outSp := grid.NewSpace(grid.Shape{4})
+	inSp := []*grid.Space{grid.NewSpace(grid.Shape{4}), grid.NewSpace(grid.Shape{4})}
+	for want, rp := range map[string]RegionPair{
+		"lineage: output cell 9 out of range (size 4)":                 {Out: []uint64{9}, Ins: [][]uint64{{0}, {0}}},
+		"lineage: input 0 cell 7 out of range (size 4)":                {Out: []uint64{0}, Ins: [][]uint64{{7}, {0}}},
+		"lineage: output cells not sorted/deduplicated":                {Out: []uint64{2, 1}, Ins: [][]uint64{{0}, {0}}},
+		"lineage: input 1 cells not sorted/deduplicated":               {Out: []uint64{0}, Ins: [][]uint64{{0}, {3, 3}}},
+		"lineage: input 1 cell 4 out of range (size 4)":                {Out: []uint64{0}, Ins: [][]uint64{{0}, {1, 4}}},
+		"lineage: output cell 4 out of range (size 4)":                 {Out: []uint64{4}, Payload: []byte{}},
+		"lineage: region pair with empty output set":                   {Ins: [][]uint64{{0}, {0}}},
+		"lineage: region pair has 1 input sets, operator has 2 inputs": {Out: []uint64{0}, Ins: [][]uint64{{0}}},
+	} {
+		if err := rp.Validate(outSp, inSp); err == nil || err.Error() != want {
+			t.Errorf("Validate(%+v) = %v, want %q", rp, err, want)
+		}
+	}
+	valid := RegionPair{Out: []uint64{0, 3}, Ins: [][]uint64{{1, 2}, {0, 1, 2, 3}}}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := valid.Validate(outSp, inSp); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Validate of a valid pair allocates %.1f/op, want 0", allocs)
+	}
+}
+
 func TestRecordCodecRoundTrip(t *testing.T) {
 	full := RegionPair{Out: []uint64{1, 5, 9}, Ins: [][]uint64{{0, 2}, {7}}}
 	rec, err := decodeRecord(encodeRecord(&full))
@@ -115,7 +144,7 @@ func TestRecordCodecErrors(t *testing.T) {
 
 func TestIDListCodec(t *testing.T) {
 	for _, ids := range [][]uint64{{}, {0}, {1, 2, 1 << 40}} {
-		got, err := decodeIDList(encodeIDList(ids))
+		got, err := appendIDList(nil, appendIDEntry(nil, ids))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +157,7 @@ func TestIDListCodec(t *testing.T) {
 			}
 		}
 	}
-	if _, err := decodeIDList(nil); err == nil {
+	if _, err := appendIDList(nil, nil); err == nil {
 		t.Fatal("nil id list accepted")
 	}
 }
@@ -140,8 +169,11 @@ func TestPayloadListCodec(t *testing.T) {
 		{[]byte("x"), {}, []byte("longer payload")},
 	}
 	for _, l := range lists {
-		got, err := decodePayloadList(encodePayloadList(l))
-		if err != nil {
+		var got [][]byte
+		if err := forEachPayload(appendPayloadEntry(nil, l), func(p []byte) error {
+			got = append(got, p)
+			return nil
+		}); err != nil {
 			t.Fatal(err)
 		}
 		if len(got) != len(l) {

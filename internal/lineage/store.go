@@ -2,10 +2,11 @@ package lineage
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,9 +43,11 @@ var fpDecode = fault.Register("lineage/lookup/decode")
 // With the sharded ingest pipeline the write path has two sides, and the
 // stats keep them apart: WriteTime is the total encode+commit work summed
 // across every writer (one thread when serial, N shard workers when
-// sharded), while EnqueueTime and FlushTime are the only parts the
-// operator's own thread pays under async ingest — the handoff (including
-// backpressure stalls) and the end-of-run drain barrier.
+// sharded), while EnqueueTime and FlushTime are the parts the operator's
+// own thread pays under async ingest — the handoff (including backpressure
+// stalls) and the end-of-run drain barrier. FlushTime also holds the
+// store's final Flush (the pending cell-entry flush and the meta commit),
+// which the operator thread pays on either path.
 type StoreStats struct {
 	Pairs        int
 	OutCells     int64
@@ -52,16 +55,16 @@ type StoreStats struct {
 	PayloadBytes int64
 	WriteTime    time.Duration // encode+commit work, summed across shard workers
 	EnqueueTime  time.Duration // operator-thread handoff incl. backpressure stalls
-	FlushTime    time.Duration // operator-thread drain barrier + final flush
+	FlushTime    time.Duration // operator-thread drain barrier (sharded) + final flush
 	Shards       int           // shard workers that built the store (0 = serial)
 }
 
 // CriticalWriteTime estimates the wall-clock the strategy adds to a
 // workflow run: for sharded ingest the encode work spreads across Shards
 // workers while the operator thread pays enqueue + drain, so the critical
-// path is the larger of the two; serial stores pay WriteTime inline. The
-// strategy optimizer costs runtime overhead from this instead of the raw
-// serial WriteTime.
+// path is the larger of the two; serial stores pay WriteTime and FlushTime
+// inline. The strategy optimizer costs runtime overhead from this instead
+// of the raw serial WriteTime.
 func (ss StoreStats) CriticalWriteTime() time.Duration {
 	if ss.Shards > 1 {
 		perShard := ss.WriteTime / time.Duration(ss.Shards)
@@ -71,7 +74,7 @@ func (ss StoreStats) CriticalWriteTime() time.Duration {
 		}
 		return op
 	}
-	return ss.WriteTime
+	return ss.WriteTime + ss.FlushTime
 }
 
 // Store holds the materialized region lineage of a single operator
@@ -81,18 +84,18 @@ func (ss StoreStats) CriticalWriteTime() time.Duration {
 // serves backward/forward lookups over them.
 //
 // One reader/writer lock, gate, guards everything a lookup reads and a write
-// mutates in place: the R-trees, the buffered per-cell entries, the volume
+// mutates in place: the R-trees, the per-cell entry buffers, the volume
 // counters and the dirty flag. Lookups (Backward, Forward, ContainsOut) and
 // the accessors (Stats, NumPairs, SizeBytes) hold it shared for their whole
-// span, so any number run concurrently; index inserts, cell-entry buffering
-// with its threshold flush, the volume counters and Flush hold it
-// exclusively. Record encoding and the record group commit stay outside
-// it, so shard workers still encode one store in parallel. A lookup
-// therefore sees every batch applied before it took the gate and never a
-// torn one, whether the writer is WritePairs on another goroutine or a
-// Coordinator's shard workers. It never waits on batches still queued in
-// a pipeline: an answer during ingest is a subset of the final answer, and
-// exact once the writer's Flush returns.
+// span, so any number run concurrently; index inserts, appends to the
+// cell-entry buffers and the flush that sorts and writes them, the volume
+// counters and Flush hold it exclusively. Record encoding and the record
+// group commit stay outside it, so shard workers still encode one store in
+// parallel. A lookup therefore sees every batch applied before it took the
+// gate and never a torn one, whether the writer is WritePairs on another
+// goroutine or a Coordinator's shard workers. It never waits on batches
+// still queued in a pipeline: an answer during ingest is a subset of the
+// final answer, and exact once the writer's Flush returns.
 //
 // The gate is not re-entrant: nothing that holds it may call back into the
 // store's locking methods, and the callbacks a lookup runs (abort hooks,
@@ -117,12 +120,17 @@ type Store struct {
 	// deterministic regardless of shard scheduling.
 	nextPair atomic.Uint64
 
-	// Pending per-cell entries for One encodings, merged into the
-	// hashtable in batches so key collisions don't force a read-modify-
-	// write per lwrite call. Guarded by gate.
-	pendingIDs   []map[uint64][]uint64
-	pendingPay   map[uint64][][]byte
+	// Per-cell entries of One encodings wait in pending, one append-only
+	// buffer per slot, until a flush sorts each buffer once and writes
+	// every cell's entry with one PutBatch. A cellRef's ref is the pair id,
+	// or for payload stores an index into pendingPay. mayHoldCells is set
+	// once the hashtable may hold cell entries — the store was opened
+	// non-empty or has flushed — and only then does a flush read the
+	// existing entries back to merge into. Guarded by gate.
+	pending      [][]cellRef
+	pendingPay   [][]byte
 	pendingCount int
+	mayHoldCells bool
 
 	// recMu guards recCache, which lookups fill while holding the gate
 	// only shared. The cache admits decoded records while it has room
@@ -184,14 +192,8 @@ func OpenStore(kv kvstore.Store, strat Strategy, outSpace *grid.Space, inSpaces 
 		}
 	}
 	if strat.Enc == One {
-		if strat.Mode == Pay || strat.Mode == Comp {
-			s.pendingPay = make(map[uint64][][]byte)
-		} else {
-			s.pendingIDs = make([]map[uint64][]uint64, nSlots)
-			for i := range s.pendingIDs {
-				s.pendingIDs[i] = make(map[uint64][]uint64)
-			}
-		}
+		s.pending = make([][]cellRef, nSlots)
+		s.mayHoldCells = kv.Len() > 0
 	}
 	if err := s.loadMeta(); err != nil {
 		return nil, err
@@ -554,31 +556,38 @@ func (s *Store) indexItems(pairs []RegionPair, ids []uint64) []slotItem {
 	return items
 }
 
-// bufferCellEntries merges one batch's per-cell references (FullOne ids,
-// PayOne payload duplicates) into the pending buffers, flushing to the
+// cellRef is one buffered per-cell entry: a cell of the slot's key side
+// and the pair id, or payload index, its entry lists.
+type cellRef struct{ cell, ref uint64 }
+
+// bufferCellEntries appends one batch's per-cell references (FullOne ids,
+// PayOne payload duplicates) to the pending buffers, flushing to the
 // hashtable when the threshold is crossed. The caller holds the gate
 // exclusively.
 func (s *Store) bufferCellEntries(pairs []RegionPair, ids []uint64) error {
 	for i := range pairs {
 		rp := &pairs[i]
 		switch {
-		case s.pendingPay != nil:
-			// PayOne: duplicate the payload under every output cell.
+		case ids == nil:
+			// PayOne stores no records, so its pairs have no ids: the
+			// payload is duplicated under every output cell.
+			ref := uint64(len(s.pendingPay))
+			s.pendingPay = append(s.pendingPay, rp.Payload)
 			for _, c := range rp.Out {
-				s.pendingPay[c] = append(s.pendingPay[c], rp.Payload)
-				s.pendingCount++
+				s.pending[0] = append(s.pending[0], cellRef{c, ref})
 			}
+			s.pendingCount += len(rp.Out)
 		case s.strat.Orient == BackwardOpt:
 			for _, c := range rp.Out {
-				s.pendingIDs[0][c] = append(s.pendingIDs[0][c], ids[i])
-				s.pendingCount++
+				s.pending[0] = append(s.pending[0], cellRef{c, ids[i]})
 			}
+			s.pendingCount += len(rp.Out)
 		default:
 			for j, in := range rp.Ins {
 				for _, c := range in {
-					s.pendingIDs[j][c] = append(s.pendingIDs[j][c], ids[i])
-					s.pendingCount++
+					s.pending[j] = append(s.pending[j], cellRef{c, ids[i]})
 				}
+				s.pendingCount += len(in)
 			}
 		}
 	}
@@ -609,96 +618,154 @@ func (s *Store) beginRead() error {
 	}
 }
 
-// flushPendingLocked merges buffered per-cell entries into the hashtable.
-// Existing entries are read through one GetBatch pass and the merged
-// entries written back through one PutBatch group commit, so the backing
-// store is locked twice per flush rather than twice per key. Merged id
-// lists are sorted so the stored bytes are deterministic regardless of
-// which shard worker buffered which pair. The caller holds the gate
+// flushPendingLocked writes the buffered per-cell entries to the
+// hashtable. Each slot's buffer is sorted once, by cell and then by pair id
+// or payload bytes, so a cell's references form one run and its list is
+// sorted: the stored bytes do not depend on which shard worker buffered
+// which pair. Keys and values are encoded into two arenas and written, in
+// slot and cell order, by one PutBatch group commit. Only a store that may
+// already hold cell entries reads them back first, through one GetBatch
+// pass, and merges the fresh runs into them. The caller holds the gate
 // exclusively.
 func (s *Store) flushPendingLocked() error {
 	if s.pendingCount == 0 {
 		return nil
 	}
-	if s.pendingPay != nil {
-		if err := flushCellMap(s.kv, 0, s.pendingPay,
-			func(old []byte, payloads [][]byte) ([][]byte, error) {
-				existing, err := decodePayloadList(old)
-				if err != nil {
-					return nil, err
+	n := 0
+	for _, refs := range s.pending {
+		// pendingPay is non-nil exactly when a payload store has buffered
+		// entries.
+		if s.pendingPay != nil {
+			slices.SortFunc(refs, func(a, b cellRef) int {
+				if c := cmp.Compare(a.cell, b.cell); c != 0 || a.ref == b.ref {
+					return c
 				}
-				return append(existing, payloads...), nil
-			},
-			func(payloads [][]byte) []byte {
-				// Payload lists are sets to the query path; sort them so
-				// the stored bytes don't depend on shard scheduling.
-				sort.SliceStable(payloads, func(i, j int) bool {
-					return bytes.Compare(payloads[i], payloads[j]) < 0
-				})
-				return encodePayloadList(payloads)
-			},
-		); err != nil {
+				return bytes.Compare(s.pendingPay[a.ref], s.pendingPay[b.ref])
+			})
+		} else {
+			slices.SortFunc(refs, func(a, b cellRef) int {
+				if c := cmp.Compare(a.cell, b.cell); c != 0 {
+					return c
+				}
+				return cmp.Compare(a.ref, b.ref)
+			})
+		}
+		for i := range refs {
+			if i == 0 || refs[i].cell != refs[i-1].cell {
+				n++
+			}
+		}
+	}
+	runs := make([]cellRun, 0, n)
+	for slot, refs := range s.pending {
+		for lo := 0; lo < len(refs); {
+			hi := lo + 1
+			for hi < len(refs) && refs[hi].cell == refs[lo].cell {
+				hi++
+			}
+			runs = append(runs, cellRun{slot: slot, lo: lo, hi: hi})
+			lo = hi
+		}
+	}
+
+	keyArena := make([]byte, 0, 10*len(runs))
+	for _, r := range runs {
+		keyArena = appendCellKey(keyArena, r.slot, s.pending[r.slot][r.lo].cell)
+	}
+	key := func(i int) []byte { return keyArena[10*i : 10*i+10 : 10*i+10] }
+	// The arena is sized for two-byte ids; append grows it past that.
+	enc := cellEncoder{pay: s.pendingPay, vals: make([]byte, 0, len(runs)+2*s.pendingCount)}
+	if s.mayHoldCells {
+		keys := make([][]byte, len(runs))
+		for i := range keys {
+			keys[i] = key(i)
+		}
+		if err := s.kv.GetBatch(keys, func(i int, old []byte, ok bool) bool {
+			r := &runs[i]
+			enc.add(s.pending[r.slot][r.lo:r.hi], old, ok)
+			r.end = len(enc.vals)
+			return enc.err == nil
+		}); err != nil {
 			return err
 		}
-		s.pendingPay = make(map[uint64][][]byte)
-	}
-	for slot, m := range s.pendingIDs {
-		if len(m) == 0 {
-			continue
+	} else {
+		for i := range runs {
+			r := &runs[i]
+			enc.add(s.pending[r.slot][r.lo:r.hi], nil, false)
+			r.end = len(enc.vals)
 		}
-		if err := flushCellMap(s.kv, slot, m,
-			func(old []byte, ids []uint64) ([]uint64, error) {
-				existing, err := decodeIDList(old)
-				if err != nil {
-					return nil, err
-				}
-				return append(existing, ids...), nil
-			},
-			func(ids []uint64) []byte {
-				sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-				return encodeIDList(ids)
-			},
-		); err != nil {
-			return err
-		}
-		s.pendingIDs[slot] = make(map[uint64][]uint64)
 	}
+	if enc.err != nil {
+		return enc.err
+	}
+	batch := make([]kvstore.KV, len(runs))
+	from := 0
+	for i, r := range runs {
+		batch[i] = kvstore.KV{Key: key(i), Val: enc.vals[from:r.end:r.end]}
+		from = r.end
+	}
+	// A failed batch may have applied a prefix, so the flag goes first.
+	s.mayHoldCells = true
+	if err := s.kv.PutBatch(batch); err != nil {
+		return err
+	}
+	for slot := range s.pending {
+		s.pending[slot] = nil
+	}
+	s.pendingPay = nil
 	s.pendingCount = 0
 	return nil
 }
 
-// flushCellMap merges one slot's pending per-cell values into the
-// hashtable: one batched read pass over the existing entries, one group-
-// commit write pass for the merged values.
-func flushCellMap[V any](kv kvstore.Store, slot int, pend map[uint64]V,
-	merge func(old []byte, fresh V) (V, error), encode func(V) []byte) error {
-	cells := make([]uint64, 0, len(pend))
-	for c := range pend {
-		cells = append(cells, c)
-	}
-	sort.Slice(cells, func(i, j int) bool { return cells[i] < cells[j] })
-	keys := make([][]byte, len(cells))
-	for i, c := range cells {
-		keys[i] = cellKey(slot, c)
-	}
-	var mergeErr error
-	batch := make([]kvstore.KV, len(cells))
-	if err := kv.GetBatch(keys, func(i int, val []byte, ok bool) bool {
-		v := pend[cells[i]]
-		if ok {
-			if v, mergeErr = merge(val, v); mergeErr != nil {
-				return false
-			}
+// cellRun is one cell entry of a flush: the span [lo, hi) of its slot's
+// sorted pending buffer, and where its value ends in the value arena.
+type cellRun struct{ slot, lo, hi, end int }
+
+// cellEncoder appends the values of one flush's cell entries to one arena,
+// reusing its list scratch across entries. pay is the store's pendingPay:
+// nil for id stores.
+type cellEncoder struct {
+	pay  [][]byte
+	vals []byte
+	ids  []uint64
+	pays [][]byte
+	err  error
+}
+
+// add appends the entry for one sorted run of references. When the
+// hashtable already holds an entry for the cell (found), its list is
+// decoded and merged with the run's, and the merged list sorted again;
+// payloads alias old and e.pay, so add must finish before either is
+// reused.
+func (e *cellEncoder) add(run []cellRef, old []byte, found bool) {
+	if e.pay != nil {
+		e.pays = e.pays[:0]
+		if found {
+			e.err = forEachPayload(old, func(p []byte) error {
+				e.pays = append(e.pays, p)
+				return nil
+			})
 		}
-		batch[i] = kvstore.KV{Key: keys[i], Val: encode(v)}
-		return true
-	}); err != nil {
-		return err
+		for _, r := range run {
+			e.pays = append(e.pays, e.pay[r.ref])
+		}
+		if found {
+			slices.SortStableFunc(e.pays, bytes.Compare)
+		}
+		e.vals = appendPayloadEntry(e.vals, e.pays)
+		return
 	}
-	if mergeErr != nil {
-		return mergeErr
+	e.ids = e.ids[:0]
+	if found {
+		e.ids, e.err = appendIDList(e.ids, old)
 	}
-	return kv.PutBatch(batch)
+	for _, r := range run {
+		e.ids = append(e.ids, r.ref)
+	}
+	if found {
+		slices.Sort(e.ids)
+	}
+	e.vals = appendIDEntry(e.vals, e.ids)
 }
 
 // Flush persists pending entries, then syncs the hashtable and commits the

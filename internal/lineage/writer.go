@@ -220,12 +220,12 @@ func (w *Writer) Flush() error {
 			}
 		}
 	}
+	// The store's own Flush — the pending cell-entry flush and the meta
+	// commit — runs on the operator thread on either path.
 	flushStore := func(s *Store) error {
 		fstart := time.Now()
 		err := s.Flush()
-		if w.coord != nil {
-			s.AddFlushTime(time.Since(fstart))
-		}
+		s.AddFlushTime(time.Since(fstart))
 		return err
 	}
 	for _, s := range w.fullStores {

@@ -1,6 +1,7 @@
 package lineage
 
 import (
+	"math/rand"
 	"testing"
 
 	"subzero/internal/bitmap"
@@ -49,6 +50,50 @@ func TestWriterRoutesToStores(t *testing.T) {
 	}
 	if !dstF.Get(1) || !dstF.Get(2) {
 		t.Fatal("forward store missing lineage")
+	}
+}
+
+// On the serial path the store's final Flush — here the merge of every
+// buffered cell entry — runs on the operator thread, so it is charged to
+// FlushTime and the optimizer's CriticalWriteTime counts it.
+func TestSerialFlushIsCharged(t *testing.T) {
+	for _, strat := range oneStrategies() {
+		st, err := OpenStore(kvstore.NewMem(), strat, tOutSpace, tInSpaces)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var w *Writer
+		if strat.Mode == Full {
+			w = NewWriter(tOutSpace, tInSpaces, []*Store{st}, nil, nil)
+		} else {
+			w = NewWriter(tOutSpace, tInSpaces, nil, []*Store{st}, nil)
+		}
+		for _, rp := range toStorePairs(strat, randomPairs(rand.New(rand.NewSource(4)), 200)) {
+			if strat.Mode == Full {
+				err = w.LWrite(rp.Out, rp.Ins...)
+			} else {
+				err = w.LWritePayload(rp.Out, rp.Payload)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.flushBuffers(); err != nil {
+			t.Fatal(err)
+		}
+		if st.pendingCount == 0 {
+			t.Fatalf("%s: no cell entries pending before the writer's Flush", strat)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		ss := st.Stats()
+		if ss.Shards != 0 || ss.WriteTime <= 0 || ss.FlushTime <= 0 {
+			t.Fatalf("%s: serial stats %+v, want WriteTime and FlushTime > 0", strat, ss)
+		}
+		if got := ss.CriticalWriteTime(); got != ss.WriteTime+ss.FlushTime {
+			t.Fatalf("%s: CriticalWriteTime = %v, want WriteTime %v + FlushTime %v", strat, got, ss.WriteTime, ss.FlushTime)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package microbench
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -29,6 +30,7 @@ type ingestFixture struct {
 	outSpace *grid.Space
 	inSpaces []*grid.Space
 	pairs    []lineage.RegionPair
+	payloads [][]byte // one per pair, for the payload strategies
 }
 
 func newIngestFixture() *ingestFixture {
@@ -36,6 +38,7 @@ func newIngestFixture() *ingestFixture {
 	rng := rand.New(rand.NewSource(77))
 	size := int64(space.Size())
 	pairs := make([]lineage.RegionPair, ingestPairs)
+	payloads := make([][]byte, ingestPairs)
 	for i := range pairs {
 		rp := lineage.RegionPair{Ins: make([][]uint64, 1)}
 		base := rng.Int63n(size - ingestFanout)
@@ -48,8 +51,9 @@ func newIngestFixture() *ingestFixture {
 		}
 		rp.Normalize()
 		pairs[i] = rp
+		payloads[i] = binary.AppendUvarint(nil, uint64(inBase))
 	}
-	return &ingestFixture{outSpace: space, inSpaces: []*grid.Space{space}, pairs: pairs}
+	return &ingestFixture{outSpace: space, inSpaces: []*grid.Space{space}, pairs: pairs, payloads: payloads}
 }
 
 var ingestFix *ingestFixture
@@ -67,13 +71,25 @@ func benchmarkIngest(b *testing.B, strat lineage.Strategy, shards int) {
 			b.Fatal(err)
 		}
 		var coord *lineage.Coordinator
-		w := lineage.NewWriter(fix.outSpace, fix.inSpaces, []*lineage.Store{st}, nil, nil)
+		payload := strat.Mode != lineage.Full
+		var w *lineage.Writer
+		if payload {
+			w = lineage.NewWriter(fix.outSpace, fix.inSpaces, nil, []*lineage.Store{st}, nil)
+		} else {
+			w = lineage.NewWriter(fix.outSpace, fix.inSpaces, []*lineage.Store{st}, nil, nil)
+		}
 		if shards > 1 {
 			coord = lineage.NewCoordinator(context.Background(), lineage.IngestConfig{Shards: shards}, nil)
 			w.UseIngest(coord)
 		}
 		for i := range fix.pairs {
-			if err := w.LWrite(fix.pairs[i].Out, fix.pairs[i].Ins...); err != nil {
+			var err error
+			if payload {
+				err = w.LWritePayload(fix.pairs[i].Out, fix.payloads[i])
+			} else {
+				err = w.LWrite(fix.pairs[i].Out, fix.pairs[i].Ins...)
+			}
+			if err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -85,13 +101,13 @@ func benchmarkIngest(b *testing.B, strat lineage.Strategy, shards int) {
 				b.Fatal(err)
 			}
 		}
-		// The operator thread pays the whole write serially, only the
-		// handoff and drain when sharded.
+		// The operator thread pays the whole write and the final flush
+		// serially, only the handoff and drain when sharded.
 		ss := st.Stats()
 		if ss.Shards > 0 {
 			opNS += float64(ss.EnqueueTime + ss.FlushTime)
 		} else {
-			opNS += float64(ss.WriteTime)
+			opNS += float64(ss.CriticalWriteTime())
 		}
 		encodeNS += float64(ss.WriteTime)
 	}
@@ -101,7 +117,7 @@ func benchmarkIngest(b *testing.B, strat lineage.Strategy, shards int) {
 }
 
 func BenchmarkIngestSerial(b *testing.B) {
-	for _, strat := range []lineage.Strategy{lineage.StratFullOne, lineage.StratFullMany} {
+	for _, strat := range []lineage.Strategy{lineage.StratFullOne, lineage.StratFullMany, lineage.StratPayOne, lineage.StratFullOneFwd} {
 		b.Run(strat.ID(), func(b *testing.B) { benchmarkIngest(b, strat, 0) })
 	}
 }
