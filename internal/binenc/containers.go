@@ -101,6 +101,43 @@ func AppendCellSetContainers(dst []byte, cells []uint64) []byte {
 	return dst
 }
 
+// AppendTileSet appends the cells of one tile — tile-local offsets below
+// TileCells, sorted and deduplicated — as a container-form cell set laid
+// out for the reader rather than for size: a runs container of at most
+// tileSetMaxRuns runs or an array container of at most tileSetMaxArray
+// cells when one is smaller than the 128-byte bitmap, else the bitmap, so
+// expanding it (ExpandTileSet) never decodes more than a few dozen
+// varints. Sparse-direct and full sets are as AppendCellSetContainers
+// writes them.
+func AppendTileSet(dst []byte, cells []uint64) []byte {
+	n := len(cells)
+	if n <= SparseDirectMax || n == TileCells {
+		return AppendCellSetContainers(dst, cells)
+	}
+	typ := byte(ContainerBitmap)
+	best := TileWords * 8
+	if runs, size := runsLen(cells); runs <= tileSetMaxRuns && size <= best {
+		typ, best = ContainerRuns, size
+	}
+	if size := arrayLen(cells); n <= tileSetMaxArray && size < best {
+		typ = ContainerArray
+	}
+	dst = binary.AppendUvarint(dst, uint64(n))
+	dst = append(dst, 1, typ) // one tile, tile 0
+	return appendContainer(dst, typ, 0, cells)
+}
+
+// The largest runs and array containers AppendTileSet writes. On the
+// lineage package's BenchmarkOneLookup, caps from 4 runs and 8 cells up to
+// 16 runs and 32 cells measure alike, and bitmaps only (no runs or array)
+// close to them; with no cap, the size-based choice AppendCellSetContainers
+// makes, backward lookups run 3–4× slower, decoding array and runs
+// containers of a hundred varints and more per tile.
+const (
+	tileSetMaxRuns  = 8
+	tileSetMaxArray = 16
+)
+
 // tileEnd returns the index just past the cells sharing cells[i]'s tile.
 func tileEnd(cells []uint64, i int) int {
 	tile := cells[i] >> tileShift
@@ -115,37 +152,11 @@ func tileEnd(cells []uint64, i int) int {
 // preferring runs over array over bitmap on ties so the encoding is
 // deterministic (golden bytes and rebuild determinism depend on it).
 func chooseContainer(seg []uint64) byte {
-	n := len(seg)
-	if n == TileCells {
+	if len(seg) == TileCells {
 		return ContainerFull
 	}
-	base := seg[0] &^ uint64(tileMask)
-	runsBytes := 0
-	nRuns := 0
-	prevEnd := uint64(0)
-	for i := 0; i < n; {
-		j := i + 1
-		for j < n && seg[j] == seg[j-1]+1 {
-			j++
-		}
-		start := seg[i] - base
-		runsBytes += uvarintLen(start-prevEnd) + uvarintLen(uint64(j-i))
-		prevEnd = start + uint64(j-i)
-		nRuns++
-		i = j
-	}
-	runsBytes += uvarintLen(uint64(nRuns))
-	arrayBytes := uvarintLen(uint64(n))
-	prev := uint64(0)
-	for i, c := range seg {
-		off := c - base
-		if i == 0 {
-			arrayBytes += uvarintLen(off)
-		} else {
-			arrayBytes += uvarintLen(off - prev)
-		}
-		prev = off
-	}
+	_, runsBytes := runsLen(seg)
+	arrayBytes := arrayLen(seg)
 	typ, best := byte(ContainerRuns), runsBytes
 	if arrayBytes < best {
 		typ, best = ContainerArray, arrayBytes
@@ -154,6 +165,42 @@ func chooseContainer(seg []uint64) byte {
 		typ = ContainerBitmap
 	}
 	return typ
+}
+
+// runsLen returns the run count of one tile's cells and the size of their
+// runs container payload.
+func runsLen(seg []uint64) (nRuns, size int) {
+	base := seg[0] &^ uint64(tileMask)
+	prevEnd := uint64(0)
+	for i := 0; i < len(seg); {
+		j := i + 1
+		for j < len(seg) && seg[j] == seg[j-1]+1 {
+			j++
+		}
+		start := seg[i] - base
+		size += uvarintLen(start-prevEnd) + uvarintLen(uint64(j-i))
+		prevEnd = start + uint64(j-i)
+		nRuns++
+		i = j
+	}
+	return nRuns, size + uvarintLen(uint64(nRuns))
+}
+
+// arrayLen returns the size of one tile's array container payload.
+func arrayLen(seg []uint64) int {
+	base := seg[0] &^ uint64(tileMask)
+	size := uvarintLen(uint64(len(seg)))
+	prev := uint64(0)
+	for i, c := range seg {
+		off := c - base
+		if i == 0 {
+			size += uvarintLen(off)
+		} else {
+			size += uvarintLen(off - prev)
+		}
+		prev = off
+	}
+	return size
 }
 
 // uvarintLen returns the encoded size of v as an unsigned varint.
@@ -477,6 +524,67 @@ func ExpandContainer(typ byte, pay []byte, w *[TileWords]uint64) (uint64, error)
 		}
 		return count, nil
 	}
+}
+
+// ExpandTileSet parses a container-form cell set whose cells all fall in
+// tile 0, as AppendTileSet writes it, into w (which it zeroes first), and
+// returns the cell count and the bytes consumed. It validates what
+// WalkContainers does, and a cell outside tile 0 is an error; a bitmap
+// container is copied and counted in one pass.
+func ExpandTileSet(src []byte, w *[TileWords]uint64) (count uint64, n int, err error) {
+	*w = [TileWords]uint64{}
+	total, read := binary.Uvarint(src)
+	if read <= 0 {
+		return 0, 0, fmt.Errorf("binenc: truncated tile set cell count")
+	}
+	n = read
+	if total == 0 {
+		return 0, n, nil
+	}
+	nTiles, read := binary.Uvarint(src[n:])
+	if read <= 0 || nTiles > 1 {
+		return 0, 0, fmt.Errorf("binenc: tile set of %d tiles", nTiles)
+	}
+	n += read
+	if nTiles == 0 {
+		ok := true
+		count, read, err := WalkContainers(src, func(cell uint64) bool {
+			if ok = cell < TileCells; ok {
+				w[cell/64] |= 1 << (cell % 64)
+			}
+			return ok
+		}, nil)
+		if err == nil && !ok {
+			err = fmt.Errorf("binenc: tile set cell past tile end")
+		}
+		return count, read, err
+	}
+	hdr, read := binary.Uvarint(src[n:])
+	if read <= 0 || hdr>>2 != 0 {
+		return 0, 0, fmt.Errorf("binenc: tile set header %d is not tile 0", hdr)
+	}
+	n += read
+	typ, pay := byte(hdr&3), src[n:]
+	payLen := 0
+	if typ == ContainerBitmap {
+		if len(pay) < TileWords*8 {
+			return 0, 0, fmt.Errorf("binenc: truncated bitmap container")
+		}
+		for i := range w {
+			w[i] = binary.LittleEndian.Uint64(pay[i*8:])
+			count += uint64(bits.OnesCount64(w[i]))
+		}
+		payLen = TileWords * 8
+	} else {
+		if count, payLen, err = parseContainerPayload(typ, pay); err != nil {
+			return 0, 0, fmt.Errorf("binenc: tile set: %w", err)
+		}
+		_, _ = ExpandContainer(typ, pay[:payLen], w) // validated above
+	}
+	if count == 0 || count != total {
+		return 0, 0, fmt.Errorf("binenc: tile set holds %d cells, declared %d", count, total)
+	}
+	return count, n + payLen, nil
 }
 
 // ArrayCells calls fn with the tile-local offset of every cell of an array

@@ -231,3 +231,80 @@ func sameCells(got, want []uint64) bool {
 	}
 	return true
 }
+
+// AppendTileSet picks the container a reader expands fastest: a runs or
+// array container only while it stays small in varints, else the bitmap;
+// ExpandTileSet reads every form back, in one tile block.
+func TestTileSetForms(t *testing.T) {
+	scattered := func(n int) []uint64 {
+		var cells []uint64
+		for i := 0; i < n; i++ {
+			cells = append(cells, uint64(i*60))
+		}
+		return cells
+	}
+	runs := func(n int) []uint64 {
+		var cells []uint64
+		for i := 0; i < n; i++ {
+			cells = append(cells, uint64(i*100), uint64(i*100+1))
+		}
+		return cells
+	}
+	cases := []struct {
+		name  string
+		cells []uint64
+		typ   int // container type, or -1 for sparse-direct
+	}{
+		{"sparse-direct", scattered(SparseDirectMax), -1},
+		{"one run", []uint64{100, 101, 102, 103, 104, 105, 106, 107, 108}, ContainerRuns},
+		{"max runs", runs(tileSetMaxRuns), ContainerRuns},
+		{"too many runs", runs(tileSetMaxRuns + 1), ContainerBitmap},
+		{"max array", scattered(tileSetMaxArray), ContainerArray},
+		{"too big an array", scattered(tileSetMaxArray + 1), ContainerBitmap},
+		{"medium density", everyOther(0, 512), ContainerBitmap},
+		{"full", fullTile(0), ContainerFull},
+	}
+	for _, tc := range cases {
+		enc := AppendTileSet(nil, tc.cells)
+		typ := -1
+		if _, _, err := WalkContainers(enc, nil, func(_ uint64, ct byte, _, _ int) bool {
+			typ = int(ct)
+			return true
+		}); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if typ != tc.typ {
+			t.Errorf("%s: container type %d, want %d", tc.name, typ, tc.typ)
+		}
+		var w [TileWords]uint64
+		w[3] = 1 // ExpandTileSet zeroes the block first
+		count, n, err := ExpandTileSet(append(enc, 0xAA), &w)
+		if err != nil || n != len(enc) || count != uint64(len(tc.cells)) {
+			t.Fatalf("%s: ExpandTileSet = (%d, %d, %v), want (%d, %d, nil)", tc.name, count, n, err, len(tc.cells), len(enc))
+		}
+		if got := blockCells(&w); !sameCells(got, tc.cells) {
+			t.Fatalf("%s: expanded %v, want %v", tc.name, got, tc.cells)
+		}
+	}
+}
+
+func TestExpandTileSetRejects(t *testing.T) {
+	cases := map[string][]byte{
+		"empty":              {},
+		"truncated tiles":    {5},
+		"two tiles":          AppendCellSetContainers(nil, append(everyOther(0, 20), everyOther(1024, 20)...)),
+		"tile 1":             AppendCellSetContainers(nil, everyOther(1024, 20)),
+		"sparse past tile":   AppendCellSetContainers(nil, []uint64{3, 1024}),
+		"truncated bitmap":   AppendTileSet(nil, everyOther(0, 512))[:40],
+		"empty bitmap":       append([]byte{1, 1, ContainerBitmap}, make([]byte, TileWords*8)...),
+		"bitmap count":       append([]byte{2, 1, ContainerBitmap, 1}, make([]byte, TileWords*8-1)...),
+		"run count mismatch": {8, 1, 1, 1, 0, 4},
+		"run past tile":      {9, 1, 1, 1, 0xFF, 0x07, 2},
+	}
+	for name, src := range cases {
+		var w [TileWords]uint64
+		if _, _, err := ExpandTileSet(src, &w); err == nil {
+			t.Errorf("%s: want error, got none", name)
+		}
+	}
+}

@@ -1,6 +1,8 @@
 package binenc
 
 import (
+	"math/bits"
+	"slices"
 	"testing"
 )
 
@@ -56,6 +58,24 @@ func FuzzDecodeContainers(f *testing.F) {
 				assertSameCells(t, "tile walk vs run decoder", walked, streamed)
 			}
 		}
+		// ExpandTileSet accepts exactly the sets the walk accepts whose
+		// cells all fall in tile 0, and expands the same cells.
+		var blk [TileWords]uint64
+		tcount, tn, terr := ExpandTileSet(data, &blk)
+		inTile0 := err == nil && total <= TileCells
+		if inTile0 {
+			walked, _, _ := walkCells(data)
+			inTile0 = len(walked) == 0 || walked[len(walked)-1] < TileCells
+			if inTile0 && terr == nil {
+				if tn != n || tcount != total {
+					t.Fatalf("ExpandTileSet = (%d, %d), walk (%d, %d)", tcount, tn, total, n)
+				}
+				assertSameCells(t, "tile set vs walk", blockCells(&blk), walked)
+			}
+		}
+		if inTile0 != (terr == nil) {
+			t.Fatalf("ExpandTileSet error %v, walk error %v, cells in tile 0: %v", terr, err, inTile0)
+		}
 
 		// Canonical path: derive a sorted cell set from the input (a mix
 		// of adjacent and spread cells), encode it in container form, and
@@ -89,7 +109,31 @@ func FuzzDecodeContainers(f *testing.F) {
 		if string(re) != string(enc) {
 			t.Fatalf("re-encode differs: %v vs %v", re, enc)
 		}
+
+		// The same cells cut to tile 0 round-trip through the tile-set
+		// form.
+		local := cells
+		if i := slices.IndexFunc(cells, func(c uint64) bool { return c >= TileCells }); i >= 0 {
+			local = cells[:i]
+		}
+		tenc := AppendTileSet(nil, local)
+		count, tn, terr := ExpandTileSet(tenc, &blk)
+		if terr != nil || tn != len(tenc) || count != uint64(len(local)) {
+			t.Fatalf("ExpandTileSet(AppendTileSet) = (%d, %d, %v), want (%d, %d, nil)", count, tn, terr, len(local), len(tenc))
+		}
+		assertSameCells(t, "tile set round-trip", blockCells(&blk), local)
 	})
+}
+
+// blockCells lists the cells of a tile block in order.
+func blockCells(w *[TileWords]uint64) []uint64 {
+	var cells []uint64
+	for i, word := range w {
+		for ; word != 0; word &= word - 1 {
+			cells = append(cells, uint64(i*64+bits.TrailingZeros64(word)))
+		}
+	}
+	return cells
 }
 
 func assertSameCells(t *testing.T, what string, got, want []uint64) {

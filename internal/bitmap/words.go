@@ -43,6 +43,24 @@ func (b *Bitmap) OrBlock(baseCell uint64, blk *[BlockWords]uint64) uint64 {
 	return added
 }
 
+// NextBlock copies into blk the first container block, at or after the one
+// starting at baseCell, that holds a set cell, and returns that block's
+// first cell; ok is false when no cell at or after baseCell is set. baseCell
+// must be BlockWords*64-aligned. Words past the bitmap's end copy as zero.
+func (b *Bitmap) NextBlock(baseCell uint64, blk *[BlockWords]uint64) (base uint64, ok bool) {
+	for w0 := baseCell / 64; w0 < uint64(len(b.words)); w0 += BlockWords {
+		ws := b.words[w0:min(w0+BlockWords, uint64(len(b.words)))]
+		for _, w := range ws {
+			if w != 0 {
+				*blk = [BlockWords]uint64{}
+				copy(blk[:], ws)
+				return w0 * 64, true
+			}
+		}
+	}
+	return 0, false
+}
+
 // AnyBlock reports whether any set cell of the bitmap falls inside the
 // container block at baseCell. baseCell must be 64-aligned.
 func (b *Bitmap) AnyBlock(baseCell uint64, blk *[BlockWords]uint64) bool {

@@ -94,15 +94,55 @@ func TestAnyBlock(t *testing.T) {
 	}
 }
 
+// Walking a bitmap with NextBlock visits exactly its non-empty blocks, in
+// order, and the copied blocks OR back into the same set — including a
+// last block the space cuts short.
+func TestNextBlockRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	sp := space(5000) // the last block holds 5000-4096 cells
+	for trial := 0; trial < 50; trial++ {
+		b := New(sp)
+		for i := rng.Intn(40); i > 0; i-- {
+			b.Set(uint64(rng.Intn(5000)))
+		}
+		if trial%5 == 0 {
+			b.Set(4999)
+		}
+		got := New(sp)
+		var blk [BlockWords]uint64
+		prev := -1
+		for base, ok := b.NextBlock(0, &blk); ok; base, ok = b.NextBlock(base+BlockWords*64, &blk) {
+			if base%(BlockWords*64) != 0 || int(base) <= prev {
+				t.Fatalf("trial %d: block base %d after %d", trial, base, prev)
+			}
+			prev = int(base)
+			if got.OrBlock(base, &blk) == 0 {
+				t.Fatalf("trial %d: block %d holds no cell", trial, base)
+			}
+		}
+		if got.Count() != b.Count() {
+			t.Fatalf("trial %d: blocks hold %d cells, bitmap %d", trial, got.Count(), b.Count())
+		}
+		b.Iterate(func(c uint64) bool {
+			if !got.Get(c) {
+				t.Fatalf("trial %d: cell %d missing from the blocks", trial, c)
+			}
+			return true
+		})
+	}
+}
+
 // The word-parallel block ops are the inner loop of in-situ container
 // probes; they must not allocate.
 func TestBlockOpsAllocFree(t *testing.T) {
 	b := New(space(1 << 16))
 	var blk [BlockWords]uint64
 	blk[3] = 0xDEADBEEF
+	b.Set(5000)
 	if n := testing.AllocsPerRun(100, func() {
 		b.OrBlock(2048, &blk)
 		b.AnyBlock(2048, &blk)
+		b.NextBlock(0, &blk)
 	}); n != 0 {
 		t.Fatalf("block ops allocate %v per run, want 0", n)
 	}

@@ -165,12 +165,17 @@ func (sp *Space) Unravel(idx uint64) Coord {
 }
 
 // UnravelInto writes the coordinate for idx into dst, which must have
-// length equal to the space's rank. It avoids allocation in hot loops.
+// length equal to the space's rank. It avoids allocation in hot loops: one
+// division per dimension, and none for the last, whose stride is 1.
 func (sp *Space) UnravelInto(idx uint64, dst Coord) {
-	for d := range sp.shape {
-		dst[d] = int(idx / sp.strides[d])
-		idx %= sp.strides[d]
+	last := len(sp.strides) - 1
+	dst = dst[:last+1]
+	for d, stride := range sp.strides[:last] {
+		q := idx / stride
+		dst[d] = int(q)
+		idx -= q * stride
 	}
+	dst[last] = int(idx)
 }
 
 // Rect is an axis-aligned hyper-rectangle with inclusive bounds, used for

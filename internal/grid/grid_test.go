@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -79,6 +80,32 @@ func TestUnravelInto(t *testing.T) {
 	sp.UnravelInto(13, dst)
 	if !dst.Equal(Coord{1, 4}) {
 		t.Fatalf("UnravelInto(13)=%v, want [1 4]", dst)
+	}
+}
+
+// UnravelInto's one-division form must agree with the two-division form
+// (a quotient and a remainder per dimension) on random shapes of rank 1–4.
+func TestUnravelIntoMatchesTwoDivisionForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 400; trial++ {
+		shape := make(Shape, 1+trial%4)
+		for d := range shape {
+			shape[d] = 1 + rng.Intn(40)
+		}
+		sp := NewSpace(shape)
+		got, want := make(Coord, len(shape)), make(Coord, len(shape))
+		for i := 0; i < 50; i++ {
+			idx := uint64(rng.Int63n(int64(sp.Size())))
+			sp.UnravelInto(idx, got)
+			rest := idx
+			for d := range shape {
+				want[d] = int(rest / sp.Stride(d))
+				rest %= sp.Stride(d)
+			}
+			if !got.Equal(want) {
+				t.Fatalf("shape %v: UnravelInto(%d)=%v, want %v", shape, idx, got, want)
+			}
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package lineage
 
 import (
 	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"subzero/internal/binenc"
@@ -88,6 +89,42 @@ func TestBackwardFullManyAllocBound(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(20, lookup); allocs > 2 {
 		t.Fatalf("warmed FullMany Backward allocates %.1f/op, want <= 2", allocs)
+	}
+}
+
+// ContainsOut on a One store reads the cell's tile in place through
+// GetBatch: once warmed it allocates nothing, so a composite forward step
+// that asks it for every output cell does not copy a tile per cell, as a
+// FileStore Get (which clones the value) would.
+func TestContainsOutAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("pooled lookup scratch: sync.Pool drops Puts at random under -race")
+	}
+	fs, err := kvstore.OpenFile(filepath.Join(t.TempDir(), "comp.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	st, err := OpenStore(fs, StratCompOne, tOutSpace, tInSpaces)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := toStorePairs(StratCompOne, randomPairs(rand.New(rand.NewSource(4)), 120))
+	if err := st.WritePairs(pairs); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	cell := pairs[0].Out[0]
+	probe := func() {
+		if ok, err := st.ContainsOut(cell); err != nil || !ok {
+			t.Fatalf("ContainsOut(%d) = %v, %v; want true", cell, ok, err)
+		}
+	}
+	probe()
+	if allocs := testing.AllocsPerRun(100, probe); allocs != 0 {
+		t.Fatalf("warmed ContainsOut allocates %.1f/op, want 0", allocs)
 	}
 }
 

@@ -3,6 +3,8 @@ package lineage
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"subzero/internal/binenc"
 )
@@ -10,15 +12,26 @@ import (
 // Physical key layout inside a store's hashtable:
 //
 //	'P' + uvarint(pairID)          region-pair record
-//	'K' + slot byte + 8-byte cell  per-cell entry (One encodings)
+//	'T' + slot byte + 8-byte tile  the cell entries of one 1024-cell tile
+//	                               (One encodings; see appendTileValue)
 //
 // For backward-optimized stores the only key slot is 0 (output cells); for
-// forward-optimized stores slot i holds the cells of input i. Store
-// metadata (next pair id, statistics, R-trees) is not in the hashtable: it
-// is one blob committed atomically beside it (kvstore.Store.CommitMeta).
+// forward-optimized stores slot i holds the cells of input i. A tile is
+// binenc.TileCells consecutive cell indices, aligned like the container
+// tiles and the bitmap blocks, so tile t holds cells [1024t, 1024t+1024).
+// Store metadata (next pair id, statistics, R-trees) is not in the
+// hashtable: it is one blob committed atomically beside it
+// (kvstore.Store.CommitMeta).
+//
+// Builds before the tile layout wrote one 'K' + slot + cell key per cell.
+// No reader is kept for them: a store holding one is stale (see
+// Store.rebuildMeta) and answers every lookup with ErrCorrupt.
 const (
-	keyPair = 'P'
-	keyCell = 'K'
+	keyPair      = 'P'
+	keyTile      = 'T'
+	keyStaleCell = 'K'
+
+	tileKeyLen = 10
 )
 
 func pairKey(id uint64) []byte {
@@ -27,13 +40,9 @@ func pairKey(id uint64) []byte {
 	return binary.AppendUvarint(buf, id)
 }
 
-func cellKey(slot int, cell uint64) []byte {
-	return appendCellKey(make([]byte, 0, 10), slot, cell)
-}
-
-func appendCellKey(buf []byte, slot int, cell uint64) []byte {
-	buf = append(buf, keyCell, byte(slot))
-	return binary.BigEndian.AppendUint64(buf, cell)
+func appendTileKey(buf []byte, slot int, tile uint64) []byte {
+	buf = append(buf, keyTile, byte(slot))
+	return binary.BigEndian.AppendUint64(buf, tile)
 }
 
 // record is a decoded region-pair record. Cell sets stay in their
@@ -219,6 +228,142 @@ func appendPayloadEntry(buf []byte, payloads [][]byte) []byte {
 		buf = binenc.AppendBytes(buf, p)
 	}
 	return buf
+}
+
+// A tile value holds the cell entries of one (slot, tile) in three parts:
+//
+//	cell set   the tile-local offsets (cell mod 1024) of the cells holding
+//	           an entry, as one container-form cell set laid out for
+//	           expansion (binenc.AppendTileSet)
+//	starts     a width byte w (1–8), then one w-byte little-endian start
+//	           offset per cell into the entry region
+//	entries    the cells' id lists (appendIDEntry) or payload lists
+//	           (appendPayloadEntry), in cell order
+//
+// Entries are self-delimiting, so a start offset is all a reader needs, and
+// a cell whose entry equals the previous cell's shares its bytes: a region
+// pair's consecutive cells store its id or payload once per run, not once
+// per cell. A lookup expands the cell set into one 16-word block (parse),
+// ANDs it with the query's block for the tile, and ranks each hit by
+// popcount to find its start offset, so a hit costs O(1) however full its
+// tile is.
+
+// appendTileValue appends one tile value: locals are the tile's sorted
+// tile-local cell offsets, and starts[i] is where the entry of locals[i]
+// starts in entries.
+func appendTileValue(dst []byte, locals []uint64, starts []int, entries []byte) []byte {
+	dst = binenc.AppendTileSet(dst, locals)
+	w := 1
+	for w < 8 && len(entries) >= 1<<(8*w) {
+		w++
+	}
+	dst = append(dst, byte(w))
+	for _, s := range starts {
+		for k := 0; k < w; k++ {
+			dst = append(dst, byte(s>>(8*k)))
+		}
+	}
+	return append(dst, entries...)
+}
+
+// cellTile is a parsed tile value: its cells as one bit block, and the
+// start offsets and entry region still in the value's bytes (which it
+// aliases).
+type cellTile struct {
+	blk     [binenc.TileWords]uint64
+	n       int
+	width   int
+	starts  []byte
+	entries []byte
+}
+
+// parse checks a tile value's framing and expands its cell set into t.blk.
+// The work is bounded by the container (AppendTileSet) and does not grow
+// with the tile's entries; each entry's start is checked when it is read,
+// and its list when it is decoded.
+func (t *cellTile) parse(val []byte) error {
+	total, n, err := binenc.ExpandTileSet(val, &t.blk)
+	switch {
+	case err != nil:
+		return fmt.Errorf("lineage: tile cell set: %w", err)
+	case total == 0 || n >= len(val):
+		return fmt.Errorf("lineage: tile value of %d cells without start offsets", total)
+	}
+	w, rest := int(val[n]), val[n+1:]
+	if w < 1 || w > 8 || uint64(len(rest)) < total*uint64(w) {
+		return fmt.Errorf("lineage: tile start offsets of width %d for %d cells in %d bytes", w, total, len(rest))
+	}
+	t.n, t.width = int(total), w
+	t.starts, t.entries = rest[:t.n*w], rest[t.n*w:]
+	if first, last := t.start(0), t.start(t.n-1); first != 0 || last >= uint64(len(t.entries)) {
+		return fmt.Errorf("lineage: tile entries start at %d..%d of a %d-byte region", first, last, len(t.entries))
+	}
+	return nil
+}
+
+// start returns the start offset of the i'th cell's entry.
+func (t *cellTile) start(i int) uint64 {
+	b := t.starts[i*t.width : (i+1)*t.width]
+	switch len(b) {
+	case 1:
+		return uint64(b[0])
+	case 2:
+		return uint64(binary.LittleEndian.Uint16(b))
+	}
+	var v uint64
+	for k := len(b) - 1; k >= 0; k-- {
+		v = v<<8 | uint64(b[k])
+	}
+	return v
+}
+
+// entry returns the entry region from the i'th cell's entry on; the entry's
+// decoder (appendIDList, forEachPayload) reads exactly one entry from it.
+func (t *cellTile) entry(i int) ([]byte, error) {
+	s := t.start(i)
+	if s >= uint64(len(t.entries)) {
+		return nil, fmt.Errorf("lineage: tile entry %d starts at %d of a %d-byte region", i, s, len(t.entries))
+	}
+	return t.entries[s:], nil
+}
+
+// entrySpan returns exactly the bytes of the i'th cell's entry, given the
+// start of the next distinct entry after it (or the region's length): a
+// flush's merge copies kept entries by these bounds (appendNextStarts).
+func (t *cellTile) entrySpan(i int, next uint64) ([]byte, error) {
+	s := t.start(i)
+	if s >= next || next > uint64(len(t.entries)) {
+		return nil, fmt.Errorf("lineage: tile entry %d spans [%d, %d) of a %d-byte region", i, s, next, len(t.entries))
+	}
+	return t.entries[s:next], nil
+}
+
+// appendNextStarts appends, for each cell, the start of the next distinct
+// entry after its own, or the region's length after the last: the end of
+// the cell's entry bytes in a well-formed tile.
+func (t *cellTile) appendNextStarts(dst []uint64) []uint64 {
+	n := len(dst)
+	dst = slices.Grow(dst, t.n)[:n+t.n]
+	next := uint64(len(t.entries))
+	for i := t.n - 1; i >= 0; i-- {
+		dst[n+i] = next
+		if s := t.start(i); i > 0 && t.start(i-1) != s {
+			next = s
+		}
+	}
+	return dst
+}
+
+// appendLocals appends the tile-local offsets of the tile's cells, in
+// order.
+func (t *cellTile) appendLocals(dst []uint64) []uint64 {
+	for w, word := range t.blk {
+		for word != 0 {
+			dst = append(dst, uint64(w*64+bits.TrailingZeros64(word)))
+			word &= word - 1
+		}
+	}
+	return dst
 }
 
 // forEachPayload streams the payloads of a PayOne cell entry into fn

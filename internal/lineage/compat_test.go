@@ -2,7 +2,9 @@ package lineage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math/rand"
 	"testing"
 
 	"subzero/internal/bitmap"
@@ -69,6 +71,102 @@ func TestStaleFormatsRejected(t *testing.T) {
 		if rec, err := decodeRecord(val); err == nil {
 			t.Errorf("%s golden bytes decoded to %+v, want a flags error", name, rec)
 		}
+	}
+}
+
+// A One store written before cell entries were keyed per tile holds one
+// 'K' + slot + cell key per cell and a version-1 meta blob. Reopened, it
+// must not answer from its tiles (it has none, so every answer would be
+// empty): the blob's version sends it through rebuildMeta, which finds the
+// per-cell keys and latches the store degraded, and every lookup reports
+// ErrCorrupt so the executor re-executes and the heal loop rebuilds. A
+// Many store with a version-1 blob holds no per-cell keys and is rebuilt
+// from its records instead.
+func TestStaleCellKeysDegrade(t *testing.T) {
+	pairs := randomPairs(rand.New(rand.NewSource(6)), 40)
+	for _, strat := range append(oneStrategies(), StratFullMany) {
+		t.Run(strat.ID(), func(t *testing.T) {
+			written := toStorePairs(strat, pairs)
+			cur := kvstore.NewMem()
+			st, err := OpenStore(cur, strat, tOutSpace, tInSpaces)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.WritePairs(written); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			// The old layout: the same pair records, per-cell keys in
+			// place of tiles, and the meta blob at version 1.
+			old := kvstore.NewMem()
+			if err := cur.Scan(func(key, val []byte) bool {
+				if key[0] == keyPair {
+					err = old.Put(key, val)
+				}
+				return err == nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if strat.Enc == One {
+				for id, rp := range written {
+					key := binary.BigEndian.AppendUint64([]byte{keyStaleCell, 0}, rp.Out[0])
+					if err := old.Put(key, appendIDEntry(nil, []uint64{uint64(id)})); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			blob, _, err := cur.LoadMeta()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := old.CommitMeta(append([]byte{1}, blob[1:]...)); err != nil {
+				t.Fatal(err)
+			}
+
+			st, err = OpenStore(old, strat, tOutSpace, tInSpaces)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q := bitmap.New(tOutSpace)
+			q.SetAll()
+			dst := bitmap.New(tInSpaces[0])
+			err = st.Backward(q, dst, 0, testMapP, nil, nil)
+			if strat.Enc == Many {
+				// A Many store holds no cell entries: its version-1 blob
+				// loads, statistics included.
+				if err != nil || st.Degraded() || !bitmapsEqual(dst, refBackward(pairs, q, 0)) {
+					t.Fatalf("version-1 Many store: err=%v degraded=%v, %d cells", err, st.Degraded(), dst.Count())
+				}
+				if got := st.Stats().Pairs; got != len(pairs) {
+					t.Fatalf("version-1 Many store: stats hold %d pairs, want %d", got, len(pairs))
+				}
+				return
+			}
+			if !errors.Is(err, ErrCorrupt) || !st.Degraded() {
+				t.Fatalf("backward: err=%v degraded=%v; want ErrCorrupt and degraded", err, st.Degraded())
+			}
+			if _, err := st.ContainsOut(pairs[0].Out[0]); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("ContainsOut: err=%v, want ErrCorrupt", err)
+			}
+			fq := bitmap.New(tInSpaces[0])
+			fq.SetAll()
+			if err := st.Forward(fq, bitmap.New(tOutSpace), 0, testMapP, nil); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("forward: err=%v, want ErrCorrupt", err)
+			}
+			// Nothing is written beside the old keys, and no meta blob
+			// that would hide them is committed.
+			if err := st.WritePairs(written[:1]); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("WritePairs: err=%v, want ErrCorrupt", err)
+			}
+			if err := st.Flush(); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Flush: err=%v, want ErrCorrupt", err)
+			}
+			if blob, _, err := old.LoadMeta(); err != nil || blob[0] != 1 {
+				t.Fatalf("meta blob after refused writes: version %d, err %v; want 1", blob[0], err)
+			}
+		})
 	}
 }
 

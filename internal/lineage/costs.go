@@ -50,9 +50,22 @@ const (
 	EstBytesPerCell = 0.6
 	// EstRecordOverhead is the fixed per-record cost (CRC, framing, key).
 	EstRecordOverhead = 18.0
-	// EstCellEntryBytes is one per-cell hash entry (One encodings):
-	// framing + 10-byte key + small id/payload list.
-	EstCellEntryBytes = 23.0
+	// EstCellEntryBytes is what one key-side cell adds to its tile value
+	// (One encodings): a start offset, one byte while the tile's entry
+	// region is under 256 B, and its share of the tile's cell set, key and
+	// framing, which dense tiles spread thin.
+	EstCellEntryBytes = 1.0
+	// EstIDEntryBytes is one pair id in a FullOne cell entry: its varint,
+	// the list's count byte, and the second start-offset byte of a tile
+	// whose cells hold distinct lists. A backward store's key cells are a
+	// pair's outputs, which run together and share one entry, so it pays
+	// this once per pair; a forward store's are inputs, which interleave
+	// across pairs, so it pays this once per input cell.
+	EstIDEntryBytes = 4.0
+	// EstPayEntryBytes frames one payload entry (count and length bytes).
+	// Consecutive cells of a pair share the entry, so a PayOne or CompOne
+	// store holds each pair's payload about once.
+	EstPayEntryBytes = 2.0
 	// EstTreeEntryBytes is one serialized R-tree item (Many encodings).
 	EstTreeEntryBytes = 22.0
 

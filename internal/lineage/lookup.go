@@ -4,9 +4,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 
+	"subzero/internal/binenc"
 	"subzero/internal/bitmap"
 	"subzero/internal/fault"
 	"subzero/internal/grid"
@@ -27,19 +29,27 @@ import (
 // walk yields every candidate pair id once, in tree order, into the
 // pooled id scratch; no map and no per-rectangle window search.
 //
+// One-encoding lookups read one hashtable value per 1024-cell tile the
+// query touches, not one per query cell: the query bitmap is walked block
+// by block (bitmap.NextBlock), the blocks are batched until they hold
+// probeBatchSize query cells, and one GetBatch fetches the batch's tiles.
+// Each tile's cell set expands into a 16-word block that is ANDed with the
+// query's block, and each hit reaches its entry through the tile's end
+// offsets by popcount rank (probeTiles, cellTile).
+//
 // FullOne lookups (both directions, lookupFullOne) touch thousands of
-// records per query and decode none they do not keep: each 256-cell batch
-// probes its cell entries, dedups the referenced pair ids against a
-// per-lookup bitset, serves the ids the record cache holds under one recMu
-// acquisition, and fetches the rest with one GetBatch. A fetched record is
-// decoded only while the cache has room to admit it; otherwise it is
-// validated whole from its bytes and only then is the one side the query
-// needs ORed into dst. Per-lookup buffers and callbacks live in a
-// sync.Pool, so a steady query load allocates almost nothing.
+// records per query and decode none they do not keep: each batch collects
+// the pair ids of its hits, dedups them against a per-lookup bitset,
+// serves the ids the record cache holds under one recMu acquisition, and
+// fetches the rest with one GetBatch. A fetched record is decoded only
+// while the cache has room to admit it; otherwise it is validated whole
+// from its bytes and only then is the one side the query needs ORed into
+// dst. Per-lookup buffers and callbacks live in a sync.Pool, so a steady
+// query load allocates almost nothing.
 
-// probeBatchSize is how many per-cell hashtable probes are grouped into
-// one kvstore GetBatch call (one lock acquisition / I/O pass per batch).
-// It is also the abort-poll granularity of the One-encoding paths.
+// probeBatchSize is how many query cells one batch of tile probes covers at
+// least (its last tile may take it past), one kvstore GetBatch call per
+// batch. It is also the abort-poll granularity of the One-encoding paths.
 const probeBatchSize = 256
 
 // lookupScratch holds the reusable buffers of one in-flight lookup and,
@@ -48,7 +58,16 @@ const probeBatchSize = 256
 // func passed through the kvstore.Store interface escapes, so binding it
 // per call would allocate.
 type lookupScratch struct {
-	cells  []uint64 // batched query cells awaiting probe
+	// One batch of tile probes: the tiles, the query's block for each, and
+	// the query cells the blocks hold. tile is the parse scratch, and hit
+	// is called with every query cell a fetched tile holds and its entry.
+	tiles  []uint64
+	qblks  [][bitmap.BlockWords]uint64
+	qcells int
+	tile   cellTile
+	hit    func(cell uint64, entry []byte) bool
+	found  bool // ContainsOut's answer
+
 	keyBuf []byte   // arena backing the probe keys
 	keys   [][]byte // per-batch probe keys, slices of keyBuf
 	ids    []uint64 // pair ids one batch's cell entries reference, or a Many lookup's candidates
@@ -81,8 +100,10 @@ type lookupScratch struct {
 	abort    func() bool
 	err      error
 
-	entryFn  func(int, []byte, bool) bool // sc.onCellEntry
+	tileFn   func(int, []byte, bool) bool // sc.onTile
 	recordFn func(int, []byte, bool) bool // sc.onRecord
+	idHitFn  func(uint64, []byte) bool    // sc.onIDHit
+	foundFn  func(uint64, []byte) bool    // sc.onFound
 }
 
 // cachedRecord is a record decoded by a lookup, awaiting cache admission.
@@ -94,7 +115,8 @@ type cachedRecord struct {
 var scratchPool = sync.Pool{
 	New: func() any {
 		sc := new(lookupScratch)
-		sc.entryFn, sc.recordFn = sc.onCellEntry, sc.onRecord
+		sc.tileFn, sc.recordFn = sc.onTile, sc.onRecord
+		sc.idHitFn, sc.foundFn = sc.onIDHit, sc.onFound
 		return sc
 	},
 }
@@ -102,48 +124,88 @@ var scratchPool = sync.Pool{
 func getScratch() *lookupScratch { return scratchPool.Get().(*lookupScratch) }
 
 func (sc *lookupScratch) release() {
-	sc.cells = sc.cells[:0]
+	sc.tiles, sc.qblks, sc.qcells = sc.tiles[:0], sc.qblks[:0], 0
 	for _, id := range sc.replayed {
 		if w := id / 64; w < uint64(len(sc.done)) {
 			sc.done[w] = 0
 		}
 	}
 	sc.replayed = sc.replayed[:0]
-	sc.st, sc.sp, sc.dst, sc.q, sc.abort, sc.err = nil, nil, nil, nil, nil, nil
+	// A lookup that panicked mid-batch (the deferred release still runs)
+	// leaves its batch here; the next lookup must not fetch its misses.
+	clear(sc.hits)
+	clear(sc.decoded)
+	sc.hits, sc.misses, sc.decoded = sc.hits[:0], sc.misses[:0], sc.decoded[:0]
+	sc.st, sc.sp, sc.dst, sc.q, sc.abort, sc.err, sc.hit = nil, nil, nil, nil, nil, nil, nil
 	scratchPool.Put(sc)
 }
 
-// forEachBatch walks q as runs, accumulating cells into sc.cells and
-// invoking process at every probeBatchSize boundary plus once for the
-// final partial batch. process consumes sc.cells and must reset it; a
-// false return stops the walk (and skips the final flush).
-func (sc *lookupScratch) forEachBatch(q *bitmap.Bitmap, process func() bool) {
-	ok := true
-	q.IterateRuns(func(start, length uint64) bool {
-		for c := start; c < start+length; c++ {
-			sc.cells = append(sc.cells, c)
-			if len(sc.cells) == probeBatchSize && !process() {
-				ok = false
-				return false
-			}
+// forEachTileBatch walks q block by block, batching each non-empty tile
+// with the query's block for it, and invokes process once the batch holds
+// probeBatchSize query cells, plus once for a final partial batch. process
+// consumes the batch (probeTiles empties it); a false return stops the
+// walk.
+func (sc *lookupScratch) forEachTileBatch(q *bitmap.Bitmap, process func() bool) {
+	var blk [bitmap.BlockWords]uint64
+	for base, ok := q.NextBlock(0, &blk); ok; base, ok = q.NextBlock(base+binenc.TileCells, &blk) {
+		sc.tiles = append(sc.tiles, base/binenc.TileCells)
+		sc.qblks = append(sc.qblks, blk)
+		for _, w := range blk {
+			sc.qcells += bits.OnesCount64(w)
 		}
-		return true
-	})
-	if ok {
+		if sc.qcells >= probeBatchSize && !process() {
+			return
+		}
+	}
+	if len(sc.tiles) > 0 {
 		process()
 	}
 }
 
-// buildKeys fills the key arena with one cell key per batched cell.
-func (sc *lookupScratch) buildKeys(slot int) {
-	sc.keyBuf = sc.keyBuf[:0]
-	sc.keys = sc.keys[:0]
-	for _, c := range sc.cells {
+// probeTiles fetches the batched tiles of slot with one GetBatch, calls
+// sc.hit with every batched query cell a tile holds and that cell's entry,
+// and empties the batch. It reports whether the lookup may go on.
+func (sc *lookupScratch) probeTiles(slot int) bool {
+	sc.keyBuf, sc.keys = sc.keyBuf[:0], sc.keys[:0]
+	for _, tile := range sc.tiles {
 		off := len(sc.keyBuf)
-		sc.keyBuf = append(sc.keyBuf, keyCell, byte(slot))
-		sc.keyBuf = binary.BigEndian.AppendUint64(sc.keyBuf, c)
+		sc.keyBuf = appendTileKey(sc.keyBuf, slot, tile)
 		sc.keys = append(sc.keys, sc.keyBuf[off:len(sc.keyBuf):len(sc.keyBuf)])
 	}
+	ok := sc.getBatch(sc.tileFn)
+	sc.tiles, sc.qblks, sc.qcells = sc.tiles[:0], sc.qblks[:0], 0
+	return ok
+}
+
+// onTile parses the fetched tile of sc.tiles[i] and hands each query cell
+// it holds to sc.hit, in cell order, until sc.hit returns false.
+func (sc *lookupScratch) onTile(i int, val []byte, ok bool) bool {
+	if !ok {
+		return true
+	}
+	t := &sc.tile
+	if err := t.parse(val); err != nil {
+		sc.err = sc.st.corruptf(err)
+		return false
+	}
+	// rank counts the tile's cells before word w: a hit's entry index is
+	// rank plus the popcount of its word below it.
+	base, q, rank := sc.tiles[i]*binenc.TileCells, &sc.qblks[i], 0
+	for w, cells := range t.blk {
+		for hits := q[w] & cells; hits != 0; hits &= hits - 1 {
+			b := bits.TrailingZeros64(hits)
+			entry, err := t.entry(rank + bits.OnesCount64(cells&(uint64(1)<<b-1)))
+			if err != nil {
+				sc.err = sc.st.corruptf(err)
+				return false
+			}
+			if !sc.hit(base+uint64(w*64+b), entry) {
+				return false
+			}
+		}
+		rank += bits.OnesCount64(cells)
+	}
+	return true
 }
 
 // Backward resolves the backward lineage of the query cells q (a bitmap
@@ -193,7 +255,7 @@ func (s *Store) BackwardSpan(sp *trace.Span, q, dst *bitmap.Bitmap, inputIdx int
 }
 
 // lookupFullOne serves both directions of the FullOne encodings: probe the
-// slot's per-cell hash entries in batches and apply the side of each
+// slot's cell entries tile batch by tile batch and apply the side of each
 // distinct referenced pair record into dst exactly once (records repeat
 // under fanout, so the dedup both saves fetches and skips redundant bitmap
 // writes). See the file comment for the per-batch steps.
@@ -206,27 +268,23 @@ func (s *Store) lookupFullOne(sp *trace.Span, q, dst *bitmap.Bitmap, slot, side 
 	} else {
 		sc.done = make([]uint64, n)
 	}
-	sc.forEachBatch(q, sc.fullOneBatch)
+	sc.hit = sc.idHitFn
+	sc.forEachTileBatch(q, sc.fullOneBatch)
 	return sc.err
 }
 
-// fullOneBatch resolves one batch of query cells for lookupFullOne.
+// fullOneBatch resolves one batch of query tiles for lookupFullOne.
 func (sc *lookupScratch) fullOneBatch() bool {
-	if len(sc.cells) == 0 {
-		return true
-	}
 	if aborted(sc.abort) {
 		sc.err = ErrAborted
 		return false
 	}
 	s := sc.st
-	// Probe the batch's cell entries into the id scratch.
-	sc.buildKeys(sc.slot)
+	// Probe the batch's tiles; onIDHit gathers the hits' ids.
 	sc.ids = sc.ids[:0]
-	if !sc.getBatch(sc.entryFn) {
+	if !sc.probeTiles(sc.slot) {
 		return false
 	}
-	sc.cells = sc.cells[:0]
 
 	// Keep the ids no earlier batch applied, then serve the cached ones.
 	from := len(sc.replayed)
@@ -300,17 +358,20 @@ func (sc *lookupScratch) getBatch(fn func(int, []byte, bool) bool) bool {
 	return sc.err == nil
 }
 
-// onCellEntry appends one cell entry's pair ids to sc.ids.
-func (sc *lookupScratch) onCellEntry(_ int, val []byte, ok bool) bool {
-	if !ok {
-		return true
-	}
+// onIDHit appends one cell entry's pair ids to sc.ids.
+func (sc *lookupScratch) onIDHit(_ uint64, entry []byte) bool {
 	var err error
-	if sc.ids, err = appendIDList(sc.ids, val); err != nil {
+	if sc.ids, err = appendIDList(sc.ids, entry); err != nil {
 		sc.err = sc.st.corruptf(err)
 		return false
 	}
 	return true
+}
+
+// onFound records that ContainsOut's cell holds an entry.
+func (sc *lookupScratch) onFound(uint64, []byte) bool {
+	sc.found = true
+	return false
 }
 
 // onRecord applies the fetched record of sc.misses[i]: decoded, if the
@@ -420,53 +481,37 @@ func (s *Store) backwardFullMany(q, dst *bitmap.Bitmap, inputIdx int, abort func
 func (s *Store) backwardPayOne(sp *trace.Span, q, dst *bitmap.Bitmap, inputIdx int, mapp PayloadFn, covered *bitmap.Bitmap, abort func() bool) error {
 	sc := getScratch()
 	defer sc.release()
-	var err error
+	sc.st, sc.sp = s, sp
 	var buf []uint64
 	n := 0
-	process := func() bool {
-		if len(sc.cells) == 0 {
-			return true
-		}
-		if aborted(abort) {
-			err = ErrAborted
+	sc.hit = func(cell uint64, entry []byte) bool {
+		// map_p dominates this path, so the abort hook is polled at
+		// per-cell granularity inside the batch as well.
+		if n++; n%abortCheckInterval == 0 && aborted(abort) {
+			sc.err = ErrAborted
 			return false
 		}
-		sc.buildKeys(0)
-		ksp := sp.Child("kvstore.GetBatch", obs.SpanKVProbe)
-		ksp.SetAttrInt("keys", int64(len(sc.keys)))
-		berr := s.kv.GetBatch(sc.keys, func(i int, val []byte, ok bool) bool {
-			if !ok {
-				return true
-			}
-			// map_p dominates this path, so the abort hook is polled at
-			// per-cell granularity inside the batch as well.
-			if n++; n%abortCheckInterval == 0 && aborted(abort) {
-				err = ErrAborted
-				return false
-			}
-			cell := sc.cells[i]
-			if perr := forEachPayload(val, func(p []byte) error {
-				buf = mapp(cell, p, inputIdx, buf[:0])
-				dst.SetCells(buf)
-				return nil
-			}); perr != nil {
-				err = s.corruptf(perr)
-				return false
-			}
-			if covered != nil {
-				covered.Set(cell)
-			}
-			return true
-		})
-		ksp.End()
-		if berr != nil && err == nil {
-			err = berr
+		if err := forEachPayload(entry, func(p []byte) error {
+			buf = mapp(cell, p, inputIdx, buf[:0])
+			dst.SetCells(buf)
+			return nil
+		}); err != nil {
+			sc.err = s.corruptf(err)
+			return false
 		}
-		sc.cells = sc.cells[:0]
-		return err == nil
+		if covered != nil {
+			covered.Set(cell)
+		}
+		return true
 	}
-	sc.forEachBatch(q, process)
-	return err
+	sc.forEachTileBatch(q, func() bool {
+		if aborted(abort) {
+			sc.err = ErrAborted
+			return false
+		}
+		return sc.probeTiles(0)
+	})
+	return sc.err
 }
 
 func (s *Store) backwardPayMany(q, dst *bitmap.Bitmap, inputIdx int, mapp PayloadFn, covered *bitmap.Bitmap, abort func() bool) error {
@@ -610,17 +655,24 @@ func (s *Store) forwardPayManyScan(q, dst *bitmap.Bitmap, inputIdx int, mapp Pay
 // ContainsOut reports whether an output cell is covered by any stored
 // (payload) pair. The query executor uses it to decide which output cells
 // of a composite operator keep their default mapping on the forward path.
+// On One encodings it probes the cell's tile as a one-cell tile batch: the
+// tile value is lent by GetBatch, never copied.
 func (s *Store) ContainsOut(cell uint64) (bool, error) {
 	if err := s.beginRead(); err != nil {
 		return false, err
 	}
 	defer s.gate.RUnlock()
-	if s.strat.Enc == One {
-		_, ok, err := s.kv.Get(cellKey(0, cell))
-		return ok, err
-	}
 	sc := getScratch()
 	defer sc.release()
+	if s.strat.Enc == One {
+		var blk [bitmap.BlockWords]uint64
+		off := cell % binenc.TileCells
+		blk[off/64] = 1 << (off % 64)
+		sc.st, sc.hit, sc.found = s, sc.foundFn, false
+		sc.tiles, sc.qblks = append(sc.tiles, cell/binenc.TileCells), append(sc.qblks, blk)
+		sc.probeTiles(0)
+		return sc.found, sc.err
+	}
 	sc.qlo = resize(sc.qlo, s.outSpace.Rank())
 	s.outSpace.UnravelInto(cell, sc.qlo)
 	found := false

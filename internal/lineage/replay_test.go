@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"subzero/internal/bitmap"
+	"subzero/internal/fault"
 	"subzero/internal/grid"
 	"subzero/internal/kvstore"
 )
@@ -351,4 +352,43 @@ func isSubset(sub, super *bitmap.Bitmap) bool {
 		return ok
 	})
 	return ok
+}
+
+// A FullOne lookup that panics mid-batch still releases its pooled
+// scratch, with the batch's cache misses in it. The next lookup, on
+// another store whose pair ids overlap, must not fetch and apply them.
+func TestPanickedLookupLeavesNoBatch(t *testing.T) {
+	defer fault.Reset()
+	rng := rand.New(rand.NewSource(12))
+	open := func() *Store {
+		st := serialStore(t, StratFullOne, randomPairs(rng, 60))
+		fillRecCache(st, 0) // every fetched record stays a miss
+		return st
+	}
+	a, b := open(), open()
+	q := bitmap.New(tOutSpace)
+	q.SetAll()
+	if err := fault.Arm("lineage/lookup/decode", fault.Action{Kind: fault.KindPanic, Count: 1}); err != nil {
+		t.Fatal(err)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the armed lookup did not panic")
+			}
+		}()
+		_ = a.Backward(q, bitmap.New(tInSpaces[0]), 0, nil, nil, nil)
+	}()
+	bq := bitmap.New(tOutSpace)
+	bq.Set(0)
+	got, want := bitmap.New(tInSpaces[0]), bitmap.New(tInSpaces[0])
+	if err := b.Backward(bq, got, 0, nil, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Backward(bq, want, 0, nil, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if !bitmapsEqual(got, want) {
+		t.Fatalf("lookup after a panicked one answers %d cells, want %d", got.Count(), want.Count())
+	}
 }

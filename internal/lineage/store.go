@@ -6,11 +6,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"subzero/internal/binenc"
 	"subzero/internal/bitmap"
 	"subzero/internal/fault"
 	"subzero/internal/grid"
@@ -122,15 +124,22 @@ type Store struct {
 
 	// Per-cell entries of One encodings wait in pending, one append-only
 	// buffer per slot, until a flush sorts each buffer once and writes
-	// every cell's entry with one PutBatch. A cellRef's ref is the pair id,
-	// or for payload stores an index into pendingPay. mayHoldCells is set
-	// once the hashtable may hold cell entries — the store was opened
-	// non-empty or has flushed — and only then does a flush read the
-	// existing entries back to merge into. Guarded by gate.
-	pending      [][]cellRef
-	pendingPay   [][]byte
-	pendingCount int
-	mayHoldCells bool
+	// every touched tile with one PutBatch. A cellRef's ref is the pair id,
+	// or for payload stores an index into pendingPay; pendingEntryBytes
+	// estimates the entries the buffered references will take (SizeBytes).
+	// mayHoldCells is set once the hashtable may hold cell entries — the
+	// store was opened non-empty or has flushed — and only then does a
+	// flush read the touched tiles back to merge into. Guarded by gate.
+	pending           [][]cellRef
+	pendingPay        [][]byte
+	pendingCount      int
+	pendingEntryBytes int64
+	mayHoldCells      bool
+
+	// stale is set at open when the hashtable holds per-cell keys of the
+	// layout before tiles; every lookup, write and flush then reports
+	// errStaleCells.
+	stale bool
 
 	// recMu guards recCache, which lookups fill while holding the gate
 	// only shared. The cache admits decoded records while it has room
@@ -231,7 +240,12 @@ func (s *Store) loadMeta() error {
 // metaBlobVersion frames the single metadata blob committed through
 // kvstore.Store.CommitMeta: version byte, pair counter, stats, and one
 // serialized R-tree per slot, so a flush is all-or-nothing on disk.
-const metaBlobVersion = 1
+// Version 2 marks stores whose cell entries are keyed per tile. A version-1
+// blob has the same layout; it loads for a Many store, which holds no cell
+// entries, but a One store that wrote one may hold per-cell keys, so its
+// blob is not loaded and the store goes through rebuildMeta, which finds
+// them.
+const metaBlobVersion = 2
 
 func (s *Store) encodeMetaBlob() []byte {
 	buf := []byte{metaBlobVersion}
@@ -249,7 +263,7 @@ func (s *Store) encodeMetaBlob() []byte {
 }
 
 func (s *Store) decodeMetaBlob(blob []byte) error {
-	if len(blob) == 0 || blob[0] != metaBlobVersion {
+	if len(blob) == 0 || blob[0] != metaBlobVersion && (blob[0] != 1 || s.strat.Enc != Many) {
 		return fmt.Errorf("lineage: unknown meta blob version")
 	}
 	rest := blob[1:]
@@ -299,7 +313,26 @@ func (s *Store) decodeMetaBlob(blob []byte) error {
 // path for a store whose meta was lost to a crash or corruption. Lineage
 // is a recoverable cache, so best effort is enough: statistics are gone,
 // but every surviving pair stays queryable.
+//
+// A One store holding per-cell keys of the layout before tiles is stale:
+// no lookup reads those keys, so it would answer empty. It is marked
+// degraded instead: every lookup reports ErrCorrupt (errStaleCells), so the
+// query executor re-executes while the heal loop rebuilds the store in this
+// layout, and every write and flush is refused, so nothing lands beside the
+// old keys or commits a meta blob that would hide them.
 func (s *Store) rebuildMeta() error {
+	if s.strat.Enc == One {
+		if err := s.kv.Scan(func(key, _ []byte) bool {
+			s.stale = len(key) > 0 && key[0] == keyStaleCell
+			return !s.stale
+		}); err != nil {
+			return err
+		}
+		if s.stale {
+			s.degraded.Store(true)
+			return nil
+		}
+	}
 	var maxID uint64
 	var any bool
 	err := s.scanRecords(func(id uint64, rec *record) (bool, error) {
@@ -356,6 +389,9 @@ func (s *Store) EndHeal() { s.healing.Store(false) }
 
 // Healing reports whether a background rebuild currently owns the store.
 func (s *Store) Healing() bool { return s.healing.Load() }
+
+// errStaleCells is what a stale store (see rebuildMeta) reports.
+var errStaleCells = errors.New("lineage: store holds per-cell entries of a layout before tiles")
 
 // corruptf marks the store degraded and wraps err so it matches both
 // ErrCorrupt and the original cause via errors.Is.
@@ -496,6 +532,9 @@ func (s *Store) WritePairs(pairs []RegionPair) error {
 // workers (concurrent). Encoding, the record commit and the bounding boxes
 // run outside the gate, so workers serialize only on the in-place updates.
 func (s *Store) ingestBatch(pairs []RegionPair, ids []uint64) error {
+	if s.stale {
+		return s.corruptf(errStaleCells)
+	}
 	// Encode and group-commit the pair records first: per-cell entries
 	// and index items must never reference a record the hashtable does
 	// not hold yet.
@@ -577,17 +616,20 @@ func (s *Store) bufferCellEntries(pairs []RegionPair, ids []uint64) error {
 				s.pending[0] = append(s.pending[0], cellRef{c, ref})
 			}
 			s.pendingCount += len(rp.Out)
+			s.pendingEntryBytes += int64(len(rp.Payload)) + EstPayEntryBytes
 		case s.strat.Orient == BackwardOpt:
 			for _, c := range rp.Out {
 				s.pending[0] = append(s.pending[0], cellRef{c, ids[i]})
 			}
 			s.pendingCount += len(rp.Out)
+			s.pendingEntryBytes += EstIDEntryBytes
 		default:
 			for j, in := range rp.Ins {
 				for _, c := range in {
 					s.pending[j] = append(s.pending[j], cellRef{c, ids[i]})
 				}
 				s.pendingCount += len(in)
+				s.pendingEntryBytes += int64(len(in)) * EstIDEntryBytes
 			}
 		}
 	}
@@ -603,6 +645,9 @@ func (s *Store) bufferCellEntries(pairs []RegionPair, ids []uint64) error {
 // acquisition, hence the loop. On a nil return the caller holds the gate
 // shared and must RUnlock it when the lookup finishes.
 func (s *Store) beginRead() error {
+	if s.stale {
+		return s.corruptf(errStaleCells)
+	}
 	for {
 		s.gate.RLock()
 		if s.pendingCount == 0 {
@@ -619,14 +664,15 @@ func (s *Store) beginRead() error {
 }
 
 // flushPendingLocked writes the buffered per-cell entries to the
-// hashtable. Each slot's buffer is sorted once, by cell and then by pair id
-// or payload bytes, so a cell's references form one run and its list is
-// sorted: the stored bytes do not depend on which shard worker buffered
-// which pair. Keys and values are encoded into two arenas and written, in
-// slot and cell order, by one PutBatch group commit. Only a store that may
-// already hold cell entries reads them back first, through one GetBatch
-// pass, and merges the fresh runs into them. The caller holds the gate
-// exclusively.
+// hashtable, one value per touched (slot, tile). Each slot's buffer is
+// sorted once, by cell and then by pair id or payload bytes, so a cell's
+// references form one run, its list is sorted, and a tile's runs are
+// consecutive: the stored bytes do not depend on which shard worker
+// buffered which pair. Keys and values are encoded into two arenas and
+// written, in slot and tile order, by one PutBatch group commit. Only a
+// store that may already hold cell entries reads the touched tiles back
+// first, through one GetBatch pass, and merges the fresh runs into them.
+// The caller holds the gate exclusively.
 func (s *Store) flushPendingLocked() error {
 	if s.pendingCount == 0 {
 		return nil
@@ -651,30 +697,31 @@ func (s *Store) flushPendingLocked() error {
 			})
 		}
 		for i := range refs {
-			if i == 0 || refs[i].cell != refs[i-1].cell {
+			if i == 0 || refs[i].cell/binenc.TileCells != refs[i-1].cell/binenc.TileCells {
 				n++
 			}
 		}
 	}
-	runs := make([]cellRun, 0, n)
+	runs := make([]tileRun, 0, n)
 	for slot, refs := range s.pending {
 		for lo := 0; lo < len(refs); {
+			tile := refs[lo].cell / binenc.TileCells
 			hi := lo + 1
-			for hi < len(refs) && refs[hi].cell == refs[lo].cell {
+			for hi < len(refs) && refs[hi].cell/binenc.TileCells == tile {
 				hi++
 			}
-			runs = append(runs, cellRun{slot: slot, lo: lo, hi: hi})
+			runs = append(runs, tileRun{slot: slot, lo: lo, hi: hi})
 			lo = hi
 		}
 	}
 
-	keyArena := make([]byte, 0, 10*len(runs))
+	keyArena := make([]byte, 0, tileKeyLen*len(runs))
 	for _, r := range runs {
-		keyArena = appendCellKey(keyArena, r.slot, s.pending[r.slot][r.lo].cell)
+		keyArena = appendTileKey(keyArena, r.slot, s.pending[r.slot][r.lo].cell/binenc.TileCells)
 	}
-	key := func(i int) []byte { return keyArena[10*i : 10*i+10 : 10*i+10] }
+	key := func(i int) []byte { return keyArena[tileKeyLen*i : tileKeyLen*(i+1) : tileKeyLen*(i+1)] }
 	// The arena is sized for two-byte ids; append grows it past that.
-	enc := cellEncoder{pay: s.pendingPay, vals: make([]byte, 0, len(runs)+2*s.pendingCount)}
+	enc := tileEncoder{pay: s.pendingPay, vals: make([]byte, 0, 8*len(runs)+4*s.pendingCount)}
 	if s.mayHoldCells {
 		keys := make([][]byte, len(runs))
 		for i := range keys {
@@ -713,34 +760,115 @@ func (s *Store) flushPendingLocked() error {
 		s.pending[slot] = nil
 	}
 	s.pendingPay = nil
-	s.pendingCount = 0
+	s.pendingCount, s.pendingEntryBytes = 0, 0
 	return nil
 }
 
-// cellRun is one cell entry of a flush: the span [lo, hi) of its slot's
+// tileRun is one tile value of a flush: the span [lo, hi) of its slot's
 // sorted pending buffer, and where its value ends in the value arena.
-type cellRun struct{ slot, lo, hi, end int }
+type tileRun struct{ slot, lo, hi, end int }
 
-// cellEncoder appends the values of one flush's cell entries to one arena,
-// reusing its list scratch across entries. pay is the store's pendingPay:
-// nil for id stores.
-type cellEncoder struct {
+// tileEncoder appends the values of one flush's tiles to one arena,
+// reusing its scratch across tiles. pay is the store's pendingPay: nil for
+// id stores.
+type tileEncoder struct {
 	pay  [][]byte
 	vals []byte
+	err  error
+
+	// One tile's cells, entry starts and entries; the tile it merges, that
+	// tile's cells, and where each of their entries ends.
+	locals    []uint64
+	starts    []int
+	entries   []byte
+	old       cellTile
+	oldLocals []uint64
+	oldEnds   []uint64
+
+	// One cell's merged list.
 	ids  []uint64
 	pays [][]byte
-	err  error
 }
 
-// add appends the entry for one sorted run of references. When the
-// hashtable already holds an entry for the cell (found), its list is
-// decoded and merged with the run's, and the merged list sorted again;
-// payloads alias old and e.pay, so add must finish before either is
-// reused.
-func (e *cellEncoder) add(run []cellRef, old []byte, found bool) {
+// add appends the tile value for one tile's sorted run of references.
+// When the hashtable already holds the tile (found), its cells and the
+// run's merge in cell order: a cell only the old tile holds keeps its entry
+// bytes, and a cell both hold gets the merged list. old is only valid
+// until add returns.
+func (e *tileEncoder) add(refs []cellRef, old []byte, found bool) {
+	e.locals, e.starts, e.entries = e.locals[:0], e.starts[:0], e.entries[:0]
+	e.oldLocals, e.oldEnds = e.oldLocals[:0], e.oldEnds[:0]
+	if found {
+		if e.err = e.old.parse(old); e.err != nil {
+			return
+		}
+		e.oldLocals = e.old.appendLocals(e.oldLocals)
+		e.oldEnds = e.old.appendNextStarts(e.oldEnds)
+	}
+	oi := 0
+	for lo := 0; lo < len(refs); {
+		local := refs[lo].cell % binenc.TileCells
+		hi := lo + 1
+		for hi < len(refs) && refs[hi].cell == refs[lo].cell {
+			hi++
+		}
+		for ; oi < len(e.oldLocals) && e.oldLocals[oi] < local; oi++ {
+			e.keepOld(oi)
+		}
+		var entry []byte
+		merge := oi < len(e.oldLocals) && e.oldLocals[oi] == local
+		if merge && e.err == nil {
+			entry, e.err = e.old.entry(oi)
+			oi++
+		}
+		from := len(e.entries)
+		e.addCell(refs[lo:hi], entry, merge)
+		e.commit(local, from)
+		lo = hi
+	}
+	for ; oi < len(e.oldLocals); oi++ {
+		e.keepOld(oi)
+	}
+	if e.err == nil {
+		e.vals = appendTileValue(e.vals, e.locals, e.starts, e.entries)
+	}
+}
+
+// keepOld copies the merged tile's i'th entry unchanged.
+func (e *tileEncoder) keepOld(i int) {
+	if e.err != nil {
+		return
+	}
+	var entry []byte
+	entry, e.err = e.old.entrySpan(i, e.oldEnds[i])
+	from := len(e.entries)
+	e.entries = append(e.entries, entry...)
+	e.commit(e.oldLocals[i], from)
+}
+
+// commit records the entry appended at e.entries[from:] for one cell. An
+// entry equal to the previous cell's is dropped and that entry's start
+// reused, so equal neighbours share their bytes.
+func (e *tileEncoder) commit(local uint64, from int) {
+	if n := len(e.starts); n > 0 {
+		if prev := e.starts[n-1]; bytes.Equal(e.entries[prev:from], e.entries[from:]) {
+			e.entries, from = e.entries[:from], prev
+		}
+	}
+	e.locals, e.starts = append(e.locals, local), append(e.starts, from)
+}
+
+// addCell appends one cell's entry for a sorted run of references. When
+// the tile already held an entry for the cell (merge), its list is decoded
+// and merged with the run's, and the merged list sorted again; payloads
+// alias old and e.pay, so addCell must finish before either is reused.
+func (e *tileEncoder) addCell(run []cellRef, old []byte, merge bool) {
+	if e.err != nil {
+		return
+	}
 	if e.pay != nil {
 		e.pays = e.pays[:0]
-		if found {
+		if merge {
 			e.err = forEachPayload(old, func(p []byte) error {
 				e.pays = append(e.pays, p)
 				return nil
@@ -749,23 +877,23 @@ func (e *cellEncoder) add(run []cellRef, old []byte, found bool) {
 		for _, r := range run {
 			e.pays = append(e.pays, e.pay[r.ref])
 		}
-		if found {
+		if merge {
 			slices.SortStableFunc(e.pays, bytes.Compare)
 		}
-		e.vals = appendPayloadEntry(e.vals, e.pays)
+		e.entries = appendPayloadEntry(e.entries, e.pays)
 		return
 	}
 	e.ids = e.ids[:0]
-	if found {
+	if merge {
 		e.ids, e.err = appendIDList(e.ids, old)
 	}
 	for _, r := range run {
 		e.ids = append(e.ids, r.ref)
 	}
-	if found {
+	if merge {
 		slices.Sort(e.ids)
 	}
-	e.vals = appendIDEntry(e.vals, e.ids)
+	e.entries = appendIDEntry(e.entries, e.ids)
 }
 
 // Flush persists pending entries, then syncs the hashtable and commits the
@@ -774,6 +902,9 @@ func (e *cellEncoder) add(run []cellRef, old []byte, found bool) {
 // the new one — never a store that half-loads. SizeBytes is exact after
 // Flush.
 func (s *Store) Flush() error {
+	if s.stale {
+		return s.corruptf(errStaleCells)
+	}
 	s.gate.Lock()
 	defer s.gate.Unlock()
 	if err := s.flushPendingLocked(); err != nil {
@@ -849,11 +980,14 @@ func (s *Store) LogicalBytes() int64 {
 }
 
 // SizeBytes returns the storage charged to this store: the hashtable size
-// plus an estimate for any not-yet-flushed state.
+// plus an estimate for any not-yet-flushed state. Buffered cell references
+// are priced as the strategy optimizer prices a One store (costs.go): each
+// adds its cell (EstCellEntryBytes), and pendingEntryBytes holds the
+// entries they will share.
 func (s *Store) SizeBytes() int64 {
 	s.gate.RLock()
 	defer s.gate.RUnlock()
-	size := s.kv.SizeBytes() + int64(s.pendingCount)*14
+	size := s.kv.SizeBytes() + int64(s.pendingCount)*EstCellEntryBytes + s.pendingEntryBytes
 	if s.dirtyIdx {
 		for _, tr := range s.trees {
 			size += int64(tr.EncodedLen())
@@ -968,20 +1102,41 @@ func (s *Store) scanRecords(fn func(id uint64, rec *record) (bool, error)) error
 	return err
 }
 
-// scanCellEntries visits every per-cell entry of a slot (One encodings).
-func (s *Store) scanCellEntries(slot int, fn func(cell uint64, val []byte) (bool, error)) error {
+// scanCellEntries visits every cell entry of a slot (One encodings), tile
+// by tile and in cell order within a tile. A tile that does not parse, or
+// an entry outside its tile's entry region, is corruption.
+func (s *Store) scanCellEntries(slot int, fn func(cell uint64, entry []byte) (bool, error)) error {
 	var scanErr error
+	var t cellTile
 	err := s.kv.Scan(func(key, val []byte) bool {
-		if len(key) != 10 || key[0] != keyCell || int(key[1]) != slot {
+		if len(key) != tileKeyLen || key[0] != keyTile || int(key[1]) != slot {
 			return true
 		}
-		cell := binary.BigEndian.Uint64(key[2:])
-		cont, err := fn(cell, val)
-		if err != nil {
-			scanErr = err
+		if err := t.parse(val); err != nil {
+			scanErr = s.corruptf(err)
 			return false
 		}
-		return cont
+		base := binary.BigEndian.Uint64(key[2:]) * binenc.TileCells
+		i := 0
+		for w, word := range t.blk {
+			for ; word != 0; word &= word - 1 {
+				entry, err := t.entry(i)
+				if err != nil {
+					scanErr = s.corruptf(err)
+					return false
+				}
+				i++
+				cont, err := fn(base+uint64(w*64+bits.TrailingZeros64(word)), entry)
+				if err != nil {
+					scanErr = err
+					return false
+				}
+				if !cont {
+					return false
+				}
+			}
+		}
+		return true
 	})
 	if scanErr != nil {
 		return scanErr

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"subzero/internal/binenc"
@@ -307,24 +308,38 @@ func TestPayCoverageReporting(t *testing.T) {
 	}
 }
 
+// ContainsOut answers per cell, including the cells at both edges of a
+// 1024-cell tile and the last cell of the space, whether the pair holding
+// it was flushed or still buffered.
 func TestContainsOut(t *testing.T) {
-	for _, strat := range []Strategy{StratPayOne, StratPayMany} {
-		kv := kvstore.NewMem()
-		st, err := OpenStore(kv, strat, tOutSpace, tInSpaces)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pair := RegionPair{Out: []uint64{5, 17}, Payload: testPayload([][]uint64{{1}, {}})}
-		if err := st.WritePairs([]RegionPair{pair}); err != nil {
-			t.Fatal(err)
-		}
-		for cell, want := range map[uint64]bool{5: true, 17: true, 6: false, 399: false} {
-			got, err := st.ContainsOut(cell)
+	outSp := grid.NewSpace(grid.Shape{3, 1024})
+	held := []uint64{5, 17, 0, 1023, 1024, 3071}
+	for _, strat := range []Strategy{StratPayOne, StratPayMany, StratCompOne} {
+		for _, flush := range []bool{false, true} {
+			st, err := OpenStore(kvstore.NewMem(), strat, outSp, tInSpaces)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got != want {
-				t.Fatalf("%s: ContainsOut(%d)=%v, want %v", strat, cell, got, want)
+			for _, cells := range [][]uint64{held[:2], held[2:]} {
+				pair := RegionPair{Out: cells, Payload: testPayload([][]uint64{{1}, {}})}
+				if err := st.WritePairs([]RegionPair{pair}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if flush {
+				if err := st.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, cell := range []uint64{5, 17, 0, 1023, 1024, 3071, 6, 1, 1022, 1025, 2047, 2048, 3070} {
+				want := slices.Contains(held, cell)
+				got, err := st.ContainsOut(cell)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Fatalf("%s (flushed %v): ContainsOut(%d)=%v, want %v", strat, flush, cell, got, want)
+				}
 			}
 		}
 	}

@@ -200,11 +200,11 @@ func (o *Optimizer) overheads(p *nodeProfile, s lineage.Strategy) (int64, time.D
 	case s.Mode == lineage.Full && s.Enc == lineage.One && s.Orient == lineage.BackwardOpt:
 		bytes = p.pairs*lineage.EstRecordOverhead +
 			lineage.EstBytesPerCell*(p.outCells+p.inCells) +
-			p.outCells*lineage.EstCellEntryBytes
+			p.outCells*lineage.EstCellEntryBytes + p.pairs*lineage.EstIDEntryBytes
 	case s.Mode == lineage.Full && s.Enc == lineage.One && s.Orient == lineage.ForwardOpt:
 		bytes = p.pairs*lineage.EstRecordOverhead +
 			lineage.EstBytesPerCell*(p.outCells+p.inCells) +
-			p.inCells*lineage.EstCellEntryBytes
+			p.inCells*(lineage.EstCellEntryBytes+lineage.EstIDEntryBytes)
 	case s.Mode == lineage.Full && s.Enc == lineage.Many && s.Orient == lineage.BackwardOpt:
 		bytes = p.pairs*(lineage.EstRecordOverhead+lineage.EstTreeEntryBytes) +
 			lineage.EstBytesPerCell*(p.outCells+p.inCells)
@@ -215,8 +215,7 @@ func (o *Optimizer) overheads(p *nodeProfile, s lineage.Strategy) (int64, time.D
 			lineage.EstBytesPerCell*(p.outCells+p.inCells)
 		treeInserts = p.pairs * nIn
 	case s.Enc == lineage.One: // PayOne / CompOne
-		perPair := p.payBytes / p.payPairs
-		bytes = p.payOutCells * (lineage.EstCellEntryBytes + perPair)
+		bytes = p.payOutCells*lineage.EstCellEntryBytes + p.payBytes + p.payPairs*lineage.EstPayEntryBytes
 	default: // PayMany / CompMany
 		bytes = p.payPairs*(lineage.EstRecordOverhead+lineage.EstTreeEntryBytes) +
 			lineage.EstBytesPerCell*p.payOutCells + p.payBytes
