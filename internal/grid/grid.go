@@ -11,7 +11,7 @@ package grid
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Shape describes the extent of each dimension of an array. All extents are
@@ -330,17 +330,15 @@ func Neighborhood(sp *Space, center Coord, radius int, dst []uint64) []uint64 {
 }
 
 // SortCells sorts a slice of linear indices in ascending order and removes
-// duplicates in place, returning the shortened slice.
+// duplicates in place, returning the shortened slice. Operators almost
+// always emit their cells in order, so a set that is already strictly
+// increasing returns after one pass, untouched. It never allocates.
 func SortCells(cells []uint64) []uint64 {
-	if len(cells) < 2 {
-		return cells
-	}
-	sort.Slice(cells, func(i, j int) bool { return cells[i] < cells[j] })
-	out := cells[:1]
-	for _, v := range cells[1:] {
-		if v != out[len(out)-1] {
-			out = append(out, v)
+	for i := 1; i < len(cells); i++ {
+		if cells[i] <= cells[i-1] {
+			slices.Sort(cells)
+			return slices.Compact(cells)
 		}
 	}
-	return out
+	return cells
 }

@@ -2,6 +2,8 @@ package grid
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -222,6 +224,72 @@ func TestSortCells(t *testing.T) {
 	}
 	if out := SortCells(nil); len(out) != 0 {
 		t.Fatal("nil input should remain empty")
+	}
+}
+
+// SortCells against a plain sort-and-dedup reference, over the shapes the
+// fast path and the sort path each have to get right.
+func TestSortCellsMatchesReference(t *testing.T) {
+	ref := func(cells []uint64) []uint64 {
+		out := append([]uint64(nil), cells...)
+		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+		n := 0
+		for i, v := range out {
+			if i == 0 || v != out[n-1] {
+				out[n] = v
+				n++
+			}
+		}
+		return out[:n]
+	}
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 400; trial++ {
+		n := rng.Intn(70)
+		cells := make([]uint64, n)
+		switch trial % 5 {
+		case 0: // random, with duplicates
+			for i := range cells {
+				cells[i] = uint64(rng.Intn(2 * (n + 1)))
+			}
+		case 1: // strictly increasing
+			for i := range cells {
+				cells[i] = uint64(3*i + rng.Intn(3))
+			}
+		case 2: // sorted with runs of duplicates
+			for i := range cells {
+				cells[i] = uint64(i / 3)
+			}
+		case 3: // reversed
+			for i := range cells {
+				cells[i] = uint64(5 * (n - i))
+			}
+		case 4: // all one cell
+			for i := range cells {
+				cells[i] = 42
+			}
+		}
+		want := ref(cells)
+		got := SortCells(append([]uint64(nil), cells...))
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: SortCells(%v) = %v, want %v", trial, cells, got, want)
+		}
+	}
+}
+
+func TestSortCellsAllocFree(t *testing.T) {
+	sorted := make([]uint64, 512)
+	for i := range sorted {
+		sorted[i] = uint64(2 * i)
+	}
+	shuffled := make([]uint64, len(sorted))
+	rng := rand.New(rand.NewSource(9))
+	if allocs := testing.AllocsPerRun(50, func() {
+		SortCells(sorted)
+		copy(shuffled, sorted)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		SortCells(shuffled)
+	}); allocs != 0 {
+		t.Fatalf("SortCells allocates %.1f/op, want 0", allocs)
 	}
 }
 

@@ -56,7 +56,8 @@ type Store interface {
 	// observes a prefix of it, because the whole batch applies under the
 	// store's lock. Crash atomicity follows the log's usual stance — a
 	// torn batch is detected by the CRC framing on reopen and the tail is
-	// discarded.
+	// discarded. The store copies what it keeps: the caller may reuse kvs
+	// and every key and value byte once PutBatch returns.
 	PutBatch(kvs []KV) error
 	// CommitMeta atomically replaces the one metadata blob the store
 	// holds beside its record data: a reader either sees the previous

@@ -35,9 +35,11 @@ const (
 )
 
 func pairKey(id uint64) []byte {
-	buf := make([]byte, 1, 11)
-	buf[0] = keyPair
-	return binary.AppendUvarint(buf, id)
+	return appendPairKey(make([]byte, 0, 11), id)
+}
+
+func appendPairKey(buf []byte, id uint64) []byte {
+	return binary.AppendUvarint(append(buf, keyPair), id)
 }
 
 func appendTileKey(buf []byte, slot int, tile uint64) []byte {
@@ -81,12 +83,11 @@ const (
 	recPayloadContainers = 5 // container outs + payload blob
 )
 
-// encodeRecord serializes a region pair as a pair-record value. Cell
+// appendRecord appends a region pair's pair-record value to buf. Cell
 // offsets are delta-coded against their tile base, and each tile
 // independently picks the smallest of the array, run, and bitmap
 // container forms.
-func encodeRecord(rp *RegionPair) []byte {
-	var buf []byte
+func appendRecord(buf []byte, rp *RegionPair) []byte {
 	if rp.IsPayload() {
 		buf = append(buf, recPayloadContainers)
 		buf = binenc.AppendCellSetContainers(buf, rp.Out)

@@ -15,7 +15,7 @@ import (
 // before it ships: a store rebuilt by the heal loop must be byte-identical
 // to the one it replaces.
 func TestEncodeGoldenRecords(t *testing.T) {
-	got := encodeRecord(&RegionPair{Out: []uint64{1, 5, 9}, Ins: [][]uint64{{0, 2}, {7}}})
+	got := appendRecord(nil, &RegionPair{Out: []uint64{1, 5, 9}, Ins: [][]uint64{{0, 2}, {7}}})
 	// flags=4; every set is tiny, so all take the sparse-direct form
 	// (count, nTiles=0, first+gaps): outs {1,5,9}, then 2 inputs {0,2}
 	// and {7}.
@@ -40,7 +40,7 @@ func TestEncodeGoldenRecords(t *testing.T) {
 	for c := uint64(1034); c < 1040; c++ {
 		out = append(out, c)
 	}
-	got = encodeRecord(&RegionPair{Out: out, Payload: []byte{1}})
+	got = appendRecord(nil, &RegionPair{Out: out, Payload: []byte{1}})
 	want = []byte{5, 0x86, 0x08, 2, 3, 1, 1, 10, 6, 1, 1}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("payload record bytes = %v, want %v", got, want)
@@ -184,14 +184,14 @@ func TestUnusableRecordDegradesStore(t *testing.T) {
 	// What a Full store cannot use; a payload store cannot use a full
 	// record.
 	inFull := map[string][]byte{
-		"wrong kind":    encodeRecord(&RegionPair{Out: pairs[0].Out, Payload: testPayload(pairs[0].Ins)}),
-		"one input set": encodeRecord(&RegionPair{Out: []uint64{1, 5, 9}, Ins: [][]uint64{{0, 2}}}),
-		"no input sets": encodeRecord(&RegionPair{Out: []uint64{1, 5, 9}, Ins: [][]uint64{}}),
+		"wrong kind":    appendRecord(nil, &RegionPair{Out: pairs[0].Out, Payload: testPayload(pairs[0].Ins)}),
+		"one input set": appendRecord(nil, &RegionPair{Out: []uint64{1, 5, 9}, Ins: [][]uint64{{0, 2}}}),
+		"no input sets": appendRecord(nil, &RegionPair{Out: []uint64{1, 5, 9}, Ins: [][]uint64{}}),
 	}
 	for name, val := range staleGoldens {
 		inFull[name] = val
 	}
-	inPay := map[string][]byte{"wrong kind": encodeRecord(&pairs[0])}
+	inPay := map[string][]byte{"wrong kind": appendRecord(nil, &pairs[0])}
 
 	for _, strat := range []Strategy{StratFullOne, StratFullMany, StratFullOneFwd, StratFullManyFwd, StratPayMany} {
 		vals := inFull

@@ -20,10 +20,10 @@ func FuzzDecodeRecord(f *testing.F) {
 	for c := uint64(1000); c < 2500; c++ {
 		dense = append(dense, c)
 	}
-	f.Add(encodeRecord(&RegionPair{Out: []uint64{1, 5, 9}, Ins: [][]uint64{{0, 2}, {7}}}))
-	f.Add(encodeRecord(&RegionPair{Out: []uint64{4}, Payload: []byte{9, 8, 7}}))
-	f.Add(encodeRecord(&RegionPair{Out: dense, Ins: [][]uint64{{3, 40, 41, 42, 900, 2000, 2002, 2004, 5000, 70000}}}))
-	f.Add(encodeRecord(&RegionPair{Out: dense, Payload: []byte{}}))
+	f.Add(appendRecord(nil, &RegionPair{Out: []uint64{1, 5, 9}, Ins: [][]uint64{{0, 2}, {7}}}))
+	f.Add(appendRecord(nil, &RegionPair{Out: []uint64{4}, Payload: []byte{9, 8, 7}}))
+	f.Add(appendRecord(nil, &RegionPair{Out: dense, Ins: [][]uint64{{3, 40, 41, 42, 900, 2000, 2002, 2004, 5000, 70000}}}))
+	f.Add(appendRecord(nil, &RegionPair{Out: dense, Payload: []byte{}}))
 	f.Add([]byte{})
 	f.Add([]byte{4, 0x80})
 
@@ -60,7 +60,7 @@ func FuzzDecodeRecord(f *testing.F) {
 		if !ok {
 			return
 		}
-		enc := encodeRecord(&rp)
+		enc := appendRecord(nil, &rp)
 		rec2, err := decodeRecord(enc)
 		if err != nil {
 			t.Fatalf("canonical re-encoding rejected: %v", err)
@@ -75,7 +75,7 @@ func FuzzDecodeRecord(f *testing.F) {
 				t.Fatalf("re-decoded input %d differs: %v vs %v", i, rp2.Ins[i], rp.Ins[i])
 			}
 		}
-		if enc2 := encodeRecord(&rp2); !bytes.Equal(enc2, enc) {
+		if enc2 := appendRecord(nil, &rp2); !bytes.Equal(enc2, enc) {
 			t.Fatalf("re-encode is not a fixed point: %v vs %v", enc2, enc)
 		}
 	})

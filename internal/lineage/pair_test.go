@@ -86,7 +86,7 @@ func TestRegionPairValidateLabels(t *testing.T) {
 
 func TestRecordCodecRoundTrip(t *testing.T) {
 	full := RegionPair{Out: []uint64{1, 5, 9}, Ins: [][]uint64{{0, 2}, {7}}}
-	rec, err := decodeRecord(encodeRecord(&full))
+	rec, err := decodeRecord(appendRecord(nil, &full))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 	}
 
 	pay := RegionPair{Out: []uint64{4}, Payload: []byte{9, 8, 7}}
-	rec, err = decodeRecord(encodeRecord(&pay))
+	rec, err = decodeRecord(appendRecord(nil, &pay))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 
 	// Empty payload must round-trip as non-nil.
 	payEmpty := RegionPair{Out: []uint64{4}, Payload: []byte{}}
-	rec, err = decodeRecord(encodeRecord(&payEmpty))
+	rec, err = decodeRecord(appendRecord(nil, &payEmpty))
 	if err != nil || rec.payload == nil {
 		t.Fatalf("empty payload: rec=%+v err=%v", rec, err)
 	}
@@ -136,7 +136,7 @@ func TestRecordCodecErrors(t *testing.T) {
 	if _, err := decodeRecord([]byte{99, 0}); err == nil {
 		t.Fatal("bad flags accepted")
 	}
-	full := encodeRecord(&RegionPair{Out: []uint64{1, 2}, Ins: [][]uint64{{3}}})
+	full := appendRecord(nil, &RegionPair{Out: []uint64{1, 2}, Ins: [][]uint64{{3}}})
 	if _, err := decodeRecord(full[:len(full)-1]); err == nil {
 		t.Fatal("truncated record accepted")
 	}

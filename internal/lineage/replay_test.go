@@ -39,7 +39,7 @@ func TestCorruptRecordNeverHalfApplies(t *testing.T) {
 		{Out: []uint64{30, 31}, Ins: [][]uint64{{200, 201}, {7}}},
 		{Out: []uint64{50}, Ins: [][]uint64{{300}, {9, 10}}},
 	}
-	val := encodeRecord(&planted)
+	val := appendRecord(nil, &planted)
 	val = val[:len(val)-1] // the last cell of the last input set
 	if _, err := decodeRecord(val); err == nil {
 		t.Fatal("truncated record still decodes")
@@ -166,7 +166,7 @@ func FuzzReplayRecord(f *testing.F) {
 		{Out: strided, Ins: [][]uint64{dense, {}}},
 		{Out: []uint64{1, 5, 9}, Ins: [][]uint64{{0, 2}}},
 	} {
-		f.Add(encodeRecord(&rp))
+		f.Add(appendRecord(nil, &rp))
 	}
 	f.Add([]byte{})
 	f.Add([]byte{4, 0x80})

@@ -125,13 +125,14 @@ type Store struct {
 	// Per-cell entries of One encodings wait in pending, one append-only
 	// buffer per slot, until a flush sorts each buffer once and writes
 	// every touched tile with one PutBatch. A cellRef's ref is the pair id,
-	// or for payload stores an index into pendingPay; pendingEntryBytes
+	// or for payload stores the index of a payload copied into pendingPay
+	// (the store keeps no caller memory past WritePairs); pendingEntryBytes
 	// estimates the entries the buffered references will take (SizeBytes).
 	// mayHoldCells is set once the hashtable may hold cell entries — the
 	// store was opened non-empty or has flushed — and only then does a
 	// flush read the touched tiles back to merge into. Guarded by gate.
 	pending           [][]cellRef
-	pendingPay        [][]byte
+	pendingPay        payArena
 	pendingCount      int
 	pendingEntryBytes int64
 	mayHoldCells      bool
@@ -539,11 +540,7 @@ func (s *Store) ingestBatch(pairs []RegionPair, ids []uint64) error {
 	// and index items must never reference a record the hashtable does
 	// not hold yet.
 	if ids != nil {
-		recs := make([]kvstore.KV, len(pairs))
-		for i := range pairs {
-			recs[i] = kvstore.KV{Key: pairKey(ids[i]), Val: encodeRecord(&pairs[i])}
-		}
-		if err := s.kv.PutBatch(recs); err != nil {
+		if err := s.putRecords(pairs, ids); err != nil {
 			return err
 		}
 	}
@@ -567,6 +564,42 @@ func (s *Store) ingestBatch(pairs []RegionPair, ids []uint64) error {
 	}
 	s.addVolumes(len(pairs), out, in, pay)
 	return nil
+}
+
+// recordArena is the scratch one putRecords call encodes a batch into:
+// every key and record back to back in buf, where each ends (ends), and
+// the batch slicing them. It is pooled per call, not per store, because
+// shard workers run ingestBatch on one store concurrently; PutBatch copies
+// what it keeps, so the arena is free again once it returns.
+type recordArena struct {
+	buf  []byte
+	ends []int
+	kvs  []kvstore.KV
+}
+
+var recordArenas = sync.Pool{New: func() any { return new(recordArena) }}
+
+// putRecords encodes one pair record per pair and group-commits them with
+// one PutBatch.
+func (s *Store) putRecords(pairs []RegionPair, ids []uint64) error {
+	a := recordArenas.Get().(*recordArena)
+	defer recordArenas.Put(a)
+	a.buf, a.ends, a.kvs = a.buf[:0], a.ends[:0], a.kvs[:0]
+	for i := range pairs {
+		a.buf = appendPairKey(a.buf, ids[i])
+		a.ends = append(a.ends, len(a.buf))
+		a.buf = appendRecord(a.buf, &pairs[i])
+		a.ends = append(a.ends, len(a.buf))
+	}
+	// The batch slices the arena only once it is final: an append above
+	// may have moved it.
+	from := 0
+	for i := 0; i < len(a.ends); i += 2 {
+		k, v := a.ends[i], a.ends[i+1]
+		a.kvs = append(a.kvs, kvstore.KV{Key: a.buf[from:k:k], Val: a.buf[k:v:v]})
+		from = v
+	}
+	return s.kv.PutBatch(a.kvs)
 }
 
 // slotItem is one R-tree insert awaiting the gate.
@@ -610,8 +643,7 @@ func (s *Store) bufferCellEntries(pairs []RegionPair, ids []uint64) error {
 		case ids == nil:
 			// PayOne stores no records, so its pairs have no ids: the
 			// payload is duplicated under every output cell.
-			ref := uint64(len(s.pendingPay))
-			s.pendingPay = append(s.pendingPay, rp.Payload)
+			ref := s.pendingPay.add(rp.Payload)
 			for _, c := range rp.Out {
 				s.pending[0] = append(s.pending[0], cellRef{c, ref})
 			}
@@ -678,15 +710,14 @@ func (s *Store) flushPendingLocked() error {
 		return nil
 	}
 	n := 0
+	payStore := !s.storesRecords()
 	for _, refs := range s.pending {
-		// pendingPay is non-nil exactly when a payload store has buffered
-		// entries.
-		if s.pendingPay != nil {
+		if payStore {
 			slices.SortFunc(refs, func(a, b cellRef) int {
 				if c := cmp.Compare(a.cell, b.cell); c != 0 || a.ref == b.ref {
 					return c
 				}
-				return bytes.Compare(s.pendingPay[a.ref], s.pendingPay[b.ref])
+				return bytes.Compare(s.pendingPay.at(a.ref), s.pendingPay.at(b.ref))
 			})
 		} else {
 			slices.SortFunc(refs, func(a, b cellRef) int {
@@ -721,7 +752,10 @@ func (s *Store) flushPendingLocked() error {
 	}
 	key := func(i int) []byte { return keyArena[tileKeyLen*i : tileKeyLen*(i+1) : tileKeyLen*(i+1)] }
 	// The arena is sized for two-byte ids; append grows it past that.
-	enc := tileEncoder{pay: s.pendingPay, vals: make([]byte, 0, 8*len(runs)+4*s.pendingCount)}
+	enc := tileEncoder{vals: make([]byte, 0, 8*len(runs)+4*s.pendingCount)}
+	if payStore {
+		enc.pay = &s.pendingPay
+	}
 	if s.mayHoldCells {
 		keys := make([][]byte, len(runs))
 		for i := range keys {
@@ -759,7 +793,7 @@ func (s *Store) flushPendingLocked() error {
 	for slot := range s.pending {
 		s.pending[slot] = nil
 	}
-	s.pendingPay = nil
+	s.pendingPay = payArena{}
 	s.pendingCount, s.pendingEntryBytes = 0, 0
 	return nil
 }
@@ -768,11 +802,34 @@ func (s *Store) flushPendingLocked() error {
 // sorted pending buffer, and where its value ends in the value arena.
 type tileRun struct{ slot, lo, hi, end int }
 
+// payArena holds a payload store's buffered payloads back to back:
+// payload i is buf[ends[i-1]:ends[i]].
+type payArena struct {
+	buf  []byte
+	ends []int
+}
+
+// add copies p into the arena and returns its index.
+func (a *payArena) add(p []byte) uint64 {
+	a.buf = append(a.buf, p...)
+	a.ends = append(a.ends, len(a.buf))
+	return uint64(len(a.ends) - 1)
+}
+
+// at returns payload i.
+func (a *payArena) at(i uint64) []byte {
+	from := 0
+	if i > 0 {
+		from = a.ends[i-1]
+	}
+	return a.buf[from:a.ends[i]:a.ends[i]]
+}
+
 // tileEncoder appends the values of one flush's tiles to one arena,
 // reusing its scratch across tiles. pay is the store's pendingPay: nil for
 // id stores.
 type tileEncoder struct {
-	pay  [][]byte
+	pay  *payArena
 	vals []byte
 	err  error
 
@@ -875,7 +932,7 @@ func (e *tileEncoder) addCell(run []cellRef, old []byte, merge bool) {
 			})
 		}
 		for _, r := range run {
-			e.pays = append(e.pays, e.pay[r.ref])
+			e.pays = append(e.pays, e.pay.at(r.ref))
 		}
 		if merge {
 			slices.SortStableFunc(e.pays, bytes.Compare)

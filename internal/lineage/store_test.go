@@ -410,6 +410,33 @@ func TestManyLookupHonorsEveryAbortPoll(t *testing.T) {
 	}
 }
 
+// WritePairs keeps no caller memory once it returns: a payload store that
+// buffers cell entries for a later flush holds its own copy of each
+// payload, so a caller reusing its buffer cannot change stored lineage.
+func TestWritePairsOwnsPayloads(t *testing.T) {
+	mapp := func(_ uint64, payload []byte, _ int, dst []uint64) []uint64 {
+		return append(dst, uint64(payload[0]))
+	}
+	for _, strat := range []Strategy{StratPayOne, StratCompOne, StratPayMany} {
+		st, err := OpenStore(kvstore.NewMem(), strat, tOutSpace, tInSpaces)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload := []byte{7}
+		if err := st.WritePairs([]RegionPair{{Out: []uint64{1}, Payload: payload}}); err != nil {
+			t.Fatal(err)
+		}
+		payload[0] = 9
+		dst := bitmap.New(tInSpaces[0])
+		if err := st.Backward(bitmap.FromCells(tOutSpace, []uint64{1}), dst, 0, mapp, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		if !dst.Get(7) || dst.Get(9) {
+			t.Fatalf("%s: backward of cell 1 = %v, want [7]: the store aliased the caller's payload", strat, dst.Cells(nil))
+		}
+	}
+}
+
 func TestStoreRejectsWrongPairKind(t *testing.T) {
 	kv := kvstore.NewMem()
 	full, _ := OpenStore(kv, StratFullOne, tOutSpace, tInSpaces)

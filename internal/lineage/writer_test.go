@@ -1,10 +1,17 @@
 package lineage
 
 import (
+	"bytes"
+	"context"
+	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	"subzero/internal/bitmap"
+	"subzero/internal/grid"
 	"subzero/internal/kvstore"
 )
 
@@ -123,7 +130,8 @@ func TestWriterCopiesCallerBuffers(t *testing.T) {
 func TestWriterSinkMode(t *testing.T) {
 	var captured []RegionPair
 	sink := func(rp *RegionPair) error {
-		captured = append(captured, *rp)
+		// The pair lives in the writer's staging for this call only.
+		captured = append(captured, RegionPair{Out: slices.Clone(rp.Out), Ins: [][]uint64{slices.Clone(rp.Ins[0]), slices.Clone(rp.Ins[1])}})
 		return nil
 	}
 	w := NewWriter(tOutSpace, tInSpaces, nil, nil, sink)
@@ -207,5 +215,250 @@ func TestOpStatsZeroDivision(t *testing.T) {
 	var st OpStats
 	if st.AvgExecTime() != 0 {
 		t.Fatal("zero stats must not divide by zero")
+	}
+}
+
+// stagingPairs generates pairs over outSpace large enough that a few
+// hundred cross the writer's flush threshold, payload pairs included:
+// unsorted cell sets with duplicates.
+func stagingPairs(rng *rand.Rand, outSpace *grid.Space, n int) []RegionPair {
+	cells := func(size uint64, max int) []uint64 {
+		set := make([]uint64, 1+rng.Intn(max))
+		for i := range set {
+			set[i] = uint64(rng.Int63n(int64(size)))
+		}
+		return set
+	}
+	pairs := make([]RegionPair, n)
+	for i := range pairs {
+		pairs[i] = RegionPair{
+			Out: cells(outSpace.Size(), 800),
+			Ins: [][]uint64{cells(tInSpaces[0].Size(), 300), cells(tInSpaces[1].Size(), 40)},
+		}
+	}
+	return pairs
+}
+
+// The writer reuses its staging after every bulk encode and callers reuse
+// their buffers after every call; neither may reach a store. A store fed by
+// a caller that clears every buffer right after each call, across several
+// threshold flushes, must hold exactly what a store fed fresh copies
+// holds: the same answers, the same live records and tiles, and on the
+// serial path the same log bytes. Under the ingest pipeline a
+// staged batch is read by shard workers after the writer has moved on, so
+// run it under -race too.
+func TestWriterStagingReuse(t *testing.T) {
+	outSpace := grid.NewSpace(grid.Shape{64, 64})
+	pairs := stagingPairs(rand.New(rand.NewSource(23)), outSpace, 560)
+	for _, strat := range []Strategy{StratFullOne, StratFullMany, StratFullOneFwd, StratPayOne} {
+		payload := strat.Mode != Full
+		stored := pairs
+		if payload {
+			stored = make([]RegionPair, len(pairs))
+			for i, rp := range pairs {
+				// The small input set stands in for both, which keeps map_p
+				// cheap; the answers are compared, not derived.
+				small := grid.SortCells(slices.Clone(rp.Ins[1]))
+				stored[i] = RegionPair{Out: rp.Out, Payload: testPayload([][]uint64{small, small})}
+			}
+		}
+		var outCells, cells int
+		for _, rp := range stored {
+			outCells += len(grid.SortCells(slices.Clone(rp.Out)))
+			cells += len(grid.SortCells(slices.Clone(rp.Out)))
+			for _, in := range rp.Ins {
+				cells += len(grid.SortCells(slices.Clone(in)))
+			}
+		}
+		if payload {
+			cells = outCells
+		}
+		if cells < 3*flushCellThreshold {
+			t.Fatalf("%s: %d staged cells cross the flush threshold fewer than 3 times", strat, cells)
+		}
+		for _, shards := range []int{0, 2} {
+			t.Run(fmt.Sprintf("%s/shards=%d", strat.ID(), shards), func(t *testing.T) {
+				open := func(name string) (*Store, *kvstore.FileStore, string) {
+					path := filepath.Join(t.TempDir(), name)
+					fs, err := kvstore.OpenFile(path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					st, err := OpenStore(fs, strat, outSpace, tInSpaces)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return st, fs, path
+				}
+				feed := func(st *Store, reuse bool) {
+					var full, pay []*Store
+					if payload {
+						pay = []*Store{st}
+					} else {
+						full = []*Store{st}
+					}
+					w := NewWriter(outSpace, tInSpaces, full, pay, nil)
+					if shards > 0 && reuse {
+						coord := NewCoordinator(context.Background(), IngestConfig{Shards: shards}, nil)
+						defer coord.Close()
+						w.UseIngest(coord)
+					}
+					var out []uint64
+					ins := make([][]uint64, 2)
+					var blob []byte
+					for _, rp := range stored {
+						if reuse {
+							out = append(out[:0], rp.Out...)
+							blob = append(blob[:0], rp.Payload...)
+							for i := range rp.Ins {
+								ins[i] = append(ins[i][:0], rp.Ins[i]...)
+							}
+						} else {
+							out, blob = slices.Clone(rp.Out), slices.Clone(rp.Payload)
+							for i := range rp.Ins {
+								ins[i] = slices.Clone(rp.Ins[i])
+							}
+						}
+						var err error
+						if payload {
+							err = w.LWritePayload(out, blob)
+						} else {
+							err = w.LWrite(out, ins...)
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reuse {
+							continue
+						}
+						if !slices.Equal(out, rp.Out) || !payload && (!slices.Equal(ins[0], rp.Ins[0]) || !slices.Equal(ins[1], rp.Ins[1])) {
+							t.Fatal("writer modified the caller's cell sets")
+						}
+						// The caller reuses every buffer at once.
+						clear(out)
+						clear(blob)
+						for _, in := range ins {
+							clear(in)
+						}
+					}
+					if err := w.Flush(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				ref, refFS, refPath := open("ref.log")
+				feed(ref, false)
+				got, gotFS, gotPath := open("got.log")
+				feed(got, true)
+
+				if got.NumPairs() != ref.NumPairs() {
+					t.Fatalf("NumPairs = %d, want %d", got.NumPairs(), ref.NumPairs())
+				}
+				// The meta sidecar holds write timings, so only the log is
+				// compared byte for byte.
+				if shards == 0 {
+					a, err := os.ReadFile(gotPath)
+					if err != nil {
+						t.Fatal(err)
+					}
+					b, err := os.ReadFile(refPath)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(a, b) {
+						t.Fatal("log bytes differ from a store fed fresh copies")
+					}
+				}
+				// A threshold flush can leave scheduling-dependent garbage in a
+				// sharded log, so compare what the hashtable holds live.
+				live := func(fs *kvstore.FileStore) map[string]string {
+					m := make(map[string]string)
+					if err := fs.Scan(func(k, v []byte) bool {
+						m[string(k)] = string(v)
+						return true
+					}); err != nil {
+						t.Fatal(err)
+					}
+					return m
+				}
+				if a, b := live(gotFS), live(refFS); len(a) != len(b) {
+					t.Fatalf("live keys = %d, want %d", len(a), len(b))
+				} else {
+					for k, v := range b {
+						if a[k] != v {
+							t.Fatalf("live value of key %x differs", k)
+						}
+					}
+				}
+				var mapp PayloadFn
+				if payload {
+					mapp = testMapP
+				}
+				rng := rand.New(rand.NewSource(3))
+				for trial := 0; trial < 10; trial++ {
+					q := randomQuery(rng, outSpace, 30)
+					a, b := bitmap.New(tInSpaces[0]), bitmap.New(tInSpaces[0])
+					if err := got.Backward(q, a, 0, mapp, nil, nil); err != nil {
+						t.Fatal(err)
+					}
+					if err := ref.Backward(q, b, 0, mapp, nil, nil); err != nil {
+						t.Fatal(err)
+					}
+					if !bitmapsEqual(a, b) {
+						t.Fatalf("trial %d: backward answer differs", trial)
+					}
+					fq := randomQuery(rng, tInSpaces[1], 5)
+					fa, fb := bitmap.New(outSpace), bitmap.New(outSpace)
+					if err := got.Forward(fq, fa, 1, mapp, nil); err != nil {
+						t.Fatal(err)
+					}
+					if err := ref.Forward(fq, fb, 1, mapp, nil); err != nil {
+						t.Fatal(err)
+					}
+					if !bitmapsEqual(fa, fb) {
+						t.Fatalf("trial %d: forward answer differs", trial)
+					}
+				}
+			})
+		}
+	}
+}
+
+// Between flushes a warm writer stages a pair without allocating: the
+// cells, Ins headers and pair go into arenas the previous batch grew.
+func TestLWriteAllocFree(t *testing.T) {
+	for _, strat := range []Strategy{StratFullOne, StratPayOne} {
+		st, err := OpenStore(kvstore.NewMem(), strat, tOutSpace, tInSpaces)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload := strat.Mode != Full
+		var w *Writer
+		if payload {
+			w = NewWriter(tOutSpace, tInSpaces, nil, []*Store{st}, nil)
+		} else {
+			w = NewWriter(tOutSpace, tInSpaces, []*Store{st}, nil, nil)
+		}
+		out, in0, in1 := []uint64{9, 3, 3, 120}, []uint64{7, 8, 9, 300}, []uint64{1, 0}
+		blob := []byte{1, 2, 3}
+		write := func() {
+			if payload {
+				err = w.LWritePayload(out, blob)
+			} else {
+				err = w.LWrite(out, in0, in1)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Warm: write until a threshold flush has encoded one whole batch.
+		for st.NumPairs() == 0 {
+			write()
+		}
+		if allocs := testing.AllocsPerRun(200, write); allocs != 0 {
+			t.Fatalf("%s: warm LWrite allocates %.2f/op, want 0", strat, allocs)
+		}
+		if st.NumPairs() == 0 || w.bufCells == 0 {
+			t.Fatalf("%s: measured calls crossed a flush", strat)
+		}
 	}
 }

@@ -455,7 +455,8 @@ const reexecCtxCheckInterval = 1024
 
 // Reexecute re-runs a node in tracing mode (cur_modes = {Full}), streaming
 // every region pair to sink instead of storing it — black-box lineage
-// resolution (paper §V-B). The sink may return lineage.ErrAborted (wrapped)
+// resolution (paper §V-B). A pair is valid only during the sink call (see
+// lineage.NewWriter). The sink may return lineage.ErrAborted (wrapped)
 // to stop early; Reexecute propagates it. The context is checked
 // periodically as pairs stream; cancellation aborts the trace with a
 // wrapped ctx.Err() naming the node.
