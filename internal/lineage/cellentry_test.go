@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"math/bits"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -22,22 +23,20 @@ func oneStrategies() []Strategy {
 }
 
 // TestCellEntryLogGolden pins the bytes a One-encoding store leaves on
-// disk: a seeded pair set is written in three batches — the first flushed,
-// the second merged by a lookup, the third merged by the final flush — and
-// the sha256 of the log and of the meta sidecar must match the values the
-// tile-keyed layout produced when it replaced per-cell keys (the child of
-// commit e4ee3b9). Any change to which tiles a flush writes, in what order,
-// how a tile value is laid out, or how its id and payload lists are sorted
-// shows up here.
+// disk: a seeded pair set is written in three batches and then flushed
+// once, and the sha256 of the log and of the meta sidecar must match the
+// values the tile-keyed layout wrote for that history when flushes could
+// still merge into tiles (commit d5717e4). Any change to which tiles the
+// flush writes, in what order, how a tile value is laid out, or how its id
+// and payload lists are sorted shows up here.
 func TestCellEntryLogGolden(t *testing.T) {
 	want := map[string][2]string{
-		"Full-One-b": {"0798d6a956378ed64f551c16b0fae4f56150ef349cf6ccb5d660337a5ae74663", "cc859632be3b8c6827bdde381cf572cc2054c21862486ff1ccc914fd5c196f95"},
-		"Full-One-f": {"cfc29822514c6e2db10e929a7802792a85d6c58f0036410f40300635ac965418", "cc859632be3b8c6827bdde381cf572cc2054c21862486ff1ccc914fd5c196f95"},
-		"Pay-One-b":  {"508f60a081a9845ad4f3b22c4cca54388a6b43632c5ebd6a6c830a2f1db81dd5", "f9b73ff96cf5caae309bb4e7bbc95c93b7d89576899b493fabec5071b748dda2"},
-		"Comp-One-b": {"508f60a081a9845ad4f3b22c4cca54388a6b43632c5ebd6a6c830a2f1db81dd5", "f9b73ff96cf5caae309bb4e7bbc95c93b7d89576899b493fabec5071b748dda2"},
+		"Full-One-b": {"da35ea0e793974d3cd150301724b988cdda6bdda751c4bf8301e9bbed67f223f", "cc859632be3b8c6827bdde381cf572cc2054c21862486ff1ccc914fd5c196f95"},
+		"Full-One-f": {"2249772b81cbd18d3fc7ad70db009c2f883c886969ae4bf9e49f7d501532121c", "cc859632be3b8c6827bdde381cf572cc2054c21862486ff1ccc914fd5c196f95"},
+		"Pay-One-b":  {"5b0ffaf63d0cc59201e484c375d6dadd47680a48cd1af8cfe8482d238bd779cf", "f9b73ff96cf5caae309bb4e7bbc95c93b7d89576899b493fabec5071b748dda2"},
+		"Comp-One-b": {"5b0ffaf63d0cc59201e484c375d6dadd47680a48cd1af8cfe8482d238bd779cf", "f9b73ff96cf5caae309bb4e7bbc95c93b7d89576899b493fabec5071b748dda2"},
 	}
 	pairs := randomPairs(rand.New(rand.NewSource(31)), 90)
-	q := randomQuery(rand.New(rand.NewSource(8)), tOutSpace, 40)
 	for _, strat := range oneStrategies() {
 		t.Run(strat.ID(), func(t *testing.T) {
 			sp := toStorePairs(strat, pairs)
@@ -63,9 +62,7 @@ func TestCellEntryLogGolden(t *testing.T) {
 				}
 			}
 			step(st.WritePairs(sp[:30]))
-			step(st.Flush())
 			step(st.WritePairs(sp[30:60]))
-			step(st.Backward(q, bitmap.New(tInSpaces[0]), 0, testMapP, nil, nil))
 			step(st.WritePairs(sp[60:]))
 			step(st.Flush())
 			step(fs.Close())
@@ -182,7 +179,8 @@ func (m *cellModel) add(strat Strategy, id uint64, rp *RegionPair) {
 }
 
 // check compares every cell entry of every tile the hashtable holds with
-// the model.
+// the model, and checks the tile is canonical: a cell whose list equals its
+// neighbour's shares its neighbour's entry.
 func (m *cellModel) check(t *testing.T, kv kvstore.Store) {
 	t.Helper()
 	seen := 0
@@ -195,46 +193,49 @@ func (m *cellModel) check(t *testing.T, kv kvstore.Store) {
 			t.Fatalf("tile %x: %v", key, err)
 		}
 		base := binary.BigEndian.Uint64(key[2:]) * 1024
-		ends := tile.appendNextStarts(nil)
-		var prev []byte
-		for i, local := range tile.appendLocals(nil) {
-			seen++
-			k := [2]uint64{uint64(key[1]), base + local}
-			entry, err := tile.entry(i)
-			if err != nil {
-				t.Fatalf("cell %v: %v", k, err)
-			}
-			// Canonical form: equal neighbours share one entry.
-			span, err := tile.entrySpan(i, ends[i])
-			if err != nil {
-				t.Fatalf("cell %v: %v", k, err)
-			}
-			if i > 0 && tile.start(i) != tile.start(i-1) && bytes.Equal(span, prev) {
-				t.Fatalf("cell %v repeats its neighbour's entry %v", k, span)
-			}
-			prev = span
-			if m.pays != nil {
-				var got [][]byte
-				if err := forEachPayload(entry, func(p []byte) error {
-					got = append(got, bytes.Clone(p))
-					return nil
-				}); err != nil {
+		var prevIDs []uint64
+		var prevPays [][]byte
+		i := 0
+		for w, word := range tile.blk {
+			for ; word != 0; word &= word - 1 {
+				k := [2]uint64{uint64(key[1]), base + uint64(w*64+bits.TrailingZeros64(word))}
+				entry, err := tile.entry(i)
+				if err != nil {
 					t.Fatalf("cell %v: %v", k, err)
 				}
-				want := slices.Clone(m.pays[k])
-				slices.SortStableFunc(want, bytes.Compare)
-				if !slices.EqualFunc(got, want, bytes.Equal) {
-					t.Fatalf("cell %v holds payloads %v, want %v", k, got, want)
+				own := i == 0 || tile.start(i) != tile.start(i-1)
+				seen, i = seen+1, i+1
+				if m.pays != nil {
+					var got [][]byte
+					if err := forEachPayload(entry, func(p []byte) error {
+						got = append(got, bytes.Clone(p))
+						return nil
+					}); err != nil {
+						t.Fatalf("cell %v: %v", k, err)
+					}
+					want := slices.Clone(m.pays[k])
+					slices.SortStableFunc(want, bytes.Compare)
+					if !slices.EqualFunc(got, want, bytes.Equal) {
+						t.Fatalf("cell %v holds payloads %v, want %v", k, got, want)
+					}
+					if own && i > 1 && slices.EqualFunc(got, prevPays, bytes.Equal) {
+						t.Fatalf("cell %v repeats its neighbour's entry", k)
+					}
+					prevPays = got
+					continue
 				}
-				continue
-			}
-			got, err := appendIDList(nil, entry)
-			if err != nil {
-				t.Fatalf("cell %v: %v", k, err)
-			}
-			want := slices.Sorted(slices.Values(m.ids[k]))
-			if !slices.Equal(got, want) {
-				t.Fatalf("cell %v holds ids %v, want %v", k, got, want)
+				got, err := appendIDList(nil, entry)
+				if err != nil {
+					t.Fatalf("cell %v: %v", k, err)
+				}
+				want := slices.Sorted(slices.Values(m.ids[k]))
+				if !slices.Equal(got, want) {
+					t.Fatalf("cell %v holds ids %v, want %v", k, got, want)
+				}
+				if own && i > 1 && slices.Equal(got, prevIDs) {
+					t.Fatalf("cell %v repeats its neighbour's entry", k)
+				}
+				prevIDs = got
 			}
 		}
 		return true
@@ -301,13 +302,11 @@ func fuzzQuery(rng *rand.Rand, space *grid.Space) *bitmap.Bitmap {
 	return q
 }
 
-// FuzzCellEntries drives a One store through a random sequence of writes,
-// lookups (each merges the buffered entries) and flushes, on key spaces of
-// three tiles whose edge cells draw most of the traffic. Every lookup
-// answer is checked against the pairs written so far, and after every
-// flush each cell entry of each tile against a map of sorted lists. A
-// write after a flush merges into the tiles that flush wrote, the path a
-// threshold flush takes too.
+// FuzzCellEntries drives a One store through a random sequence of writes
+// and one Flush, on key spaces of three tiles whose edge cells draw most of
+// the traffic. After the Flush each cell entry of each tile is checked
+// against a map of sorted lists, and every lookup the sequence asks for is
+// checked against the pairs written.
 func FuzzCellEntries(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 3})
 	f.Add([]byte{1, 0, 2, 0, 3, 0, 1})
@@ -342,30 +341,29 @@ func FuzzCellEntries(f *testing.F) {
 			model = &cellModel{pays: map[[2]uint64][][]byte{}}
 		}
 		var written []RegionPair
+		var lookups []int64
 		for i, op := range data[1:] {
-			switch op % 4 {
-			case 0, 1:
-				pairs := fuzzPairs(rand.New(rand.NewSource(int64(i)<<8|int64(op))), strat)
-				if err := st.WritePairs(pairs); err != nil {
-					t.Fatal(err)
-				}
-				for j := range pairs {
-					model.add(strat, uint64(len(written)), &pairs[j])
-					written = append(written, pairs[j])
-				}
-			case 2:
-				checkFuzzLookup(t, st, written, rand.New(rand.NewSource(int64(i)<<8|int64(op))), noMap)
-			case 3:
-				if err := st.Flush(); err != nil {
-					t.Fatal(err)
-				}
-				model.check(t, kv)
+			seed := int64(i)<<8 | int64(op)
+			if op%4 == 2 {
+				lookups = append(lookups, seed)
+				continue
+			}
+			pairs := fuzzPairs(rand.New(rand.NewSource(seed)), strat)
+			if err := st.WritePairs(pairs); err != nil {
+				t.Fatal(err)
+			}
+			for j := range pairs {
+				model.add(strat, uint64(len(written)), &pairs[j])
+				written = append(written, pairs[j])
 			}
 		}
 		if err := st.Flush(); err != nil {
 			t.Fatal(err)
 		}
 		model.check(t, kv)
+		for _, seed := range lookups {
+			checkFuzzLookup(t, st, written, rand.New(rand.NewSource(seed)), noMap)
+		}
 	})
 }
 
@@ -424,90 +422,6 @@ func checkFuzzLookup(t *testing.T, st *Store, written []RegionPair, rng *rand.Ra
 		}
 		if !bitmapsEqual(got, want) {
 			t.Fatalf("forward answer %v, want %v", got.Cells(nil), want.Cells(nil))
-		}
-	}
-}
-
-// TestRepeatedFlushLogGrowth bounds what a store written across several
-// flushes leaves on a FileStore, against the same pairs written with one
-// flush. A flush rewrites every tile it touches whole, and the log keeps
-// the old value as garbage, so F flushes that each touch every tile log
-// about (F+1)/2 copies of it (more where a partial tile's cell set takes a
-// bitmap a full one does not): F/2+1 is the bound for any write order. Pairs
-// that arrive in output order, as an operator emits them, touch each tile
-// of a backward store in one flush, so those stores stay within 5% of the
-// one-flush size.
-func TestRepeatedFlushLogGrowth(t *testing.T) {
-	out := grid.NewSpace(grid.Shape{16, 1024})
-	ins := []*grid.Space{grid.NewSpace(grid.Shape{16, 1024})}
-	const nPairs, flushes = 4096, 8
-	pair := func(strat Strategy, p int) RegionPair {
-		rp := RegionPair{Out: []uint64{uint64(4 * p), uint64(4*p + 1), uint64(4*p + 2), uint64(4*p + 3)}}
-		in := []uint64{uint64(28*p) % 16384, uint64(28*p)%16384 + 1}
-		if strat.Mode == Full {
-			rp.Ins = [][]uint64{in}
-		} else {
-			rp.Payload = testPayload([][]uint64{in})
-		}
-		return rp
-	}
-	// build writes the batches, each followed by a one-cell lookup, which
-	// flushes the buffered entries, and returns SizeBytes after a final
-	// Flush.
-	build := func(strat Strategy, batches [][]int) int64 {
-		t.Helper()
-		fs, err := kvstore.OpenFile(filepath.Join(t.TempDir(), "s.log"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer fs.Close()
-		st, err := OpenStore(fs, strat, out, ins)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, batch := range batches {
-			pairs := make([]RegionPair, len(batch))
-			for i, p := range batch {
-				pairs[i] = pair(strat, p)
-			}
-			if err := st.WritePairs(pairs); err != nil {
-				t.Fatal(err)
-			}
-			if strat.Orient == BackwardOpt {
-				q := bitmap.New(out)
-				q.Set(0)
-				err = st.Backward(q, bitmap.New(ins[0]), 0, testMapP, nil, nil)
-			} else {
-				q := bitmap.New(ins[0])
-				q.Set(0)
-				err = st.Forward(q, bitmap.New(out), 0, testMapP, nil)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := st.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		return st.SizeBytes()
-	}
-	all := make([]int, nPairs)
-	ordered, interleaved := make([][]int, flushes), make([][]int, flushes)
-	for p := range all {
-		all[p] = p
-		ordered[p*flushes/nPairs] = append(ordered[p*flushes/nPairs], p)
-		interleaved[p%flushes] = append(interleaved[p%flushes], p)
-	}
-	for _, strat := range []Strategy{StratFullOne, StratFullOneFwd, StratPayOne} {
-		one := float64(build(strat, [][]int{all}))
-		inOrder := float64(build(strat, ordered)) / one
-		mixed := float64(build(strat, interleaved)) / one
-		t.Logf("%s: one flush %.0f B; %d flushes in output order ×%.2f, interleaved ×%.2f", strat.ID(), one, flushes, inOrder, mixed)
-		if limit := float64(flushes)/2 + 1; inOrder > limit || mixed > limit {
-			t.Errorf("%s: %d flushes log ×%.2f (in order) and ×%.2f (interleaved) of one flush, want at most ×%.1f", strat.ID(), flushes, inOrder, mixed, limit)
-		}
-		if strat.Orient == BackwardOpt && inOrder > 1.05 {
-			t.Errorf("%s: %d flushes in output order log ×%.2f of one flush, want at most ×1.05", strat.ID(), flushes, inOrder)
 		}
 	}
 }

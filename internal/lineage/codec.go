@@ -3,8 +3,6 @@ package lineage
 import (
 	"encoding/binary"
 	"fmt"
-	"math/bits"
-	"slices"
 
 	"subzero/internal/binenc"
 )
@@ -326,45 +324,6 @@ func (t *cellTile) entry(i int) ([]byte, error) {
 		return nil, fmt.Errorf("lineage: tile entry %d starts at %d of a %d-byte region", i, s, len(t.entries))
 	}
 	return t.entries[s:], nil
-}
-
-// entrySpan returns exactly the bytes of the i'th cell's entry, given the
-// start of the next distinct entry after it (or the region's length): a
-// flush's merge copies kept entries by these bounds (appendNextStarts).
-func (t *cellTile) entrySpan(i int, next uint64) ([]byte, error) {
-	s := t.start(i)
-	if s >= next || next > uint64(len(t.entries)) {
-		return nil, fmt.Errorf("lineage: tile entry %d spans [%d, %d) of a %d-byte region", i, s, next, len(t.entries))
-	}
-	return t.entries[s:next], nil
-}
-
-// appendNextStarts appends, for each cell, the start of the next distinct
-// entry after its own, or the region's length after the last: the end of
-// the cell's entry bytes in a well-formed tile.
-func (t *cellTile) appendNextStarts(dst []uint64) []uint64 {
-	n := len(dst)
-	dst = slices.Grow(dst, t.n)[:n+t.n]
-	next := uint64(len(t.entries))
-	for i := t.n - 1; i >= 0; i-- {
-		dst[n+i] = next
-		if s := t.start(i); i > 0 && t.start(i-1) != s {
-			next = s
-		}
-	}
-	return dst
-}
-
-// appendLocals appends the tile-local offsets of the tile's cells, in
-// order.
-func (t *cellTile) appendLocals(dst []uint64) []uint64 {
-	for w, word := range t.blk {
-		for word != 0 {
-			dst = append(dst, uint64(w*64+bits.TrailingZeros64(word)))
-			word &= word - 1
-		}
-	}
-	return dst
 }
 
 // forEachPayload streams the payloads of a PayOne cell entry into fn

@@ -34,12 +34,11 @@ var (
 // Operators pay only the enqueue cost (plus backpressure stalls when the
 // shards fall behind); the expensive span encoding (internal/binenc) and
 // hashtable/R-tree construction run on the shard workers. Flush becomes
-// a drain barrier. Each store has one gate (see Store): a shard worker
-// encodes and commits a batch's records outside it and applies the batch's
-// index items or cell entries holding it exclusively, and lookups hold it
-// shared — so a lookup during ingest sees every applied batch and never a
-// torn one, and never waits on queued batches. Its answer is a subset of
-// the final answer until the writer's Flush drains the pipeline.
+// a drain barrier. A shard worker encodes and commits a batch's records
+// concurrently with the others and applies the batch's index items or cell
+// entries holding the store's write mutex (see Store). Lookups never touch
+// the pipeline: a store answers only once the writer's Flush has drained
+// it and sealed the store.
 
 // DefaultIngestDepth is the per-shard queue depth, in batches, when the
 // config leaves Depth unset. The queue is deliberately shallow: each
@@ -228,13 +227,11 @@ func (c *Coordinator) shardOf(rp *RegionPair) int {
 
 // Enqueue hands one batch of pairs to the pipeline for every store in
 // stores, hash-partitioning the pairs across the shard workers. Record
-// ids are reserved here, on the calling thread, so every live record and
-// merged cell entry ends up byte-identical to a serial write regardless
-// of worker scheduling. (On log-structured FileStores the *garbage* left
-// by threshold flushes can still vary with scheduling, so the log's
-// total size is deterministic only for memory-backed stores.) The call
-// blocks when a shard queue is full (bounded-channel backpressure) and
-// fails fast on a latched pipeline error or context cancellation.
+// ids are reserved here, on the calling thread, so every record and cell
+// entry ends up byte-identical to a serial write regardless of worker
+// scheduling. The call blocks when a shard queue is full (bounded-channel
+// backpressure) and fails fast on a latched pipeline error or context
+// cancellation.
 // Ownership of pairs transfers to the pipeline; the caller must not
 // mutate the slice afterwards.
 func (c *Coordinator) Enqueue(stores []*Store, pairs []RegionPair) error {

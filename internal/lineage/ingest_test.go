@@ -133,89 +133,6 @@ func TestShardedIngestMatchesSerial(t *testing.T) {
 	}
 }
 
-// Queries racing an active ingest must see a consistent merged view:
-// everything enqueued before the query, nothing torn. The test streams
-// pairs through a sharded writer while lookups run concurrently, checks
-// every mid-flight answer is a subset of the final answer, and checks the
-// settled store answers byte-identically to a fully flushed serial store.
-func TestQueryRacesIngest(t *testing.T) {
-	for _, strat := range []Strategy{StratFullOne, StratFullMany} {
-		t.Run(strat.ID(), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(7))
-			pairs := randomPairs(rng, 400)
-			serial, err := OpenStore(kvstore.NewMem(), strat, tOutSpace, tInSpaces)
-			if err != nil {
-				t.Fatal(err)
-			}
-			writeThrough(t, serial, strat, pairs, nil)
-			q := randomQuery(rng, tOutSpace, 60)
-			final := bitmap.New(tInSpaces[0])
-			if err := serial.Backward(q, final, 0, nil, nil, nil); err != nil {
-				t.Fatal(err)
-			}
-
-			coord := NewCoordinator(context.Background(), IngestConfig{Shards: 4, Depth: 2}, nil)
-			defer coord.Close()
-			st, err := OpenStore(kvstore.NewMem(), strat, tOutSpace, tInSpaces)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			var wg sync.WaitGroup
-			stop := make(chan struct{})
-			errCh := make(chan error, 8)
-			for g := 0; g < 4; g++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						dst := bitmap.New(tInSpaces[0])
-						if err := st.Backward(q, dst, 0, nil, nil, nil); err != nil {
-							errCh <- err
-							return
-						}
-						// Mid-flight answers must never contain cells the
-						// finished store does not.
-						ok := true
-						dst.Iterate(func(idx uint64) bool {
-							if !final.Get(idx) {
-								ok = false
-							}
-							return ok
-						})
-						if !ok {
-							errCh <- fmt.Errorf("mid-ingest answer contains cells absent from the final store")
-							return
-						}
-					}
-				}()
-			}
-			writeThrough(t, st, strat, pairs, coord)
-			close(stop)
-			wg.Wait()
-			select {
-			case err := <-errCh:
-				t.Fatal(err)
-			default:
-			}
-
-			// Settled: identical to the serial store.
-			got := bitmap.New(tInSpaces[0])
-			if err := st.Backward(q, got, 0, nil, nil, nil); err != nil {
-				t.Fatal(err)
-			}
-			if !bitmapsEqual(got, final) {
-				t.Fatal("post-ingest answer differs from serial store")
-			}
-		})
-	}
-}
-
 // failingStore errors on the Nth record write, whichever worker gets it.
 type failingStore struct {
 	kvstore.Store

@@ -218,8 +218,8 @@ func (sc *lookupScratch) onTile(i int, val []byte, ok bool) bool {
 // query executor uses this to apply the composite default mapping to the
 // remaining cells. abort, if non-nil, is polled periodically; returning
 // true cancels the lookup with ErrAborted (the query-time optimizer's
-// dynamic fallback hook). mapp and abort run with the store's gate held
-// shared and must not call back into the store (see Store).
+// dynamic fallback hook). mapp and abort must not call back into the store
+// (see Store). The store must be sealed (Flush).
 func (s *Store) Backward(q, dst *bitmap.Bitmap, inputIdx int, mapp PayloadFn, covered *bitmap.Bitmap, abort func() bool) error {
 	return s.BackwardSpan(nil, q, dst, inputIdx, mapp, covered, abort)
 }
@@ -234,10 +234,9 @@ func (s *Store) BackwardSpan(sp *trace.Span, q, dst *bitmap.Bitmap, inputIdx int
 	if (s.strat.Mode == Pay || s.strat.Mode == Comp) && mapp == nil {
 		return fmt.Errorf("lineage: %s store requires a payload mapping function", s.strat)
 	}
-	if err := s.beginRead(); err != nil {
+	if err := s.readable(); err != nil {
 		return err
 	}
-	defer s.gate.RUnlock()
 	if s.strat.Orient == ForwardOpt {
 		// Mismatched orientation: fall back to a full scan of records.
 		return s.scanBackward(q, dst, inputIdx, abort)
@@ -565,10 +564,9 @@ func (s *Store) ForwardSpan(sp *trace.Span, q, dst *bitmap.Bitmap, inputIdx int,
 	if (s.strat.Mode == Pay || s.strat.Mode == Comp) && mapp == nil {
 		return fmt.Errorf("lineage: %s store requires a payload mapping function", s.strat)
 	}
-	if err := s.beginRead(); err != nil {
+	if err := s.readable(); err != nil {
 		return err
 	}
-	defer s.gate.RUnlock()
 	switch {
 	case s.strat.Mode == Pay || s.strat.Mode == Comp:
 		if s.strat.Enc == One {
@@ -658,10 +656,9 @@ func (s *Store) forwardPayManyScan(q, dst *bitmap.Bitmap, inputIdx int, mapp Pay
 // On One encodings it probes the cell's tile as a one-cell tile batch: the
 // tile value is lent by GetBatch, never copied.
 func (s *Store) ContainsOut(cell uint64) (bool, error) {
-	if err := s.beginRead(); err != nil {
+	if err := s.readable(); err != nil {
 		return false, err
 	}
-	defer s.gate.RUnlock()
 	sc := getScratch()
 	defer sc.release()
 	if s.strat.Enc == One {

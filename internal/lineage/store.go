@@ -85,35 +85,33 @@ func (ss StoreStats) CriticalWriteTime() time.Duration {
 // hashtable according to the strategy's encoding and orientation, and
 // serves backward/forward lookups over them.
 //
-// One reader/writer lock, gate, guards everything a lookup reads and a write
-// mutates in place: the R-trees, the per-cell entry buffers, the volume
-// counters and the dirty flag. Lookups (Backward, Forward, ContainsOut) and
-// the accessors (Stats, NumPairs, SizeBytes) hold it shared for their whole
-// span, so any number run concurrently; index inserts, appends to the
-// cell-entry buffers and the flush that sorts and writes them, the volume
-// counters and Flush hold it exclusively. Record encoding and the record
-// group commit stay outside it, so shard workers still encode one store in
-// parallel. A lookup therefore sees every batch applied before it took the
-// gate and never a torn one, whether the writer is WritePairs on another
-// goroutine or a Coordinator's shard workers. It never waits on batches
-// still queued in a pipeline: an answer during ingest is a subset of the
-// final answer, and exact once the writer's Flush returns.
+// A store has one lifecycle: write, one Flush, then read. Until Flush it
+// takes writes (WritePairs, or a Coordinator's shard workers) and refuses
+// lookups; Flush writes every buffered cell entry once and seals it; from
+// then on it answers lookups and refuses writes. A store opened over a
+// non-empty hashtable opens sealed.
 //
-// The gate is not re-entrant: nothing that holds it may call back into the
-// store's locking methods, and the callbacks a lookup runs (abort hooks,
-// payload mapping functions) must not touch the store. Lock order is
-// gate → recMu → kvstore.
+// mu serializes the write side's in-place updates: index inserts, appends
+// to the cell-entry buffers, the volume counters and Flush. Record encoding
+// and the record group commit stay outside it, so shard workers still
+// encode one store in parallel. Nothing a lookup reads changes once the
+// store is sealed, so lookups (Backward, Forward, ContainsOut) take no lock
+// but recMu around the record cache. Lock order is mu → kvstore and
+// recMu → kvstore. The callbacks a lookup runs (abort hooks, payload
+// mapping functions) must not touch the store.
 type Store struct {
 	strat    Strategy
 	outSpace *grid.Space
 	inSpaces []*grid.Space
 	kv       kvstore.Store
 
-	gate sync.RWMutex
+	mu     sync.Mutex
+	sealed atomic.Bool
 
 	// trees index the key side of Many encodings: slot 0 holds output
 	// bounding boxes for backward-optimized stores; slot i holds input-i
-	// bounding boxes for forward-optimized stores. Guarded by gate.
+	// bounding boxes for forward-optimized stores. Guarded by mu until the
+	// store is sealed.
 	trees    []*rtree.Tree
 	dirtyIdx bool
 
@@ -123,34 +121,27 @@ type Store struct {
 	nextPair atomic.Uint64
 
 	// Per-cell entries of One encodings wait in pending, one append-only
-	// buffer per slot, until a flush sorts each buffer once and writes
-	// every touched tile with one PutBatch. A cellRef's ref is the pair id,
-	// or for payload stores the index of a payload copied into pendingPay
-	// (the store keeps no caller memory past WritePairs); pendingEntryBytes
-	// estimates the entries the buffered references will take (SizeBytes).
-	// mayHoldCells is set once the hashtable may hold cell entries — the
-	// store was opened non-empty or has flushed — and only then does a
-	// flush read the touched tiles back to merge into. Guarded by gate.
-	pending           [][]cellRef
-	pendingPay        payArena
-	pendingCount      int
-	pendingEntryBytes int64
-	mayHoldCells      bool
+	// buffer per slot, until Flush sorts each buffer once and writes every
+	// touched tile with one PutBatch. A cellRef's ref is the pair id, or for
+	// payload stores the index of a payload copied into pendingPay (the
+	// store keeps no caller memory past WritePairs). Guarded by mu.
+	pending    [][]cellRef
+	pendingPay payArena
 
 	// stale is set at open when the hashtable holds per-cell keys of the
 	// layout before tiles; every lookup, write and flush then reports
 	// errStaleCells.
 	stale bool
 
-	// recMu guards recCache, which lookups fill while holding the gate
-	// only shared. The cache admits decoded records while it has room
-	// (recCacheLimit) and is never wiped, so a working set larger than the
-	// limit keeps the records it admitted first and replays the rest from
-	// their bytes. recMu is never taken inside a kvstore callback.
+	// recMu guards recCache, which concurrent lookups fill. The cache
+	// admits decoded records while it has room (recCacheLimit) and is never
+	// wiped, so a working set larger than the limit keeps the records it
+	// admitted first and replays the rest from their bytes. recMu is never
+	// taken inside a kvstore callback.
 	recMu    sync.Mutex
 	recCache map[uint64]*record
 
-	// stats holds the volume counters and Shards, guarded by gate; the
+	// stats holds the volume counters and Shards, guarded by mu; the
 	// duration counters are atomics so concurrent shard workers aggregate
 	// without a lock and without under-reporting.
 	stats     StoreStats
@@ -165,15 +156,14 @@ type Store struct {
 }
 
 const (
-	pendingFlushThreshold = 1 << 18
-	recCacheLimit         = 1 << 13
-	abortCheckInterval    = 64
+	recCacheLimit      = 1 << 13
+	abortCheckInterval = 64
 )
 
 // OpenStore creates (or reopens) a lineage store over the given hashtable.
 // The strategy must be one that materializes pairs (Full, Pay, or Comp).
 // Reopening a non-empty hashtable restores the pair counter and rebuilds
-// the spatial indexes from their persisted form.
+// the spatial indexes from their persisted form, and yields a sealed store.
 func OpenStore(kv kvstore.Store, strat Strategy, outSpace *grid.Space, inSpaces []*grid.Space) (*Store, error) {
 	if err := strat.Validate(); err != nil {
 		return nil, err
@@ -203,11 +193,11 @@ func OpenStore(kv kvstore.Store, strat Strategy, outSpace *grid.Space, inSpaces 
 	}
 	if strat.Enc == One {
 		s.pending = make([][]cellRef, nSlots)
-		s.mayHoldCells = kv.Len() > 0
 	}
 	if err := s.loadMeta(); err != nil {
 		return nil, err
 	}
+	s.sealed.Store(kv.Len() > 0)
 	return s, nil
 }
 
@@ -394,6 +384,35 @@ func (s *Store) Healing() bool { return s.healing.Load() }
 // errStaleCells is what a stale store (see rebuildMeta) reports.
 var errStaleCells = errors.New("lineage: store holds per-cell entries of a layout before tiles")
 
+// errSealed is what a write to a flushed store reports, and errUnsealed
+// what a lookup on a store not flushed yet reports.
+var (
+	errSealed   = errors.New("lineage: store is flushed and takes no more writes")
+	errUnsealed = errors.New("lineage: store is not flushed yet")
+)
+
+// writable reports why the store takes no writes, if it does not.
+func (s *Store) writable() error {
+	if s.stale {
+		return s.corruptf(errStaleCells)
+	}
+	if s.sealed.Load() {
+		return errSealed
+	}
+	return nil
+}
+
+// readable reports why the store answers no lookups, if it does not.
+func (s *Store) readable() error {
+	if s.stale {
+		return s.corruptf(errStaleCells)
+	}
+	if !s.sealed.Load() {
+		return errUnsealed
+	}
+	return nil
+}
+
 // corruptf marks the store degraded and wraps err so it matches both
 // ErrCorrupt and the original cause via errors.Is.
 func (s *Store) corruptf(err error) error {
@@ -403,13 +422,13 @@ func (s *Store) corruptf(err error) error {
 
 // Stats returns the accumulated write statistics.
 func (s *Store) Stats() StoreStats {
-	s.gate.RLock()
-	defer s.gate.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.statsLocked()
 }
 
 // statsLocked merges the atomic duration counters into the volume
-// snapshot. The caller holds the gate.
+// snapshot. The caller holds mu.
 func (s *Store) statsLocked() StoreStats {
 	st := s.stats
 	st.WriteTime = time.Duration(s.writeNS.Load())
@@ -432,7 +451,7 @@ func (s *Store) AddEnqueueTime(d time.Duration) { s.enqueueNS.Add(int64(d)) }
 func (s *Store) AddFlushTime(d time.Duration) { s.flushNS.Add(int64(d)) }
 
 // addVolumes accumulates the pair/cell volume counters for one batch. The
-// caller holds the gate exclusively.
+// caller holds mu.
 func (s *Store) addVolumes(pairs int, outCells, inCells, payloadBytes int64) {
 	s.stats.Pairs += pairs
 	s.stats.OutCells += outCells
@@ -442,15 +461,15 @@ func (s *Store) addVolumes(pairs int, outCells, inCells, payloadBytes int64) {
 
 // setShards records how many ingest shard workers feed this store.
 func (s *Store) setShards(n int) {
-	s.gate.Lock()
+	s.mu.Lock()
 	s.stats.Shards = n
-	s.gate.Unlock()
+	s.mu.Unlock()
 }
 
 // NumPairs returns the number of region pairs written.
 func (s *Store) NumPairs() int {
-	s.gate.RLock()
-	defer s.gate.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.stats.Pairs
 }
 
@@ -517,7 +536,8 @@ func batchVolumes(pairs []RegionPair) (outCells, inCells, payloadBytes int64) {
 // WritePairs encodes a batch of region pairs into the store on the
 // calling thread — the synchronous write path. Pairs must already be
 // normalized and validated (the writer does both). Record values are
-// group-committed through one kvstore batch per call.
+// group-committed through one kvstore batch per call. A sealed store
+// refuses the batch.
 func (s *Store) WritePairs(pairs []RegionPair) error {
 	for i := range pairs {
 		if err := s.checkPairKind(&pairs[i]); err != nil {
@@ -531,10 +551,10 @@ func (s *Store) WritePairs(pairs []RegionPair) error {
 // them, index them, and buffer the per-cell entries. It is the shared
 // write path of WritePairs (synchronous) and the coordinator's shard
 // workers (concurrent). Encoding, the record commit and the bounding boxes
-// run outside the gate, so workers serialize only on the in-place updates.
+// run outside mu, so workers serialize only on the in-place updates.
 func (s *Store) ingestBatch(pairs []RegionPair, ids []uint64) error {
-	if s.stale {
-		return s.corruptf(errStaleCells)
+	if err := s.writable(); err != nil {
+		return err
 	}
 	// Encode and group-commit the pair records first: per-cell entries
 	// and index items must never reference a record the hashtable does
@@ -550,8 +570,11 @@ func (s *Store) ingestBatch(pairs []RegionPair, ids []uint64) error {
 	}
 	out, in, pay := batchVolumes(pairs)
 
-	s.gate.Lock()
-	defer s.gate.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.sealed.Load() {
+		return errSealed
+	}
 	if s.strat.Enc == Many {
 		for _, it := range items {
 			if err := s.trees[it.slot].Insert(it.item); err != nil {
@@ -559,8 +582,8 @@ func (s *Store) ingestBatch(pairs []RegionPair, ids []uint64) error {
 			}
 		}
 		s.dirtyIdx = true
-	} else if err := s.bufferCellEntries(pairs, ids); err != nil {
-		return err
+	} else {
+		s.bufferCellEntries(pairs, ids)
 	}
 	s.addVolumes(len(pairs), out, in, pay)
 	return nil
@@ -602,7 +625,7 @@ func (s *Store) putRecords(pairs []RegionPair, ids []uint64) error {
 	return s.kv.PutBatch(a.kvs)
 }
 
-// slotItem is one R-tree insert awaiting the gate.
+// slotItem is one R-tree insert awaiting mu.
 type slotItem struct {
 	slot int
 	item rtree.Item
@@ -633,10 +656,8 @@ func (s *Store) indexItems(pairs []RegionPair, ids []uint64) []slotItem {
 type cellRef struct{ cell, ref uint64 }
 
 // bufferCellEntries appends one batch's per-cell references (FullOne ids,
-// PayOne payload duplicates) to the pending buffers, flushing to the
-// hashtable when the threshold is crossed. The caller holds the gate
-// exclusively.
-func (s *Store) bufferCellEntries(pairs []RegionPair, ids []uint64) error {
+// PayOne payload duplicates) to the pending buffers. The caller holds mu.
+func (s *Store) bufferCellEntries(pairs []RegionPair, ids []uint64) {
 	for i := range pairs {
 		rp := &pairs[i]
 		switch {
@@ -647,69 +668,31 @@ func (s *Store) bufferCellEntries(pairs []RegionPair, ids []uint64) error {
 			for _, c := range rp.Out {
 				s.pending[0] = append(s.pending[0], cellRef{c, ref})
 			}
-			s.pendingCount += len(rp.Out)
-			s.pendingEntryBytes += int64(len(rp.Payload)) + EstPayEntryBytes
 		case s.strat.Orient == BackwardOpt:
 			for _, c := range rp.Out {
 				s.pending[0] = append(s.pending[0], cellRef{c, ids[i]})
 			}
-			s.pendingCount += len(rp.Out)
-			s.pendingEntryBytes += EstIDEntryBytes
 		default:
 			for j, in := range rp.Ins {
 				for _, c := range in {
 					s.pending[j] = append(s.pending[j], cellRef{c, ids[i]})
 				}
-				s.pendingCount += len(in)
-				s.pendingEntryBytes += int64(len(in)) * EstIDEntryBytes
 			}
 		}
 	}
-	if s.pendingCount >= pendingFlushThreshold {
-		return s.flushPendingLocked()
-	}
-	return nil
 }
 
-// beginRead is the lookup-path gate: take the gate shared with no per-cell
-// entry still buffered. Buffered entries are merged under the exclusive
-// gate first; a writer can slip in between that merge and the shared
-// acquisition, hence the loop. On a nil return the caller holds the gate
-// shared and must RUnlock it when the lookup finishes.
-func (s *Store) beginRead() error {
-	if s.stale {
-		return s.corruptf(errStaleCells)
-	}
-	for {
-		s.gate.RLock()
-		if s.pendingCount == 0 {
-			return nil
-		}
-		s.gate.RUnlock()
-		s.gate.Lock()
-		err := s.flushPendingLocked()
-		s.gate.Unlock()
-		if err != nil {
-			return err
-		}
-	}
-}
-
-// flushPendingLocked writes the buffered per-cell entries to the
-// hashtable, one value per touched (slot, tile). Each slot's buffer is
-// sorted once, by cell and then by pair id or payload bytes, so a cell's
-// references form one run, its list is sorted, and a tile's runs are
-// consecutive: the stored bytes do not depend on which shard worker
-// buffered which pair. Keys and values are encoded into two arenas and
-// written, in slot and tile order, by one PutBatch group commit. Only a
-// store that may already hold cell entries reads the touched tiles back
-// first, through one GetBatch pass, and merges the fresh runs into them.
-// The caller holds the gate exclusively.
-func (s *Store) flushPendingLocked() error {
-	if s.pendingCount == 0 {
-		return nil
-	}
-	n := 0
+// putTiles writes the buffered per-cell entries to the hashtable, one value
+// per touched (slot, tile). Each slot's buffer is sorted once, by cell and
+// then by pair id or payload bytes, so a cell's references form one run,
+// its list is sorted, and a tile's runs are consecutive: the stored bytes
+// do not depend on which shard worker buffered which pair. Keys and values
+// are encoded into two arenas and written, in slot and tile order, by one
+// PutBatch group commit. Every tile is written whole and nothing is read
+// back, so a retry after a failed batch writes the same values again. The
+// caller holds mu.
+func (s *Store) putTiles() error {
+	n, total := 0, 0
 	payStore := !s.storesRecords()
 	for _, refs := range s.pending {
 		if payStore {
@@ -732,8 +715,18 @@ func (s *Store) flushPendingLocked() error {
 				n++
 			}
 		}
+		total += len(refs)
 	}
-	runs := make([]tileRun, 0, n)
+	if n == 0 {
+		return nil
+	}
+	keyArena := make([]byte, 0, tileKeyLen*n)
+	// The value arena is sized for two-byte ids; append grows it past that.
+	enc := tileEncoder{vals: make([]byte, 0, 8*n+4*total)}
+	if payStore {
+		enc.pay = &s.pendingPay
+	}
+	ends := make([]int, 0, n)
 	for slot, refs := range s.pending {
 		for lo := 0; lo < len(refs); {
 			tile := refs[lo].cell / binenc.TileCells
@@ -741,66 +734,21 @@ func (s *Store) flushPendingLocked() error {
 			for hi < len(refs) && refs[hi].cell/binenc.TileCells == tile {
 				hi++
 			}
-			runs = append(runs, tileRun{slot: slot, lo: lo, hi: hi})
+			keyArena = appendTileKey(keyArena, slot, tile)
+			enc.add(refs[lo:hi])
+			ends = append(ends, len(enc.vals))
 			lo = hi
 		}
 	}
-
-	keyArena := make([]byte, 0, tileKeyLen*len(runs))
-	for _, r := range runs {
-		keyArena = appendTileKey(keyArena, r.slot, s.pending[r.slot][r.lo].cell/binenc.TileCells)
-	}
-	key := func(i int) []byte { return keyArena[tileKeyLen*i : tileKeyLen*(i+1) : tileKeyLen*(i+1)] }
-	// The arena is sized for two-byte ids; append grows it past that.
-	enc := tileEncoder{vals: make([]byte, 0, 8*len(runs)+4*s.pendingCount)}
-	if payStore {
-		enc.pay = &s.pendingPay
-	}
-	if s.mayHoldCells {
-		keys := make([][]byte, len(runs))
-		for i := range keys {
-			keys[i] = key(i)
-		}
-		if err := s.kv.GetBatch(keys, func(i int, old []byte, ok bool) bool {
-			r := &runs[i]
-			enc.add(s.pending[r.slot][r.lo:r.hi], old, ok)
-			r.end = len(enc.vals)
-			return enc.err == nil
-		}); err != nil {
-			return err
-		}
-	} else {
-		for i := range runs {
-			r := &runs[i]
-			enc.add(s.pending[r.slot][r.lo:r.hi], nil, false)
-			r.end = len(enc.vals)
-		}
-	}
-	if enc.err != nil {
-		return enc.err
-	}
-	batch := make([]kvstore.KV, len(runs))
+	batch := make([]kvstore.KV, n)
 	from := 0
-	for i, r := range runs {
-		batch[i] = kvstore.KV{Key: key(i), Val: enc.vals[from:r.end:r.end]}
-		from = r.end
+	for i, end := range ends {
+		key := keyArena[tileKeyLen*i : tileKeyLen*(i+1) : tileKeyLen*(i+1)]
+		batch[i] = kvstore.KV{Key: key, Val: enc.vals[from:end:end]}
+		from = end
 	}
-	// A failed batch may have applied a prefix, so the flag goes first.
-	s.mayHoldCells = true
-	if err := s.kv.PutBatch(batch); err != nil {
-		return err
-	}
-	for slot := range s.pending {
-		s.pending[slot] = nil
-	}
-	s.pendingPay = payArena{}
-	s.pendingCount, s.pendingEntryBytes = 0, 0
-	return nil
+	return s.kv.PutBatch(batch)
 }
-
-// tileRun is one tile value of a flush: the span [lo, hi) of its slot's
-// sorted pending buffer, and where its value ends in the value arena.
-type tileRun struct{ slot, lo, hi, end int }
 
 // payArena holds a payload store's buffered payloads back to back:
 // payload i is buf[ends[i-1]:ends[i]].
@@ -831,76 +779,29 @@ func (a *payArena) at(i uint64) []byte {
 type tileEncoder struct {
 	pay  *payArena
 	vals []byte
-	err  error
 
-	// One tile's cells, entry starts and entries; the tile it merges, that
-	// tile's cells, and where each of their entries ends.
-	locals    []uint64
-	starts    []int
-	entries   []byte
-	old       cellTile
-	oldLocals []uint64
-	oldEnds   []uint64
-
-	// One cell's merged list.
-	ids  []uint64
-	pays [][]byte
+	// One tile's cells, entry starts and entries, and one cell's list.
+	locals  []uint64
+	starts  []int
+	entries []byte
+	ids     []uint64
+	pays    [][]byte
 }
 
 // add appends the tile value for one tile's sorted run of references.
-// When the hashtable already holds the tile (found), its cells and the
-// run's merge in cell order: a cell only the old tile holds keeps its entry
-// bytes, and a cell both hold gets the merged list. old is only valid
-// until add returns.
-func (e *tileEncoder) add(refs []cellRef, old []byte, found bool) {
+func (e *tileEncoder) add(refs []cellRef) {
 	e.locals, e.starts, e.entries = e.locals[:0], e.starts[:0], e.entries[:0]
-	e.oldLocals, e.oldEnds = e.oldLocals[:0], e.oldEnds[:0]
-	if found {
-		if e.err = e.old.parse(old); e.err != nil {
-			return
-		}
-		e.oldLocals = e.old.appendLocals(e.oldLocals)
-		e.oldEnds = e.old.appendNextStarts(e.oldEnds)
-	}
-	oi := 0
 	for lo := 0; lo < len(refs); {
-		local := refs[lo].cell % binenc.TileCells
 		hi := lo + 1
 		for hi < len(refs) && refs[hi].cell == refs[lo].cell {
 			hi++
 		}
-		for ; oi < len(e.oldLocals) && e.oldLocals[oi] < local; oi++ {
-			e.keepOld(oi)
-		}
-		var entry []byte
-		merge := oi < len(e.oldLocals) && e.oldLocals[oi] == local
-		if merge && e.err == nil {
-			entry, e.err = e.old.entry(oi)
-			oi++
-		}
 		from := len(e.entries)
-		e.addCell(refs[lo:hi], entry, merge)
-		e.commit(local, from)
+		e.addCell(refs[lo:hi])
+		e.commit(refs[lo].cell%binenc.TileCells, from)
 		lo = hi
 	}
-	for ; oi < len(e.oldLocals); oi++ {
-		e.keepOld(oi)
-	}
-	if e.err == nil {
-		e.vals = appendTileValue(e.vals, e.locals, e.starts, e.entries)
-	}
-}
-
-// keepOld copies the merged tile's i'th entry unchanged.
-func (e *tileEncoder) keepOld(i int) {
-	if e.err != nil {
-		return
-	}
-	var entry []byte
-	entry, e.err = e.old.entrySpan(i, e.oldEnds[i])
-	from := len(e.entries)
-	e.entries = append(e.entries, entry...)
-	e.commit(e.oldLocals[i], from)
+	e.vals = appendTileValue(e.vals, e.locals, e.starts, e.entries)
 }
 
 // commit records the entry appended at e.entries[from:] for one cell. An
@@ -915,56 +816,40 @@ func (e *tileEncoder) commit(local uint64, from int) {
 	e.locals, e.starts = append(e.locals, local), append(e.starts, from)
 }
 
-// addCell appends one cell's entry for a sorted run of references. When
-// the tile already held an entry for the cell (merge), its list is decoded
-// and merged with the run's, and the merged list sorted again; payloads
-// alias old and e.pay, so addCell must finish before either is reused.
-func (e *tileEncoder) addCell(run []cellRef, old []byte, merge bool) {
-	if e.err != nil {
-		return
-	}
+// addCell appends one cell's entry for its sorted run of references.
+func (e *tileEncoder) addCell(run []cellRef) {
 	if e.pay != nil {
 		e.pays = e.pays[:0]
-		if merge {
-			e.err = forEachPayload(old, func(p []byte) error {
-				e.pays = append(e.pays, p)
-				return nil
-			})
-		}
 		for _, r := range run {
 			e.pays = append(e.pays, e.pay.at(r.ref))
-		}
-		if merge {
-			slices.SortStableFunc(e.pays, bytes.Compare)
 		}
 		e.entries = appendPayloadEntry(e.entries, e.pays)
 		return
 	}
 	e.ids = e.ids[:0]
-	if merge {
-		e.ids, e.err = appendIDList(e.ids, old)
-	}
 	for _, r := range run {
 		e.ids = append(e.ids, r.ref)
-	}
-	if merge {
-		slices.Sort(e.ids)
 	}
 	e.entries = appendIDEntry(e.entries, e.ids)
 }
 
-// Flush persists pending entries, then syncs the hashtable and commits the
-// pair counter, stats, and serialized indexes as one all-or-nothing blob,
-// so a crash mid-flush leaves either the previous consistent metadata or
-// the new one — never a store that half-loads. SizeBytes is exact after
-// Flush.
+// Flush seals the store. It writes the buffered cell entries, then syncs
+// the hashtable and commits the pair counter, stats, and serialized indexes
+// as one all-or-nothing blob, so a crash mid-flush leaves a store that
+// reopens holding what was written or a subset of it, never one that
+// half-loads. A store takes one Flush: later calls are no-ops. A Flush that
+// fails leaves the store unsealed with its buffers intact, and a retry
+// writes every tile again whole. SizeBytes is exact after Flush.
 func (s *Store) Flush() error {
 	if s.stale {
 		return s.corruptf(errStaleCells)
 	}
-	s.gate.Lock()
-	defer s.gate.Unlock()
-	if err := s.flushPendingLocked(); err != nil {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.sealed.Load() {
+		return nil
+	}
+	if err := s.putTiles(); err != nil {
 		return err
 	}
 	// Data first, then the meta blob: metadata must never describe
@@ -975,12 +860,13 @@ func (s *Store) Flush() error {
 	if err := s.kv.CommitMeta(s.encodeMetaBlob()); err != nil {
 		return err
 	}
-	s.dirtyIdx = false
+	s.pending, s.pendingPay, s.dirtyIdx = nil, payArena{}, false
+	s.sealed.Store(true)
 	return nil
 }
 
 // encodeStats serializes the write statistics for the meta blob. Flush
-// calls it holding the gate, so it must not go through Stats.
+// calls it holding mu, so it must not go through Stats.
 func (s *Store) encodeStats() []byte {
 	st := s.statsLocked()
 	buf := binary.AppendUvarint(nil, uint64(st.Pairs))
@@ -1036,15 +922,14 @@ func (s *Store) LogicalBytes() int64 {
 	return (st.OutCells+st.InCells)*8 + st.PayloadBytes
 }
 
-// SizeBytes returns the storage charged to this store: the hashtable size
-// plus an estimate for any not-yet-flushed state. Buffered cell references
-// are priced as the strategy optimizer prices a One store (costs.go): each
-// adds its cell (EstCellEntryBytes), and pendingEntryBytes holds the
-// entries they will share.
+// SizeBytes returns the storage charged to this store: the hashtable size,
+// plus the encoded indexes while they are not committed. Cell entries
+// reach the hashtable only at Flush, so the size is exact once the store
+// is sealed.
 func (s *Store) SizeBytes() int64 {
-	s.gate.RLock()
-	defer s.gate.RUnlock()
-	size := s.kv.SizeBytes() + int64(s.pendingCount)*EstCellEntryBytes + s.pendingEntryBytes
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	size := s.kv.SizeBytes()
 	if s.dirtyIdx {
 		for _, tr := range s.trees {
 			size += int64(tr.EncodedLen())

@@ -1,6 +1,8 @@
 package lineage
 
 import (
+	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -292,6 +294,9 @@ func TestPayCoverageReporting(t *testing.T) {
 		if err := st.WritePairs([]RegionPair{pair}); err != nil {
 			t.Fatal(err)
 		}
+		if err := st.Flush(); err != nil {
+			t.Fatal(err)
+		}
 		q := bitmap.FromCells(tOutSpace, []uint64{3, 7}) // 3 covered, 7 not
 		dst := bitmap.New(tInSpaces[0])
 		covered := bitmap.New(tOutSpace)
@@ -309,37 +314,32 @@ func TestPayCoverageReporting(t *testing.T) {
 }
 
 // ContainsOut answers per cell, including the cells at both edges of a
-// 1024-cell tile and the last cell of the space, whether the pair holding
-// it was flushed or still buffered.
+// 1024-cell tile and the last cell of the space.
 func TestContainsOut(t *testing.T) {
 	outSp := grid.NewSpace(grid.Shape{3, 1024})
 	held := []uint64{5, 17, 0, 1023, 1024, 3071}
 	for _, strat := range []Strategy{StratPayOne, StratPayMany, StratCompOne} {
-		for _, flush := range []bool{false, true} {
-			st, err := OpenStore(kvstore.NewMem(), strat, outSp, tInSpaces)
+		st, err := OpenStore(kvstore.NewMem(), strat, outSp, tInSpaces)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cells := range [][]uint64{held[:2], held[2:]} {
+			pair := RegionPair{Out: cells, Payload: testPayload([][]uint64{{1}, {}})}
+			if err := st.WritePairs([]RegionPair{pair}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for _, cell := range []uint64{5, 17, 0, 1023, 1024, 3071, 6, 1, 1022, 1025, 2047, 2048, 3070} {
+			want := slices.Contains(held, cell)
+			got, err := st.ContainsOut(cell)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, cells := range [][]uint64{held[:2], held[2:]} {
-				pair := RegionPair{Out: cells, Payload: testPayload([][]uint64{{1}, {}})}
-				if err := st.WritePairs([]RegionPair{pair}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if flush {
-				if err := st.Flush(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for _, cell := range []uint64{5, 17, 0, 1023, 1024, 3071, 6, 1, 1022, 1025, 2047, 2048, 3070} {
-				want := slices.Contains(held, cell)
-				got, err := st.ContainsOut(cell)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got != want {
-					t.Fatalf("%s (flushed %v): ContainsOut(%d)=%v, want %v", strat, flush, cell, got, want)
-				}
+			if got != want {
+				t.Fatalf("%s: ContainsOut(%d)=%v, want %v", strat, cell, got, want)
 			}
 		}
 	}
@@ -361,6 +361,9 @@ func TestStoreAbort(t *testing.T) {
 		if err := st.WritePairs(toStorePairs(strat, pairs)); err != nil {
 			t.Fatal(err)
 		}
+		if err := st.Flush(); err != nil {
+			t.Fatal(err)
+		}
 		dst := bitmap.New(tInSpaces[0])
 		if err := st.Backward(fullQ, dst, 0, testMapP, nil, abort); err != ErrAborted {
 			t.Fatalf("%s: backward abort err=%v, want ErrAborted", strat, err)
@@ -380,6 +383,9 @@ func TestManyLookupHonorsEveryAbortPoll(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := st.WritePairs(toStorePairs(strat, pairs)); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Flush(); err != nil {
 			t.Fatal(err)
 		}
 		lookup := func(abort func() bool) error {
@@ -411,8 +417,8 @@ func TestManyLookupHonorsEveryAbortPoll(t *testing.T) {
 }
 
 // WritePairs keeps no caller memory once it returns: a payload store that
-// buffers cell entries for a later flush holds its own copy of each
-// payload, so a caller reusing its buffer cannot change stored lineage.
+// buffers cell entries for its Flush holds its own copy of each payload,
+// so a caller reusing its buffer cannot change stored lineage.
 func TestWritePairsOwnsPayloads(t *testing.T) {
 	mapp := func(_ uint64, payload []byte, _ int, dst []uint64) []uint64 {
 		return append(dst, uint64(payload[0]))
@@ -427,6 +433,9 @@ func TestWritePairsOwnsPayloads(t *testing.T) {
 			t.Fatal(err)
 		}
 		payload[0] = 9
+		if err := st.Flush(); err != nil {
+			t.Fatal(err)
+		}
 		dst := bitmap.New(tInSpaces[0])
 		if err := st.Backward(bitmap.FromCells(tOutSpace, []uint64{1}), dst, 0, mapp, nil, nil); err != nil {
 			t.Fatal(err)
@@ -474,8 +483,8 @@ func TestStoreInputIndexRange(t *testing.T) {
 	}
 }
 
-// Key collisions: the same output cell written by many pairs must
-// accumulate all of them (One encodings merge id/payload lists).
+// Key collisions: the same output cell written by many pairs, across
+// batches, must accumulate all of them in one id or payload list.
 func TestStoreKeyCollisions(t *testing.T) {
 	for _, strat := range []Strategy{StratFullOne, StratPayOne} {
 		kv := kvstore.NewMem()
@@ -491,12 +500,11 @@ func TestStoreKeyCollisions(t *testing.T) {
 		if err := st.WritePairs(toStorePairs(strat, pairs)); err != nil {
 			t.Fatal(err)
 		}
-		// Force multiple pending flushes to also exercise kv-merge.
-		if err := st.Flush(); err != nil {
-			t.Fatal(err)
-		}
 		more := RegionPair{Out: []uint64{7}, Ins: [][]uint64{{99}, {}}}
 		if err := st.WritePairs(toStorePairs(strat, []RegionPair{more})); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Flush(); err != nil {
 			t.Fatal(err)
 		}
 		q := bitmap.FromCells(tOutSpace, []uint64{7})
@@ -522,5 +530,205 @@ func TestStoreStatsAccumulate(t *testing.T) {
 	got := st.Stats()
 	if got.Pairs != 2 || got.OutCells != 3 || got.InCells != 5 {
 		t.Fatalf("stats=%+v", got)
+	}
+}
+
+// lifecycleAnswers is what TestStoreLifecycle asks a store: a backward and
+// a forward lookup, and ContainsOut of every output cell.
+type lifecycleAnswers struct{ back, fwd, contains *bitmap.Bitmap }
+
+func askStore(t *testing.T, st *Store, qOut, qIn *bitmap.Bitmap) lifecycleAnswers {
+	t.Helper()
+	a := lifecycleAnswers{bitmap.New(tInSpaces[0]), bitmap.New(tOutSpace), bitmap.New(tOutSpace)}
+	if err := st.Backward(qOut, a.back, 0, testMapP, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Forward(qIn, a.fwd, 0, testMapP, nil); err != nil {
+		t.Fatal(err)
+	}
+	for cell := uint64(0); cell < tOutSpace.Size(); cell++ {
+		ok, err := st.ContainsOut(cell)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok {
+			a.contains.Set(cell)
+		}
+	}
+	return a
+}
+
+func (a lifecycleAnswers) equal(b lifecycleAnswers) bool {
+	return bitmapsEqual(a.back, b.back) && bitmapsEqual(a.fwd, b.fwd) && bitmapsEqual(a.contains, b.contains)
+}
+
+// TestStoreLifecycle pins a store's one lifecycle, write → Flush → read:
+// every lookup entry point refuses a store not flushed yet, a flushed store
+// refuses writes, a second Flush changes nothing, a reopened non-empty store
+// answers without a Flush and refuses writes, and a store written through
+// sharded ingest answers exactly like a serially written one and refuses
+// batches once flushed.
+func TestStoreLifecycle(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	pairs := randomPairs(rng, 150)
+	qOut, qIn := randomQuery(rng, tOutSpace, 30), randomQuery(rng, tInSpaces[0], 30)
+	for _, strat := range allStoreStrategies() {
+		t.Run(strat.ID(), func(t *testing.T) {
+			sp := toStorePairs(strat, pairs)
+			path := filepath.Join(t.TempDir(), "s.log")
+			fs, err := kvstore.OpenFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := OpenStore(fs, strat, tOutSpace, tInSpaces)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.WritePairs(sp); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.BackwardSpan(nil, qOut, bitmap.New(tInSpaces[0]), 0, testMapP, nil, nil); !errors.Is(err, errUnsealed) {
+				t.Fatalf("Backward before Flush: err = %v, want %v", err, errUnsealed)
+			}
+			if err := st.ForwardSpan(nil, qIn, bitmap.New(tOutSpace), 0, testMapP, nil); !errors.Is(err, errUnsealed) {
+				t.Fatalf("Forward before Flush: err = %v, want %v", err, errUnsealed)
+			}
+			if _, err := st.ContainsOut(sp[0].Out[0]); !errors.Is(err, errUnsealed) {
+				t.Fatalf("ContainsOut before Flush: err = %v, want %v", err, errUnsealed)
+			}
+
+			if err := st.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			want := askStore(t, st, qOut, qIn)
+			if err := st.WritePairs(sp[:1]); !errors.Is(err, errSealed) {
+				t.Fatalf("WritePairs after Flush: err = %v, want %v", err, errSealed)
+			}
+			size, keys := st.SizeBytes(), fs.Len()
+			if err := st.Flush(); err != nil {
+				t.Fatalf("second Flush: %v", err)
+			}
+			if st.SizeBytes() != size || fs.Len() != keys || st.NumPairs() != len(pairs) {
+				t.Fatalf("second Flush changed the store: %d B, %d keys, %d pairs; want %d B, %d keys, %d pairs",
+					st.SizeBytes(), fs.Len(), st.NumPairs(), size, keys, len(pairs))
+			}
+			if !askStore(t, st, qOut, qIn).equal(want) {
+				t.Fatal("answers changed after a second Flush")
+			}
+			if err := fs.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			fs2, err := kvstore.OpenFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fs2.Close()
+			reopened, err := OpenStore(fs2, strat, tOutSpace, tInSpaces)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !askStore(t, reopened, qOut, qIn).equal(want) {
+				t.Fatal("reopened store answers differently")
+			}
+			if err := reopened.WritePairs(sp[:1]); !errors.Is(err, errSealed) {
+				t.Fatalf("WritePairs on a reopened store: err = %v, want %v", err, errSealed)
+			}
+
+			coord := NewCoordinator(context.Background(), IngestConfig{Shards: 2}, nil)
+			defer coord.Close()
+			sharded, err := OpenStore(kvstore.NewMem(), strat, tOutSpace, tInSpaces)
+			if err != nil {
+				t.Fatal(err)
+			}
+			writeThrough(t, sharded, strat, pairs, coord)
+			if !askStore(t, sharded, qOut, qIn).equal(want) {
+				t.Fatal("sharded store answers differently from the serial one")
+			}
+			err = coord.Enqueue([]*Store{sharded}, sp[:4])
+			if err == nil {
+				err = coord.Barrier()
+			}
+			if !errors.Is(err, errSealed) {
+				t.Fatalf("sharded batch after Flush: err = %v, want %v", err, errSealed)
+			}
+		})
+	}
+}
+
+// halfTileBatch applies the first half of the first tile batch written
+// through it and then fails the batch, as a full disk or a crash mid-write
+// leaves a prefix behind.
+type halfTileBatch struct {
+	kvstore.Store
+	cut bool
+}
+
+var errHalfBatch = errors.New("tile batch cut in half")
+
+func (h *halfTileBatch) PutBatch(kvs []kvstore.KV) error {
+	if h.cut || len(kvs) < 2 || kvs[0].Key[0] != keyTile {
+		return h.Store.PutBatch(kvs)
+	}
+	h.cut = true
+	if err := h.Store.PutBatch(kvs[:len(kvs)/2]); err != nil {
+		return err
+	}
+	return errHalfBatch
+}
+
+// A Flush retried after its tile batch failed halfway leaves exactly the
+// bytes of a Flush that never failed: the retry writes every tile whole
+// again and reads none of the half-written ones back.
+func TestFlushRetryIsIdempotent(t *testing.T) {
+	for _, strat := range []Strategy{StratFullOne, StratPayOne} {
+		t.Run(strat.ID(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(23))
+			var pairs []RegionPair
+			for len(pairs) < 1000 {
+				pairs = append(pairs, fuzzPairs(rng, strat)...)
+			}
+			build := func(kv kvstore.Store) {
+				t.Helper()
+				st, err := OpenStore(kv, strat, fOutSpace, fInSpaces)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := st.WritePairs(pairs); err != nil {
+					t.Fatal(err)
+				}
+				if err := st.Flush(); errors.Is(err, errHalfBatch) {
+					err = st.Flush()
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			clean, cut := kvstore.NewMem(), &halfTileBatch{Store: kvstore.NewMem()}
+			build(clean)
+			build(cut)
+			if !cut.cut {
+				t.Fatal("no tile batch was cut")
+			}
+			dump := func(kv kvstore.Store) map[string][]byte {
+				m := map[string][]byte{}
+				if err := kv.Scan(func(k, v []byte) bool {
+					m[string(k)] = bytes.Clone(v)
+					return true
+				}); err != nil {
+					t.Fatal(err)
+				}
+				return m
+			}
+			a, b := dump(clean), dump(cut)
+			if len(a) != len(b) || clean.SizeBytes() != cut.SizeBytes() {
+				t.Fatalf("retried Flush: %d keys, %d B; clean Flush: %d keys, %d B", len(b), cut.SizeBytes(), len(a), clean.SizeBytes())
+			}
+			for k, v := range a {
+				if !bytes.Equal(b[k], v) {
+					t.Fatalf("retried Flush wrote key %x as %x, clean Flush %x", k, b[k], v)
+				}
+			}
+		})
 	}
 }

@@ -270,8 +270,8 @@ func (w *Writer) flushBuffers() error {
 // Flush drains buffered pairs into the stores and persists their indexes.
 // Under asynchronous ingest it is the end-of-run barrier: the shard
 // workers drain, then each store commits its pending entries and
-// metadata. The executor calls it once when the operator's run completes;
-// from then on every lookup sees the whole run.
+// metadata and is sealed. The executor calls it once when the operator's
+// run completes; only then do the stores answer lookups.
 func (w *Writer) Flush() error {
 	start := time.Now()
 	defer func() { w.elapsed += time.Since(start) }()

@@ -60,7 +60,7 @@ func TestWriterRoutesToStores(t *testing.T) {
 	}
 }
 
-// On the serial path the store's final Flush — here the merge of every
+// On the serial path the store's final Flush — here the write of every
 // buffered cell entry — runs on the operator thread, so it is charged to
 // FlushTime and the optimizer's CriticalWriteTime counts it.
 func TestSerialFlushIsCharged(t *testing.T) {
@@ -88,7 +88,7 @@ func TestSerialFlushIsCharged(t *testing.T) {
 		if err := w.flushBuffers(); err != nil {
 			t.Fatal(err)
 		}
-		if st.pendingCount == 0 {
+		if len(st.pending[0]) == 0 {
 			t.Fatalf("%s: no cell entries pending before the writer's Flush", strat)
 		}
 		if err := w.Flush(); err != nil {
@@ -368,8 +368,8 @@ func TestWriterStagingReuse(t *testing.T) {
 						t.Fatal("log bytes differ from a store fed fresh copies")
 					}
 				}
-				// A threshold flush can leave scheduling-dependent garbage in a
-				// sharded log, so compare what the hashtable holds live.
+				// Shard workers append records to the log in scheduling
+				// order, so compare what the hashtable holds live.
 				live := func(fs *kvstore.FileStore) map[string]string {
 					m := make(map[string]string)
 					if err := fs.Scan(func(k, v []byte) bool {

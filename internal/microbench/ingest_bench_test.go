@@ -139,13 +139,16 @@ func BenchmarkIngestEnqueue(b *testing.B) {
 		ingestFix = newIngestFixture()
 	}
 	fix := ingestFix
-	st, err := lineage.OpenStore(kvstore.NewMem(), lineage.StratFullOne, fix.outSpace, fix.inSpaces)
-	if err != nil {
-		b.Fatal(err)
+	newStores := func() []*lineage.Store {
+		st, err := lineage.OpenStore(kvstore.NewMem(), lineage.StratFullOne, fix.outSpace, fix.inSpaces)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return []*lineage.Store{st}
 	}
 	coord := lineage.NewCoordinator(context.Background(), lineage.IngestConfig{Shards: 4, Depth: 64}, nil)
 	defer coord.Close()
-	stores := []*lineage.Store{st}
+	stores := newStores()
 	block := make([]lineage.RegionPair, ingestBlockLen)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -159,6 +162,11 @@ func BenchmarkIngestEnqueue(b *testing.B) {
 			if err := coord.Barrier(); err != nil {
 				b.Fatal(err)
 			}
+			// A store buffers its cell entries until its one Flush, so
+			// each 32 blocks go to a fresh store to keep memory bounded.
+			b.StopTimer()
+			stores = newStores()
+			b.StartTimer()
 		}
 	}
 	b.StopTimer()

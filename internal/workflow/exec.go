@@ -227,7 +227,7 @@ func (e *Executor) runNode(sp *trace.Span, run *Run, node *Node, sources map[str
 			continue
 		}
 		ns := fmt.Sprintf("%s/%s/%s", run.ID, node.ID, strat.ID())
-		kv, err := e.manager.Open(ns)
+		kv, err := e.openEmpty(ns)
 		if err != nil {
 			return err
 		}
@@ -294,6 +294,28 @@ func (e *Executor) runNode(sp *trace.Span, run *Run, node *Node, sources map[str
 	run.mapCtxs[node.ID] = NewMapCtx(outSpace, inSpaces)
 	e.versions.Put(out.WithName(run.ID + "/" + node.ID))
 	return nil
+}
+
+// openEmpty opens a namespace's hashtable for a store to be written into.
+// Run and heal ids restart with the process, so a storage directory may
+// hold a log an earlier process wrote under the same name; a lineage store
+// is written once and then sealed, so that log is dropped, not appended to.
+func (e *Executor) openEmpty(ns string) (kvstore.Store, error) {
+	kv, err := e.manager.Open(ns)
+	if err != nil {
+		return nil, err
+	}
+	_, hasMeta, err := kv.LoadMeta()
+	if err != nil {
+		return nil, err
+	}
+	if kv.Len() == 0 && !hasMeta {
+		return kv, nil
+	}
+	if err := e.manager.Drop(ns); err != nil {
+		return nil, err
+	}
+	return e.manager.Open(ns)
 }
 
 func (e *Executor) resolveInputs(run *Run, node *Node, sources map[string]*array.Array) ([]*array.Array, error) {
@@ -554,7 +576,7 @@ func (e *Executor) RebuildStore(ctx context.Context, run *Run, nodeID string, st
 	strat := st.Strategy()
 	ns := fmt.Sprintf("%s/%s/%s@heal%d", run.ID, nodeID, strat.ID(), e.healSeq.Add(1))
 	drop := func() { _, _ = e.manager.DropPrefix(ns) }
-	kv, err := e.manager.Open(ns)
+	kv, err := e.openEmpty(ns)
 	if err != nil {
 		return fmt.Errorf("workflow: rebuild %q: %w", nodeID, err)
 	}

@@ -510,9 +510,6 @@ func (s *System) ArrayBytes() int64 { return s.versions.TotalBytes() }
 // /v1/metrics.
 func (s *System) Observability() *obs.Set { return s.obs }
 
-// Versions exposes the no-overwrite array store.
-func (s *System) Versions() *array.Versions { return s.versions }
-
 // Close releases all lineage stores and clears the run registry.
 func (s *System) Close() error {
 	s.mu.Lock()

@@ -2,6 +2,7 @@ package subzero_test
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -83,6 +84,46 @@ func TestSystemWithStorageDir(t *testing.T) {
 	}
 	if sys.LineageBytes() <= 0 {
 		t.Fatal("no lineage bytes on disk")
+	}
+}
+
+// A system restarted on a storage directory numbers its runs from 1 again,
+// so it writes each store under a name whose log the previous process left
+// behind. That log must not leak into the new store: after the restart the
+// store inventory and the query answers equal a fresh system's.
+func TestSystemRestartOnStorageDir(t *testing.T) {
+	spec := subzero.NewSpec("disk")
+	spec.Add("id", subzero.UnaryOp("id", func(x float64) float64 { return x }),
+		subzero.FromExternal("src"))
+	src, _ := subzero.NewArray("src", subzero.Shape{8})
+	plan := subzero.Plan{"id": {subzero.StratFullOne, subzero.StratFullMany}}
+	execute := func(dir string) ([]subzero.StoreStat, []uint64) {
+		t.Helper()
+		sys, err := subzero.NewSystem(subzero.WithStorageDir(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sys.Close()
+		ctx := context.Background()
+		run, err := sys.Execute(ctx, spec, plan, map[string]*subzero.Array{"src": src})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sys.Query(ctx, run, subzero.BackwardQuery([]uint64{2, 5}, subzero.Step{Node: "id"}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys.StoreInventory(), res.Cells()
+	}
+	wantInv, wantCells := execute(t.TempDir())
+	dir := t.TempDir()
+	execute(dir)
+	gotInv, gotCells := execute(dir)
+	if !slices.Equal(gotInv, wantInv) {
+		t.Fatalf("store inventory after restart = %+v, want %+v", gotInv, wantInv)
+	}
+	if !slices.Equal(gotCells, wantCells) {
+		t.Fatalf("backward answer after restart = %v, want %v", gotCells, wantCells)
 	}
 }
 
