@@ -291,24 +291,36 @@ func (r Rect) Cells(sp *Space, dst []uint64) []uint64 {
 // BoundingBox returns the smallest rectangle covering the given linear
 // indices within the space. It returns ok=false for an empty input.
 func BoundingBox(sp *Space, cells []uint64) (Rect, bool) {
-	if len(cells) == 0 {
+	box, ok := AppendBoundingBox(nil, sp, cells)
+	if !ok {
 		return Rect{}, false
 	}
-	lo := sp.Unravel(cells[0])
-	hi := lo.Clone()
-	tmp := make(Coord, sp.Rank())
+	r := sp.Rank()
+	return Rect{Lo: box[:r:r], Hi: box[r : 2*r : 2*r]}, true
+}
+
+// AppendBoundingBox appends the box BoundingBox returns, as its low corner
+// then its high corner (2·rank ints), to dst. For an empty input it returns
+// dst unchanged and ok=false. It allocates only when dst must grow.
+func AppendBoundingBox(dst []int, sp *Space, cells []uint64) ([]int, bool) {
+	if len(cells) == 0 {
+		return dst, false
+	}
+	r, off := sp.Rank(), len(dst)
+	// The corners go first; the rank ints after them hold each unraveled
+	// cell.
+	dst = slices.Grow(dst, 3*r)[:off+3*r]
+	lo, hi, c := dst[off:off+r], dst[off+r:off+2*r], Coord(dst[off+2*r:off+3*r])
+	sp.UnravelInto(cells[0], lo)
+	copy(hi, lo)
 	for _, idx := range cells[1:] {
-		sp.UnravelInto(idx, tmp)
-		for d := range tmp {
-			if tmp[d] < lo[d] {
-				lo[d] = tmp[d]
-			}
-			if tmp[d] > hi[d] {
-				hi[d] = tmp[d]
-			}
+		sp.UnravelInto(idx, c)
+		for d := range c {
+			lo[d] = min(lo[d], c[d])
+			hi[d] = max(hi[d], c[d])
 		}
 	}
-	return Rect{Lo: lo, Hi: hi}, true
+	return dst[:off+2*r], true
 }
 
 // Neighborhood appends the linear indices of all cells within Chebyshev

@@ -185,6 +185,25 @@ func TestBoundingBox(t *testing.T) {
 	}
 }
 
+// AppendBoundingBox appends the box's corners after what dst holds,
+// leaves dst alone for an empty input, and writes in place once dst has
+// room: the lineage store appends one box per pair this way.
+func TestAppendBoundingBox(t *testing.T) {
+	sp := NewSpace(Shape{4, 5, 6})
+	cells := []uint64{sp.Ravel(Coord{3, 1, 5}), sp.Ravel(Coord{0, 4, 2}), sp.Ravel(Coord{2, 2, 0})}
+	dst, ok := AppendBoundingBox([]int{-1}, sp, cells)
+	if want := []int{-1, 0, 1, 0, 3, 4, 5}; !ok || !slices.Equal(dst, want) {
+		t.Fatalf("got %v, %v; want %v, true", dst, ok, want)
+	}
+	if got, ok := AppendBoundingBox(dst, sp, nil); ok || !slices.Equal(got, dst) {
+		t.Fatalf("empty input: got %v, %v", got, ok)
+	}
+	buf := make([]int, 0, 3*3)
+	if allocs := testing.AllocsPerRun(10, func() { buf, _ = AppendBoundingBox(buf[:0], sp, cells) }); allocs != 0 {
+		t.Fatalf("AppendBoundingBox into a buffer with room allocates %.1f times", allocs)
+	}
+}
+
 func TestNeighborhood(t *testing.T) {
 	sp := NewSpace(Shape{5, 5})
 	// Interior point, radius 1: 3x3 block.

@@ -74,6 +74,9 @@ const (
 	// EstWritePerPair is the fixed per-pair lwrite cost: dense tiles are
 	// emitted as fixed-width words or run pairs, not per-cell appends.
 	EstWritePerPair = 550 * time.Nanosecond
-	// EstTreeInsert is one R-tree insertion.
+	// EstTreeInsert is what indexing one pair adds to a Many store's
+	// write cost. It was calibrated against per-pair R-tree inserts; the
+	// bulk load at Flush that replaced them costs several times less, so
+	// the estimate errs high.
 	EstTreeInsert = 1800 * time.Nanosecond
 )

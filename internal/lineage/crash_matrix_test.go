@@ -1,6 +1,7 @@
 package lineage
 
 import (
+	"bytes"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -161,49 +162,88 @@ func assertSubset(t *testing.T, sub, super *bitmap.Bitmap, msg string) {
 // value. This is the foundation of the self-healing path: a store
 // rebuilt from re-execution is indistinguishable from one that never
 // saw corruption. The container encoder's per-tile form choice is
-// deterministic, so the property holds for every record.
+// deterministic, so the property holds for every record. A Many store's
+// index is built in id order, so one reopened without its meta sidecar
+// rebuilds, from its records alone, the very trees its Flush built, and
+// charges their exact encoded size.
 func TestRebuildByteIdentical(t *testing.T) {
-	strat := StratFullOne
-	rng := rand.New(rand.NewSource(11))
-	pairs := randomPairs(rng, 80)
-	build := func(path string) map[string]string {
-		fs, err := kvstore.OpenFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, err := OpenStore(fs, strat, tOutSpace, tInSpaces)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := st.WritePairs(toStorePairs(strat, pairs[:40])); err != nil {
-			t.Fatal(err)
-		}
-		if err := st.WritePairs(toStorePairs(strat, pairs[40:])); err != nil {
-			t.Fatal(err)
-		}
-		if err := st.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		m := make(map[string]string)
-		if err := fs.Scan(func(k, v []byte) bool {
-			m[string(k)] = string(v)
-			return true
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if err := fs.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	a := build(filepath.Join(t.TempDir(), "a.log"))
-	b := build(filepath.Join(t.TempDir(), "b.log"))
-	if len(a) != len(b) {
-		t.Fatalf("rebuild record counts differ: %d vs %d", len(a), len(b))
-	}
-	for k, va := range a {
-		if vb, ok := b[k]; !ok || vb != va {
-			t.Fatalf("rebuild differs at key %q", k)
-		}
+	for _, strat := range []Strategy{StratFullOne, StratFullMany} {
+		t.Run(strat.ID(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(11))
+			pairs := randomPairs(rng, 80)
+			var trees [][]byte
+			build := func(path string) map[string]string {
+				fs, err := kvstore.OpenFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st, err := OpenStore(fs, strat, tOutSpace, tInSpaces)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := st.WritePairs(toStorePairs(strat, pairs[:40])); err != nil {
+					t.Fatal(err)
+				}
+				if err := st.WritePairs(toStorePairs(strat, pairs[40:])); err != nil {
+					t.Fatal(err)
+				}
+				if err := st.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				trees = trees[:0]
+				for _, tr := range st.trees {
+					trees = append(trees, tr.Encode())
+				}
+				m := make(map[string]string)
+				if err := fs.Scan(func(k, v []byte) bool {
+					m[string(k)] = string(v)
+					return true
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if err := fs.Close(); err != nil {
+					t.Fatal(err)
+				}
+				return m
+			}
+			a := build(filepath.Join(t.TempDir(), "a.log"))
+			pathB := filepath.Join(t.TempDir(), "b.log")
+			b := build(pathB)
+			if len(a) != len(b) {
+				t.Fatalf("rebuild record counts differ: %d vs %d", len(a), len(b))
+			}
+			for k, va := range a {
+				if vb, ok := b[k]; !ok || vb != va {
+					t.Fatalf("rebuild differs at key %q", k)
+				}
+			}
+
+			if err := os.Remove(pathB + ".meta"); err != nil {
+				t.Fatal(err)
+			}
+			fs, err := kvstore.OpenFile(pathB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fs.Close()
+			st, err := OpenStore(fs, strat, tOutSpace, tInSpaces)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(st.trees) != len(trees) {
+				t.Fatalf("rebuilt store has %d trees, flushed store %d", len(st.trees), len(trees))
+			}
+			idx := 0
+			for i, tr := range st.trees {
+				enc := tr.Encode()
+				if !bytes.Equal(enc, trees[i]) {
+					t.Fatalf("slot %d: rebuilt tree encodes %d bytes unlike the %d Flush built", i, len(enc), len(trees[i]))
+				}
+				idx += len(enc)
+			}
+			if got, want := st.SizeBytes(), fs.SizeBytes()+int64(idx); got != want {
+				t.Fatalf("rebuilt SizeBytes = %d, want log %d + index %d", got, fs.SizeBytes(), idx)
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package lineage
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -98,6 +99,13 @@ func TestShardedIngestMatchesSerial(t *testing.T) {
 				}
 				if got, want := sharded.SizeBytes(), serial.SizeBytes(); got != want {
 					t.Fatalf("sharded SizeBytes = %d, serial = %d (id assignment nondeterministic?)", got, want)
+				}
+				// Flush bulk-loads each index in id order, so its bytes do not
+				// depend on which worker appended which pair.
+				for i := range serial.trees {
+					if !bytes.Equal(sharded.trees[i].Encode(), serial.trees[i].Encode()) {
+						t.Fatalf("slot %d: sharded index encodes unlike the serial one", i)
+					}
 				}
 
 				var mapp PayloadFn

@@ -91,8 +91,8 @@ func (ss StoreStats) CriticalWriteTime() time.Duration {
 // then on it answers lookups and refuses writes. A store opened over a
 // non-empty hashtable opens sealed.
 //
-// mu serializes the write side's in-place updates: index inserts, appends
-// to the cell-entry buffers, the volume counters and Flush. Record encoding
+// mu serializes the write side's in-place updates: appends to the index
+// and cell-entry buffers, the volume counters and Flush. Record encoding
 // and the record group commit stay outside it, so shard workers still
 // encode one store in parallel. Nothing a lookup reads changes once the
 // store is sealed, so lookups (Backward, Forward, ContainsOut) take no lock
@@ -110,10 +110,16 @@ type Store struct {
 
 	// trees index the key side of Many encodings: slot 0 holds output
 	// bounding boxes for backward-optimized stores; slot i holds input-i
-	// bounding boxes for forward-optimized stores. Guarded by mu until the
-	// store is sealed.
-	trees    []*rtree.Tree
-	dirtyIdx bool
+	// bounding boxes for forward-optimized stores. Until Flush each slot's
+	// items wait in pendingBoxes (guarded by mu); Flush bulk-loads each
+	// tree once, and nothing reads a tree before the store is sealed.
+	trees        []*rtree.Tree
+	pendingBoxes []slotBoxes
+
+	// rebuiltIdx is the encoded size of the trees rebuildMeta built for a
+	// store reopened without a usable meta blob: no blob holds them, so the
+	// hashtable's size leaves them out.
+	rebuiltIdx int64
 
 	// nextPair allocates record ids; the ingest coordinator reserves id
 	// ranges from it on the enqueueing thread so ids stay dense and
@@ -190,6 +196,7 @@ func OpenStore(kv kvstore.Store, strat Strategy, outSpace *grid.Space, inSpaces 
 		for i := range s.trees {
 			s.trees[i] = rtree.New(s.slotSpace(i).Rank())
 		}
+		s.pendingBoxes = make([]slotBoxes, nSlots)
 	}
 	if strat.Enc == One {
 		s.pending = make([][]cellRef, nSlots)
@@ -333,18 +340,10 @@ func (s *Store) rebuildMeta() error {
 		}
 		if s.strat.Enc == Many {
 			if s.strat.Orient == BackwardOpt {
-				if bb, ok := grid.BoundingBox(s.outSpace, rec.outs.cells(nil)); ok {
-					if err := s.trees[0].Insert(rtree.Item{Rect: bb, ID: id}); err != nil {
-						return false, err
-					}
-				}
+				s.pendingBoxes[0].add(s.outSpace, rec.outs.cells(nil), id)
 			} else {
 				for i := range rec.ins {
-					if bb, ok := grid.BoundingBox(s.inSpaces[i], rec.ins[i].cells(nil)); ok {
-						if err := s.trees[i].Insert(rtree.Item{Rect: bb, ID: id}); err != nil {
-							return false, err
-						}
-					}
+					s.pendingBoxes[i].add(s.inSpaces[i], rec.ins[i].cells(nil), id)
 				}
 			}
 		}
@@ -353,12 +352,17 @@ func (s *Store) rebuildMeta() error {
 	if err != nil {
 		return err
 	}
-	if any {
-		s.nextPair.Store(maxID + 1)
-		if s.strat.Enc == Many {
-			s.dirtyIdx = true
-		}
+	if !any {
+		return nil
 	}
+	s.nextPair.Store(maxID + 1)
+	// The scan visits records in hashtable order; buildTrees sorts them by
+	// id, so the rebuilt trees are the ones Flush built.
+	s.buildTrees()
+	for _, tr := range s.trees {
+		s.rebuiltIdx += int64(tr.EncodedLen())
+	}
+	s.pendingBoxes = nil
 	return nil
 }
 
@@ -548,10 +552,10 @@ func (s *Store) WritePairs(pairs []RegionPair) error {
 }
 
 // ingestBatch applies one batch of pairs: encode records, group-commit
-// them, index them, and buffer the per-cell entries. It is the shared
+// them, and buffer their index items or per-cell entries. It is the shared
 // write path of WritePairs (synchronous) and the coordinator's shard
-// workers (concurrent). Encoding, the record commit and the bounding boxes
-// run outside mu, so workers serialize only on the in-place updates.
+// workers (concurrent). Encoding and the record commit run outside mu, so
+// workers serialize only on the appends.
 func (s *Store) ingestBatch(pairs []RegionPair, ids []uint64) error {
 	if err := s.writable(); err != nil {
 		return err
@@ -564,10 +568,6 @@ func (s *Store) ingestBatch(pairs []RegionPair, ids []uint64) error {
 			return err
 		}
 	}
-	var items []slotItem
-	if s.strat.Enc == Many {
-		items = s.indexItems(pairs, ids)
-	}
 	out, in, pay := batchVolumes(pairs)
 
 	s.mu.Lock()
@@ -576,12 +576,7 @@ func (s *Store) ingestBatch(pairs []RegionPair, ids []uint64) error {
 		return errSealed
 	}
 	if s.strat.Enc == Many {
-		for _, it := range items {
-			if err := s.trees[it.slot].Insert(it.item); err != nil {
-				return err
-			}
-		}
-		s.dirtyIdx = true
+		s.bufferBoxes(pairs, ids)
 	} else {
 		s.bufferCellEntries(pairs, ids)
 	}
@@ -625,30 +620,66 @@ func (s *Store) putRecords(pairs []RegionPair, ids []uint64) error {
 	return s.kv.PutBatch(a.kvs)
 }
 
-// slotItem is one R-tree insert awaiting mu.
-type slotItem struct {
-	slot int
-	item rtree.Item
+// slotBoxes is one slot's index items awaiting their bulk load: item i's
+// bounding box is boxes[i*w:(i+1)*w] with w = 2·rank, its low corner then
+// its high corner, and its pair id is ids[i].
+type slotBoxes struct {
+	boxes []int
+	ids   []uint64
 }
 
-// indexItems computes one R-tree item per (pair, slot) for Many encodings.
-func (s *Store) indexItems(pairs []RegionPair, ids []uint64) []slotItem {
-	items := make([]slotItem, 0, len(pairs))
+// add appends the bounding box of cells under id; an empty cell set has
+// none.
+func (b *slotBoxes) add(sp *grid.Space, cells []uint64, id uint64) {
+	var ok bool
+	if b.boxes, ok = grid.AppendBoundingBox(b.boxes, sp, cells); ok {
+		b.ids = append(b.ids, id)
+	}
+}
+
+// build bulk-loads the items in id order, sorting them first unless they
+// are sorted already (as a serial store's are), so the tree does not depend
+// on the order shard workers appended them in. A slot holds each id at
+// most once.
+func (b *slotBoxes) build(rank int) *rtree.Tree {
+	if !slices.IsSorted(b.ids) {
+		w := 2 * rank
+		perm := make([]int, len(b.ids))
+		for i := range perm {
+			perm[i] = i
+		}
+		slices.SortFunc(perm, func(x, y int) int { return cmp.Compare(b.ids[x], b.ids[y]) })
+		boxes, ids := make([]int, 0, len(b.boxes)), make([]uint64, 0, len(b.ids))
+		for _, i := range perm {
+			boxes = append(boxes, b.boxes[i*w:(i+1)*w]...)
+			ids = append(ids, b.ids[i])
+		}
+		b.boxes, b.ids = boxes, ids
+	}
+	return rtree.BulkLoadBoxes(rank, b.boxes, b.ids)
+}
+
+// bufferBoxes appends one batch's index items (Many encodings) to the
+// pending boxes, one per pair and key-side slot. The caller holds mu.
+func (s *Store) bufferBoxes(pairs []RegionPair, ids []uint64) {
 	for i := range pairs {
 		rp := &pairs[i]
 		if s.strat.Orient == BackwardOpt {
-			if bb, ok := grid.BoundingBox(s.outSpace, rp.Out); ok {
-				items = append(items, slotItem{0, rtree.Item{Rect: bb, ID: ids[i]}})
-			}
-		} else {
-			for j, in := range rp.Ins {
-				if bb, ok := grid.BoundingBox(s.inSpaces[j], in); ok {
-					items = append(items, slotItem{j, rtree.Item{Rect: bb, ID: ids[i]}})
-				}
-			}
+			s.pendingBoxes[0].add(s.outSpace, rp.Out, ids[i])
+			continue
+		}
+		for j, in := range rp.Ins {
+			s.pendingBoxes[j].add(s.inSpaces[j], in, ids[i])
 		}
 	}
-	return items
+}
+
+// buildTrees bulk-loads every slot's tree from its pending boxes. The
+// boxes stay, so a Flush that fails later builds the same trees again.
+func (s *Store) buildTrees() {
+	for i := range s.trees {
+		s.trees[i] = s.pendingBoxes[i].build(s.slotSpace(i).Rank())
+	}
 }
 
 // cellRef is one buffered per-cell entry: a cell of the slot's key side
@@ -683,9 +714,10 @@ func (s *Store) bufferCellEntries(pairs []RegionPair, ids []uint64) {
 }
 
 // putTiles writes the buffered per-cell entries to the hashtable, one value
-// per touched (slot, tile). Each slot's buffer is sorted once, by cell and
-// then by pair id or payload bytes, so a cell's references form one run,
-// its list is sorted, and a tile's runs are consecutive: the stored bytes
+// per touched (slot, tile). Each slot's buffer is sorted once
+// (sortCellRefs), by cell and then by pair id or payload bytes, so a cell's
+// references form one run, its list is sorted, and a tile's runs are
+// consecutive: the stored bytes
 // do not depend on which shard worker buffered which pair. Keys and values
 // are encoded into two arenas and written, in slot and tile order, by one
 // PutBatch group commit. Every tile is written whole and nothing is read
@@ -693,23 +725,12 @@ func (s *Store) bufferCellEntries(pairs []RegionPair, ids []uint64) {
 // caller holds mu.
 func (s *Store) putTiles() error {
 	n, total := 0, 0
-	payStore := !s.storesRecords()
+	var pay *payArena
+	if !s.storesRecords() {
+		pay = &s.pendingPay
+	}
 	for _, refs := range s.pending {
-		if payStore {
-			slices.SortFunc(refs, func(a, b cellRef) int {
-				if c := cmp.Compare(a.cell, b.cell); c != 0 || a.ref == b.ref {
-					return c
-				}
-				return bytes.Compare(s.pendingPay.at(a.ref), s.pendingPay.at(b.ref))
-			})
-		} else {
-			slices.SortFunc(refs, func(a, b cellRef) int {
-				if c := cmp.Compare(a.cell, b.cell); c != 0 {
-					return c
-				}
-				return cmp.Compare(a.ref, b.ref)
-			})
-		}
+		sortCellRefs(refs, pay)
 		for i := range refs {
 			if i == 0 || refs[i].cell/binenc.TileCells != refs[i-1].cell/binenc.TileCells {
 				n++
@@ -722,10 +743,7 @@ func (s *Store) putTiles() error {
 	}
 	keyArena := make([]byte, 0, tileKeyLen*n)
 	// The value arena is sized for two-byte ids; append grows it past that.
-	enc := tileEncoder{vals: make([]byte, 0, 8*n+4*total)}
-	if payStore {
-		enc.pay = &s.pendingPay
-	}
+	enc := tileEncoder{pay: pay, vals: make([]byte, 0, 8*n+4*total)}
 	ends := make([]int, 0, n)
 	for slot, refs := range s.pending {
 		for lo := 0; lo < len(refs); {
@@ -748,6 +766,86 @@ func (s *Store) putTiles() error {
 		from = end
 	}
 	return s.kv.PutBatch(batch)
+}
+
+// sortCellRefs sorts refs by cell, then by ref with pay nil, or by the
+// payload bytes pay holds at ref otherwise. It is an LSD byte radix sort
+// on (cell, ref): one counting pass per byte that varies across refs, ref
+// bytes first. The ref passes are skipped when refs are in ref order
+// already, as a serial id store's and every payload store's are; then the
+// cell passes, being stable, keep that order. A payload store then sorts
+// each run of references to one cell by payload bytes. The second buffer
+// the passes need is allocated here, so it is garbage once the Flush that
+// sorts returns rather than held for the life of the store or process.
+func sortCellRefs(refs []cellRef, pay *payArena) {
+	if len(refs) == 0 {
+		return
+	}
+	var cellBits, refBits uint64
+	refSorted := true
+	for i, r := range refs {
+		cellBits |= r.cell ^ refs[0].cell
+		refBits |= r.ref ^ refs[0].ref
+		refSorted = refSorted && (i == 0 || refs[i-1].ref <= r.ref)
+	}
+	if refSorted {
+		refBits = 0
+	}
+	src, dst := refs, make([]cellRef, len(refs))
+	for shift := 0; shift < 64; shift += 8 {
+		if byte(refBits>>shift) != 0 {
+			radixPass(src, dst, false, shift)
+			src, dst = dst, src
+		}
+	}
+	for shift := 0; shift < 64; shift += 8 {
+		if byte(cellBits>>shift) != 0 {
+			radixPass(src, dst, true, shift)
+			src, dst = dst, src
+		}
+	}
+	if &src[0] != &refs[0] {
+		copy(refs, src)
+	}
+	if pay == nil {
+		return
+	}
+	for lo := 0; lo < len(refs); {
+		hi := lo + 1
+		for hi < len(refs) && refs[hi].cell == refs[lo].cell {
+			hi++
+		}
+		if hi-lo > 1 {
+			slices.SortFunc(refs[lo:hi], func(a, b cellRef) int {
+				return bytes.Compare(pay.at(a.ref), pay.at(b.ref))
+			})
+		}
+		lo = hi
+	}
+}
+
+// radixPass stably scatters src into dst by one byte of each cellRef's
+// cell (onCell) or ref.
+func radixPass(src, dst []cellRef, onCell bool, shift int) {
+	key := func(r cellRef) byte {
+		if onCell {
+			return byte(r.cell >> shift)
+		}
+		return byte(r.ref >> shift)
+	}
+	var count [256]int
+	for _, r := range src {
+		count[key(r)]++
+	}
+	sum := 0
+	for b, c := range count {
+		count[b], sum = sum, sum+c
+	}
+	for _, r := range src {
+		b := key(r)
+		dst[count[b]] = r
+		count[b]++
+	}
 }
 
 // payArena holds a payload store's buffered payloads back to back:
@@ -833,11 +931,11 @@ func (e *tileEncoder) addCell(run []cellRef) {
 	e.entries = appendIDEntry(e.entries, e.ids)
 }
 
-// Flush seals the store. It writes the buffered cell entries, then syncs
-// the hashtable and commits the pair counter, stats, and serialized indexes
-// as one all-or-nothing blob, so a crash mid-flush leaves a store that
-// reopens holding what was written or a subset of it, never one that
-// half-loads. A store takes one Flush: later calls are no-ops. A Flush that
+// Flush seals the store. It writes the buffered cell entries and
+// bulk-loads the indexes, then syncs the hashtable and commits the pair
+// counter, stats, and serialized indexes as one all-or-nothing blob, so a
+// crash mid-flush leaves a store that reopens holding what was written or
+// a subset of it, never one that half-loads. A store takes one Flush: later calls are no-ops. A Flush that
 // fails leaves the store unsealed with its buffers intact, and a retry
 // writes every tile again whole. SizeBytes is exact after Flush.
 func (s *Store) Flush() error {
@@ -852,6 +950,7 @@ func (s *Store) Flush() error {
 	if err := s.putTiles(); err != nil {
 		return err
 	}
+	s.buildTrees()
 	// Data first, then the meta blob: metadata must never describe
 	// records the log has not durably absorbed.
 	if err := s.kv.Sync(); err != nil {
@@ -860,7 +959,7 @@ func (s *Store) Flush() error {
 	if err := s.kv.CommitMeta(s.encodeMetaBlob()); err != nil {
 		return err
 	}
-	s.pending, s.pendingPay, s.dirtyIdx = nil, payArena{}, false
+	s.pending, s.pendingPay, s.pendingBoxes = nil, payArena{}, nil
 	s.sealed.Store(true)
 	return nil
 }
@@ -923,19 +1022,11 @@ func (s *Store) LogicalBytes() int64 {
 }
 
 // SizeBytes returns the storage charged to this store: the hashtable size,
-// plus the encoded indexes while they are not committed. Cell entries
-// reach the hashtable only at Flush, so the size is exact once the store
-// is sealed.
+// whose meta blob holds the encoded indexes, plus the indexes of a store
+// rebuilt without one. Cell entries and indexes reach the hashtable only
+// at Flush, so the size is exact once the store is sealed.
 func (s *Store) SizeBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	size := s.kv.SizeBytes()
-	if s.dirtyIdx {
-		for _, tr := range s.trees {
-			size += int64(tr.EncodedLen())
-		}
-	}
-	return size
+	return s.kv.SizeBytes() + s.rebuiltIdx
 }
 
 func (s *Store) getRecord(id uint64) (*record, error) {

@@ -4,24 +4,26 @@
 // pair and "create an R-tree on the cells in the hash key to quickly find
 // the entries that intersect with the query" (paper §VI-B). This package is
 // the stdlib-only substitute for the libspatialindex dependency of the
-// original prototype: a Guttman R-tree with quadratic splits for
-// incremental inserts, an STR (sort-tile-recursive) bulk loader used when a
-// lineage store is reopened, and a compact serialization so the index can
-// be persisted beside its store and charged against the storage budget.
+// original prototype: an STR (sort-tile-recursive) bulk loader, which a
+// lineage store runs once per index at its Flush and when it is reopened,
+// and a compact serialization so the index can be persisted beside its
+// store and charged against the storage budget. A Guttman insert with
+// quadratic splits (Insert) is kept for incremental callers; the lineage
+// store makes none.
 //
 // Nodes are flat: a node keeps its entries' boxes inline, 2·rank ints per
 // entry (the low corner, then the high corner) in one slice, beside its
-// children or its item ids. Choose-leaf, the quadratic split and MBR
-// refresh read and write those coordinates in place, so an insert
-// allocates only when it creates a node. grid.Rect and Item appear only at
-// the API boundary. There is one traversal, Walk, driven by a predicate
-// over boxes: Search is Walk with a rectangle-overlap predicate, and the
-// lineage store walks once per lookup with a predicate that tests each
-// box against the query bitmap.
+// children or its item ids. A bulk load carves each level's nodes from one
+// node slice and its boxes and ids from one arena each; choose-leaf, the
+// quadratic split and MBR refresh read and write coordinates in place, so
+// an insert allocates only when it creates a node. grid.Rect and Item
+// appear only at the API boundary. There is one traversal, Walk, driven by
+// a predicate over boxes: Search is Walk with a rectangle-overlap
+// predicate, and the lineage store walks once per lookup with a predicate
+// that tests each box against the query bitmap.
 package rtree
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -93,6 +95,13 @@ func New(rank int) *Tree {
 
 // NewWithFanout creates an empty tree with a custom node fan-out (>= 4).
 func NewWithFanout(rank, maxEntries int) *Tree {
+	t := newTree(rank, maxEntries)
+	t.root = t.newNode(true)
+	return t
+}
+
+// newTree returns a tree without a root.
+func newTree(rank, maxEntries int) *Tree {
 	if rank <= 0 {
 		panic(fmt.Sprintf("rtree: invalid rank %d", rank))
 	}
@@ -103,13 +112,11 @@ func NewWithFanout(rank, maxEntries int) *Tree {
 	if minEntries < 2 {
 		minEntries = 2
 	}
-	t := &Tree{
+	return &Tree{
 		rank:       rank,
 		maxEntries: maxEntries,
 		minEntries: minEntries,
 	}
-	t.root = t.newNode(true)
-	return t
 }
 
 // newNode makes a node with room for one entry past the fan-out, the
@@ -403,9 +410,8 @@ func (t *Tree) Height() int {
 }
 
 // BulkLoad builds a tree from items using sort-tile-recursive packing,
-// which produces better-clustered nodes than repeated insertion and is used
-// when rebuilding the index for a reopened lineage store. Every item's
-// rectangle must have the tree's rank.
+// which produces better-clustered nodes than repeated insertion. Every
+// item's rectangle must have the tree's rank.
 func BulkLoad(rank int, items []Item) *Tree {
 	boxes := make([]int, 0, len(items)*2*rank)
 	ids := make([]uint64, len(items))
@@ -413,78 +419,117 @@ func BulkLoad(rank int, items []Item) *Tree {
 		boxes = append(append(boxes, it.Rect.Lo...), it.Rect.Hi...)
 		ids[i] = it.ID
 	}
-	return bulkLoad(rank, boxes, ids)
+	return BulkLoadBoxes(rank, boxes, ids)
 }
 
-// bulkLoad is BulkLoad over flat boxes, 2·rank ints per item.
-func bulkLoad(rank int, boxes []int, ids []uint64) *Tree {
-	t := New(rank)
+// BulkLoadBoxes is BulkLoad over flat boxes: item i's box is
+// boxes[i*2·rank:(i+1)*2·rank], its low corner then its high corner, and
+// its id is ids[i]. It neither keeps nor modifies the two slices. Each
+// level of the tree is carved from one node slice, one box arena and one
+// id (or child) arena, so the load allocates a few times per level, not
+// per node.
+func BulkLoadBoxes(rank int, boxes []int, ids []uint64) *Tree {
 	if len(ids) == 0 {
-		return t
+		return New(rank)
 	}
+	t := newTree(rank, DefaultMaxEntries)
 	t.size = len(ids)
-	level := t.pack(true, boxes, ids, nil)
-	// Build upper levels by tiling node MBRs until one node remains.
-	for len(level) > 1 {
-		boxes = boxes[:0]
-		for _, n := range level {
-			boxes = t.appendMBR(boxes, n)
-		}
-		level = t.pack(false, boxes, nil, level)
+	// A level has about one node per maxEntries entries of the level below.
+	nodes := len(ids)/t.maxEntries + 1
+	l := loader{
+		t:     t,
+		order: make([]int, len(ids)),
+		cuts:  make([]int, 0, nodes),
+		keys:  make([]centreKey, len(ids)),
+		tmp:   make([]centreKey, len(ids)),
 	}
-	t.root = level[0]
+	level := l.pack(true, boxes, ids, nil)
+	// Build upper levels by tiling node MBRs until one node remains.
+	mbrs := make([]int, 0, nodes*2*rank)
+	for len(level) > 1 {
+		mbrs = mbrs[:0]
+		for i := range level {
+			mbrs = t.appendMBR(mbrs, &level[i])
+		}
+		level = l.pack(false, mbrs, nil, level)
+	}
+	t.root = &level[0]
 	return t
 }
 
-// pack STR-tiles one level's entries — boxes plus ids for leaves, or kids
-// for internal nodes — into nodes of at most maxEntries entries.
-func (t *Tree) pack(leaf bool, boxes []int, ids []uint64, kids []*node) []*node {
-	w := 2 * t.rank
-	order := make([]int, len(boxes)/w)
+// loader holds the scratch one bulk load reuses across levels: the STR
+// order of the level's entries, the end of each of its groups, and
+// sortByCentre's keys.
+type loader struct {
+	t         *Tree
+	order     []int
+	cuts      []int
+	keys, tmp []centreKey
+}
+
+// pack STR-tiles one level's entries — boxes plus ids for leaves, or the
+// nodes of the level below for internal nodes — into nodes of at most
+// maxEntries entries.
+func (l *loader) pack(leaf bool, boxes []int, ids []uint64, kids []node) []node {
+	w := 2 * l.t.rank
+	n := len(boxes) / w
+	order := l.order[:n]
 	for i := range order {
 		order[i] = i
 	}
-	groups := tile(order, boxes, 0, t.rank, t.maxEntries)
-	nodes := make([]*node, len(groups))
-	for gi, g := range groups {
-		n := &node{leaf: leaf, boxes: make([]int, 0, len(g)*w)}
-		if leaf {
-			n.ids = make([]uint64, 0, len(g))
-		} else {
-			n.kids = make([]*node, 0, len(g))
-		}
-		for _, k := range g {
-			n.boxes = append(n.boxes, boxes[k*w:(k+1)*w]...)
+	l.cuts = l.cuts[:0]
+	l.tile(order, boxes, 0, 0)
+	nodes := make([]node, len(l.cuts))
+	arena := make([]int, n*w)
+	var idArena []uint64
+	var kidArena []*node
+	if leaf {
+		idArena = make([]uint64, n)
+	} else {
+		kidArena = make([]*node, n)
+	}
+	from := 0
+	for gi, end := range l.cuts {
+		nd := &nodes[gi]
+		nd.leaf = leaf
+		// Capping each node's capacity keeps a later Insert's append from
+		// running into its neighbour.
+		nd.boxes = arena[from*w : end*w : end*w]
+		for j, k := range order[from:end] {
+			copy(nd.boxes[j*w:(j+1)*w], boxes[k*w:(k+1)*w])
 			if leaf {
-				n.ids = append(n.ids, ids[k])
+				idArena[from+j] = ids[k]
 			} else {
-				n.kids = append(n.kids, kids[k])
+				kidArena[from+j] = &kids[k]
 			}
 		}
-		nodes[gi] = n
+		if leaf {
+			nd.ids = idArena[from:end:end]
+		} else {
+			nd.kids = kidArena[from:end:end]
+		}
+		from = end
 	}
 	return nodes
 }
 
 // tile recursively sorts entry indices by the centre of their boxes along
-// successive dimensions and chops them into groups of at most max entries
-// (STR packing).
-func tile(order, boxes []int, dim, rank, fanout int) [][]int {
+// successive dimensions and chops them into groups of at most fanout
+// entries (STR packing). order is sorted in place, so the groups are its
+// consecutive runs; tile appends the end of each, offset by base, to
+// l.cuts.
+func (l *loader) tile(order, boxes []int, base, dim int) {
+	rank, fanout := l.t.rank, l.t.maxEntries
 	if len(order) <= fanout {
-		return [][]int{order}
+		l.cuts = append(l.cuts, base+len(order))
+		return
 	}
-	w := 2 * rank
-	// Comparing lo+hi orders the entries as their centres would.
-	slices.SortStableFunc(order, func(a, b int) int {
-		return cmp.Compare(boxes[a*w+dim]+boxes[a*w+rank+dim], boxes[b*w+dim]+boxes[b*w+rank+dim])
-	})
+	l.sortByCentre(order, boxes, dim)
 	if dim == rank-1 {
-		var groups [][]int
 		for i := 0; i < len(order); i += fanout {
-			end := min(i+fanout, len(order))
-			groups = append(groups, order[i:end:end])
+			l.cuts = append(l.cuts, base+min(i+fanout, len(order)))
 		}
-		return groups
+		return
 	}
 	nGroups := int(math.Ceil(float64(len(order)) / float64(fanout)))
 	slabs := int(math.Ceil(math.Pow(float64(nGroups), 1/float64(rank-dim))))
@@ -492,12 +537,60 @@ func tile(order, boxes []int, dim, rank, fanout int) [][]int {
 		slabs = 1
 	}
 	slabSize := int(math.Ceil(float64(len(order)) / float64(slabs)))
-	var groups [][]int
 	for i := 0; i < len(order); i += slabSize {
 		end := min(i+slabSize, len(order))
-		groups = append(groups, tile(order[i:end:end], boxes, dim+1, rank, fanout)...)
+		l.tile(order[i:end], boxes, base+i, dim+1)
 	}
-	return groups
+}
+
+// centreKey is an entry's sort key in sortByCentre — twice its box's
+// centre along one dimension, less the least such key — and its index.
+type centreKey struct {
+	key uint64
+	idx int
+}
+
+// sortByCentre stably sorts entry indices by the centre of their boxes
+// along dim, with an LSD byte radix sort that skips the bytes no two keys
+// differ in.
+func (l *loader) sortByCentre(order, boxes []int, dim int) {
+	rank, w := l.t.rank, 2*l.t.rank
+	keys, tmp := l.keys[:len(order)], l.tmp[:len(order)]
+	least := math.MaxInt
+	for pos, k := range order {
+		// lo+hi orders the entries as their centres would.
+		c := boxes[k*w+dim] + boxes[k*w+rank+dim]
+		keys[pos] = centreKey{uint64(c), k}
+		least = min(least, c)
+	}
+	var bits uint64
+	for i := range keys {
+		keys[i].key -= uint64(least)
+		bits |= keys[i].key
+	}
+	src, dst := keys, tmp
+	for shift := 0; shift < 64 && bits>>shift != 0; shift += 8 {
+		var count [256]int
+		for _, k := range src {
+			count[byte(k.key>>shift)]++
+		}
+		if count[byte(src[0].key>>shift)] == len(src) {
+			continue
+		}
+		sum := 0
+		for b, c := range count {
+			count[b], sum = sum, sum+c
+		}
+		for _, k := range src {
+			b := byte(k.key >> shift)
+			dst[count[b]] = k
+			count[b]++
+		}
+		src, dst = dst, src
+	}
+	for i, k := range src {
+		order[i] = k.idx
+	}
 }
 
 // CheckInvariants validates structural invariants (every child MBR is

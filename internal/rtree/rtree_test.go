@@ -1,8 +1,10 @@
 package rtree
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -206,20 +208,29 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
-func TestEncodedLenIsUpperBoundIsh(t *testing.T) {
+// EncodedLen is the length of Encode's output to the byte, for trees
+// built either way, empty ones, and ids and coordinates of every varint
+// length.
+func TestEncodedLenIsExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
-	items := make([]Item, 300)
-	for i := range items {
-		items[i] = Item{Rect: randRect(rng, 1000, 8), ID: uint64(i)}
-	}
-	tr := BulkLoad(2, items)
-	actual := len(tr.Encode())
-	est := tr.EncodedLen()
-	if est < actual {
-		t.Fatalf("EncodedLen=%d underestimates actual %d", est, actual)
-	}
-	if est > actual*2 {
-		t.Fatalf("EncodedLen=%d wildly overestimates actual %d", est, actual)
+	for rank := 1; rank <= 3; rank++ {
+		for _, n := range []int{0, 1, 300, 16000} {
+			items := randomItems(rng, rank, n, 1<<20, 1<<10)
+			for i := range items {
+				items[i].ID = rng.Uint64() >> rng.Intn(64)
+			}
+			inc := New(rank)
+			for _, it := range items[:min(n, 2000)] {
+				if err := inc.Insert(it); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for name, tr := range map[string]*Tree{"bulk": BulkLoad(rank, items), "insert": inc} {
+				if got, want := tr.EncodedLen(), len(tr.Encode()); got != want {
+					t.Errorf("rank %d, %d items, %s: EncodedLen = %d, len(Encode()) = %d", rank, tr.Len(), name, got, want)
+				}
+			}
+		}
 	}
 }
 
@@ -427,6 +438,45 @@ func TestInsertAllocs(t *testing.T) {
 		if allocs > 1 {
 			t.Fatalf("rank %d: Insert allocates %.2f per item, want <= 1", rank, allocs)
 		}
+	}
+}
+
+// A bulk load allocates a few arenas per tree level, not a node at a time:
+// the pointer-per-node loader took 2 225 allocations for 10 k items.
+func TestBulkLoadAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for rank := 1; rank <= 3; rank++ {
+		items := randomItems(rng, rank, 10000, 2000, 8)
+		boxes := make([]int, 0, len(items)*2*rank)
+		ids := make([]uint64, len(items))
+		for i, it := range items {
+			boxes = append(append(boxes, it.Rect.Lo...), it.Rect.Hi...)
+			ids[i] = it.ID
+		}
+		allocs := testing.AllocsPerRun(5, func() { BulkLoadBoxes(rank, boxes, ids) })
+		if allocs > 32 {
+			t.Fatalf("rank %d: BulkLoadBoxes of 10 k items allocates %.0f times, want <= 32", rank, allocs)
+		}
+	}
+}
+
+// BulkLoadBoxes leaves its input as it found it, so a caller can load the
+// same items again.
+func TestBulkLoadBoxesKeepsInput(t *testing.T) {
+	items := randomItems(rand.New(rand.NewSource(41)), 2, 3000, 500, 8)
+	boxes := make([]int, 0, len(items)*4)
+	ids := make([]uint64, len(items))
+	for i, it := range items {
+		boxes = append(append(boxes, it.Rect.Lo...), it.Rect.Hi...)
+		ids[i] = it.ID
+	}
+	wantBoxes, wantIDs := slices.Clone(boxes), slices.Clone(ids)
+	a := BulkLoadBoxes(2, boxes, ids).Encode()
+	if !slices.Equal(boxes, wantBoxes) || !slices.Equal(ids, wantIDs) {
+		t.Fatal("BulkLoadBoxes modified its input")
+	}
+	if b := BulkLoadBoxes(2, boxes, ids).Encode(); !bytes.Equal(a, b) {
+		t.Fatal("a second load of the same input encodes differently")
 	}
 }
 

@@ -58,19 +58,18 @@ func Decode(data []byte) (*Tree, error) {
 		boxes = append(append(boxes, r.Lo...), r.Hi...)
 		ids = append(ids, id)
 	}
-	return bulkLoad(int(rank), boxes, ids), nil
+	return BulkLoadBoxes(int(rank), boxes, ids), nil
 }
 
-// EncodedLen estimates the serialized size without materializing it; the
-// cost model charges this against the storage budget for *Many encodings.
+// EncodedLen returns len(Encode()) without materializing it; the cost
+// model charges this against the storage budget for *Many encodings.
 func (t *Tree) EncodedLen() int {
-	n := 10
+	n := uvarintLen(uint64(t.rank)) + uvarintLen(uint64(t.size))
 	t.Walk(all, func(id uint64, lo, hi []int) bool {
-		n += 2 // rank varint + id varint lower bound
+		n += uvarintLen(uint64(len(lo))) + uvarintLen(id)
 		for d := range lo {
 			n += uvarintLen(uint64(lo[d])) + uvarintLen(uint64(hi[d]-lo[d]))
 		}
-		n += uvarintLen(id)
 		return true
 	})
 	return n
