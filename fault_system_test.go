@@ -2,6 +2,7 @@ package subzero_test
 
 import (
 	"context"
+	"encoding/binary"
 	"strings"
 	"testing"
 	"time"
@@ -40,9 +41,9 @@ func oneNodeRun(t *testing.T, opts ...subzero.Option) (*subzero.System, *subzero
 // answers through re-execution, the healer rebuilds the store in the
 // background, and once the rebuild swaps in, queries serve from
 // materialized lineage again. The loop takes two kinds of input: a decode
-// fault injected at lookup time, and a file-backed store whose pair keys
-// hold the record layouts earlier builds wrote (flags 0/1 and 2/3), which
-// no decoder is kept for.
+// fault injected at lookup time, and a file-backed store whose record
+// block holds the record layouts earlier builds wrote (flags 0/1 and 2/3),
+// which no decoder is kept for.
 func TestCorruptionFallbackAndHeal(t *testing.T) {
 	cases := map[string]func(t *testing.T, sys *subzero.System){
 		"decode-fault": func(t *testing.T, _ *subzero.System) {
@@ -53,17 +54,22 @@ func TestCorruptionFallbackAndHeal(t *testing.T) {
 		"stale-format": func(t *testing.T, sys *subzero.System) {
 			// The pinned goldens of internal/lineage/compat_test.go: outs
 			// {1,5,9} with inputs {0,2},{7} in the per-cell (v1) and
-			// run-length (v2) layouts, planted under alternating pair keys
-			// ('P' + uvarint id) of the run's one store.
+			// run-length (v2) layouts, alternating as the records of ids
+			// 0..7 in the run's one store's record block ('B' + uvarint 0:
+			// an id count, one length per id, the records).
 			stale := [][]byte{
 				{0, 3, 1, 4, 4, 2, 2, 0, 2, 1, 7},
 				{2, 3, 1, 1, 3, 1, 3, 1, 2, 2, 0, 1, 1, 1, 1, 7, 1},
 			}
-			kv := onlyStore(t, sys)
+			block := []byte{8}
 			for id := 0; id < 8; id++ {
-				if err := kv.Put([]byte{'P', byte(id)}, stale[id%2]); err != nil {
-					t.Fatal(err)
-				}
+				block = append(block, byte(len(stale[id%2])))
+			}
+			for id := 0; id < 8; id++ {
+				block = append(block, stale[id%2]...)
+			}
+			if err := onlyStore(t, sys).Put([]byte{'B', 0}, block); err != nil {
+				t.Fatal(err)
 			}
 		},
 	}
@@ -121,10 +127,12 @@ func TestCorruptionFallbackAndHeal(t *testing.T) {
 			}
 			records := 0
 			if err := kv.Scan(func(key, val []byte) bool {
-				if key[0] == 'P' {
-					records++
-					if len(val) == 0 || (val[0] != 4 && val[0] != 5) {
-						t.Errorf("healed record %v carries flags %v, want 4 or 5", key, val[:1])
+				if key[0] == 'B' {
+					for _, rec := range blockRecords(t, val) {
+						records++
+						if rec[0] != 4 && rec[0] != 5 {
+							t.Errorf("healed record in block %v carries flags %v, want 4 or 5", key, rec[:1])
+						}
 					}
 				}
 				return true
@@ -149,6 +157,32 @@ func TestCorruptionFallbackAndHeal(t *testing.T) {
 			}
 		})
 	}
+}
+
+// blockRecords splits a record block value (an id count, one uvarint
+// length per id, the records back to back) into its records.
+func blockRecords(t *testing.T, val []byte) [][]byte {
+	t.Helper()
+	n, dir := int(val[0]), val[1:]
+	lens := make([]uint64, n)
+	for i := range lens {
+		l, k := binary.Uvarint(dir)
+		if k <= 0 {
+			t.Fatalf("record block directory cut at id %d", i)
+		}
+		lens[i], dir = l, dir[k:]
+	}
+	var recs [][]byte
+	for _, l := range lens {
+		if l > uint64(len(dir)) {
+			t.Fatalf("record block length %d runs past its value", l)
+		}
+		if l > 0 {
+			recs = append(recs, dir[:l])
+		}
+		dir = dir[l:]
+	}
+	return recs
 }
 
 // onlyStore returns the hashtable of the system's single lineage store.

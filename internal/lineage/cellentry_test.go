@@ -24,17 +24,19 @@ func oneStrategies() []Strategy {
 
 // TestCellEntryLogGolden pins the bytes a One-encoding store leaves on
 // disk: a seeded pair set is written in three batches and then flushed
-// once, and the sha256 of the log and of the meta sidecar must match the
-// values the tile-keyed layout wrote for that history when flushes could
-// still merge into tiles (commit d5717e4). Any change to which tiles the
-// flush writes, in what order, how a tile value is laid out, or how its id
-// and payload lists are sorted shows up here.
+// once, and the sha256 of the log and of the meta sidecar must match. The
+// Pay-One and Comp-One logs, which hold tiles only, still match what the
+// tile-keyed layout wrote for that history when flushes could still merge
+// into tiles (commit d5717e4); the Full-One logs are those of 64-id record
+// blocks, and every sidecar is a version-3 meta blob. Any change to which
+// blocks or tiles are written, in what order, how a block or tile value is
+// laid out, or how its id and payload lists are sorted shows up here.
 func TestCellEntryLogGolden(t *testing.T) {
 	want := map[string][2]string{
-		"Full-One-b": {"da35ea0e793974d3cd150301724b988cdda6bdda751c4bf8301e9bbed67f223f", "cc859632be3b8c6827bdde381cf572cc2054c21862486ff1ccc914fd5c196f95"},
-		"Full-One-f": {"2249772b81cbd18d3fc7ad70db009c2f883c886969ae4bf9e49f7d501532121c", "cc859632be3b8c6827bdde381cf572cc2054c21862486ff1ccc914fd5c196f95"},
-		"Pay-One-b":  {"5b0ffaf63d0cc59201e484c375d6dadd47680a48cd1af8cfe8482d238bd779cf", "f9b73ff96cf5caae309bb4e7bbc95c93b7d89576899b493fabec5071b748dda2"},
-		"Comp-One-b": {"5b0ffaf63d0cc59201e484c375d6dadd47680a48cd1af8cfe8482d238bd779cf", "f9b73ff96cf5caae309bb4e7bbc95c93b7d89576899b493fabec5071b748dda2"},
+		"Full-One-b": {"8e1c5369a8a5e484d088409b77582e9e4d9fa4c80750804001b6857223e2cb51", "6d905d4d10e3e3471efc6a59a5c6bf9a6108414f0468e27a425c26fb9e501938"},
+		"Full-One-f": {"44b234923ffb3477fa0b1acdf9afe85bf77fce887d0a414a90717fc320cdd893", "6d905d4d10e3e3471efc6a59a5c6bf9a6108414f0468e27a425c26fb9e501938"},
+		"Pay-One-b":  {"5b0ffaf63d0cc59201e484c375d6dadd47680a48cd1af8cfe8482d238bd779cf", "43de65b2ad8afe9a32e6bac5286ae98d83ac37dee4c268d621524d5feeddeca8"},
+		"Comp-One-b": {"5b0ffaf63d0cc59201e484c375d6dadd47680a48cd1af8cfe8482d238bd779cf", "43de65b2ad8afe9a32e6bac5286ae98d83ac37dee4c268d621524d5feeddeca8"},
 	}
 	pairs := randomPairs(rand.New(rand.NewSource(31)), 90)
 	for _, strat := range oneStrategies() {

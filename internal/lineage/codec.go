@@ -3,13 +3,15 @@ package lineage
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"subzero/internal/binenc"
 )
 
 // Physical key layout inside a store's hashtable:
 //
-//	'P' + uvarint(pairID)          region-pair record
+//	'B' + uvarint(id/64)           the records of 64 consecutive pair ids
+//	                               (see blockStage.appendTo)
 //	'T' + slot byte + 8-byte tile  the cell entries of one 1024-cell tile
 //	                               (One encodings; see appendTileValue)
 //
@@ -21,28 +23,143 @@ import (
 // hashtable: it is one blob committed atomically beside it
 // (kvstore.Store.CommitMeta).
 //
-// Builds before the tile layout wrote one 'K' + slot + cell key per cell.
-// No reader is kept for them: a store holding one is stale (see
-// Store.rebuildMeta) and answers every lookup with ErrCorrupt.
+// Earlier builds wrote one 'P' + uvarint(id) key per pair record and, before
+// tiles, one 'K' + slot + cell key per cell. No reader is kept for them: a
+// key that is neither a block key nor a tile key makes the store stale (see
+// Store.rebuildMeta), and a stale store answers every lookup with
+// ErrCorrupt.
 const (
-	keyPair      = 'P'
-	keyTile      = 'T'
-	keyStaleCell = 'K'
+	keyBlock = 'B'
+	keyTile  = 'T'
 
 	tileKeyLen = 10
+
+	// blockIDs is how many consecutive pair ids share one block value: one
+	// word of lookupFullOne's done bitset.
+	blockIDs = 64
 )
 
-func pairKey(id uint64) []byte {
-	return appendPairKey(make([]byte, 0, 11), id)
-}
-
-func appendPairKey(buf []byte, id uint64) []byte {
-	return binary.AppendUvarint(append(buf, keyPair), id)
+func appendBlockKey(buf []byte, block uint64) []byte {
+	return binary.AppendUvarint(append(buf, keyBlock), block)
 }
 
 func appendTileKey(buf []byte, slot int, tile uint64) []byte {
 	buf = append(buf, keyTile, byte(slot))
 	return binary.BigEndian.AppendUint64(buf, tile)
+}
+
+// A block value holds the pair records of ids 64b..64b+63 under key b:
+//
+//	count      one byte n (1–64): the directory covers ids 64b..64b+n-1, and
+//	           id 64b+n-1 holds a record
+//	directory  one uvarint length per id, in id order; 0 marks an id without
+//	           a record
+//	records    the appendRecord bytes of every id holding one, back to back
+//	           in id order
+//
+// The form is canonical: lengths are minimal varints and they add up to the
+// records region exactly, so a block parses only if it re-encodes to
+// itself (FuzzRecordBlock).
+
+// blockStage gathers the records of one block until the block is written:
+// the record of id 64b+i is buf[spans[i][0]:spans[i][1]], and bit i of held
+// marks it placed. Records may arrive in any id order.
+type blockStage struct {
+	held  uint64
+	spans [blockIDs][2]int
+	buf   []byte
+}
+
+// add places the record of the block's i'th id.
+func (b *blockStage) add(i int, rec []byte) {
+	b.spans[i] = [2]int{len(b.buf), len(b.buf) + len(rec)}
+	b.buf = append(b.buf, rec...)
+	b.held |= 1 << i
+}
+
+// full reports whether every id of the block holds its record.
+func (b *blockStage) full() bool { return b.held == 1<<blockIDs-1 }
+
+// reset empties the stage, keeping its buffer.
+func (b *blockStage) reset() { b.held, b.buf = 0, b.buf[:0] }
+
+// appendTo appends the block value of the placed records. The stage holds
+// at least one record.
+func (b *blockStage) appendTo(dst []byte) []byte {
+	n := blockIDs - bits.LeadingZeros64(b.held)
+	dst = append(dst, byte(n))
+	for i := 0; i < n; i++ {
+		l := 0
+		if b.held>>i&1 != 0 {
+			l = b.spans[i][1] - b.spans[i][0]
+		}
+		dst = binary.AppendUvarint(dst, uint64(l))
+	}
+	for i := 0; i < n; i++ {
+		if b.held>>i&1 != 0 {
+			dst = append(dst, b.buf[b.spans[i][0]:b.spans[i][1]]...)
+		}
+	}
+	return dst
+}
+
+// recordBlock is a parsed block value: where each id's record ends in the
+// records region, which it aliases.
+type recordBlock struct {
+	n    int
+	ends [blockIDs]int
+	recs []byte
+}
+
+// parse walks a block value's directory once and checks its framing; the
+// records themselves are checked when they are decoded.
+func (b *recordBlock) parse(val []byte) error {
+	if len(val) == 0 || val[0] == 0 || val[0] > blockIDs {
+		return fmt.Errorf("lineage: record block of %d bytes has no valid id count", len(val))
+	}
+	n, p, end := int(val[0]), 1, 0
+	for i := 0; i < n; i++ {
+		if p < len(val) && val[p] < 0x80 { // the usual one-byte length
+			end += int(val[p])
+			b.ends[i] = end
+			p++
+			continue
+		}
+		l, k := binary.Uvarint(val[p:])
+		if k <= 0 || k > 1 && val[p+k-1] == 0 {
+			return fmt.Errorf("lineage: record block directory cut at id %d of %d", i, n)
+		}
+		p += k
+		if l > uint64(len(val)) {
+			return fmt.Errorf("lineage: record block length %d runs past its %d bytes", l, len(val))
+		}
+		end += int(l)
+		b.ends[i] = end
+	}
+	switch {
+	case end != len(val)-p:
+		return fmt.Errorf("lineage: record block lengths sum to %d of a %d-byte records region", end, len(val)-p)
+	case n > 1 && b.ends[n-1] == b.ends[n-2] || n == 1 && end == 0:
+		return fmt.Errorf("lineage: record block ends in an id without a record")
+	}
+	b.n, b.recs = n, val[p:]
+	return nil
+}
+
+// record returns the record of the block's i'th id, or nil if it holds
+// none.
+func (b *recordBlock) record(i int) []byte {
+	if i >= b.n {
+		return nil
+	}
+	from := 0
+	if i > 0 {
+		from = b.ends[i-1]
+	}
+	if from == b.ends[i] {
+		return nil
+	}
+	return b.recs[from:b.ends[i]:b.ends[i]]
 }
 
 // record is a decoded region-pair record. Cell sets stay in their

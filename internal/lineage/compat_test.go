@@ -52,6 +52,25 @@ func TestEncodeGoldenRecords(t *testing.T) {
 	if rec.outs.size() != 1030 || !equalU64(rec.outs.cells(nil), out) || !bytes.Equal(rec.payload, []byte{1}) {
 		t.Fatalf("container decode: size %d", rec.outs.size())
 	}
+
+	// A block holding the records of ids 0 and 2 of its block, id 1 without
+	// one: the id count 3, the lengths 14, 0 and 11, then both records.
+	full := appendRecord(nil, &RegionPair{Out: []uint64{1, 5, 9}, Ins: [][]uint64{{0, 2}, {7}}})
+	var st blockStage
+	st.add(2, got)
+	st.add(0, full)
+	want = append(append([]byte{3, 14, 0, 11}, full...), got...)
+	blk := st.appendTo(nil)
+	if !bytes.Equal(blk, want) {
+		t.Fatalf("block bytes = %v, want %v", blk, want)
+	}
+	var b recordBlock
+	if err := b.parse(blk); err != nil {
+		t.Fatal(err)
+	}
+	if b.n != 3 || !bytes.Equal(b.record(0), full) || b.record(1) != nil || !bytes.Equal(b.record(2), got) || b.record(3) != nil {
+		t.Fatalf("parsed block: %d ids, records %v, %v, %v", b.n, b.record(0), b.record(1), b.record(2))
+	}
 }
 
 // staleGoldens are the pinned bytes of the two record layouts earlier
@@ -74,14 +93,70 @@ func TestStaleFormatsRejected(t *testing.T) {
 	}
 }
 
-// A One store written before cell entries were keyed per tile holds one
-// 'K' + slot + cell key per cell and a version-1 meta blob. Reopened, it
-// must not answer from its tiles (it has none, so every answer would be
-// empty): the blob's version sends it through rebuildMeta, which finds the
-// per-cell keys and latches the store degraded, and every lookup reports
-// ErrCorrupt so the executor re-executes and the heal loop rebuilds. A
-// Many store with a version-1 blob holds no per-cell keys and is rebuilt
-// from its records instead.
+// plantRecord rewrites the block holding id so that id's record is val, or
+// so that id holds no record with val nil, keeping the block's other
+// records.
+func plantRecord(t *testing.T, kv kvstore.Store, id uint64, val []byte) {
+	t.Helper()
+	key := appendBlockKey(nil, id/blockIDs)
+	old, ok, err := kv.Get(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st blockStage
+	if ok {
+		var blk recordBlock
+		if err := blk.parse(old); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < blk.n; i++ {
+			if rec := blk.record(i); rec != nil {
+				st.add(i, rec)
+			}
+		}
+	}
+	st.held &^= 1 << (id % blockIDs)
+	if val != nil {
+		st.add(int(id%blockIDs), val)
+	}
+	if err := kv.Put(key, st.appendTo(nil)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// forEachStoredRecord calls fn with the id and bytes of every record in
+// kv's blocks.
+func forEachStoredRecord(t *testing.T, kv kvstore.Store, fn func(id uint64, rec []byte)) {
+	t.Helper()
+	var blk recordBlock
+	if err := kv.Scan(func(key, val []byte) bool {
+		if key[0] != keyBlock {
+			return true
+		}
+		b, _ := binary.Uvarint(key[1:])
+		if err := blk.parse(val); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < blk.n; i++ {
+			if rec := blk.record(i); rec != nil {
+				fn(b*blockIDs+uint64(i), rec)
+			}
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A store written before pair records were kept in blocks holds one 'P' +
+// uvarint(id) key per record and a version-2 meta blob; one written before
+// cell entries were keyed per tile also holds one 'K' + slot + cell key per
+// cell and a version-1 blob. Reopened, such a store must not answer from
+// what it holds (it has no blocks, so every Many answer and every FullOne
+// fetch would fail or come back empty): the blob's version sends it
+// through rebuildMeta, whose scan finds the old keys and latches the store
+// degraded, and every lookup reports ErrCorrupt so the executor re-executes
+// and the heal loop rebuilds.
 func TestStaleCellKeysDegrade(t *testing.T) {
 	pairs := randomPairs(rand.New(rand.NewSource(6)), 40)
 	for _, strat := range append(oneStrategies(), StratFullMany) {
@@ -98,81 +173,92 @@ func TestStaleCellKeysDegrade(t *testing.T) {
 			if err := st.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			// The old layout: the same pair records, per-cell keys in
-			// place of tiles, and the meta blob at version 1.
-			old := kvstore.NewMem()
-			if err := cur.Scan(func(key, val []byte) bool {
-				if key[0] == keyPair {
-					err = old.Put(key, val)
-				}
-				return err == nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-			if strat.Enc == One {
-				for id, rp := range written {
-					key := binary.BigEndian.AppendUint64([]byte{keyStaleCell, 0}, rp.Out[0])
-					if err := old.Put(key, appendIDEntry(nil, []uint64{uint64(id)})); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
 			blob, _, err := cur.LoadMeta()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := old.CommitMeta(append([]byte{1}, blob[1:]...)); err != nil {
-				t.Fatal(err)
+			// A payload One store keeps no records, so only the tile
+			// layout changed what it holds.
+			var layouts []string
+			if st.storesRecords() {
+				layouts = append(layouts, "pre-block")
 			}
-
-			st, err = OpenStore(old, strat, tOutSpace, tInSpaces)
-			if err != nil {
-				t.Fatal(err)
+			if strat.Enc == One {
+				layouts = append(layouts, "pre-tile")
 			}
-			q := bitmap.New(tOutSpace)
-			q.SetAll()
-			dst := bitmap.New(tInSpaces[0])
-			err = st.Backward(q, dst, 0, testMapP, nil, nil)
-			if strat.Enc == Many {
-				// A Many store holds no cell entries: its version-1 blob
-				// loads, statistics included.
-				if err != nil || st.Degraded() || !bitmapsEqual(dst, refBackward(pairs, q, 0)) {
-					t.Fatalf("version-1 Many store: err=%v degraded=%v, %d cells", err, st.Degraded(), dst.Count())
-				}
-				if got := st.Stats().Pairs; got != len(pairs) {
-					t.Fatalf("version-1 Many store: stats hold %d pairs, want %d", got, len(pairs))
-				}
-				return
-			}
-			if !errors.Is(err, ErrCorrupt) || !st.Degraded() {
-				t.Fatalf("backward: err=%v degraded=%v; want ErrCorrupt and degraded", err, st.Degraded())
-			}
-			if _, err := st.ContainsOut(pairs[0].Out[0]); !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("ContainsOut: err=%v, want ErrCorrupt", err)
-			}
-			fq := bitmap.New(tInSpaces[0])
-			fq.SetAll()
-			if err := st.Forward(fq, bitmap.New(tOutSpace), 0, testMapP, nil); !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("forward: err=%v, want ErrCorrupt", err)
-			}
-			// Nothing is written beside the old keys, and no meta blob
-			// that would hide them is committed.
-			if err := st.WritePairs(written[:1]); !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("WritePairs: err=%v, want ErrCorrupt", err)
-			}
-			if err := st.Flush(); !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("Flush: err=%v, want ErrCorrupt", err)
-			}
-			if blob, _, err := old.LoadMeta(); err != nil || blob[0] != 1 {
-				t.Fatalf("meta blob after refused writes: version %d, err %v; want 1", blob[0], err)
+			for _, layout := range layouts {
+				t.Run(layout, func(t *testing.T) {
+					// The old layout: one key per pair record, and either
+					// the same tiles or per-cell keys in their place.
+					old := kvstore.NewMem()
+					forEachStoredRecord(t, cur, func(id uint64, rec []byte) {
+						if err := old.Put(binary.AppendUvarint([]byte{'P'}, id), rec); err != nil {
+							t.Fatal(err)
+						}
+					})
+					version := byte(2)
+					if layout == "pre-tile" {
+						version = 1
+						for id, rp := range written {
+							key := binary.BigEndian.AppendUint64([]byte{'K', 0}, rp.Out[0])
+							if err := old.Put(key, appendIDEntry(nil, []uint64{uint64(id)})); err != nil {
+								t.Fatal(err)
+							}
+						}
+					} else if err := cur.Scan(func(key, val []byte) bool {
+						if key[0] == keyTile {
+							err = old.Put(key, val)
+						}
+						return err == nil
+					}); err != nil {
+						t.Fatal(err)
+					}
+					if err := old.CommitMeta(append([]byte{version}, blob[1:]...)); err != nil {
+						t.Fatal(err)
+					}
+					assertStale(t, old, strat, written, version)
+				})
 			}
 		})
 	}
 }
 
-// A pair-key value the store cannot use — a stale format, or a record
-// that decodes but is the wrong kind or carries the wrong number of input
-// sets for this store — is corruption on every lookup path: the lookup
+// assertStale reopens a store holding keys of an earlier layout and checks
+// that every lookup reports ErrCorrupt and that no write or flush lands
+// beside the old keys, nor commits a meta blob that would hide them.
+func assertStale(t *testing.T, kv kvstore.Store, strat Strategy, written []RegionPair, version byte) {
+	t.Helper()
+	st, err := OpenStore(kv, strat, tOutSpace, tInSpaces)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := bitmap.New(tOutSpace)
+	q.SetAll()
+	if err := st.Backward(q, bitmap.New(tInSpaces[0]), 0, testMapP, nil, nil); !errors.Is(err, ErrCorrupt) || !st.Degraded() {
+		t.Fatalf("backward: err=%v degraded=%v; want ErrCorrupt and degraded", err, st.Degraded())
+	}
+	if _, err := st.ContainsOut(written[0].Out[0]); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("ContainsOut: err=%v, want ErrCorrupt", err)
+	}
+	fq := bitmap.New(tInSpaces[0])
+	fq.SetAll()
+	if err := st.Forward(fq, bitmap.New(tOutSpace), 0, testMapP, nil); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("forward: err=%v, want ErrCorrupt", err)
+	}
+	if err := st.WritePairs(written[:1]); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("WritePairs: err=%v, want ErrCorrupt", err)
+	}
+	if err := st.Flush(); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Flush: err=%v, want ErrCorrupt", err)
+	}
+	if blob, _, err := kv.LoadMeta(); err != nil || blob[0] != version {
+		t.Fatalf("meta blob after refused writes: version %d, err %v; want %d", blob[0], err, version)
+	}
+}
+
+// A record the store cannot use — a stale format, or a record that
+// decodes but is the wrong kind or carries the wrong number of input sets
+// for this store — planted in its block is corruption on every lookup path: the lookup
 // returns ErrCorrupt and latches the store degraded (the executor then
 // re-executes and the heal loop rebuilds). It must never index past the
 // record's input sets.
@@ -214,9 +300,7 @@ func TestUnusableRecordDegradesStore(t *testing.T) {
 						t.Fatal(err)
 					}
 					for id := range pairs {
-						if err := kv.Put(pairKey(uint64(id)), val); err != nil {
-							t.Fatal(err)
-						}
+						plantRecord(t, kv, uint64(id), val)
 					}
 					// Reopen so the lookup decodes from the hashtable.
 					if st, err = OpenStore(kv, strat, tOutSpace, tInSpaces); err != nil {

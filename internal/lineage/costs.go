@@ -48,8 +48,12 @@ const (
 	// per cell. The blend across the benchmark workloads sits well under
 	// one byte per cell.
 	EstBytesPerCell = 0.6
-	// EstRecordOverhead is the fixed per-record cost (CRC, framing, key).
-	EstRecordOverhead = 18.0
+	// EstRecordOverhead is the fixed cost of one pair record: its flags
+	// byte, each cell set's count and tile count, the input count or the
+	// payload length, and its length in its block's directory plus a 1/64
+	// share of the block's key and framing. The genomics records at test
+	// scale measure 5.5–10 B beyond their cell bytes.
+	EstRecordOverhead = 7.0
 	// EstCellEntryBytes is what one key-side cell adds to its tile value
 	// (One encodings): a start offset, one byte while the tile's entry
 	// region is under 256 B, and its share of the tile's cell set, key and
@@ -66,8 +70,10 @@ const (
 	// Consecutive cells of a pair share the entry, so a PayOne or CompOne
 	// store holds each pair's payload about once.
 	EstPayEntryBytes = 2.0
-	// EstTreeEntryBytes is one serialized R-tree item (Many encodings).
-	EstTreeEntryBytes = 22.0
+	// EstTreeEntryBytes is one serialized R-tree item (Many encodings): a
+	// box as varint corners and the pair id. The genomics trees at test
+	// scale measure 6.5–7.4 B per item.
+	EstTreeEntryBytes = 8.0
 
 	// EstWritePerByte is the time to serialize+buffer one byte.
 	EstWritePerByte = 8 * time.Nanosecond

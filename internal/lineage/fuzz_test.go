@@ -80,3 +80,54 @@ func FuzzDecodeRecord(f *testing.F) {
 		}
 	})
 }
+
+// The block directory parser must never panic, must reject a count over
+// 64, a directory cut short, and lengths that run past the value, and every
+// block it accepts must re-encode to itself: the records it hands out,
+// staged again, encode to the same bytes (the rebuild-determinism
+// contract).
+func FuzzRecordBlock(f *testing.F) {
+	rec := appendRecord(nil, &RegionPair{Out: []uint64{1, 5, 9}, Ins: [][]uint64{{0, 2}, {7}}})
+	var full blockStage
+	for i := 0; i < blockIDs; i++ {
+		full.add(i, rec)
+	}
+	good := append([]byte{3, 14, 0, 14}, append(rec, rec...)...)
+	f.Add(good)
+	f.Add(full.appendTo(nil))
+	rejected := map[string][]byte{
+		"empty":             {},
+		"no ids":            {0},
+		"count over 64":     append([]byte{65}, full.appendTo(nil)[1:]...),
+		"directory cut":     {3, 14, 0},
+		"length past value": append([]byte{1, 15}, rec...),
+		"bytes left over":   append(append([]byte{1, 14}, rec...), 0),
+		"last id empty":     append([]byte{2, 14, 0}, rec...),
+		"non-minimal":       append([]byte{1, 0x8e, 0}, rec...),
+	}
+	for name, val := range rejected {
+		var b recordBlock
+		if err := b.parse(val); err == nil {
+			f.Fatalf("%s: block %v parsed", name, val)
+		}
+		f.Add(val)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var b recordBlock
+		if err := b.parse(data); err != nil {
+			return
+		}
+		if b.n < 1 || b.n > blockIDs {
+			t.Fatalf("block of %d ids accepted", b.n)
+		}
+		var st blockStage
+		for i := 0; i < b.n; i++ {
+			if rec := b.record(i); rec != nil {
+				st.add(i, rec)
+			}
+		}
+		if enc := st.appendTo(nil); !bytes.Equal(enc, data) {
+			t.Fatalf("block %v re-encodes to %v", data, enc)
+		}
+	})
+}

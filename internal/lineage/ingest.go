@@ -34,9 +34,10 @@ var (
 // Operators pay only the enqueue cost (plus backpressure stalls when the
 // shards fall behind); the expensive span encoding (internal/binenc) and
 // hashtable/R-tree construction run on the shard workers. Flush becomes
-// a drain barrier. A shard worker encodes and commits a batch's records
-// concurrently with the others and applies the batch's index items or cell
-// entries holding the store's write mutex (see Store). Lookups never touch
+// a drain barrier. A shard worker encodes a batch's records concurrently
+// with the others, stages them in their 64-id blocks and applies the
+// batch's index items or cell entries holding the store's write mutex (see
+// Store), and commits the blocks the batch completed. Lookups never touch
 // the pipeline: a store answers only once the writer's Flush has drained
 // it and sealed the store.
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"os"
 	"sync"
@@ -52,6 +53,72 @@ func writeThrough(t *testing.T, st *Store, strat Strategy, pairs []RegionPair, c
 	}
 }
 
+// blockValues returns every record block value kv holds, by key.
+func blockValues(t *testing.T, kv kvstore.Store) map[string]string {
+	t.Helper()
+	m := map[string]string{}
+	if err := kv.Scan(func(k, v []byte) bool {
+		if k[0] == keyBlock {
+			m[string(k)] = string(v)
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// stagedRecords counts the records st holds staged in blocks not written
+// yet.
+func stagedRecords(st *Store) int {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	n := 0
+	for _, stage := range st.staged {
+		n += bits.OnesCount64(stage.held)
+	}
+	return n
+}
+
+// A serial writer completes blocks in id order, so between WritePairs
+// calls it stages fewer than one block's records, whatever the batch
+// sizes, and its Flush writes them and leaves none.
+func TestSerialStagingBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	pairs := randomPairs(rng, 700)
+	for _, strat := range []Strategy{StratFullOne, StratFullMany, StratPayMany} {
+		t.Run(strat.ID(), func(t *testing.T) {
+			kv := kvstore.NewMem()
+			st, err := OpenStore(kv, strat, tOutSpace, tInSpaces)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sp := toStorePairs(strat, pairs)
+			for lo, n := 0, 1; lo < len(sp); lo, n = lo+n, n*3%157+1 {
+				hi := min(lo+n, len(sp))
+				if err := st.WritePairs(sp[lo:hi]); err != nil {
+					t.Fatal(err)
+				}
+				if got, want := stagedRecords(st), hi%blockIDs; got != want {
+					t.Fatalf("after %d pairs: %d records staged, want %d", hi, got, want)
+				}
+				if got, want := len(blockValues(t, kv)), hi/blockIDs; got != want {
+					t.Fatalf("after %d pairs: %d blocks written, want %d", hi, got, want)
+				}
+			}
+			if err := st.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if got := stagedRecords(st); got != 0 {
+				t.Fatalf("%d records staged after Flush", got)
+			}
+			if got, want := len(blockValues(t, kv)), (len(pairs)+blockIDs-1)/blockIDs; got != want {
+				t.Fatalf("%d blocks after Flush, want %d", got, want)
+			}
+		})
+	}
+}
+
 // corruptFile flips bytes in the middle of a file.
 func corruptFile(path string) error {
 	buf, err := os.ReadFile(path)
@@ -73,7 +140,8 @@ func TestShardedIngestMatchesSerial(t *testing.T) {
 	for _, strat := range allStoreStrategies() {
 		for _, shards := range []int{2, 4, 7} {
 			t.Run(fmt.Sprintf("%s/shards=%d", strat.ID(), shards), func(t *testing.T) {
-				serial, err := OpenStore(kvstore.NewMem(), strat, tOutSpace, tInSpaces)
+				serialKV, shardedKV := kvstore.NewMem(), kvstore.NewMem()
+				serial, err := OpenStore(serialKV, strat, tOutSpace, tInSpaces)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -81,7 +149,7 @@ func TestShardedIngestMatchesSerial(t *testing.T) {
 
 				coord := NewCoordinator(context.Background(), IngestConfig{Shards: shards, Depth: 2}, nil)
 				defer coord.Close()
-				sharded, err := OpenStore(kvstore.NewMem(), strat, tOutSpace, tInSpaces)
+				sharded, err := OpenStore(shardedKV, strat, tOutSpace, tInSpaces)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -99,6 +167,17 @@ func TestShardedIngestMatchesSerial(t *testing.T) {
 				}
 				if got, want := sharded.SizeBytes(), serial.SizeBytes(); got != want {
 					t.Fatalf("sharded SizeBytes = %d, serial = %d (id assignment nondeterministic?)", got, want)
+				}
+				// Workers fill a block's stage in any order, and the block is
+				// written in id order: every block value is the serial one.
+				wantBlocks, gotBlocks := blockValues(t, serialKV), blockValues(t, shardedKV)
+				if len(gotBlocks) != len(wantBlocks) {
+					t.Fatalf("sharded store holds %d blocks, serial %d", len(gotBlocks), len(wantBlocks))
+				}
+				for k, v := range wantBlocks {
+					if gotBlocks[k] != v {
+						t.Fatalf("block %x: sharded value differs from the serial one", k)
+					}
 				}
 				// Flush bulk-loads each index in id order, so its bytes do not
 				// depend on which worker appended which pair.
@@ -171,7 +250,9 @@ func TestIngestErrorPropagation(t *testing.T) {
 	pairs := randomPairs(rng, 200)
 	coord := NewCoordinator(context.Background(), IngestConfig{Shards: 3, Depth: 2}, nil)
 	defer coord.Close()
-	fs := &failingStore{Store: kvstore.NewMem(), failAt: 50}
+	// The second of the three blocks the 200 pairs fill is written by a
+	// shard worker, and fails.
+	fs := &failingStore{Store: kvstore.NewMem(), failAt: 2}
 	st, err := OpenStore(fs, StratFullOne, tOutSpace, tInSpaces)
 	if err != nil {
 		t.Fatal(err)
@@ -297,7 +378,8 @@ func TestStatsEncodingTimingIndependent(t *testing.T) {
 // A store written and flushed by the pipeline must reopen with its meta
 // (pair counter, stats, indexes) loaded from the atomic blob, and a
 // corrupted meta sidecar must degrade to a rebuild instead of a
-// half-load — pairs stay queryable.
+// half-load — pairs stay queryable, and the rebuild counts them and their
+// cells again from the records.
 func TestStoreMetaBlobReopenAndRecovery(t *testing.T) {
 	for _, strat := range []Strategy{StratFullOne, StratFullMany} {
 		t.Run(strat.ID(), func(t *testing.T) {
@@ -318,7 +400,7 @@ func TestStoreMetaBlobReopenAndRecovery(t *testing.T) {
 			if err := st.Backward(q, want, 0, nil, nil, nil); err != nil {
 				t.Fatal(err)
 			}
-			wantPairs := st.NumPairs()
+			wantPairs, wantLogical := st.NumPairs(), st.LogicalBytes()
 			fs.Close()
 
 			// Clean reopen: everything restored from the blob.
@@ -365,6 +447,9 @@ func TestStoreMetaBlobReopenAndRecovery(t *testing.T) {
 			}
 			if next := st.nextPair.Load(); next != uint64(wantPairs) {
 				t.Fatalf("rebuilt pair counter = %d, want %d", next, wantPairs)
+			}
+			if got, logical := st.NumPairs(), st.LogicalBytes(); got != wantPairs || logical != wantLogical {
+				t.Fatalf("rebuilt store reports %d pairs, %d logical B; want %d, %d", got, logical, wantPairs, wantLogical)
 			}
 		})
 	}

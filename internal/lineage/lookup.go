@@ -1,7 +1,6 @@
 package lineage
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -37,15 +36,20 @@ import (
 // query's block, and each hit reaches its entry through the tile's end
 // offsets by popcount rank (probeTiles, cellTile).
 //
-// FullOne lookups (both directions, lookupFullOne) touch thousands of
-// records per query and decode none they do not keep: each batch collects
-// the pair ids of its hits, dedups them against a per-lookup bitset,
-// serves the ids the record cache holds under one recMu acquisition, and
-// fetches the rest with one GetBatch. A fetched record is decoded only
-// while the cache has room to admit it; otherwise it is validated whole
-// from its bytes and only then is the one side the query needs ORed into
-// dst. Per-lookup buffers and callbacks live in a sync.Pool, so a steady
-// query load allocates almost nothing.
+// Every record read goes through one batched fetch (fetchMisses): the ids
+// the record cache does not hold are sorted, each distinct 64-id block is
+// read once with one GetBatch, its directory is walked once, and each
+// record is handed over in id order as bytes the kvstore lends. FullOne
+// lookups (both directions, lookupFullOne) touch thousands of records per
+// query and decode none they do not keep: each batch collects the pair ids
+// of its hits, dedups them against a per-lookup bitset, serves the ids the
+// record cache holds under one recMu acquisition, and fetches the rest. A
+// fetched record is decoded only while the cache has room to admit it;
+// otherwise it is validated whole from its bytes and only then is the one
+// side the query needs ORed into dst. Many lookups, Many ContainsOut and
+// the record scans decode what they fetch (forEachRecord). Per-lookup
+// buffers and callbacks live in a sync.Pool, so a steady query load
+// allocates almost nothing.
 
 // probeBatchSize is how many query cells one batch of tile probes covers at
 // least (its last tile may take it past), one kvstore GetBatch call per
@@ -70,7 +74,16 @@ type lookupScratch struct {
 
 	keyBuf []byte   // arena backing the probe keys
 	keys   [][]byte // per-batch probe keys, slices of keyBuf
-	ids    []uint64 // pair ids one batch's cell entries reference, or a Many lookup's candidates
+	ids    []uint64 // pair ids one batch's cell entries reference, a Many lookup's candidates, or a scan's chunk
+
+	// fetchMisses state: where each fetched block's ids start in misses,
+	// the parsed block, what each fetched record is handed to, and whether
+	// the ids are a scan's, which skips ids without a record.
+	blockFirst []int
+	blk        recordBlock
+	onMiss     func(id uint64, val []byte) bool
+	scan       bool
+	applied    int // records forEachRecord has applied, for abort polls
 
 	// candidateIDs state, beside abort and err below: the query, its
 	// bounding box, the box under test clipped to it, and the boxes tested
@@ -85,7 +98,8 @@ type lookupScratch struct {
 	// (release clears their words; an id past the bitset — only a
 	// crash-recovered store holds one — is never marked, so at worst it
 	// applies twice). hits and misses split one batch's new ids by cache
-	// presence; decoded holds the misses decoded for admission.
+	// presence; decoded holds the misses decoded for admission or, in
+	// forEachRecord, for application.
 	done     []uint64
 	replayed []uint64
 	hits     []*record
@@ -101,7 +115,9 @@ type lookupScratch struct {
 	err      error
 
 	tileFn   func(int, []byte, bool) bool // sc.onTile
-	recordFn func(int, []byte, bool) bool // sc.onRecord
+	blockFn  func(int, []byte, bool) bool // sc.onBlock
+	replayFn func(uint64, []byte) bool    // sc.onReplay
+	decodeFn func(uint64, []byte) bool    // sc.onDecode
 	idHitFn  func(uint64, []byte) bool    // sc.onIDHit
 	foundFn  func(uint64, []byte) bool    // sc.onFound
 }
@@ -115,7 +131,8 @@ type cachedRecord struct {
 var scratchPool = sync.Pool{
 	New: func() any {
 		sc := new(lookupScratch)
-		sc.tileFn, sc.recordFn = sc.onTile, sc.onRecord
+		sc.tileFn, sc.blockFn = sc.onTile, sc.onBlock
+		sc.replayFn, sc.decodeFn = sc.onReplay, sc.onDecode
 		sc.idHitFn, sc.foundFn = sc.onIDHit, sc.onFound
 		return sc
 	},
@@ -137,6 +154,7 @@ func (sc *lookupScratch) release() {
 	clear(sc.decoded)
 	sc.hits, sc.misses, sc.decoded = sc.hits[:0], sc.misses[:0], sc.decoded[:0]
 	sc.st, sc.sp, sc.dst, sc.q, sc.abort, sc.err, sc.hit = nil, nil, nil, nil, nil, nil, nil
+	sc.onMiss, sc.scan, sc.applied = nil, false, 0
 	scratchPool.Put(sc)
 }
 
@@ -316,32 +334,89 @@ func (sc *lookupScratch) fullOneBatch() bool {
 		return true
 	}
 
-	// Fetch the misses with one batch; onRecord applies each one.
-	sc.keyBuf, sc.keys = sc.keyBuf[:0], sc.keys[:0]
-	for _, id := range sc.misses {
-		if err := fault.Inject(fpDecode); err != nil {
-			sc.err = s.corruptf(err)
-			break
-		}
-		off := len(sc.keyBuf)
-		sc.keyBuf = append(sc.keyBuf, keyPair)
-		sc.keyBuf = binary.AppendUvarint(sc.keyBuf, id)
-		sc.keys = append(sc.keys, sc.keyBuf[off:len(sc.keyBuf):len(sc.keyBuf)])
-	}
-	ok := sc.err == nil && sc.getBatch(sc.recordFn)
-	sc.misses = sc.misses[:0]
+	// Fetch the misses; onReplay applies each one.
+	sc.onMiss = sc.replayFn
+	ok := sc.fetchMisses()
 	// Admission waits until the batch is over: recMu is never taken
 	// inside a kvstore callback.
-	if len(sc.decoded) > 0 {
-		s.recMu.Lock()
-		for _, d := range sc.decoded {
-			s.admitLocked(d.id, d.rec)
-		}
-		s.recMu.Unlock()
-		clear(sc.decoded)
-		sc.decoded = sc.decoded[:0]
-	}
+	sc.admitDecoded()
 	return ok
+}
+
+// admitDecoded offers the records decoded for admission to the cache and
+// empties sc.decoded.
+func (sc *lookupScratch) admitDecoded() {
+	if len(sc.decoded) == 0 {
+		return
+	}
+	s := sc.st
+	s.recMu.Lock()
+	for _, d := range sc.decoded {
+		s.admitLocked(d.id, d.rec)
+	}
+	s.recMu.Unlock()
+	clear(sc.decoded)
+	sc.decoded = sc.decoded[:0]
+}
+
+// fetchMisses reads the records of sc.misses with one GetBatch: it sorts
+// them by id, reads each distinct block once, walks its directory once
+// (onBlock), and hands each miss's record to sc.onMiss in id order. The
+// bytes are lent: onMiss must not keep them. An id its block does not hold
+// is a dangling one, unless the ids are a scan's. It empties sc.misses and
+// reports whether the lookup may go on.
+func (sc *lookupScratch) fetchMisses() bool {
+	slices.Sort(sc.misses)
+	sc.keyBuf, sc.keys, sc.blockFirst = sc.keyBuf[:0], sc.keys[:0], sc.blockFirst[:0]
+	for i, id := range sc.misses {
+		if err := fault.Inject(fpDecode); err != nil {
+			sc.err = sc.st.corruptf(err)
+			break
+		}
+		if i > 0 && id/blockIDs == sc.misses[i-1]/blockIDs {
+			continue
+		}
+		off := len(sc.keyBuf)
+		sc.keyBuf = appendBlockKey(sc.keyBuf, id/blockIDs)
+		sc.keys = append(sc.keys, sc.keyBuf[off:len(sc.keyBuf):len(sc.keyBuf)])
+		sc.blockFirst = append(sc.blockFirst, i)
+	}
+	ok := sc.err == nil && sc.getBatch(sc.blockFn)
+	sc.misses = sc.misses[:0]
+	return ok
+}
+
+// onBlock parses the fetched block of the i'th run of sc.misses and hands
+// each of the run's records to sc.onMiss.
+func (sc *lookupScratch) onBlock(i int, val []byte, ok bool) bool {
+	s, run := sc.st, sc.misses[sc.blockFirst[i]:]
+	if i+1 < len(sc.blockFirst) {
+		run = sc.misses[sc.blockFirst[i]:sc.blockFirst[i+1]]
+	}
+	switch {
+	case !ok && sc.scan:
+		return true
+	case !ok:
+		sc.err = s.danglingf(run[0])
+		return false
+	}
+	if err := sc.blk.parse(val); err != nil {
+		sc.err = s.corruptf(err)
+		return false
+	}
+	for _, id := range run {
+		rec := sc.blk.record(int(id % blockIDs))
+		switch {
+		case rec == nil && sc.scan:
+			continue
+		case rec == nil:
+			sc.err = s.danglingf(id)
+			return false
+		case !sc.onMiss(id, rec):
+			return false
+		}
+	}
+	return true
 }
 
 // getBatch runs one kvstore batch over sc.keys under a probe span,
@@ -373,15 +448,11 @@ func (sc *lookupScratch) onFound(uint64, []byte) bool {
 	return false
 }
 
-// onRecord applies the fetched record of sc.misses[i]: decoded, if the
+// onReplay applies one fetched record for lookupFullOne: decoded, if the
 // cache has room to admit it afterwards, else replayed from its bytes.
 // Either way the whole record validates before any cell reaches dst.
-func (sc *lookupScratch) onRecord(i int, val []byte, ok bool) bool {
-	s, id := sc.st, sc.misses[i]
-	if !ok {
-		sc.err = s.danglingf(id)
-		return false
-	}
+func (sc *lookupScratch) onReplay(id uint64, val []byte) bool {
+	s := sc.st
 	if sc.room <= 0 {
 		sc.err = s.replayRecord(val, sc.side, sc.dst)
 		return sc.err == nil
@@ -397,6 +468,71 @@ func (sc *lookupScratch) onRecord(i int, val []byte, ok bool) bool {
 	return true
 }
 
+// onDecode decodes one fetched record into sc.decoded.
+func (sc *lookupScratch) onDecode(id uint64, val []byte) bool {
+	rec, err := sc.st.loadRecord(val)
+	if err != nil {
+		sc.err = err
+		return false
+	}
+	sc.decoded = append(sc.decoded, cachedRecord{id, rec})
+	return true
+}
+
+// forEachRecord calls fn with the record of every id in sc.ids, once each:
+// the cached ones first, then the misses, fetched (fetchMisses) and
+// decoded, and, with admit, offered to the cache afterwards. abort is
+// polled every abortCheckInterval records, counted across calls on one
+// scratch.
+func (sc *lookupScratch) forEachRecord(admit bool, abort func() bool, fn func(*record)) error {
+	s := sc.st
+	s.recMu.Lock()
+	for _, id := range sc.ids {
+		if rec, ok := s.recCache[id]; ok {
+			sc.hits = append(sc.hits, rec)
+		} else {
+			sc.misses = append(sc.misses, id)
+		}
+	}
+	s.recMu.Unlock()
+	for _, rec := range sc.hits {
+		if !sc.apply(rec, abort, fn) {
+			break
+		}
+	}
+	clear(sc.hits)
+	sc.hits = sc.hits[:0]
+	if sc.err != nil {
+		sc.misses = sc.misses[:0]
+		return sc.err
+	}
+	sc.onMiss = sc.decodeFn
+	if sc.fetchMisses() {
+		for _, d := range sc.decoded {
+			if !sc.apply(d.rec, abort, fn) {
+				break
+			}
+		}
+	}
+	if !admit {
+		clear(sc.decoded)
+		sc.decoded = sc.decoded[:0]
+	}
+	sc.admitDecoded()
+	return sc.err
+}
+
+// apply polls abort if a poll is due and then calls fn with rec, reporting
+// whether the lookup may go on.
+func (sc *lookupScratch) apply(rec *record, abort func() bool, fn func(*record)) bool {
+	if sc.applied++; sc.applied%abortCheckInterval == 0 && aborted(abort) {
+		sc.err = ErrAborted
+		return false
+	}
+	fn(rec)
+	return true
+}
+
 // forEachCandidate calls fn with the record of every pair whose key-side
 // bounding box in slot's index holds a cell of q, once each, polling abort
 // between records as candidateIDs does between boxes.
@@ -406,15 +542,30 @@ func (s *Store) forEachCandidate(q *bitmap.Bitmap, slot int, abort func() bool, 
 	if err := sc.candidateIDs(s.trees[slot], q, abort); err != nil {
 		return err
 	}
-	for i, id := range sc.ids {
-		if (i+1)%abortCheckInterval == 0 && aborted(abort) {
-			return ErrAborted
+	sc.st = s
+	return sc.forEachRecord(true, abort, fn)
+}
+
+// scanChunk is how many ids one GetBatch of a record scan covers.
+const scanChunk = 16 * blockIDs
+
+// scanRecords calls fn with every pair record, fetching the blocks in id
+// order, scanChunk ids at a time. Cached records are served from the
+// cache, and the scan admits none, so it does not crowd out the records of
+// indexed lookups. abort is polled every abortCheckInterval records.
+func (s *Store) scanRecords(abort func() bool, fn func(*record)) error {
+	sc := getScratch()
+	defer sc.release()
+	sc.st, sc.scan = s, true
+	next := s.nextPair.Load()
+	for lo := uint64(0); lo < next; lo += scanChunk {
+		sc.ids = sc.ids[:0]
+		for id := lo; id < min(lo+scanChunk, next); id++ {
+			sc.ids = append(sc.ids, id)
 		}
-		rec, err := s.getRecord(id)
-		if err != nil {
+		if err := sc.forEachRecord(false, abort, fn); err != nil {
 			return err
 		}
-		fn(rec)
 	}
 	return nil
 }
@@ -533,15 +684,10 @@ func (s *Store) backwardPayMany(q, dst *bitmap.Bitmap, inputIdx int, mapp Payloa
 // scanBackward answers a backward query against a forward-optimized store
 // by scanning every record — the mismatched-index pathology of Figure 6(b).
 func (s *Store) scanBackward(q, dst *bitmap.Bitmap, inputIdx int, abort func() bool) error {
-	n := 0
-	return s.scanRecords(func(id uint64, rec *record) (bool, error) {
-		if n++; n%abortCheckInterval == 0 && aborted(abort) {
-			return false, ErrAborted
-		}
+	return s.scanRecords(abort, func(rec *record) {
 		if rec.outs.intersects(q) {
 			rec.ins[inputIdx].addTo(dst)
 		}
-		return true, nil
 	})
 }
 
@@ -575,15 +721,10 @@ func (s *Store) ForwardSpan(sp *trace.Span, q, dst *bitmap.Bitmap, inputIdx int,
 		return s.forwardPayManyScan(q, dst, inputIdx, mapp, abort)
 	case s.strat.Orient == BackwardOpt:
 		// Mismatched orientation for full lineage: scan records.
-		n := 0
-		return s.scanRecords(func(id uint64, rec *record) (bool, error) {
-			if n++; n%abortCheckInterval == 0 && aborted(abort) {
-				return false, ErrAborted
-			}
+		return s.scanRecords(abort, func(rec *record) {
 			if rec.ins[inputIdx].intersects(q) {
 				rec.outs.addTo(dst)
 			}
-			return true, nil
 		})
 	case s.strat.Enc == One:
 		return s.lookupFullOne(sp, q, dst, inputIdx, outSide, abort)
@@ -631,11 +772,7 @@ func (s *Store) forwardPayOneScan(q, dst *bitmap.Bitmap, inputIdx int, mapp Payl
 
 func (s *Store) forwardPayManyScan(q, dst *bitmap.Bitmap, inputIdx int, mapp PayloadFn, abort func() bool) error {
 	var buf []uint64
-	n := 0
-	return s.scanRecords(func(id uint64, rec *record) (bool, error) {
-		if n++; n%abortCheckInterval == 0 && aborted(abort) {
-			return false, ErrAborted
-		}
+	return s.scanRecords(abort, func(rec *record) {
 		rec.outs.forEach(func(out uint64) bool {
 			if dst.Get(out) {
 				return true
@@ -646,7 +783,6 @@ func (s *Store) forwardPayManyScan(q, dst *bitmap.Bitmap, inputIdx int, mapp Pay
 			}
 			return true
 		})
-		return true, nil
 	})
 }
 
@@ -654,7 +790,8 @@ func (s *Store) forwardPayManyScan(q, dst *bitmap.Bitmap, inputIdx int, mapp Pay
 // (payload) pair. The query executor uses it to decide which output cells
 // of a composite operator keep their default mapping on the forward path.
 // On One encodings it probes the cell's tile as a one-cell tile batch: the
-// tile value is lent by GetBatch, never copied.
+// tile value is lent by GetBatch, never copied. On Many encodings it
+// fetches the records of the index items holding the cell in one batch.
 func (s *Store) ContainsOut(cell uint64) (bool, error) {
 	if err := s.readable(); err != nil {
 		return false, err
@@ -672,21 +809,16 @@ func (s *Store) ContainsOut(cell uint64) (bool, error) {
 	}
 	sc.qlo = resize(sc.qlo, s.outSpace.Rank())
 	s.outSpace.UnravelInto(cell, sc.qlo)
-	found := false
-	var ferr error
+	sc.ids = sc.ids[:0]
 	s.trees[0].SearchPoint(sc.qlo, func(it rtree.Item) bool {
-		rec, err := s.getRecord(it.ID)
-		if err != nil {
-			ferr = err
-			return false
-		}
-		if rec.outs.contains(cell) {
-			found = true
-			return false
-		}
+		sc.ids = append(sc.ids, it.ID)
 		return true
 	})
-	return found, ferr
+	sc.st, sc.found = s, false
+	err := sc.forEachRecord(true, nil, func(rec *record) {
+		sc.found = sc.found || rec.outs.contains(cell)
+	})
+	return sc.found, err
 }
 
 func aborted(abort func() bool) bool { return abort != nil && abort() }

@@ -53,9 +53,7 @@ func TestCorruptRecordNeverHalfApplies(t *testing.T) {
 				if err := serialStoreOn(kv, strat, append([]RegionPair{planted}, others...)); err != nil {
 					t.Fatal(err)
 				}
-				if err := kv.Put(pairKey(0), val); err != nil {
-					t.Fatal(err)
-				}
+				plantRecord(t, kv, 0, val)
 				st, err := OpenStore(kv, strat, tOutSpace, tInSpaces)
 				if err != nil {
 					t.Fatal(err)
@@ -92,8 +90,8 @@ func TestCorruptRecordNeverHalfApplies(t *testing.T) {
 	}
 }
 
-// hidingStore answers every read of one key as absent, leaving the cell
-// entries that reference it dangling.
+// hidingStore answers every batched read of one key as absent, leaving the
+// cell entries that reference its records dangling.
 type hidingStore struct {
 	kvstore.Store
 	hide string
@@ -105,13 +103,9 @@ func (h hidingStore) GetBatch(keys [][]byte, fn func(int, []byte, bool) bool) er
 	})
 }
 
-func (h hidingStore) Get(key []byte) ([]byte, bool, error) {
-	val, ok, err := h.Store.Get(key)
-	return val, ok && string(key) != h.hide, err
-}
-
 // A cell entry referencing a pair id the hashtable does not hold is
-// corruption on the FullOne fetch path in both directions.
+// corruption on the FullOne fetch path in both directions, whether the id's
+// block lacks its record or the whole block is missing.
 func TestDanglingPairIDDegradesStore(t *testing.T) {
 	pairs := []RegionPair{
 		{Out: []uint64{1, 5, 9}, Ins: [][]uint64{{0, 2}, {7}}},
@@ -119,25 +113,33 @@ func TestDanglingPairIDDegradesStore(t *testing.T) {
 	}
 	for _, strat := range []Strategy{StratFullOne, StratFullOneFwd} {
 		t.Run(strat.ID(), func(t *testing.T) {
-			kv := kvstore.NewMem()
-			if err := serialStoreOn(kv, strat, pairs); err != nil {
-				t.Fatal(err)
-			}
-			st, err := OpenStore(hidingStore{kv, string(pairKey(1))}, strat, tOutSpace, tInSpaces)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if strat.Orient == BackwardOpt {
-				q := bitmap.New(tOutSpace)
-				q.SetAll()
-				err = st.Backward(q, bitmap.New(tInSpaces[0]), 0, nil, nil, nil)
-			} else {
-				q := bitmap.New(tInSpaces[0])
-				q.SetAll()
-				err = st.Forward(q, bitmap.New(tOutSpace), 0, nil, nil)
-			}
-			if !errors.Is(err, ErrCorrupt) || !st.Degraded() {
-				t.Fatalf("lookup error = %v, degraded = %v; want ErrCorrupt and degraded", err, st.Degraded())
+			for _, hideBlock := range []bool{false, true} {
+				kv := kvstore.NewMem()
+				if err := serialStoreOn(kv, strat, pairs); err != nil {
+					t.Fatal(err)
+				}
+				var from kvstore.Store = kv
+				if hideBlock {
+					from = hidingStore{kv, string(appendBlockKey(nil, 0))}
+				} else {
+					plantRecord(t, kv, 1, nil)
+				}
+				st, err := OpenStore(from, strat, tOutSpace, tInSpaces)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if strat.Orient == BackwardOpt {
+					q := bitmap.New(tOutSpace)
+					q.SetAll()
+					err = st.Backward(q, bitmap.New(tInSpaces[0]), 0, nil, nil, nil)
+				} else {
+					q := bitmap.New(tInSpaces[0])
+					q.SetAll()
+					err = st.Forward(q, bitmap.New(tOutSpace), 0, nil, nil)
+				}
+				if !errors.Is(err, ErrCorrupt) || !st.Degraded() {
+					t.Fatalf("block hidden %v: lookup error = %v, degraded = %v; want ErrCorrupt and degraded", hideBlock, err, st.Degraded())
+				}
 			}
 		})
 	}

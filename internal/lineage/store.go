@@ -91,10 +91,10 @@ func (ss StoreStats) CriticalWriteTime() time.Duration {
 // then on it answers lookups and refuses writes. A store opened over a
 // non-empty hashtable opens sealed.
 //
-// mu serializes the write side's in-place updates: appends to the index
-// and cell-entry buffers, the volume counters and Flush. Record encoding
-// and the record group commit stay outside it, so shard workers still
-// encode one store in parallel. Nothing a lookup reads changes once the
+// mu serializes the write side's in-place updates: the record block
+// stages, appends to the index and cell-entry buffers, the volume counters
+// and Flush. Record encoding and the group commit of completed blocks stay
+// outside it, so shard workers still encode one store in parallel. Nothing a lookup reads changes once the
 // store is sealed, so lookups (Backward, Forward, ContainsOut) take no lock
 // but recMu around the record cache. Lock order is mu → kvstore and
 // recMu → kvstore. The callbacks a lookup runs (abort hooks, payload
@@ -134,9 +134,14 @@ type Store struct {
 	pending    [][]cellRef
 	pendingPay payArena
 
-	// stale is set at open when the hashtable holds per-cell keys of the
-	// layout before tiles; every lookup, write and flush then reports
-	// errStaleCells.
+	// staged holds the pair records of blocks not complete yet, by block,
+	// and spare the stages of written blocks for reuse (see stageRecords).
+	// Guarded by mu.
+	staged map[uint64]*blockStage
+	spare  []*blockStage
+
+	// stale is set at open when the hashtable holds keys of an earlier
+	// layout; every lookup, write and flush then reports errStaleLayout.
 	stale bool
 
 	// recMu guards recCache, which concurrent lookups fill. The cache
@@ -186,6 +191,7 @@ func OpenStore(kv kvstore.Store, strat Strategy, outSpace *grid.Space, inSpaces 
 		inSpaces: inSpaces,
 		kv:       kv,
 		recCache: make(map[uint64]*record),
+		staged:   make(map[uint64]*blockStage),
 	}
 	nSlots := 1
 	if strat.Orient == ForwardOpt {
@@ -238,12 +244,10 @@ func (s *Store) loadMeta() error {
 // metaBlobVersion frames the single metadata blob committed through
 // kvstore.Store.CommitMeta: version byte, pair counter, stats, and one
 // serialized R-tree per slot, so a flush is all-or-nothing on disk.
-// Version 2 marks stores whose cell entries are keyed per tile. A version-1
-// blob has the same layout; it loads for a Many store, which holds no cell
-// entries, but a One store that wrote one may hold per-cell keys, so its
-// blob is not loaded and the store goes through rebuildMeta, which finds
-// them.
-const metaBlobVersion = 2
+// Version 3 marks stores whose pair records are kept in blocks. A blob of
+// any other version is not loaded: the store goes through rebuildMeta,
+// whose scan finds the keys of the earlier layout.
+const metaBlobVersion = 3
 
 func (s *Store) encodeMetaBlob() []byte {
 	buf := []byte{metaBlobVersion}
@@ -261,7 +265,7 @@ func (s *Store) encodeMetaBlob() []byte {
 }
 
 func (s *Store) decodeMetaBlob(blob []byte) error {
-	if len(blob) == 0 || blob[0] != metaBlobVersion && (blob[0] != 1 || s.strat.Enc != Many) {
+	if len(blob) == 0 || blob[0] != metaBlobVersion {
 		return fmt.Errorf("lineage: unknown meta blob version")
 	}
 	rest := blob[1:]
@@ -306,64 +310,97 @@ func (s *Store) decodeMetaBlob(blob []byte) error {
 	return nil
 }
 
-// rebuildMeta reconstructs the pair counter and (for Many encodings) the
-// spatial indexes by scanning the surviving pair records — the recovery
-// path for a store whose meta was lost to a crash or corruption. Lineage
-// is a recoverable cache, so best effort is enough: statistics are gone,
-// but every surviving pair stays queryable.
+// rebuildMeta reconstructs the pair counter, the volume statistics and (for
+// Many encodings) the spatial indexes by scanning the surviving pair
+// records — the recovery path for a store whose meta was lost to a crash or
+// corruption. Lineage is a recoverable cache, so best effort is enough:
+// timings are gone, but every surviving pair stays queryable and counted.
+// Payload One stores keep no records, so their statistics stay empty.
 //
-// A One store holding per-cell keys of the layout before tiles is stale:
-// no lookup reads those keys, so it would answer empty. It is marked
-// degraded instead: every lookup reports ErrCorrupt (errStaleCells), so the
-// query executor re-executes while the heal loop rebuilds the store in this
-// layout, and every write and flush is refused, so nothing lands beside the
-// old keys or commits a meta blob that would hide them.
+// A store holding a key that is neither a block key nor a tile key holds
+// keys of an earlier layout (per-pair 'P' records, per-cell 'K' entries)
+// that no lookup reads, so it would answer from a part of its lineage. It
+// is marked degraded instead: every lookup reports ErrCorrupt
+// (errStaleLayout), so the query executor re-executes while the heal loop
+// rebuilds the store in this layout, and every write and flush is refused,
+// so nothing lands beside the old keys or commits a meta blob that would
+// hide them.
 func (s *Store) rebuildMeta() error {
-	if s.strat.Enc == One {
-		if err := s.kv.Scan(func(key, _ []byte) bool {
-			s.stale = len(key) > 0 && key[0] == keyStaleCell
-			return !s.stale
-		}); err != nil {
-			return err
-		}
-		if s.stale {
-			s.degraded.Store(true)
-			return nil
-		}
-	}
 	var maxID uint64
 	var any bool
-	err := s.scanRecords(func(id uint64, rec *record) (bool, error) {
-		any = true
-		if id > maxID {
-			maxID = id
+	var blk recordBlock
+	var scanErr error
+	err := s.kv.Scan(func(key, val []byte) bool {
+		if len(key) == tileKeyLen && key[0] == keyTile {
+			return true
 		}
-		if s.strat.Enc == Many {
-			if s.strat.Orient == BackwardOpt {
-				s.pendingBoxes[0].add(s.outSpace, rec.outs.cells(nil), id)
-			} else {
-				for i := range rec.ins {
-					s.pendingBoxes[i].add(s.inSpaces[i], rec.ins[i].cells(nil), id)
+		b, n := uint64(0), 0
+		if len(key) > 1 && key[0] == keyBlock {
+			b, n = binary.Uvarint(key[1:])
+		}
+		if n <= 0 || 1+n != len(key) {
+			s.stale = true
+			return false
+		}
+		if err := blk.parse(val); err != nil {
+			scanErr = s.corruptf(err)
+			return false
+		}
+		for i := 0; i < blk.n; i++ {
+			val := blk.record(i)
+			if val == nil {
+				continue
+			}
+			rec, err := s.loadRecord(val)
+			if err != nil {
+				scanErr = err
+				return false
+			}
+			id := b*blockIDs + uint64(i)
+			any, maxID = true, max(maxID, id)
+			s.countRecord(rec)
+			if s.strat.Enc == Many {
+				if s.strat.Orient == BackwardOpt {
+					s.pendingBoxes[0].add(s.outSpace, rec.outs.cells(nil), id)
+				} else {
+					for j := range rec.ins {
+						s.pendingBoxes[j].add(s.inSpaces[j], rec.ins[j].cells(nil), id)
+					}
 				}
 			}
 		}
-		return true, nil
+		return true
 	})
-	if err != nil {
+	switch {
+	case err != nil:
 		return err
-	}
-	if !any {
+	case scanErr != nil:
+		return scanErr
+	case s.stale:
+		s.degraded.Store(true)
+		return nil
+	case !any:
 		return nil
 	}
 	s.nextPair.Store(maxID + 1)
-	// The scan visits records in hashtable order; buildTrees sorts them by
-	// id, so the rebuilt trees are the ones Flush built.
+	// The scan visits blocks in hashtable order; buildTrees sorts the boxes
+	// by id, so the rebuilt trees are the ones Flush built.
 	s.buildTrees()
 	for _, tr := range s.trees {
 		s.rebuiltIdx += int64(tr.EncodedLen())
 	}
 	s.pendingBoxes = nil
 	return nil
+}
+
+// countRecord adds one surviving record to the volume statistics.
+func (s *Store) countRecord(rec *record) {
+	s.stats.Pairs++
+	s.stats.OutCells += int64(rec.outs.size())
+	for i := range rec.ins {
+		s.stats.InCells += int64(rec.ins[i].size())
+	}
+	s.stats.PayloadBytes += int64(len(rec.payload))
 }
 
 // Strategy returns the store's strategy.
@@ -385,8 +422,8 @@ func (s *Store) EndHeal() { s.healing.Store(false) }
 // Healing reports whether a background rebuild currently owns the store.
 func (s *Store) Healing() bool { return s.healing.Load() }
 
-// errStaleCells is what a stale store (see rebuildMeta) reports.
-var errStaleCells = errors.New("lineage: store holds per-cell entries of a layout before tiles")
+// errStaleLayout is what a stale store (see rebuildMeta) reports.
+var errStaleLayout = errors.New("lineage: store holds keys of an earlier layout")
 
 // errSealed is what a write to a flushed store reports, and errUnsealed
 // what a lookup on a store not flushed yet reports.
@@ -398,7 +435,7 @@ var (
 // writable reports why the store takes no writes, if it does not.
 func (s *Store) writable() error {
 	if s.stale {
-		return s.corruptf(errStaleCells)
+		return s.corruptf(errStaleLayout)
 	}
 	if s.sealed.Load() {
 		return errSealed
@@ -409,7 +446,7 @@ func (s *Store) writable() error {
 // readable reports why the store answers no lookups, if it does not.
 func (s *Store) readable() error {
 	if s.stale {
-		return s.corruptf(errStaleCells)
+		return s.corruptf(errStaleLayout)
 	}
 	if !s.sealed.Load() {
 		return errUnsealed
@@ -551,29 +588,35 @@ func (s *Store) WritePairs(pairs []RegionPair) error {
 	return s.ingestBatch(pairs, s.reservePairIDs(len(pairs)))
 }
 
-// ingestBatch applies one batch of pairs: encode records, group-commit
-// them, and buffer their index items or per-cell entries. It is the shared
-// write path of WritePairs (synchronous) and the coordinator's shard
-// workers (concurrent). Encoding and the record commit run outside mu, so
-// workers serialize only on the appends.
+// ingestBatch applies one batch of pairs: encode their records, stage them
+// in their blocks, and buffer their index items or per-cell entries. It is
+// the shared write path of WritePairs (synchronous) and the coordinator's
+// shard workers (concurrent). Encoding runs before mu and the group commit
+// of the blocks the batch completed after it, so workers serialize only on
+// the staging and the appends. Nothing a lookup reads is written before
+// Flush, which writes the partial blocks before any cell entry.
 func (s *Store) ingestBatch(pairs []RegionPair, ids []uint64) error {
 	if err := s.writable(); err != nil {
 		return err
 	}
-	// Encode and group-commit the pair records first: per-cell entries
-	// and index items must never reference a record the hashtable does
-	// not hold yet.
+	a := recordArenas.Get().(*recordArena)
+	defer recordArenas.Put(a)
+	a.reset()
 	if ids != nil {
-		if err := s.putRecords(pairs, ids); err != nil {
-			return err
+		for i := range pairs {
+			a.recs = appendRecord(a.recs, &pairs[i])
+			a.ends = append(a.ends, len(a.recs))
 		}
 	}
 	out, in, pay := batchVolumes(pairs)
 
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.sealed.Load() {
+		s.mu.Unlock()
 		return errSealed
+	}
+	if ids != nil {
+		s.stageRecords(a, ids)
 	}
 	if s.strat.Enc == Many {
 		s.bufferBoxes(pairs, ids)
@@ -581,43 +624,115 @@ func (s *Store) ingestBatch(pairs []RegionPair, ids []uint64) error {
 		s.bufferCellEntries(pairs, ids)
 	}
 	s.addVolumes(len(pairs), out, in, pay)
-	return nil
+	s.mu.Unlock()
+	return a.commit(s.kv)
 }
 
-// recordArena is the scratch one putRecords call encodes a batch into:
-// every key and record back to back in buf, where each ends (ends), and
-// the batch slicing them. It is pooled per call, not per store, because
-// shard workers run ingestBatch on one store concurrently; PutBatch copies
-// what it keeps, so the arena is free again once it returns.
+// recordArena is the scratch of one ingestBatch call: the batch's records
+// back to back in recs, where each ends (ends), and the key and value of
+// every block the batch completed back to back in blocks, where each ends
+// (blockEnds). It is pooled per call, not per store, because shard workers
+// run ingestBatch on one store concurrently; PutBatch copies what it
+// keeps, so the arena is free again once it returns.
 type recordArena struct {
-	buf  []byte
-	ends []int
-	kvs  []kvstore.KV
+	recs      []byte
+	ends      []int
+	blocks    []byte
+	blockEnds []int
+	kvs       []kvstore.KV
 }
 
 var recordArenas = sync.Pool{New: func() any { return new(recordArena) }}
 
-// putRecords encodes one pair record per pair and group-commits them with
-// one PutBatch.
-func (s *Store) putRecords(pairs []RegionPair, ids []uint64) error {
-	a := recordArenas.Get().(*recordArena)
-	defer recordArenas.Put(a)
-	a.buf, a.ends, a.kvs = a.buf[:0], a.ends[:0], a.kvs[:0]
-	for i := range pairs {
-		a.buf = appendPairKey(a.buf, ids[i])
-		a.ends = append(a.ends, len(a.buf))
-		a.buf = appendRecord(a.buf, &pairs[i])
-		a.ends = append(a.ends, len(a.buf))
-	}
-	// The batch slices the arena only once it is final: an append above
-	// may have moved it.
+func (a *recordArena) reset() {
+	a.recs, a.ends, a.blocks, a.blockEnds, a.kvs = a.recs[:0], a.ends[:0], a.blocks[:0], a.blockEnds[:0], a.kvs[:0]
+}
+
+// record returns the arena's i'th record.
+func (a *recordArena) record(i int) []byte {
 	from := 0
-	for i := 0; i < len(a.ends); i += 2 {
-		k, v := a.ends[i], a.ends[i+1]
-		a.kvs = append(a.kvs, kvstore.KV{Key: a.buf[from:k:k], Val: a.buf[k:v:v]})
+	if i > 0 {
+		from = a.ends[i-1]
+	}
+	return a.recs[from:a.ends[i]]
+}
+
+// addBlock appends the key and value of one block.
+func (a *recordArena) addBlock(b uint64, st *blockStage) {
+	a.blocks = appendBlockKey(a.blocks, b)
+	a.blockEnds = append(a.blockEnds, len(a.blocks))
+	a.blocks = st.appendTo(a.blocks)
+	a.blockEnds = append(a.blockEnds, len(a.blocks))
+}
+
+// commit writes the arena's blocks with one PutBatch. The batch slices the
+// arena only now that it is final: an append may have moved it.
+func (a *recordArena) commit(kv kvstore.Store) error {
+	if len(a.blockEnds) == 0 {
+		return nil
+	}
+	from := 0
+	for i := 0; i < len(a.blockEnds); i += 2 {
+		k, v := a.blockEnds[i], a.blockEnds[i+1]
+		a.kvs = append(a.kvs, kvstore.KV{Key: a.blocks[from:k:k], Val: a.blocks[k:v:v]})
 		from = v
 	}
-	return s.kv.PutBatch(a.kvs)
+	return kv.PutBatch(a.kvs)
+}
+
+// stageRecords places the arena's records, those of ids, in their blocks'
+// stages, and moves every block that holds all its ids into the arena to be
+// written. Ids are reserved densely and every reserved id gets its record,
+// so a serial writer, whose ids come in order, completes blocks in id order
+// and stages at most one partial block between batches; shard workers fill
+// a block's stage in any order. The caller holds mu.
+func (s *Store) stageRecords(a *recordArena, ids []uint64) {
+	var st *blockStage
+	cur := ^uint64(0)
+	for i, id := range ids {
+		if b := id / blockIDs; b != cur {
+			cur, st = b, s.staged[b]
+			if st == nil {
+				st = s.newStage()
+				s.staged[b] = st
+			}
+		}
+		st.add(int(id%blockIDs), a.record(i))
+		if st.full() {
+			a.addBlock(cur, st)
+			delete(s.staged, cur)
+			st.reset()
+			s.spare = append(s.spare, st)
+			cur = ^uint64(0)
+		}
+	}
+}
+
+// newStage returns a spare stage, or a new one. The caller holds mu.
+func (s *Store) newStage() *blockStage {
+	if n := len(s.spare); n > 0 {
+		st := s.spare[n-1]
+		s.spare = s.spare[:n-1]
+		return st
+	}
+	return new(blockStage)
+}
+
+// putStagedBlocks writes the blocks still staged — the last, partial block
+// of a serial store — in block order with one PutBatch. The stages stay, so
+// a Flush that fails later writes the same blocks again. The caller holds
+// mu.
+func (s *Store) putStagedBlocks() error {
+	blocks := make([]uint64, 0, len(s.staged))
+	for b := range s.staged {
+		blocks = append(blocks, b)
+	}
+	slices.Sort(blocks)
+	var a recordArena
+	for _, b := range blocks {
+		a.addBlock(b, s.staged[b])
+	}
+	return a.commit(s.kv)
 }
 
 // slotBoxes is one slot's index items awaiting their bulk load: item i's
@@ -931,8 +1046,8 @@ func (e *tileEncoder) addCell(run []cellRef) {
 	e.entries = appendIDEntry(e.entries, e.ids)
 }
 
-// Flush seals the store. It writes the buffered cell entries and
-// bulk-loads the indexes, then syncs the hashtable and commits the pair
+// Flush seals the store. It writes the staged record blocks and the
+// buffered cell entries and bulk-loads the indexes, then syncs the hashtable and commits the pair
 // counter, stats, and serialized indexes as one all-or-nothing blob, so a
 // crash mid-flush leaves a store that reopens holding what was written or
 // a subset of it, never one that half-loads. A store takes one Flush: later calls are no-ops. A Flush that
@@ -940,12 +1055,17 @@ func (e *tileEncoder) addCell(run []cellRef) {
 // writes every tile again whole. SizeBytes is exact after Flush.
 func (s *Store) Flush() error {
 	if s.stale {
-		return s.corruptf(errStaleCells)
+		return s.corruptf(errStaleLayout)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.sealed.Load() {
 		return nil
+	}
+	// Records first: no cell entry may reference a record the hashtable
+	// does not hold.
+	if err := s.putStagedBlocks(); err != nil {
+		return err
 	}
 	if err := s.putTiles(); err != nil {
 		return err
@@ -960,6 +1080,7 @@ func (s *Store) Flush() error {
 		return err
 	}
 	s.pending, s.pendingPay, s.pendingBoxes = nil, payArena{}, nil
+	s.staged, s.spare = nil, nil
 	s.sealed.Store(true)
 	return nil
 }
@@ -1029,33 +1150,6 @@ func (s *Store) SizeBytes() int64 {
 	return s.kv.SizeBytes() + s.rebuiltIdx
 }
 
-func (s *Store) getRecord(id uint64) (*record, error) {
-	s.recMu.Lock()
-	rec, ok := s.recCache[id]
-	s.recMu.Unlock()
-	if ok {
-		return rec, nil
-	}
-	if err := fault.Inject(fpDecode); err != nil {
-		return nil, s.corruptf(err)
-	}
-	val, ok, err := s.kv.Get(pairKey(id))
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, s.danglingf(id)
-	}
-	rec, err = s.loadRecord(val)
-	if err != nil {
-		return nil, err
-	}
-	s.recMu.Lock()
-	s.admitLocked(id, rec)
-	s.recMu.Unlock()
-	return rec, nil
-}
-
 // admitLocked caches a decoded record if the cache has room; a full cache
 // is left as it is. The caller holds recMu.
 func (s *Store) admitLocked(id uint64, rec *record) {
@@ -1103,36 +1197,6 @@ func (s *Store) loadRecord(val []byte) (*record, error) {
 			len(rec.ins), len(s.inSpaces)))
 	}
 	return rec, nil
-}
-
-// scanRecords visits every pair record.
-func (s *Store) scanRecords(fn func(id uint64, rec *record) (bool, error)) error {
-	var scanErr error
-	err := s.kv.Scan(func(key, val []byte) bool {
-		if len(key) == 0 || key[0] != keyPair {
-			return true
-		}
-		id, n := binary.Uvarint(key[1:])
-		if n <= 0 {
-			scanErr = s.corruptf(fmt.Errorf("lineage: corrupt pair key"))
-			return false
-		}
-		rec, err := s.loadRecord(val)
-		if err != nil {
-			scanErr = err
-			return false
-		}
-		cont, err := fn(id, rec)
-		if err != nil {
-			scanErr = err
-			return false
-		}
-		return cont
-	})
-	if scanErr != nil {
-		return scanErr
-	}
-	return err
 }
 
 // scanCellEntries visits every cell entry of a slot (One encodings), tile
