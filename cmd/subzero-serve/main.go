@@ -58,8 +58,6 @@ func run() error {
 	maxInFlight := flag.Int("max-inflight", server.DefaultMaxInFlight, "bounded in-flight request cap")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max time to drain in-flight requests on shutdown")
 	quiet := flag.Bool("quiet", false, "disable periodic summary and slow-query logging")
-	ingestShards := flag.Int("ingest-shards", 0, "lineage ingest shard workers per run (<=1 keeps capture synchronous)")
-	ingestDepth := flag.Int("ingest-depth", 0, "per-shard ingest queue depth in batches (default 8)")
 	logInterval := flag.Duration("log-interval", 30*time.Second, "period between serving summary log lines (<=0 disables)")
 	slowQuery := flag.Duration("slow-query", 0, "log one structured record per lineage query at least this slow and pin its trace (0 disables)")
 	traceSample := flag.Float64("trace-sample", 1.0, "head-based trace sampling probability in [0,1]; sampled inbound traceparents are always traced")
@@ -86,9 +84,6 @@ func run() error {
 	}
 	if *parallelism > 0 {
 		opts = append(opts, subzero.WithParallelism(*parallelism))
-	}
-	if *ingestShards > 1 {
-		opts = append(opts, subzero.WithIngest(*ingestShards, *ingestDepth))
 	}
 	sys, err := subzero.NewSystem(opts...)
 	if err != nil {

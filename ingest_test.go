@@ -1,19 +1,27 @@
 package subzero_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
 	"subzero"
+	"subzero/internal/astro"
+	"subzero/internal/genomics"
 )
 
-// ingestPipeline builds a system with the sharded asynchronous capture
-// pipeline enabled and a spec whose nodes store full lineage.
-func ingestPipeline(t *testing.T, shards int) (*subzero.System, *subzero.Spec, subzero.Plan, map[string]*subzero.Array) {
+// capturePipeline builds a system and a spec whose nodes store full
+// lineage.
+func capturePipeline(t *testing.T) (*subzero.System, *subzero.Spec, subzero.Plan, map[string]*subzero.Array) {
 	t.Helper()
-	sys, err := subzero.NewSystem(subzero.WithIngest(shards, 2))
+	sys, err := subzero.NewSystem()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,12 +67,12 @@ func ingestQueries(n int) []subzero.Query {
 	return queries
 }
 
-// Satellite: QueryBatch against a completed run must return byte-identical
-// results while other workflows execute through the sharded ingest
-// pipeline — capture activity on one run must never bleed into the
-// consistency of another. Run under -race.
-func TestQueryBatchRacesShardedExecution(t *testing.T) {
-	sys, spec, plan, sources := ingestPipeline(t, 4)
+// QueryBatch against a completed run must return byte-identical results
+// while other workflows of the same system execute and capture lineage —
+// capture activity on one run must never bleed into the consistency of
+// another. Run under -race.
+func TestQueryBatchRacesExecution(t *testing.T) {
+	sys, spec, plan, sources := capturePipeline(t)
 	ctx := context.Background()
 	run, err := sys.Execute(ctx, spec, plan, sources)
 	if err != nil {
@@ -130,45 +138,150 @@ func TestQueryBatchRacesShardedExecution(t *testing.T) {
 	}
 }
 
-// Queries addressed at the very run being captured must also be
-// consistent: execute with sharded ingest, immediately batch-query the
-// returned run, and compare against a serially captured system.
-func TestShardedSystemMatchesSerialSystem(t *testing.T) {
+// WithIngest is kept only so that existing callers compile: a system given
+// it must capture exactly what a system without it does — the same log and
+// meta bytes in every store, apart from the wall-clock write timings a meta
+// blob records — and answer the same queries.
+func TestWithIngestIsIgnored(t *testing.T) {
 	ctx := context.Background()
-	serialSys, spec, plan, sources := ingestPipeline(t, 0)
-	serialRun, err := serialSys.Execute(ctx, spec, plan, sources)
-	if err != nil {
-		t.Fatal(err)
+	type system struct {
+		sys *subzero.System
+		dir string
+		gen *subzero.Run
 	}
-	shardedSys, spec2, plan2, sources2 := ingestPipeline(t, 4)
-	shardedRun, err := shardedSys.Execute(ctx, spec2, plan2, sources2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries := ingestQueries(16)
-	a, err := serialSys.QueryBatch(ctx, serialRun, queries, subzero.QueryOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := shardedSys.QueryBatch(ctx, shardedRun, queries, subzero.QueryOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range queries {
-		if a.Errs[i] != nil || b.Errs[i] != nil {
-			t.Fatalf("query %d errs: %v / %v", i, a.Errs[i], b.Errs[i])
+	build := func(opts ...subzero.Option) system {
+		dir := t.TempDir()
+		sys, err := subzero.NewSystem(append(opts, subzero.WithStorageDir(dir))...)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if err := sameCells(b.Results[i], a.Results[i]); err != nil {
-			t.Fatalf("query %d: %v", i, err)
+		t.Cleanup(func() { sys.Close() })
+		gplan, err := genomics.Plan("PayBoth")
+		if err != nil {
+			t.Fatal(err)
+		}
+		gspec, err := genomics.NewSpec()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := genomics.DefaultGenConfig().Scaled(5)
+		cfg.Seed = 1
+		data, err := genomics.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen, err := sys.Execute(ctx, gspec, gplan, map[string]*subzero.Array{"train": data.Train, "test": data.Test})
+		if err != nil {
+			t.Fatal(err)
+		}
+		aplan, err := astro.Plan("SubZero")
+		if err != nil {
+			t.Fatal(err)
+		}
+		aspec, err := astro.NewSpec()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sky, err := astro.Generate(astro.DefaultGenConfig().Scaled(0.25))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.Execute(ctx, aspec, aplan, map[string]*subzero.Array{"img1": sky.Exposure1, "img2": sky.Exposure2}); err != nil {
+			t.Fatal(err)
+		}
+		return system{sys, dir, gen}
+	}
+	plain, ignored := build(), build(subzero.WithIngest(4, 2))
+
+	want, got := storeFiles(t, plain.dir), storeFiles(t, ignored.dir)
+	if len(want) == 0 || len(got) != len(want) {
+		t.Fatalf("%d store files with WithIngest, %d without", len(got), len(want))
+	}
+	for name, w := range want {
+		g, ok := got[name]
+		switch {
+		case !ok:
+			t.Fatalf("%s: missing with WithIngest", name)
+		case strings.HasSuffix(name, ".meta"):
+			g, w = metaSansTimings(t, name, g), metaSansTimings(t, name, w)
+		}
+		if !bytes.Equal(g, w) {
+			t.Fatalf("%s: bytes differ with WithIngest", name)
 		}
 	}
-	snap := shardedSys.IngestSnapshot()
-	if snap.Shards != 4 || snap.Pairs == 0 {
-		t.Fatalf("sharded system snapshot not populated: %+v", snap)
+
+	wantQ, err := genomics.Queries(plain.gen)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := serialSys.IngestSnapshot(); got.Shards != 0 || got.Pairs != 0 {
-		t.Fatalf("serial system should report an idle pipeline: %+v", got)
+	gotQ, err := genomics.Queries(ignored.gen)
+	if err != nil {
+		t.Fatal(err)
 	}
+	for _, name := range genomics.QueryNames {
+		a, err := plain.sys.Query(ctx, plain.gen, wantQ[name])
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		b, err := ignored.sys.Query(ctx, ignored.gen, gotQ[name])
+		if err != nil {
+			t.Fatalf("%s with WithIngest: %v", name, err)
+		}
+		if err := sameCells(b, a); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+}
+
+// storeFiles reads every store log and meta sidecar under a storage
+// directory, by path relative to it.
+func storeFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	files := map[string][]byte{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !(strings.HasSuffix(path, ".log") || strings.HasSuffix(path, ".meta")) {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		files[rel] = b
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// metaSansTimings returns a copy of a store's meta sidecar with the bytes
+// that follow the wall clock zeroed. The sidecar is "szm1", a CRC32 of the
+// blob, then the blob: a version byte, the uvarint pair counter, the
+// uvarint length of the stats, and the stats, which end with the two
+// fixed-width durations WriteTime and FlushTime. The CRC covers them, so it
+// is zeroed too.
+func metaSansTimings(t *testing.T, name string, b []byte) []byte {
+	t.Helper()
+	b = bytes.Clone(b)
+	p := 9 // magic, CRC and version byte
+	if len(b) < p {
+		t.Fatalf("%s: %d-byte meta sidecar", name, len(b))
+	}
+	clear(b[4:8])
+	_, n := binary.Uvarint(b[p:])
+	if n <= 0 {
+		t.Fatalf("%s: meta pair counter", name)
+	}
+	p += n
+	l, n := binary.Uvarint(b[p:])
+	if n <= 0 || l < 16 || uint64(len(b)-p-n) < l {
+		t.Fatalf("%s: meta stats", name)
+	}
+	p += n + int(l)
+	clear(b[p-16 : p])
+	return b
 }
 
 // sameCells asserts two query results carry identical result bitmaps.

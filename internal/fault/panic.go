@@ -6,12 +6,11 @@ import (
 )
 
 // PanicError is a recovered panic converted into a structured error by
-// the containment layers (query-batch workers, ingest shard workers,
-// HTTP handlers). It preserves the panic value and the goroutine stack
+// the containment layers (query-batch workers, HTTP handlers). It preserves the panic value and the goroutine stack
 // at recovery, so the blast site is diagnosable even though the daemon
 // kept running.
 type PanicError struct {
-	Op    string // the operation that panicked, e.g. "lineage ingest worker"
+	Op    string // the operation that panicked, e.g. "query batch worker"
 	Value any    // the recovered value
 	Stack []byte // debug.Stack() at the recovery site
 }
@@ -25,7 +24,7 @@ func (e *PanicError) Error() string {
 //
 //	defer func() {
 //	    if r := recover(); r != nil {
-//	        err = fault.AsError("ingest worker", r)
+//	        err = fault.AsError("query batch worker", r)
 //	    }
 //	}()
 func AsError(op string, recovered any) *PanicError {

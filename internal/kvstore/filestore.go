@@ -426,7 +426,7 @@ func (s *FileStore) Put(key, val []byte) (err error) {
 
 // PutBatch implements Store: the whole batch is framed and appended
 // under one lock acquisition and one pass through the append buffer — the
-// group commit the ingest shard workers rely on — and the index grows at
+// group commit lineage stores rely on — and the index grows at
 // most once, with room for the rest of the batch. A crash mid-batch tears
 // the log inside the batch; recovery truncates at the first bad record,
 // exactly as for individual Puts.

@@ -9,8 +9,8 @@ import (
 
 // instrumented decorates a Store with obs counters. The Manager wraps
 // every store it opens once metrics are attached, so all lineage I/O —
-// including the 256-key GetBatch lookup hot path and the ingest workers'
-// group commits — is accounted without the callers knowing.
+// including the 256-key GetBatch lookup hot path and the group commits of
+// capture — is accounted without the callers knowing.
 //
 // Single Gets and Puts pay only atomic adds; batch calls additionally pay
 // two clock reads and a histogram observation, amortized over the batch.

@@ -49,8 +49,8 @@ type Store interface {
 	GetBatch(keys [][]byte, fn func(i int, val []byte, ok bool) bool) error
 	// PutBatch applies several puts as one group commit — a single lock
 	// acquisition and a single pass through the backing medium's write
-	// path. The ingest shard workers commit encoded lineage through this,
-	// so N buffered records cost one lock/IO round instead of N.
+	// path. Lineage stores commit their record blocks and tiles through
+	// this, so N buffered records cost one lock/IO round instead of N.
 	//
 	// Against concurrent readers the batch is atomic: no Get/Scan
 	// observes a prefix of it, because the whole batch applies under the

@@ -131,8 +131,7 @@ func TestContainsOutAllocFree(t *testing.T) {
 // The write path allocates per batch, not per pair: keys and records
 // encode into one pooled arena, and what is left per pair is the MemStore's
 // own copy of each key and value plus amortized map and buffer growth.
-// This guards the enqueue-side cost of the ingest pipeline — if per-pair
-// allocations creep up, capture overhead follows.
+// If per-pair allocations creep up, capture overhead follows.
 func TestWritePairsAllocBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	pairs := randomPairs(rng, 64)

@@ -28,15 +28,15 @@ func oneStrategies() []Strategy {
 // Pay-One and Comp-One logs, which hold tiles only, still match what the
 // tile-keyed layout wrote for that history when flushes could still merge
 // into tiles (commit d5717e4); the Full-One logs are those of 64-id record
-// blocks, and every sidecar is a version-3 meta blob. Any change to which
+// blocks, and every sidecar is a version-4 meta blob. Any change to which
 // blocks or tiles are written, in what order, how a block or tile value is
 // laid out, or how its id and payload lists are sorted shows up here.
 func TestCellEntryLogGolden(t *testing.T) {
 	want := map[string][2]string{
-		"Full-One-b": {"8e1c5369a8a5e484d088409b77582e9e4d9fa4c80750804001b6857223e2cb51", "6d905d4d10e3e3471efc6a59a5c6bf9a6108414f0468e27a425c26fb9e501938"},
-		"Full-One-f": {"44b234923ffb3477fa0b1acdf9afe85bf77fce887d0a414a90717fc320cdd893", "6d905d4d10e3e3471efc6a59a5c6bf9a6108414f0468e27a425c26fb9e501938"},
-		"Pay-One-b":  {"5b0ffaf63d0cc59201e484c375d6dadd47680a48cd1af8cfe8482d238bd779cf", "43de65b2ad8afe9a32e6bac5286ae98d83ac37dee4c268d621524d5feeddeca8"},
-		"Comp-One-b": {"5b0ffaf63d0cc59201e484c375d6dadd47680a48cd1af8cfe8482d238bd779cf", "43de65b2ad8afe9a32e6bac5286ae98d83ac37dee4c268d621524d5feeddeca8"},
+		"Full-One-b": {"8e1c5369a8a5e484d088409b77582e9e4d9fa4c80750804001b6857223e2cb51", "1fa10a5330ecc9a5de05b7352f6aac2bc409fa5d224495b6be4b545afbfc1fbe"},
+		"Full-One-f": {"44b234923ffb3477fa0b1acdf9afe85bf77fce887d0a414a90717fc320cdd893", "1fa10a5330ecc9a5de05b7352f6aac2bc409fa5d224495b6be4b545afbfc1fbe"},
+		"Pay-One-b":  {"5b0ffaf63d0cc59201e484c375d6dadd47680a48cd1af8cfe8482d238bd779cf", "fd3b5298c59ca6b443454ded8ea01526aeaad7c7cac67403291182e9e2164909"},
+		"Comp-One-b": {"5b0ffaf63d0cc59201e484c375d6dadd47680a48cd1af8cfe8482d238bd779cf", "fd3b5298c59ca6b443454ded8ea01526aeaad7c7cac67403291182e9e2164909"},
 	}
 	pairs := randomPairs(rand.New(rand.NewSource(31)), 90)
 	for _, strat := range oneStrategies() {

@@ -247,3 +247,41 @@ func TestRebuildByteIdentical(t *testing.T) {
 		})
 	}
 }
+
+// rebuildMeta appends a Many store's boxes in its scan's order. A MemStore
+// scans keys in byte order, in which uvarint block keys past block 255 are
+// not in id order, so the rebuilt tree is the one Flush built only because
+// the bulk load sorts its items by id first.
+func TestRebuildSortsMemStoreScanOrder(t *testing.T) {
+	pairs := randomPairs(rand.New(rand.NewSource(19)), 257*blockIDs+1)
+	kv := kvstore.NewMem()
+	st, err := OpenStore(kv, StratFullMany, tOutSpace, tInSpaces)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.WritePairs(pairs); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// The copy holds every key but no meta blob, so opening it rebuilds.
+	var kvs []kvstore.KV
+	if err := kv.Scan(func(k, v []byte) bool {
+		kvs = append(kvs, kvstore.KV{Key: bytes.Clone(k), Val: bytes.Clone(v)})
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	cp := kvstore.NewMem()
+	if err := cp.PutBatch(kvs); err != nil {
+		t.Fatal(err)
+	}
+	rebuilt, err := OpenStore(cp, StratFullMany, tOutSpace, tInSpaces)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(rebuilt.trees[0].Encode(), st.trees[0].Encode()) {
+		t.Fatal("tree rebuilt from a MemStore scan encodes unlike the one Flush built")
+	}
+}

@@ -55,8 +55,7 @@ func checkSortCellRefs(t *testing.T, refs []cellRef, pay *payArena) {
 }
 
 // sortCase generates n references: cells below 2^cellBits, refs below
-// 2^refBits shifted up by refShift, in ref order unless shuffled (the
-// order a sharded store buffers in). With payloads, ref i indexes payload
+// 2^refBits shifted up by refShift, in ref order unless shuffled. With payloads, ref i indexes payload
 // i of a returned arena whose payloads are short strings over a small
 // alphabet, so equal payloads under one cell are common.
 func sortCase(rng *rand.Rand, n int, cellBits, refBits, refShift uint, shuffled, payloads bool) ([]cellRef, *payArena) {

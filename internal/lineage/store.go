@@ -41,42 +41,16 @@ var fpDecode = fault.Register("lineage/lookup/decode")
 
 // StoreStats aggregates what the statistics collector records about one
 // store's write path; the optimizer's cost model is calibrated from these.
-//
-// With the sharded ingest pipeline the write path has two sides, and the
-// stats keep them apart: WriteTime is the total encode+commit work summed
-// across every writer (one thread when serial, N shard workers when
-// sharded), while EnqueueTime and FlushTime are the parts the operator's
-// own thread pays under async ingest — the handoff (including backpressure
-// stalls) and the end-of-run drain barrier. FlushTime also holds the
-// store's final Flush (the pending cell-entry flush and the meta commit),
-// which the operator thread pays on either path.
+// The operator's thread pays both durations: WriteTime is the bulk encodes
+// of its batches (WritePairs), FlushTime the store's one Flush (the record
+// blocks, tiles and indexes it writes and the meta commit).
 type StoreStats struct {
 	Pairs        int
 	OutCells     int64
 	InCells      int64
 	PayloadBytes int64
-	WriteTime    time.Duration // encode+commit work, summed across shard workers
-	EnqueueTime  time.Duration // operator-thread handoff incl. backpressure stalls
-	FlushTime    time.Duration // operator-thread drain barrier (sharded) + final flush
-	Shards       int           // shard workers that built the store (0 = serial)
-}
-
-// CriticalWriteTime estimates the wall-clock the strategy adds to a
-// workflow run: for sharded ingest the encode work spreads across Shards
-// workers while the operator thread pays enqueue + drain, so the critical
-// path is the larger of the two; serial stores pay WriteTime and FlushTime
-// inline. The strategy optimizer costs runtime overhead from this instead
-// of the raw serial WriteTime.
-func (ss StoreStats) CriticalWriteTime() time.Duration {
-	if ss.Shards > 1 {
-		perShard := ss.WriteTime / time.Duration(ss.Shards)
-		op := ss.EnqueueTime + ss.FlushTime
-		if perShard > op {
-			return perShard
-		}
-		return op
-	}
-	return ss.WriteTime + ss.FlushTime
+	WriteTime    time.Duration // WritePairs: encode and commit of each batch
+	FlushTime    time.Duration // Flush
 }
 
 // Store holds the materialized region lineage of a single operator
@@ -86,17 +60,16 @@ func (ss StoreStats) CriticalWriteTime() time.Duration {
 // serves backward/forward lookups over them.
 //
 // A store has one lifecycle: write, one Flush, then read. Until Flush it
-// takes writes (WritePairs, or a Coordinator's shard workers) and refuses
-// lookups; Flush writes every buffered cell entry once and seals it; from
-// then on it answers lookups and refuses writes. A store opened over a
-// non-empty hashtable opens sealed.
+// takes writes (WritePairs) and refuses lookups; Flush writes every
+// buffered cell entry once and seals it; from then on it answers lookups
+// and refuses writes. A store opened over a non-empty hashtable opens
+// sealed.
 //
-// mu serializes the write side's in-place updates: the record block
-// stages, appends to the index and cell-entry buffers, the volume counters
-// and Flush. Record encoding and the group commit of completed blocks stay
-// outside it, so shard workers still encode one store in parallel. Nothing a lookup reads changes once the
-// store is sealed, so lookups (Backward, Forward, ContainsOut) take no lock
-// but recMu around the record cache. Lock order is mu → kvstore and
+// mu serializes the write side: id assignment, the record block stage,
+// appends to the index and cell-entry buffers, the volume counters and
+// Flush. Nothing a lookup reads changes once the store is sealed, so
+// lookups (Backward, Forward, ContainsOut) take no lock but recMu around
+// the record cache. Lock order is mu → kvstore and
 // recMu → kvstore. The callbacks a lookup runs (abort hooks, payload
 // mapping functions) must not touch the store.
 type Store struct {
@@ -121,9 +94,9 @@ type Store struct {
 	// hashtable's size leaves them out.
 	rebuiltIdx int64
 
-	// nextPair allocates record ids; the ingest coordinator reserves id
-	// ranges from it on the enqueueing thread so ids stay dense and
-	// deterministic regardless of shard scheduling.
+	// nextPair is the next record id. Writes assign ids under mu, in the
+	// order their batches take it; lookups read it once the store is
+	// sealed.
 	nextPair atomic.Uint64
 
 	// Per-cell entries of One encodings wait in pending, one append-only
@@ -134,11 +107,10 @@ type Store struct {
 	pending    [][]cellRef
 	pendingPay payArena
 
-	// staged holds the pair records of blocks not complete yet, by block,
-	// and spare the stages of written blocks for reuse (see stageRecords).
+	// stage holds the records of the last block, which is not complete
+	// yet (see stageRecords); nil until the first record and after Flush.
 	// Guarded by mu.
-	staged map[uint64]*blockStage
-	spare  []*blockStage
+	stage *blockStage
 
 	// stale is set at open when the hashtable holds keys of an earlier
 	// layout; every lookup, write and flush then reports errStaleLayout.
@@ -152,13 +124,12 @@ type Store struct {
 	recMu    sync.Mutex
 	recCache map[uint64]*record
 
-	// stats holds the volume counters and Shards, guarded by mu; the
-	// duration counters are atomics so concurrent shard workers aggregate
-	// without a lock and without under-reporting.
-	stats     StoreStats
-	writeNS   atomic.Int64
-	enqueueNS atomic.Int64
-	flushNS   atomic.Int64
+	// stats holds the volume counters, guarded by mu; the duration
+	// counters are atomics, so concurrent writers add to them without a
+	// lock and without under-reporting.
+	stats   StoreStats
+	writeNS atomic.Int64
+	flushNS atomic.Int64
 
 	// degraded latches when a lookup hits corruption (see ErrCorrupt);
 	// healing claims the store for a single background rebuild.
@@ -191,7 +162,6 @@ func OpenStore(kv kvstore.Store, strat Strategy, outSpace *grid.Space, inSpaces 
 		inSpaces: inSpaces,
 		kv:       kv,
 		recCache: make(map[uint64]*record),
-		staged:   make(map[uint64]*blockStage),
 	}
 	nSlots := 1
 	if strat.Orient == ForwardOpt {
@@ -244,10 +214,12 @@ func (s *Store) loadMeta() error {
 // metaBlobVersion frames the single metadata blob committed through
 // kvstore.Store.CommitMeta: version byte, pair counter, stats, and one
 // serialized R-tree per slot, so a flush is all-or-nothing on disk.
-// Version 3 marks stores whose pair records are kept in blocks. A blob of
-// any other version is not loaded: the store goes through rebuildMeta,
-// whose scan finds the keys of the earlier layout.
-const metaBlobVersion = 3
+// Version 3 marks stores whose pair records are kept in blocks; version 4
+// drops two write statistics of a removed asynchronous write path. A blob
+// of any other version is not loaded: the store goes through rebuildMeta,
+// whose scan rebuilds it from the records, or finds the keys of an earlier
+// layout.
+const metaBlobVersion = 4
 
 func (s *Store) encodeMetaBlob() []byte {
 	buf := []byte{metaBlobVersion}
@@ -473,22 +445,15 @@ func (s *Store) Stats() StoreStats {
 func (s *Store) statsLocked() StoreStats {
 	st := s.stats
 	st.WriteTime = time.Duration(s.writeNS.Load())
-	st.EnqueueTime = time.Duration(s.enqueueNS.Load())
 	st.FlushTime = time.Duration(s.flushNS.Load())
 	return st
 }
 
 // AddWriteTime accrues time spent by the runtime serializing into this
-// store; it is part of the strategy's runtime overhead. The counter is
-// atomic so concurrent shard workers aggregate their per-shard durations
-// without under-reporting.
+// store; it is part of the strategy's runtime overhead.
 func (s *Store) AddWriteTime(d time.Duration) { s.writeNS.Add(int64(d)) }
 
-// AddEnqueueTime accrues operator-thread handoff time (including
-// backpressure stalls) under sharded ingest.
-func (s *Store) AddEnqueueTime(d time.Duration) { s.enqueueNS.Add(int64(d)) }
-
-// AddFlushTime accrues operator-thread drain/flush time.
+// AddFlushTime accrues time spent in the store's Flush.
 func (s *Store) AddFlushTime(d time.Duration) { s.flushNS.Add(int64(d)) }
 
 // addVolumes accumulates the pair/cell volume counters for one batch. The
@@ -500,42 +465,11 @@ func (s *Store) addVolumes(pairs int, outCells, inCells, payloadBytes int64) {
 	s.stats.PayloadBytes += payloadBytes
 }
 
-// setShards records how many ingest shard workers feed this store.
-func (s *Store) setShards(n int) {
-	s.mu.Lock()
-	s.stats.Shards = n
-	s.mu.Unlock()
-}
-
 // NumPairs returns the number of region pairs written.
 func (s *Store) NumPairs() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.stats.Pairs
-}
-
-// reserveIDs allocates n consecutive pair ids. The ingest coordinator
-// calls it on the enqueueing thread, so id assignment is deterministic in
-// enqueue order no matter how shard workers are scheduled — a store built
-// with any shard count holds byte-identical records.
-func (s *Store) reserveIDs(n int) uint64 {
-	return s.nextPair.Add(uint64(n)) - uint64(n)
-}
-
-// reservePairIDs reserves one id per pair for record-storing encodings,
-// or nil when the encoding stores no records (PayOne). The synchronous
-// write path and the ingest coordinator share it so id assignment can
-// never diverge between them.
-func (s *Store) reservePairIDs(n int) []uint64 {
-	if !s.storesRecords() {
-		return nil
-	}
-	base := s.reserveIDs(n)
-	ids := make([]uint64, n)
-	for i := range ids {
-		ids[i] = base + uint64(i)
-	}
-	return ids
 }
 
 // storesRecords reports whether the encoding writes per-pair records (and
@@ -575,34 +509,27 @@ func batchVolumes(pairs []RegionPair) (outCells, inCells, payloadBytes int64) {
 }
 
 // WritePairs encodes a batch of region pairs into the store on the
-// calling thread — the synchronous write path. Pairs must already be
-// normalized and validated (the writer does both). Record values are
-// group-committed through one kvstore batch per call. A sealed store
-// refuses the batch.
+// calling thread. Pairs must already be normalized and validated (the
+// writer does both). The batch's records take the next ids, in the order
+// batches take mu, and are staged in their 64-id blocks; the blocks the
+// batch completes are group-committed through one kvstore batch after mu is
+// released. Nothing a lookup reads is written before Flush, which writes
+// the partial block before any cell entry. A sealed store refuses the
+// batch.
 func (s *Store) WritePairs(pairs []RegionPair) error {
 	for i := range pairs {
 		if err := s.checkPairKind(&pairs[i]); err != nil {
 			return err
 		}
 	}
-	return s.ingestBatch(pairs, s.reservePairIDs(len(pairs)))
-}
-
-// ingestBatch applies one batch of pairs: encode their records, stage them
-// in their blocks, and buffer their index items or per-cell entries. It is
-// the shared write path of WritePairs (synchronous) and the coordinator's
-// shard workers (concurrent). Encoding runs before mu and the group commit
-// of the blocks the batch completed after it, so workers serialize only on
-// the staging and the appends. Nothing a lookup reads is written before
-// Flush, which writes the partial blocks before any cell entry.
-func (s *Store) ingestBatch(pairs []RegionPair, ids []uint64) error {
 	if err := s.writable(); err != nil {
 		return err
 	}
+	records := s.storesRecords()
 	a := recordArenas.Get().(*recordArena)
 	defer recordArenas.Put(a)
 	a.reset()
-	if ids != nil {
+	if records {
 		for i := range pairs {
 			a.recs = appendRecord(a.recs, &pairs[i])
 			a.ends = append(a.ends, len(a.recs))
@@ -615,25 +542,27 @@ func (s *Store) ingestBatch(pairs []RegionPair, ids []uint64) error {
 		s.mu.Unlock()
 		return errSealed
 	}
-	if ids != nil {
-		s.stageRecords(a, ids)
+	base := s.nextPair.Load()
+	if records {
+		s.nextPair.Store(base + uint64(len(pairs)))
+		s.stageRecords(a, base)
 	}
 	if s.strat.Enc == Many {
-		s.bufferBoxes(pairs, ids)
+		s.bufferBoxes(pairs, base)
 	} else {
-		s.bufferCellEntries(pairs, ids)
+		s.bufferCellEntries(pairs, base)
 	}
 	s.addVolumes(len(pairs), out, in, pay)
 	s.mu.Unlock()
 	return a.commit(s.kv)
 }
 
-// recordArena is the scratch of one ingestBatch call: the batch's records
+// recordArena is the scratch of one WritePairs call: the batch's records
 // back to back in recs, where each ends (ends), and the key and value of
 // every block the batch completed back to back in blocks, where each ends
-// (blockEnds). It is pooled per call, not per store, because shard workers
-// run ingestBatch on one store concurrently; PutBatch copies what it
-// keeps, so the arena is free again once it returns.
+// (blockEnds). It is pooled, not kept per store, so the stores of one node
+// share their scratch; PutBatch copies what it keeps, so the arena is free
+// again once it returns.
 type recordArena struct {
 	recs      []byte
 	ends      []int
@@ -680,58 +609,34 @@ func (a *recordArena) commit(kv kvstore.Store) error {
 	return kv.PutBatch(a.kvs)
 }
 
-// stageRecords places the arena's records, those of ids, in their blocks'
-// stages, and moves every block that holds all its ids into the arena to be
-// written. Ids are reserved densely and every reserved id gets its record,
-// so a serial writer, whose ids come in order, completes blocks in id order
-// and stages at most one partial block between batches; shard workers fill
-// a block's stage in any order. The caller holds mu.
-func (s *Store) stageRecords(a *recordArena, ids []uint64) {
-	var st *blockStage
-	cur := ^uint64(0)
-	for i, id := range ids {
-		if b := id / blockIDs; b != cur {
-			cur, st = b, s.staged[b]
-			if st == nil {
-				st = s.newStage()
-				s.staged[b] = st
-			}
-		}
-		st.add(int(id%blockIDs), a.record(i))
-		if st.full() {
-			a.addBlock(cur, st)
-			delete(s.staged, cur)
-			st.reset()
-			s.spare = append(s.spare, st)
-			cur = ^uint64(0)
+// stageRecords places the arena's records, those of ids base, base+1, ...,
+// in the stage of their block, and moves each block that then holds all
+// its ids into the arena to be written. Ids are assigned in order and each
+// gets its record, so blocks complete in id order and the stage holds at
+// most the last, partial block between batches. The caller holds mu.
+func (s *Store) stageRecords(a *recordArena, base uint64) {
+	if s.stage == nil {
+		s.stage = new(blockStage)
+	}
+	for i := range a.ends {
+		id := base + uint64(i)
+		s.stage.add(int(id%blockIDs), a.record(i))
+		if s.stage.full() {
+			a.addBlock(id/blockIDs, s.stage)
+			s.stage.reset()
 		}
 	}
 }
 
-// newStage returns a spare stage, or a new one. The caller holds mu.
-func (s *Store) newStage() *blockStage {
-	if n := len(s.spare); n > 0 {
-		st := s.spare[n-1]
-		s.spare = s.spare[:n-1]
-		return st
+// putPartialBlock writes the staged block, the one holding the last
+// assigned id, if any record waits in it. The stage stays, so a Flush that
+// fails later writes the same block again. The caller holds mu.
+func (s *Store) putPartialBlock() error {
+	if s.stage == nil || s.stage.held == 0 {
+		return nil
 	}
-	return new(blockStage)
-}
-
-// putStagedBlocks writes the blocks still staged — the last, partial block
-// of a serial store — in block order with one PutBatch. The stages stay, so
-// a Flush that fails later writes the same blocks again. The caller holds
-// mu.
-func (s *Store) putStagedBlocks() error {
-	blocks := make([]uint64, 0, len(s.staged))
-	for b := range s.staged {
-		blocks = append(blocks, b)
-	}
-	slices.Sort(blocks)
 	var a recordArena
-	for _, b := range blocks {
-		a.addBlock(b, s.staged[b])
-	}
+	a.addBlock((s.nextPair.Load()-1)/blockIDs, s.stage)
 	return a.commit(s.kv)
 }
 
@@ -753,9 +658,10 @@ func (b *slotBoxes) add(sp *grid.Space, cells []uint64, id uint64) {
 }
 
 // build bulk-loads the items in id order, sorting them first unless they
-// are sorted already (as a serial store's are), so the tree does not depend
-// on the order shard workers appended them in. A slot holds each id at
-// most once.
+// are sorted already (as a written store's are). rebuildMeta appends them
+// in its scan's order, which for a MemStore is key byte order and not id
+// order past block 255, so the sort keeps a rebuilt tree the one Flush
+// built. A slot holds each id at most once.
 func (b *slotBoxes) build(rank int) *rtree.Tree {
 	if !slices.IsSorted(b.ids) {
 		w := 2 * rank
@@ -775,16 +681,17 @@ func (b *slotBoxes) build(rank int) *rtree.Tree {
 }
 
 // bufferBoxes appends one batch's index items (Many encodings) to the
-// pending boxes, one per pair and key-side slot. The caller holds mu.
-func (s *Store) bufferBoxes(pairs []RegionPair, ids []uint64) {
+// pending boxes, one per pair and key-side slot; pair i has id base+i. The
+// caller holds mu.
+func (s *Store) bufferBoxes(pairs []RegionPair, base uint64) {
 	for i := range pairs {
-		rp := &pairs[i]
+		rp, id := &pairs[i], base+uint64(i)
 		if s.strat.Orient == BackwardOpt {
-			s.pendingBoxes[0].add(s.outSpace, rp.Out, ids[i])
+			s.pendingBoxes[0].add(s.outSpace, rp.Out, id)
 			continue
 		}
 		for j, in := range rp.Ins {
-			s.pendingBoxes[j].add(s.inSpaces[j], in, ids[i])
+			s.pendingBoxes[j].add(s.inSpaces[j], in, id)
 		}
 	}
 }
@@ -802,12 +709,14 @@ func (s *Store) buildTrees() {
 type cellRef struct{ cell, ref uint64 }
 
 // bufferCellEntries appends one batch's per-cell references (FullOne ids,
-// PayOne payload duplicates) to the pending buffers. The caller holds mu.
-func (s *Store) bufferCellEntries(pairs []RegionPair, ids []uint64) {
+// pair i's being base+i; PayOne payload duplicates) to the pending
+// buffers. The caller holds mu.
+func (s *Store) bufferCellEntries(pairs []RegionPair, base uint64) {
+	records := s.storesRecords()
 	for i := range pairs {
-		rp := &pairs[i]
+		rp, id := &pairs[i], base+uint64(i)
 		switch {
-		case ids == nil:
+		case !records:
 			// PayOne stores no records, so its pairs have no ids: the
 			// payload is duplicated under every output cell.
 			ref := s.pendingPay.add(rp.Payload)
@@ -816,12 +725,12 @@ func (s *Store) bufferCellEntries(pairs []RegionPair, ids []uint64) {
 			}
 		case s.strat.Orient == BackwardOpt:
 			for _, c := range rp.Out {
-				s.pending[0] = append(s.pending[0], cellRef{c, ids[i]})
+				s.pending[0] = append(s.pending[0], cellRef{c, id})
 			}
 		default:
 			for j, in := range rp.Ins {
 				for _, c := range in {
-					s.pending[j] = append(s.pending[j], cellRef{c, ids[i]})
+					s.pending[j] = append(s.pending[j], cellRef{c, id})
 				}
 			}
 		}
@@ -832,12 +741,10 @@ func (s *Store) bufferCellEntries(pairs []RegionPair, ids []uint64) {
 // per touched (slot, tile). Each slot's buffer is sorted once
 // (sortCellRefs), by cell and then by pair id or payload bytes, so a cell's
 // references form one run, its list is sorted, and a tile's runs are
-// consecutive: the stored bytes
-// do not depend on which shard worker buffered which pair. Keys and values
-// are encoded into two arenas and written, in slot and tile order, by one
-// PutBatch group commit. Every tile is written whole and nothing is read
-// back, so a retry after a failed batch writes the same values again. The
-// caller holds mu.
+// consecutive. Keys and values are encoded into two arenas and written, in
+// slot and tile order, by one PutBatch group commit. Every tile is written
+// whole and nothing is read back, so a retry after a failed batch writes
+// the same values again. The caller holds mu.
 func (s *Store) putTiles() error {
 	n, total := 0, 0
 	var pay *payArena
@@ -887,7 +794,7 @@ func (s *Store) putTiles() error {
 // payload bytes pay holds at ref otherwise. It is an LSD byte radix sort
 // on (cell, ref): one counting pass per byte that varies across refs, ref
 // bytes first. The ref passes are skipped when refs are in ref order
-// already, as a serial id store's and every payload store's are; then the
+// already, as every buffer a store writes is; then the
 // cell passes, being stable, keep that order. A payload store then sorts
 // each run of references to one cell by payload bytes. The second buffer
 // the passes need is allocated here, so it is garbage once the Flush that
@@ -1064,7 +971,7 @@ func (s *Store) Flush() error {
 	}
 	// Records first: no cell entry may reference a record the hashtable
 	// does not hold.
-	if err := s.putStagedBlocks(); err != nil {
+	if err := s.putPartialBlock(); err != nil {
 		return err
 	}
 	if err := s.putTiles(); err != nil {
@@ -1080,7 +987,7 @@ func (s *Store) Flush() error {
 		return err
 	}
 	s.pending, s.pendingPay, s.pendingBoxes = nil, payArena{}, nil
-	s.staged, s.spare = nil, nil
+	s.stage = nil
 	s.sealed.Store(true)
 	return nil
 }
@@ -1097,9 +1004,7 @@ func (s *Store) encodeStats() []byte {
 	// size — and thus SizeBytes — depend on wall-clock timing, breaking
 	// the determinism the benchmarks and their tests rely on.
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(st.WriteTime))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(st.EnqueueTime))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(st.FlushTime))
-	return binary.LittleEndian.AppendUint32(buf, uint32(st.Shards))
+	return binary.LittleEndian.AppendUint64(buf, uint64(st.FlushTime))
 }
 
 func (s *Store) decodeStats(val []byte) {
@@ -1113,7 +1018,7 @@ func (s *Store) decodeStats(val []byte) {
 		vals = append(vals, v)
 		off += n
 	}
-	if len(vals) != 4 || len(val)-off != 8+8+8+4 {
+	if len(vals) != 4 || len(val)-off != 8+8 {
 		return
 	}
 	st := StoreStats{
@@ -1122,13 +1027,10 @@ func (s *Store) decodeStats(val []byte) {
 		InCells:      int64(vals[2]),
 		PayloadBytes: int64(vals[3]),
 		WriteTime:    time.Duration(binary.LittleEndian.Uint64(val[off:])),
-		EnqueueTime:  time.Duration(binary.LittleEndian.Uint64(val[off+8:])),
-		FlushTime:    time.Duration(binary.LittleEndian.Uint64(val[off+16:])),
-		Shards:       int(binary.LittleEndian.Uint32(val[off+24:])),
+		FlushTime:    time.Duration(binary.LittleEndian.Uint64(val[off+8:])),
 	}
 	s.stats = st
 	s.writeNS.Store(int64(st.WriteTime))
-	s.enqueueNS.Store(int64(st.EnqueueTime))
 	s.flushNS.Store(int64(st.FlushTime))
 }
 

@@ -2,7 +2,6 @@ package lineage
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -564,10 +563,8 @@ func (a lifecycleAnswers) equal(b lifecycleAnswers) bool {
 
 // TestStoreLifecycle pins a store's one lifecycle, write → Flush → read:
 // every lookup entry point refuses a store not flushed yet, a flushed store
-// refuses writes, a second Flush changes nothing, a reopened non-empty store
-// answers without a Flush and refuses writes, and a store written through
-// sharded ingest answers exactly like a serially written one and refuses
-// batches once flushed.
+// refuses writes, a second Flush changes nothing, and a reopened non-empty
+// store answers without a Flush and refuses writes.
 func TestStoreLifecycle(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	pairs := randomPairs(rng, 150)
@@ -633,24 +630,6 @@ func TestStoreLifecycle(t *testing.T) {
 			}
 			if err := reopened.WritePairs(sp[:1]); !errors.Is(err, errSealed) {
 				t.Fatalf("WritePairs on a reopened store: err = %v, want %v", err, errSealed)
-			}
-
-			coord := NewCoordinator(context.Background(), IngestConfig{Shards: 2}, nil)
-			defer coord.Close()
-			sharded, err := OpenStore(kvstore.NewMem(), strat, tOutSpace, tInSpaces)
-			if err != nil {
-				t.Fatal(err)
-			}
-			writeThrough(t, sharded, strat, pairs, coord)
-			if !askStore(t, sharded, qOut, qIn).equal(want) {
-				t.Fatal("sharded store answers differently from the serial one")
-			}
-			err = coord.Enqueue([]*Store{sharded}, sp[:4])
-			if err == nil {
-				err = coord.Barrier()
-			}
-			if !errors.Is(err, errSealed) {
-				t.Fatalf("sharded batch after Flush: err = %v, want %v", err, errSealed)
 			}
 		})
 	}

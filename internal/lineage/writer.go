@@ -7,8 +7,6 @@ import (
 	"time"
 
 	"subzero/internal/grid"
-	"subzero/internal/obs"
-	"subzero/internal/trace"
 )
 
 // Writer implements the lwrite half of the runtime API (paper Table I) for
@@ -30,15 +28,6 @@ type Writer struct {
 	payStores  []*Store // strategies consuming payload pairs (Pay, Comp)
 	sink       func(*RegionPair) error
 
-	// coord, when set, routes buffered blocks to the sharded asynchronous
-	// ingest pipeline instead of encoding them inline; the operator thread
-	// then pays only the enqueue cost.
-	coord *Coordinator
-
-	// span, when set, parents trace spans around ingest enqueue and the
-	// end-of-run drain barrier. Nil (the sampled-off path) costs nothing.
-	span *trace.Span
-
 	// st is taken from stagingPool at the first LWrite and goes back at
 	// Flush, so no long-lived struct pins it.
 	st       *staging
@@ -53,10 +42,8 @@ const flushCellThreshold = 1 << 16
 // every staged cell set back to back in cells, the Ins headers of full
 // pairs in ins, payload bytes in pay, and the pairs that slice them. A
 // pair keeps pointing at the array an arena had when the pair was staged,
-// so an arena that grows never invalidates it. On the synchronous path the
-// writer resets its staging after each bulk encode; under the ingest
-// pipeline a staged batch passes to the shard workers and the writer
-// takes a fresh staging.
+// so an arena that grows never invalidates it. The writer resets its
+// staging after each bulk encode.
 type staging struct {
 	cells []uint64
 	ins   [][]uint64
@@ -128,27 +115,6 @@ func NewWriter(outSpace *grid.Space, inSpaces []*grid.Space, fullStores, payStor
 		sink:       sink,
 	}
 }
-
-// UseIngest switches the writer to the asynchronous ingest pipeline:
-// buffered blocks are handed to the coordinator's shard workers instead
-// of being encoded on the calling thread, and every store records the
-// shard count that builds it. Call before the first LWrite.
-func (w *Writer) UseIngest(c *Coordinator) {
-	if c == nil || !c.cfg.Enabled() {
-		return
-	}
-	w.coord = c
-	for _, s := range w.fullStores {
-		s.setShards(c.Shards())
-	}
-	for _, s := range w.payStores {
-		s.setShards(c.Shards())
-	}
-}
-
-// SetSpan attaches the trace span under which ingest enqueue and drain
-// spans are created. Call alongside UseIngest, before the first LWrite.
-func (w *Writer) SetSpan(sp *trace.Span) { w.span = sp }
 
 // staging returns the writer's staging, taking one from the pool first if
 // it holds none.
@@ -223,23 +189,6 @@ func (w *Writer) LWritePayload(out []uint64, payload []byte) error {
 
 func (w *Writer) flushBuffers() error {
 	st := w.st
-	if w.coord != nil {
-		// Asynchronous path: the staged batch passes to the pipeline, whose
-		// shard workers read it until they have applied it, so the next
-		// LWrite takes a fresh staging.
-		var full, paid []RegionPair
-		if st != nil {
-			full, paid = st.full, st.paid
-		}
-		w.st, w.bufCells = nil, 0
-		esp := w.span.Child("ingest.enqueue", obs.SpanIngestEnqueue)
-		esp.SetAttrInt("pairs", int64(len(full)+len(paid)))
-		defer esp.End()
-		if err := w.coord.Enqueue(w.fullStores, full); err != nil {
-			return err
-		}
-		return w.coord.Enqueue(w.payStores, paid)
-	}
 	if st == nil {
 		return nil
 	}
@@ -267,11 +216,10 @@ func (w *Writer) flushBuffers() error {
 	return nil
 }
 
-// Flush drains buffered pairs into the stores and persists their indexes.
-// Under asynchronous ingest it is the end-of-run barrier: the shard
-// workers drain, then each store commits its pending entries and
-// metadata and is sealed. The executor calls it once when the operator's
-// run completes; only then do the stores answer lookups.
+// Flush drains buffered pairs into the stores, then flushes each store:
+// it commits its pending entries and metadata and is sealed. The executor
+// calls it once when the operator's run completes; only then do the stores
+// answer lookups.
 func (w *Writer) Flush() error {
 	start := time.Now()
 	defer func() { w.elapsed += time.Since(start) }()
@@ -282,30 +230,6 @@ func (w *Writer) Flush() error {
 		stagingPool.Put(w.st)
 		w.st = nil
 	}
-	if w.coord != nil {
-		bstart := time.Now()
-		dsp := w.span.Child("ingest.drain", obs.SpanIngestDrain)
-		if err := w.coord.Barrier(); err != nil {
-			dsp.End()
-			return err
-		}
-		dsp.End()
-		// The drain barrier is operator-thread flush latency shared by
-		// every store of this writer; split it so a node profiling k
-		// strategies does not charge each store the other k-1 stores'
-		// drain cost.
-		if n := len(w.fullStores) + len(w.payStores); n > 0 {
-			share := time.Since(bstart) / time.Duration(n)
-			for _, s := range w.fullStores {
-				s.AddFlushTime(share)
-			}
-			for _, s := range w.payStores {
-				s.AddFlushTime(share)
-			}
-		}
-	}
-	// The store's own Flush — the pending cell-entry flush and the meta
-	// commit — runs on the operator thread on either path.
 	flushStore := func(s *Store) error {
 		fstart := time.Now()
 		err := s.Flush()

@@ -2,8 +2,6 @@ package lineage
 
 import (
 	"bytes"
-	"context"
-	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -60,9 +58,9 @@ func TestWriterRoutesToStores(t *testing.T) {
 	}
 }
 
-// On the serial path the store's final Flush — here the write of every
-// buffered cell entry — runs on the operator thread, so it is charged to
-// FlushTime and the optimizer's CriticalWriteTime counts it.
+// The store's final Flush — here the write of every buffered cell entry —
+// runs on the operator thread, so it is charged to FlushTime, which the
+// optimizer counts beside WriteTime.
 func TestSerialFlushIsCharged(t *testing.T) {
 	for _, strat := range oneStrategies() {
 		st, err := OpenStore(kvstore.NewMem(), strat, tOutSpace, tInSpaces)
@@ -95,11 +93,8 @@ func TestSerialFlushIsCharged(t *testing.T) {
 			t.Fatal(err)
 		}
 		ss := st.Stats()
-		if ss.Shards != 0 || ss.WriteTime <= 0 || ss.FlushTime <= 0 {
-			t.Fatalf("%s: serial stats %+v, want WriteTime and FlushTime > 0", strat, ss)
-		}
-		if got := ss.CriticalWriteTime(); got != ss.WriteTime+ss.FlushTime {
-			t.Fatalf("%s: CriticalWriteTime = %v, want WriteTime %v + FlushTime %v", strat, got, ss.WriteTime, ss.FlushTime)
+		if ss.WriteTime <= 0 || ss.FlushTime <= 0 {
+			t.Fatalf("%s: stats %+v, want WriteTime and FlushTime > 0", strat, ss)
 		}
 	}
 }
@@ -243,10 +238,7 @@ func stagingPairs(rng *rand.Rand, outSpace *grid.Space, n int) []RegionPair {
 // their buffers after every call; neither may reach a store. A store fed by
 // a caller that clears every buffer right after each call, across several
 // threshold flushes, must hold exactly what a store fed fresh copies
-// holds: the same answers, the same live records and tiles, and on the
-// serial path the same log bytes. Under the ingest pipeline a
-// staged batch is read by shard workers after the writer has moved on, so
-// run it under -race too.
+// holds: the same log bytes and the same answers.
 func TestWriterStagingReuse(t *testing.T) {
 	outSpace := grid.NewSpace(grid.Shape{64, 64})
 	pairs := stagingPairs(rand.New(rand.NewSource(23)), outSpace, 560)
@@ -276,150 +268,120 @@ func TestWriterStagingReuse(t *testing.T) {
 		if cells < 3*flushCellThreshold {
 			t.Fatalf("%s: %d staged cells cross the flush threshold fewer than 3 times", strat, cells)
 		}
-		for _, shards := range []int{0, 2} {
-			t.Run(fmt.Sprintf("%s/shards=%d", strat.ID(), shards), func(t *testing.T) {
-				open := func(name string) (*Store, *kvstore.FileStore, string) {
-					path := filepath.Join(t.TempDir(), name)
-					fs, err := kvstore.OpenFile(path)
-					if err != nil {
-						t.Fatal(err)
-					}
-					st, err := OpenStore(fs, strat, outSpace, tInSpaces)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return st, fs, path
+		t.Run(strat.ID(), func(t *testing.T) {
+			open := func(name string) (*Store, string) {
+				path := filepath.Join(t.TempDir(), name)
+				fs, err := kvstore.OpenFile(path)
+				if err != nil {
+					t.Fatal(err)
 				}
-				feed := func(st *Store, reuse bool) {
-					var full, pay []*Store
-					if payload {
-						pay = []*Store{st}
-					} else {
-						full = []*Store{st}
-					}
-					w := NewWriter(outSpace, tInSpaces, full, pay, nil)
-					if shards > 0 && reuse {
-						coord := NewCoordinator(context.Background(), IngestConfig{Shards: shards}, nil)
-						defer coord.Close()
-						w.UseIngest(coord)
-					}
-					var out []uint64
-					ins := make([][]uint64, 2)
-					var blob []byte
-					for _, rp := range stored {
-						if reuse {
-							out = append(out[:0], rp.Out...)
-							blob = append(blob[:0], rp.Payload...)
-							for i := range rp.Ins {
-								ins[i] = append(ins[i][:0], rp.Ins[i]...)
-							}
-						} else {
-							out, blob = slices.Clone(rp.Out), slices.Clone(rp.Payload)
-							for i := range rp.Ins {
-								ins[i] = slices.Clone(rp.Ins[i])
-							}
-						}
-						var err error
-						if payload {
-							err = w.LWritePayload(out, blob)
-						} else {
-							err = w.LWrite(out, ins...)
-						}
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !reuse {
-							continue
-						}
-						if !slices.Equal(out, rp.Out) || !payload && (!slices.Equal(ins[0], rp.Ins[0]) || !slices.Equal(ins[1], rp.Ins[1])) {
-							t.Fatal("writer modified the caller's cell sets")
-						}
-						// The caller reuses every buffer at once.
-						clear(out)
-						clear(blob)
-						for _, in := range ins {
-							clear(in)
-						}
-					}
-					if err := w.Flush(); err != nil {
-						t.Fatal(err)
-					}
+				st, err := OpenStore(fs, strat, outSpace, tInSpaces)
+				if err != nil {
+					t.Fatal(err)
 				}
-				ref, refFS, refPath := open("ref.log")
-				feed(ref, false)
-				got, gotFS, gotPath := open("got.log")
-				feed(got, true)
-
-				if got.NumPairs() != ref.NumPairs() {
-					t.Fatalf("NumPairs = %d, want %d", got.NumPairs(), ref.NumPairs())
-				}
-				// The meta sidecar holds write timings, so only the log is
-				// compared byte for byte.
-				if shards == 0 {
-					a, err := os.ReadFile(gotPath)
-					if err != nil {
-						t.Fatal(err)
-					}
-					b, err := os.ReadFile(refPath)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(a, b) {
-						t.Fatal("log bytes differ from a store fed fresh copies")
-					}
-				}
-				// Shard workers append records to the log in scheduling
-				// order, so compare what the hashtable holds live.
-				live := func(fs *kvstore.FileStore) map[string]string {
-					m := make(map[string]string)
-					if err := fs.Scan(func(k, v []byte) bool {
-						m[string(k)] = string(v)
-						return true
-					}); err != nil {
-						t.Fatal(err)
-					}
-					return m
-				}
-				if a, b := live(gotFS), live(refFS); len(a) != len(b) {
-					t.Fatalf("live keys = %d, want %d", len(a), len(b))
-				} else {
-					for k, v := range b {
-						if a[k] != v {
-							t.Fatalf("live value of key %x differs", k)
-						}
-					}
-				}
-				var mapp PayloadFn
+				return st, path
+			}
+			feed := func(st *Store, reuse bool) {
+				var full, pay []*Store
 				if payload {
-					mapp = testMapP
+					pay = []*Store{st}
+				} else {
+					full = []*Store{st}
 				}
-				rng := rand.New(rand.NewSource(3))
-				for trial := 0; trial < 10; trial++ {
-					q := randomQuery(rng, outSpace, 30)
-					a, b := bitmap.New(tInSpaces[0]), bitmap.New(tInSpaces[0])
-					if err := got.Backward(q, a, 0, mapp, nil, nil); err != nil {
+				w := NewWriter(outSpace, tInSpaces, full, pay, nil)
+				var out []uint64
+				ins := make([][]uint64, 2)
+				var blob []byte
+				for _, rp := range stored {
+					if reuse {
+						out = append(out[:0], rp.Out...)
+						blob = append(blob[:0], rp.Payload...)
+						for i := range rp.Ins {
+							ins[i] = append(ins[i][:0], rp.Ins[i]...)
+						}
+					} else {
+						out, blob = slices.Clone(rp.Out), slices.Clone(rp.Payload)
+						for i := range rp.Ins {
+							ins[i] = slices.Clone(rp.Ins[i])
+						}
+					}
+					var err error
+					if payload {
+						err = w.LWritePayload(out, blob)
+					} else {
+						err = w.LWrite(out, ins...)
+					}
+					if err != nil {
 						t.Fatal(err)
 					}
-					if err := ref.Backward(q, b, 0, mapp, nil, nil); err != nil {
-						t.Fatal(err)
+					if !reuse {
+						continue
 					}
-					if !bitmapsEqual(a, b) {
-						t.Fatalf("trial %d: backward answer differs", trial)
+					if !slices.Equal(out, rp.Out) || !payload && (!slices.Equal(ins[0], rp.Ins[0]) || !slices.Equal(ins[1], rp.Ins[1])) {
+						t.Fatal("writer modified the caller's cell sets")
 					}
-					fq := randomQuery(rng, tInSpaces[1], 5)
-					fa, fb := bitmap.New(outSpace), bitmap.New(outSpace)
-					if err := got.Forward(fq, fa, 1, mapp, nil); err != nil {
-						t.Fatal(err)
-					}
-					if err := ref.Forward(fq, fb, 1, mapp, nil); err != nil {
-						t.Fatal(err)
-					}
-					if !bitmapsEqual(fa, fb) {
-						t.Fatalf("trial %d: forward answer differs", trial)
+					// The caller reuses every buffer at once.
+					clear(out)
+					clear(blob)
+					for _, in := range ins {
+						clear(in)
 					}
 				}
-			})
-		}
+				if err := w.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ref, refPath := open("ref.log")
+			feed(ref, false)
+			got, gotPath := open("got.log")
+			feed(got, true)
+
+			if got.NumPairs() != ref.NumPairs() {
+				t.Fatalf("NumPairs = %d, want %d", got.NumPairs(), ref.NumPairs())
+			}
+			// The meta sidecar holds write timings, so only the log is
+			// compared byte for byte.
+			a, err := os.ReadFile(gotPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := os.ReadFile(refPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a, b) {
+				t.Fatal("log bytes differ from a store fed fresh copies")
+			}
+			var mapp PayloadFn
+			if payload {
+				mapp = testMapP
+			}
+			rng := rand.New(rand.NewSource(3))
+			for trial := 0; trial < 10; trial++ {
+				q := randomQuery(rng, outSpace, 30)
+				a, b := bitmap.New(tInSpaces[0]), bitmap.New(tInSpaces[0])
+				if err := got.Backward(q, a, 0, mapp, nil, nil); err != nil {
+					t.Fatal(err)
+				}
+				if err := ref.Backward(q, b, 0, mapp, nil, nil); err != nil {
+					t.Fatal(err)
+				}
+				if !bitmapsEqual(a, b) {
+					t.Fatalf("trial %d: backward answer differs", trial)
+				}
+				fq := randomQuery(rng, tInSpaces[1], 5)
+				fa, fb := bitmap.New(outSpace), bitmap.New(outSpace)
+				if err := got.Forward(fq, fa, 1, mapp, nil); err != nil {
+					t.Fatal(err)
+				}
+				if err := ref.Forward(fq, fb, 1, mapp, nil); err != nil {
+					t.Fatal(err)
+				}
+				if !bitmapsEqual(fa, fb) {
+					t.Fatalf("trial %d: forward answer differs", trial)
+				}
+			}
+		})
 	}
 }
 

@@ -1,9 +1,7 @@
 package microbench
 
 import (
-	"context"
 	"encoding/binary"
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -12,18 +10,16 @@ import (
 	"subzero/internal/lineage"
 )
 
-// The write-path microbenchmarks measure lineage capture cost through the
-// same Writer the executor uses: BenchmarkIngestSerial is the synchronous
-// baseline, BenchmarkIngestSharded* run the asynchronous pipeline.
-// b.ReportMetric publishes the part the operator thread paid, which is
-// the quantity the sharded pipeline exists to shrink.
+// BenchmarkIngestSerial measures lineage capture cost through the same
+// Writer the executor uses. b.ReportMetric publishes what the operator
+// thread paid per pair (op-ns/pair: WriteTime + FlushTime) and the bulk
+// encodes alone (encode-ns/pair: WriteTime).
 
 const (
-	ingestSide     = 256
-	ingestPairs    = 4096
-	ingestFanin    = 8
-	ingestFanout   = 4
-	ingestBlockLen = 64
+	ingestSide   = 256
+	ingestPairs  = 4096
+	ingestFanin  = 8
+	ingestFanout = 4
 )
 
 type ingestFixture struct {
@@ -58,7 +54,7 @@ func newIngestFixture() *ingestFixture {
 
 var ingestFix *ingestFixture
 
-func benchmarkIngest(b *testing.B, strat lineage.Strategy, shards int) {
+func benchmarkIngest(b *testing.B, strat lineage.Strategy) {
 	if ingestFix == nil {
 		ingestFix = newIngestFixture()
 	}
@@ -70,17 +66,12 @@ func benchmarkIngest(b *testing.B, strat lineage.Strategy, shards int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		var coord *lineage.Coordinator
 		payload := strat.Mode != lineage.Full
 		var w *lineage.Writer
 		if payload {
 			w = lineage.NewWriter(fix.outSpace, fix.inSpaces, nil, []*lineage.Store{st}, nil)
 		} else {
 			w = lineage.NewWriter(fix.outSpace, fix.inSpaces, []*lineage.Store{st}, nil, nil)
-		}
-		if shards > 1 {
-			coord = lineage.NewCoordinator(context.Background(), lineage.IngestConfig{Shards: shards}, nil)
-			w.UseIngest(coord)
 		}
 		for i := range fix.pairs {
 			var err error
@@ -96,19 +87,8 @@ func benchmarkIngest(b *testing.B, strat lineage.Strategy, shards int) {
 		if err := w.Flush(); err != nil {
 			b.Fatal(err)
 		}
-		if coord != nil {
-			if err := coord.Close(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		// The operator thread pays the whole write and the final flush
-		// serially, only the handoff and drain when sharded.
 		ss := st.Stats()
-		if ss.Shards > 0 {
-			opNS += float64(ss.EnqueueTime + ss.FlushTime)
-		} else {
-			opNS += float64(ss.CriticalWriteTime())
-		}
+		opNS += float64(ss.WriteTime + ss.FlushTime)
 		encodeNS += float64(ss.WriteTime)
 	}
 	pairs := float64(b.N * ingestPairs)
@@ -118,59 +98,6 @@ func benchmarkIngest(b *testing.B, strat lineage.Strategy, shards int) {
 
 func BenchmarkIngestSerial(b *testing.B) {
 	for _, strat := range []lineage.Strategy{lineage.StratFullOne, lineage.StratFullMany, lineage.StratPayOne, lineage.StratFullOneFwd} {
-		b.Run(strat.ID(), func(b *testing.B) { benchmarkIngest(b, strat, 0) })
-	}
-}
-
-func BenchmarkIngestSharded(b *testing.B) {
-	for _, shards := range []int{2, 4} {
-		for _, strat := range []lineage.Strategy{lineage.StratFullOne, lineage.StratFullMany} {
-			b.Run(fmt.Sprintf("%s/shards=%d", strat.ID(), shards), func(b *testing.B) {
-				benchmarkIngest(b, strat, shards)
-			})
-		}
-	}
-}
-
-// BenchmarkIngestEnqueue isolates the enqueue hot path the operator
-// thread pays per lwrite block under the sharded pipeline.
-func BenchmarkIngestEnqueue(b *testing.B) {
-	if ingestFix == nil {
-		ingestFix = newIngestFixture()
-	}
-	fix := ingestFix
-	newStores := func() []*lineage.Store {
-		st, err := lineage.OpenStore(kvstore.NewMem(), lineage.StratFullOne, fix.outSpace, fix.inSpaces)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return []*lineage.Store{st}
-	}
-	coord := lineage.NewCoordinator(context.Background(), lineage.IngestConfig{Shards: 4, Depth: 64}, nil)
-	defer coord.Close()
-	stores := newStores()
-	block := make([]lineage.RegionPair, ingestBlockLen)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		copy(block, fix.pairs[(n*ingestBlockLen)%(ingestPairs-ingestBlockLen):])
-		if err := coord.Enqueue(stores, block); err != nil {
-			b.Fatal(err)
-		}
-		block = make([]lineage.RegionPair, ingestBlockLen)
-		if n%32 == 31 {
-			if err := coord.Barrier(); err != nil {
-				b.Fatal(err)
-			}
-			// A store buffers its cell entries until its one Flush, so
-			// each 32 blocks go to a fresh store to keep memory bounded.
-			b.StopTimer()
-			stores = newStores()
-			b.StartTimer()
-		}
-	}
-	b.StopTimer()
-	if err := coord.Barrier(); err != nil {
-		b.Fatal(err)
+		b.Run(strat.ID(), func(b *testing.B) { benchmarkIngest(b, strat) })
 	}
 }

@@ -55,16 +55,6 @@ func (g *Gauge) Set(v int64) { g.v.Store(v) }
 // Add moves the gauge by delta.
 func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 
-// SetMax raises the gauge to v if v is larger — a high-water mark.
-func (g *Gauge) SetMax(v int64) {
-	for {
-		cur := g.v.Load()
-		if cur >= v || g.v.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
 // Load returns the current value.
 func (g *Gauge) Load() int64 { return g.v.Load() }
 

@@ -172,14 +172,6 @@ func TestNewSetRegistersAllFamilies(t *testing.T) {
 		"subzero_query_region_span_cells",
 		"subzero_query_fallbacks_total",
 		"subzero_query_operator_path_total",
-		"subzero_ingest_enqueue_stall_seconds",
-		"subzero_ingest_flush_seconds",
-		"subzero_ingest_batches_total",
-		"subzero_ingest_pairs_total",
-		"subzero_ingest_queue_depth",
-		"subzero_ingest_queue_high_water",
-		"subzero_ingest_shard_busy_seconds_total",
-		"subzero_ingest_shard_pairs_total",
 		"subzero_kvstore_ops_total",
 		"subzero_kvstore_keys_total",
 		"subzero_kvstore_bytes_total",
@@ -250,8 +242,7 @@ func TestSpanClassesComplete(t *testing.T) {
 		seen[c] = true
 	}
 	for _, c := range []string{SpanProbe, SpanStore, SpanReexec, SpanHTTP,
-		SpanQuery, SpanExecute, SpanNode, SpanKVProbe, SpanIngestEnqueue,
-		SpanIngestDrain} {
+		SpanQuery, SpanExecute, SpanNode, SpanKVProbe} {
 		if !seen[c] {
 			t.Fatalf("SpanClasses missing %q", c)
 		}

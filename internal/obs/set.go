@@ -27,13 +27,11 @@ var stepClasses = [...]string{SpanProbe, SpanEntireArray, SpanMap,
 // ObserveStep never sees them). Every span a tracer emits must carry one
 // of the SpanClasses() families — see CONTRIBUTING.
 const (
-	SpanHTTP          = "http"
-	SpanQuery         = "query"
-	SpanExecute       = "execute"
-	SpanNode          = "node"
-	SpanKVProbe       = "kvstore-probe"
-	SpanIngestEnqueue = "ingest-enqueue"
-	SpanIngestDrain   = "ingest-drain"
+	SpanHTTP    = "http"
+	SpanQuery   = "query"
+	SpanExecute = "execute"
+	SpanNode    = "node"
+	SpanKVProbe = "kvstore-probe"
 )
 
 // SpanClasses returns every valid trace span class. The executor families
@@ -44,7 +42,6 @@ func SpanClasses() []string {
 		SpanProbe, SpanEntireArray, SpanMap, SpanComposite, SpanStore,
 		SpanStoreScan, SpanReexec, SpanOther,
 		SpanHTTP, SpanQuery, SpanExecute, SpanNode, SpanKVProbe,
-		SpanIngestEnqueue, SpanIngestDrain,
 	}
 }
 
@@ -158,57 +155,6 @@ func (q *QueryObs) RecordQuery(direction int, elapsed time.Duration, cells []uin
 	}
 }
 
-// IngestObs instruments the sharded capture pipeline. It is the only copy
-// of the pipeline's counters: the coordinator observes into it and
-// lineage.SnapshotIngest reads the /v1/stats view back out.
-type IngestObs struct {
-	// EnqueueStall observes the time Enqueue spent handing a batch to the
-	// shard queues — backpressure shows up here.
-	EnqueueStall *Histogram
-	// Flush observes drain-barrier latency (Writer.Flush waiting for the
-	// pipeline to empty).
-	Flush *Histogram
-	// Batches and Pairs count enqueued lineage batches and region pairs.
-	Batches *Counter
-	Pairs   *Counter
-	// QueueDepth tracks the most recently observed shard queue depth,
-	// QueueHighWater the deepest one ever observed.
-	QueueDepth     *Gauge
-	QueueHighWater *Gauge
-	// ShardBusy and ShardPairs break worker time and pair volume down by
-	// shard; the coordinator resolves per-shard series once at startup.
-	ShardBusy  *CounterVec
-	ShardPairs *CounterVec
-}
-
-// NewIngestObs returns a standalone ingest bundle over a private registry,
-// for an executor or coordinator no Set is attached to.
-func NewIngestObs() *IngestObs {
-	o := newIngestObs(NewRegistry())
-	return &o
-}
-
-func newIngestObs(r *Registry) IngestObs {
-	return IngestObs{
-		EnqueueStall: r.NewHistogram("subzero_ingest_enqueue_stall_seconds",
-			"Time operator threads spent enqueueing lineage batches (backpressure).", Nanos),
-		Flush: r.NewHistogram("subzero_ingest_flush_seconds",
-			"Drain-barrier latency waiting for the capture pipeline to empty.", Nanos),
-		Batches: r.NewCounter("subzero_ingest_batches_total",
-			"Lineage batches enqueued to the capture pipeline.", Raw),
-		Pairs: r.NewCounter("subzero_ingest_pairs_total",
-			"Region pairs enqueued to the capture pipeline.", Raw),
-		QueueDepth: r.NewGauge("subzero_ingest_queue_depth",
-			"Most recently observed total ingest queue depth, in batches."),
-		QueueHighWater: r.NewGauge("subzero_ingest_queue_high_water",
-			"Deepest ingest shard queue observed, in batches."),
-		ShardBusy: r.NewCounterVec("subzero_ingest_shard_busy_seconds_total",
-			"Cumulative busy time of ingest shard workers.", Nanos, "shard"),
-		ShardPairs: r.NewCounterVec("subzero_ingest_shard_pairs_total",
-			"Region pairs processed per ingest shard.", Raw, "shard"),
-	}
-}
-
 // KVObs instruments the key-value store layer. The instrumented store
 // wrapper holds these pointers directly, so the lookup hot path pays only
 // atomic adds.
@@ -292,12 +238,11 @@ func newHTTPObs(r *Registry) HTTPObs {
 }
 
 // Set is the process-wide observability surface: every metric family the
-// serving and capture pipeline export, pre-registered in one Registry. A
+// serving path exports, pre-registered in one Registry. A
 // System owns one Set; the server renders its Registry at /v1/metrics.
 type Set struct {
 	Registry *Registry
 	Query    QueryObs
-	Ingest   IngestObs
 	KV       KVObs
 	HTTP     HTTPObs
 }
@@ -308,7 +253,6 @@ func NewSet() *Set {
 	return &Set{
 		Registry: r,
 		Query:    newQueryObs(r),
-		Ingest:   newIngestObs(r),
 		KV:       newKVObs(r),
 		HTTP:     newHTTPObs(r),
 	}

@@ -52,12 +52,9 @@ func (o *Optimizer) profiles() ([]string, map[string]*nodeProfile, error) {
 		}
 		for _, store := range o.run.Stores(n.ID) {
 			ss := store.Stats()
-			// Runtime overhead is costed from the per-shard ingest stats,
-			// not the raw serial WriteTime: under sharded ingest the
-			// encode work spreads across workers and the operator thread
-			// pays only enqueue + drain, so the wall-clock a strategy
-			// adds is the critical path of the two sides.
-			p.measured[store.Strategy()] = measuredStore{bytes: store.SizeBytes(), writeTime: ss.CriticalWriteTime()}
+			// Runtime overhead is what the operator thread paid: the bulk
+			// encodes and the store's one Flush.
+			p.measured[store.Strategy()] = measuredStore{bytes: store.SizeBytes(), writeTime: ss.WriteTime + ss.FlushTime}
 			switch store.Strategy().Mode {
 			case lineage.Full:
 				p.pairs = float64(ss.Pairs)

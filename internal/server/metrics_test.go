@@ -314,7 +314,6 @@ func checkExposition(t *testing.T, baseURL string) {
 		"subzero_queries_total",
 		"subzero_query_duration_seconds",
 		"subzero_query_steps_total",
-		"subzero_ingest_batches_total",
 		"subzero_kvstore_ops_total",
 		"subzero_http_requests_total",
 		"subzero_http_request_duration_seconds",

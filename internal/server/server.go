@@ -73,7 +73,7 @@ type Config struct {
 	Logger *slog.Logger
 	// Obs is the metric set /v1/metrics exposes and the HTTP layer
 	// records into. Nil selects the System's own set, so serving metrics
-	// land in the same exposition as query/ingest/kvstore metrics.
+	// land in the same exposition as query/kvstore metrics.
 	Obs *obs.Set
 	// Tracer samples and retains request span trees served at /v1/traces.
 	// Nil selects an always-sample tracer whose slow threshold follows
@@ -423,13 +423,12 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	health := subzero.WireHealth{
-		Status:           "ok",
-		UptimeNS:         time.Since(s.started).Nanoseconds(),
-		Runs:             len(s.sys.Runs()),
-		InFlight:         s.obs.HTTP.InFlight.Load(),
-		IngestQueueDepth: s.obs.Ingest.QueueDepth.Load(),
-		DegradedStores:   len(degraded),
-		HealingStores:    healing,
+		Status:         "ok",
+		UptimeNS:       time.Since(s.started).Nanoseconds(),
+		Runs:           len(s.sys.Runs()),
+		InFlight:       s.obs.HTTP.InFlight.Load(),
+		DegradedStores: len(degraded),
+		HealingStores:  healing,
 	}
 	status := http.StatusOK
 	if s.draining.Load() {
@@ -470,7 +469,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		LineageBytes: s.sys.LineageBytes(),
 		ArrayBytes:   s.sys.ArrayBytes(),
 		Ops:          ops,
-		Ingest:       subzero.NewWireIngestStats(s.sys.IngestSnapshot()),
 		Server: subzero.WireServerMetrics{
 			Requests:     m.Requests,
 			InFlight:     m.InFlight,

@@ -24,11 +24,10 @@ const (
 	callerTraceparent = "00-" + callerTraceID + "-" + callerSpanID + "-01"
 )
 
-// newTracedService boots a System with asynchronous lineage ingest (so
-// enqueue/drain spans appear) behind an httptest server.
+// newTracedService boots a System behind an httptest server.
 func newTracedService(t *testing.T) (*subzero.System, *client.Client, string) {
 	t.Helper()
-	sys, err := subzero.NewSystem(subzero.WithParallelism(4), subzero.WithIngest(2, 0))
+	sys, err := subzero.NewSystem(subzero.WithParallelism(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,8 +78,8 @@ func collectSpans(t *testing.T, parent string, spans []*subzero.WireSpan, out ma
 // TestTraceEndToEnd drives a workflow execution and a lineage query
 // through the HTTP API with a client-supplied traceparent, then fetches
 // the retained trace and asserts the span tree: HTTP roots parented by
-// the caller's span, executor-step spans, kvstore probe spans, and ingest
-// barrier spans, all under the propagated trace ID.
+// the caller's span, executor-step spans and kvstore probe spans, all
+// under the propagated trace ID.
 func TestTraceEndToEnd(t *testing.T) {
 	ctx := client.WithTraceparent(context.Background(), callerTraceparent)
 	sys, c, _ := newTracedService(t)
@@ -155,7 +154,7 @@ func TestTraceEndToEnd(t *testing.T) {
 
 	for _, class := range []string{
 		obs.SpanHTTP, obs.SpanExecute, obs.SpanNode, obs.SpanQuery,
-		obs.SpanKVProbe, obs.SpanIngestEnqueue, obs.SpanIngestDrain,
+		obs.SpanKVProbe,
 	} {
 		if len(byClass[class]) == 0 {
 			classes := make([]string, 0, len(byClass))
@@ -245,29 +244,6 @@ func TestTraceparentResponseHeader(t *testing.T) {
 	}
 	if parts[2] == callerSpanID || len(parts[2]) != 16 {
 		t.Fatalf("response span ID %q must be a fresh 16-hex ID, not the caller's", parts[2])
-	}
-}
-
-// TestHealthzIngestQueueDepth asserts the health body carries the ingest
-// queue-depth gauge after async-ingest work has flowed through.
-func TestHealthzIngestQueueDepth(t *testing.T) {
-	ctx := context.Background()
-	_, c, _ := newTracedService(t)
-
-	if _, err := c.Execute(ctx, subzero.WireExecuteRequest{
-		Workflow: "genomics", Plan: "PayBoth", Scale: 1,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	h, err := c.Health(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Status != "ok" {
-		t.Fatalf("health status %q", h.Status)
-	}
-	if h.IngestQueueDepth < 0 {
-		t.Fatalf("ingest queue depth %d < 0", h.IngestQueueDepth)
 	}
 }
 

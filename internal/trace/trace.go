@@ -1,7 +1,7 @@
 // Package trace is SubZero's stdlib-only request tracer: real span trees
 // per request — trace/span IDs, parent links, start/duration, and typed
 // attributes — threaded through every layer the obs counters touch (HTTP
-// handler, query executor steps, kvstore probes, ingest barriers).
+// handler, workflow execution, query executor steps, kvstore probes).
 //
 // Design constraints, in priority order:
 //

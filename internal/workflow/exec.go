@@ -49,13 +49,6 @@ type Executor struct {
 	stats    *lineage.Collector
 	runSeq   atomic.Int64
 
-	// ingestCfg sizes the sharded asynchronous capture pipeline; the zero
-	// value keeps the synchronous write path. ingestObs holds the pipeline
-	// counters of every run: the owning System's bundle once SetObs
-	// attaches it, a private one until then.
-	ingestCfg lineage.IngestConfig
-	ingestObs *obs.IngestObs
-
 	// healSeq distinguishes the kvstore namespaces of successive store
 	// rebuilds, so a rebuild never reopens the corrupt log it replaces.
 	healSeq atomic.Int64
@@ -63,24 +56,7 @@ type Executor struct {
 
 // NewExecutor creates an executor.
 func NewExecutor(versions *array.Versions, manager *kvstore.Manager, stats *lineage.Collector) *Executor {
-	return &Executor{versions: versions, manager: manager, stats: stats, ingestObs: obs.NewIngestObs()}
-}
-
-// SetIngest configures the asynchronous lineage ingest pipeline for
-// subsequent Execute calls: cfg.Shards > 1 moves span encoding and index
-// construction onto that many shard workers per run, leaving operators
-// only the enqueue cost. Call before Execute; the config is not applied
-// to runs already in flight.
-func (e *Executor) SetIngest(cfg lineage.IngestConfig) { e.ingestCfg = cfg }
-
-// SetObs makes the executor count its ingest pipeline in the process-wide
-// metric registry. Call before Execute, alongside SetIngest.
-func (e *Executor) SetObs(o *obs.IngestObs) { e.ingestObs = o }
-
-// IngestSnapshot returns the aggregated ingest pipeline counters across
-// all runs executed so far.
-func (e *Executor) IngestSnapshot() lineage.IngestSnapshot {
-	return lineage.SnapshotIngest(e.ingestObs, e.ingestCfg)
+	return &Executor{versions: versions, manager: manager, stats: stats}
 }
 
 // Stats exposes the statistics collector.
@@ -146,15 +122,6 @@ func (e *Executor) Execute(ctx context.Context, spec *Spec, plan Plan, sources m
 	for name, src := range sources {
 		e.versions.Put(src.WithName(name))
 	}
-	// Stand up the per-run ingest coordinator when async capture is on:
-	// its shard workers encode lineage off the operator threads, and its
-	// lifetime is bounded by this Execute (and its context — cancellation
-	// fails the pipeline and surfaces through the writer's flush barrier).
-	var coord *lineage.Coordinator
-	if e.ingestCfg.Enabled() {
-		coord = lineage.NewCoordinator(ctx, e.ingestCfg, e.ingestObs)
-		defer coord.Close()
-	}
 	esp := trace.FromContext(ctx).ChildNamed("execute ", spec.Name, obs.SpanExecute)
 	esp.SetAttr("run", run.ID)
 	esp.SetAttrInt("nodes", int64(len(order)))
@@ -165,7 +132,7 @@ func (e *Executor) Execute(ctx context.Context, spec *Spec, plan Plan, sources m
 			e.releasePartial(run)
 			return nil, fmt.Errorf("workflow: cancelled at node %q: %w", node.ID, err)
 		}
-		if err := e.runNode(esp, run, node, sources, coord); err != nil {
+		if err := e.runNode(esp, run, node, sources); err != nil {
 			e.releasePartial(run)
 			return nil, fmt.Errorf("workflow: node %q: %w", node.ID, err)
 		}
@@ -194,7 +161,7 @@ func (e *Executor) releasePartial(run *Run) {
 	_ = e.ReleaseRun(run.ID)
 }
 
-func (e *Executor) runNode(sp *trace.Span, run *Run, node *Node, sources map[string]*array.Array, coord *lineage.Coordinator) error {
+func (e *Executor) runNode(sp *trace.Span, run *Run, node *Node, sources map[string]*array.Array) error {
 	nsp := sp.ChildNamed("node ", node.ID, obs.SpanNode)
 	defer nsp.End()
 	ins, err := e.resolveInputs(run, node, sources)
@@ -248,10 +215,6 @@ func (e *Executor) runNode(sp *trace.Span, run *Run, node *Node, sources map[str
 	var writer *lineage.Writer
 	if len(fullStores) > 0 || len(payStores) > 0 {
 		writer = lineage.NewWriter(outSpace, inSpaces, fullStores, payStores, nil)
-		if coord != nil {
-			writer.UseIngest(coord)
-		}
-		writer.SetSpan(nsp)
 	}
 	rc := NewRunCtx(modes, writer)
 
@@ -429,10 +392,13 @@ func (r *Run) Strategies(nodeID string) []lineage.Strategy { return r.Plan.Strat
 
 // CaptureStats sums write-path statistics across every lineage store of
 // the run — the capture-overhead quantities behind bench/'s ingest.* rows.
+// Capture runs on the operator's thread, so OpWrite and Encode are both the
+// stores' summed WriteTime; the benchmark reads the two under their own
+// names.
 type CaptureStats struct {
-	OpWrite time.Duration // operator-thread write time (inline encode, or enqueue when sharded)
-	Drain   time.Duration // end-of-node drain barrier + flush wait (sharded only)
-	Encode  time.Duration // encode+commit work, summed across shard workers
+	OpWrite time.Duration // summed WriteTime: the bulk encodes of every batch
+	Drain   time.Duration // summed FlushTime: each store's one Flush
+	Encode  time.Duration // summed WriteTime, as OpWrite
 	Pairs   int64
 }
 
@@ -444,16 +410,12 @@ func (r *Run) CaptureStats() CaptureStats {
 	for _, stores := range r.stores {
 		for _, st := range stores {
 			ss := st.Stats()
-			cs.Encode += ss.WriteTime
+			cs.OpWrite += ss.WriteTime
+			cs.Drain += ss.FlushTime
 			cs.Pairs += int64(ss.Pairs)
-			if ss.Shards > 0 {
-				cs.OpWrite += ss.EnqueueTime
-				cs.Drain += ss.FlushTime
-			} else {
-				cs.OpWrite += ss.WriteTime
-			}
 		}
 	}
+	cs.Encode = cs.OpWrite
 	return cs
 }
 
@@ -551,10 +513,9 @@ func EmitMappedPairs(rc *RunCtx, mc *MapCtx, op BackwardMapper) error {
 // RebuildStore re-materializes one degraded lineage store by re-running
 // its node under the same strategy into a fresh kvstore namespace, then
 // swapping the healed store into the run — the self-heal path behind
-// "lineage is a recoverable cache". The rebuild reuses the capture
-// pipeline of a normal execution (including the sharded ingest
-// coordinator when configured), so a healed store is byte-identical to
-// one written by the original run. The corrupt store is left open and
+// "lineage is a recoverable cache". The rebuild runs the node through the
+// same writer as a normal execution, so a healed store is byte-identical
+// to one written by the original run. The corrupt store is left open and
 // detached: lookups that resolved it before the swap keep falling back
 // to re-execution, and its log is freed with the run.
 func (e *Executor) RebuildStore(ctx context.Context, run *Run, nodeID string, st *lineage.Store) error {
@@ -592,11 +553,6 @@ func (e *Executor) RebuildStore(ctx context.Context, run *Run, nodeID string, st
 		payStores = []*lineage.Store{fresh}
 	}
 	writer := lineage.NewWriter(mc.OutSpace, mc.InSpaces, fullStores, payStores, nil)
-	if e.ingestCfg.Enabled() {
-		coord := lineage.NewCoordinator(ctx, e.ingestCfg, e.ingestObs)
-		defer coord.Close()
-		writer.UseIngest(coord)
-	}
 	rc := NewRunCtx(lineage.NewModeSet(strat.Mode), writer)
 	if _, err := node.Op.Run(rc, ins); err != nil {
 		drop()

@@ -303,65 +303,3 @@ func TestRunCtxNilWriter(t *testing.T) {
 		t.Fatal("blackbox modes need nothing")
 	}
 }
-
-// A run captured through the sharded asynchronous ingest pipeline must be
-// indistinguishable from a serially captured one: same store sizes, same
-// query answers, and the operator-thread overhead recorded as the enqueue
-// and drain cost rather than the full encode time.
-func TestExecuteShardedIngestEquivalence(t *testing.T) {
-	src := make([]float64, 256)
-	for i := range src {
-		src[i] = float64(i)
-	}
-	plan := workflow.Plan{
-		"double": {lineage.StratFullOne},
-		"inc":    {lineage.StratFullMany},
-	}
-	runWith := func(shards int) (*workflow.Executor, *workflow.Run) {
-		e := newExecutor(t)
-		if shards > 1 {
-			e.SetIngest(lineage.IngestConfig{Shards: shards, Depth: 2})
-		}
-		run, err := e.Execute(context.Background(), twoStepSpec(t), plan, map[string]*array.Array{"src": sourceArray(src...)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e, run
-	}
-	_, serial := runWith(0)
-	eSharded, sharded := runWith(4)
-
-	if got, want := sharded.LineageBytes(), serial.LineageBytes(); got != want {
-		t.Fatalf("sharded LineageBytes = %d, serial = %d", got, want)
-	}
-	for _, node := range []string{"double", "inc"} {
-		ss, sw := sharded.Stores(node)[0].Stats(), serial.Stores(node)[0].Stats()
-		if ss.Pairs != sw.Pairs || ss.OutCells != sw.OutCells || ss.InCells != sw.InCells {
-			t.Fatalf("%s: volume stats diverge: sharded %+v serial %+v", node, ss, sw)
-		}
-		if ss.Shards != 4 || sw.Shards != 0 {
-			t.Fatalf("%s: shard counts = %d/%d, want 4/0", node, ss.Shards, sw.Shards)
-		}
-		mc, err := sharded.MapCtx(node)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for cell := uint64(0); cell < mc.OutSpace.Size(); cell += 37 {
-			q := bitmap.FromCells(mc.OutSpace, []uint64{cell})
-			a, b := bitmap.New(mc.InSpaces[0]), bitmap.New(mc.InSpaces[0])
-			if err := serial.Stores(node)[0].Backward(q, a, 0, nil, nil, nil); err != nil {
-				t.Fatal(err)
-			}
-			if err := sharded.Stores(node)[0].Backward(q, b, 0, nil, nil, nil); err != nil {
-				t.Fatal(err)
-			}
-			if a.Count() != b.Count() {
-				t.Fatalf("%s cell %d: sharded answer differs", node, cell)
-			}
-		}
-	}
-	snap := eSharded.IngestSnapshot()
-	if snap.Shards != 4 || snap.Pairs == 0 || snap.Flushes == 0 {
-		t.Fatalf("ingest snapshot not populated: %+v", snap)
-	}
-}

@@ -107,11 +107,6 @@ type (
 	RegionPair = lineage.RegionPair
 	// OpStats is the statistics collector's per-operator view.
 	OpStats = lineage.OpStats
-	// IngestConfig sizes the sharded asynchronous capture pipeline.
-	IngestConfig = lineage.IngestConfig
-	// IngestSnapshot is a point-in-time view of the capture pipeline's
-	// counters (shard utilization, queue pressure, flush latency).
-	IngestSnapshot = lineage.IngestSnapshot
 )
 
 // Query types.

@@ -61,7 +61,6 @@ type config struct {
 	storageDir  string
 	qopts       query.Options
 	parallelism int
-	ingest      lineage.IngestConfig
 }
 
 // WithStorageDir stores lineage in log-structured files under dir; the
@@ -81,14 +80,11 @@ func WithParallelism(n int) Option {
 	return func(c *config) { c.parallelism = n }
 }
 
-// WithIngest enables the sharded asynchronous lineage capture pipeline:
-// operators enqueue raw region pairs and shards workers do the span
-// encoding and index construction off the execution thread, group-
-// committing to the lineage stores. shards <= 1 keeps the synchronous
-// write path; depth bounds each shard's queue in batches (<= 0 selects
-// the default), providing backpressure when operators outrun capture.
+// WithIngest is ignored. Lineage capture has one path: each operator
+// encodes its region pairs on its own thread as it writes them. The option
+// remains only so that existing callers compile; it will be removed.
 func WithIngest(shards, depth int) Option {
-	return func(c *config) { c.ingest = lineage.IngestConfig{Shards: shards, Depth: depth} }
+	return func(*config) {}
 }
 
 // NewSystem creates a SubZero instance.
@@ -106,14 +102,12 @@ func NewSystem(options ...Option) (*System, error) {
 	}
 	// Observability is always on: the metric set is a few hundred atomics,
 	// and attaching it before the first store opens means every layer —
-	// kvstore I/O, ingest shards, query spans — reports into one registry.
+	// kvstore I/O, query spans — reports into one registry.
 	obsSet := obs.NewSet()
 	mgr.SetMetrics(&obsSet.KV)
 	versions := array.NewVersions()
 	stats := lineage.NewCollector()
 	exec := workflow.NewExecutor(versions, mgr, stats)
-	exec.SetIngest(cfg.ingest)
-	exec.SetObs(&obsSet.Ingest)
 	return &System{
 		versions: versions,
 		manager:  mgr,
@@ -497,15 +491,11 @@ func (s *System) AllStats() []OpStats { return s.stats.All() }
 // LineageBytes returns the total storage held by all lineage stores.
 func (s *System) LineageBytes() int64 { return s.manager.TotalBytes() }
 
-// IngestSnapshot returns the capture pipeline's aggregated counters —
-// shard utilization, queue pressure, and flush (drain barrier) latency.
-func (s *System) IngestSnapshot() IngestSnapshot { return s.exec.IngestSnapshot() }
-
 // ArrayBytes returns the footprint of the versioned array store.
 func (s *System) ArrayBytes() int64 { return s.versions.TotalBytes() }
 
-// Observability returns the system's metric set: every query, ingest, and
-// kvstore family this instance reports. The serving layer registers its
+// Observability returns the system's metric set: every query and kvstore
+// family this instance reports. The serving layer registers its
 // HTTP families in the same set and renders the whole registry at
 // /v1/metrics.
 func (s *System) Observability() *obs.Set { return s.obs }

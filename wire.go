@@ -451,50 +451,6 @@ type WireServerMetrics struct {
 	ServerErrors int64 `json:"server_errors"`
 }
 
-// WireIngestStats is the capture pipeline's health view: queue pressure,
-// per-shard utilization, and flush (drain barrier) latency. Shards of 0
-// means the synchronous write path is in use.
-type WireIngestStats struct {
-	Shards         int     `json:"shards"`
-	Depth          int     `json:"depth"`
-	Batches        int64   `json:"batches"`
-	Pairs          int64   `json:"pairs"`
-	QueueHighWater int     `json:"queue_high_water"`
-	EncodeNS       int64   `json:"encode_ns"`
-	FlushNS        int64   `json:"flush_ns"` // summed drain-barrier latency (legacy name, kept stable)
-	FlushMinNS     int64   `json:"flush_min_ns"`
-	FlushAvgNS     int64   `json:"flush_avg_ns"`
-	FlushMaxNS     int64   `json:"flush_max_ns"`
-	Flushes        int64   `json:"flushes"`
-	ShardPairs     []int64 `json:"shard_pairs,omitempty"`
-	ShardBusyNS    []int64 `json:"shard_busy_ns,omitempty"`
-}
-
-// NewWireIngestStats converts an ingest snapshot to its wire form.
-func NewWireIngestStats(s IngestSnapshot) WireIngestStats {
-	out := WireIngestStats{
-		Shards:         s.Shards,
-		Depth:          s.Depth,
-		Batches:        s.Batches,
-		Pairs:          s.Pairs,
-		QueueHighWater: s.QueueHighWater,
-		EncodeNS:       s.EncodeTime.Nanoseconds(),
-		FlushNS:        s.FlushTime.Nanoseconds(),
-		FlushMinNS:     s.FlushMin.Nanoseconds(),
-		FlushAvgNS:     s.FlushAvg.Nanoseconds(),
-		FlushMaxNS:     s.FlushMax.Nanoseconds(),
-		Flushes:        s.Flushes,
-	}
-	if len(s.ShardPairs) > 0 {
-		out.ShardPairs = append([]int64(nil), s.ShardPairs...)
-		out.ShardBusyNS = make([]int64, len(s.ShardBusy))
-		for i, d := range s.ShardBusy {
-			out.ShardBusyNS[i] = d.Nanoseconds()
-		}
-	}
-	return out
-}
-
 // WireQueryClassProfile summarizes one query class's latency
 // distribution (quantiles interpolated from the obs histogram buckets).
 type WireQueryClassProfile struct {
@@ -652,7 +608,6 @@ type WireStats struct {
 	LineageBytes int64               `json:"lineage_bytes"`
 	ArrayBytes   int64               `json:"array_bytes"`
 	Ops          []WireOpStats       `json:"ops,omitempty"`
-	Ingest       WireIngestStats     `json:"ingest"`
 	Server       WireServerMetrics   `json:"server"`
 	Workload     WireWorkloadProfile `json:"workload"`
 	Degraded     []WireDegradedStore `json:"degraded,omitempty"`
@@ -668,10 +623,6 @@ type WireHealth struct {
 	UptimeNS int64  `json:"uptime_ns"`
 	Runs     int    `json:"runs"`
 	InFlight int64  `json:"in_flight"`
-	// IngestQueueDepth is the most recently observed total depth of the
-	// asynchronous lineage ingest queues, in batches (0 when the
-	// synchronous write path is configured).
-	IngestQueueDepth int64 `json:"ingest_queue_depth"`
 	// DegradedStores counts lineage stores quarantined after a corrupt
 	// lookup. The service stays "ok" while degraded — queries fall back
 	// to re-execution — but operators should expect elevated latency

@@ -115,49 +115,6 @@ func TestWireConstraintsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWireIngestStatsJSONCompat pins the JSON field names of
-// WireIngestStats: the legacy keys must survive the min/avg/max widening
-// so existing scrapers keep working.
-func TestWireIngestStatsJSONCompat(t *testing.T) {
-	snap := subzero.IngestSnapshot{
-		Shards:         4,
-		Depth:          64,
-		Batches:        10,
-		Pairs:          1000,
-		QueueHighWater: 7,
-		EncodeTime:     5 * time.Millisecond,
-		FlushTime:      9 * time.Millisecond,
-		FlushMin:       1 * time.Millisecond,
-		FlushAvg:       3 * time.Millisecond,
-		FlushMax:       6 * time.Millisecond,
-		Flushes:        3,
-	}
-	blob, err := json.Marshal(subzero.NewWireIngestStats(snap))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var raw map[string]any
-	if err := json.Unmarshal(blob, &raw); err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]float64{
-		// Legacy keys, pinned since the first wire version.
-		"shards": 4, "depth": 64, "batches": 10, "pairs": 1000,
-		"queue_high_water": 7, "encode_ns": 5e6, "flush_ns": 9e6, "flushes": 3,
-		// Widened flush latency.
-		"flush_min_ns": 1e6, "flush_avg_ns": 3e6, "flush_max_ns": 6e6,
-	}
-	for key, val := range want {
-		got, ok := raw[key].(float64)
-		if !ok {
-			t.Fatalf("key %q missing or non-numeric in %s", key, blob)
-		}
-		if got != val {
-			t.Fatalf("key %q = %v, want %v", key, got, val)
-		}
-	}
-}
-
 // TestWireStoreStatsJSONCompat pins the JSON field names of
 // WireStoreStats: once shipped, keys are widened, never renamed.
 func TestWireStoreStatsJSONCompat(t *testing.T) {
