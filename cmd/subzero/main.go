@@ -72,7 +72,7 @@ func demoAstro(ctx context.Context, scale float64, strategy, dir string) error {
 	if err != nil {
 		return err
 	}
-	mgr, err := kvstore.NewManager(dir)
+	mgr, err := kvstore.NewManager(dir, nil)
 	if err != nil {
 		return err
 	}

@@ -68,7 +68,7 @@ func TestCorruptionFallbackAndHeal(t *testing.T) {
 			for id := 0; id < 8; id++ {
 				block = append(block, stale[id%2]...)
 			}
-			if err := onlyStore(t, sys).Put([]byte{'B', 0}, block); err != nil {
+			if err := onlyStore(t, sys).PutBatch([]kvstore.KV{{Key: []byte{'B', 0}, Val: block}}); err != nil {
 				t.Fatal(err)
 			}
 		},

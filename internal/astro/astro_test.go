@@ -96,7 +96,7 @@ func executeAstro(t *testing.T, planName string) (*workflow.Executor, *workflow.
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr, err := kvstore.NewManager("")
+	mgr, err := kvstore.NewManager("", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

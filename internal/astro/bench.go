@@ -270,7 +270,7 @@ func RunStrategy(ctx context.Context, name string, cfg GenConfig, storageRoot st
 	if root != "" {
 		root = filepath.Join(storageRoot, "astro-"+name)
 	}
-	mgr, err := kvstore.NewManager(root)
+	mgr, err := kvstore.NewManager(root, nil)
 	if err != nil {
 		return nil, err
 	}

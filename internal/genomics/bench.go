@@ -224,7 +224,7 @@ func execute(ctx context.Context, plan workflow.Plan, cfg GenConfig, storageRoot
 	if root != "" {
 		root = filepath.Join(storageRoot, tag)
 	}
-	mgr, err := kvstore.NewManager(root)
+	mgr, err := kvstore.NewManager(root, nil)
 	if err != nil {
 		return nil, nil, nil, err
 	}

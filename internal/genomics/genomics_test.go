@@ -94,7 +94,7 @@ func runGenomics(t *testing.T, planName string) (*workflow.Executor, *workflow.R
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr, err := kvstore.NewManager("")
+	mgr, err := kvstore.NewManager("", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

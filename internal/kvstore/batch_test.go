@@ -19,7 +19,7 @@ func TestPutBatchBasics(t *testing.T) {
 				}
 			}
 			// Pre-existing key gets overwritten by the batch.
-			if err := s.Put([]byte("k000"), []byte("stale")); err != nil {
+			if err := putOne(s, []byte("k000"), []byte("stale")); err != nil {
 				t.Fatal(err)
 			}
 			if err := PutBatch(s, kvs); err != nil {
@@ -29,7 +29,7 @@ func TestPutBatchBasics(t *testing.T) {
 				t.Fatalf("Len = %d, want 100", s.Len())
 			}
 			for _, kv := range kvs {
-				v, ok, err := s.Get(kv.Key)
+				v, ok, err := lookup(s, kv.Key)
 				if err != nil || !ok || !bytes.Equal(v, kv.Val) {
 					t.Fatalf("Get(%q) = %q ok=%v err=%v", kv.Key, v, ok, err)
 				}
@@ -38,9 +38,9 @@ func TestPutBatchBasics(t *testing.T) {
 	}
 }
 
-// A batch written by FileStore.PutBatch must survive reopen, and the batch
-// must equal the bytes N individual Puts would have produced (so recovery
-// and size accounting are identical either way).
+// A batch written by a file store's PutBatch must survive reopen, and the
+// batch must equal the bytes N one-record batches would have produced (so
+// recovery and size accounting are identical either way).
 func TestFileStorePutBatchMatchesPuts(t *testing.T) {
 	dir := t.TempDir()
 	kvs := make([]KV, 50)
@@ -63,7 +63,7 @@ func TestFileStorePutBatchMatchesPuts(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, kv := range kvs {
-		if err := serial.Put(kv.Key, kv.Val); err != nil {
+		if err := putOne(serial, kv.Key, kv.Val); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -88,7 +88,7 @@ func TestFileStorePutBatchMatchesPuts(t *testing.T) {
 	}
 	defer re.Close()
 	for _, kv := range kvs {
-		v, ok, err := re.Get(kv.Key)
+		v, ok, err := lookup(re, kv.Key)
 		if err != nil || !ok || !bytes.Equal(v, kv.Val) {
 			t.Fatalf("reopened Get(%q) = %q ok=%v err=%v", kv.Key, v, ok, err)
 		}
@@ -96,7 +96,7 @@ func TestFileStorePutBatchMatchesPuts(t *testing.T) {
 }
 
 // A PutBatch of fresh keys grows the index once, to the table size the
-// same keys written by one-at-a-time Puts reach — so batching cannot move
+// same keys written by one-record batches reach — so batching cannot move
 // a store's heap footprint — for batches that stay under the load bound,
 // cross it once, or cross it several times.
 func TestPutBatchIndexSizeMatchesPuts(t *testing.T) {
@@ -108,7 +108,7 @@ func TestPutBatchIndexSizeMatchesPuts(t *testing.T) {
 			for i := range kvs {
 				kvs[i] = KV{Key: []byte(fmt.Sprintf("key-%d", i)), Val: []byte{byte(i)}}
 			}
-			open := func() *FileStore {
+			open := func() *LogStore {
 				n++
 				s, err := OpenFile(filepath.Join(dir, fmt.Sprintf("%d.log", n)))
 				if err != nil {
@@ -116,7 +116,7 @@ func TestPutBatchIndexSizeMatchesPuts(t *testing.T) {
 				}
 				t.Cleanup(func() { s.Close() })
 				for _, kv := range kvs[:pre] {
-					if err := s.Put(kv.Key, kv.Val); err != nil {
+					if err := putOne(s, kv.Key, kv.Val); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -124,7 +124,7 @@ func TestPutBatchIndexSizeMatchesPuts(t *testing.T) {
 			}
 			serial, batched := open(), open()
 			for _, kv := range kvs[pre:] {
-				if err := serial.Put(kv.Key, kv.Val); err != nil {
+				if err := putOne(serial, kv.Key, kv.Val); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -132,11 +132,11 @@ func TestPutBatchIndexSizeMatchesPuts(t *testing.T) {
 				t.Fatal(err)
 			}
 			if len(batched.slots) != len(serial.slots) {
-				t.Fatalf("%d keys then a batch of %d: index of %d slots, one-at-a-time Puts reach %d",
+				t.Fatalf("%d keys then a batch of %d: index of %d slots, one-record batches reach %d",
 					pre, size, len(batched.slots), len(serial.slots))
 			}
 			for _, kv := range kvs {
-				if v, ok, err := batched.Get(kv.Key); err != nil || !ok || !bytes.Equal(v, kv.Val) {
+				if v, ok, err := lookup(batched, kv.Key); err != nil || !ok || !bytes.Equal(v, kv.Val) {
 					t.Fatalf("Get(%q) = %q ok=%v err=%v", kv.Key, v, ok, err)
 				}
 			}
@@ -164,14 +164,14 @@ func TestMetaCommitRoundTrip(t *testing.T) {
 	}
 }
 
-// FileStore meta survives reopen and a corrupted sidecar — truncated,
+// A file store's meta survives reopen and a corrupted sidecar — truncated,
 // bit-flipped, or a stray temp file from a crashed commit — reads as
 // absent rather than half-loading.
 func TestFileStoreMetaCorruptionRecovery(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "s.log")
 
-	open := func() *FileStore {
+	open := func() *LogStore {
 		t.Helper()
 		fs, err := OpenFile(path)
 		if err != nil {
@@ -181,7 +181,7 @@ func TestFileStoreMetaCorruptionRecovery(t *testing.T) {
 	}
 
 	fs := open()
-	if err := fs.Put([]byte("data"), []byte("payload")); err != nil {
+	if err := putOne(fs, []byte("data"), []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
 	if err := fs.CommitMeta([]byte("good-meta")); err != nil {
@@ -227,7 +227,7 @@ func TestFileStoreMetaCorruptionRecovery(t *testing.T) {
 				t.Fatalf("corrupt meta should read as absent, got ok=%v err=%v", ok, err)
 			}
 			// Data log is unaffected, and a fresh commit heals the sidecar.
-			if v, ok, _ := fs.Get([]byte("data")); !ok || !bytes.Equal(v, []byte("payload")) {
+			if v, ok, _ := lookup(fs, []byte("data")); !ok || !bytes.Equal(v, []byte("payload")) {
 				t.Fatal("data log damaged by meta corruption handling")
 			}
 			if err := fs.CommitMeta([]byte("healed")); err != nil {
@@ -261,7 +261,7 @@ func TestFileStoreMetaCorruptionRecovery(t *testing.T) {
 // Dropping a namespace removes the meta sidecar along with the log.
 func TestManagerDropRemovesMetaSidecar(t *testing.T) {
 	root := t.TempDir()
-	m, err := NewManager(root)
+	m, err := NewManager(root, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestManagerDropRemovesMetaSidecar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.(*FileStore).CommitMeta([]byte("m")); err != nil {
+	if err := s.(*LogStore).CommitMeta([]byte("m")); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Drop("ns"); err != nil {

@@ -20,7 +20,7 @@ func TestTornWriteRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
-		if err := s.Put([]byte(fmt.Sprintf("k%03d", i)), []byte(fmt.Sprintf("v%03d", i))); err != nil {
+		if err := putOne(s, []byte(fmt.Sprintf("k%03d", i)), []byte(fmt.Sprintf("v%03d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -33,7 +33,7 @@ func TestTornWriteRecovery(t *testing.T) {
 	if err := fault.Arm("kvstore/file/write", fault.Action{Kind: fault.KindTorn, Bytes: 10, Count: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put([]byte("k-crash"), []byte("v-crash")); err != nil {
+	if err := putOne(s, []byte("k-crash"), []byte("v-crash")); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Sync(); !errors.Is(err, fault.ErrInjected) {
@@ -51,7 +51,7 @@ func TestTornWriteRecovery(t *testing.T) {
 		t.Fatalf("recovered %d records, want the 8-record prefix", got)
 	}
 	for i := 0; i < 8; i++ {
-		val, ok, err := re.Get([]byte(fmt.Sprintf("k%03d", i)))
+		val, ok, err := lookup(re, []byte(fmt.Sprintf("k%03d", i)))
 		if err != nil || !ok {
 			t.Fatalf("record k%03d: ok=%v err=%v", i, ok, err)
 		}
@@ -59,7 +59,7 @@ func TestTornWriteRecovery(t *testing.T) {
 			t.Fatalf("record k%03d = %q", i, val)
 		}
 	}
-	if _, ok, _ := re.Get([]byte("k-crash")); ok {
+	if _, ok, _ := lookup(re, []byte("k-crash")); ok {
 		t.Fatal("torn record survived recovery")
 	}
 }

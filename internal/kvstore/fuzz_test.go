@@ -8,10 +8,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
-// flushedLog builds a real FileStore log (flushed, no meta sidecar
+// flushedLog builds a real file store log (flushed, no meta sidecar
 // dependence) and returns its raw bytes — the honest seed corpus for the
 // recovery fuzzer.
 func flushedLog(t interface{ Fatal(...any) }, n int) []byte {
@@ -28,7 +29,7 @@ func flushedLog(t interface{ Fatal(...any) }, n int) []byte {
 	for i := 0; i < n; i++ {
 		key := fmt.Sprintf("key-%04d", i)
 		val := fmt.Sprintf("val-%04d-%s", i, "payload")
-		if err := s.Put([]byte(key), []byte(val)); err != nil {
+		if err := putOne(s, []byte(key), []byte(val)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -75,7 +76,7 @@ func validPrefix(log []byte) map[string]string {
 }
 
 // FuzzRecoverLog feeds arbitrary (torn, bit-flipped, adversarial) log
-// bytes to FileStore.recover via OpenFile. Recovery must never panic,
+// bytes to LogStore.recover via OpenFile. Recovery must never panic,
 // must never error on readable media, and must leave a log whose every
 // indexed record is readable and whose contents are exactly the valid
 // prefix's — the consistent prefix the failure model promises. Reopening the recovered log must be a fixed point: the same
@@ -105,7 +106,7 @@ func FuzzRecoverLog(f *testing.F) {
 			t.Fatalf("recovered %d records, the valid prefix holds %d: %q vs %q", len(first), len(want), first, want)
 		}
 		for k, v := range first {
-			if got, ok, err := s.Get([]byte(k)); err != nil || !ok || string(got) != v {
+			if got, ok, err := lookup(s, []byte(k)); err != nil || !ok || string(got) != v {
 				t.Fatalf("Get(%q) on the recovered log = %q ok=%v err=%v, Scan saw %q", k, got, ok, err, v)
 			}
 		}
@@ -123,4 +124,113 @@ func FuzzRecoverLog(f *testing.F) {
 			t.Fatalf("recovery not a fixed point: %q, then %q", first, second)
 		}
 	})
+}
+
+// FuzzMemMatchesFile applies one sequence of PutBatch (overwrites
+// included), CommitMeta and Sync calls to a memory store and a file store,
+// and requires the two to look the same from outside: the same Scan
+// sequence, GetBatch answers, Len, LoadMeta and SizeBytes. The backings
+// share everything but where the log's bytes live, so any difference is a
+// bug in one of the two places they differ.
+func FuzzMemMatchesFile(f *testing.F) {
+	f.Add([]byte{0, 3, 1, 5, 2, 9, 7, 3})
+	f.Add([]byte{1, 7, 0, 0, 1, 1, 2, 250, 3, 2, 4, 0, 2, 0, 3, 3, 1, 1})
+	f.Add([]byte{2, 5, 3, 0, 4, 1, 3, 255, 2, 0, 3, 1, 6, 4, 255, 3})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		file, err := OpenFile(filepath.Join(t.TempDir(), "f.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer file.Close()
+		mem := NewMem()
+		defer mem.Close()
+		next := func() int {
+			if len(ops) == 0 {
+				return 0
+			}
+			b := ops[0]
+			ops = ops[1:]
+			return int(b)
+		}
+		for len(ops) > 0 {
+			switch next() % 4 {
+			case 0, 1:
+				kvs := make([]KV, next()%8)
+				for i := range kvs {
+					key := []byte{'k', byte(next() % 16)}
+					n := next()
+					if n >= 250 {
+						n = (n - 249) << 16 // drains the file store's append buffer
+					}
+					kvs[i] = KV{Key: key, Val: bytes.Repeat([]byte{byte(n)}, n)}
+				}
+				for _, s := range []Store{file, mem} {
+					if err := s.PutBatch(kvs); err != nil {
+						t.Fatal(err)
+					}
+				}
+			case 2:
+				val := bytes.Repeat([]byte{'m'}, next()%20)
+				for _, s := range []Store{file, mem} {
+					if err := s.CommitMeta(val); err != nil {
+						t.Fatal(err)
+					}
+				}
+			case 3:
+				for _, s := range []Store{file, mem} {
+					if err := s.Sync(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				sameStores(t, file, mem)
+			}
+		}
+		sameStores(t, file, mem)
+	})
+}
+
+// sameStores fails unless a and b answer every read alike.
+func sameStores(t *testing.T, a, b Store) {
+	t.Helper()
+	type rec struct{ key, val string }
+	scan := func(s Store) []rec {
+		var out []rec
+		if err := s.Scan(func(k, v []byte) bool {
+			out = append(out, rec{string(k), string(v)})
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	if sa, sb := scan(a), scan(b); !slices.Equal(sa, sb) {
+		t.Fatalf("Scan sequences differ: %d records vs %d", len(sa), len(sb))
+	}
+	keys := make([][]byte, 16)
+	for i := range keys {
+		keys[i] = []byte{'k', byte(i)}
+	}
+	get := func(s Store) []string {
+		out := make([]string, len(keys))
+		if err := s.GetBatch(keys, func(i int, v []byte, ok bool) bool {
+			if ok {
+				out[i] = "=" + string(v)
+			}
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	if ga, gb := get(a), get(b); !slices.Equal(ga, gb) {
+		t.Fatal("GetBatch answers differ")
+	}
+	ma, oka, erra := a.LoadMeta()
+	mb, okb, errb := b.LoadMeta()
+	if erra != nil || errb != nil || oka != okb || !bytes.Equal(ma, mb) {
+		t.Fatalf("LoadMeta differs: %q ok=%v err=%v vs %q ok=%v err=%v", ma, oka, erra, mb, okb, errb)
+	}
+	if a.Len() != b.Len() || a.SizeBytes() != b.SizeBytes() {
+		t.Fatalf("Len %d vs %d, SizeBytes %d vs %d", a.Len(), b.Len(), a.SizeBytes(), b.SizeBytes())
+	}
 }

@@ -23,23 +23,37 @@ func storesUnderTest(t *testing.T) map[string]Store {
 	return map[string]Store{"file": fs, "mem": ms}
 }
 
+// putOne writes one record as a one-record batch.
+func putOne(s Store, key, val []byte) error {
+	return s.PutBatch([]KV{{Key: key, Val: val}})
+}
+
+// lookup reads one key as a one-key batch and returns a copy of its value.
+func lookup(s Store, key []byte) (val []byte, ok bool, err error) {
+	err = s.GetBatch([][]byte{key}, func(_ int, v []byte, found bool) bool {
+		val, ok = bytes.Clone(v), found
+		return true
+	})
+	return val, ok, err
+}
+
 func TestPutGetOverwrite(t *testing.T) {
 	for name, s := range storesUnderTest(t) {
 		t.Run(name, func(t *testing.T) {
-			if _, ok, err := s.Get([]byte("missing")); err != nil || ok {
+			if _, ok, err := lookup(s, []byte("missing")); err != nil || ok {
 				t.Fatal("missing key reported present")
 			}
-			if err := s.Put([]byte("k1"), []byte("v1")); err != nil {
+			if err := putOne(s, []byte("k1"), []byte("v1")); err != nil {
 				t.Fatal(err)
 			}
-			v, ok, err := s.Get([]byte("k1"))
+			v, ok, err := lookup(s, []byte("k1"))
 			if err != nil || !ok || !bytes.Equal(v, []byte("v1")) {
 				t.Fatalf("Get=%q ok=%v err=%v", v, ok, err)
 			}
-			if err := s.Put([]byte("k1"), []byte("v2-longer")); err != nil {
+			if err := putOne(s, []byte("k1"), []byte("v2-longer")); err != nil {
 				t.Fatal(err)
 			}
-			v, ok, _ = s.Get([]byte("k1"))
+			v, ok, _ = lookup(s, []byte("k1"))
 			if !ok || !bytes.Equal(v, []byte("v2-longer")) {
 				t.Fatalf("overwrite Get=%q", v)
 			}
@@ -53,10 +67,10 @@ func TestPutGetOverwrite(t *testing.T) {
 func TestEmptyKeyAndValue(t *testing.T) {
 	for name, s := range storesUnderTest(t) {
 		t.Run(name, func(t *testing.T) {
-			if err := s.Put([]byte{}, []byte{}); err != nil {
+			if err := putOne(s, []byte{}, []byte{}); err != nil {
 				t.Fatal(err)
 			}
-			v, ok, err := s.Get([]byte{})
+			v, ok, err := lookup(s, []byte{})
 			if err != nil || !ok || len(v) != 0 {
 				t.Fatalf("empty round trip: %q %v %v", v, ok, err)
 			}
@@ -71,7 +85,7 @@ func TestScanVisitsAllLiveRecords(t *testing.T) {
 			for i := 0; i < 100; i++ {
 				k, v := fmt.Sprintf("key-%03d", i), fmt.Sprintf("val-%d", i*i)
 				want[k] = v
-				if err := s.Put([]byte(k), []byte(v)); err != nil {
+				if err := putOne(s, []byte(k), []byte(v)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -79,7 +93,7 @@ func TestScanVisitsAllLiveRecords(t *testing.T) {
 			for i := 0; i < 10; i++ {
 				k := fmt.Sprintf("key-%03d", i)
 				want[k] = "new"
-				if err := s.Put([]byte(k), []byte("new")); err != nil {
+				if err := putOne(s, []byte(k), []byte("new")); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -106,7 +120,7 @@ func TestScanEarlyStop(t *testing.T) {
 	for name, s := range storesUnderTest(t) {
 		t.Run(name, func(t *testing.T) {
 			for i := 0; i < 20; i++ {
-				_ = s.Put([]byte{byte(i)}, []byte{byte(i)})
+				_ = putOne(s, []byte{byte(i)}, []byte{byte(i)})
 			}
 			n := 0
 			_ = s.Scan(func(k, v []byte) bool { n++; return n < 5 })
@@ -121,7 +135,7 @@ func TestSizeBytesGrows(t *testing.T) {
 	for name, s := range storesUnderTest(t) {
 		t.Run(name, func(t *testing.T) {
 			before := s.SizeBytes()
-			_ = s.Put([]byte("key"), bytes.Repeat([]byte{1}, 1000))
+			_ = putOne(s, []byte("key"), bytes.Repeat([]byte{1}, 1000))
 			if s.SizeBytes() < before+1000 {
 				t.Fatalf("SizeBytes=%d did not grow by payload", s.SizeBytes())
 			}
@@ -136,7 +150,7 @@ func TestFileStorePersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 500; i++ {
-		if err := s.Put([]byte(fmt.Sprintf("k%d", i)), []byte(fmt.Sprintf("v%d", i))); err != nil {
+		if err := putOne(s, []byte(fmt.Sprintf("k%d", i)), []byte(fmt.Sprintf("v%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -152,15 +166,15 @@ func TestFileStorePersistence(t *testing.T) {
 	if re.Len() != 500 {
 		t.Fatalf("reopened Len=%d", re.Len())
 	}
-	v, ok, err := re.Get([]byte("k123"))
+	v, ok, err := lookup(re, []byte("k123"))
 	if err != nil || !ok || string(v) != "v123" {
 		t.Fatalf("reopened Get=%q ok=%v err=%v", v, ok, err)
 	}
 	// Store must remain appendable after reopen.
-	if err := re.Put([]byte("new"), []byte("rec")); err != nil {
+	if err := putOne(re, []byte("new"), []byte("rec")); err != nil {
 		t.Fatal(err)
 	}
-	v, ok, _ = re.Get([]byte("new"))
+	v, ok, _ = lookup(re, []byte("new"))
 	if !ok || string(v) != "rec" {
 		t.Fatal("append after reopen failed")
 	}
@@ -173,7 +187,7 @@ func TestFileStoreTornTailRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		_ = s.Put([]byte(fmt.Sprintf("k%02d", i)), bytes.Repeat([]byte{byte(i)}, 50))
+		_ = putOne(s, []byte(fmt.Sprintf("k%02d", i)), bytes.Repeat([]byte{byte(i)}, 50))
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -191,14 +205,14 @@ func TestFileStoreTornTailRecovery(t *testing.T) {
 	if re.Len() != 99 {
 		t.Fatalf("after torn tail Len=%d, want 99", re.Len())
 	}
-	if _, ok, _ := re.Get([]byte("k98")); !ok {
+	if _, ok, _ := lookup(re, []byte("k98")); !ok {
 		t.Fatal("intact record lost")
 	}
-	if _, ok, _ := re.Get([]byte("k99")); ok {
+	if _, ok, _ := lookup(re, []byte("k99")); ok {
 		t.Fatal("torn record resurrected")
 	}
 	// New writes land after the truncated tail and survive a reopen.
-	if err := re.Put([]byte("k99"), []byte("again")); err != nil {
+	if err := putOne(re, []byte("k99"), []byte("again")); err != nil {
 		t.Fatal(err)
 	}
 	if err := re.Close(); err != nil {
@@ -209,7 +223,7 @@ func TestFileStoreTornTailRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re2.Close()
-	if v, ok, _ := re2.Get([]byte("k99")); !ok || string(v) != "again" {
+	if v, ok, _ := lookup(re2, []byte("k99")); !ok || string(v) != "again" {
 		t.Fatal("rewrite after torn-tail recovery lost")
 	}
 }
@@ -221,7 +235,7 @@ func TestFileStoreCorruptMiddleStopsScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		_ = s.Put([]byte{byte(i)}, bytes.Repeat([]byte{0x55}, 40))
+		_ = putOne(s, []byte{byte(i)}, bytes.Repeat([]byte{0x55}, 40))
 	}
 	_ = s.Close()
 	// Flip a byte in the middle of the file: recovery keeps the prefix.
@@ -246,11 +260,11 @@ func TestClosedStoreErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = fs.Close()
-	if err := fs.Put([]byte("k"), []byte("v")); err == nil {
-		t.Fatal("Put on closed store succeeded")
+	if err := putOne(fs, []byte("k"), []byte("v")); err == nil {
+		t.Fatal("PutBatch on closed store succeeded")
 	}
-	if _, _, err := fs.Get([]byte("k")); err == nil {
-		t.Fatal("Get on closed store succeeded")
+	if _, _, err := lookup(fs, []byte("k")); err == nil {
+		t.Fatal("GetBatch on closed store succeeded")
 	}
 	if err := fs.Close(); err != nil {
 		t.Fatal("double Close should be a no-op")
@@ -264,7 +278,7 @@ func TestManagerFileAndMemory(t *testing.T) {
 			name = "file"
 		}
 		t.Run(name, func(t *testing.T) {
-			m, err := NewManager(root)
+			m, err := NewManager(root, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -281,8 +295,8 @@ func TestManagerFileAndMemory(t *testing.T) {
 			if again != a {
 				t.Fatal("Open not idempotent")
 			}
-			_ = a.Put([]byte("x"), []byte("1"))
-			_ = b.Put([]byte("y"), bytes.Repeat([]byte{2}, 100))
+			_ = putOne(a, []byte("x"), []byte("1"))
+			_ = putOne(b, []byte("y"), bytes.Repeat([]byte{2}, 100))
 			if got := m.Namespaces(); len(got) != 2 {
 				t.Fatalf("Namespaces=%v", got)
 			}
@@ -301,29 +315,29 @@ func TestManagerFileAndMemory(t *testing.T) {
 
 func TestManagerPersistenceAcrossReopen(t *testing.T) {
 	root := t.TempDir()
-	m, err := NewManager(root)
+	m, err := NewManager(root, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s, _ := m.Open("astro/crd")
-	_ = s.Put([]byte("pair-1"), []byte("lineage"))
+	_ = putOne(s, []byte("pair-1"), []byte("lineage"))
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	m2, err := NewManager(root)
+	m2, err := NewManager(root, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m2.Close()
 	s2, _ := m2.Open("astro/crd")
-	v, ok, err := s2.Get([]byte("pair-1"))
+	v, ok, err := lookup(s2, []byte("pair-1"))
 	if err != nil || !ok || string(v) != "lineage" {
 		t.Fatalf("persisted value lost: %q %v %v", v, ok, err)
 	}
 }
 
-// Property: a randomized batch of Put operations leaves both
+// Property: a randomized sequence of one-record batches leaves both
 // implementations exactly matching a map reference.
 func TestQuickStoreVsReference(t *testing.T) {
 	dir := t.TempDir()
@@ -342,14 +356,14 @@ func TestQuickStoreVsReference(t *testing.T) {
 		ref := map[string][]byte{}
 		for _, op := range ops {
 			k := []byte{op.K % 32}
-			if fs.Put(k, op.V) != nil || ms.Put(k, op.V) != nil {
+			if putOne(fs, k, op.V) != nil || putOne(ms, k, op.V) != nil {
 				return false
 			}
 			ref[string(k)] = op.V
 		}
 		for k, want := range ref {
 			for _, s := range []Store{fs, ms} {
-				got, ok, err := s.Get([]byte(k))
+				got, ok, err := lookup(s, []byte(k))
 				if err != nil || !ok || !bytes.Equal(got, want) {
 					return false
 				}
@@ -374,7 +388,7 @@ func BenchmarkFileStorePut(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		key[0], key[1], key[2], key[3] = byte(i), byte(i>>8), byte(i>>16), byte(i>>24)
-		if err := s.Put(key[:], val); err != nil {
+		if err := putOne(s, key[:], val); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -391,12 +405,12 @@ func BenchmarkFileStoreGet(b *testing.B) {
 	keys := make([][]byte, 10000)
 	for i := range keys {
 		keys[i] = []byte(fmt.Sprintf("key-%d", i))
-		_ = s.Put(keys[i], val)
+		_ = putOne(s, keys[i], val)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok, err := s.Get(keys[rng.Intn(len(keys))]); err != nil || !ok {
+		if _, ok, err := lookup(s, keys[rng.Intn(len(keys))]); err != nil || !ok {
 			b.Fatal("get failed")
 		}
 	}

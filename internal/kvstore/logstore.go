@@ -11,9 +11,11 @@ import (
 	"os"
 	"runtime/debug"
 	"sync"
+	"time"
 	"unsafe"
 
 	"subzero/internal/fault"
+	"subzero/internal/obs"
 )
 
 // Failpoints covering the append/flush path of the log and the commit
@@ -22,7 +24,6 @@ import (
 // register one (see CONTRIBUTING). The wrapped file layer adds
 // kvstore/file/write (torn-write capable) and kvstore/file/sync.
 var (
-	fpPut        = fault.Register("kvstore/put")
 	fpPutBatch   = fault.Register("kvstore/putbatch")
 	fpFlush      = fault.Register("kvstore/flush")
 	fpMetaWrite  = fault.Register("kvstore/meta/write")
@@ -36,20 +37,21 @@ var (
 	_ = fault.Register("kvstore/file/sync")
 )
 
-// FileStore is a log-structured Store whose reads never leave user space.
-// Records are appended to one file; the bytes the kernel has accepted are
-// read through a read-only shared mapping of that file, and the bytes not
-// yet written sit in the store's own append buffer, which reads consult
-// directly — a read never forces a flush, makes a syscall, or copies a
-// value it only lends to a callback.
+// LogStore is a log-structured Store whose reads never leave user space.
+// Records are appended to one log. A file-backed store (OpenFile) keeps the
+// log in a file: the bytes the kernel has accepted are read through a
+// read-only shared mapping of that file, and the bytes not yet written sit
+// in the store's own append buffer, which reads consult directly — a read
+// never forces a flush, makes a syscall, or copies a value it only lends to
+// a callback. A memory store (NewMem) has no file: its append buffer is the
+// whole log and is never drained.
 //
 // The index is an open-addressing table of 8-byte slots, each the offset
 // of a key's latest record plus a few bits of the key's hash. It holds no
 // key: a probe whose tag matches compares against the key bytes of the
 // record itself, which sit next to the value the caller is about to read.
-// Overwritten values leave garbage in the log; lineage workloads write
-// each key once (or merge a handful of times), so compaction is
-// unnecessary and is deliberately omitted.
+// Overwritten values leave garbage in the log; lineage stores write each
+// key once, so compaction is unnecessary and is deliberately omitted.
 //
 // Record layout (all integers little-endian / uvarint):
 //
@@ -66,11 +68,11 @@ var (
 // and Scan callbacks — is dead once the lock it was taken under is
 // released, because the next writer may remap or regrow the memory
 // behind it.
-type FileStore struct {
+type LogStore struct {
 	mu   sync.RWMutex
-	f    fault.File // the log; appends go through its fault-injection layer
+	f    fault.File // the log file, nil for a memory store; appends go through its fault-injection layer
 	fd   *os.File   // the same file, for mapping
-	path string
+	path string     // the log file's path, or "memory"
 
 	// data maps the log from offset 0. It is longer than the file (the
 	// length grows geometrically so that most flushes need no remap); only
@@ -79,7 +81,8 @@ type FileStore struct {
 	// tail buffers the records at [tailOff, tailOff+len(tail)). It always
 	// starts on a record boundary: a flush either hands all of it to the
 	// kernel and advances tailOff past it, or leaves it whole and remembers
-	// in written how many of its bytes the file already holds.
+	// in written how many of its bytes the file already holds. A memory
+	// store's tail starts at offset 0 and holds the whole log.
 	tail    []byte
 	tailOff int64
 	written int
@@ -90,7 +93,12 @@ type FileStore struct {
 	tagMask uint64 // tagAll; tests narrow it to force tag collisions
 
 	closed  bool
-	metaLen int64 // size of the committed meta sidecar, for accounting
+	meta    []byte // a memory store's framed meta blob
+	metaLen int64  // size of the framed meta blob, for accounting
+
+	// obs counts the store's operations; nil counts nothing. The Manager
+	// sets it before handing the store out.
+	obs *obs.KVObs
 }
 
 // A slot is zero when empty, else (record offset + 1) << tagBits | tag,
@@ -112,18 +120,23 @@ const (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// OpenFile opens (or creates) a FileStore at path, rebuilding the key
-// index from the log and truncating any torn tail.
-func OpenFile(path string) (*FileStore, error) {
+// NewMem creates an empty store whose log is kept in memory.
+func NewMem() *LogStore {
+	return &LogStore{path: "memory", seed: maphash.MakeSeed(), tagMask: tagAll}
+}
+
+// OpenFile opens (or creates) a file-backed LogStore at path, rebuilding
+// the key index from the log and truncating any torn tail.
+func OpenFile(path string) (*LogStore, error) {
 	return openFile(path, tagAll)
 }
 
-func openFile(path string, tagMask uint64) (*FileStore, error) {
+func openFile(path string, tagMask uint64) (*LogStore, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("kvstore: open %s: %w", path, err)
 	}
-	s := &FileStore{
+	s := &LogStore{
 		// The fault wrapper sits below the append buffer, so an injected
 		// torn write leaves exactly what a crashed process would: a
 		// partial frame at the file tail.
@@ -149,7 +162,7 @@ func openFile(path string, tagMask uint64) (*FileStore, error) {
 // recover maps the log and walks it, rebuilding the index. It stops at the
 // first invalid record, truncates the file there and leaves the file
 // position at the new end.
-func (s *FileStore) recover() (err error) {
+func (s *LogStore) recover() (err error) {
 	info, err := s.f.Stat()
 	if err != nil {
 		return fmt.Errorf("kvstore: stat %s: %w", s.path, err)
@@ -218,12 +231,12 @@ func splitRecord(b []byte) (key, val []byte, size int, ok bool) {
 }
 
 // end returns the offset one past the last appended record.
-func (s *FileStore) end() int64 { return s.tailOff + int64(len(s.tail)) }
+func (s *LogStore) end() int64 { return s.tailOff + int64(len(s.tail)) }
 
 // record returns the key, the value and the size of the record at off,
 // which the index or a log walk vouches for. The slices alias the mapping
 // or the append buffer.
-func (s *FileStore) record(off int64) (key, val []byte, size int, err error) {
+func (s *LogStore) record(off int64) (key, val []byte, size int, err error) {
 	var b []byte
 	if off < s.tailOff {
 		b = s.data[off:s.tailOff]
@@ -245,7 +258,7 @@ func (s *FileStore) record(off int64) (key, val []byte, size int, err error) {
 // returned an error — and the kernel reports that as a fault on the
 // address. The runtime would abort the process; this turns it into an
 // error naming the store and the offset. Any other panic continues.
-func (s *FileStore) catchFault(prev bool, err *error) {
+func (s *LogStore) catchFault(prev bool, err *error) {
 	debug.SetPanicOnFault(prev)
 	r := recover()
 	if r == nil {
@@ -268,7 +281,7 @@ func (s *FileStore) catchFault(prev bool, err *error) {
 // remap replaces the mapping with one that covers at least need bytes.
 // Callers hold mu exclusively (or own the store outright, in open), so no
 // slice of the old mapping is live.
-func (s *FileStore) remap(need int64) error {
+func (s *LogStore) remap(need int64) error {
 	n := max(2*need, minMapBytes)
 	if int64(int(n)) != n {
 		return fmt.Errorf("kvstore: map %s: %d bytes do not fit the address space", s.path, n)
@@ -288,7 +301,7 @@ func (s *FileStore) remap(need int64) error {
 }
 
 // hashKey returns the key's hash and the tag a slot stores for it.
-func (s *FileStore) hashKey(key []byte) (h, tag uint64) {
+func (s *LogStore) hashKey(key []byte) (h, tag uint64) {
 	h = maphash.Bytes(s.seed, key)
 	return h, h >> (64 - tagBits) & s.tagMask
 }
@@ -296,7 +309,7 @@ func (s *FileStore) hashKey(key []byte) (h, tag uint64) {
 // probe walks key's probe sequence and returns the slot holding it, with
 // its record's offset and value, or the empty slot where it belongs, with
 // off = -1. The table must have an empty slot.
-func (s *FileStore) probe(key []byte, h, tag uint64) (slot uint64, off int64, val []byte, err error) {
+func (s *LogStore) probe(key []byte, h, tag uint64) (slot uint64, off int64, val []byte, err error) {
 	mask := uint64(len(s.slots) - 1)
 	for slot = h & mask; ; slot = (slot + 1) & mask {
 		sl := s.slots[slot]
@@ -319,7 +332,7 @@ func (s *FileStore) probe(key []byte, h, tag uint64) (slot uint64, off int64, va
 
 // find returns the offset and the value of key's latest record, or
 // off = -1 when the key is absent.
-func (s *FileStore) find(key []byte) (off int64, val []byte, err error) {
+func (s *LogStore) find(key []byte) (off int64, val []byte, err error) {
 	if len(s.slots) == 0 {
 		return -1, nil, nil
 	}
@@ -332,7 +345,7 @@ func (s *FileStore) find(key []byte) (off int64, val []byte, err error) {
 // readable through record. more counts the keys still to come in the same
 // batch: when the table must grow, it grows once for all of them, to the
 // size the same keys inserted one at a time would reach if all were new.
-func (s *FileStore) indexPut(key []byte, off int64, more int) error {
+func (s *LogStore) indexPut(key []byte, off int64, more int) error {
 	if (s.live+1)*4 > len(s.slots)*3 {
 		if err := s.growIndex(s.live + 1 + more); err != nil {
 			return err
@@ -353,7 +366,7 @@ func (s *FileStore) indexPut(key []byte, off int64, more int) error {
 // growIndex doubles the table until it holds need keys under the 3/4 load
 // bound. A slot keeps too few hash bits to be re-placed by itself, so each
 // key is hashed again from its record.
-func (s *FileStore) growIndex(need int) error {
+func (s *LogStore) growIndex(need int) error {
 	n := max(16, 2*len(s.slots))
 	for need*4 > n*3 {
 		n *= 2
@@ -379,12 +392,12 @@ func (s *FileStore) growIndex(need int) error {
 	return nil
 }
 
-// appendRecord frames key/val at the end of the append buffer, draining
-// the buffer first when the record would overfill it, and indexes it; more
-// is passed on to indexPut.
-func (s *FileStore) appendRecord(key, val []byte, more int) error {
+// appendRecord frames key/val at the end of the append buffer, draining a
+// file store's buffer first when the record would overfill it, and indexes
+// it; more is passed on to indexPut.
+func (s *LogStore) appendRecord(key, val []byte, more int) error {
 	need := crcSize + uvarintLen(uint64(len(key))) + uvarintLen(uint64(len(val))) + len(key) + len(val)
-	if len(s.tail) > 0 && len(s.tail)+need > writeBufBytes {
+	if s.f != nil && len(s.tail) > 0 && len(s.tail)+need > writeBufBytes {
 		if err := s.flushLocked(); err != nil {
 			return err
 		}
@@ -407,30 +420,31 @@ func (s *FileStore) appendRecord(key, val []byte, more int) error {
 	return nil
 }
 
-// Put implements Store.
-func (s *FileStore) Put(key, val []byte) (err error) {
-	if len(key) > maxKeyLen || len(val) > maxValLen {
-		return fmt.Errorf("kvstore: record too large (key %d, val %d)", len(key), len(val))
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if err := fault.Inject(fpPut); err != nil {
-		return err
-	}
-	defer s.catchFault(debug.SetPanicOnFault(true), &err)
-	return s.appendRecord(key, val, 0)
-}
-
 // PutBatch implements Store: the whole batch is framed and appended
 // under one lock acquisition and one pass through the append buffer — the
 // group commit lineage stores rely on — and the index grows at
 // most once, with room for the rest of the batch. A crash mid-batch tears
-// the log inside the batch; recovery truncates at the first bad record,
-// exactly as for individual Puts.
-func (s *FileStore) PutBatch(kvs []KV) (err error) {
+// the log inside the batch; recovery truncates at the first bad record.
+func (s *LogStore) PutBatch(kvs []KV) error {
+	if s.obs == nil {
+		return s.putBatch(kvs)
+	}
+	start := time.Now()
+	err := s.putBatch(kvs)
+	s.obs.PutBatchLatency.ObserveSince(start)
+	s.obs.PutBatches.Inc()
+	s.obs.KeysWritten.Add(int64(len(kvs)))
+	if err == nil {
+		var n int64
+		for _, kv := range kvs {
+			n += int64(len(kv.Val))
+		}
+		s.obs.BytesWritten.Add(n)
+	}
+	return err
+}
+
+func (s *LogStore) putBatch(kvs []KV) (err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -455,18 +469,18 @@ func (s *FileStore) PutBatch(kvs []KV) (err error) {
 	return nil
 }
 
-// metaMagic frames the meta sidecar: magic, CRC32 of the payload, payload.
+// metaMagic frames the meta blob: magic, CRC32 of the payload, payload.
 var metaMagic = []byte("szm1")
 
-// metaPath returns the sidecar file holding the atomically committed
-// metadata blob.
-func (s *FileStore) metaPath() string { return s.path + ".meta" }
+// metaPath returns the sidecar file holding a file store's atomically
+// committed metadata blob.
+func (s *LogStore) metaPath() string { return s.path + ".meta" }
 
-// CommitMeta implements Store: the blob is written to a temp file
-// and renamed over the sidecar, so a crash at any point leaves either the
-// previous blob or the new one — never a torn mix. A torn temp file is
-// ignored on load.
-func (s *FileStore) CommitMeta(val []byte) error {
+// CommitMeta implements Store. A file store writes the framed blob to a
+// temp file and renames it over the sidecar, so a crash at any point leaves
+// either the previous blob or the new one — never a torn mix. A torn temp
+// file is ignored on load. A memory store keeps the framed blob.
+func (s *LogStore) CommitMeta(val []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -474,10 +488,21 @@ func (s *FileStore) CommitMeta(val []byte) error {
 	}
 	buf := make([]byte, 0, len(metaMagic)+crcSize+len(val))
 	buf = append(buf, metaMagic...)
-	var crc [crcSize]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(val, crcTable))
-	buf = append(buf, crc[:]...)
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(val, crcTable))
 	buf = append(buf, val...)
+	if s.f == nil {
+		s.meta = buf
+	} else if err := s.commitMetaFile(buf); err != nil {
+		return err
+	}
+	s.metaLen = int64(len(buf))
+	if s.obs != nil {
+		s.obs.BytesWritten.Add(int64(len(val)))
+	}
+	return nil
+}
+
+func (s *LogStore) commitMetaFile(buf []byte) error {
 	if err := fault.Inject(fpMetaWrite); err != nil {
 		return fmt.Errorf("kvstore: write meta temp: %w", err)
 	}
@@ -509,125 +534,149 @@ func (s *FileStore) CommitMeta(val []byte) error {
 	if err := os.Rename(tmp, s.metaPath()); err != nil {
 		return fmt.Errorf("kvstore: commit meta: %w", err)
 	}
-	s.metaLen = int64(len(buf))
 	return nil
 }
 
-// LoadMeta implements Store. A missing, truncated, or
-// corrupt sidecar reads as absent: lineage is a recoverable cache, so the
-// caller rebuilds what the blob described instead of half-loading it.
-func (s *FileStore) LoadMeta() ([]byte, bool, error) {
+// LoadMeta implements Store. A missing, truncated, or corrupt blob reads
+// as absent: lineage is a recoverable cache, so the caller rebuilds what
+// the blob described instead of half-loading it. The blob returned is the
+// caller's.
+func (s *LogStore) LoadMeta() ([]byte, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil, false, ErrClosed
 	}
-	buf, err := os.ReadFile(s.metaPath())
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, false, nil
+	var buf []byte
+	if s.f == nil {
+		buf = bytes.Clone(s.meta)
+	} else {
+		var err error
+		if buf, err = os.ReadFile(s.metaPath()); err != nil {
+			if os.IsNotExist(err) {
+				return nil, false, nil
+			}
+			return nil, false, fmt.Errorf("kvstore: read meta: %w", err)
 		}
-		return nil, false, fmt.Errorf("kvstore: read meta: %w", err)
+		s.metaLen = int64(len(buf))
 	}
 	hdr := len(metaMagic) + crcSize
 	if len(buf) < hdr || string(buf[:len(metaMagic)]) != string(metaMagic) {
-		return nil, false, nil // corrupt: treat as absent
+		return nil, false, nil // corrupt or never committed: treat as absent
 	}
-	want := binary.LittleEndian.Uint32(buf[len(metaMagic):hdr])
 	val := buf[hdr:]
-	if crc32.Checksum(val, crcTable) != want {
+	if crc32.Checksum(val, crcTable) != binary.LittleEndian.Uint32(buf[len(metaMagic):hdr]) {
 		return nil, false, nil // corrupt: treat as absent
 	}
-	s.metaLen = int64(len(buf))
+	if s.obs != nil {
+		s.obs.BytesRead.Add(int64(len(val)))
+	}
 	return val, true, nil
-}
-
-// Get implements Store. The value is a private copy: unlike GetBatch and
-// Scan, Get has no callback to bound the life of a slice of the mapping.
-func (s *FileStore) Get(key []byte) (val []byte, ok bool, err error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return nil, false, ErrClosed
-	}
-	defer s.catchFault(debug.SetPanicOnFault(true), &err)
-	off, v, err := s.find(key)
-	if err != nil || off < 0 {
-		return nil, false, err
-	}
-	return bytes.Clone(v), true, nil
 }
 
 // GetBatch implements Store: one shared lock acquisition serves the
 // whole batch. The val passed to fn is the record's bytes in place, in the
-// mapping or the append buffer; it is only valid during the call.
-func (s *FileStore) GetBatch(keys [][]byte, fn func(i int, val []byte, ok bool) bool) (err error) {
+// mapping or the append buffer; it is only valid during the call. The
+// latency counted includes fn's work.
+func (s *LogStore) GetBatch(keys [][]byte, fn func(i int, val []byte, ok bool) bool) error {
+	if s.obs == nil {
+		_, err := s.getBatch(keys, fn)
+		return err
+	}
+	start := time.Now()
+	read, err := s.getBatch(keys, fn)
+	s.obs.GetBatchLatency.ObserveSince(start)
+	s.obs.GetBatches.Inc()
+	s.obs.KeysRead.Add(int64(len(keys)))
+	s.obs.BytesRead.Add(read)
+	return err
+}
+
+// getBatch is GetBatch; it returns the value bytes it lent fn.
+func (s *LogStore) getBatch(keys [][]byte, fn func(i int, val []byte, ok bool) bool) (read int64, err error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
-		return ErrClosed
+		return 0, ErrClosed
 	}
 	defer s.catchFault(debug.SetPanicOnFault(true), &err)
 	for i, k := range keys {
 		off, val, err := s.find(k)
 		if err != nil {
-			return err
+			return read, err
 		}
+		read += int64(len(val))
 		if !fn(i, val, off >= 0) {
-			return nil
+			break
 		}
 	}
-	return nil
+	return read, nil
 }
 
 // Scan implements Store. The log is walked in order and a record is
 // visited when the index still points at it, so each live key is seen
 // once, at its latest value, in log order. The slices passed to fn are
 // the record's bytes in place.
-func (s *FileStore) Scan(fn func(key, val []byte) bool) (err error) {
+func (s *LogStore) Scan(fn func(key, val []byte) bool) error {
+	visited, read, err := s.scan(fn)
+	if s.obs != nil {
+		s.obs.Scans.Inc()
+		s.obs.KeysRead.Add(visited)
+		s.obs.BytesRead.Add(read)
+	}
+	return err
+}
+
+// scan is Scan; it returns how many records it passed fn and their value
+// bytes.
+func (s *LogStore) scan(fn func(key, val []byte) bool) (visited, read int64, err error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
-		return ErrClosed
+		return 0, 0, ErrClosed
 	}
 	defer s.catchFault(debug.SetPanicOnFault(true), &err)
 	for off, end := int64(0), s.end(); off < end; {
 		key, val, size, err := s.record(off)
 		if err != nil {
-			return err
+			return visited, read, err
 		}
 		latest, _, err := s.find(key)
 		if err != nil {
-			return err
+			return visited, read, err
 		}
-		if latest == off && !fn(key, val) {
-			return nil
+		if latest == off {
+			visited, read = visited+1, read+int64(len(val))
+			if !fn(key, val) {
+				break
+			}
 		}
 		off += int64(size)
 	}
-	return nil
+	return visited, read, nil
 }
 
 // Len implements Store.
-func (s *FileStore) Len() int {
+func (s *LogStore) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.live
 }
 
 // SizeBytes implements Store: the log size including garbage and the
-// records still buffered, plus the meta sidecar, which is what a real
+// records still buffered, plus the framed meta blob, which is what a real
 // deployment pays for.
-func (s *FileStore) SizeBytes() int64 {
+func (s *LogStore) SizeBytes() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.end() + s.metaLen
 }
 
-// Sync implements Store: it hands the append buffer to the kernel. Like
-// the paper's BerkeleyDB configuration it does NOT fsync — lineage is a
-// recoverable cache and crash durability is explicitly out of scope.
-func (s *FileStore) Sync() error {
+// Sync implements Store: a file store hands the append buffer to the
+// kernel. Like the paper's BerkeleyDB configuration it does NOT fsync —
+// lineage is a recoverable cache and crash durability is explicitly out of
+// scope. A memory store drops the growth slack of its log.
+func (s *LogStore) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -640,13 +689,22 @@ func (s *FileStore) Sync() error {
 // bound of the mapping past it, remapping first when the mapping is too
 // short. When the write is short or torn the file keeps the bytes it
 // accepted, the buffer stays whole — its records remain readable from it
-// — and the next flush writes the rest.
-func (s *FileStore) flushLocked() error {
+// — and the next flush writes the rest. A memory store's log is copied
+// into an exact-size slice instead, once per flush that finds it grown.
+func (s *LogStore) flushLocked() error {
 	if len(s.tail) == 0 {
 		return nil
 	}
 	if err := fault.Inject(fpFlush); err != nil {
 		return err
+	}
+	if s.f == nil {
+		if cap(s.tail) > len(s.tail) {
+			log := make([]byte, len(s.tail))
+			copy(log, s.tail)
+			s.tail = log
+		}
+		return nil
 	}
 	if s.written < len(s.tail) {
 		n, err := s.f.Write(s.tail[s.written:])
@@ -671,18 +729,19 @@ func (s *FileStore) flushLocked() error {
 }
 
 // Close implements Store.
-func (s *FileStore) Close() error {
+func (s *LogStore) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil
 	}
-	flushErr := s.flushLocked()
-	unmapErr := munmap(s.data)
-	closeErr := s.f.Close()
+	var err error
+	if s.f != nil {
+		err = errors.Join(s.flushLocked(), munmap(s.data), s.f.Close())
+	}
 	s.closed = true
-	s.data, s.tail, s.slots = nil, nil, nil
-	return errors.Join(flushErr, unmapErr, closeErr)
+	s.data, s.tail, s.slots, s.meta = nil, nil, nil, nil
+	return err
 }
 
 func uvarintLen(v uint64) int {

@@ -13,34 +13,27 @@ import (
 
 // Manager allocates one Store per namespace — the "operator specific
 // datastores" of the paper's architecture (Figure 3). A Manager rooted at a
-// directory creates FileStores under it; a Manager with an empty root hands
-// out MemStores, which tests and CPU-bound benchmarks use.
+// directory keeps each store's log in a file under it; a Manager with an
+// empty root keeps the logs in memory, which tests and CPU-bound
+// benchmarks use.
 type Manager struct {
-	mu      sync.Mutex
-	root    string
-	stores  map[string]Store
-	metrics *obs.KVObs
+	mu     sync.Mutex
+	root   string
+	stores map[string]Store
+	kv     *obs.KVObs
 }
 
 // NewManager creates a manager. If root is non-empty the directory is
 // created and stores persist there as one log file per namespace;
-// otherwise stores are in-memory.
-func NewManager(root string) (*Manager, error) {
+// otherwise stores are in-memory. Every store the manager opens counts its
+// operations into kv; a nil kv counts nothing.
+func NewManager(root string, kv *obs.KVObs) (*Manager, error) {
 	if root != "" {
 		if err := os.MkdirAll(root, 0o755); err != nil {
 			return nil, fmt.Errorf("kvstore: create root %s: %w", root, err)
 		}
 	}
-	return &Manager{root: root, stores: make(map[string]Store)}, nil
-}
-
-// SetMetrics attaches obs counters; stores opened afterwards are wrapped
-// so every Get/GetBatch/Put/PutBatch/Scan is counted. Attach before the
-// first Open — already-open stores stay unwrapped.
-func (m *Manager) SetMetrics(kv *obs.KVObs) {
-	m.mu.Lock()
-	m.metrics = kv
-	m.mu.Unlock()
+	return &Manager{root: root, stores: make(map[string]Store), kv: kv}, nil
 }
 
 // Open returns the store for a namespace, creating it on first use.
@@ -51,7 +44,7 @@ func (m *Manager) Open(namespace string) (Store, error) {
 	if s, ok := m.stores[namespace]; ok {
 		return s, nil
 	}
-	var s Store
+	var s *LogStore
 	if m.root == "" {
 		s = NewMem()
 	} else {
@@ -61,7 +54,7 @@ func (m *Manager) Open(namespace string) (Store, error) {
 		}
 		s = fs
 	}
-	s = Instrument(s, m.metrics)
+	s.obs = m.kv
 	m.stores[namespace] = s
 	return s, nil
 }

@@ -56,7 +56,7 @@ func TestSanitizeInjective(t *testing.T) {
 // fully isolated contents, including across a reopen.
 func TestManagerNoNamespaceCollisionOnDisk(t *testing.T) {
 	root := t.TempDir()
-	mgr, err := NewManager(root)
+	mgr, err := NewManager(root, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,10 +68,10 @@ func TestManagerNoNamespaceCollisionOnDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sa.Put([]byte("k"), []byte("slash")); err != nil {
+	if err := putOne(sa, []byte("k"), []byte("slash")); err != nil {
 		t.Fatal(err)
 	}
-	if err := sb.Put([]byte("k"), []byte("underscore")); err != nil {
+	if err := putOne(sb, []byte("k"), []byte("underscore")); err != nil {
 		t.Fatal(err)
 	}
 	if err := mgr.Close(); err != nil {
@@ -87,7 +87,7 @@ func TestManagerNoNamespaceCollisionOnDisk(t *testing.T) {
 	}
 
 	// Reopen: each namespace must see only its own record.
-	mgr2, err := NewManager(root)
+	mgr2, err := NewManager(root, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestManagerNoNamespaceCollisionOnDisk(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, ok, err := s.Get([]byte("k"))
+		v, ok, err := lookup(s, []byte("k"))
 		if err != nil || !ok {
 			t.Fatalf("%s: get after reopen: ok=%v err=%v", ns, ok, err)
 		}

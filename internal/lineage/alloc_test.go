@@ -129,8 +129,8 @@ func TestContainsOutAllocFree(t *testing.T) {
 }
 
 // The write path allocates per batch, not per pair: keys and records
-// encode into one pooled arena, and what is left per pair is the MemStore's
-// own copy of each key and value plus amortized map and buffer growth.
+// encode into one pooled arena, and what is left per pair is amortized
+// growth of the store's log, index and buffers.
 // If per-pair allocations creep up, capture overhead follows.
 func TestWritePairsAllocBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))

@@ -121,9 +121,9 @@ func TestTileValueGolden(t *testing.T) {
 	}
 	value := func(tile uint64) []byte {
 		t.Helper()
-		val, ok, err := kv.Get(appendTileKey(nil, 0, tile))
-		if err != nil || !ok {
-			t.Fatalf("tile %d: ok=%v err=%v", tile, ok, err)
+		val, ok := getKV(t, kv, appendTileKey(nil, 0, tile))
+		if !ok {
+			t.Fatalf("tile %d missing", tile)
 		}
 		return val
 	}

@@ -3,7 +3,6 @@ package lineage
 import (
 	"encoding/binary"
 	"fmt"
-	"math/bits"
 
 	"subzero/internal/binenc"
 )
@@ -62,45 +61,38 @@ func appendTileKey(buf []byte, slot int, tile uint64) []byte {
 // itself (FuzzRecordBlock).
 
 // blockStage gathers the records of one block until the block is written:
-// the record of id 64b+i is buf[spans[i][0]:spans[i][1]], and bit i of held
-// marks it placed. Records may arrive in any id order.
+// the records of the block's first n ids, back to back in buf, that of id
+// 64b+i ending at ends[i]. Records arrive in id order, and an id without a
+// record has an empty one.
 type blockStage struct {
-	held  uint64
-	spans [blockIDs][2]int
-	buf   []byte
+	n    int
+	ends [blockIDs]int
+	buf  []byte
 }
 
-// add places the record of the block's i'th id.
-func (b *blockStage) add(i int, rec []byte) {
-	b.spans[i] = [2]int{len(b.buf), len(b.buf) + len(rec)}
+// add places the record of the block's next id.
+func (b *blockStage) add(rec []byte) {
 	b.buf = append(b.buf, rec...)
-	b.held |= 1 << i
+	b.ends[b.n] = len(b.buf)
+	b.n++
 }
 
 // full reports whether every id of the block holds its record.
-func (b *blockStage) full() bool { return b.held == 1<<blockIDs-1 }
+func (b *blockStage) full() bool { return b.n == blockIDs }
 
 // reset empties the stage, keeping its buffer.
-func (b *blockStage) reset() { b.held, b.buf = 0, b.buf[:0] }
+func (b *blockStage) reset() { b.n, b.buf = 0, b.buf[:0] }
 
-// appendTo appends the block value of the placed records. The stage holds
-// at least one record.
+// appendTo appends the block value of the staged records. The stage holds
+// at least one id, and its last id holds a record.
 func (b *blockStage) appendTo(dst []byte) []byte {
-	n := blockIDs - bits.LeadingZeros64(b.held)
-	dst = append(dst, byte(n))
-	for i := 0; i < n; i++ {
-		l := 0
-		if b.held>>i&1 != 0 {
-			l = b.spans[i][1] - b.spans[i][0]
-		}
-		dst = binary.AppendUvarint(dst, uint64(l))
+	dst = append(dst, byte(b.n))
+	from := 0
+	for _, end := range b.ends[:b.n] {
+		dst = binary.AppendUvarint(dst, uint64(end-from))
+		from = end
 	}
-	for i := 0; i < n; i++ {
-		if b.held>>i&1 != 0 {
-			dst = append(dst, b.buf[b.spans[i][0]:b.spans[i][1]]...)
-		}
-	}
-	return dst
+	return append(dst, b.buf[:from]...)
 }
 
 // recordBlock is a parsed block value: where each id's record ends in the

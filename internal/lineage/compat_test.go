@@ -57,8 +57,9 @@ func TestEncodeGoldenRecords(t *testing.T) {
 	// one: the id count 3, the lengths 14, 0 and 11, then both records.
 	full := appendRecord(nil, &RegionPair{Out: []uint64{1, 5, 9}, Ins: [][]uint64{{0, 2}, {7}}})
 	var st blockStage
-	st.add(2, got)
-	st.add(0, full)
+	st.add(full)
+	st.add(nil)
+	st.add(got)
 	want = append(append([]byte{3, 14, 0, 11}, full...), got...)
 	blk := st.appendTo(nil)
 	if !bytes.Equal(blk, want) {
@@ -99,29 +100,49 @@ func TestStaleFormatsRejected(t *testing.T) {
 func plantRecord(t *testing.T, kv kvstore.Store, id uint64, val []byte) {
 	t.Helper()
 	key := appendBlockKey(nil, id/blockIDs)
-	old, ok, err := kv.Get(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st blockStage
-	if ok {
+	recs := make([][]byte, id%blockIDs+1)
+	if old, ok := getKV(t, kv, key); ok {
 		var blk recordBlock
 		if err := blk.parse(old); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < blk.n; i++ {
-			if rec := blk.record(i); rec != nil {
-				st.add(i, rec)
+			if i == len(recs) {
+				recs = append(recs, nil)
 			}
+			recs[i] = blk.record(i)
 		}
 	}
-	st.held &^= 1 << (id % blockIDs)
-	if val != nil {
-		st.add(int(id%blockIDs), val)
+	recs[id%blockIDs] = val
+	for len(recs) > 1 && recs[len(recs)-1] == nil {
+		recs = recs[:len(recs)-1] // a block's directory ends at a record
 	}
-	if err := kv.Put(key, st.appendTo(nil)); err != nil {
+	var st blockStage
+	for _, rec := range recs {
+		st.add(rec)
+	}
+	putKV(t, kv, key, st.appendTo(nil))
+}
+
+// putKV writes one hashtable record as a one-record batch.
+func putKV(t *testing.T, kv kvstore.Store, key, val []byte) {
+	t.Helper()
+	if err := kv.PutBatch([]kvstore.KV{{Key: key, Val: val}}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// getKV returns a copy of one hashtable record's value, read as a one-key
+// batch.
+func getKV(t *testing.T, kv kvstore.Store, key []byte) (val []byte, ok bool) {
+	t.Helper()
+	if err := kv.GetBatch([][]byte{key}, func(_ int, v []byte, found bool) bool {
+		val, ok = bytes.Clone(v), found
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return val, ok
 }
 
 // forEachStoredRecord calls fn with the id and bytes of every record in
@@ -192,22 +213,18 @@ func TestStaleCellKeysDegrade(t *testing.T) {
 					// the same tiles or per-cell keys in their place.
 					old := kvstore.NewMem()
 					forEachStoredRecord(t, cur, func(id uint64, rec []byte) {
-						if err := old.Put(binary.AppendUvarint([]byte{'P'}, id), rec); err != nil {
-							t.Fatal(err)
-						}
+						putKV(t, old, binary.AppendUvarint([]byte{'P'}, id), rec)
 					})
 					version := byte(2)
 					if layout == "pre-tile" {
 						version = 1
 						for id, rp := range written {
 							key := binary.BigEndian.AppendUint64([]byte{'K', 0}, rp.Out[0])
-							if err := old.Put(key, appendIDEntry(nil, []uint64{uint64(id)})); err != nil {
-								t.Fatal(err)
-							}
+							putKV(t, old, key, appendIDEntry(nil, []uint64{uint64(id)}))
 						}
 					} else if err := cur.Scan(func(key, val []byte) bool {
 						if key[0] == keyTile {
-							err = old.Put(key, val)
+							err = old.PutBatch([]kvstore.KV{{Key: key, Val: val}})
 						}
 						return err == nil
 					}); err != nil {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -71,10 +72,7 @@ func TestCrashPointMatrix(t *testing.T) {
 			if err := fault.Arm(pt, action); err != nil {
 				t.Fatal(err)
 			}
-			// Store B goes through the lineage write path. Points that
-			// path bypasses (the single-record Put — lineage
-			// group-commits via PutBatch) are driven directly so every
-			// registered point proves out.
+			// Store B goes through the lineage write path.
 			fsB, err := kvstore.OpenFile(pathB)
 			if err != nil {
 				t.Fatal(err)
@@ -86,14 +84,9 @@ func TestCrashPointMatrix(t *testing.T) {
 			if err := stB.WritePairs(toStorePairs(strat, pairsB)); err == nil {
 				_ = stB.Flush()
 			}
-			if fault.Hits(pt) == 0 {
-				if err := fsB.Put([]byte("!direct"), []byte("x")); err == nil {
-					_ = fsB.Sync()
-				}
-			}
 			if fault.Hits(pt) == 0 && strings.HasPrefix(pt, "kvstore/file/") {
 				// The wrapped file's Sync is unreachable through the
-				// store: FileStore deliberately never fsyncs its log
+				// store: a file store deliberately never fsyncs its log
 				// (lineage is a recoverable cache). Drive the file
 				// layer directly so the point still proves out.
 				raw, err := os.Create(filepath.Join(dir, "direct"))
@@ -159,25 +152,25 @@ func assertSubset(t *testing.T, sub, super *bitmap.Bitmap, msg string) {
 
 // TestRebuildByteIdentical: writing the same lineage into two fresh
 // stores produces byte-identical logs — record for record, key and
-// value. This is the foundation of the self-healing path: a store
-// rebuilt from re-execution is indistinguishable from one that never
-// saw corruption. The container encoder's per-tile form choice is
-// deterministic, so the property holds for every record. A Many store's
-// index is built in id order, so one reopened without its meta sidecar
-// rebuilds, from its records alone, the very trees its Flush built, and
-// charges their exact encoded size.
+// value, in the same order — on either backing, and the memory and file
+// backings charge the same size. This is the foundation of the
+// self-healing path: a store rebuilt from re-execution is
+// indistinguishable from one that never saw corruption. The container
+// encoder's per-tile form choice is deterministic, so the property holds
+// for every record. A Many store's index is built in id order, which is
+// log order, so one reopened without its meta blob rebuilds, from its
+// records alone, the very trees its Flush built, and charges their exact
+// encoded size.
 func TestRebuildByteIdentical(t *testing.T) {
 	for _, strat := range []Strategy{StratFullOne, StratFullMany} {
 		t.Run(strat.ID(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(11))
 			pairs := randomPairs(rng, 80)
 			var trees [][]byte
-			build := func(path string) map[string]string {
-				fs, err := kvstore.OpenFile(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				st, err := OpenStore(fs, strat, tOutSpace, tInSpaces)
+			// build writes and flushes the pairs into kv and returns its
+			// records in scan order.
+			build := func(kv kvstore.Store) []kvstore.KV {
+				st, err := OpenStore(kv, strat, tOutSpace, tInSpaces)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -194,94 +187,73 @@ func TestRebuildByteIdentical(t *testing.T) {
 				for _, tr := range st.trees {
 					trees = append(trees, tr.Encode())
 				}
-				m := make(map[string]string)
-				if err := fs.Scan(func(k, v []byte) bool {
-					m[string(k)] = string(v)
+				var recs []kvstore.KV
+				if err := kv.Scan(func(k, v []byte) bool {
+					recs = append(recs, kvstore.KV{Key: bytes.Clone(k), Val: bytes.Clone(v)})
 					return true
 				}); err != nil {
 					t.Fatal(err)
 				}
-				if err := fs.Close(); err != nil {
+				return recs
+			}
+			openFile := func(path string) *kvstore.LogStore {
+				fs, err := kvstore.OpenFile(path)
+				if err != nil {
 					t.Fatal(err)
 				}
-				return m
+				t.Cleanup(func() { fs.Close() })
+				return fs
 			}
-			a := build(filepath.Join(t.TempDir(), "a.log"))
 			pathB := filepath.Join(t.TempDir(), "b.log")
-			b := build(pathB)
-			if len(a) != len(b) {
-				t.Fatalf("rebuild record counts differ: %d vs %d", len(a), len(b))
-			}
-			for k, va := range a {
-				if vb, ok := b[k]; !ok || vb != va {
-					t.Fatalf("rebuild differs at key %q", k)
+			fsA, fsB, mem := openFile(filepath.Join(t.TempDir(), "a.log")), openFile(pathB), kvstore.NewMem()
+			a := build(fsA)
+			for name, kv := range map[string]kvstore.Store{"second file store": fsB, "memory store": mem} {
+				b := build(kv)
+				if !slices.EqualFunc(a, b, func(x, y kvstore.KV) bool {
+					return bytes.Equal(x.Key, y.Key) && bytes.Equal(x.Val, y.Val)
+				}) {
+					t.Fatalf("%s holds other records than the first file store (%d vs %d)", name, len(b), len(a))
+				}
+				if kv.SizeBytes() != fsA.SizeBytes() {
+					t.Fatalf("%s charges %d B, the first file store %d B", name, kv.SizeBytes(), fsA.SizeBytes())
 				}
 			}
+			if err := fsB.Close(); err != nil {
+				t.Fatal(err)
+			}
 
+			// Each backing without its meta blob: the file store reopened
+			// after the sidecar is deleted, the memory store's records
+			// copied, in scan order, into a fresh one.
 			if err := os.Remove(pathB + ".meta"); err != nil {
 				t.Fatal(err)
 			}
-			fs, err := kvstore.OpenFile(pathB)
-			if err != nil {
+			bare := kvstore.NewMem()
+			if err := bare.PutBatch(a); err != nil {
 				t.Fatal(err)
 			}
-			defer fs.Close()
-			st, err := OpenStore(fs, strat, tOutSpace, tInSpaces)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(st.trees) != len(trees) {
-				t.Fatalf("rebuilt store has %d trees, flushed store %d", len(st.trees), len(trees))
-			}
-			idx := 0
-			for i, tr := range st.trees {
-				enc := tr.Encode()
-				if !bytes.Equal(enc, trees[i]) {
-					t.Fatalf("slot %d: rebuilt tree encodes %d bytes unlike the %d Flush built", i, len(enc), len(trees[i]))
-				}
-				idx += len(enc)
-			}
-			if got, want := st.SizeBytes(), fs.SizeBytes()+int64(idx); got != want {
-				t.Fatalf("rebuilt SizeBytes = %d, want log %d + index %d", got, fs.SizeBytes(), idx)
+			for name, kv := range map[string]kvstore.Store{"file": openFile(pathB), "mem": bare} {
+				t.Run(name, func(t *testing.T) {
+					st, err := OpenStore(kv, strat, tOutSpace, tInSpaces)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(st.trees) != len(trees) {
+						t.Fatalf("rebuilt store has %d trees, flushed store %d", len(st.trees), len(trees))
+					}
+					idx := 0
+					for i, tr := range st.trees {
+						enc := tr.Encode()
+						if !bytes.Equal(enc, trees[i]) {
+							t.Fatalf("slot %d: rebuilt tree encodes %d bytes unlike the %d Flush built", i, len(enc), len(trees[i]))
+						}
+						idx += len(enc)
+					}
+					if got, want := st.SizeBytes(), kv.SizeBytes()+int64(idx); got != want {
+						t.Fatalf("rebuilt SizeBytes = %d, want log %d + index %d", got, kv.SizeBytes(), idx)
+					}
+				})
 			}
 		})
-	}
-}
-
-// rebuildMeta appends a Many store's boxes in its scan's order. A MemStore
-// scans keys in byte order, in which uvarint block keys past block 255 are
-// not in id order, so the rebuilt tree is the one Flush built only because
-// the bulk load sorts its items by id first.
-func TestRebuildSortsMemStoreScanOrder(t *testing.T) {
-	pairs := randomPairs(rand.New(rand.NewSource(19)), 257*blockIDs+1)
-	kv := kvstore.NewMem()
-	st, err := OpenStore(kv, StratFullMany, tOutSpace, tInSpaces)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.WritePairs(pairs); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	// The copy holds every key but no meta blob, so opening it rebuilds.
-	var kvs []kvstore.KV
-	if err := kv.Scan(func(k, v []byte) bool {
-		kvs = append(kvs, kvstore.KV{Key: bytes.Clone(k), Val: bytes.Clone(v)})
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	cp := kvstore.NewMem()
-	if err := cp.PutBatch(kvs); err != nil {
-		t.Fatal(err)
-	}
-	rebuilt, err := OpenStore(cp, StratFullMany, tOutSpace, tInSpaces)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(rebuilt.trees[0].Encode(), st.trees[0].Encode()) {
-		t.Fatal("tree rebuilt from a MemStore scan encodes unlike the one Flush built")
 	}
 }

@@ -90,7 +90,7 @@ func FuzzRecordBlock(f *testing.F) {
 	rec := appendRecord(nil, &RegionPair{Out: []uint64{1, 5, 9}, Ins: [][]uint64{{0, 2}, {7}}})
 	var full blockStage
 	for i := 0; i < blockIDs; i++ {
-		full.add(i, rec)
+		full.add(rec)
 	}
 	good := append([]byte{3, 14, 0, 14}, append(rec, rec...)...)
 	f.Add(good)
@@ -122,9 +122,7 @@ func FuzzRecordBlock(f *testing.F) {
 		}
 		var st blockStage
 		for i := 0; i < b.n; i++ {
-			if rec := b.record(i); rec != nil {
-				st.add(i, rec)
-			}
+			st.add(b.record(i))
 		}
 		if enc := st.appendTo(nil); !bytes.Equal(enc, data) {
 			t.Fatalf("block %v re-encodes to %v", data, enc)

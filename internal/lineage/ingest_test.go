@@ -1,7 +1,6 @@
 package lineage
 
 import (
-	"math/bits"
 	"math/rand"
 	"os"
 	"sync"
@@ -68,7 +67,7 @@ func stagedRecords(st *Store) int {
 	if st.stage == nil {
 		return 0
 	}
-	return bits.OnesCount64(st.stage.held)
+	return st.stage.n
 }
 
 // A serial writer completes blocks in id order, so between WritePairs

@@ -16,11 +16,6 @@ type keyCounter struct {
 	keys int64
 }
 
-func (k *keyCounter) Get(key []byte) ([]byte, bool, error) {
-	k.keys++
-	return k.Store.Get(key)
-}
-
 func (k *keyCounter) GetBatch(keys [][]byte, fn func(int, []byte, bool) bool) error {
 	k.keys += int64(len(keys))
 	return k.Store.GetBatch(keys, fn)

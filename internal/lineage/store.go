@@ -2,7 +2,6 @@ package lineage
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -144,8 +143,9 @@ const (
 
 // OpenStore creates (or reopens) a lineage store over the given hashtable.
 // The strategy must be one that materializes pairs (Full, Pay, or Comp).
-// Reopening a non-empty hashtable restores the pair counter and rebuilds
-// the spatial indexes from their persisted form, and yields a sealed store.
+// Reopening a hashtable that holds records or a meta blob restores the
+// pair counter and rebuilds the spatial indexes from their persisted form,
+// and yields a sealed store.
 func OpenStore(kv kvstore.Store, strat Strategy, outSpace *grid.Space, inSpaces []*grid.Space) (*Store, error) {
 	if err := strat.Validate(); err != nil {
 		return nil, err
@@ -177,10 +177,15 @@ func OpenStore(kv kvstore.Store, strat Strategy, outSpace *grid.Space, inSpaces 
 	if strat.Enc == One {
 		s.pending = make([][]cellRef, nSlots)
 	}
-	if err := s.loadMeta(); err != nil {
+	hasMeta, err := s.loadMeta()
+	if err != nil {
 		return nil, err
 	}
-	s.sealed.Store(kv.Len() > 0)
+	// A flushed store holds a meta blob even when it holds no pair, and a
+	// store a crash cut before its meta commit holds records: either way it
+	// was written before and is sealed. Executor.openEmpty applies the same
+	// test.
+	s.sealed.Store(hasMeta || kv.Len() > 0)
 	return s, nil
 }
 
@@ -196,19 +201,20 @@ func (s *Store) slotSpace(slot int) *grid.Space {
 // atomically committed meta blob. If no usable blob exists but the
 // hashtable holds records — a crash threw away the sidecar, or it was
 // corrupted — the store rebuilds what it can from the records themselves
-// rather than half-loading.
-func (s *Store) loadMeta() error {
+// rather than half-loading. hasMeta reports whether the hashtable holds a
+// meta blob, usable or not.
+func (s *Store) loadMeta() (hasMeta bool, err error) {
 	blob, ok, err := s.kv.LoadMeta()
 	if err != nil {
-		return err
+		return false, err
 	}
 	if ok && s.decodeMetaBlob(blob) == nil {
-		return nil
+		return true, nil
 	}
 	if s.kv.Len() > 0 {
-		return s.rebuildMeta()
+		return ok, s.rebuildMeta()
 	}
-	return nil
+	return ok, nil
 }
 
 // metaBlobVersion frames the single metadata blob committed through
@@ -355,8 +361,8 @@ func (s *Store) rebuildMeta() error {
 		return nil
 	}
 	s.nextPair.Store(maxID + 1)
-	// The scan visits blocks in hashtable order; buildTrees sorts the boxes
-	// by id, so the rebuilt trees are the ones Flush built.
+	// The scan visits blocks in log order, which is id order, so the
+	// rebuilt trees are the ones Flush built.
 	s.buildTrees()
 	for _, tr := range s.trees {
 		s.rebuiltIdx += int64(tr.EncodedLen())
@@ -620,7 +626,7 @@ func (s *Store) stageRecords(a *recordArena, base uint64) {
 	}
 	for i := range a.ends {
 		id := base + uint64(i)
-		s.stage.add(int(id%blockIDs), a.record(i))
+		s.stage.add(a.record(i))
 		if s.stage.full() {
 			a.addBlock(id/blockIDs, s.stage)
 			s.stage.reset()
@@ -632,7 +638,7 @@ func (s *Store) stageRecords(a *recordArena, base uint64) {
 // assigned id, if any record waits in it. The stage stays, so a Flush that
 // fails later writes the same block again. The caller holds mu.
 func (s *Store) putPartialBlock() error {
-	if s.stage == nil || s.stage.held == 0 {
+	if s.stage == nil || s.stage.n == 0 {
 		return nil
 	}
 	var a recordArena
@@ -657,26 +663,12 @@ func (b *slotBoxes) add(sp *grid.Space, cells []uint64, id uint64) {
 	}
 }
 
-// build bulk-loads the items in id order, sorting them first unless they
-// are sorted already (as a written store's are). rebuildMeta appends them
-// in its scan's order, which for a MemStore is key byte order and not id
-// order past block 255, so the sort keeps a rebuilt tree the one Flush
-// built. A slot holds each id at most once.
+// build bulk-loads the items in the order they were added, which is id
+// order both for a written store and for rebuildMeta's log-order scan: a
+// store has one writer, and its blocks are written in id order. (Writers
+// racing on one store could commit blocks out of id order; a rebuilt tree
+// would then differ in shape from the flushed one, not in its answers.)
 func (b *slotBoxes) build(rank int) *rtree.Tree {
-	if !slices.IsSorted(b.ids) {
-		w := 2 * rank
-		perm := make([]int, len(b.ids))
-		for i := range perm {
-			perm[i] = i
-		}
-		slices.SortFunc(perm, func(x, y int) int { return cmp.Compare(b.ids[x], b.ids[y]) })
-		boxes, ids := make([]int, 0, len(b.boxes)), make([]uint64, 0, len(b.ids))
-		for _, i := range perm {
-			boxes = append(boxes, b.boxes[i*w:(i+1)*w]...)
-			ids = append(ids, b.ids[i])
-		}
-		b.boxes, b.ids = boxes, ids
-	}
 	return rtree.BulkLoadBoxes(rank, b.boxes, b.ids)
 }
 
@@ -791,38 +783,27 @@ func (s *Store) putTiles() error {
 }
 
 // sortCellRefs sorts refs by cell, then by ref with pay nil, or by the
-// payload bytes pay holds at ref otherwise. It is an LSD byte radix sort
-// on (cell, ref): one counting pass per byte that varies across refs, ref
-// bytes first. The ref passes are skipped when refs are in ref order
-// already, as every buffer a store writes is; then the
-// cell passes, being stable, keep that order. A payload store then sorts
-// each run of references to one cell by payload bytes. The second buffer
-// the passes need is allocated here, so it is garbage once the Flush that
-// sorts returns rather than held for the life of the store or process.
+// payload bytes pay holds at ref otherwise. refs must be in ref order, as
+// every buffer a store writes is: ids are assigned in order under mu, and
+// payload indexes are appended in order. It is an LSD byte radix sort on
+// the cell — one counting pass per byte that varies across refs — whose
+// passes are stable, so each cell's refs keep their order. A payload store
+// then sorts each run of references to one cell by payload bytes. The
+// second buffer the passes need is allocated here, so it is garbage once
+// the Flush that sorts returns rather than held for the life of the store
+// or process.
 func sortCellRefs(refs []cellRef, pay *payArena) {
 	if len(refs) == 0 {
 		return
 	}
-	var cellBits, refBits uint64
-	refSorted := true
-	for i, r := range refs {
+	var cellBits uint64
+	for _, r := range refs {
 		cellBits |= r.cell ^ refs[0].cell
-		refBits |= r.ref ^ refs[0].ref
-		refSorted = refSorted && (i == 0 || refs[i-1].ref <= r.ref)
-	}
-	if refSorted {
-		refBits = 0
 	}
 	src, dst := refs, make([]cellRef, len(refs))
 	for shift := 0; shift < 64; shift += 8 {
-		if byte(refBits>>shift) != 0 {
-			radixPass(src, dst, false, shift)
-			src, dst = dst, src
-		}
-	}
-	for shift := 0; shift < 64; shift += 8 {
 		if byte(cellBits>>shift) != 0 {
-			radixPass(src, dst, true, shift)
+			radixPass(src, dst, shift)
 			src, dst = dst, src
 		}
 	}
@@ -847,24 +828,18 @@ func sortCellRefs(refs []cellRef, pay *payArena) {
 }
 
 // radixPass stably scatters src into dst by one byte of each cellRef's
-// cell (onCell) or ref.
-func radixPass(src, dst []cellRef, onCell bool, shift int) {
-	key := func(r cellRef) byte {
-		if onCell {
-			return byte(r.cell >> shift)
-		}
-		return byte(r.ref >> shift)
-	}
+// cell.
+func radixPass(src, dst []cellRef, shift int) {
 	var count [256]int
 	for _, r := range src {
-		count[key(r)]++
+		count[byte(r.cell>>shift)]++
 	}
 	sum := 0
 	for b, c := range count {
 		count[b], sum = sum, sum+c
 	}
 	for _, r := range src {
-		b := key(r)
+		b := byte(r.cell >> shift)
 		dst[count[b]] = r
 		count[b]++
 	}

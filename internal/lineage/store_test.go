@@ -160,11 +160,14 @@ func randomQuery(rng *rand.Rand, space *grid.Space, n int) *bitmap.Bitmap {
 // TestStoreEquivalence is the core correctness test: every storage
 // strategy must answer backward and forward queries identically to the
 // brute-force reference, for matched AND mismatched orientations, on both
-// store backends.
+// store backends, which charge the same size.
 func TestStoreEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	pairs := randomPairs(rng, 120)
 
+	// The memory backing runs first; a file store must then charge the
+	// same size as the memory store of its strategy.
+	memSize := map[string]int64{}
 	for _, backend := range []string{"mem", "file"} {
 		for _, strat := range allStoreStrategies() {
 			t.Run(fmt.Sprintf("%s/%s", backend, strat.ID()), func(t *testing.T) {
@@ -194,6 +197,11 @@ func TestStoreEquivalence(t *testing.T) {
 				}
 				if st.SizeBytes() <= 0 {
 					t.Fatal("SizeBytes not positive after flush")
+				}
+				if backend == "mem" {
+					memSize[strat.ID()] = st.SizeBytes()
+				} else if want, ok := memSize[strat.ID()]; ok && st.SizeBytes() != want {
+					t.Fatalf("file store charges %d B, the memory store %d B", st.SizeBytes(), want)
 				}
 
 				qrng := rand.New(rand.NewSource(7))
@@ -563,8 +571,9 @@ func (a lifecycleAnswers) equal(b lifecycleAnswers) bool {
 
 // TestStoreLifecycle pins a store's one lifecycle, write → Flush → read:
 // every lookup entry point refuses a store not flushed yet, a flushed store
-// refuses writes, a second Flush changes nothing, and a reopened non-empty
-// store answers without a Flush and refuses writes.
+// refuses writes, a second Flush changes nothing, and a reopened store —
+// one flushed with pairs or without any — answers without a Flush and
+// refuses writes.
 func TestStoreLifecycle(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	pairs := randomPairs(rng, 150)
@@ -631,6 +640,40 @@ func TestStoreLifecycle(t *testing.T) {
 			if err := reopened.WritePairs(sp[:1]); !errors.Is(err, errSealed) {
 				t.Fatalf("WritePairs on a reopened store: err = %v, want %v", err, errSealed)
 			}
+
+			// A store flushed without a pair holds a meta blob and no
+			// record; reopened, it is sealed all the same and answers
+			// empty.
+			emptyPath := filepath.Join(t.TempDir(), "empty.log")
+			fs3, err := kvstore.OpenFile(emptyPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			empty, err := OpenStore(fs3, strat, tOutSpace, tInSpaces)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := empty.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs3.Close(); err != nil {
+				t.Fatal(err)
+			}
+			fs4, err := kvstore.OpenFile(emptyPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fs4.Close()
+			if empty, err = OpenStore(fs4, strat, tOutSpace, tInSpaces); err != nil {
+				t.Fatal(err)
+			}
+			if a := askStore(t, empty, qOut, qIn); a.back.Count() != 0 || a.fwd.Count() != 0 || a.contains.Count() != 0 {
+				t.Fatalf("reopened empty store answers %d backward, %d forward and %d contained cells",
+					a.back.Count(), a.fwd.Count(), a.contains.Count())
+			}
+			if err := empty.WritePairs(sp[:1]); !errors.Is(err, errSealed) {
+				t.Fatalf("WritePairs on a reopened empty store: err = %v, want %v", err, errSealed)
+			}
 		})
 	}
 }
@@ -657,8 +700,11 @@ func (h *halfTileBatch) PutBatch(kvs []kvstore.KV) error {
 }
 
 // A Flush retried after its tile batch failed halfway leaves exactly the
-// bytes of a Flush that never failed: the retry writes every tile whole
-// again and reads none of the half-written ones back.
+// records of a Flush that never failed: the retry writes the partial block
+// and every tile whole again and reads none of the half-written ones back.
+// The hashtable is a log, so what the failed Flush appended stays in it as
+// overwritten bytes; beyond those, the retry appends exactly what a clean
+// Flush does.
 func TestFlushRetryIsIdempotent(t *testing.T) {
 	for _, strat := range []Strategy{StratFullOne, StratPayOne} {
 		t.Run(strat.ID(), func(t *testing.T) {
@@ -667,7 +713,8 @@ func TestFlushRetryIsIdempotent(t *testing.T) {
 			for len(pairs) < 1000 {
 				pairs = append(pairs, fuzzPairs(rng, strat)...)
 			}
-			build := func(kv kvstore.Store) {
+			// build returns the bytes a failed Flush appended.
+			build := func(kv kvstore.Store) (failed int64) {
 				t.Helper()
 				st, err := OpenStore(kv, strat, fOutSpace, fInSpaces)
 				if err != nil {
@@ -676,16 +723,19 @@ func TestFlushRetryIsIdempotent(t *testing.T) {
 				if err := st.WritePairs(pairs); err != nil {
 					t.Fatal(err)
 				}
-				if err := st.Flush(); errors.Is(err, errHalfBatch) {
+				before := kv.SizeBytes()
+				if err = st.Flush(); errors.Is(err, errHalfBatch) {
+					failed = kv.SizeBytes() - before
 					err = st.Flush()
 				}
 				if err != nil {
 					t.Fatal(err)
 				}
+				return failed
 			}
 			clean, cut := kvstore.NewMem(), &halfTileBatch{Store: kvstore.NewMem()}
 			build(clean)
-			build(cut)
+			failed := build(cut)
 			if !cut.cut {
 				t.Fatal("no tile batch was cut")
 			}
@@ -700,8 +750,9 @@ func TestFlushRetryIsIdempotent(t *testing.T) {
 				return m
 			}
 			a, b := dump(clean), dump(cut)
-			if len(a) != len(b) || clean.SizeBytes() != cut.SizeBytes() {
-				t.Fatalf("retried Flush: %d keys, %d B; clean Flush: %d keys, %d B", len(b), cut.SizeBytes(), len(a), clean.SizeBytes())
+			if len(a) != len(b) || clean.SizeBytes() != cut.SizeBytes()-failed {
+				t.Fatalf("retried Flush: %d keys, %d B after the %d B of the failed one; clean Flush: %d keys, %d B",
+					len(b), cut.SizeBytes()-failed, failed, len(a), clean.SizeBytes())
 			}
 			for k, v := range a {
 				if !bytes.Equal(b[k], v) {

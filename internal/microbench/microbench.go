@@ -258,7 +258,7 @@ func Run(ctx context.Context, cfg Config, strategy, storageRoot string) (*Result
 	if root != "" {
 		root = filepath.Join(storageRoot, fmt.Sprintf("micro-%s-%d-%d", sanitize(strategy), cfg.Fanin, cfg.Fanout))
 	}
-	mgr, err := kvstore.NewManager(root)
+	mgr, err := kvstore.NewManager(root, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -159,7 +159,7 @@ func TestObservationAllocBounds(t *testing.T) {
 	}
 	kv := &set.KV
 	if n := testing.AllocsPerRun(100, func() {
-		kv.Gets.Inc()
+		kv.GetBatches.Inc()
 		kv.KeysRead.Inc()
 		kv.BytesRead.Add(128)
 	}); n != 0 {

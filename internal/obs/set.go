@@ -155,13 +155,10 @@ func (q *QueryObs) RecordQuery(direction int, elapsed time.Duration, cells []uin
 	}
 }
 
-// KVObs instruments the key-value store layer. The instrumented store
-// wrapper holds these pointers directly, so the lookup hot path pays only
-// atomic adds.
+// KVObs counts the key-value store layer's operations. Each store holds a
+// pointer to it, so the lookup hot path pays only atomic adds.
 type KVObs struct {
-	Gets         *Counter
 	GetBatches   *Counter
-	Puts         *Counter
 	PutBatches   *Counter
 	Scans        *Counter
 	KeysRead     *Counter
@@ -182,9 +179,7 @@ func newKVObs(r *Registry) KVObs {
 	bytes := r.NewCounterVec("subzero_kvstore_bytes_total",
 		"Value bytes read or written through the key-value store.", Raw, "dir")
 	return KVObs{
-		Gets:         ops.With1("get"),
 		GetBatches:   ops.With1("get_batch"),
-		Puts:         ops.With1("put"),
 		PutBatches:   ops.With1("put_batch"),
 		Scans:        ops.With1("scan"),
 		KeysRead:     keys.With1("read"),

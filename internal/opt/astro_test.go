@@ -27,7 +27,7 @@ func TestOptimizeAstronomyTerminates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr, err := kvstore.NewManager("")
+	mgr, err := kvstore.NewManager("", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

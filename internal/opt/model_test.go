@@ -29,7 +29,7 @@ func captureGenomics(t *testing.T, scale int, planName string) (*opt.Optimizer, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr, err := kvstore.NewManager(t.TempDir())
+	mgr, err := kvstore.NewManager(t.TempDir(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,7 +78,7 @@ type Optimizer struct {
 }
 
 // New creates an optimizer over a profiling run. The run should have
-// materialized each instrumented operator's richest supported lineage
+// materialized each lineage-aware operator's richest supported lineage
 // (e.g., Full plus its payload mode) so volumes and write times are
 // measured rather than guessed; operators without profiled stores fall
 // back to conservative estimates.

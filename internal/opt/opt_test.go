@@ -68,7 +68,7 @@ func (u *payUDF) MapP(mc *workflow.MapCtx, out uint64, payload []byte, _ int, ds
 // on the UDF, Map on the built-in).
 func profiledRun(t *testing.T) (*workflow.Executor, *workflow.Run) {
 	t.Helper()
-	mgr, err := kvstore.NewManager("")
+	mgr, err := kvstore.NewManager("", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func (s *slowMask) MapP(mc *workflow.MapCtx, out uint64, payload []byte, i int, 
 // the query performance degradation to 2x by dynamically switching to the
 // BlackBox strategy").
 func TestDynamicFallbackTriggersAndStaysCorrect(t *testing.T) {
-	mgr, err := kvstore.NewManager("")
+	mgr, err := kvstore.NewManager("", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,7 +97,7 @@ func (m *maskUDF) MapF(_ *workflow.MapCtx, in uint64, _ int, dst []uint64) []uin
 // the given plan.
 func buildRun(t *testing.T, plan workflow.Plan) (*workflow.Executor, *workflow.Run) {
 	t.Helper()
-	mgr, err := kvstore.NewManager("")
+	mgr, err := kvstore.NewManager("", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func (o *blackboxUDF) Run(_ *workflow.RunCtx, ins []*array.Array) (*array.Array,
 // lineage API at all.
 func buildOpaqueRun(t *testing.T) (*workflow.Executor, *workflow.Run) {
 	t.Helper()
-	mgr, err := kvstore.NewManager("")
+	mgr, err := kvstore.NewManager("", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func newExecutor(t *testing.T) *workflow.Executor {
 // newExecutorOver builds an executor storing arrays in versions.
 func newExecutorOver(t *testing.T, versions *array.Versions) *workflow.Executor {
 	t.Helper()
-	mgr, err := kvstore.NewManager("")
+	mgr, err := kvstore.NewManager("", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,15 +96,14 @@ func NewSystem(options ...Option) (*System, error) {
 	if cfg.parallelism <= 0 {
 		cfg.parallelism = runtime.GOMAXPROCS(0)
 	}
-	mgr, err := kvstore.NewManager(cfg.storageDir)
+	// Observability is always on: the metric set is a few hundred atomics,
+	// and every layer — kvstore I/O, query spans — reports into one
+	// registry.
+	obsSet := obs.NewSet()
+	mgr, err := kvstore.NewManager(cfg.storageDir, &obsSet.KV)
 	if err != nil {
 		return nil, err
 	}
-	// Observability is always on: the metric set is a few hundred atomics,
-	// and attaching it before the first store opens means every layer —
-	// kvstore I/O, query spans — reports into one registry.
-	obsSet := obs.NewSet()
-	mgr.SetMetrics(&obsSet.KV)
 	versions := array.NewVersions()
 	stats := lineage.NewCollector()
 	exec := workflow.NewExecutor(versions, mgr, stats)
@@ -510,7 +509,7 @@ func (s *System) Close() error {
 }
 
 // ---------------------------------------------------------------------
-// Built-in operator constructors (the instrumented SciDB-style operator
+// Built-in operator constructors (the lineage-aware SciDB-style operator
 // library; all are mapping operators supporting Map and Full lineage).
 // ---------------------------------------------------------------------
 
