@@ -3,6 +3,7 @@ package subzero_test
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -21,6 +22,17 @@ func oneNodeRun(t *testing.T, opts ...subzero.Option) (*subzero.System, *subzero
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { sys.Close() })
+	run, err := executeOneNode(t, sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys, run
+}
+
+// executeOneNode runs a single identity operator over an 8-cell source,
+// its lineage stored FullOne.
+func executeOneNode(t *testing.T, sys *subzero.System) (*subzero.Run, error) {
+	t.Helper()
 	spec := subzero.NewSpec("fault-test")
 	spec.Add("id", subzero.UnaryOp("id", func(x float64) float64 { return x }),
 		subzero.FromExternal("src"))
@@ -28,12 +40,72 @@ func oneNodeRun(t *testing.T, opts ...subzero.Option) (*subzero.System, *subzero
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := sys.Execute(context.Background(), spec, subzero.Plan{"id": {subzero.StratFullOne}},
+	return sys.Execute(context.Background(), spec, subzero.Plan{"id": {subzero.StratFullOne}},
 		map[string]*subzero.Array{"src": src})
-	if err != nil {
-		t.Fatal(err)
+}
+
+// A store whose Flush fails leaves nothing behind, on either backing. The
+// node's 8 pairs fill no 64-id record block, so the first hashtable batch
+// is the Flush's own partial block: with kvstore/putbatch armed, Execute
+// fails, registers no run, and drops every namespace the run opened. A
+// background rebuild whose Flush fails drops its @heal namespace the same
+// way, and the run keeps its degraded store.
+func TestFailedFlushLeavesNothing(t *testing.T) {
+	for _, backing := range []string{"mem", "file"} {
+		t.Run(backing, func(t *testing.T) {
+			defer fault.Reset()
+			var opts []subzero.Option
+			if backing == "file" {
+				opts = append(opts, subzero.WithStorageDir(t.TempDir()))
+			}
+			sys, err := subzero.NewSystem(opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sys.Close()
+			putBatch := fault.Action{Kind: fault.KindError, Count: 1}
+			if err := fault.Arm("kvstore/putbatch", putBatch); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := executeOneNode(t, sys); !errors.Is(err, fault.ErrInjected) {
+				t.Fatalf("Execute with a failing flush: err = %v, want the injected fault", err)
+			}
+			if runs, ns := sys.Runs(), sys.KVManager().Namespaces(); len(runs) != 0 || len(ns) != 0 || sys.LineageBytes() != 0 {
+				t.Fatalf("failed Execute left runs %v, namespaces %v and %d lineage bytes", runs, ns, sys.LineageBytes())
+			}
+
+			run, err := executeOneNode(t, sys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := fault.Arm("lineage/lookup/decode", fault.Action{Kind: fault.KindError, Count: 1}); err != nil {
+				t.Fatal(err)
+			}
+			if err := fault.Arm("kvstore/putbatch", putBatch); err != nil {
+				t.Fatal(err)
+			}
+			opts2 := subzero.DefaultQueryOptions()
+			opts2.Dynamic = false
+			if _, err := sys.QueryWith(context.Background(), run, subzero.BackwardQuery([]uint64{2}, subzero.Step{Node: "id"}), opts2); err != nil {
+				t.Fatal(err)
+			}
+			deadline := time.Now().Add(10 * time.Second)
+			for _, _, failures := sys.HealCounts(); failures == 0; _, _, failures = sys.HealCounts() {
+				if time.Now().After(deadline) {
+					t.Fatal("the rebuild neither failed nor was recorded within the heal window")
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			for _, ns := range sys.KVManager().Namespaces() {
+				if strings.Contains(ns, "@heal") {
+					t.Fatalf("failed rebuild left namespace %q", ns)
+				}
+			}
+			if len(sys.DegradedStores()) != 1 {
+				t.Fatalf("degraded stores after the failed rebuild: %+v, want the one", sys.DegradedStores())
+			}
+		})
 	}
-	return sys, run
 }
 
 // TestCorruptionFallbackAndHeal is the quarantine loop end to end: a

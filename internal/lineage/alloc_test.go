@@ -24,16 +24,7 @@ func TestBackwardLookupAllocBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	pairs := randomPairs(rng, 400)
 	kv := kvstore.NewMem()
-	st, err := OpenStore(kv, StratFullOne, tOutSpace, tInSpaces)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.WritePairs(toStorePairs(StratFullOne, pairs)); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	st := buildStore(t, kv, StratFullOne, toStorePairs(StratFullOne, pairs))
 
 	q := randomQuery(rng, tOutSpace, 600)
 	dst := bitmap.New(tInSpaces[0])
@@ -66,16 +57,7 @@ func TestBackwardFullManyAllocBound(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(21))
 	pairs := randomPairs(rng, 400)
-	st, err := OpenStore(kvstore.NewMem(), StratFullMany, tOutSpace, tInSpaces)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.WritePairs(pairs); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	st := buildStore(t, kvstore.NewMem(), StratFullMany, pairs)
 	q := randomQuery(rng, tOutSpace, 600)
 	dst := bitmap.New(tInSpaces[0])
 	lookup := func() {
@@ -105,17 +87,8 @@ func TestContainsOutAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fs.Close()
-	st, err := OpenStore(fs, StratCompOne, tOutSpace, tInSpaces)
-	if err != nil {
-		t.Fatal(err)
-	}
 	pairs := toStorePairs(StratCompOne, randomPairs(rand.New(rand.NewSource(4)), 120))
-	if err := st.WritePairs(pairs); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	st := buildStore(t, fs, StratCompOne, pairs)
 	cell := pairs[0].Out[0]
 	probe := func() {
 		if ok, err := st.ContainsOut(cell); err != nil || !ok {
@@ -130,21 +103,18 @@ func TestContainsOutAllocFree(t *testing.T) {
 
 // The write path allocates per batch, not per pair: keys and records
 // encode into one pooled arena, and what is left per pair is amortized
-// growth of the store's log, index and buffers.
+// growth of the builder's log, index and buffers.
 // If per-pair allocations creep up, capture overhead follows.
 func TestWritePairsAllocBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	pairs := randomPairs(rng, 64)
-	st, err := OpenStore(kvstore.NewMem(), StratFullOne, tOutSpace, tInSpaces)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Warm: pending maps, record batch scratch.
-	if err := st.WritePairs(pairs); err != nil {
+	b := newBuilder(t, kvstore.NewMem(), StratFullOne)
+	// Warm: cell-entry buffers, record batch scratch.
+	if err := b.WritePairs(pairs); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if err := st.WritePairs(pairs); err != nil {
+		if err := b.WritePairs(pairs); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -214,16 +184,7 @@ func TestBackwardLookupAllocBoundContainers(t *testing.T) {
 		}
 		pairs = append(pairs, rp)
 	}
-	st, err := OpenStore(kvstore.NewMem(), StratFullOne, outSp, inSps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.WritePairs(toStorePairs(StratFullOne, pairs)); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	st := buildStoreIn(t, kvstore.NewMem(), StratFullOne, outSp, inSps, toStorePairs(StratFullOne, pairs))
 
 	q := randomQuery(rng, outSp, 600)
 	dst := bitmap.New(inSps[0])

@@ -53,21 +53,22 @@ func TestCellEntryLogGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			st, err := OpenStore(fs, strat, tOutSpace, tInSpaces)
-			if err != nil {
-				t.Fatal(err)
-			}
-			step := func(err error) {
-				t.Helper()
-				if err != nil {
+			b := newBuilder(t, fs, strat)
+			for _, batch := range [][]RegionPair{sp[:30], sp[30:60], sp[60:]} {
+				if err := b.WritePairs(batch); err != nil {
 					t.Fatal(err)
 				}
 			}
-			step(st.WritePairs(sp[:30]))
-			step(st.WritePairs(sp[30:60]))
-			step(st.WritePairs(sp[60:]))
-			step(st.Flush())
-			step(fs.Close())
+			// The meta blob holds the builder's WriteTime (its FlushTime is
+			// taken after the commit); zeroed, the sidecar's bytes depend on
+			// the pairs alone.
+			b.s.stats.WriteTime = 0
+			if _, err := b.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.Close(); err != nil {
+				t.Fatal(err)
+			}
 			got := [2]string{fileHash(t, path), fileHash(t, path+".meta")}
 			if got != want[strat.ID()] {
 				t.Fatalf("log/meta sha256 = %q, want %q", got, want[strat.ID()])
@@ -109,16 +110,7 @@ func TestTileValueGolden(t *testing.T) {
 		RegionPair{Out: []uint64{1724}, Ins: [][]uint64{{2}}},
 		RegionPair{Out: []uint64{1724}, Ins: [][]uint64{{3}}})
 	kv := kvstore.NewMem()
-	st, err := OpenStore(kv, StratFullOne, outSp, inSps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.WritePairs(pairs); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	buildStoreIn(t, kv, StratFullOne, outSp, inSps, pairs)
 	value := func(tile uint64) []byte {
 		t.Helper()
 		val, ok := getKV(t, kv, appendTileKey(nil, 0, tile))
@@ -334,7 +326,7 @@ func FuzzCellEntries(f *testing.F) {
 			defer fs.Close()
 			kv = fs
 		}
-		st, err := OpenStore(kv, strat, fOutSpace, fInSpaces)
+		b, err := NewBuilder(kv, strat, fOutSpace, fInSpaces)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -351,7 +343,7 @@ func FuzzCellEntries(f *testing.F) {
 				continue
 			}
 			pairs := fuzzPairs(rand.New(rand.NewSource(seed)), strat)
-			if err := st.WritePairs(pairs); err != nil {
+			if err := b.WritePairs(pairs); err != nil {
 				t.Fatal(err)
 			}
 			for j := range pairs {
@@ -359,7 +351,8 @@ func FuzzCellEntries(f *testing.F) {
 				written = append(written, pairs[j])
 			}
 		}
-		if err := st.Flush(); err != nil {
+		st, err := b.Flush()
+		if err != nil {
 			t.Fatal(err)
 		}
 		model.check(t, kv)

@@ -70,9 +70,9 @@ type blockStage struct {
 	buf  []byte
 }
 
-// add places the record of the block's next id.
-func (b *blockStage) add(rec []byte) {
-	b.buf = append(b.buf, rec...)
+// addPair encodes rp's record as that of the block's next id.
+func (b *blockStage) addPair(rp *RegionPair) {
+	b.buf = appendRecord(b.buf, rp)
 	b.ends[b.n] = len(b.buf)
 	b.n++
 }

@@ -124,6 +124,14 @@ func plantRecord(t *testing.T, kv kvstore.Store, id uint64, val []byte) {
 	putKV(t, kv, key, st.appendTo(nil))
 }
 
+// add places rec as the record of the block's next id; nil is an id
+// without one.
+func (b *blockStage) add(rec []byte) {
+	b.buf = append(b.buf, rec...)
+	b.ends[b.n] = len(b.buf)
+	b.n++
+}
+
 // putKV writes one hashtable record as a one-record batch.
 func putKV(t *testing.T, kv kvstore.Store, key, val []byte) {
 	t.Helper()
@@ -184,16 +192,7 @@ func TestStaleCellKeysDegrade(t *testing.T) {
 		t.Run(strat.ID(), func(t *testing.T) {
 			written := toStorePairs(strat, pairs)
 			cur := kvstore.NewMem()
-			st, err := OpenStore(cur, strat, tOutSpace, tInSpaces)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := st.WritePairs(written); err != nil {
-				t.Fatal(err)
-			}
-			if err := st.Flush(); err != nil {
-				t.Fatal(err)
-			}
+			st := buildStore(t, cur, strat, written)
 			blob, _, err := cur.LoadMeta()
 			if err != nil {
 				t.Fatal(err)
@@ -241,8 +240,9 @@ func TestStaleCellKeysDegrade(t *testing.T) {
 }
 
 // assertStale reopens a store holding keys of an earlier layout and checks
-// that every lookup reports ErrCorrupt and that no write or flush lands
-// beside the old keys, nor commits a meta blob that would hide them.
+// that every lookup reports ErrCorrupt, and that no builder takes the
+// hashtable: none can write beside the old keys, nor commit a meta blob
+// that would hide them.
 func assertStale(t *testing.T, kv kvstore.Store, strat Strategy, written []RegionPair, version byte) {
 	t.Helper()
 	st, err := OpenStore(kv, strat, tOutSpace, tInSpaces)
@@ -262,14 +262,11 @@ func assertStale(t *testing.T, kv kvstore.Store, strat Strategy, written []Regio
 	if err := st.Forward(fq, bitmap.New(tOutSpace), 0, testMapP, nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("forward: err=%v, want ErrCorrupt", err)
 	}
-	if err := st.WritePairs(written[:1]); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("WritePairs: err=%v, want ErrCorrupt", err)
-	}
-	if err := st.Flush(); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Flush: err=%v, want ErrCorrupt", err)
+	if _, err := NewBuilder(kv, strat, tOutSpace, tInSpaces); err == nil {
+		t.Fatal("a builder took a hashtable holding a stale store")
 	}
 	if blob, _, err := kv.LoadMeta(); err != nil || blob[0] != version {
-		t.Fatalf("meta blob after refused writes: version %d, err %v; want %d", blob[0], err, version)
+		t.Fatalf("meta blob after the refused builder: version %d, err %v; want %d", blob[0], err, version)
 	}
 }
 
@@ -306,21 +303,13 @@ func TestUnusableRecordDegradesStore(t *testing.T) {
 				dir := map[bool]string{false: "backward", true: "forward"}[forward]
 				t.Run(strat.ID()+"/"+name+"/"+dir, func(t *testing.T) {
 					kv := kvstore.NewMem()
-					st, err := OpenStore(kv, strat, tOutSpace, tInSpaces)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := st.WritePairs(toStorePairs(strat, pairs)); err != nil {
-						t.Fatal(err)
-					}
-					if err := st.Flush(); err != nil {
-						t.Fatal(err)
-					}
+					buildStore(t, kv, strat, toStorePairs(strat, pairs))
 					for id := range pairs {
 						plantRecord(t, kv, uint64(id), val)
 					}
 					// Reopen so the lookup decodes from the hashtable.
-					if st, err = OpenStore(kv, strat, tOutSpace, tInSpaces); err != nil {
+					st, err := OpenStore(kv, strat, tOutSpace, tInSpaces)
+					if err != nil {
 						t.Fatal(err)
 					}
 					if forward {

@@ -54,16 +54,7 @@ func TestCrashPointMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			stA, err := OpenStore(fsA, strat, tOutSpace, tInSpaces)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := stA.WritePairs(toStorePairs(strat, pairsA)); err != nil {
-				t.Fatal(err)
-			}
-			if err := stA.Flush(); err != nil {
-				t.Fatal(err)
-			}
+			buildStore(t, fsA, strat, toStorePairs(strat, pairsA))
 
 			action := fault.Action{Kind: fault.KindError}
 			if strings.HasSuffix(pt, "file/write") {
@@ -77,12 +68,9 @@ func TestCrashPointMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			stB, err := OpenStore(fsB, strat, tOutSpace, tInSpaces)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := stB.WritePairs(toStorePairs(strat, pairsB)); err == nil {
-				_ = stB.Flush()
+			b := newBuilder(t, fsB, strat)
+			if err := b.WritePairs(toStorePairs(strat, pairsB)); err == nil {
+				_, _ = b.Flush()
 			}
 			if fault.Hits(pt) == 0 && strings.HasPrefix(pt, "kvstore/file/") {
 				// The wrapped file's Sync is unreachable through the
@@ -115,11 +103,6 @@ func TestCrashPointMatrix(t *testing.T) {
 				st, err := OpenStore(fs, strat, tOutSpace, tInSpaces)
 				if err != nil {
 					t.Fatalf("OpenStore %s after crash at %s: %v", filepath.Base(path), pt, err)
-				}
-				// A store that reopens empty is a fresh one: its Flush seals
-				// it. On a store that reopens sealed Flush is a no-op.
-				if err := st.Flush(); err != nil {
-					t.Fatal(err)
 				}
 				got := bitmap.New(tInSpaces[0])
 				if err := st.Backward(q, got, 0, testMapP, nil, nil); err != nil {
@@ -170,19 +153,7 @@ func TestRebuildByteIdentical(t *testing.T) {
 			// build writes and flushes the pairs into kv and returns its
 			// records in scan order.
 			build := func(kv kvstore.Store) []kvstore.KV {
-				st, err := OpenStore(kv, strat, tOutSpace, tInSpaces)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := st.WritePairs(toStorePairs(strat, pairs[:40])); err != nil {
-					t.Fatal(err)
-				}
-				if err := st.WritePairs(toStorePairs(strat, pairs[40:])); err != nil {
-					t.Fatal(err)
-				}
-				if err := st.Flush(); err != nil {
-					t.Fatal(err)
-				}
+				st := buildStore(t, kv, strat, toStorePairs(strat, pairs[:40]), toStorePairs(strat, pairs[40:]))
 				trees = trees[:0]
 				for _, tr := range st.trees {
 					trees = append(trees, tr.Encode())

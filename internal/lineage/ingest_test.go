@@ -3,7 +3,6 @@ package lineage
 import (
 	"math/rand"
 	"os"
-	"sync"
 	"testing"
 	"time"
 
@@ -11,17 +10,11 @@ import (
 	"subzero/internal/kvstore"
 )
 
-// writeThrough pushes pairs through a Writer into the store, mirroring how
-// the executor feeds lineage.
-func writeThrough(t *testing.T, st *Store, strat Strategy, pairs []RegionPair) {
+// writeThrough pushes pairs through a Writer into a builder over kv,
+// mirroring how the executor feeds lineage, and returns the store.
+func writeThrough(t *testing.T, kv kvstore.Store, strat Strategy, pairs []RegionPair) *Store {
 	t.Helper()
-	var full, pay []*Store
-	if strat.Mode == Full {
-		full = []*Store{st}
-	} else {
-		pay = []*Store{st}
-	}
-	w := NewWriter(tOutSpace, tInSpaces, full, pay, nil)
+	w := NewWriter(tOutSpace, tInSpaces, []*Builder{newBuilder(t, kv, strat)}, nil)
 	for i, rp := range toStorePairs(strat, pairs) {
 		var err error
 		if strat.Mode == Full {
@@ -39,9 +32,17 @@ func writeThrough(t *testing.T, st *Store, strat Strategy, pairs []RegionPair) {
 			}
 		}
 	}
-	if err := w.Flush(); err != nil {
+	return flushWriter(t, w)[0]
+}
+
+// flushWriter flushes w and returns its stores.
+func flushWriter(t *testing.T, w *Writer) []*Store {
+	t.Helper()
+	stores, err := w.Flush()
+	if err != nil {
 		t.Fatal(err)
 	}
+	return stores
 }
 
 // blockValues returns every record block value kv holds, by key.
@@ -59,48 +60,31 @@ func blockValues(t *testing.T, kv kvstore.Store) map[string]string {
 	return m
 }
 
-// stagedRecords counts the records st holds staged in blocks not written
-// yet.
-func stagedRecords(st *Store) int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.stage == nil {
-		return 0
-	}
-	return st.stage.n
-}
-
-// A serial writer completes blocks in id order, so between WritePairs
-// calls it stages fewer than one block's records, whatever the batch
-// sizes, and its Flush writes them and leaves none.
+// A builder completes blocks in id order, so between WritePairs calls it
+// stages fewer than one block's records, whatever the batch sizes, and its
+// Flush writes them.
 func TestSerialStagingBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	pairs := randomPairs(rng, 700)
 	for _, strat := range []Strategy{StratFullOne, StratFullMany, StratPayMany} {
 		t.Run(strat.ID(), func(t *testing.T) {
 			kv := kvstore.NewMem()
-			st, err := OpenStore(kv, strat, tOutSpace, tInSpaces)
-			if err != nil {
-				t.Fatal(err)
-			}
+			b := newBuilder(t, kv, strat)
 			sp := toStorePairs(strat, pairs)
 			for lo, n := 0, 1; lo < len(sp); lo, n = lo+n, n*3%157+1 {
 				hi := min(lo+n, len(sp))
-				if err := st.WritePairs(sp[lo:hi]); err != nil {
+				if err := b.WritePairs(sp[lo:hi]); err != nil {
 					t.Fatal(err)
 				}
-				if got, want := stagedRecords(st), hi%blockIDs; got != want {
+				if got, want := b.stage.n, hi%blockIDs; got != want {
 					t.Fatalf("after %d pairs: %d records staged, want %d", hi, got, want)
 				}
 				if got, want := len(blockValues(t, kv)), hi/blockIDs; got != want {
 					t.Fatalf("after %d pairs: %d blocks written, want %d", hi, got, want)
 				}
 			}
-			if err := st.Flush(); err != nil {
+			if _, err := b.Flush(); err != nil {
 				t.Fatal(err)
-			}
-			if got := stagedRecords(st); got != 0 {
-				t.Fatalf("%d records staged after Flush", got)
 			}
 			if got, want := len(blockValues(t, kv)), (len(pairs)+blockIDs-1)/blockIDs; got != want {
 				t.Fatalf("%d blocks after Flush, want %d", got, want)
@@ -121,35 +105,6 @@ func corruptFile(path string) error {
 	return os.WriteFile(path, buf, 0o644)
 }
 
-// Satellite regression: concurrent writers aggregating durations must not
-// under-report — the counters are atomic, so N goroutines adding D each
-// yield exactly N*D.
-func TestAddWriteTimeConcurrentAccounting(t *testing.T) {
-	st, err := OpenStore(kvstore.NewMem(), StratFullOne, tOutSpace, tInSpaces)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const workers, iters = 8, 2000
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < iters; j++ {
-				st.AddWriteTime(time.Microsecond)
-				st.AddFlushTime(3 * time.Microsecond)
-			}
-		}()
-	}
-	wg.Wait()
-	ss := st.Stats()
-	want := workers * iters * time.Microsecond
-	if ss.WriteTime != want || ss.FlushTime != 3*want {
-		t.Fatalf("durations under-reported: write=%v flush=%v want %v/%v",
-			ss.WriteTime, ss.FlushTime, want, 3*want)
-	}
-}
-
 // Satellite regression: the encoded stats record — and therefore
 // SizeBytes and LineageBytes — must not vary with wall-clock timing. All
 // duration fields are fixed-width.
@@ -157,13 +112,11 @@ func TestStatsEncodingTimingIndependent(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var wantLen int
 	for trial := 0; trial < 50; trial++ {
-		st, err := OpenStore(kvstore.NewMem(), StratFullOne, tOutSpace, tInSpaces)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st.addVolumes(12, 340, 560, 0) // fixed volumes
-		st.AddWriteTime(time.Duration(rng.Int63n(int64(time.Hour))))
-		st.AddFlushTime(time.Duration(rng.Int63n(int64(time.Hour))))
+		st := Store{stats: StoreStats{
+			Pairs: 12, OutCells: 340, InCells: 560, // fixed volumes
+			WriteTime: time.Duration(rng.Int63n(int64(time.Hour))),
+			FlushTime: time.Duration(rng.Int63n(int64(time.Hour))),
+		}}
 		enc := st.encodeStats()
 		if trial == 0 {
 			wantLen = len(enc)
@@ -171,10 +124,7 @@ func TestStatsEncodingTimingIndependent(t *testing.T) {
 			t.Fatalf("stats record length varies with timing: %d vs %d", len(enc), wantLen)
 		}
 		// Round-trip through decode preserves every field.
-		st2, err := OpenStore(kvstore.NewMem(), StratFullOne, tOutSpace, tInSpaces)
-		if err != nil {
-			t.Fatal(err)
-		}
+		var st2 Store
 		st2.decodeStats(enc)
 		if got, want := st2.Stats(), st.Stats(); got != want {
 			t.Fatalf("stats round-trip = %+v, want %+v", got, want)
@@ -197,11 +147,7 @@ func TestStoreMetaBlobReopenAndRecovery(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			st, err := OpenStore(fs, strat, tOutSpace, tInSpaces)
-			if err != nil {
-				t.Fatal(err)
-			}
-			writeThrough(t, st, strat, pairs)
+			st := writeThrough(t, fs, strat, pairs)
 			q := randomQuery(rng, tOutSpace, 50)
 			want := bitmap.New(tInSpaces[0])
 			if err := st.Backward(q, want, 0, nil, nil, nil); err != nil {
@@ -252,7 +198,7 @@ func TestStoreMetaBlobReopenAndRecovery(t *testing.T) {
 			if !bitmapsEqual(got2, want) {
 				t.Fatal("rebuilt store answers differ after meta corruption")
 			}
-			if next := st.nextPair.Load(); next != uint64(wantPairs) {
+			if next := st.nextPair; next != uint64(wantPairs) {
 				t.Fatalf("rebuilt pair counter = %d, want %d", next, wantPairs)
 			}
 			if got, logical := st.NumPairs(), st.LogicalBytes(); got != wantPairs || logical != wantLogical {

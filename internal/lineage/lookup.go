@@ -237,7 +237,7 @@ func (sc *lookupScratch) onTile(i int, val []byte, ok bool) bool {
 // remaining cells. abort, if non-nil, is polled periodically; returning
 // true cancels the lookup with ErrAborted (the query-time optimizer's
 // dynamic fallback hook). mapp and abort must not call back into the store
-// (see Store). The store must be sealed (Flush).
+// (see Store).
 func (s *Store) Backward(q, dst *bitmap.Bitmap, inputIdx int, mapp PayloadFn, covered *bitmap.Bitmap, abort func() bool) error {
 	return s.BackwardSpan(nil, q, dst, inputIdx, mapp, covered, abort)
 }
@@ -280,7 +280,7 @@ func (s *Store) lookupFullOne(sp *trace.Span, q, dst *bitmap.Bitmap, slot, side 
 	sc := getScratch()
 	defer sc.release()
 	sc.st, sc.sp, sc.dst, sc.slot, sc.side, sc.abort = s, sp, dst, slot, side, abort
-	if n := (s.nextPair.Load() + 63) / 64; n <= uint64(cap(sc.done)) {
+	if n := (s.nextPair + 63) / 64; n <= uint64(cap(sc.done)) {
 		sc.done = sc.done[:n] // release left every word zero
 	} else {
 		sc.done = make([]uint64, n)
@@ -557,7 +557,7 @@ func (s *Store) scanRecords(abort func() bool, fn func(*record)) error {
 	sc := getScratch()
 	defer sc.release()
 	sc.st, sc.scan = s, true
-	next := s.nextPair.Load()
+	next := s.nextPair
 	for lo := uint64(0); lo < next; lo += scanChunk {
 		sc.ids = sc.ids[:0]
 		for id := lo; id < min(lo+scanChunk, next); id++ {

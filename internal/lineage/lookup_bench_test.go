@@ -60,16 +60,7 @@ func BenchmarkOneLookup(b *testing.B) {
 			b.Fatal(err)
 		}
 		kv := &keyCounter{Store: fs}
-		st, err := OpenStore(kv, strat, space, []*grid.Space{space})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := st.WritePairs(toStorePairs(strat, pairs)); err != nil {
-			b.Fatal(err)
-		}
-		if err := st.Flush(); err != nil {
-			b.Fatal(err)
-		}
+		st := buildStoreIn(b, kv, strat, space, []*grid.Space{space}, toStorePairs(strat, pairs))
 		for _, qc := range queries {
 			b.Run(strat.ID()+"/"+qc.name, func(b *testing.B) {
 				dst := bitmap.New(space)

@@ -50,9 +50,7 @@ func TestCorruptRecordNeverHalfApplies(t *testing.T) {
 			name := fmt.Sprintf("%s/cache-full=%v", strat.ID(), full)
 			t.Run(name, func(t *testing.T) {
 				kv := kvstore.NewMem()
-				if err := serialStoreOn(kv, strat, append([]RegionPair{planted}, others...)); err != nil {
-					t.Fatal(err)
-				}
+				buildStore(t, kv, strat, append([]RegionPair{planted}, others...))
 				plantRecord(t, kv, 0, val)
 				st, err := OpenStore(kv, strat, tOutSpace, tInSpaces)
 				if err != nil {
@@ -115,9 +113,7 @@ func TestDanglingPairIDDegradesStore(t *testing.T) {
 		t.Run(strat.ID(), func(t *testing.T) {
 			for _, hideBlock := range []bool{false, true} {
 				kv := kvstore.NewMem()
-				if err := serialStoreOn(kv, strat, pairs); err != nil {
-					t.Fatal(err)
-				}
+				buildStore(t, kv, strat, pairs)
 				var from kvstore.Store = kv
 				if hideBlock {
 					from = hidingStore{kv, string(appendBlockKey(nil, 0))}
@@ -215,8 +211,8 @@ func TestFullOneLookupsRaceCacheFill(t *testing.T) {
 		t.Run(strat.ID(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(17))
 			pairs := randomPairs(rng, 400)
-			ref := serialStore(t, strat, pairs)
-			st := serialStore(t, strat, pairs)
+			ref := buildStore(t, kvstore.NewMem(), strat, pairs)
+			st := buildStore(t, kvstore.NewMem(), strat, pairs)
 			// Leave the cache room for about half the records.
 			fillRecCache(st, 200)
 
@@ -297,32 +293,6 @@ func TestFullOneLookupsRaceCacheFill(t *testing.T) {
 	}
 }
 
-// serialStore builds a flushed in-memory store holding pairs.
-func serialStore(t *testing.T, strat Strategy, pairs []RegionPair) *Store {
-	t.Helper()
-	kv := kvstore.NewMem()
-	if err := serialStoreOn(kv, strat, pairs); err != nil {
-		t.Fatal(err)
-	}
-	st, err := OpenStore(kv, strat, tOutSpace, tInSpaces)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return st
-}
-
-// serialStoreOn writes pairs into kv through a store and flushes it.
-func serialStoreOn(kv kvstore.Store, strat Strategy, pairs []RegionPair) error {
-	st, err := OpenStore(kv, strat, tOutSpace, tInSpaces)
-	if err != nil {
-		return err
-	}
-	if err := st.WritePairs(pairs); err != nil {
-		return err
-	}
-	return st.Flush()
-}
-
 // A FullOne lookup that panics mid-batch still releases its pooled
 // scratch, with the batch's cache misses in it. The next lookup, on
 // another store whose pair ids overlap, must not fetch and apply them.
@@ -330,7 +300,7 @@ func TestPanickedLookupLeavesNoBatch(t *testing.T) {
 	defer fault.Reset()
 	rng := rand.New(rand.NewSource(12))
 	open := func() *Store {
-		st := serialStore(t, StratFullOne, randomPairs(rng, 60))
+		st := buildStore(t, kvstore.NewMem(), StratFullOne, randomPairs(rng, 60))
 		fillRecCache(st, 0) // every fetched record stays a miss
 		return st
 	}

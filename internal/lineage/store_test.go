@@ -1,7 +1,6 @@
 package lineage
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -157,6 +156,44 @@ func randomQuery(rng *rand.Rand, space *grid.Space, n int) *bitmap.Bitmap {
 	return q
 }
 
+// newBuilder returns a builder over kv whose spaces are tOutSpace and
+// tInSpaces.
+func newBuilder(t testing.TB, kv kvstore.Store, strat Strategy) *Builder {
+	t.Helper()
+	b, err := NewBuilder(kv, strat, tOutSpace, tInSpaces)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// buildStore writes each batch into a builder over kv with one WritePairs
+// call, in order, and returns the store its Flush returns. The store's
+// spaces are tOutSpace and tInSpaces.
+func buildStore(t testing.TB, kv kvstore.Store, strat Strategy, batches ...[]RegionPair) *Store {
+	t.Helper()
+	return buildStoreIn(t, kv, strat, tOutSpace, tInSpaces, batches...)
+}
+
+// buildStoreIn is buildStore over the given spaces.
+func buildStoreIn(t testing.TB, kv kvstore.Store, strat Strategy, outSpace *grid.Space, inSpaces []*grid.Space, batches ...[]RegionPair) *Store {
+	t.Helper()
+	b, err := NewBuilder(kv, strat, outSpace, inSpaces)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pairs := range batches {
+		if err := b.WritePairs(pairs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := b.Flush()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 // TestStoreEquivalence is the core correctness test: every storage
 // strategy must answer backward and forward queries identically to the
 // brute-force reference, for matched AND mismatched orientations, on both
@@ -182,16 +219,7 @@ func TestStoreEquivalence(t *testing.T) {
 					defer fs.Close()
 					kv = fs
 				}
-				st, err := OpenStore(kv, strat, tOutSpace, tInSpaces)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := st.WritePairs(toStorePairs(strat, pairs)); err != nil {
-					t.Fatal(err)
-				}
-				if err := st.Flush(); err != nil {
-					t.Fatal(err)
-				}
+				st := buildStore(t, kv, strat, toStorePairs(strat, pairs))
 				if st.NumPairs() != len(pairs) {
 					t.Fatalf("NumPairs=%d, want %d", st.NumPairs(), len(pairs))
 				}
@@ -248,16 +276,7 @@ func TestStoreReopen(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			st, err := OpenStore(fs, strat, tOutSpace, tInSpaces)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := st.WritePairs(toStorePairs(strat, pairs)); err != nil {
-				t.Fatal(err)
-			}
-			if err := st.Flush(); err != nil {
-				t.Fatal(err)
-			}
+			st := buildStore(t, fs, strat, toStorePairs(strat, pairs))
 			want := bitmap.New(tInSpaces[0])
 			if err := st.Backward(q, want, 0, testMapP, nil, nil); err != nil {
 				t.Fatal(err)
@@ -291,19 +310,9 @@ func TestStoreReopen(t *testing.T) {
 }
 
 func TestPayCoverageReporting(t *testing.T) {
-	kv := kvstore.NewMem()
 	for _, strat := range []Strategy{StratPayOne, StratPayMany, StratCompOne, StratCompMany} {
-		st, err := OpenStore(kv, strat, tOutSpace, tInSpaces)
-		if err != nil {
-			t.Fatal(err)
-		}
 		pair := RegionPair{Out: []uint64{3, 4}, Payload: testPayload([][]uint64{{10}, {}})}
-		if err := st.WritePairs([]RegionPair{pair}); err != nil {
-			t.Fatal(err)
-		}
-		if err := st.Flush(); err != nil {
-			t.Fatal(err)
-		}
+		st := buildStore(t, kvstore.NewMem(), strat, []RegionPair{pair})
 		q := bitmap.FromCells(tOutSpace, []uint64{3, 7}) // 3 covered, 7 not
 		dst := bitmap.New(tInSpaces[0])
 		covered := bitmap.New(tOutSpace)
@@ -316,7 +325,6 @@ func TestPayCoverageReporting(t *testing.T) {
 		if !dst.Get(10) || dst.Count() != 1 {
 			t.Fatalf("%s: backward result wrong", strat)
 		}
-		kv = kvstore.NewMem() // fresh for next strategy
 	}
 }
 
@@ -326,19 +334,9 @@ func TestContainsOut(t *testing.T) {
 	outSp := grid.NewSpace(grid.Shape{3, 1024})
 	held := []uint64{5, 17, 0, 1023, 1024, 3071}
 	for _, strat := range []Strategy{StratPayOne, StratPayMany, StratCompOne} {
-		st, err := OpenStore(kvstore.NewMem(), strat, outSp, tInSpaces)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, cells := range [][]uint64{held[:2], held[2:]} {
-			pair := RegionPair{Out: cells, Payload: testPayload([][]uint64{{1}, {}})}
-			if err := st.WritePairs([]RegionPair{pair}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := st.Flush(); err != nil {
-			t.Fatal(err)
-		}
+		pay := testPayload([][]uint64{{1}, {}})
+		st := buildStoreIn(t, kvstore.NewMem(), strat, outSp, tInSpaces,
+			[]RegionPair{{Out: held[:2], Payload: pay}}, []RegionPair{{Out: held[2:], Payload: pay}})
 		for _, cell := range []uint64{5, 17, 0, 1023, 1024, 3071, 6, 1, 1022, 1025, 2047, 2048, 3070} {
 			want := slices.Contains(held, cell)
 			got, err := st.ContainsOut(cell)
@@ -361,16 +359,7 @@ func TestStoreAbort(t *testing.T) {
 
 	for _, strat := range allStoreStrategies() {
 		kv := kvstore.NewMem()
-		st, err := OpenStore(kv, strat, tOutSpace, tInSpaces)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := st.WritePairs(toStorePairs(strat, pairs)); err != nil {
-			t.Fatal(err)
-		}
-		if err := st.Flush(); err != nil {
-			t.Fatal(err)
-		}
+		st := buildStore(t, kv, strat, toStorePairs(strat, pairs))
 		dst := bitmap.New(tInSpaces[0])
 		if err := st.Backward(fullQ, dst, 0, testMapP, nil, abort); err != ErrAborted {
 			t.Fatalf("%s: backward abort err=%v, want ErrAborted", strat, err)
@@ -385,16 +374,7 @@ func TestManyLookupHonorsEveryAbortPoll(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	pairs := randomPairs(rng, 400)
 	for _, strat := range []Strategy{StratFullMany, StratPayMany, StratFullManyFwd} {
-		st, err := OpenStore(kvstore.NewMem(), strat, tOutSpace, tInSpaces)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := st.WritePairs(toStorePairs(strat, pairs)); err != nil {
-			t.Fatal(err)
-		}
-		if err := st.Flush(); err != nil {
-			t.Fatal(err)
-		}
+		st := buildStore(t, kvstore.NewMem(), strat, toStorePairs(strat, pairs))
 		lookup := func(abort func() bool) error {
 			if strat.Orient == ForwardOpt {
 				q := bitmap.New(tInSpaces[0])
@@ -423,7 +403,7 @@ func TestManyLookupHonorsEveryAbortPoll(t *testing.T) {
 	}
 }
 
-// WritePairs keeps no caller memory once it returns: a payload store that
+// WritePairs keeps no caller memory once it returns: a payload builder that
 // buffers cell entries for its Flush holds its own copy of each payload,
 // so a caller reusing its buffer cannot change stored lineage.
 func TestWritePairsOwnsPayloads(t *testing.T) {
@@ -431,16 +411,14 @@ func TestWritePairsOwnsPayloads(t *testing.T) {
 		return append(dst, uint64(payload[0]))
 	}
 	for _, strat := range []Strategy{StratPayOne, StratCompOne, StratPayMany} {
-		st, err := OpenStore(kvstore.NewMem(), strat, tOutSpace, tInSpaces)
-		if err != nil {
-			t.Fatal(err)
-		}
+		b := newBuilder(t, kvstore.NewMem(), strat)
 		payload := []byte{7}
-		if err := st.WritePairs([]RegionPair{{Out: []uint64{1}, Payload: payload}}); err != nil {
+		if err := b.WritePairs([]RegionPair{{Out: []uint64{1}, Payload: payload}}); err != nil {
 			t.Fatal(err)
 		}
 		payload[0] = 9
-		if err := st.Flush(); err != nil {
+		st, err := b.Flush()
+		if err != nil {
 			t.Fatal(err)
 		}
 		dst := bitmap.New(tInSpaces[0])
@@ -454,32 +432,48 @@ func TestWritePairsOwnsPayloads(t *testing.T) {
 }
 
 func TestStoreRejectsWrongPairKind(t *testing.T) {
-	kv := kvstore.NewMem()
-	full, _ := OpenStore(kv, StratFullOne, tOutSpace, tInSpaces)
+	full := newBuilder(t, kvstore.NewMem(), StratFullOne)
 	if err := full.WritePairs([]RegionPair{{Out: []uint64{1}, Payload: []byte{1}}}); err == nil {
 		t.Fatal("full store accepted payload pair")
 	}
-	pay, _ := OpenStore(kvstore.NewMem(), StratPayOne, tOutSpace, tInSpaces)
+	pay := newBuilder(t, kvstore.NewMem(), StratPayOne)
 	if err := pay.WritePairs([]RegionPair{{Out: []uint64{1}, Ins: [][]uint64{{0}, {}}}}); err == nil {
 		t.Fatal("payload store accepted full pair")
 	}
 }
 
+// NewBuilder and OpenStore validate a strategy and its spaces alike, and a
+// builder takes an empty hashtable only.
 func TestOpenStoreValidation(t *testing.T) {
 	kv := kvstore.NewMem()
-	if _, err := OpenStore(kv, StratBlackbox, tOutSpace, tInSpaces); err == nil {
-		t.Fatal("blackbox store opened")
+	for name, open := range map[string]func(Strategy, []*grid.Space) error{
+		"NewBuilder": func(strat Strategy, ins []*grid.Space) error {
+			_, err := NewBuilder(kv, strat, tOutSpace, ins)
+			return err
+		},
+		"OpenStore": func(strat Strategy, ins []*grid.Space) error {
+			_, err := OpenStore(kv, strat, tOutSpace, ins)
+			return err
+		},
+	} {
+		if err := open(StratBlackbox, tInSpaces); err == nil {
+			t.Fatalf("%s: blackbox store opened", name)
+		}
+		if err := open(StratMap, tInSpaces); err == nil {
+			t.Fatalf("%s: map store opened", name)
+		}
+		if err := open(StratFullOne, nil); err == nil {
+			t.Fatalf("%s: store with no inputs opened", name)
+		}
 	}
-	if _, err := OpenStore(kv, StratMap, tOutSpace, tInSpaces); err == nil {
-		t.Fatal("map store opened")
-	}
-	if _, err := OpenStore(kv, StratFullOne, tOutSpace, nil); err == nil {
-		t.Fatal("store with no inputs opened")
+	buildStore(t, kv, StratFullOne, randomPairs(rand.New(rand.NewSource(1)), 3))
+	if _, err := NewBuilder(kv, StratFullOne, tOutSpace, tInSpaces); err == nil {
+		t.Fatal("a builder took a hashtable holding records")
 	}
 }
 
 func TestStoreInputIndexRange(t *testing.T) {
-	st, _ := OpenStore(kvstore.NewMem(), StratFullOne, tOutSpace, tInSpaces)
+	st := buildStore(t, kvstore.NewMem(), StratFullOne)
 	q := bitmap.New(tOutSpace)
 	dst := bitmap.New(tInSpaces[0])
 	if err := st.Backward(q, dst, 5, nil, nil, nil); err == nil {
@@ -494,26 +488,13 @@ func TestStoreInputIndexRange(t *testing.T) {
 // batches, must accumulate all of them in one id or payload list.
 func TestStoreKeyCollisions(t *testing.T) {
 	for _, strat := range []Strategy{StratFullOne, StratPayOne} {
-		kv := kvstore.NewMem()
-		st, err := OpenStore(kv, strat, tOutSpace, tInSpaces)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var pairs []RegionPair
 		for i := 0; i < 10; i++ {
 			full := RegionPair{Out: []uint64{7}, Ins: [][]uint64{{uint64(i)}, {}}}
 			pairs = append(pairs, full)
 		}
-		if err := st.WritePairs(toStorePairs(strat, pairs)); err != nil {
-			t.Fatal(err)
-		}
 		more := RegionPair{Out: []uint64{7}, Ins: [][]uint64{{99}, {}}}
-		if err := st.WritePairs(toStorePairs(strat, []RegionPair{more})); err != nil {
-			t.Fatal(err)
-		}
-		if err := st.Flush(); err != nil {
-			t.Fatal(err)
-		}
+		st := buildStore(t, kvstore.NewMem(), strat, toStorePairs(strat, pairs), toStorePairs(strat, []RegionPair{more}))
 		q := bitmap.FromCells(tOutSpace, []uint64{7})
 		dst := bitmap.New(tInSpaces[0])
 		if err := st.Backward(q, dst, 0, testMapP, nil, nil); err != nil {
@@ -526,15 +507,11 @@ func TestStoreKeyCollisions(t *testing.T) {
 }
 
 func TestStoreStatsAccumulate(t *testing.T) {
-	st, _ := OpenStore(kvstore.NewMem(), StratFullOne, tOutSpace, tInSpaces)
 	pairs := []RegionPair{
 		{Out: []uint64{1, 2}, Ins: [][]uint64{{3, 4, 5}, {0}}},
 		{Out: []uint64{9}, Ins: [][]uint64{{6}, {}}},
 	}
-	if err := st.WritePairs(pairs); err != nil {
-		t.Fatal(err)
-	}
-	got := st.Stats()
+	got := buildStore(t, kvstore.NewMem(), StratFullOne, pairs).Stats()
 	if got.Pairs != 2 || got.OutCells != 3 || got.InCells != 5 {
 		t.Fatalf("stats=%+v", got)
 	}
@@ -569,11 +546,12 @@ func (a lifecycleAnswers) equal(b lifecycleAnswers) bool {
 	return bitmapsEqual(a.back, b.back) && bitmapsEqual(a.fwd, b.fwd) && bitmapsEqual(a.contains, b.contains)
 }
 
-// TestStoreLifecycle pins a store's one lifecycle, write → Flush → read:
-// every lookup entry point refuses a store not flushed yet, a flushed store
-// refuses writes, a second Flush changes nothing, and a reopened store —
-// one flushed with pairs or without any — answers without a Flush and
-// refuses writes.
+// TestStoreLifecycle pins a store's one lifecycle, build → Flush → read →
+// reopen: the store a Builder's Flush returns answers lookups, and the
+// store OpenStore makes of its hashtable answers the same and counts the
+// same pairs. A builder flushed without a pair leaves a meta blob and no
+// record, and a hashtable never written holds neither: both reopen as a
+// store with no pairs that answers empty.
 func TestStoreLifecycle(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	pairs := randomPairs(rng, 150)
@@ -581,98 +559,55 @@ func TestStoreLifecycle(t *testing.T) {
 	for _, strat := range allStoreStrategies() {
 		t.Run(strat.ID(), func(t *testing.T) {
 			sp := toStorePairs(strat, pairs)
-			path := filepath.Join(t.TempDir(), "s.log")
-			fs, err := kvstore.OpenFile(path)
-			if err != nil {
-				t.Fatal(err)
+			dir := t.TempDir()
+			open := func(name string) *kvstore.LogStore {
+				t.Helper()
+				fs, err := kvstore.OpenFile(filepath.Join(dir, name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return fs
 			}
-			st, err := OpenStore(fs, strat, tOutSpace, tInSpaces)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := st.WritePairs(sp); err != nil {
-				t.Fatal(err)
-			}
-			if err := st.BackwardSpan(nil, qOut, bitmap.New(tInSpaces[0]), 0, testMapP, nil, nil); !errors.Is(err, errUnsealed) {
-				t.Fatalf("Backward before Flush: err = %v, want %v", err, errUnsealed)
-			}
-			if err := st.ForwardSpan(nil, qIn, bitmap.New(tOutSpace), 0, testMapP, nil); !errors.Is(err, errUnsealed) {
-				t.Fatalf("Forward before Flush: err = %v, want %v", err, errUnsealed)
-			}
-			if _, err := st.ContainsOut(sp[0].Out[0]); !errors.Is(err, errUnsealed) {
-				t.Fatalf("ContainsOut before Flush: err = %v, want %v", err, errUnsealed)
+			reopen := func(name string) *Store {
+				t.Helper()
+				fs := open(name)
+				t.Cleanup(func() { fs.Close() })
+				st, err := OpenStore(fs, strat, tOutSpace, tInSpaces)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return st
 			}
 
-			if err := st.Flush(); err != nil {
-				t.Fatal(err)
-			}
+			fs := open("s.log")
+			st := buildStore(t, fs, strat, sp[:70], sp[70:])
 			want := askStore(t, st, qOut, qIn)
-			if err := st.WritePairs(sp[:1]); !errors.Is(err, errSealed) {
-				t.Fatalf("WritePairs after Flush: err = %v, want %v", err, errSealed)
-			}
-			size, keys := st.SizeBytes(), fs.Len()
-			if err := st.Flush(); err != nil {
-				t.Fatalf("second Flush: %v", err)
-			}
-			if st.SizeBytes() != size || fs.Len() != keys || st.NumPairs() != len(pairs) {
-				t.Fatalf("second Flush changed the store: %d B, %d keys, %d pairs; want %d B, %d keys, %d pairs",
-					st.SizeBytes(), fs.Len(), st.NumPairs(), size, keys, len(pairs))
-			}
-			if !askStore(t, st, qOut, qIn).equal(want) {
-				t.Fatal("answers changed after a second Flush")
+			if st.NumPairs() != len(pairs) || want.back.Count() == 0 {
+				t.Fatalf("flushed store holds %d pairs and answers %d backward cells; want %d pairs", st.NumPairs(), want.back.Count(), len(pairs))
 			}
 			if err := fs.Close(); err != nil {
 				t.Fatal(err)
 			}
-
-			fs2, err := kvstore.OpenFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer fs2.Close()
-			reopened, err := OpenStore(fs2, strat, tOutSpace, tInSpaces)
-			if err != nil {
-				t.Fatal(err)
-			}
+			reopened := reopen("s.log")
 			if !askStore(t, reopened, qOut, qIn).equal(want) {
 				t.Fatal("reopened store answers differently")
 			}
-			if err := reopened.WritePairs(sp[:1]); !errors.Is(err, errSealed) {
-				t.Fatalf("WritePairs on a reopened store: err = %v, want %v", err, errSealed)
+			if reopened.NumPairs() != st.NumPairs() || reopened.LogicalBytes() != st.LogicalBytes() {
+				t.Fatalf("reopened store counts %d pairs, %d logical B; the flushed one %d, %d",
+					reopened.NumPairs(), reopened.LogicalBytes(), st.NumPairs(), st.LogicalBytes())
 			}
 
-			// A store flushed without a pair holds a meta blob and no
-			// record; reopened, it is sealed all the same and answers
-			// empty.
-			emptyPath := filepath.Join(t.TempDir(), "empty.log")
-			fs3, err := kvstore.OpenFile(emptyPath)
-			if err != nil {
+			flushedEmpty := open("flushed-empty.log")
+			buildStore(t, flushedEmpty, strat)
+			if err := flushedEmpty.Close(); err != nil {
 				t.Fatal(err)
 			}
-			empty, err := OpenStore(fs3, strat, tOutSpace, tInSpaces)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := empty.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			if err := fs3.Close(); err != nil {
-				t.Fatal(err)
-			}
-			fs4, err := kvstore.OpenFile(emptyPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer fs4.Close()
-			if empty, err = OpenStore(fs4, strat, tOutSpace, tInSpaces); err != nil {
-				t.Fatal(err)
-			}
-			if a := askStore(t, empty, qOut, qIn); a.back.Count() != 0 || a.fwd.Count() != 0 || a.contains.Count() != 0 {
-				t.Fatalf("reopened empty store answers %d backward, %d forward and %d contained cells",
-					a.back.Count(), a.fwd.Count(), a.contains.Count())
-			}
-			if err := empty.WritePairs(sp[:1]); !errors.Is(err, errSealed) {
-				t.Fatalf("WritePairs on a reopened empty store: err = %v, want %v", err, errSealed)
+			for _, name := range []string{"flushed-empty.log", "never-written.log"} {
+				empty := reopen(name)
+				if a := askStore(t, empty, qOut, qIn); empty.NumPairs() != 0 || a.back.Count() != 0 || a.fwd.Count() != 0 || a.contains.Count() != 0 {
+					t.Fatalf("%s: reopened empty store holds %d pairs and answers %d backward, %d forward and %d contained cells",
+						name, empty.NumPairs(), a.back.Count(), a.fwd.Count(), a.contains.Count())
+				}
 			}
 		})
 	}
@@ -699,13 +634,10 @@ func (h *halfTileBatch) PutBatch(kvs []kvstore.KV) error {
 	return errHalfBatch
 }
 
-// A Flush retried after its tile batch failed halfway leaves exactly the
-// records of a Flush that never failed: the retry writes the partial block
-// and every tile whole again and reads none of the half-written ones back.
-// The hashtable is a log, so what the failed Flush appended stays in it as
-// overwritten bytes; beyond those, the retry appends exactly what a clean
-// Flush does.
-func TestFlushRetryIsIdempotent(t *testing.T) {
+// A Flush whose tile batch fails halfway returns the error and no store,
+// and commits no meta blob: nothing can read what it left behind, and the
+// caller drops the hashtable.
+func TestFailedFlushReturnsNoStore(t *testing.T) {
 	for _, strat := range []Strategy{StratFullOne, StratPayOne} {
 		t.Run(strat.ID(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(23))
@@ -713,51 +645,23 @@ func TestFlushRetryIsIdempotent(t *testing.T) {
 			for len(pairs) < 1000 {
 				pairs = append(pairs, fuzzPairs(rng, strat)...)
 			}
-			// build returns the bytes a failed Flush appended.
-			build := func(kv kvstore.Store) (failed int64) {
-				t.Helper()
-				st, err := OpenStore(kv, strat, fOutSpace, fInSpaces)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := st.WritePairs(pairs); err != nil {
-					t.Fatal(err)
-				}
-				before := kv.SizeBytes()
-				if err = st.Flush(); errors.Is(err, errHalfBatch) {
-					failed = kv.SizeBytes() - before
-					err = st.Flush()
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				return failed
+			cut := &halfTileBatch{Store: kvstore.NewMem()}
+			b, err := NewBuilder(cut, strat, fOutSpace, fInSpaces)
+			if err != nil {
+				t.Fatal(err)
 			}
-			clean, cut := kvstore.NewMem(), &halfTileBatch{Store: kvstore.NewMem()}
-			build(clean)
-			failed := build(cut)
+			if err := b.WritePairs(pairs); err != nil {
+				t.Fatal(err)
+			}
+			st, err := b.Flush()
 			if !cut.cut {
 				t.Fatal("no tile batch was cut")
 			}
-			dump := func(kv kvstore.Store) map[string][]byte {
-				m := map[string][]byte{}
-				if err := kv.Scan(func(k, v []byte) bool {
-					m[string(k)] = bytes.Clone(v)
-					return true
-				}); err != nil {
-					t.Fatal(err)
-				}
-				return m
+			if st != nil || !errors.Is(err, errHalfBatch) {
+				t.Fatalf("Flush cut halfway returned store %p, err %v; want no store and %v", st, err, errHalfBatch)
 			}
-			a, b := dump(clean), dump(cut)
-			if len(a) != len(b) || clean.SizeBytes() != cut.SizeBytes()-failed {
-				t.Fatalf("retried Flush: %d keys, %d B after the %d B of the failed one; clean Flush: %d keys, %d B",
-					len(b), cut.SizeBytes()-failed, failed, len(a), clean.SizeBytes())
-			}
-			for k, v := range a {
-				if !bytes.Equal(b[k], v) {
-					t.Fatalf("retried Flush wrote key %x as %x, clean Flush %x", k, b[k], v)
-				}
+			if _, ok, err := cut.LoadMeta(); ok || err != nil {
+				t.Fatalf("failed Flush left a meta blob (%v, err %v)", ok, err)
 			}
 		})
 	}

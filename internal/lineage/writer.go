@@ -14,18 +14,21 @@ import (
 // pairs and LWritePayload with (outcells, payload) pairs; the writer
 // copies each pair into staging memory it owns, normalizes and validates
 // it there, buffers blocks of pairs, and bulk-encodes each block into
-// every store whose strategy consumes that pair kind ("Blocks of region
+// every builder whose strategy consumes that pair kind ("Blocks of region
 // pairs are buffered in memory, and bulk encoded using the Encoder",
 // §VI-A).
 //
 // During black-box re-execution the executor attaches a sink instead of
-// stores; pairs stream to the query join without being persisted.
+// builders; pairs stream to the query join without being persisted.
 type Writer struct {
 	outSpace *grid.Space
 	inSpaces []*grid.Space
 
-	fullStores []*Store // strategies consuming explicit pairs (Full)
-	payStores  []*Store // strategies consuming payload pairs (Pay, Comp)
+	// builders take LWrite pairs if their strategy is Full, LWritePayload
+	// pairs otherwise (Pay, Comp); full and paid report whether any takes
+	// each kind.
+	builders   []*Builder
+	full, paid bool
 	sink       func(*RegionPair) error
 
 	// st is taken from stagingPool at the first LWrite and goes back at
@@ -101,19 +104,21 @@ func (st *staging) addPayload(p []byte) []byte {
 	return st.pay[from:len(st.pay):len(st.pay)]
 }
 
-// NewWriter creates a writer for one operator execution. fullStores
-// receive LWrite pairs, payStores receive LWritePayload pairs, and sink
-// (optional) receives every pair for tracing-mode re-execution. The pair a
-// sink receives points into the writer's staging and is valid only for the
+// NewWriter creates a writer for one operator execution. Each builder
+// receives the pairs its strategy's mode consumes, and sink (optional)
+// receives every LWrite pair for tracing-mode re-execution. The pair a sink
+// receives points into the writer's staging and is valid only for the
 // duration of the call; a sink that keeps one must copy it.
-func NewWriter(outSpace *grid.Space, inSpaces []*grid.Space, fullStores, payStores []*Store, sink func(*RegionPair) error) *Writer {
-	return &Writer{
-		outSpace:   outSpace,
-		inSpaces:   inSpaces,
-		fullStores: fullStores,
-		payStores:  payStores,
-		sink:       sink,
+func NewWriter(outSpace *grid.Space, inSpaces []*grid.Space, builders []*Builder, sink func(*RegionPair) error) *Writer {
+	w := &Writer{outSpace: outSpace, inSpaces: inSpaces, builders: builders, sink: sink}
+	for _, b := range builders {
+		if b.s.strat.Mode == Full {
+			w.full = true
+		} else {
+			w.paid = true
+		}
 	}
+	return w
 }
 
 // staging returns the writer's staging, taking one from the pool first if
@@ -154,7 +159,7 @@ func (w *Writer) LWrite(out []uint64, ins ...[]uint64) error {
 			return err
 		}
 	}
-	if len(w.fullStores) == 0 {
+	if !w.full {
 		st.undo(m)
 		return nil
 	}
@@ -175,7 +180,7 @@ func (w *Writer) LWritePayload(out []uint64, payload []byte) error {
 	st := w.staging()
 	m := st.mark()
 	rp := RegionPair{Out: st.addCells(out), Payload: st.addPayload(payload)}
-	if err := rp.Validate(w.outSpace, w.inSpaces); err != nil || len(w.payStores) == 0 {
+	if err := rp.Validate(w.outSpace, w.inSpaces); err != nil || !w.paid {
 		st.undo(m)
 		return err
 	}
@@ -192,22 +197,16 @@ func (w *Writer) flushBuffers() error {
 	if st == nil {
 		return nil
 	}
-	if len(st.full) > 0 {
-		for _, s := range w.fullStores {
-			start := time.Now()
-			if err := s.WritePairs(st.full); err != nil {
-				return err
-			}
-			s.AddWriteTime(time.Since(start))
+	for _, b := range w.builders {
+		pairs := st.paid
+		if b.s.strat.Mode == Full {
+			pairs = st.full
 		}
-	}
-	if len(st.paid) > 0 {
-		for _, s := range w.payStores {
-			start := time.Now()
-			if err := s.WritePairs(st.paid); err != nil {
-				return err
-			}
-			s.AddWriteTime(time.Since(start))
+		if len(pairs) == 0 {
+			continue
+		}
+		if err := b.WritePairs(pairs); err != nil {
+			return err
 		}
 	}
 	// WritePairs keeps nothing it was given, so the staging is free again.
@@ -216,37 +215,28 @@ func (w *Writer) flushBuffers() error {
 	return nil
 }
 
-// Flush drains buffered pairs into the stores, then flushes each store:
-// it commits its pending entries and metadata and is sealed. The executor
-// calls it once when the operator's run completes; only then do the stores
-// answer lookups.
-func (w *Writer) Flush() error {
+// Flush drains buffered pairs into the builders, then flushes each and
+// returns their stores in builder order. The executor calls it once, when
+// the operator's run completes; a writer without builders returns none.
+func (w *Writer) Flush() ([]*Store, error) {
 	start := time.Now()
 	defer func() { w.elapsed += time.Since(start) }()
 	if err := w.flushBuffers(); err != nil {
-		return err
+		return nil, err
 	}
 	if w.st != nil {
 		stagingPool.Put(w.st)
 		w.st = nil
 	}
-	flushStore := func(s *Store) error {
-		fstart := time.Now()
-		err := s.Flush()
-		s.AddFlushTime(time.Since(fstart))
-		return err
-	}
-	for _, s := range w.fullStores {
-		if err := flushStore(s); err != nil {
-			return err
+	stores := make([]*Store, len(w.builders))
+	for i, b := range w.builders {
+		st, err := b.Flush()
+		if err != nil {
+			return nil, err
 		}
+		stores[i] = st
 	}
-	for _, s := range w.payStores {
-		if err := flushStore(s); err != nil {
-			return err
-		}
-	}
-	return nil
+	return stores, nil
 }
 
 // Elapsed returns the wall-clock time spent inside the lwrite API for this

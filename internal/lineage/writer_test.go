@@ -13,20 +13,24 @@ import (
 	"subzero/internal/kvstore"
 )
 
+// The writer routes each pair kind to the builders whose mode consumes it,
+// and returns their stores in builder order.
 func TestWriterRoutesToStores(t *testing.T) {
-	full, _ := OpenStore(kvstore.NewMem(), StratFullOne, tOutSpace, tInSpaces)
-	fullFwd, _ := OpenStore(kvstore.NewMem(), StratFullOneFwd, tOutSpace, tInSpaces)
-	pay, _ := OpenStore(kvstore.NewMem(), StratPayOne, tOutSpace, tInSpaces)
-
-	w := NewWriter(tOutSpace, tInSpaces, []*Store{full, fullFwd}, []*Store{pay}, nil)
+	var builders []*Builder
+	for _, strat := range []Strategy{StratFullOne, StratPayOne, StratFullOneFwd} {
+		builders = append(builders, newBuilder(t, kvstore.NewMem(), strat))
+	}
+	w := NewWriter(tOutSpace, tInSpaces, builders, nil)
 	if err := w.LWrite([]uint64{1, 2}, []uint64{5}, []uint64{3}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.LWritePayload([]uint64{4}, []byte{9}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
+	stores := flushWriter(t, w)
+	full, pay, fullFwd := stores[0], stores[1], stores[2]
+	if full.Strategy() != StratFullOne || pay.Strategy() != StratPayOne || fullFwd.Strategy() != StratFullOneFwd {
+		t.Fatalf("stores %s, %s, %s are not in builder order", full.Strategy(), pay.Strategy(), fullFwd.Strategy())
 	}
 	if full.NumPairs() != 1 || fullFwd.NumPairs() != 1 {
 		t.Fatalf("full stores pairs=(%d,%d), want (1,1)", full.NumPairs(), fullFwd.NumPairs())
@@ -58,21 +62,14 @@ func TestWriterRoutesToStores(t *testing.T) {
 	}
 }
 
-// The store's final Flush — here the write of every buffered cell entry —
+// The builder's final Flush — here the write of every buffered cell entry —
 // runs on the operator thread, so it is charged to FlushTime, which the
 // optimizer counts beside WriteTime.
 func TestSerialFlushIsCharged(t *testing.T) {
 	for _, strat := range oneStrategies() {
-		st, err := OpenStore(kvstore.NewMem(), strat, tOutSpace, tInSpaces)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var w *Writer
-		if strat.Mode == Full {
-			w = NewWriter(tOutSpace, tInSpaces, []*Store{st}, nil, nil)
-		} else {
-			w = NewWriter(tOutSpace, tInSpaces, nil, []*Store{st}, nil)
-		}
+		b := newBuilder(t, kvstore.NewMem(), strat)
+		w := NewWriter(tOutSpace, tInSpaces, []*Builder{b}, nil)
+		var err error
 		for _, rp := range toStorePairs(strat, randomPairs(rand.New(rand.NewSource(4)), 200)) {
 			if strat.Mode == Full {
 				err = w.LWrite(rp.Out, rp.Ins...)
@@ -86,13 +83,10 @@ func TestSerialFlushIsCharged(t *testing.T) {
 		if err := w.flushBuffers(); err != nil {
 			t.Fatal(err)
 		}
-		if len(st.pending[0]) == 0 {
+		if len(b.refs[0]) == 0 {
 			t.Fatalf("%s: no cell entries pending before the writer's Flush", strat)
 		}
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		ss := st.Stats()
+		ss := flushWriter(t, w)[0].Stats()
 		if ss.WriteTime <= 0 || ss.FlushTime <= 0 {
 			t.Fatalf("%s: stats %+v, want WriteTime and FlushTime > 0", strat, ss)
 		}
@@ -100,8 +94,7 @@ func TestSerialFlushIsCharged(t *testing.T) {
 }
 
 func TestWriterCopiesCallerBuffers(t *testing.T) {
-	full, _ := OpenStore(kvstore.NewMem(), StratFullOne, tOutSpace, tInSpaces)
-	w := NewWriter(tOutSpace, tInSpaces, []*Store{full}, nil, nil)
+	w := NewWriter(tOutSpace, tInSpaces, []*Builder{newBuilder(t, kvstore.NewMem(), StratFullOne)}, nil)
 	out := []uint64{1}
 	in0 := []uint64{2}
 	in1 := []uint64{}
@@ -109,9 +102,7 @@ func TestWriterCopiesCallerBuffers(t *testing.T) {
 		t.Fatal(err)
 	}
 	out[0], in0[0] = 300, 300 // caller reuses buffers
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	full := flushWriter(t, w)[0]
 	q := bitmap.FromCells(tOutSpace, []uint64{1})
 	dst := bitmap.New(tInSpaces[0])
 	if err := full.Backward(q, dst, 0, nil, nil, nil); err != nil {
@@ -129,12 +120,12 @@ func TestWriterSinkMode(t *testing.T) {
 		captured = append(captured, RegionPair{Out: slices.Clone(rp.Out), Ins: [][]uint64{slices.Clone(rp.Ins[0]), slices.Clone(rp.Ins[1])}})
 		return nil
 	}
-	w := NewWriter(tOutSpace, tInSpaces, nil, nil, sink)
+	w := NewWriter(tOutSpace, tInSpaces, nil, sink)
 	if err := w.LWrite([]uint64{3}, []uint64{1, 2}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
+	if stores := flushWriter(t, w); len(stores) != 0 {
+		t.Fatalf("a writer without builders returned %d stores", len(stores))
 	}
 	if len(captured) != 1 || captured[0].Out[0] != 3 || len(captured[0].Ins[0]) != 2 {
 		t.Fatalf("sink captured %+v", captured)
@@ -142,7 +133,7 @@ func TestWriterSinkMode(t *testing.T) {
 }
 
 func TestWriterValidation(t *testing.T) {
-	w := NewWriter(tOutSpace, tInSpaces, nil, nil, nil)
+	w := NewWriter(tOutSpace, tInSpaces, nil, nil)
 	if err := w.LWrite([]uint64{1}, []uint64{2}); err == nil {
 		t.Fatal("wrong input-set count accepted")
 	}
@@ -155,8 +146,8 @@ func TestWriterValidation(t *testing.T) {
 }
 
 func TestWriterBufferFlushThreshold(t *testing.T) {
-	full, _ := OpenStore(kvstore.NewMem(), StratFullMany, tOutSpace, tInSpaces)
-	w := NewWriter(tOutSpace, tInSpaces, []*Store{full}, nil, nil)
+	b := newBuilder(t, kvstore.NewMem(), StratFullMany)
+	w := NewWriter(tOutSpace, tInSpaces, []*Builder{b}, nil)
 	// Write enough cells to trigger the internal threshold flush.
 	big := make([]uint64, 300)
 	for i := range big {
@@ -167,15 +158,12 @@ func TestWriterBufferFlushThreshold(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Some pairs must already be in the store before the final Flush.
-	if full.NumPairs() == 0 {
+	// Some pairs must already be in the builder before the final Flush.
+	if b.s.NumPairs() == 0 {
 		t.Fatal("threshold flush never triggered")
 	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if full.NumPairs() != 300 {
-		t.Fatalf("pairs=%d, want 300", full.NumPairs())
+	if n := flushWriter(t, w)[0].NumPairs(); n != 300 {
+		t.Fatalf("pairs=%d, want 300", n)
 	}
 }
 
@@ -269,26 +257,19 @@ func TestWriterStagingReuse(t *testing.T) {
 			t.Fatalf("%s: %d staged cells cross the flush threshold fewer than 3 times", strat, cells)
 		}
 		t.Run(strat.ID(), func(t *testing.T) {
-			open := func(name string) (*Store, string) {
+			// feed writes the pairs through a writer into a builder over a
+			// new file and returns its store and the file's path.
+			feed := func(name string, reuse bool) (*Store, string) {
 				path := filepath.Join(t.TempDir(), name)
 				fs, err := kvstore.OpenFile(path)
 				if err != nil {
 					t.Fatal(err)
 				}
-				st, err := OpenStore(fs, strat, outSpace, tInSpaces)
+				b, err := NewBuilder(fs, strat, outSpace, tInSpaces)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return st, path
-			}
-			feed := func(st *Store, reuse bool) {
-				var full, pay []*Store
-				if payload {
-					pay = []*Store{st}
-				} else {
-					full = []*Store{st}
-				}
-				w := NewWriter(outSpace, tInSpaces, full, pay, nil)
+				w := NewWriter(outSpace, tInSpaces, []*Builder{b}, nil)
 				var out []uint64
 				ins := make([][]uint64, 2)
 				var blob []byte
@@ -327,14 +308,10 @@ func TestWriterStagingReuse(t *testing.T) {
 						clear(in)
 					}
 				}
-				if err := w.Flush(); err != nil {
-					t.Fatal(err)
-				}
+				return flushWriter(t, w)[0], path
 			}
-			ref, refPath := open("ref.log")
-			feed(ref, false)
-			got, gotPath := open("got.log")
-			feed(got, true)
+			ref, refPath := feed("ref.log", false)
+			got, gotPath := feed("got.log", true)
 
 			if got.NumPairs() != ref.NumPairs() {
 				t.Fatalf("NumPairs = %d, want %d", got.NumPairs(), ref.NumPairs())
@@ -389,17 +366,10 @@ func TestWriterStagingReuse(t *testing.T) {
 // cells, Ins headers and pair go into arenas the previous batch grew.
 func TestLWriteAllocFree(t *testing.T) {
 	for _, strat := range []Strategy{StratFullOne, StratPayOne} {
-		st, err := OpenStore(kvstore.NewMem(), strat, tOutSpace, tInSpaces)
-		if err != nil {
-			t.Fatal(err)
-		}
+		b := newBuilder(t, kvstore.NewMem(), strat)
 		payload := strat.Mode != Full
-		var w *Writer
-		if payload {
-			w = NewWriter(tOutSpace, tInSpaces, nil, []*Store{st}, nil)
-		} else {
-			w = NewWriter(tOutSpace, tInSpaces, []*Store{st}, nil, nil)
-		}
+		w := NewWriter(tOutSpace, tInSpaces, []*Builder{b}, nil)
+		var err error
 		out, in0, in1 := []uint64{9, 3, 3, 120}, []uint64{7, 8, 9, 300}, []uint64{1, 0}
 		blob := []byte{1, 2, 3}
 		write := func() {
@@ -413,13 +383,13 @@ func TestLWriteAllocFree(t *testing.T) {
 			}
 		}
 		// Warm: write until a threshold flush has encoded one whole batch.
-		for st.NumPairs() == 0 {
+		for b.s.NumPairs() == 0 {
 			write()
 		}
 		if allocs := testing.AllocsPerRun(200, write); allocs != 0 {
 			t.Fatalf("%s: warm LWrite allocates %.2f/op, want 0", strat, allocs)
 		}
-		if st.NumPairs() == 0 || w.bufCells == 0 {
+		if w.bufCells == 0 {
 			t.Fatalf("%s: measured calls crossed a flush", strat)
 		}
 	}

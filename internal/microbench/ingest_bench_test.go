@@ -62,17 +62,12 @@ func benchmarkIngest(b *testing.B, strat lineage.Strategy) {
 	b.ReportAllocs()
 	var opNS, encodeNS float64
 	for n := 0; n < b.N; n++ {
-		st, err := lineage.OpenStore(kvstore.NewMem(), strat, fix.outSpace, fix.inSpaces)
+		bld, err := lineage.NewBuilder(kvstore.NewMem(), strat, fix.outSpace, fix.inSpaces)
 		if err != nil {
 			b.Fatal(err)
 		}
 		payload := strat.Mode != lineage.Full
-		var w *lineage.Writer
-		if payload {
-			w = lineage.NewWriter(fix.outSpace, fix.inSpaces, nil, []*lineage.Store{st}, nil)
-		} else {
-			w = lineage.NewWriter(fix.outSpace, fix.inSpaces, []*lineage.Store{st}, nil, nil)
-		}
+		w := lineage.NewWriter(fix.outSpace, fix.inSpaces, []*lineage.Builder{bld}, nil)
 		for i := range fix.pairs {
 			var err error
 			if payload {
@@ -84,10 +79,11 @@ func benchmarkIngest(b *testing.B, strat lineage.Strategy) {
 				b.Fatal(err)
 			}
 		}
-		if err := w.Flush(); err != nil {
+		stores, err := w.Flush()
+		if err != nil {
 			b.Fatal(err)
 		}
-		ss := st.Stats()
+		ss := stores[0].Stats()
 		opNS += float64(ss.WriteTime + ss.FlushTime)
 		encodeNS += float64(ss.WriteTime)
 	}

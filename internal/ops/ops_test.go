@@ -161,12 +161,12 @@ func TestTracePairsMatchMapping(t *testing.T) {
 				}
 				return nil
 			}
-			w := lineage.NewWriter(outSpace, inSpaces, nil, nil, sink)
+			w := lineage.NewWriter(outSpace, inSpaces, nil, sink)
 			rc := workflow.NewRunCtx(lineage.NewModeSet(lineage.Full), w)
 			if _, err := tc.op.Run(rc, ins); err != nil {
 				t.Fatal(err)
 			}
-			if err := w.Flush(); err != nil {
+			if _, err := w.Flush(); err != nil {
 				t.Fatal(err)
 			}
 			for i := range ins {

@@ -180,8 +180,8 @@ func (e *Executor) runNode(sp *trace.Span, run *Run, node *Node, sources map[str
 	}
 	outSpace := grid.NewSpace(outShape)
 
-	// Open stores for every pair-materializing strategy.
-	var fullStores, payStores []*lineage.Store
+	// A builder for every pair-materializing strategy.
+	var builders []*lineage.Builder
 	var modes lineage.ModeSet
 	for _, strat := range run.Plan.Strategies(node.ID) {
 		if err := strat.Validate(); err != nil {
@@ -198,23 +198,17 @@ func (e *Executor) runNode(sp *trace.Span, run *Run, node *Node, sources map[str
 		if err != nil {
 			return err
 		}
-		st, err := lineage.OpenStore(kv, strat, outSpace, inSpaces)
+		b, err := lineage.NewBuilder(kv, strat, outSpace, inSpaces)
 		if err != nil {
 			return err
 		}
-		run.stores[node.ID] = append(run.stores[node.ID], st)
-		switch strat.Mode {
-		case lineage.Full:
-			fullStores = append(fullStores, st)
-		default: // Pay, Comp
-			payStores = append(payStores, st)
-		}
+		builders = append(builders, b)
 		modes = modes.With(strat.Mode)
 	}
 
 	var writer *lineage.Writer
-	if len(fullStores) > 0 || len(payStores) > 0 {
-		writer = lineage.NewWriter(outSpace, inSpaces, fullStores, payStores, nil)
+	if len(builders) > 0 {
+		writer = lineage.NewWriter(outSpace, inSpaces, builders, nil)
 	}
 	rc := NewRunCtx(modes, writer)
 
@@ -232,11 +226,14 @@ func (e *Executor) runNode(sp *trace.Span, run *Run, node *Node, sources map[str
 	var lineageTime time.Duration
 	var pairs, outCells, inCells, payloadBytes int64
 	if writer != nil {
-		if err := writer.Flush(); err != nil {
+		stores, err := writer.Flush()
+		if err != nil {
 			return err
 		}
+		// The run holds flushed stores only.
+		run.stores[node.ID] = stores
 		lineageTime = writer.Elapsed()
-		for _, st := range run.stores[node.ID] {
+		for _, st := range stores {
 			ss := st.Stats()
 			pairs = max64(pairs, int64(ss.Pairs))
 			outCells = max64(outCells, ss.OutCells)
@@ -259,10 +256,10 @@ func (e *Executor) runNode(sp *trace.Span, run *Run, node *Node, sources map[str
 	return nil
 }
 
-// openEmpty opens a namespace's hashtable for a store to be written into.
-// Run and heal ids restart with the process, so a storage directory may
-// hold a log an earlier process wrote under the same name; a lineage store
-// is written once and then sealed, so that log is dropped, not appended to.
+// openEmpty opens a namespace's hashtable for a Builder to write into. Run
+// and heal ids restart with the process, so a storage directory may hold a
+// log an earlier process wrote under the same name; a store is written
+// once, into an empty hashtable, so that log is dropped, not appended to.
 func (e *Executor) openEmpty(ns string) (kvstore.Store, error) {
 	kv, err := e.manager.Open(ns)
 	if err != nil {
@@ -478,16 +475,14 @@ func (r *Run) Reexecute(ctx context.Context, nodeID string, sink func(*lineage.R
 			return inner(rp)
 		}
 	}
-	writer := lineage.NewWriter(mc.OutSpace, mc.InSpaces, nil, nil, sink)
+	writer := lineage.NewWriter(mc.OutSpace, mc.InSpaces, nil, sink)
 	rc := NewRunCtx(lineage.NewModeSet(lineage.Full), writer)
 	start := time.Now()
 	if _, err := node.Op.Run(rc, ins); err != nil {
 		return time.Since(start), err
 	}
-	if err := writer.Flush(); err != nil {
-		return time.Since(start), err
-	}
-	return time.Since(start), nil
+	_, err = writer.Flush()
+	return time.Since(start), err
 }
 
 // EmitMappedPairs is a helper for mapping operators running in tracing
@@ -536,39 +531,32 @@ func (e *Executor) RebuildStore(ctx context.Context, run *Run, nodeID string, st
 	}
 	strat := st.Strategy()
 	ns := fmt.Sprintf("%s/%s/%s@heal%d", run.ID, nodeID, strat.ID(), e.healSeq.Add(1))
-	drop := func() { _, _ = e.manager.DropPrefix(ns) }
+	// fail drops the namespace, whatever the rebuild wrote into it.
+	fail := func(err error) error {
+		_ = e.manager.Drop(ns)
+		return fmt.Errorf("workflow: rebuild %q: %w", nodeID, err)
+	}
 	kv, err := e.openEmpty(ns)
 	if err != nil {
-		return fmt.Errorf("workflow: rebuild %q: %w", nodeID, err)
+		return fail(err)
 	}
-	fresh, err := lineage.OpenStore(kv, strat, mc.OutSpace, mc.InSpaces)
+	b, err := lineage.NewBuilder(kv, strat, mc.OutSpace, mc.InSpaces)
 	if err != nil {
-		drop()
-		return fmt.Errorf("workflow: rebuild %q: %w", nodeID, err)
+		return fail(err)
 	}
-	var fullStores, payStores []*lineage.Store
-	if strat.Mode == lineage.Full {
-		fullStores = []*lineage.Store{fresh}
-	} else {
-		payStores = []*lineage.Store{fresh}
+	writer := lineage.NewWriter(mc.OutSpace, mc.InSpaces, []*lineage.Builder{b}, nil)
+	if _, err := node.Op.Run(NewRunCtx(lineage.NewModeSet(strat.Mode), writer), ins); err != nil {
+		return fail(err)
 	}
-	writer := lineage.NewWriter(mc.OutSpace, mc.InSpaces, fullStores, payStores, nil)
-	rc := NewRunCtx(lineage.NewModeSet(strat.Mode), writer)
-	if _, err := node.Op.Run(rc, ins); err != nil {
-		drop()
-		return fmt.Errorf("workflow: rebuild %q: %w", nodeID, err)
-	}
-	if err := writer.Flush(); err != nil {
-		drop()
-		return fmt.Errorf("workflow: rebuild %q: %w", nodeID, err)
+	stores, err := writer.Flush()
+	if err != nil {
+		return fail(err)
 	}
 	if err := ctx.Err(); err != nil {
-		drop()
-		return fmt.Errorf("workflow: rebuild %q: %w", nodeID, err)
+		return fail(err)
 	}
-	if !run.swapStore(nodeID, st, fresh) {
-		drop()
-		return fmt.Errorf("workflow: rebuild %q: store no longer attached to run %s", nodeID, run.ID)
+	if !run.swapStore(nodeID, st, stores[0]) {
+		return fail(fmt.Errorf("store no longer attached to run %s", run.ID))
 	}
 	return nil
 }
