@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -308,4 +309,103 @@ func TestQueryBatchPanicContainment(t *testing.T) {
 	if br.Report.Failed != 1 || br.Report.Succeeded != len(queries)-1 {
 		t.Fatalf("report miscounts the poisoned query: %+v", br.Report)
 	}
+}
+
+// System.LineageBytes is the sum of the registered runs' LineageBytes, on
+// either backing, so a Many store's in-memory index is charged there too:
+// the total exceeds what the hashtables' logs hold.
+func TestLineageBytesSumsRuns(t *testing.T) {
+	for _, backing := range []string{"mem", "file"} {
+		t.Run(backing, func(t *testing.T) {
+			var opts []subzero.Option
+			if backing == "file" {
+				opts = append(opts, subzero.WithStorageDir(t.TempDir()))
+			}
+			sys, err := subzero.NewSystem(opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sys.Close()
+			spec := subzero.NewSpec("bytes")
+			spec.Add("id", subzero.UnaryOp("id", func(x float64) float64 { return x }),
+				subzero.FromExternal("src"))
+			src, err := subzero.NewArray("src", subzero.Shape{8, 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var runs []*subzero.Run
+			for range 2 {
+				run, err := sys.Execute(context.Background(), spec,
+					subzero.Plan{"id": {subzero.StratFullOne, subzero.StratFullMany}},
+					map[string]*subzero.Array{"src": src})
+				if err != nil {
+					t.Fatal(err)
+				}
+				runs = append(runs, run)
+			}
+			sum := runs[0].LineageBytes() + runs[1].LineageBytes()
+			if got := sys.LineageBytes(); got != sum || sum <= 0 {
+				t.Fatalf("LineageBytes = %d, the runs' sum %d", got, sum)
+			}
+			var logs int64
+			for _, ns := range sys.KVManager().Namespaces() {
+				kv, err := sys.KVManager().Open(ns)
+				if err != nil {
+					t.Fatal(err)
+				}
+				logs += kv.SizeBytes()
+			}
+			if sum <= logs {
+				t.Fatalf("LineageBytes %d charges no index beyond the logs' %d B", sum, logs)
+			}
+			if err := sys.DropRun(runs[0].ID); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := sys.LineageBytes(), runs[1].LineageBytes(); got != want {
+				t.Fatalf("after DropRun LineageBytes = %d, want the remaining run's %d", got, want)
+			}
+		})
+	}
+}
+
+// A store lives as long as its process, so a storage directory holds the
+// stores' logs and nothing else: no file beside a log after Execute, nor
+// after a background rebuild swaps a healed store in.
+func TestStorageDirHoldsOnlyLogs(t *testing.T) {
+	defer fault.Reset()
+	dir := t.TempDir()
+	onlyLogs := func(when string) {
+		t.Helper()
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ents) == 0 {
+			t.Fatalf("%s: storage directory is empty", when)
+		}
+		for _, e := range ents {
+			if e.IsDir() || !strings.HasSuffix(e.Name(), ".log") {
+				t.Fatalf("%s: storage directory holds %s", when, e.Name())
+			}
+		}
+	}
+	sys, run := oneNodeRun(t, subzero.WithStorageDir(dir))
+	onlyLogs("after Execute")
+
+	if err := fault.Arm("lineage/lookup/decode", fault.Action{Kind: fault.KindError, Count: 1}); err != nil {
+		t.Fatal(err)
+	}
+	opts := subzero.DefaultQueryOptions()
+	opts.Dynamic = false
+	if _, err := sys.QueryWith(context.Background(), run, subzero.BackwardQuery([]uint64{2}, subzero.Step{Node: "id"}), opts); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for _, successes, _ := sys.HealCounts(); successes == 0; _, successes, _ = sys.HealCounts() {
+		if time.Now().After(deadline) {
+			t.Fatal("no rebuild succeeded within the heal window")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	onlyLogs("after a heal")
 }

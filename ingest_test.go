@@ -3,12 +3,10 @@ package subzero_test
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 
@@ -139,9 +137,8 @@ func TestQueryBatchRacesExecution(t *testing.T) {
 }
 
 // WithIngest is kept only so that existing callers compile: a system given
-// it must capture exactly what a system without it does — the same log and
-// meta bytes in every store, apart from the wall-clock write timings a meta
-// blob records — and answer the same queries.
+// it must capture exactly what a system without it does — the same files,
+// byte for byte, in its storage directory — and answer the same queries.
 func TestWithIngestIsIgnored(t *testing.T) {
 	ctx := context.Background()
 	type system struct {
@@ -199,11 +196,8 @@ func TestWithIngestIsIgnored(t *testing.T) {
 	}
 	for name, w := range want {
 		g, ok := got[name]
-		switch {
-		case !ok:
+		if !ok {
 			t.Fatalf("%s: missing with WithIngest", name)
-		case strings.HasSuffix(name, ".meta"):
-			g, w = metaSansTimings(t, name, g), metaSansTimings(t, name, w)
 		}
 		if !bytes.Equal(g, w) {
 			t.Fatalf("%s: bytes differ with WithIngest", name)
@@ -233,13 +227,13 @@ func TestWithIngestIsIgnored(t *testing.T) {
 	}
 }
 
-// storeFiles reads every store log and meta sidecar under a storage
-// directory, by path relative to it.
+// storeFiles reads every file under a storage directory, by path relative
+// to it.
 func storeFiles(t *testing.T, dir string) map[string][]byte {
 	t.Helper()
 	files := map[string][]byte{}
 	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !(strings.HasSuffix(path, ".log") || strings.HasSuffix(path, ".meta")) {
+		if err != nil || d.IsDir() {
 			return err
 		}
 		b, err := os.ReadFile(path)
@@ -254,34 +248,6 @@ func storeFiles(t *testing.T, dir string) map[string][]byte {
 		t.Fatal(err)
 	}
 	return files
-}
-
-// metaSansTimings returns a copy of a store's meta sidecar with the bytes
-// that follow the wall clock zeroed. The sidecar is "szm1", a CRC32 of the
-// blob, then the blob: a version byte, the uvarint pair counter, the
-// uvarint length of the stats, and the stats, which end with the two
-// fixed-width durations WriteTime and FlushTime. The CRC covers them, so it
-// is zeroed too.
-func metaSansTimings(t *testing.T, name string, b []byte) []byte {
-	t.Helper()
-	b = bytes.Clone(b)
-	p := 9 // magic, CRC and version byte
-	if len(b) < p {
-		t.Fatalf("%s: %d-byte meta sidecar", name, len(b))
-	}
-	clear(b[4:8])
-	_, n := binary.Uvarint(b[p:])
-	if n <= 0 {
-		t.Fatalf("%s: meta pair counter", name)
-	}
-	p += n
-	l, n := binary.Uvarint(b[p:])
-	if n <= 0 || l < 16 || uint64(len(b)-p-n) < l {
-		t.Fatalf("%s: meta stats", name)
-	}
-	p += n + int(l)
-	clear(b[p-16 : p])
-	return b
 }
 
 // sameCells asserts two query results carry identical result bitmaps.

@@ -143,144 +143,3 @@ func TestPutBatchIndexSizeMatchesPuts(t *testing.T) {
 		}
 	}
 }
-
-func TestMetaCommitRoundTrip(t *testing.T) {
-	for name, s := range storesUnderTest(t) {
-		t.Run(name, func(t *testing.T) {
-			if _, ok, err := s.LoadMeta(); err != nil || ok {
-				t.Fatalf("fresh store reports meta ok=%v err=%v", ok, err)
-			}
-			if err := s.CommitMeta([]byte("generation-1")); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.CommitMeta([]byte("generation-2")); err != nil {
-				t.Fatal(err)
-			}
-			v, ok, err := s.LoadMeta()
-			if err != nil || !ok || !bytes.Equal(v, []byte("generation-2")) {
-				t.Fatalf("LoadMeta = %q ok=%v err=%v", v, ok, err)
-			}
-		})
-	}
-}
-
-// A file store's meta survives reopen and a corrupted sidecar — truncated,
-// bit-flipped, or a stray temp file from a crashed commit — reads as
-// absent rather than half-loading.
-func TestFileStoreMetaCorruptionRecovery(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "s.log")
-
-	open := func() *LogStore {
-		t.Helper()
-		fs, err := OpenFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fs
-	}
-
-	fs := open()
-	if err := putOne(fs, []byte("data"), []byte("payload")); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.CommitMeta([]byte("good-meta")); err != nil {
-		t.Fatal(err)
-	}
-	fs.Close()
-
-	// Clean reopen: meta present.
-	fs = open()
-	if v, ok, err := fs.LoadMeta(); err != nil || !ok || !bytes.Equal(v, []byte("good-meta")) {
-		t.Fatalf("reopen LoadMeta = %q ok=%v err=%v", v, ok, err)
-	}
-	fs.Close()
-
-	corruptions := map[string]func(t *testing.T){
-		"bit-flip": func(t *testing.T) {
-			buf, err := os.ReadFile(path + ".meta")
-			if err != nil {
-				t.Fatal(err)
-			}
-			buf[len(buf)-1] ^= 0xFF
-			if err := os.WriteFile(path+".meta", buf, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		},
-		"truncate": func(t *testing.T) {
-			if err := os.Truncate(path+".meta", 3); err != nil {
-				t.Fatal(err)
-			}
-		},
-		"garbage": func(t *testing.T) {
-			if err := os.WriteFile(path+".meta", []byte("not a meta file"), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		},
-	}
-	for name, corrupt := range corruptions {
-		t.Run(name, func(t *testing.T) {
-			corrupt(t)
-			fs := open()
-			defer fs.Close()
-			if _, ok, err := fs.LoadMeta(); err != nil || ok {
-				t.Fatalf("corrupt meta should read as absent, got ok=%v err=%v", ok, err)
-			}
-			// Data log is unaffected, and a fresh commit heals the sidecar.
-			if v, ok, _ := lookup(fs, []byte("data")); !ok || !bytes.Equal(v, []byte("payload")) {
-				t.Fatal("data log damaged by meta corruption handling")
-			}
-			if err := fs.CommitMeta([]byte("healed")); err != nil {
-				t.Fatal(err)
-			}
-			if v, ok, err := fs.LoadMeta(); err != nil || !ok || !bytes.Equal(v, []byte("healed")) {
-				t.Fatalf("healed LoadMeta = %q ok=%v err=%v", v, ok, err)
-			}
-		})
-	}
-
-	// A crash between temp write and rename leaves only the temp file;
-	// the committed blob must still be the previous generation.
-	t.Run("stray-temp", func(t *testing.T) {
-		fs := open()
-		if err := fs.CommitMeta([]byte("committed")); err != nil {
-			t.Fatal(err)
-		}
-		fs.Close()
-		if err := os.WriteFile(path+".meta.tmp", []byte("torn write"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		fs = open()
-		defer fs.Close()
-		if v, ok, err := fs.LoadMeta(); err != nil || !ok || !bytes.Equal(v, []byte("committed")) {
-			t.Fatalf("stray temp disturbed committed meta: %q ok=%v err=%v", v, ok, err)
-		}
-	})
-}
-
-// Dropping a namespace removes the meta sidecar along with the log.
-func TestManagerDropRemovesMetaSidecar(t *testing.T) {
-	root := t.TempDir()
-	m, err := NewManager(root, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	s, err := m.Open("ns")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.(*LogStore).CommitMeta([]byte("m")); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Drop("ns"); err != nil {
-		t.Fatal(err)
-	}
-	left, err := os.ReadDir(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(left) != 0 {
-		t.Fatalf("drop left files behind: %v", left)
-	}
-}

@@ -63,41 +63,3 @@ func TestTornWriteRecovery(t *testing.T) {
 		t.Fatal("torn record survived recovery")
 	}
 }
-
-// TestMetaCommitFaults walks the meta commit path's failpoints: each
-// injected failure must leave the previous committed blob loadable.
-func TestMetaCommitFaults(t *testing.T) {
-	defer fault.Reset()
-	path := filepath.Join(t.TempDir(), "meta.log")
-	s, err := OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if err := s.CommitMeta([]byte("generation-1")); err != nil {
-		t.Fatal(err)
-	}
-	for _, point := range []string{"kvstore/meta/write", "kvstore/meta/sync", "kvstore/meta/rename"} {
-		if err := fault.Arm(point, fault.Action{Kind: fault.KindError, Msg: "EIO"}); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.CommitMeta([]byte("generation-2")); !errors.Is(err, fault.ErrInjected) {
-			t.Fatalf("%s: commit err = %v, want injected", point, err)
-		}
-		fault.Disarm(point)
-		blob, ok, err := s.LoadMeta()
-		if err != nil || !ok {
-			t.Fatalf("%s: LoadMeta ok=%v err=%v", point, ok, err)
-		}
-		if string(blob) != "generation-1" {
-			t.Fatalf("%s: blob = %q, want previous generation intact", point, blob)
-		}
-	}
-	if err := s.CommitMeta([]byte("generation-2")); err != nil {
-		t.Fatalf("clean commit after faults: %v", err)
-	}
-	blob, ok, err := s.LoadMeta()
-	if err != nil || !ok || string(blob) != "generation-2" {
-		t.Fatalf("final LoadMeta = %q ok=%v err=%v", blob, ok, err)
-	}
-}

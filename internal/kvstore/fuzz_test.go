@@ -12,9 +12,8 @@ import (
 	"testing"
 )
 
-// flushedLog builds a real file store log (flushed, no meta sidecar
-// dependence) and returns its raw bytes — the honest seed corpus for the
-// recovery fuzzer.
+// flushedLog builds a real file store log (flushed) and returns its raw
+// bytes — the honest seed corpus for the recovery fuzzer.
 func flushedLog(t interface{ Fatal(...any) }, n int) []byte {
 	dir, err := os.MkdirTemp("", "subzero-fuzz-seed")
 	if err != nil {
@@ -127,9 +126,9 @@ func FuzzRecoverLog(f *testing.F) {
 }
 
 // FuzzMemMatchesFile applies one sequence of PutBatch (overwrites
-// included), CommitMeta and Sync calls to a memory store and a file store,
-// and requires the two to look the same from outside: the same Scan
-// sequence, GetBatch answers, Len, LoadMeta and SizeBytes. The backings
+// included) and Sync calls to a memory store and a file store, and
+// requires the two to look the same from outside: the same Scan sequence,
+// GetBatch answers, Len and SizeBytes. The backings
 // share everything but where the log's bytes live, so any difference is a
 // bug in one of the two places they differ.
 func FuzzMemMatchesFile(f *testing.F) {
@@ -153,7 +152,7 @@ func FuzzMemMatchesFile(f *testing.F) {
 			return int(b)
 		}
 		for len(ops) > 0 {
-			switch next() % 4 {
+			switch next() % 3 {
 			case 0, 1:
 				kvs := make([]KV, next()%8)
 				for i := range kvs {
@@ -170,13 +169,6 @@ func FuzzMemMatchesFile(f *testing.F) {
 					}
 				}
 			case 2:
-				val := bytes.Repeat([]byte{'m'}, next()%20)
-				for _, s := range []Store{file, mem} {
-					if err := s.CommitMeta(val); err != nil {
-						t.Fatal(err)
-					}
-				}
-			case 3:
 				for _, s := range []Store{file, mem} {
 					if err := s.Sync(); err != nil {
 						t.Fatal(err)
@@ -224,11 +216,6 @@ func sameStores(t *testing.T, a, b Store) {
 	}
 	if ga, gb := get(a), get(b); !slices.Equal(ga, gb) {
 		t.Fatal("GetBatch answers differ")
-	}
-	ma, oka, erra := a.LoadMeta()
-	mb, okb, errb := b.LoadMeta()
-	if erra != nil || errb != nil || oka != okb || !bytes.Equal(ma, mb) {
-		t.Fatalf("LoadMeta differs: %q ok=%v err=%v vs %q ok=%v err=%v", ma, oka, erra, mb, okb, errb)
 	}
 	if a.Len() != b.Len() || a.SizeBytes() != b.SizeBytes() {
 		t.Fatalf("Len %d vs %d, SizeBytes %d vs %d", a.Len(), b.Len(), a.SizeBytes(), b.SizeBytes())

@@ -7,9 +7,10 @@
 // re-running operators (§VI-A). This package is the stdlib-only substitute:
 //
 //   - Store is a minimal hashtable interface (batched probes and group
-//     commits, a log-order scan, one atomically committed metadata blob)
-//     with explicit size accounting so benchmarks can charge disk
-//     overhead.
+//     commits, a log-order scan) with explicit size accounting so
+//     benchmarks can charge disk overhead. It holds records only: a
+//     lineage store's metadata lives in memory with the store, which
+//     lives as long as its process.
 //   - LogStore is its one implementation: a log-structured, CRC-framed
 //     append log read in place. Lookups go through an index that is a
 //     table of 8-byte offsets and compares against the key bytes in the
@@ -21,14 +22,13 @@
 //     safety for speed: a torn tail is detected and discarded on open.
 //     NewMem keeps the same log in one in-memory slice. The two differ only
 //     in where appended bytes live: framing, index, overwrite and scan
-//     semantics, meta framing and SizeBytes are shared.
+//     semantics and SizeBytes are shared.
 //   - Manager allocates one Store per operator instance ("operator
 //     specific datastores" in Figure 3) and hands each store the obs
 //     counters it counts its operations into.
 //
 // Failpoints: kvstore/putbatch and kvstore/flush fire on both backings;
-// kvstore/file/* and kvstore/meta/* name the file and its meta sidecar and
-// fire on file-backed stores only.
+// kvstore/file/* name the log file and fire on file-backed stores only.
 package kvstore
 
 import "fmt"
@@ -56,18 +56,6 @@ type Store interface {
 	// discarded. The store copies what it keeps: the caller may reuse kvs
 	// and every key and value byte once PutBatch returns.
 	PutBatch(kvs []KV) error
-	// CommitMeta atomically replaces the one metadata blob the store
-	// holds beside its record data: a reader either sees the previous
-	// blob or the new one, never a torn mix — even across a crash
-	// mid-commit (a file-backed store writes a temp file and renames it
-	// into place). Lineage stores commit their pair counter, statistics,
-	// and serialized spatial indexes as a single blob through this, so a
-	// crash mid-flush cannot leave a store that half-loads.
-	CommitMeta(val []byte) error
-	// LoadMeta returns the last committed blob, with ok=false when no
-	// valid blob exists (never committed, or corrupt on disk — corruption
-	// is treated as absence because lineage is a recoverable cache).
-	LoadMeta() (val []byte, ok bool, err error)
 	// Scan calls fn for every live key until fn returns false, at its
 	// latest value, in the order those values were written (log order).
 	// The slices passed to fn must not be retained.
@@ -75,8 +63,7 @@ type Store interface {
 	// Len returns the number of live keys.
 	Len() int
 	// SizeBytes returns the storage footprint charged to this store: every
-	// log byte appended, overwritten records included, plus the framed
-	// meta blob.
+	// log byte appended, overwritten records included.
 	SizeBytes() int64
 	// Sync hands buffered writes to the backing medium.
 	Sync() error

@@ -300,8 +300,8 @@ func TestManagerFileAndMemory(t *testing.T) {
 			if got := m.Namespaces(); len(got) != 2 {
 				t.Fatalf("Namespaces=%v", got)
 			}
-			if m.TotalBytes() <= 0 {
-				t.Fatal("TotalBytes not accounted")
+			if a.SizeBytes() <= 0 || b.SizeBytes() <= 0 {
+				t.Fatal("SizeBytes not accounted")
 			}
 			if err := m.Drop("op-2"); err != nil {
 				t.Fatal(err)

@@ -18,17 +18,13 @@ import (
 	"subzero/internal/obs"
 )
 
-// Failpoints covering the append/flush path of the log and the commit
-// path of the meta sidecar. The crash-point matrix test iterates every
-// "kvstore/"-prefixed registered point; a new fsync or commit site MUST
-// register one (see CONTRIBUTING). The wrapped file layer adds
-// kvstore/file/write (torn-write capable) and kvstore/file/sync.
+// Failpoints covering the append/flush path of the log. The crash-point
+// matrix test iterates every "kvstore/"-prefixed registered point; a new
+// write or sync site MUST register one (see CONTRIBUTING). The wrapped file
+// layer adds kvstore/file/write (torn-write capable) and kvstore/file/sync.
 var (
-	fpPutBatch   = fault.Register("kvstore/putbatch")
-	fpFlush      = fault.Register("kvstore/flush")
-	fpMetaWrite  = fault.Register("kvstore/meta/write")
-	fpMetaSync   = fault.Register("kvstore/meta/sync")
-	fpMetaRename = fault.Register("kvstore/meta/rename")
+	fpPutBatch = fault.Register("kvstore/putbatch")
+	fpFlush    = fault.Register("kvstore/flush")
 	// Registered here as well as by WrapFile (registration is
 	// idempotent) so Registered() inventories the file-layer points
 	// before the first store opens — the crash matrix enumerates them
@@ -92,9 +88,7 @@ type LogStore struct {
 	seed    maphash.Seed
 	tagMask uint64 // tagAll; tests narrow it to force tag collisions
 
-	closed  bool
-	meta    []byte // a memory store's framed meta blob
-	metaLen int64  // size of the framed meta blob, for accounting
+	closed bool
 
 	// obs counts the store's operations; nil counts nothing. The Manager
 	// sets it before handing the store out.
@@ -152,9 +146,6 @@ func openFile(path string, tagMask uint64) (*LogStore, error) {
 		}
 		f.Close()
 		return nil, err
-	}
-	if info, err := os.Stat(s.metaPath()); err == nil {
-		s.metaLen = info.Size()
 	}
 	return s, nil
 }
@@ -469,111 +460,6 @@ func (s *LogStore) putBatch(kvs []KV) (err error) {
 	return nil
 }
 
-// metaMagic frames the meta blob: magic, CRC32 of the payload, payload.
-var metaMagic = []byte("szm1")
-
-// metaPath returns the sidecar file holding a file store's atomically
-// committed metadata blob.
-func (s *LogStore) metaPath() string { return s.path + ".meta" }
-
-// CommitMeta implements Store. A file store writes the framed blob to a
-// temp file and renames it over the sidecar, so a crash at any point leaves
-// either the previous blob or the new one — never a torn mix. A torn temp
-// file is ignored on load. A memory store keeps the framed blob.
-func (s *LogStore) CommitMeta(val []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	buf := make([]byte, 0, len(metaMagic)+crcSize+len(val))
-	buf = append(buf, metaMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(val, crcTable))
-	buf = append(buf, val...)
-	if s.f == nil {
-		s.meta = buf
-	} else if err := s.commitMetaFile(buf); err != nil {
-		return err
-	}
-	s.metaLen = int64(len(buf))
-	if s.obs != nil {
-		s.obs.BytesWritten.Add(int64(len(val)))
-	}
-	return nil
-}
-
-func (s *LogStore) commitMetaFile(buf []byte) error {
-	if err := fault.Inject(fpMetaWrite); err != nil {
-		return fmt.Errorf("kvstore: write meta temp: %w", err)
-	}
-	tmp := s.metaPath() + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("kvstore: write meta temp: %w", err)
-	}
-	_, werr := f.Write(buf)
-	// Unlike the data log, the meta temp file IS fsynced before the
-	// rename: without it the rename can reach disk ahead of the temp
-	// file's contents, destroying the previous blob and leaving a torn
-	// new one — exactly the half-load this API exists to prevent. (The
-	// directory entry itself is not fsynced; losing the rename leaves
-	// the previous valid blob, which is fine.)
-	serr := fault.Inject(fpMetaSync)
-	if serr == nil {
-		serr = f.Sync()
-	}
-	cerr := f.Close()
-	for _, err := range []error{werr, serr, cerr} {
-		if err != nil {
-			return fmt.Errorf("kvstore: write meta temp: %w", err)
-		}
-	}
-	if err := fault.Inject(fpMetaRename); err != nil {
-		return fmt.Errorf("kvstore: commit meta: %w", err)
-	}
-	if err := os.Rename(tmp, s.metaPath()); err != nil {
-		return fmt.Errorf("kvstore: commit meta: %w", err)
-	}
-	return nil
-}
-
-// LoadMeta implements Store. A missing, truncated, or corrupt blob reads
-// as absent: lineage is a recoverable cache, so the caller rebuilds what
-// the blob described instead of half-loading it. The blob returned is the
-// caller's.
-func (s *LogStore) LoadMeta() ([]byte, bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, false, ErrClosed
-	}
-	var buf []byte
-	if s.f == nil {
-		buf = bytes.Clone(s.meta)
-	} else {
-		var err error
-		if buf, err = os.ReadFile(s.metaPath()); err != nil {
-			if os.IsNotExist(err) {
-				return nil, false, nil
-			}
-			return nil, false, fmt.Errorf("kvstore: read meta: %w", err)
-		}
-		s.metaLen = int64(len(buf))
-	}
-	hdr := len(metaMagic) + crcSize
-	if len(buf) < hdr || string(buf[:len(metaMagic)]) != string(metaMagic) {
-		return nil, false, nil // corrupt or never committed: treat as absent
-	}
-	val := buf[hdr:]
-	if crc32.Checksum(val, crcTable) != binary.LittleEndian.Uint32(buf[len(metaMagic):hdr]) {
-		return nil, false, nil // corrupt: treat as absent
-	}
-	if s.obs != nil {
-		s.obs.BytesRead.Add(int64(len(val)))
-	}
-	return val, true, nil
-}
-
 // GetBatch implements Store: one shared lock acquisition serves the
 // whole batch. The val passed to fn is the record's bytes in place, in the
 // mapping or the append buffer; it is only valid during the call. The
@@ -664,12 +550,11 @@ func (s *LogStore) Len() int {
 }
 
 // SizeBytes implements Store: the log size including garbage and the
-// records still buffered, plus the framed meta blob, which is what a real
-// deployment pays for.
+// records still buffered, which is what a real deployment pays for.
 func (s *LogStore) SizeBytes() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.end() + s.metaLen
+	return s.end()
 }
 
 // Sync implements Store: a file store hands the append buffer to the
@@ -740,7 +625,7 @@ func (s *LogStore) Close() error {
 		err = errors.Join(s.flushLocked(), munmap(s.data), s.f.Close())
 	}
 	s.closed = true
-	s.data, s.tail, s.slots, s.meta = nil, nil, nil, nil
+	s.data, s.tail, s.slots = nil, nil, nil
 	return err
 }
 

@@ -69,11 +69,9 @@ func (m *Manager) dropLocked(namespace string) error {
 	delete(m.stores, namespace)
 	closeErr := s.Close()
 	if m.root != "" {
-		base := filepath.Join(m.root, sanitize(namespace)+".log")
-		for _, path := range []string{base, base + ".meta", base + ".meta.tmp"} {
-			if err := os.Remove(path); err != nil && !os.IsNotExist(err) && closeErr == nil {
-				closeErr = err
-			}
+		path := filepath.Join(m.root, sanitize(namespace)+".log")
+		if err := os.Remove(path); err != nil && !os.IsNotExist(err) && closeErr == nil {
+			closeErr = err
 		}
 	}
 	return closeErr
@@ -116,18 +114,6 @@ func (m *Manager) Namespaces() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// TotalBytes sums the size of every open store — the disk-overhead number
-// reported by the benchmark figures.
-func (m *Manager) TotalBytes() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var total int64
-	for _, s := range m.stores {
-		total += s.SizeBytes()
-	}
-	return total
 }
 
 // Close closes every open store.

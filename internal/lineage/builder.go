@@ -43,8 +43,7 @@ type Builder struct {
 }
 
 // NewBuilder returns a builder writing a store of the given strategy into
-// kv, which must hold no records: a store is written once, and a hashtable
-// holding another store's records is reopened with OpenStore. The strategy
+// kv, which must hold no records: a store is written once. The strategy
 // must be one that materializes pairs (Full, Pay, or Comp).
 func NewBuilder(kv kvstore.Store, strat Strategy, outSpace *grid.Space, inSpaces []*grid.Space) (*Builder, error) {
 	s, err := newStore(kv, strat, outSpace, inSpaces)
@@ -222,11 +221,9 @@ func (b *Builder) bufferCellEntries(pairs []RegionPair, base uint64) {
 }
 
 // Flush writes the staged record block and the buffered cell entries,
-// bulk-loads the indexes, then syncs the hashtable and commits the pair
-// counter, stats, and serialized indexes as one all-or-nothing blob, so a
-// crash mid-flush leaves a hashtable that reopens holding what was written
-// or a subset of it, never one that half-loads. It returns the store, which
-// answers lookups from then on. A builder takes one Flush and is not used
+// bulk-loads the indexes and syncs the hashtable. It returns the store,
+// which answers lookups from then on; its pair counter, statistics and
+// indexes live in memory only. A builder takes one Flush and is not used
 // after it; a Flush that fails returns no store, and the caller drops the
 // hashtable.
 func (b *Builder) Flush() (*Store, error) {
@@ -245,12 +242,7 @@ func (b *Builder) Flush() (*Store, error) {
 		return nil, err
 	}
 	s.buildTrees(b.boxes)
-	// Data first, then the meta blob: metadata must never describe
-	// records the log has not durably absorbed.
 	if err := s.kv.Sync(); err != nil {
-		return nil, err
-	}
-	if err := s.kv.CommitMeta(s.encodeMetaBlob()); err != nil {
 		return nil, err
 	}
 	s.stats.FlushTime = time.Since(start)

@@ -24,19 +24,19 @@ func oneStrategies() []Strategy {
 
 // TestCellEntryLogGolden pins the bytes a One-encoding store leaves on
 // disk: a seeded pair set is written in three batches and then flushed
-// once, and the sha256 of the log and of the meta sidecar must match. The
-// Pay-One and Comp-One logs, which hold tiles only, still match what the
-// tile-keyed layout wrote for that history when flushes could still merge
-// into tiles (commit d5717e4); the Full-One logs are those of 64-id record
-// blocks, and every sidecar is a version-4 meta blob. Any change to which
-// blocks or tiles are written, in what order, how a block or tile value is
-// laid out, or how its id and payload lists are sorted shows up here.
+// once, the sha256 of the log must match, and the log must be the only
+// file. The Pay-One and Comp-One logs, which hold tiles only, still match
+// what the tile-keyed layout wrote for that history when flushes could
+// still merge into tiles (commit d5717e4); the Full-One logs are those of
+// 64-id record blocks. Any change to which blocks or tiles are written, in
+// what order, how a block or tile value is laid out, or how its id and
+// payload lists are sorted shows up here.
 func TestCellEntryLogGolden(t *testing.T) {
-	want := map[string][2]string{
-		"Full-One-b": {"8e1c5369a8a5e484d088409b77582e9e4d9fa4c80750804001b6857223e2cb51", "1fa10a5330ecc9a5de05b7352f6aac2bc409fa5d224495b6be4b545afbfc1fbe"},
-		"Full-One-f": {"44b234923ffb3477fa0b1acdf9afe85bf77fce887d0a414a90717fc320cdd893", "1fa10a5330ecc9a5de05b7352f6aac2bc409fa5d224495b6be4b545afbfc1fbe"},
-		"Pay-One-b":  {"5b0ffaf63d0cc59201e484c375d6dadd47680a48cd1af8cfe8482d238bd779cf", "fd3b5298c59ca6b443454ded8ea01526aeaad7c7cac67403291182e9e2164909"},
-		"Comp-One-b": {"5b0ffaf63d0cc59201e484c375d6dadd47680a48cd1af8cfe8482d238bd779cf", "fd3b5298c59ca6b443454ded8ea01526aeaad7c7cac67403291182e9e2164909"},
+	want := map[string]string{
+		"Full-One-b": "8e1c5369a8a5e484d088409b77582e9e4d9fa4c80750804001b6857223e2cb51",
+		"Full-One-f": "44b234923ffb3477fa0b1acdf9afe85bf77fce887d0a414a90717fc320cdd893",
+		"Pay-One-b":  "5b0ffaf63d0cc59201e484c375d6dadd47680a48cd1af8cfe8482d238bd779cf",
+		"Comp-One-b": "5b0ffaf63d0cc59201e484c375d6dadd47680a48cd1af8cfe8482d238bd779cf",
 	}
 	pairs := randomPairs(rand.New(rand.NewSource(31)), 90)
 	for _, strat := range oneStrategies() {
@@ -48,7 +48,8 @@ func TestCellEntryLogGolden(t *testing.T) {
 					sp[i].Payload = sp[i-4].Payload
 				}
 			}
-			path := filepath.Join(t.TempDir(), "s.log")
+			dir := t.TempDir()
+			path := filepath.Join(dir, "s.log")
 			fs, err := kvstore.OpenFile(path)
 			if err != nil {
 				t.Fatal(err)
@@ -59,19 +60,17 @@ func TestCellEntryLogGolden(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			// The meta blob holds the builder's WriteTime (its FlushTime is
-			// taken after the commit); zeroed, the sidecar's bytes depend on
-			// the pairs alone.
-			b.s.stats.WriteTime = 0
 			if _, err := b.Flush(); err != nil {
 				t.Fatal(err)
 			}
 			if err := fs.Close(); err != nil {
 				t.Fatal(err)
 			}
-			got := [2]string{fileHash(t, path), fileHash(t, path+".meta")}
-			if got != want[strat.ID()] {
-				t.Fatalf("log/meta sha256 = %q, want %q", got, want[strat.ID()])
+			if got := fileHash(t, path); got != want[strat.ID()] {
+				t.Fatalf("log sha256 = %q, want %q", got, want[strat.ID()])
+			}
+			if ents, err := os.ReadDir(dir); err != nil || len(ents) != 1 {
+				t.Fatalf("store directory holds %d files (err %v), want the log only", len(ents), err)
 			}
 		})
 	}

@@ -19,14 +19,12 @@ import (
 // binenc.TileCells consecutive cell indices, aligned like the container
 // tiles and the bitmap blocks, so tile t holds cells [1024t, 1024t+1024).
 // Store metadata (next pair id, statistics, R-trees) is not in the
-// hashtable: it is one blob committed atomically beside it
-// (kvstore.Store.CommitMeta).
+// hashtable: the Store keeps it in memory, and nothing writes it to disk.
 //
 // Earlier builds wrote one 'P' + uvarint(id) key per pair record and, before
 // tiles, one 'K' + slot + cell key per cell. No reader is kept for them: a
-// key that is neither a block key nor a tile key makes the store stale (see
-// Store.rebuildMeta), and a stale store answers every lookup with
-// ErrCorrupt.
+// store is only ever read by the process that built it, and NewBuilder
+// refuses a hashtable holding any key.
 const (
 	keyBlock = 'B'
 	keyTile  = 'T'

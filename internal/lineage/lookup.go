@@ -96,7 +96,7 @@ type lookupScratch struct {
 	// lookupFullOne state. done is a bitset over the dense pair ids
 	// [0, nextPair) applied this lookup and replayed lists them in order
 	// (release clears their words; an id past the bitset — only a
-	// crash-recovered store holds one — is never marked, so at worst it
+	// corrupt cell entry holds one — is never marked, so at worst it
 	// applies twice). hits and misses split one batch's new ids by cache
 	// presence; decoded holds the misses decoded for admission or, in
 	// forEachRecord, for application.
@@ -251,9 +251,6 @@ func (s *Store) BackwardSpan(sp *trace.Span, q, dst *bitmap.Bitmap, inputIdx int
 	}
 	if (s.strat.Mode == Pay || s.strat.Mode == Comp) && mapp == nil {
 		return fmt.Errorf("lineage: %s store requires a payload mapping function", s.strat)
-	}
-	if err := s.readable(); err != nil {
-		return err
 	}
 	if s.strat.Orient == ForwardOpt {
 		// Mismatched orientation: fall back to a full scan of records.
@@ -710,9 +707,6 @@ func (s *Store) ForwardSpan(sp *trace.Span, q, dst *bitmap.Bitmap, inputIdx int,
 	if (s.strat.Mode == Pay || s.strat.Mode == Comp) && mapp == nil {
 		return fmt.Errorf("lineage: %s store requires a payload mapping function", s.strat)
 	}
-	if err := s.readable(); err != nil {
-		return err
-	}
 	switch {
 	case s.strat.Mode == Pay || s.strat.Mode == Comp:
 		if s.strat.Enc == One {
@@ -793,9 +787,6 @@ func (s *Store) forwardPayManyScan(q, dst *bitmap.Bitmap, inputIdx int, mapp Pay
 // tile value is lent by GetBatch, never copied. On Many encodings it
 // fetches the records of the index items holding the cell in one batch.
 func (s *Store) ContainsOut(cell uint64) (bool, error) {
-	if err := s.readable(); err != nil {
-		return false, err
-	}
 	sc := getScratch()
 	defer sc.release()
 	if s.strat.Enc == One {

@@ -50,17 +50,14 @@ func TestCorruptRecordNeverHalfApplies(t *testing.T) {
 			name := fmt.Sprintf("%s/cache-full=%v", strat.ID(), full)
 			t.Run(name, func(t *testing.T) {
 				kv := kvstore.NewMem()
-				buildStore(t, kv, strat, append([]RegionPair{planted}, others...))
+				st := buildStore(t, kv, strat, append([]RegionPair{planted}, others...))
 				plantRecord(t, kv, 0, val)
-				st, err := OpenStore(kv, strat, tOutSpace, tInSpaces)
-				if err != nil {
-					t.Fatal(err)
-				}
 				if full {
 					fillRecCache(st, 0)
 				}
 				var dst *bitmap.Bitmap
 				var applied []uint64
+				var err error
 				if strat.Orient == BackwardOpt {
 					q := bitmap.New(tOutSpace)
 					q.SetAll()
@@ -113,17 +110,15 @@ func TestDanglingPairIDDegradesStore(t *testing.T) {
 		t.Run(strat.ID(), func(t *testing.T) {
 			for _, hideBlock := range []bool{false, true} {
 				kv := kvstore.NewMem()
-				buildStore(t, kv, strat, pairs)
-				var from kvstore.Store = kv
+				var into kvstore.Store = kv
 				if hideBlock {
-					from = hidingStore{kv, string(appendBlockKey(nil, 0))}
-				} else {
+					into = hidingStore{kv, string(appendBlockKey(nil, 0))}
+				}
+				st := buildStore(t, into, strat, pairs)
+				if !hideBlock {
 					plantRecord(t, kv, 1, nil)
 				}
-				st, err := OpenStore(from, strat, tOutSpace, tInSpaces)
-				if err != nil {
-					t.Fatal(err)
-				}
+				var err error
 				if strat.Orient == BackwardOpt {
 					q := bitmap.New(tOutSpace)
 					q.SetAll()
@@ -169,10 +164,7 @@ func FuzzReplayRecord(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{4, 0x80})
 
-	st, err := OpenStore(kvstore.NewMem(), StratFullOne, tOutSpace, tInSpaces)
-	if err != nil {
-		f.Fatal(err)
-	}
+	st := buildStore(f, kvstore.NewMem(), StratFullOne)
 	space := grid.NewSpace(grid.Shape{64, 1024})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, lerr := st.loadRecord(data)

@@ -262,53 +262,6 @@ func TestStoreEquivalence(t *testing.T) {
 	}
 }
 
-// TestStoreReopen verifies that a file-backed store answers identically
-// after closing and reopening (index and metadata persistence).
-func TestStoreReopen(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	pairs := randomPairs(rng, 60)
-	q := randomQuery(rand.New(rand.NewSource(9)), tOutSpace, 25)
-
-	for _, strat := range allStoreStrategies() {
-		t.Run(strat.ID(), func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "s.log")
-			fs, err := kvstore.OpenFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			st := buildStore(t, fs, strat, toStorePairs(strat, pairs))
-			want := bitmap.New(tInSpaces[0])
-			if err := st.Backward(q, want, 0, testMapP, nil, nil); err != nil {
-				t.Fatal(err)
-			}
-			wantPairs := st.NumPairs()
-			if err := fs.Close(); err != nil {
-				t.Fatal(err)
-			}
-
-			fs2, err := kvstore.OpenFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer fs2.Close()
-			st2, err := OpenStore(fs2, strat, tOutSpace, tInSpaces)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st2.NumPairs() != wantPairs {
-				t.Fatalf("reopened NumPairs=%d, want %d", st2.NumPairs(), wantPairs)
-			}
-			got := bitmap.New(tInSpaces[0])
-			if err := st2.Backward(q, got, 0, testMapP, nil, nil); err != nil {
-				t.Fatal(err)
-			}
-			if !bitmapsEqual(got, want) {
-				t.Fatal("reopened store answers differently")
-			}
-		})
-	}
-}
-
 func TestPayCoverageReporting(t *testing.T) {
 	for _, strat := range []Strategy{StratPayOne, StratPayMany, StratCompOne, StratCompMany} {
 		pair := RegionPair{Out: []uint64{3, 4}, Payload: testPayload([][]uint64{{10}, {}})}
@@ -442,32 +395,25 @@ func TestStoreRejectsWrongPairKind(t *testing.T) {
 	}
 }
 
-// NewBuilder and OpenStore validate a strategy and its spaces alike, and a
-// builder takes an empty hashtable only.
-func TestOpenStoreValidation(t *testing.T) {
+// NewBuilder validates a strategy and its spaces, and takes an empty
+// hashtable only.
+func TestNewBuilderValidation(t *testing.T) {
 	kv := kvstore.NewMem()
-	for name, open := range map[string]func(Strategy, []*grid.Space) error{
-		"NewBuilder": func(strat Strategy, ins []*grid.Space) error {
-			_, err := NewBuilder(kv, strat, tOutSpace, ins)
-			return err
-		},
-		"OpenStore": func(strat Strategy, ins []*grid.Space) error {
-			_, err := OpenStore(kv, strat, tOutSpace, ins)
-			return err
-		},
-	} {
-		if err := open(StratBlackbox, tInSpaces); err == nil {
-			t.Fatalf("%s: blackbox store opened", name)
-		}
-		if err := open(StratMap, tInSpaces); err == nil {
-			t.Fatalf("%s: map store opened", name)
-		}
-		if err := open(StratFullOne, nil); err == nil {
-			t.Fatalf("%s: store with no inputs opened", name)
-		}
+	open := func(strat Strategy, ins []*grid.Space) error {
+		_, err := NewBuilder(kv, strat, tOutSpace, ins)
+		return err
+	}
+	if err := open(StratBlackbox, tInSpaces); err == nil {
+		t.Fatal("blackbox store opened")
+	}
+	if err := open(StratMap, tInSpaces); err == nil {
+		t.Fatal("map store opened")
+	}
+	if err := open(StratFullOne, nil); err == nil {
+		t.Fatal("store with no inputs opened")
 	}
 	buildStore(t, kv, StratFullOne, randomPairs(rand.New(rand.NewSource(1)), 3))
-	if _, err := NewBuilder(kv, StratFullOne, tOutSpace, tInSpaces); err == nil {
+	if err := open(StratFullOne, tInSpaces); err == nil {
 		t.Fatal("a builder took a hashtable holding records")
 	}
 }
@@ -546,12 +492,10 @@ func (a lifecycleAnswers) equal(b lifecycleAnswers) bool {
 	return bitmapsEqual(a.back, b.back) && bitmapsEqual(a.fwd, b.fwd) && bitmapsEqual(a.contains, b.contains)
 }
 
-// TestStoreLifecycle pins a store's one lifecycle, build → Flush → read →
-// reopen: the store a Builder's Flush returns answers lookups, and the
-// store OpenStore makes of its hashtable answers the same and counts the
-// same pairs. A builder flushed without a pair leaves a meta blob and no
-// record, and a hashtable never written holds neither: both reopen as a
-// store with no pairs that answers empty.
+// TestStoreLifecycle pins a store's one lifecycle, build → Flush → read:
+// the store a Builder's Flush returns answers lookups and counts the pairs
+// written to it, and a builder flushed without a pair writes no log byte
+// and returns a store with no pairs that answers empty.
 func TestStoreLifecycle(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	pairs := randomPairs(rng, 150)
@@ -566,48 +510,27 @@ func TestStoreLifecycle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				t.Cleanup(func() { fs.Close() })
 				return fs
 			}
-			reopen := func(name string) *Store {
-				t.Helper()
-				fs := open(name)
-				t.Cleanup(func() { fs.Close() })
-				st, err := OpenStore(fs, strat, tOutSpace, tInSpaces)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return st
-			}
 
-			fs := open("s.log")
-			st := buildStore(t, fs, strat, sp[:70], sp[70:])
+			st := buildStore(t, open("s.log"), strat, sp[:70], sp[70:])
 			want := askStore(t, st, qOut, qIn)
 			if st.NumPairs() != len(pairs) || want.back.Count() == 0 {
 				t.Fatalf("flushed store holds %d pairs and answers %d backward cells; want %d pairs", st.NumPairs(), want.back.Count(), len(pairs))
 			}
-			if err := fs.Close(); err != nil {
-				t.Fatal(err)
-			}
-			reopened := reopen("s.log")
-			if !askStore(t, reopened, qOut, qIn).equal(want) {
-				t.Fatal("reopened store answers differently")
-			}
-			if reopened.NumPairs() != st.NumPairs() || reopened.LogicalBytes() != st.LogicalBytes() {
-				t.Fatalf("reopened store counts %d pairs, %d logical B; the flushed one %d, %d",
-					reopened.NumPairs(), reopened.LogicalBytes(), st.NumPairs(), st.LogicalBytes())
+			if !askStore(t, st, qOut, qIn).equal(want) {
+				t.Fatal("flushed store answers differently when asked again")
 			}
 
-			flushedEmpty := open("flushed-empty.log")
-			buildStore(t, flushedEmpty, strat)
-			if err := flushedEmpty.Close(); err != nil {
-				t.Fatal(err)
+			kv := open("empty.log")
+			empty := buildStore(t, kv, strat)
+			if a := askStore(t, empty, qOut, qIn); empty.NumPairs() != 0 || a.back.Count() != 0 || a.fwd.Count() != 0 || a.contains.Count() != 0 {
+				t.Fatalf("empty store holds %d pairs and answers %d backward, %d forward and %d contained cells",
+					empty.NumPairs(), a.back.Count(), a.fwd.Count(), a.contains.Count())
 			}
-			for _, name := range []string{"flushed-empty.log", "never-written.log"} {
-				empty := reopen(name)
-				if a := askStore(t, empty, qOut, qIn); empty.NumPairs() != 0 || a.back.Count() != 0 || a.fwd.Count() != 0 || a.contains.Count() != 0 {
-					t.Fatalf("%s: reopened empty store holds %d pairs and answers %d backward, %d forward and %d contained cells",
-						name, empty.NumPairs(), a.back.Count(), a.fwd.Count(), a.contains.Count())
-				}
+			if n := kv.SizeBytes(); n != 0 {
+				t.Fatalf("a builder flushed without a pair wrote %d log bytes", n)
 			}
 		})
 	}
@@ -634,9 +557,9 @@ func (h *halfTileBatch) PutBatch(kvs []kvstore.KV) error {
 	return errHalfBatch
 }
 
-// A Flush whose tile batch fails halfway returns the error and no store,
-// and commits no meta blob: nothing can read what it left behind, and the
-// caller drops the hashtable.
+// A Flush whose tile batch fails halfway returns the error and no store:
+// nothing can read what it left behind, and the caller drops the
+// hashtable.
 func TestFailedFlushReturnsNoStore(t *testing.T) {
 	for _, strat := range []Strategy{StratFullOne, StratPayOne} {
 		t.Run(strat.ID(), func(t *testing.T) {
@@ -659,9 +582,6 @@ func TestFailedFlushReturnsNoStore(t *testing.T) {
 			}
 			if st != nil || !errors.Is(err, errHalfBatch) {
 				t.Fatalf("Flush cut halfway returned store %p, err %v; want no store and %v", st, err, errHalfBatch)
-			}
-			if _, ok, err := cut.LoadMeta(); ok || err != nil {
-				t.Fatalf("failed Flush left a meta blob (%v, err %v)", ok, err)
 			}
 		})
 	}

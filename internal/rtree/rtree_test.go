@@ -167,47 +167,6 @@ func TestBulkLoad1D(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	items := make([]Item, 500)
-	for i := range items {
-		items[i] = Item{Rect: randRect(rng, 300, 12), ID: uint64(i * 7)}
-	}
-	orig := BulkLoad(2, items)
-	dec, err := Decode(orig.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.Len() != orig.Len() {
-		t.Fatalf("decoded Len=%d, want %d", dec.Len(), orig.Len())
-	}
-	if err := dec.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	for q := 0; q < 50; q++ {
-		query := randRect(rng, 300, 40)
-		a, b := treeSearch(orig, query), treeSearch(dec, query)
-		if len(a) != len(b) {
-			t.Fatalf("query %v: orig %d, decoded %d", query, len(a), len(b))
-		}
-		for id := range a {
-			if !b[id] {
-				t.Fatalf("query %v: decoded missing %d", query, id)
-			}
-		}
-	}
-}
-
-func TestDecodeErrors(t *testing.T) {
-	if _, err := Decode(nil); err == nil {
-		t.Fatal("nil input accepted")
-	}
-	enc := BulkLoad(2, []Item{{Rect: grid.RectOf(grid.Coord{1, 2}), ID: 9}}).Encode()
-	if _, err := Decode(enc[:len(enc)-1]); err == nil {
-		t.Fatal("truncated input accepted")
-	}
-}
-
 // EncodedLen is the length of Encode's output to the byte, for trees
 // built either way, empty ones, and ids and coordinates of every varint
 // length.

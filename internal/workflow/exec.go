@@ -265,11 +265,7 @@ func (e *Executor) openEmpty(ns string) (kvstore.Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, hasMeta, err := kv.LoadMeta()
-	if err != nil {
-		return nil, err
-	}
-	if kv.Len() == 0 && !hasMeta {
+	if kv.Len() == 0 {
 		return kv, nil
 	}
 	if err := e.manager.Drop(ns); err != nil {

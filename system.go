@@ -487,8 +487,17 @@ func (s *System) Stats(nodeID string) OpStats { return s.stats.Get(nodeID) }
 // AllStats returns statistics for every operator seen.
 func (s *System) AllStats() []OpStats { return s.stats.All() }
 
-// LineageBytes returns the total storage held by all lineage stores.
-func (s *System) LineageBytes() int64 { return s.manager.TotalBytes() }
+// LineageBytes returns the total storage held by the lineage stores of
+// the registered runs: the sum of their Run.LineageBytes.
+func (s *System) LineageBytes() int64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	var total int64
+	for _, r := range s.runs {
+		total += r.LineageBytes()
+	}
+	return total
+}
 
 // ArrayBytes returns the footprint of the versioned array store.
 func (s *System) ArrayBytes() int64 { return s.versions.TotalBytes() }
