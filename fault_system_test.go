@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -369,11 +370,17 @@ func TestLineageBytesSumsRuns(t *testing.T) {
 }
 
 // A store lives as long as its process, so a storage directory holds the
-// stores' logs and nothing else: no file beside a log after Execute, nor
-// after a background rebuild swaps a healed store in.
+// stores' logs and nothing else: not the metadata sidecars earlier builds
+// left, no file beside a log after Execute, nor after a background rebuild
+// swaps a healed store in.
 func TestStorageDirHoldsOnlyLogs(t *testing.T) {
 	defer fault.Reset()
 	dir := t.TempDir()
+	for _, name := range []string{"old-run001_x2fid.log.meta", "old-run001_x2fid.log.meta.tmp"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("stale"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	onlyLogs := func(when string) {
 		t.Helper()
 		ents, err := os.ReadDir(dir)

@@ -89,14 +89,12 @@ func (c *CosmicRayDetect) MapP(mc *workflow.MapCtx, out uint64, payload []byte, 
 	return grid.Neighborhood(mc.InSpaces[0], mc.OutCoord(out), int(payload[0]), dst)
 }
 
-// MapB implements the composite default: identity.
-func (c *CosmicRayDetect) MapB(_ *workflow.MapCtx, out uint64, _ int, dst []uint64) []uint64 {
-	return append(dst, out)
-}
-
-// MapF implements the composite default: identity.
-func (c *CosmicRayDetect) MapF(_ *workflow.MapCtx, in uint64, _ int, dst []uint64) []uint64 {
-	return append(dst, in)
+// Cover implements Geometry for the composite default: identity.
+func (c *CosmicRayDetect) Cover(_ *workflow.MapCtx, _ bool, src grid.Rect, _ int, dst grid.Rect) bool {
+	for d := range src.Lo {
+		dst.Lo[d], dst.Hi[d] = src.Lo[d], src.Hi[d]
+	}
+	return true
 }
 
 // CosmicRayRemove is UDF C: it replaces pixels flagged in the mask (input
@@ -181,14 +179,13 @@ func (c *CosmicRayRemove) MapP(mc *workflow.MapCtx, out uint64, payload []byte, 
 	return grid.Neighborhood(mc.InSpaces[inputIdx], mc.OutCoord(out), int(payload[0]), dst)
 }
 
-// MapB implements the composite default: identity into both inputs.
-func (c *CosmicRayRemove) MapB(_ *workflow.MapCtx, out uint64, _ int, dst []uint64) []uint64 {
-	return append(dst, out)
-}
-
-// MapF implements the composite default: identity from both inputs.
-func (c *CosmicRayRemove) MapF(_ *workflow.MapCtx, in uint64, _ int, dst []uint64) []uint64 {
-	return append(dst, in)
+// Cover implements Geometry for the composite default: identity, into and
+// from both inputs.
+func (c *CosmicRayRemove) Cover(_ *workflow.MapCtx, _ bool, src grid.Rect, _ int, dst grid.Rect) bool {
+	for d := range src.Lo {
+		dst.Lo[d], dst.Hi[d] = src.Lo[d], src.Hi[d]
+	}
+	return true
 }
 
 // StarDetect is UDF D: it labels connected components of bright pixels

@@ -19,7 +19,18 @@ type Bitmap struct {
 	space *grid.Space
 	words []uint64
 	count uint64
+	// iter and scratch hold the corners of IterateRects' rectangle and of
+	// ScratchRect's. A bitmap lives on the heap, so rectangles over them
+	// cost no allocation of their own up to fixedRank.
+	iter, scratch [2 * fixedRank]int
+	// open and row keep IterateRects' growing rectangles between calls,
+	// so it allocates only to grow them.
+	open, row []int
 }
+
+// fixedRank is the largest rank whose rectangle corners a Bitmap holds
+// inline; IterateRects and ScratchRect allocate above it.
+const fixedRank = 4
 
 // New creates an empty bitmap over the given space.
 func New(space *grid.Space) *Bitmap {
@@ -91,31 +102,87 @@ func (b *Bitmap) SetCells(cells []uint64) uint64 {
 }
 
 // SetRect marks every cell inside the rectangle (clipped to the shape),
-// returning the number newly set.
+// returning the number newly set. A rectangle of another rank sets
+// nothing. Each row of the clipped rectangle — its extent along the last
+// dimension — is one word-parallel SetRun, and rows that span the whole
+// last dimension merge into one run; nothing is allocated.
 func (b *Bitmap) SetRect(r grid.Rect) uint64 {
-	clipped, ok := r.Clip(b.space.Shape())
-	if !ok {
+	shape := b.space.Shape()
+	if len(r.Lo) != len(shape) || len(r.Hi) != len(shape) {
 		return 0
 	}
+	last := len(shape) - 1
+	lo, hi := max(r.Lo[last], 0), min(r.Hi[last], shape[last]-1)
+	if lo > hi {
+		return 0
+	}
+	return b.setRows(r, 0, uint64(lo), uint64(hi-lo+1))
+}
+
+// setRows sets the rows of r (clipped to the space) whose first cell is
+// base plus a multiple of the strides of dimensions d and up, as
+// anyInRows walks them; a row is width cells long.
+func (b *Bitmap) setRows(r grid.Rect, d int, base, width uint64) uint64 {
+	shape := b.space.Shape()
+	last := len(shape) - 1
+	if d == last {
+		return b.SetRun(base, width)
+	}
+	stride := b.space.Stride(d)
+	lo, hi := max(r.Lo[d], 0), min(r.Hi[d], shape[d]-1)
+	if lo > hi {
+		return 0
+	}
+	base += uint64(lo) * stride
+	if d < last-1 {
+		var added uint64
+		for x := lo; x <= hi; x, base = x+1, base+stride {
+			added += b.setRows(r, d+1, base, width)
+		}
+		return added
+	}
+	if width == uint64(shape[last]) {
+		// Whole rows are contiguous along the second-to-last dimension.
+		return b.SetRun(base, uint64(hi-lo+1)*width)
+	}
 	var added uint64
-	cur := clipped.Lo.Clone()
-	for {
-		if b.Set(b.space.Ravel(cur)) {
+	for x := lo; x <= hi; x, base = x+1, base+stride {
+		if width > 1 {
+			added += b.SetRun(base, width)
+		} else if b.Set(base) { // a column: one cell per row
 			added++
 		}
-		d := len(cur) - 1
-		for d >= 0 {
-			cur[d]++
-			if cur[d] <= clipped.Hi[d] {
-				break
-			}
-			cur[d] = clipped.Lo[d]
-			d--
-		}
-		if d < 0 {
-			return added
-		}
 	}
+	return added
+}
+
+// ScratchRect returns a rectangle of the bitmap's rank whose corners live
+// in storage the bitmap keeps, for a caller that computes a rectangle to
+// SetRect without allocating. Its contents are undefined, it stays valid
+// until the next ScratchRect call on b, and IterateRects does not touch
+// it.
+func (b *Bitmap) ScratchRect() grid.Rect {
+	return cornersIn(b.scratch[:], b.space.Rank())
+}
+
+// cornersIn returns a rectangle of the given rank over buf, or over fresh
+// storage when buf is too short.
+func cornersIn(buf []int, rank int) grid.Rect {
+	if 2*rank > len(buf) {
+		buf = make([]int, 2*rank)
+	}
+	return grid.Rect{Lo: buf[:rank:rank], Hi: buf[rank : 2*rank : 2*rank]}
+}
+
+// ComplementIn sets b to the cells of a it does not hold (b = a AND NOT b),
+// a word at a time. a must cover a space of b's size.
+func (b *Bitmap) ComplementIn(a *Bitmap) {
+	var n uint64
+	for i, w := range a.words {
+		b.words[i] = w &^ b.words[i]
+		n += uint64(bits.OnesCount64(b.words[i]))
+	}
+	b.count = n
 }
 
 // IntersectsRect reports whether any set cell lies inside the rectangle.

@@ -131,60 +131,146 @@ func (b *Bitmap) IterateRuns(fn func(start, length uint64) bool) {
 }
 
 // IterateRects decomposes the set cells into disjoint axis-aligned
-// rectangles that cover exactly the set cells and calls fn for each in
-// ascending row-major order until fn returns false. Runs within one row
-// become a single rectangle; blocks of consecutive full rows merge into
-// one taller rectangle. The rectangle passed to fn aliases internal
-// scratch and is only valid for the duration of the call.
+// rectangles that cover exactly the set cells and calls fn for each until
+// fn returns false. Each run of a row — the cells along the last dimension
+// — starts a rectangle, and the rectangle grows down the second-to-last
+// dimension for as long as the next rows hold the same run: a column, a
+// band of equal runs and a block of full rows are one rectangle each.
+// Rectangles come in the order they close. The rectangle passed to fn
+// lives in storage the bitmap keeps and is only valid for the duration of
+// the call; the bitmap also keeps the open rectangles between calls, so an
+// iteration allocates only to grow that storage (and above rank 4), and
+// two iterations of one bitmap must not overlap.
 //
-// The lineage index uses this to turn a query bitmap into a handful of
-// R-tree window queries instead of one point query per cell.
+// The query executor drives declared operator geometry with it: one
+// rectangle of source cells maps to one rectangle of destination cells.
 func (b *Bitmap) IterateRects(fn func(r grid.Rect) bool) {
 	rank := b.space.Rank()
 	shape := b.space.Shape()
-	lo := make(grid.Coord, rank)
-	hi := make(grid.Coord, rank)
+	box := cornersIn(b.iter[:], rank)
 	if rank == 1 {
 		b.IterateRuns(func(start, length uint64) bool {
-			lo[0], hi[0] = int(start), int(start+length-1)
-			return fn(grid.Rect{Lo: lo, Hi: hi})
+			box.Lo[0], box.Hi[0] = int(start), int(start+length-1)
+			return fn(box)
 		})
 		return
 	}
-	rowLen := uint64(shape[rank-1])
+	m := rectMerger{
+		b: b, box: box,
+		rowLen: uint64(shape[rank-1]), slabRows: shape[rank-2],
+		open: b.open[:0], row: b.row[:0], openEnd: -2, rowAt: -1,
+	}
+	// Runs come in ascending order, so a run's row is mostly the row of
+	// the run before it or the next one: rowBase tracks the first cell of
+	// row without a division per run.
+	row, rowBase := 0, uint64(0)
 	b.IterateRuns(func(start, length uint64) bool {
-		s, e := start, start+length-1
-		for s <= e {
-			rowOff := s % rowLen
-			rowEnd := s - rowOff + rowLen - 1
-			if rowOff != 0 || e < rowEnd {
-				// Partial row segment.
-				pe := min(e, rowEnd)
-				b.space.UnravelInto(s, lo)
-				b.space.UnravelInto(pe, hi)
-				if !fn(grid.Rect{Lo: lo, Hi: hi}) {
-					return false
+		for s, e := start, start+length; s < e; {
+			if d := s - rowBase; d >= m.rowLen {
+				if d < 2*m.rowLen {
+					row, rowBase = row+1, rowBase+m.rowLen
+				} else {
+					row = int(s / m.rowLen)
+					rowBase = uint64(row) * m.rowLen
 				}
-				if pe == e {
-					break
-				}
-				s = pe + 1
+			}
+			off := s - rowBase
+			if off != 0 || e-s < m.rowLen {
+				n := min(e-s, m.rowLen-off)
+				m.add(fn, row, row, int(off), int(off+n-1))
+				s += n
 				continue
 			}
-			// One or more full rows; merge as many as stay within the
-			// current slab of the second-to-last dimension.
-			rows := (e - s + 1) / rowLen
-			b.space.UnravelInto(s, lo)
-			if left := uint64(shape[rank-2] - lo[rank-2]); rows > left {
-				rows = left
-			}
-			last := s + rows*rowLen - 1
-			b.space.UnravelInto(last, hi)
-			if !fn(grid.Rect{Lo: lo, Hi: hi}) {
-				return false
-			}
-			s = last + 1
+			// Full rows: as many as the run holds within the slab.
+			rows := min(int((e-s)/m.rowLen), m.slabRows-row%m.slabRows)
+			m.add(fn, row, row+rows-1, 0, int(m.rowLen)-1)
+			s += uint64(rows) * m.rowLen
 		}
-		return true
+		return !m.stopped
 	})
+	m.flush(fn)
+}
+
+// rectMerger grows IterateRects' rectangles down the rows of a bitmap of
+// rank 2 or more. Rows are numbered in cell order; a slab is slabRows
+// consecutive rows that differ only in the second-to-last dimension, and
+// no rectangle crosses a slab boundary. open holds the rectangles that
+// reach row openEnd, and row the runs of rows rowAt..rowTo (more than one
+// row only for a block of full rows), each as (first column, last column,
+// first row) sorted by column. Its methods take IterateRects' fn rather
+// than keep it, so the caller's callback stays off the heap.
+type rectMerger struct {
+	b        *Bitmap
+	box      grid.Rect
+	rowLen   uint64
+	slabRows int
+	open     []int
+	row      []int
+	openEnd  int
+	rowAt    int
+	rowTo    int
+	stopped  bool
+}
+
+// add records the run c0..c1 of rows r0..r1, finishing the rows before.
+func (m *rectMerger) add(fn func(grid.Rect) bool, r0, r1, c0, c1 int) {
+	if r0 != m.rowAt {
+		m.finishRow(fn)
+		m.rowAt, m.rowTo = r0, r1
+	}
+	m.row = append(m.row, c0, c1, r0)
+}
+
+// finishRow grows each open rectangle whose run the gathered rows repeat
+// right below it, and closes the others.
+func (m *rectMerger) finishRow(fn func(grid.Rect) bool) {
+	if len(m.row) == 0 {
+		return
+	}
+	// At rank 2 the one slab holds every row, so only a rank above it
+	// pays for the boundary test.
+	below := m.rowAt == m.openEnd+1 && (len(m.box.Lo) == 2 || m.rowAt%m.slabRows != 0)
+	i := 0
+	for k := 0; k < len(m.row); k += 3 {
+		for below && i < len(m.open) && m.open[i] <= m.row[k] {
+			c0, c1, r0 := m.open[i], m.open[i+1], m.open[i+2]
+			i += 3
+			if c0 == m.row[k] && c1 == m.row[k+1] {
+				m.row[k+2] = r0
+				break
+			}
+			m.emit(fn, c0, c1, r0)
+		}
+	}
+	for ; i < len(m.open); i += 3 {
+		m.emit(fn, m.open[i], m.open[i+1], m.open[i+2])
+	}
+	m.open, m.row = m.row, m.open[:0]
+	m.openEnd = m.rowTo
+}
+
+// emit hands fn the rectangle of columns c0..c1 and rows r0..openEnd.
+func (m *rectMerger) emit(fn func(grid.Rect) bool, c0, c1, r0 int) {
+	if m.stopped {
+		return
+	}
+	lo, hi := m.box.Lo, m.box.Hi
+	last := len(lo) - 1
+	if last == 1 {
+		lo[0], hi[0] = r0, m.openEnd
+	} else {
+		m.b.space.UnravelInto(uint64(r0)*m.rowLen, lo)
+		m.b.space.UnravelInto(uint64(m.openEnd)*m.rowLen, hi)
+	}
+	lo[last], hi[last] = c0, c1
+	m.stopped = !fn(m.box)
+}
+
+// flush closes every rectangle and hands the storage back to the bitmap.
+func (m *rectMerger) flush(fn func(grid.Rect) bool) {
+	m.finishRow(fn)
+	for i := 0; i < len(m.open); i += 3 {
+		m.emit(fn, m.open[i], m.open[i+1], m.open[i+2])
+	}
+	m.b.open, m.b.row = m.open[:0], m.row[:0]
 }

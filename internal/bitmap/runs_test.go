@@ -150,7 +150,7 @@ func TestIterateRectsExactCover(t *testing.T) {
 		dims := shapes[trial%len(shapes)]
 		sp := grid.NewSpace(grid.Shape(dims))
 		b := New(sp)
-		switch trial % 3 {
+		switch trial % 5 {
 		case 0:
 			for i := 0; i < rng.Intn(50); i++ {
 				b.Set(uint64(rng.Intn(int(sp.Size()))))
@@ -159,6 +159,31 @@ func TestIterateRectsExactCover(t *testing.T) {
 			b.SetRun(uint64(rng.Intn(int(sp.Size()))), uint64(1+rng.Intn(int(sp.Size()))))
 		case 2:
 			b.SetAll()
+		case 3:
+			// Bars: runs repeated down consecutive rows, which grow into
+			// tall rectangles, overlapping each other and slab edges.
+			rowLen := dims[len(dims)-1]
+			rows := int(sp.Size()) / rowLen
+			for i := 0; i < 1+rng.Intn(6); i++ {
+				r0, c0 := rng.Intn(rows), rng.Intn(rowLen)
+				r1, c1 := min(rows-1, r0+rng.Intn(rows)), min(rowLen-1, c0+rng.Intn(4))
+				for r := r0; r <= r1; r++ {
+					b.SetRun(uint64(r*rowLen+c0), uint64(c1-c0+1))
+				}
+			}
+		case 4:
+			// The same scattered row pattern in every row of a band.
+			rowLen := dims[len(dims)-1]
+			rows := int(sp.Size()) / rowLen
+			pattern := rng.Uint64()
+			r0 := rng.Intn(rows)
+			for r := r0; r < min(rows, r0+1+rng.Intn(rows)); r++ {
+				for c := 0; c < rowLen; c++ {
+					if pattern>>(c%64)&1 != 0 {
+						b.Set(uint64(r*rowLen + c))
+					}
+				}
+			}
 		}
 		cover := New(sp)
 		b.IterateRects(func(r grid.Rect) bool {
@@ -179,6 +204,43 @@ func TestIterateRectsExactCover(t *testing.T) {
 			}
 			return true
 		})
+	}
+}
+
+// Runs repeated down the rows grow into one rectangle each, within a slab:
+// a column is one rectangle, not one per row.
+func TestIterateRectsGrowsDownRows(t *testing.T) {
+	count := func(b *Bitmap) (n int) {
+		b.IterateRects(func(grid.Rect) bool { n++; return true })
+		return n
+	}
+	b := New(space(3660, 30))
+	for r := 0; r < 3660; r++ {
+		for _, c := range []int{2, 9, 10, 17} {
+			b.Set(uint64(r*30 + c))
+		}
+	}
+	if n := count(b); n != 3 {
+		t.Fatalf("three columns decomposed into %d rects, want 3", n)
+	}
+	// A zigzag repeats no run in the next row: one rectangle per row.
+	z := New(space(100, 4))
+	for r := 0; r < 100; r++ {
+		z.Set(uint64(r*4 + 1 + r%2))
+	}
+	if n := count(z); n != 100 {
+		t.Fatalf("zigzag decomposed into %d rects, want 100", n)
+	}
+	// A rank-3 column crosses slabs of the second-to-last dimension, so
+	// it is one rectangle per slab.
+	c := New(grid.NewSpace(grid.Shape{4, 5, 6}))
+	for i := 0; i < 4; i++ {
+		for j := 0; j < 5; j++ {
+			c.Set(uint64(i*30 + j*6 + 3))
+		}
+	}
+	if n := count(c); n != 4 {
+		t.Fatalf("rank-3 column decomposed into %d rects, want 4", n)
 	}
 }
 
@@ -243,6 +305,77 @@ func TestWordParallelOpsAllocFree(t *testing.T) {
 	}); n > 0 {
 		t.Fatalf("IterateRuns allocates %.1f/op", n)
 	}
+	// The rect-mapped query step: a rectangle per row of a column-shaped
+	// set, each set back through a scratch rectangle.
+	b := New(space(1000, 1000))
+	for row := uint64(0); row < 1000; row += 3 {
+		b.Set(row*1000 + 7)
+	}
+	dst := a.ScratchRect()
+	if n := testing.AllocsPerRun(10, func() {
+		b.IterateRects(func(r grid.Rect) bool {
+			copy(dst.Lo, r.Lo)
+			copy(dst.Hi, r.Hi)
+			dst.Hi[1] += 2
+			a.SetRect(dst)
+			return true
+		})
+	}); n > 0 {
+		t.Fatalf("IterateRects into SetRect allocates %.1f/op", n)
+	}
+}
+
+// SetRect against a per-cell loop at ranks 1–3, with rectangles that
+// overhang the shape on either side, over pre-set noise.
+func TestSetRectMatchesSetLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	shapes := [][]int{{70}, {9, 11}, {6, 64}, {4, 5, 7}, {3, 2, 64}}
+	for trial := 0; trial < 600; trial++ {
+		dims := shapes[trial%len(shapes)]
+		sp := grid.NewSpace(grid.Shape(dims))
+		a, b := New(sp), New(sp)
+		for i := 0; i < rng.Intn(30); i++ {
+			c := uint64(rng.Intn(int(sp.Size())))
+			a.Set(c)
+			b.Set(c)
+		}
+		r := grid.Rect{Lo: make(grid.Coord, len(dims)), Hi: make(grid.Coord, len(dims))}
+		for d, n := range dims {
+			r.Lo[d] = rng.Intn(n+4) - 2
+			r.Hi[d] = r.Lo[d] + rng.Intn(n+2) - 1
+		}
+		var want uint64
+		coord := make(grid.Coord, len(dims))
+		for c := uint64(0); c < sp.Size(); c++ {
+			if sp.UnravelInto(c, coord); r.Contains(coord) && a.Set(c) {
+				want++
+			}
+		}
+		if got := b.SetRect(r); got != want || b.Count() != a.Count() {
+			t.Fatalf("trial %d: SetRect(%v) over %v added %d (count %d), want %d (count %d)",
+				trial, r, dims, got, b.Count(), want, a.Count())
+		}
+	}
+}
+
+func TestComplementIn(t *testing.T) {
+	sp := space(7, 19)
+	a, b := New(sp), New(sp)
+	a.SetRun(3, 100)
+	b.SetRun(50, 80)
+	b.Set(1)
+	b.ComplementIn(a)
+	want := New(sp)
+	want.SetRun(3, 47)
+	if b.Count() != want.Count() {
+		t.Fatalf("ComplementIn left %d cells, want %d", b.Count(), want.Count())
+	}
+	want.Iterate(func(idx uint64) bool {
+		if !b.Get(idx) {
+			t.Fatalf("ComplementIn lost cell %d", idx)
+		}
+		return true
+	})
 }
 
 func BenchmarkSetRun(b *testing.B) {

@@ -248,18 +248,23 @@ func (r Rect) Intersects(o Rect) bool {
 // false if the intersection is empty.
 func (r Rect) Clip(s Shape) (Rect, bool) {
 	c := Rect{Lo: r.Lo.Clone(), Hi: r.Hi.Clone()}
-	for d := range c.Lo {
-		if c.Lo[d] < 0 {
-			c.Lo[d] = 0
-		}
-		if c.Hi[d] > s[d]-1 {
-			c.Hi[d] = s[d] - 1
-		}
-		if c.Lo[d] > c.Hi[d] {
-			return Rect{}, false
-		}
+	if !c.Clamp(s) {
+		return Rect{}, false
 	}
 	return c, true
+}
+
+// Clamp clips the rectangle to the bounds of the shape in place — it
+// writes r's Lo and Hi — and reports whether any cell is left. Unlike Clip
+// it allocates nothing.
+func (r Rect) Clamp(s Shape) bool {
+	for d := range r.Lo {
+		r.Lo[d], r.Hi[d] = max(r.Lo[d], 0), min(r.Hi[d], s[d]-1)
+		if r.Lo[d] > r.Hi[d] {
+			return false
+		}
+	}
+	return true
 }
 
 // Equal reports whether two rectangles have identical bounds.
@@ -269,23 +274,25 @@ func (r Rect) String() string { return fmt.Sprintf("[%v..%v]", []int(r.Lo), []in
 
 // Cells appends the linear indices of every cell in the rectangle to dst
 // and returns the extended slice; indices are produced in ascending order.
+// It allocates only when dst must grow.
 func (r Rect) Cells(sp *Space, dst []uint64) []uint64 {
-	cur := r.Lo.Clone()
-	for {
-		dst = append(dst, sp.Ravel(cur))
-		d := len(cur) - 1
-		for d >= 0 {
-			cur[d]++
-			if cur[d] <= r.Hi[d] {
-				break
-			}
-			cur[d] = r.Lo[d]
-			d--
+	return sp.appendBox(r.Lo, r.Hi, 0, 0, dst)
+}
+
+// appendBox appends the cells of the box [lo, hi] whose coordinates before
+// dimension d are fixed in base, row by row: along the last dimension, whose
+// stride is 1, a row is consecutive indices.
+func (sp *Space) appendBox(lo, hi Coord, d int, base uint64, dst []uint64) []uint64 {
+	if d == len(lo)-1 {
+		for x := lo[d]; x <= hi[d]; x++ {
+			dst = append(dst, base+uint64(x))
 		}
-		if d < 0 {
-			return dst
-		}
+		return dst
 	}
+	for x := lo[d]; x <= hi[d]; x++ {
+		dst = sp.appendBox(lo, hi, d+1, base+uint64(x)*sp.strides[d], dst)
+	}
+	return dst
 }
 
 // BoundingBox returns the smallest rectangle covering the given linear
@@ -323,22 +330,30 @@ func AppendBoundingBox(dst []int, sp *Space, cells []uint64) ([]int, bool) {
 	return dst[:off+2*r], true
 }
 
+// stackRank is the largest rank whose box corners Neighborhood keeps in a
+// stack array; higher ranks allocate them.
+const stackRank = 4
+
 // Neighborhood appends the linear indices of all cells within Chebyshev
 // distance radius of center (clipped to the space bounds) to dst and
 // returns the extended slice. With radius 0 it appends only the center.
 // This is the access pattern of local image operators such as convolution
-// and the paper's cosmic-ray detector.
+// and the paper's cosmic-ray detector. Up to rank 4 it allocates only when
+// dst must grow.
 func Neighborhood(sp *Space, center Coord, radius int, dst []uint64) []uint64 {
-	r := Rect{Lo: center.Clone(), Hi: center.Clone()}
-	for d := range r.Lo {
-		r.Lo[d] -= radius
-		r.Hi[d] += radius
+	var corners [2 * stackRank]int
+	box := corners[:]
+	if len(center) > stackRank {
+		box = make([]int, 2*len(center))
 	}
-	clipped, ok := r.Clip(sp.Shape())
-	if !ok {
+	lo, hi := Coord(box[:len(center)]), Coord(box[len(center):2*len(center)])
+	for d, c := range center {
+		lo[d], hi[d] = c-radius, c+radius
+	}
+	if !(Rect{Lo: lo, Hi: hi}).Clamp(sp.shape) {
 		return dst
 	}
-	return clipped.Cells(sp, dst)
+	return sp.appendBox(lo, hi, 0, 0, dst)
 }
 
 // SortCells sorts a slice of linear indices in ascending order and removes

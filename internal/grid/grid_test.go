@@ -229,6 +229,41 @@ func TestNeighborhood(t *testing.T) {
 	}
 }
 
+// Neighborhood and Rect.Cells run per flagged pixel on the capture side
+// and per cell in payload and derived mappings: into a buffer with room
+// they allocate nothing, at any rank the stack corners hold.
+func TestNeighborhoodAllocFree(t *testing.T) {
+	sp := NewSpace(Shape{512, 2000})
+	buf := make([]uint64, 0, 64)
+	if allocs := testing.AllocsPerRun(100, func() { buf = Neighborhood(sp, Coord{0, 1999}, 3, buf[:0]) }); allocs != 0 {
+		t.Fatalf("Neighborhood allocates %.1f/op, want 0", allocs)
+	}
+	sp4 := NewSpace(Shape{3, 4, 5, 6})
+	if allocs := testing.AllocsPerRun(100, func() { buf = Neighborhood(sp4, Coord{1, 2, 3, 4}, 1, buf[:0]) }); allocs != 0 {
+		t.Fatalf("rank-4 Neighborhood allocates %.1f/op, want 0", allocs)
+	}
+	r := Rect{Lo: Coord{1, 2}, Hi: Coord{5, 9}}
+	if allocs := testing.AllocsPerRun(100, func() { buf = r.Cells(sp, buf[:0]) }); allocs != 0 {
+		t.Fatalf("Rect.Cells allocates %.1f/op, want 0", allocs)
+	}
+	// Above the stack rank the corners come from the heap, and the answer
+	// is unchanged.
+	sp5 := NewSpace(Shape{3, 3, 3, 3, 3})
+	if got := Neighborhood(sp5, Coord{1, 1, 1, 1, 1}, 1, nil); len(got) != 243 {
+		t.Fatalf("rank-5 neighborhood has %d cells, want 243", len(got))
+	}
+}
+
+func TestRectClamp(t *testing.T) {
+	r := Rect{Lo: Coord{-2, 3}, Hi: Coord{4, 12}}
+	if !r.Clamp(Shape{3, 10}) || !r.Equal(Rect{Lo: Coord{0, 3}, Hi: Coord{2, 9}}) {
+		t.Fatalf("Clamp = %v", r)
+	}
+	if (Rect{Lo: Coord{0, 10}, Hi: Coord{2, 12}}).Clamp(Shape{3, 10}) {
+		t.Fatal("Clamp kept a rectangle past the shape")
+	}
+}
+
 func TestSortCells(t *testing.T) {
 	cells := []uint64{5, 1, 5, 3, 1, 9}
 	got := SortCells(cells)

@@ -324,12 +324,25 @@ func TestManagerPersistenceAcrossReopen(t *testing.T) {
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// Sidecars an earlier build wrote beside the log go at start; the log
+	// stays.
+	sidecars := []string{sanitize("astro/crd") + ".log.meta", sanitize("astro/crd") + ".log.meta.tmp"}
+	for _, name := range sidecars {
+		if err := os.WriteFile(filepath.Join(root, name), []byte("stale"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	m2, err := NewManager(root, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m2.Close()
+	for _, name := range sidecars {
+		if _, err := os.Stat(filepath.Join(root, name)); !os.IsNotExist(err) {
+			t.Fatalf("stale sidecar %s survived NewManager: %v", name, err)
+		}
+	}
 	s2, _ := m2.Open("astro/crd")
 	v, ok, err := lookup(s2, []byte("pair-1"))
 	if err != nil || !ok || string(v) != "lineage" {

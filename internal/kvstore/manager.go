@@ -27,10 +27,23 @@ type Manager struct {
 // created and stores persist there as one log file per namespace;
 // otherwise stores are in-memory. Every store the manager opens counts its
 // operations into kv; a nil kv counts nothing.
+//
+// Earlier builds kept a metadata sidecar (".meta", written through
+// ".meta.tmp") beside each log. Nothing reads them now and dropping a
+// namespace removes only its log, so NewManager removes any left under
+// root.
 func NewManager(root string, kv *obs.KVObs) (*Manager, error) {
 	if root != "" {
 		if err := os.MkdirAll(root, 0o755); err != nil {
 			return nil, fmt.Errorf("kvstore: create root %s: %w", root, err)
+		}
+		for _, pattern := range []string{"*.meta", "*.meta.tmp"} {
+			stale, _ := filepath.Glob(filepath.Join(root, pattern)) // the patterns are well-formed
+			for _, path := range stale {
+				if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+					return nil, fmt.Errorf("kvstore: remove stale sidecar: %w", err)
+				}
+			}
 		}
 	}
 	return &Manager{root: root, stores: make(map[string]Store), kv: kv}, nil

@@ -89,17 +89,10 @@ func (r *Reduce) Run(rc *workflow.RunCtx, ins []*array.Array) (*array.Array, err
 	return out, nil
 }
 
-// MapB implements BackwardMapper: the single output depends on everything.
-func (r *Reduce) MapB(mc *workflow.MapCtx, _ uint64, _ int, dst []uint64) []uint64 {
-	for idx := uint64(0); idx < mc.InSpaces[0].Size(); idx++ {
-		dst = append(dst, idx)
-	}
-	return dst
-}
-
-// MapF implements ForwardMapper: every input feeds the single output.
-func (r *Reduce) MapF(_ *workflow.MapCtx, _ uint64, _ int, dst []uint64) []uint64 {
-	return append(dst, 0)
+// Cover implements Geometry: the single output depends on everything, and
+// every input feeds it.
+func (r *Reduce) Cover(mc *workflow.MapCtx, backward bool, _ grid.Rect, _ int, dst grid.Rect) bool {
+	return whole(mc.DstSpace(backward, 0), dst)
 }
 
 // AllToAll implements the entire-array annotation.
@@ -162,20 +155,10 @@ func (c *ColReduce) Run(rc *workflow.RunCtx, ins []*array.Array) (*array.Array, 
 	return out, nil
 }
 
-// MapB implements BackwardMapper: output (0,j) depends on column j.
-func (c *ColReduce) MapB(mc *workflow.MapCtx, out uint64, _ int, dst []uint64) []uint64 {
-	j := mc.OutCoord(out)[1]
-	rows := mc.InSpaces[0].Shape()[0]
-	for i := 0; i < rows; i++ {
-		dst = append(dst, mc.InSpaces[0].Ravel(grid.Coord{i, j}))
-	}
-	return dst
-}
-
-// MapF implements ForwardMapper: input (i,j) feeds output (0,j).
-func (c *ColReduce) MapF(mc *workflow.MapCtx, in uint64, _ int, dst []uint64) []uint64 {
-	j := mc.InCoord(0, in)[1]
-	return append(dst, mc.OutSpace.Ravel(grid.Coord{0, j}))
+// Cover implements Geometry: output (0,j) depends on column j, and input
+// (i,j) feeds output (0,j).
+func (c *ColReduce) Cover(mc *workflow.MapCtx, backward bool, src grid.Rect, _ int, dst grid.Rect) bool {
+	return band(mc.DstSpace(backward, 0), 1, src, dst)
 }
 
 // ColCenter subtracts a per-column statistic (input 1, shaped 1×n) from
@@ -220,26 +203,13 @@ func (c *ColCenter) Run(rc *workflow.RunCtx, ins []*array.Array) (*array.Array, 
 	return out, nil
 }
 
-// MapB implements BackwardMapper.
-func (c *ColCenter) MapB(mc *workflow.MapCtx, out uint64, inputIdx int, dst []uint64) []uint64 {
+// Cover implements Geometry: the same cells of input 0; output (i,j)
+// reads statistic (0,j), which feeds all of column j.
+func (c *ColCenter) Cover(mc *workflow.MapCtx, backward bool, src grid.Rect, inputIdx int, dst grid.Rect) bool {
 	if inputIdx == 0 {
-		return identityMap(out, dst)
+		return identity(src, dst)
 	}
-	j := mc.OutCoord(out)[1]
-	return append(dst, mc.InSpaces[1].Ravel(grid.Coord{0, j}))
-}
-
-// MapF implements ForwardMapper.
-func (c *ColCenter) MapF(mc *workflow.MapCtx, in uint64, inputIdx int, dst []uint64) []uint64 {
-	if inputIdx == 0 {
-		return identityMap(in, dst)
-	}
-	j := mc.InCoord(1, in)[1]
-	rows := mc.OutSpace.Shape()[0]
-	for i := 0; i < rows; i++ {
-		dst = append(dst, mc.OutSpace.Ravel(grid.Coord{i, j}))
-	}
-	return dst
+	return band(mc.DstSpace(backward, 1), 1, src, dst)
 }
 
 // EntireArraySafe: the aggregate is all-to-all, trivially full-preserving.

@@ -50,16 +50,12 @@ func (t *Transpose) Run(rc *workflow.RunCtx, ins []*array.Array) (*array.Array, 
 	return out, nil
 }
 
-// MapB implements BackwardMapper.
-func (t *Transpose) MapB(mc *workflow.MapCtx, out uint64, _ int, dst []uint64) []uint64 {
-	c := mc.OutCoord(out)
-	return append(dst, mc.InSpaces[0].Ravel(grid.Coord{c[1], c[0]}))
-}
-
-// MapF implements ForwardMapper.
-func (t *Transpose) MapF(mc *workflow.MapCtx, in uint64, _ int, dst []uint64) []uint64 {
-	c := mc.InCoord(0, in)
-	return append(dst, mc.OutSpace.Ravel(grid.Coord{c[1], c[0]}))
+// Cover implements Geometry: the rectangle with its dimensions swapped,
+// both ways.
+func (t *Transpose) Cover(_ *workflow.MapCtx, _ bool, src grid.Rect, _ int, dst grid.Rect) bool {
+	dst.Lo[0], dst.Lo[1] = src.Lo[1], src.Lo[0]
+	dst.Hi[0], dst.Hi[1] = src.Hi[1], src.Hi[0]
+	return true
 }
 
 // ---------------------------------------------------------------------
@@ -112,42 +108,12 @@ func (m *MatMul) Run(rc *workflow.RunCtx, ins []*array.Array) (*array.Array, err
 	return out, nil
 }
 
-// MapB implements BackwardMapper: row i of A, column j of B.
-func (m *MatMul) MapB(mc *workflow.MapCtx, out uint64, inputIdx int, dst []uint64) []uint64 {
-	c := mc.OutCoord(out)
-	i, j := c[0], c[1]
-	if inputIdx == 0 {
-		cols := mc.InSpaces[0].Shape()[1]
-		for k := 0; k < cols; k++ {
-			dst = append(dst, mc.InSpaces[0].Ravel(grid.Coord{i, k}))
-		}
-		return dst
-	}
-	rows := mc.InSpaces[1].Shape()[0]
-	for k := 0; k < rows; k++ {
-		dst = append(dst, mc.InSpaces[1].Ravel(grid.Coord{k, j}))
-	}
-	return dst
-}
-
-// MapF implements ForwardMapper: A(i,k) influences row i; B(k,j) influences
-// column j.
-func (m *MatMul) MapF(mc *workflow.MapCtx, in uint64, inputIdx int, dst []uint64) []uint64 {
-	c := mc.InCoord(inputIdx, in)
-	if inputIdx == 0 {
-		i := c[0]
-		cols := mc.OutSpace.Shape()[1]
-		for j := 0; j < cols; j++ {
-			dst = append(dst, mc.OutSpace.Ravel(grid.Coord{i, j}))
-		}
-		return dst
-	}
-	j := c[1]
-	rows := mc.OutSpace.Shape()[0]
-	for i := 0; i < rows; i++ {
-		dst = append(dst, mc.OutSpace.Ravel(grid.Coord{i, j}))
-	}
-	return dst
+// Cover implements Geometry: output rows read the same rows of A and
+// output columns the same columns of B, across the inner dimension;
+// forward, A's rows feed whole output rows and B's columns whole output
+// columns.
+func (m *MatMul) Cover(mc *workflow.MapCtx, backward bool, src grid.Rect, inputIdx int, dst grid.Rect) bool {
+	return band(mc.DstSpace(backward, inputIdx), inputIdx, src, dst)
 }
 
 // ---------------------------------------------------------------------
@@ -228,14 +194,13 @@ func clamp(v, n int) int {
 	return v
 }
 
-// MapB implements BackwardMapper: the clipped radius-r neighborhood.
-func (c *Convolve2D) MapB(mc *workflow.MapCtx, out uint64, _ int, dst []uint64) []uint64 {
-	return grid.Neighborhood(mc.InSpaces[0], mc.OutCoord(out), c.radius, dst)
-}
-
-// MapF implements ForwardMapper: by symmetry, the same neighborhood.
-func (c *Convolve2D) MapF(mc *workflow.MapCtx, in uint64, _ int, dst []uint64) []uint64 {
-	return grid.Neighborhood(mc.OutSpace, mc.InCoord(0, in), c.radius, dst)
+// Cover implements Geometry: the rectangle grown by the radius (the
+// caller clips it), both ways by symmetry.
+func (c *Convolve2D) Cover(_ *workflow.MapCtx, _ bool, src grid.Rect, _ int, dst grid.Rect) bool {
+	for d := range src.Lo {
+		dst.Lo[d], dst.Hi[d] = src.Lo[d]-c.radius, src.Hi[d]+c.radius
+	}
+	return true
 }
 
 // EntireArraySafe: transposition is a bijection on cells.

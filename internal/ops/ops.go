@@ -7,7 +7,9 @@
 // Every operator here supports Map lineage (zero storage, lineage computed
 // from coordinates) and Full lineage (region pairs synthesized from map_b
 // during tracing-mode re-execution, which is how black-box queries are
-// answered).
+// answered). All but Subsample declare their geometry once
+// (workflow.Geometry): the rectangle of cells the map sends a rectangle
+// to, from which the per-cell map_b and map_f are derived.
 package ops
 
 import (
@@ -33,7 +35,7 @@ func spacesOf(ins []*array.Array) []*grid.Space {
 
 // emitTracePairs synthesizes full region pairs from the operator's map_b
 // when the execution requests Full lineage (tracing mode).
-func emitTracePairs(rc *workflow.RunCtx, op workflow.BackwardMapper, out *array.Array, ins []*array.Array) error {
+func emitTracePairs(rc *workflow.RunCtx, op workflow.Operator, out *array.Array, ins []*array.Array) error {
 	if !rc.NeedsPairs() {
 		return nil
 	}
@@ -50,9 +52,31 @@ func requireSameShapes(ins []*array.Array) error {
 	return nil
 }
 
-// identityMapSameShape is the map_b/map_f of one-to-one operators: the
-// corresponding cell at the same coordinate.
-func identityMap(idx uint64, dst []uint64) []uint64 { return append(dst, idx) }
+// identity is the geometry of one-to-one operators: the cells at the same
+// coordinates.
+func identity(src, dst grid.Rect) bool {
+	for d := range src.Lo {
+		dst.Lo[d], dst.Hi[d] = src.Lo[d], src.Hi[d]
+	}
+	return true
+}
+
+// whole is the geometry of a map onto every cell of sp.
+func whole(sp *grid.Space, dst grid.Rect) bool {
+	for d, n := range sp.Shape() {
+		dst.Lo[d], dst.Hi[d] = 0, n-1
+	}
+	return true
+}
+
+// band is the geometry of a 2-D map that keeps the source's extent along
+// dimension keep and spans the other dimension of the destination sp.
+func band(sp *grid.Space, keep int, src, dst grid.Rect) bool {
+	span := 1 - keep
+	dst.Lo[keep], dst.Hi[keep] = src.Lo[keep], src.Hi[keep]
+	dst.Lo[span], dst.Hi[span] = 0, sp.Shape()[span]-1
+	return true
+}
 
 // ---------------------------------------------------------------------
 // Unary elementwise operators (one-to-one mapping operators).
@@ -89,14 +113,9 @@ func (u *Unary) Run(rc *workflow.RunCtx, ins []*array.Array) (*array.Array, erro
 	return out, nil
 }
 
-// MapB implements BackwardMapper.
-func (u *Unary) MapB(_ *workflow.MapCtx, out uint64, _ int, dst []uint64) []uint64 {
-	return identityMap(out, dst)
-}
-
-// MapF implements ForwardMapper.
-func (u *Unary) MapF(_ *workflow.MapCtx, in uint64, _ int, dst []uint64) []uint64 {
-	return identityMap(in, dst)
+// Cover implements Geometry: the same cells.
+func (u *Unary) Cover(_ *workflow.MapCtx, _ bool, src grid.Rect, _ int, dst grid.Rect) bool {
+	return identity(src, dst)
 }
 
 // ---------------------------------------------------------------------
@@ -142,14 +161,9 @@ func (b *Binary) Run(rc *workflow.RunCtx, ins []*array.Array) (*array.Array, err
 	return out, nil
 }
 
-// MapB implements BackwardMapper.
-func (b *Binary) MapB(_ *workflow.MapCtx, out uint64, _ int, dst []uint64) []uint64 {
-	return identityMap(out, dst)
-}
-
-// MapF implements ForwardMapper.
-func (b *Binary) MapF(_ *workflow.MapCtx, in uint64, _ int, dst []uint64) []uint64 {
-	return identityMap(in, dst)
+// Cover implements Geometry: the same cells of either input.
+func (b *Binary) Cover(_ *workflow.MapCtx, _ bool, src grid.Rect, _ int, dst grid.Rect) bool {
+	return identity(src, dst)
 }
 
 // ---------------------------------------------------------------------
@@ -198,23 +212,13 @@ func (b *Broadcast) Run(rc *workflow.RunCtx, ins []*array.Array) (*array.Array, 
 	return out, nil
 }
 
-// MapB implements BackwardMapper.
-func (b *Broadcast) MapB(_ *workflow.MapCtx, out uint64, inputIdx int, dst []uint64) []uint64 {
-	if inputIdx == 1 {
-		return append(dst, 0)
+// Cover implements Geometry: the same cells of input 0; every output cell
+// reads the scalar's one cell, and the scalar feeds the whole output.
+func (b *Broadcast) Cover(mc *workflow.MapCtx, backward bool, src grid.Rect, inputIdx int, dst grid.Rect) bool {
+	if inputIdx == 0 {
+		return identity(src, dst)
 	}
-	return identityMap(out, dst)
-}
-
-// MapF implements ForwardMapper.
-func (b *Broadcast) MapF(mc *workflow.MapCtx, in uint64, inputIdx int, dst []uint64) []uint64 {
-	if inputIdx == 1 {
-		for idx := uint64(0); idx < mc.OutSpace.Size(); idx++ {
-			dst = append(dst, idx)
-		}
-		return dst
-	}
-	return identityMap(in, dst)
+	return whole(mc.DstSpace(backward, 1), dst)
 }
 
 // EntireArraySafe: one-to-one operators map full arrays to full arrays in

@@ -77,7 +77,8 @@ func buildInputs(t *testing.T, shapes []grid.Shape) []*array.Array {
 
 // TestMappingDuality exhaustively checks that map_f and map_b are duals:
 // in ∈ map_b(out, i)  ⇔  out ∈ map_f(in, i), for every operator, cell,
-// and input.
+// and input — on the per-cell maps the executor uses, which are derived
+// from Cover for every operator that declares its geometry.
 func TestMappingDuality(t *testing.T) {
 	for _, tc := range allOpCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
@@ -91,15 +92,14 @@ func TestMappingDuality(t *testing.T) {
 				inSpaces[i] = grid.NewSpace(s)
 			}
 			mc := workflow.NewMapCtx(outSpace, inSpaces)
-			bm := tc.op.(workflow.BackwardMapper)
-			fm := tc.op.(workflow.ForwardMapper)
+			mapB, mapF := workflow.CellMap(tc.op, true), workflow.CellMap(tc.op, false)
 
 			for i := range tc.inShapes {
 				// backward[out] = set of ins; forward[in] = set of outs.
 				backward := make(map[uint64]map[uint64]bool)
 				for out := uint64(0); out < outSpace.Size(); out++ {
 					set := map[uint64]bool{}
-					for _, in := range bm.MapB(mc, out, i, nil) {
+					for _, in := range mapB(mc, out, i, nil) {
 						if in >= inSpaces[i].Size() {
 							t.Fatalf("MapB(%d, %d) out of range: %d", out, i, in)
 						}
@@ -109,7 +109,7 @@ func TestMappingDuality(t *testing.T) {
 				}
 				for in := uint64(0); in < inSpaces[i].Size(); in++ {
 					fwd := map[uint64]bool{}
-					for _, out := range fm.MapF(mc, in, i, nil) {
+					for _, out := range mapF(mc, in, i, nil) {
 						if out >= outSpace.Size() {
 							t.Fatalf("MapF(%d, %d) out of range: %d", in, i, out)
 						}
@@ -142,7 +142,7 @@ func TestTracePairsMatchMapping(t *testing.T) {
 			outSpace := grid.NewSpace(outShape)
 			inSpaces := spacesOf(ins)
 			mc := workflow.NewMapCtx(outSpace, inSpaces)
-			bm := tc.op.(workflow.BackwardMapper)
+			mapB := workflow.CellMap(tc.op, true)
 
 			traced := make([]map[uint64]map[uint64]bool, len(ins))
 			for i := range traced {
@@ -172,7 +172,7 @@ func TestTracePairsMatchMapping(t *testing.T) {
 			for i := range ins {
 				for out := uint64(0); out < outSpace.Size(); out++ {
 					want := map[uint64]bool{}
-					for _, in := range bm.MapB(mc, out, i, nil) {
+					for _, in := range mapB(mc, out, i, nil) {
 						want[in] = true
 					}
 					got := traced[i][out]

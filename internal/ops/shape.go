@@ -72,28 +72,22 @@ func (s *SliceRect) Run(rc *workflow.RunCtx, ins []*array.Array) (*array.Array, 
 	return out, nil
 }
 
-// MapB implements BackwardMapper.
-func (s *SliceRect) MapB(mc *workflow.MapCtx, out uint64, _ int, dst []uint64) []uint64 {
-	c := mc.OutCoord(out)
-	src := make(grid.Coord, len(c))
-	for d := range c {
-		src[d] = c[d] + s.Window.Lo[d]
+// Cover implements Geometry: a shift by the window's low corner; forward,
+// cells outside the window have no descendants.
+func (s *SliceRect) Cover(_ *workflow.MapCtx, backward bool, src grid.Rect, _ int, dst grid.Rect) bool {
+	w := s.Window
+	for d := range src.Lo {
+		if backward {
+			dst.Lo[d], dst.Hi[d] = src.Lo[d]+w.Lo[d], src.Hi[d]+w.Lo[d]
+			continue
+		}
+		lo, hi := max(src.Lo[d], w.Lo[d]), min(src.Hi[d], w.Hi[d])
+		if lo > hi {
+			return false
+		}
+		dst.Lo[d], dst.Hi[d] = lo-w.Lo[d], hi-w.Lo[d]
 	}
-	return append(dst, mc.InSpaces[0].Ravel(src))
-}
-
-// MapF implements ForwardMapper: cells outside the window have no
-// descendants.
-func (s *SliceRect) MapF(mc *workflow.MapCtx, in uint64, _ int, dst []uint64) []uint64 {
-	c := mc.InCoord(0, in)
-	if !s.Window.Contains(c) {
-		return dst
-	}
-	shifted := make(grid.Coord, len(c))
-	for d := range c {
-		shifted[d] = c[d] - s.Window.Lo[d]
-	}
-	return append(dst, mc.OutSpace.Ravel(shifted))
+	return true
 }
 
 // ---------------------------------------------------------------------
@@ -249,34 +243,27 @@ func (c *Concat) Run(rc *workflow.RunCtx, ins []*array.Array) (*array.Array, err
 	return out, nil
 }
 
-// MapB implements BackwardMapper.
-func (c *Concat) MapB(mc *workflow.MapCtx, out uint64, inputIdx int, dst []uint64) []uint64 {
-	coord := mc.OutCoord(out)
-	split := mc.InSpaces[0].Shape()[c.Axis]
-	src := make(grid.Coord, len(coord))
-	copy(src, coord)
-	if coord[c.Axis] < split {
-		if inputIdx != 0 {
-			return dst
-		}
-		return append(dst, mc.InSpaces[0].Ravel(src))
-	}
-	if inputIdx != 1 {
-		return dst
-	}
-	src[c.Axis] -= split
-	return append(dst, mc.InSpaces[1].Ravel(src))
-}
-
-// MapF implements ForwardMapper.
-func (c *Concat) MapF(mc *workflow.MapCtx, in uint64, inputIdx int, dst []uint64) []uint64 {
-	coord := mc.InCoord(inputIdx, in)
-	shifted := make(grid.Coord, len(coord))
-	copy(shifted, coord)
+// Cover implements Geometry: input 1's cells sit past input 0's along the
+// axis; backward, only the part of src on input inputIdx's side maps.
+func (c *Concat) Cover(mc *workflow.MapCtx, backward bool, src grid.Rect, inputIdx int, dst grid.Rect) bool {
+	a, split := c.Axis, mc.InSpaces[0].Shape()[c.Axis]
+	off := 0
 	if inputIdx == 1 {
-		shifted[c.Axis] += mc.InSpaces[0].Shape()[c.Axis]
+		off = split
 	}
-	return append(dst, mc.OutSpace.Ravel(shifted))
+	identity(src, dst)
+	if !backward {
+		dst.Lo[a], dst.Hi[a] = src.Lo[a]+off, src.Hi[a]+off
+		return true
+	}
+	lo, hi := src.Lo[a], src.Hi[a]
+	if inputIdx == 0 {
+		hi = min(hi, split-1)
+	} else {
+		lo = max(lo, split)
+	}
+	dst.Lo[a], dst.Hi[a] = lo-off, hi-off
+	return lo <= hi
 }
 
 // EntireArraySafe: a full input covers the whole window (forward), but a

@@ -82,16 +82,25 @@ func storeCost(d Direction, store *lineage.Store, n time.Duration, matched bool)
 	return cost
 }
 
-// probeMapFan estimates the per-cell fan of a mapping function by invoking
-// it on one sample query cell — mapping functions are pure and cheap, so a
-// single probe is an adequate estimator for the cost model.
-func probeMapFan(mapper cellMapFn, mc *workflow.MapCtx, inputIdx int, cur *bitmap.Bitmap) float64 {
+// probeMapFan estimates the per-cell fan of a mapping function by mapping
+// one sample query cell — mapping functions are pure and cheap, so a
+// single probe is an adequate estimator for the cost model. A declared
+// geometry is probed through CoverCell on the step bitmaps' scratch, so
+// it needs no private MapCtx.
+func probeMapFan(d Direction, node *workflow.Node, maps *stepMaps, inputIdx int, cur, next *bitmap.Bitmap) float64 {
 	if cur.Empty() {
 		return 1
 	}
 	var sample uint64
 	cur.Iterate(func(c uint64) bool { sample = c; return false })
-	if out := mapper(mc, sample, inputIdx, nil); len(out) > 0 {
+	if maps.geom != nil {
+		dst := next.ScratchRect()
+		if workflow.CoverCell(maps.geom, maps.shared, d == Backward, sample, inputIdx, cur.ScratchRect().Lo, dst) {
+			return float64(dst.Area())
+		}
+		return 1
+	}
+	if out := cellMapper(d, node)(maps.private(), sample, inputIdx, nil); len(out) > 0 {
 		return float64(len(out))
 	}
 	return 1

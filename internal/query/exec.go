@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"subzero/internal/bitmap"
+	"subzero/internal/grid"
 	"subzero/internal/lineage"
 	"subzero/internal/obs"
 	"subzero/internal/trace"
@@ -61,21 +62,31 @@ func (c candidate) label(fellBack bool) string {
 	return s
 }
 
-// cellMapFn is the shape workflow.BackwardMapper.MapB and
-// workflow.ForwardMapper.MapF share.
-type cellMapFn func(mc *workflow.MapCtx, cell uint64, inputIdx int, dst []uint64) []uint64
+// stepMaps is how a step reaches the operator's maps. geom is its declared
+// Geometry (nil when it has none), which reads the run-wide MapCtx's
+// geometry alone. Per-cell and payload maps also write the context's
+// coordinate scratch, which concurrent queries (QueryBatch) must not
+// share, so they run on a private clone, made the first time the step
+// needs it: a rect-mapped step, a plain store lookup or a re-execution
+// clones nothing.
+type stepMaps struct {
+	geom        workflow.Geometry
+	shared, own *workflow.MapCtx
+}
 
-// cellMapper resolves the operator's mapping function for a direction, nil
-// when it has none.
-func cellMapper(d Direction, node *workflow.Node) cellMapFn {
-	if d == Backward {
-		if m, ok := node.Op.(workflow.BackwardMapper); ok {
-			return m.MapB
-		}
-	} else if m, ok := node.Op.(workflow.ForwardMapper); ok {
-		return m.MapF
+// private returns the step's own MapCtx, cloning the run-wide one on first
+// use.
+func (m *stepMaps) private() *workflow.MapCtx {
+	if m.own == nil {
+		m.own = m.shared.Clone()
 	}
-	return nil
+	return m.own
+}
+
+// cellMapper resolves the operator's per-cell map for a direction, nil when
+// it has none.
+func cellMapper(d Direction, node *workflow.Node) workflow.CellMapFn {
+	return workflow.CellMap(node.Op, d == Backward)
 }
 
 // executeStep resolves one path step, returning the report and the next
@@ -95,10 +106,8 @@ func (e *Executor) executeStep(ctx context.Context, d Direction, st Step, cur *b
 		return report, nil, err
 	}
 	next := stepPool.Get(destSpace)
-	// The run-wide MapCtx carries shared coordinate scratch; concurrent
-	// queries (QueryBatch) must not share it, so each step works on a
-	// private clone.
-	mc = mc.Clone()
+	maps := stepMaps{shared: mc}
+	maps.geom, _ = node.Op.(workflow.Geometry)
 	start := time.Now()
 	// The step span keeps class "other" only if the step fails; finishStep
 	// sets the class of the access path that answered it.
@@ -132,7 +141,7 @@ func (e *Executor) executeStep(ctx context.Context, d Direction, st Step, cur *b
 	opStats := e.stats.Get(st.Node)
 	reexecCost := reexecEstimate(&opStats, mc)
 	var candBuf [4]candidate // map, two stores, re-execution: the usual step stays off the heap
-	cands := e.candidates(candBuf[:0], d, st, node, mc, cur, report.InCells, reexecCost)
+	cands := e.candidates(candBuf[:0], d, st, node, &maps, cur, next, report.InCells, reexecCost)
 	e.endSpan(psp, obs.SpanProbe, probeStart)
 	chosen := cands[0]
 	if e.opts.Dynamic {
@@ -155,7 +164,7 @@ func (e *Executor) executeStep(ctx context.Context, d Direction, st Step, cur *b
 		deadline := start.Add(reexecCost)
 		abort = func() bool { return next.Full() || time.Now().After(deadline) }
 	}
-	conservative, runErr := e.runCandidate(ctx, ssp, chosen, d, st, node, mc, cur, next, abort)
+	conservative, runErr := e.runCandidate(ctx, ssp, chosen, d, st, node, &maps, cur, next, abort)
 
 	if runErr != nil {
 		corrupt := errors.Is(runErr, lineage.ErrCorrupt)
@@ -236,19 +245,20 @@ func (e *Executor) failStep(sp *trace.Span, r StepReport, next *bitmap.Bitmap, e
 // static preference order: mapping functions, then composite, then
 // orientation-matched stores, then mismatched stores, then re-execution.
 // n is the query cell count.
-func (e *Executor) candidates(buf []candidate, d Direction, st Step, node *workflow.Node, mc *workflow.MapCtx, cur *bitmap.Bitmap, n uint64, reexecCost time.Duration) []candidate {
+func (e *Executor) candidates(buf []candidate, d Direction, st Step, node *workflow.Node, maps *stepMaps, cur, next *bitmap.Bitmap, n uint64, reexecCost time.Duration) []candidate {
 	cells := time.Duration(n)
 
 	// Mapping functions: available when the Map strategy is assigned and
-	// the operator implements the needed direction.
+	// the operator declares its geometry or implements the needed
+	// direction.
 	hasMap := false
 	for _, s := range e.run.Strategies(st.Node) {
 		if s.Mode == lineage.Map {
 			hasMap = true
 		}
 	}
-	if mapper := cellMapper(d, node); hasMap && mapper != nil {
-		fanPerCell := probeMapFan(mapper, mc, st.InputIdx, cur)
+	if hasMap && (maps.geom != nil || cellMapper(d, node) != nil) {
+		fanPerCell := probeMapFan(d, node, maps, st.InputIdx, cur, next)
 		buf = append(buf, candidate{
 			kind: PathMap,
 			cost: cells*cMapCall + time.Duration(float64(n)*fanPerCell)*cCellSet,
@@ -296,32 +306,70 @@ func orientMatches(d Direction, strat lineage.Strategy) bool {
 // runCandidate runs the chosen access path — the one dispatch on a
 // candidate's kind. conservative reports that re-execution could not trace
 // the operator and set the whole destination array.
-func (e *Executor) runCandidate(ctx context.Context, sp *trace.Span, c candidate, d Direction, st Step, node *workflow.Node, mc *workflow.MapCtx, cur, next *bitmap.Bitmap, abort func() bool) (conservative bool, err error) {
+func (e *Executor) runCandidate(ctx context.Context, sp *trace.Span, c candidate, d Direction, st Step, node *workflow.Node, maps *stepMaps, cur, next *bitmap.Bitmap, abort func() bool) (conservative bool, err error) {
 	switch c.kind {
 	case PathMap:
-		return false, mapCells(cellMapper(d, node), mc, st.InputIdx, cur, nil, next, abort, nil)
+		return false, mapStep(d, node, maps, st.InputIdx, cur, next, abort)
 	case PathComposite:
-		return false, e.runComposite(sp, d, st, node, mc, c.store, cur, next, abort)
+		return false, e.runComposite(sp, d, st, node, maps, c.store, cur, next, abort)
 	case PathStore, PathStoreScan:
-		return false, e.runStore(sp, d, st, node, mc, c.store, cur, next, abort)
+		return false, e.runStore(sp, d, st, node, maps, c.store, cur, next, abort)
 	default:
 		return e.runReexec(ctx, d, st, cur, next)
 	}
 }
 
-// mapCells drives a per-cell mapping function over the query cells that
-// are not in skip (nil skips none), handing each cell's mapped cells to
-// sink (nil sets them in next). Every 64 mapped cells it closes early once
-// next saturates and polls abort.
-func mapCells(mapper cellMapFn, mc *workflow.MapCtx, inputIdx int, cur, skip, next *bitmap.Bitmap, abort func() bool, sink func(mapped []uint64) error) error {
+// pollEvery is how many rectangles or cells a mapped step handles between
+// two checks that it may stop: next saturated (early close) or abort.
+// Polling on every rectangle put the deadline's clock read at a tenth of
+// a query's CPU where sets split into one rectangle per row.
+const pollEvery = 64
+
+// mapStep sets in next what the operator's map sends the cells of src to:
+// a rectangle at a time through its declared geometry, else a cell at a
+// time through its per-cell map.
+func mapStep(d Direction, node *workflow.Node, maps *stepMaps, inputIdx int, src, next *bitmap.Bitmap, abort func() bool) error {
+	if maps.geom != nil {
+		return mapRects(maps.geom, maps.shared, d == Backward, inputIdx, src, next, abort)
+	}
+	return mapCells(cellMapper(d, node), maps.private(), inputIdx, src, next, abort, nil)
+}
+
+// mapRects drives a declared geometry over the rectangles of src, setting
+// each rectangle it covers in next. Every pollEvery rectangles it closes
+// early once next saturates and polls abort. It allocates nothing: the
+// rectangles live in src's and next's scratch.
+func mapRects(g workflow.Geometry, mc *workflow.MapCtx, backward bool, inputIdx int, src, next *bitmap.Bitmap, abort func() bool) error {
+	dst := next.ScratchRect()
+	var err error
+	n := 0
+	src.IterateRects(func(r grid.Rect) bool {
+		if n++; n%pollEvery == 0 {
+			if next.Full() {
+				return false // early close
+			}
+			if abort() {
+				err = lineage.ErrAborted
+				return false
+			}
+		}
+		if g.Cover(mc, backward, r, inputIdx, dst) {
+			next.SetRect(dst)
+		}
+		return true
+	})
+	return err
+}
+
+// mapCells drives a per-cell mapping function over the cells of src,
+// handing each cell's mapped cells to sink (nil sets them in next). Every
+// pollEvery cells it closes early once next saturates and polls abort.
+func mapCells(mapper workflow.CellMapFn, mc *workflow.MapCtx, inputIdx int, src, next *bitmap.Bitmap, abort func() bool, sink func(mapped []uint64) error) error {
 	var buf []uint64
 	var stepErr error
 	n := 0
-	cur.Iterate(func(cell uint64) bool {
-		if skip != nil && skip.Get(cell) {
-			return true
-		}
-		if n++; n%64 == 0 {
+	src.Iterate(func(cell uint64) bool {
+		if n++; n%pollEvery == 0 {
 			if next.Full() {
 				return false // early close
 			}
@@ -343,8 +391,8 @@ func mapCells(mapper cellMapFn, mc *workflow.MapCtx, inputIdx int, cur, skip, ne
 
 // runStore resolves a step against one materialized store (matched or
 // mismatched orientation — the store handles both).
-func (e *Executor) runStore(sp *trace.Span, d Direction, st Step, node *workflow.Node, mc *workflow.MapCtx, store *lineage.Store, cur, next *bitmap.Bitmap, abort func() bool) error {
-	mapp := e.payloadFn(node, mc)
+func (e *Executor) runStore(sp *trace.Span, d Direction, st Step, node *workflow.Node, maps *stepMaps, store *lineage.Store, cur, next *bitmap.Bitmap, abort func() bool) error {
+	mapp := e.payloadFn(node, maps, store)
 	if d == Backward {
 		return store.BackwardSpan(sp, cur, next, st.InputIdx, mapp, nil, abort)
 	}
@@ -353,20 +401,24 @@ func (e *Executor) runStore(sp *trace.Span, d Direction, st Step, node *workflow
 
 // runComposite resolves a step against a composite store: stored payload
 // pairs override the operator's default mapping (paper §V-A4).
-func (e *Executor) runComposite(sp *trace.Span, d Direction, st Step, node *workflow.Node, mc *workflow.MapCtx, store *lineage.Store, cur, next *bitmap.Bitmap, abort func() bool) error {
+func (e *Executor) runComposite(sp *trace.Span, d Direction, st Step, node *workflow.Node, maps *stepMaps, store *lineage.Store, cur, next *bitmap.Bitmap, abort func() bool) error {
 	mapper := cellMapper(d, node)
 	if mapper == nil {
 		return fmt.Errorf("composite operator %s lacks the %s default mapping", node.Op.Name(), d)
 	}
-	mapp := e.payloadFn(node, mc)
+	mapp := e.payloadFn(node, maps, store)
 	if d == Backward {
-		covered := stepPool.Get(mc.OutSpace)
-		defer stepPool.Put(covered)
-		if err := store.BackwardSpan(sp, cur, next, st.InputIdx, mapp, covered, abort); err != nil {
+		rest := stepPool.Get(maps.shared.OutSpace)
+		defer stepPool.Put(rest)
+		if err := store.BackwardSpan(sp, cur, next, st.InputIdx, mapp, rest, abort); err != nil {
 			return err
 		}
 		// Default mapping for the query cells no payload pair covered.
-		return mapCells(mapper, mc, st.InputIdx, cur, covered, next, abort, nil)
+		if rest.Empty() {
+			return mapStep(d, node, maps, st.InputIdx, cur, next, abort)
+		}
+		rest.ComplementIn(cur)
+		return mapStep(d, node, maps, st.InputIdx, rest, next, abort)
 	}
 
 	// Forward: payload pairs are scanned by the store; output cells not
@@ -374,7 +426,7 @@ func (e *Executor) runComposite(sp *trace.Span, d Direction, st Step, node *work
 	if err := store.ForwardSpan(sp, cur, next, st.InputIdx, mapp, abort); err != nil {
 		return err
 	}
-	return mapCells(mapper, mc, st.InputIdx, cur, nil, next, abort, func(mapped []uint64) error {
+	return mapCells(mapper, maps.private(), st.InputIdx, cur, next, abort, func(mapped []uint64) error {
 		for _, out := range mapped {
 			if next.Get(out) {
 				continue
@@ -430,12 +482,15 @@ func (e *Executor) runReexec(ctx context.Context, d Direction, st Step, cur, nex
 	}
 }
 
-// payloadFn adapts the operator's MapP to the store-level callback.
-func (e *Executor) payloadFn(node *workflow.Node, mc *workflow.MapCtx) lineage.PayloadFn {
+// payloadFn adapts the operator's MapP to the store-level callback, on the
+// step's private MapCtx; nil when the store holds no payloads or the
+// operator has no MapP.
+func (e *Executor) payloadFn(node *workflow.Node, maps *stepMaps, store *lineage.Store) lineage.PayloadFn {
 	pm, ok := node.Op.(workflow.PayloadMapper)
-	if !ok {
+	if mode := store.Strategy().Mode; !ok || (mode != lineage.Pay && mode != lineage.Comp) {
 		return nil
 	}
+	mc := maps.private()
 	return func(out uint64, payload []byte, inputIdx int, dst []uint64) []uint64 {
 		return pm.MapP(mc, out, payload, inputIdx, dst)
 	}

@@ -483,16 +483,21 @@ func (r *Run) Reexecute(ctx context.Context, nodeID string, sink func(*lineage.R
 
 // EmitMappedPairs is a helper for mapping operators running in tracing
 // mode: it synthesizes one region pair per output cell from the operator's
-// map_b. Built-in operators call it from Run when cur_modes includes Full,
-// which is exactly what black-box re-execution requests.
-func EmitMappedPairs(rc *RunCtx, mc *MapCtx, op BackwardMapper) error {
+// per-cell map_b (CellMap). Built-in operators call it from Run when
+// cur_modes includes Full, which is exactly what black-box re-execution
+// requests.
+func EmitMappedPairs(rc *RunCtx, mc *MapCtx, op Operator) error {
+	mapB := CellMap(op, true)
+	if mapB == nil {
+		return fmt.Errorf("workflow: %s has no backward mapping to trace", op.Name())
+	}
 	nIn := len(mc.InSpaces)
 	ins := make([][]uint64, nIn)
 	outBuf := make([]uint64, 1)
 	for idx := uint64(0); idx < mc.OutSpace.Size(); idx++ {
 		outBuf[0] = idx
 		for i := 0; i < nIn; i++ {
-			ins[i] = op.MapB(mc, idx, i, ins[i][:0])
+			ins[i] = mapB(mc, idx, i, ins[i][:0])
 		}
 		if err := rc.LWrite(outBuf, ins...); err != nil {
 			return err

@@ -50,6 +50,68 @@ type ForwardMapper interface {
 	MapF(mc *MapCtx, in uint64, inputIdx int, dst []uint64) []uint64
 }
 
+// Geometry declares an operator's map_b and map_f at once, by rectangles:
+// for every rectangle of source cells, the union of the per-cell map over
+// it is exactly one rectangle of destination cells. The query executor
+// maps a step a rectangle at a time through it, and the per-cell map is
+// derived from it (CellMap), so an operator that declares Geometry
+// defines no MapB or MapF.
+type Geometry interface {
+	// Cover writes into dst, the caller's scratch of the destination's
+	// rank, the rectangle that the map sends src to: backward from output
+	// cells to input inputIdx, else forward from input inputIdx to output
+	// cells. It returns false when that union is empty. dst may extend
+	// past the destination's shape (callers clip it), and Cover must not
+	// write src.
+	Cover(mc *MapCtx, backward bool, src grid.Rect, inputIdx int, dst grid.Rect) bool
+}
+
+// CellMapFn is the per-cell map shape MapB and MapF share.
+type CellMapFn func(mc *MapCtx, cell uint64, inputIdx int, dst []uint64) []uint64
+
+// CellMap returns the operator's per-cell map for a direction: derived from
+// its Geometry when it declares one, else its MapB or MapF; nil when it
+// has none.
+func CellMap(op Operator, backward bool) CellMapFn {
+	if g, ok := op.(Geometry); ok {
+		return func(mc *MapCtx, cell uint64, inputIdx int, dst []uint64) []uint64 {
+			return mc.coverCells(g, backward, cell, inputIdx, dst)
+		}
+	}
+	if m, ok := op.(BackwardMapper); ok && backward {
+		return m.MapB
+	}
+	if m, ok := op.(ForwardMapper); ok && !backward {
+		return m.MapF
+	}
+	return nil
+}
+
+// CoverCell is the per-cell map a Geometry declares: it unravels cell into
+// src (of the source's rank), writes into dst (of the destination's rank)
+// what Cover sends that one cell to, clipped to the destination, and
+// reports false when that is empty.
+func CoverCell(g Geometry, mc *MapCtx, backward bool, cell uint64, inputIdx int, src grid.Coord, dst grid.Rect) bool {
+	mc.SrcSpace(backward, inputIdx).UnravelInto(cell, src)
+	return g.Cover(mc, backward, grid.Rect{Lo: src, Hi: src}, inputIdx, dst) &&
+		dst.Clamp(mc.DstSpace(backward, inputIdx).Shape())
+}
+
+// coverCells appends the cells CoverCell finds for one cell to dst, using
+// the context's scratch.
+func (mc *MapCtx) coverCells(g Geometry, backward bool, cell uint64, inputIdx int, dst []uint64) []uint64 {
+	src, dstSp := mc.inCoords[inputIdx], mc.DstSpace(backward, inputIdx)
+	if backward {
+		src = mc.outCoord
+	}
+	r := dstSp.Rank()
+	box := grid.Rect{Lo: mc.boxLo[:r], Hi: mc.boxHi[:r]}
+	if !CoverCell(g, mc, backward, cell, inputIdx, src, box) {
+		return dst
+	}
+	return box.Cells(dstSp, dst)
+}
+
 // PayloadMapper computes backward lineage from a coordinate plus the
 // payload stored by LWritePayload — map_p (paper §V-A3).
 type PayloadMapper interface {
@@ -84,34 +146,68 @@ type EntireArraySafe interface {
 
 // MapCtx carries the array geometry mapping functions need: output and
 // input spaces plus scratch for coordinate conversion. The scratch makes
-// a MapCtx unsafe for concurrent use — callers that run mapping functions
-// in parallel (the query executor serving batched queries) work on a
-// Clone, which shares the immutable geometry but owns its scratch.
+// a MapCtx unsafe for concurrent use by per-cell and payload maps —
+// callers that run them in parallel (the query executor serving batched
+// queries) work on a Clone, which shares the immutable geometry but owns
+// its scratch. Cover reads the geometry alone.
 type MapCtx struct {
 	OutSpace *grid.Space
 	InSpaces []*grid.Space
 
 	outCoord grid.Coord
 	inCoords []grid.Coord
+	// boxLo and boxHi hold the corners of the derived per-cell map's
+	// rectangle, at the largest rank of the spaces.
+	boxLo, boxHi grid.Coord
 }
 
 // NewMapCtx builds a MapCtx for the given geometry.
 func NewMapCtx(outSpace *grid.Space, inSpaces []*grid.Space) *MapCtx {
+	n, maxRank := outSpace.Rank(), outSpace.Rank()
+	for _, sp := range inSpaces {
+		n, maxRank = n+sp.Rank(), max(maxRank, sp.Rank())
+	}
+	// One slice holds every coordinate and the box corners.
+	scratch := make([]int, n+2*maxRank)
+	take := func(k int) []int {
+		s := scratch[:k:k]
+		scratch = scratch[k:]
+		return s
+	}
 	mc := &MapCtx{
 		OutSpace: outSpace,
 		InSpaces: inSpaces,
-		outCoord: make(grid.Coord, outSpace.Rank()),
+		outCoord: take(outSpace.Rank()),
 		inCoords: make([]grid.Coord, len(inSpaces)),
 	}
 	for i, sp := range inSpaces {
-		mc.inCoords[i] = make(grid.Coord, sp.Rank())
+		mc.inCoords[i] = take(sp.Rank())
 	}
+	mc.boxLo, mc.boxHi = take(maxRank), take(maxRank)
 	return mc
 }
 
 // Clone returns a MapCtx over the same geometry with private scratch
 // buffers, safe to use concurrently with the original.
 func (mc *MapCtx) Clone() *MapCtx { return NewMapCtx(mc.OutSpace, mc.InSpaces) }
+
+// SrcSpace returns the space a map's source cells live in: the output
+// backward, else input inputIdx.
+func (mc *MapCtx) SrcSpace(backward bool, inputIdx int) *grid.Space {
+	if backward {
+		return mc.OutSpace
+	}
+	return mc.InSpaces[inputIdx]
+}
+
+// DstSpace returns the space a map's destination cells live in: input
+// inputIdx backward, else the output.
+func (mc *MapCtx) DstSpace(backward bool, inputIdx int) *grid.Space {
+	if backward {
+		return mc.InSpaces[inputIdx]
+	}
+	return mc.OutSpace
+}
 
 // OutCoord unravels an output cell into the context's scratch coordinate.
 func (mc *MapCtx) OutCoord(idx uint64) grid.Coord {
