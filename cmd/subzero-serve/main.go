@@ -53,7 +53,7 @@ func main() {
 
 func run() error {
 	addr := flag.String("addr", ":8080", "listen address")
-	dir := flag.String("dir", "", "lineage storage directory (default: in-memory stores)")
+	dir := flag.String("dir", "", "lineage storage directory, whose *.log files are removed at start (default: in-memory stores)")
 	parallelism := flag.Int("parallelism", 0, "query-batch worker pool size (default GOMAXPROCS)")
 	maxInFlight := flag.Int("max-inflight", server.DefaultMaxInFlight, "bounded in-flight request cap")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max time to drain in-flight requests on shutdown")

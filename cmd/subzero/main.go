@@ -38,7 +38,7 @@ func main() {
 func run() error {
 	scale := flag.Float64("scale", 0.25, "astronomy image scale (1.0 = 512x2000)")
 	strategy := flag.String("strategy", "SubZero", "lineage strategy: BlackBox|BlackBoxOpt|FullOne|FullMany|SubZero")
-	dir := flag.String("dir", "", "lineage storage directory (default in-memory)")
+	dir := flag.String("dir", "", "lineage storage directory, whose *.log files are removed at start (default in-memory)")
 	optimize := flag.Bool("optimize", false, "also run the strategy optimizer (genomics workflow)")
 	budget := flag.Int64("budget", 20<<20, "optimizer storage budget in bytes")
 	flag.Parse()

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -370,13 +371,14 @@ func TestLineageBytesSumsRuns(t *testing.T) {
 }
 
 // A store lives as long as its process, so a storage directory holds the
-// stores' logs and nothing else: not the metadata sidecars earlier builds
-// left, no file beside a log after Execute, nor after a background rebuild
-// swaps a healed store in.
+// process's own stores' logs and nothing else: not a log an earlier process
+// left, nor the metadata sidecars earlier builds wrote, no file beside a
+// log after Execute, nor after a background rebuild swaps a healed store in.
 func TestStorageDirHoldsOnlyLogs(t *testing.T) {
 	defer fault.Reset()
 	dir := t.TempDir()
-	for _, name := range []string{"old-run001_x2fid.log.meta", "old-run001_x2fid.log.meta.tmp"} {
+	stale := []string{"old-run001_x2fid.log", "old-run001_x2fid.log.meta", "old-run001_x2fid.log.meta.tmp"}
+	for _, name := range stale {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte("stale"), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -391,7 +393,7 @@ func TestStorageDirHoldsOnlyLogs(t *testing.T) {
 			t.Fatalf("%s: storage directory is empty", when)
 		}
 		for _, e := range ents {
-			if e.IsDir() || !strings.HasSuffix(e.Name(), ".log") {
+			if e.IsDir() || !strings.HasSuffix(e.Name(), ".log") || slices.Contains(stale, e.Name()) {
 				t.Fatalf("%s: storage directory holds %s", when, e.Name())
 			}
 		}

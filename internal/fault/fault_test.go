@@ -182,26 +182,6 @@ func TestWrapFileTornWrite(t *testing.T) {
 	}
 }
 
-func TestWrapFileSyncFault(t *testing.T) {
-	defer fault.Reset()
-	path := filepath.Join(t.TempDir(), "sync.log")
-	raw, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer raw.Close()
-	f := fault.WrapFile("test/syncfile", raw)
-	if err := f.Sync(); err != nil {
-		t.Fatalf("unarmed sync: %v", err)
-	}
-	if err := fault.Arm("test/syncfile/sync", fault.Action{Kind: fault.KindError, Msg: "EIO"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Sync(); !errors.Is(err, fault.ErrInjected) {
-		t.Fatalf("armed sync err = %v, want ErrInjected", err)
-	}
-}
-
 func TestAsError(t *testing.T) {
 	err := fault.AsError("worker", "boom")
 	if got := err.Error(); got != "panic in worker: boom" {

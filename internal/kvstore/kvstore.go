@@ -11,24 +11,25 @@
 //     benchmarks can charge disk overhead. It holds records only: a
 //     lineage store's metadata lives in memory with the store, which
 //     lives as long as its process.
-//   - LogStore is its one implementation: a log-structured, CRC-framed
-//     append log read in place. Lookups go through an index that is a
-//     table of 8-byte offsets and compares against the key bytes in the
-//     record, so a probe costs memory accesses — no syscall, no copy, no
-//     per-key heap object. OpenFile keeps the log in a file, read through a
-//     read-only mapping (and the store's own append buffer for records not
-//     yet written); it is durable enough to survive a clean process exit,
-//     and like the paper's configuration it deliberately trades crash
-//     safety for speed: a torn tail is detected and discarded on open.
-//     NewMem keeps the same log in one in-memory slice. The two differ only
-//     in where appended bytes live: framing, index, overwrite and scan
-//     semantics and SizeBytes are shared.
+//   - LogStore is its one implementation: a log-structured append log
+//     read in place. Lookups go through an index that is a table of 8-byte
+//     offsets and compares against the key bytes in the record, so a probe
+//     costs memory accesses — no syscall, no copy, no per-key heap object.
+//     OpenFile keeps the log in a file, read through a read-only mapping
+//     (and the store's own append buffer for records not yet written).
+//     Every log is created empty and read back only by the store that
+//     wrote it: like the paper's configuration, nothing is fsynced,
+//     checksummed or recovered, because a store lives as long as its
+//     process. NewMem keeps the same log in one in-memory slice. The two
+//     differ only in where appended bytes live: framing, index, overwrite
+//     and scan semantics and SizeBytes are shared.
 //   - Manager allocates one Store per operator instance ("operator
 //     specific datastores" in Figure 3) and hands each store the obs
 //     counters it counts its operations into.
 //
 // Failpoints: kvstore/putbatch and kvstore/flush fire on both backings;
-// kvstore/file/* name the log file and fire on file-backed stores only.
+// kvstore/file/write names the log file and fires on file-backed stores
+// only.
 package kvstore
 
 import "fmt"
@@ -51,10 +52,10 @@ type Store interface {
 	//
 	// Against concurrent readers the batch is atomic: no GetBatch or Scan
 	// observes a prefix of it, because the whole batch applies under the
-	// store's lock. Crash atomicity follows the log's usual stance — a
-	// torn batch is detected by the CRC framing on reopen and the tail is
-	// discarded. The store copies what it keeps: the caller may reuse kvs
-	// and every key and value byte once PutBatch returns.
+	// store's lock. A crash loses the store with its process, so there is
+	// no crash atomicity to keep. The store copies what it keeps: the
+	// caller may reuse kvs and every key and value byte once PutBatch
+	// returns.
 	PutBatch(kvs []KV) error
 	// Scan calls fn for every live key until fn returns false, at its
 	// latest value, in the order those values were written (log order).

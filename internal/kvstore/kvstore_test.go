@@ -143,117 +143,6 @@ func TestSizeBytesGrows(t *testing.T) {
 	}
 }
 
-func TestFileStorePersistence(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "p.log")
-	s, err := OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 500; i++ {
-		if err := putOne(s, []byte(fmt.Sprintf("k%d", i)), []byte(fmt.Sprintf("v%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	re, err := OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if re.Len() != 500 {
-		t.Fatalf("reopened Len=%d", re.Len())
-	}
-	v, ok, err := lookup(re, []byte("k123"))
-	if err != nil || !ok || string(v) != "v123" {
-		t.Fatalf("reopened Get=%q ok=%v err=%v", v, ok, err)
-	}
-	// Store must remain appendable after reopen.
-	if err := putOne(re, []byte("new"), []byte("rec")); err != nil {
-		t.Fatal(err)
-	}
-	v, ok, _ = lookup(re, []byte("new"))
-	if !ok || string(v) != "rec" {
-		t.Fatal("append after reopen failed")
-	}
-}
-
-func TestFileStoreTornTailRecovery(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "torn.log")
-	s, err := OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		_ = putOne(s, []byte(fmt.Sprintf("k%02d", i)), bytes.Repeat([]byte{byte(i)}, 50))
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Tear the last record in half.
-	info, _ := os.Stat(path)
-	if err := os.Truncate(path, info.Size()-20); err != nil {
-		t.Fatal(err)
-	}
-	re, err := OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if re.Len() != 99 {
-		t.Fatalf("after torn tail Len=%d, want 99", re.Len())
-	}
-	if _, ok, _ := lookup(re, []byte("k98")); !ok {
-		t.Fatal("intact record lost")
-	}
-	if _, ok, _ := lookup(re, []byte("k99")); ok {
-		t.Fatal("torn record resurrected")
-	}
-	// New writes land after the truncated tail and survive a reopen.
-	if err := putOne(re, []byte("k99"), []byte("again")); err != nil {
-		t.Fatal(err)
-	}
-	if err := re.Close(); err != nil {
-		t.Fatal(err)
-	}
-	re2, err := OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re2.Close()
-	if v, ok, _ := lookup(re2, []byte("k99")); !ok || string(v) != "again" {
-		t.Fatal("rewrite after torn-tail recovery lost")
-	}
-}
-
-func TestFileStoreCorruptMiddleStopsScan(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "corrupt.log")
-	s, err := OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		_ = putOne(s, []byte{byte(i)}, bytes.Repeat([]byte{0x55}, 40))
-	}
-	_ = s.Close()
-	// Flip a byte in the middle of the file: recovery keeps the prefix.
-	data, _ := os.ReadFile(path)
-	data[len(data)/2] ^= 0xFF
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	re, err := OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if re.Len() >= 10 || re.Len() == 0 {
-		t.Fatalf("corrupt-middle Len=%d, want a proper non-empty prefix", re.Len())
-	}
-}
-
 func TestClosedStoreErrors(t *testing.T) {
 	fs, err := OpenFile(filepath.Join(t.TempDir(), "c.log"))
 	if err != nil {
@@ -313,7 +202,10 @@ func TestManagerFileAndMemory(t *testing.T) {
 	}
 }
 
-func TestManagerPersistenceAcrossReopen(t *testing.T) {
+// A storage directory belongs to its manager's process: a second manager
+// on the same root removes every store file the first left — logs and the
+// sidecars earlier builds wrote — and opens each namespace empty.
+func TestNewManagerClearsRoot(t *testing.T) {
 	root := t.TempDir()
 	m, err := NewManager(root, nil)
 	if err != nil {
@@ -324,10 +216,9 @@ func TestManagerPersistenceAcrossReopen(t *testing.T) {
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Sidecars an earlier build wrote beside the log go at start; the log
-	// stays.
-	sidecars := []string{sanitize("astro/crd") + ".log.meta", sanitize("astro/crd") + ".log.meta.tmp"}
-	for _, name := range sidecars {
+	stale := []string{sanitize("astro/crd") + ".log", sanitize("never/opened") + ".log",
+		sanitize("astro/crd") + ".log.meta", sanitize("astro/crd") + ".log.meta.tmp"}
+	for _, name := range stale[1:] {
 		if err := os.WriteFile(filepath.Join(root, name), []byte("stale"), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -338,15 +229,20 @@ func TestManagerPersistenceAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m2.Close()
-	for _, name := range sidecars {
+	for _, name := range stale {
 		if _, err := os.Stat(filepath.Join(root, name)); !os.IsNotExist(err) {
-			t.Fatalf("stale sidecar %s survived NewManager: %v", name, err)
+			t.Fatalf("stale %s survived NewManager: %v", name, err)
 		}
 	}
-	s2, _ := m2.Open("astro/crd")
-	v, ok, err := lookup(s2, []byte("pair-1"))
-	if err != nil || !ok || string(v) != "lineage" {
-		t.Fatalf("persisted value lost: %q %v %v", v, ok, err)
+	s2, err := m2.Open("astro/crd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s2.Len() != 0 || s2.SizeBytes() != 0 {
+		t.Fatalf("reused namespace opens with Len=%d SizeBytes=%d, want an empty store", s2.Len(), s2.SizeBytes())
+	}
+	if _, ok, err := lookup(s2, []byte("pair-1")); err != nil || ok {
+		t.Fatalf("the earlier process's record is visible: ok=%v err=%v", ok, err)
 	}
 }
 

@@ -5,9 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"hash/maphash"
-	"io"
 	"os"
 	"runtime/debug"
 	"sync"
@@ -20,17 +18,16 @@ import (
 
 // Failpoints covering the append/flush path of the log. The crash-point
 // matrix test iterates every "kvstore/"-prefixed registered point; a new
-// write or sync site MUST register one (see CONTRIBUTING). The wrapped file
-// layer adds kvstore/file/write (torn-write capable) and kvstore/file/sync.
+// write site MUST register one (see CONTRIBUTING). The wrapped file layer
+// adds kvstore/file/write (torn-write capable).
 var (
 	fpPutBatch = fault.Register("kvstore/putbatch")
 	fpFlush    = fault.Register("kvstore/flush")
 	// Registered here as well as by WrapFile (registration is
-	// idempotent) so Registered() inventories the file-layer points
-	// before the first store opens — the crash matrix enumerates them
+	// idempotent) so Registered() inventories the file-layer point
+	// before the first store opens — the crash matrix enumerates it
 	// at test start.
 	_ = fault.Register("kvstore/file/write")
-	_ = fault.Register("kvstore/file/sync")
 )
 
 // LogStore is a log-structured Store whose reads never leave user space.
@@ -49,14 +46,13 @@ var (
 // Overwritten values leave garbage in the log; lineage stores write each
 // key once, so compaction is unnecessary and is deliberately omitted.
 //
-// Record layout (all integers little-endian / uvarint):
+// Record layout:
 //
-//	crc32(4) | klen uvarint | vlen uvarint | key | val
+//	klen uvarint | vlen uvarint | key | val
 //
-// The CRC covers the varint lengths, key, and value. On open the mapped
-// file is walked to rebuild the index; the first torn or corrupt record
-// ends the walk and the tail is truncated, matching the paper's "lineage
-// is a recoverable cache" stance.
+// A log is created empty and read back only by the store that wrote it,
+// so a record carries no checksum: lineage is a recoverable cache, and a
+// store lives as long as its process.
 //
 // Locking: reads hold mu shared, so they run in parallel; appends, the
 // flush-time remap and Close hold it exclusively. Every slice of the
@@ -70,9 +66,10 @@ type LogStore struct {
 	fd   *os.File   // the same file, for mapping
 	path string     // the log file's path, or "memory"
 
-	// data maps the log from offset 0. It is longer than the file (the
-	// length grows geometrically so that most flushes need no remap); only
-	// data[:tailOff] is ever read, and the kernel has accepted all of it.
+	// data maps the log from offset 0 once a flush has written to it (nil
+	// before). It is longer than the file (the length grows geometrically
+	// so that most flushes need no remap); only data[:tailOff] is ever
+	// read, and the kernel has accepted all of it.
 	data []byte
 	// tail buffers the records at [tailOff, tailOff+len(tail)). It always
 	// starts on a record boundary: a flush either hands all of it to the
@@ -105,114 +102,53 @@ const (
 )
 
 const (
-	crcSize       = 4
 	maxKeyLen     = 1 << 20
 	maxValLen     = 1 << 28
 	writeBufBytes = 1 << 18
 	minMapBytes   = 1 << 20
 )
 
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
 // NewMem creates an empty store whose log is kept in memory.
 func NewMem() *LogStore {
 	return &LogStore{path: "memory", seed: maphash.MakeSeed(), tagMask: tagAll}
 }
 
-// OpenFile opens (or creates) a file-backed LogStore at path, rebuilding
-// the key index from the log and truncating any torn tail.
+// OpenFile creates an empty file-backed LogStore at path, truncating any
+// file already there.
 func OpenFile(path string) (*LogStore, error) {
 	return openFile(path, tagAll)
 }
 
 func openFile(path string, tagMask uint64) (*LogStore, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("kvstore: open %s: %w", path, err)
 	}
-	s := &LogStore{
+	return &LogStore{
 		// The fault wrapper sits below the append buffer, so an injected
-		// torn write leaves exactly what a crashed process would: a
-		// partial frame at the file tail.
+		// torn write leaves a partial frame at the file tail.
 		f:       fault.WrapFile("kvstore/file", f),
 		fd:      f,
 		path:    path,
 		seed:    maphash.MakeSeed(),
 		tagMask: tagMask,
-	}
-	if err := s.recover(); err != nil {
-		if s.data != nil {
-			_ = munmap(s.data) // the open already failed; its error is the one to report
-		}
-		f.Close()
-		return nil, err
-	}
-	return s, nil
-}
-
-// recover maps the log and walks it, rebuilding the index. It stops at the
-// first invalid record, truncates the file there and leaves the file
-// position at the new end.
-func (s *LogStore) recover() (err error) {
-	info, err := s.f.Stat()
-	if err != nil {
-		return fmt.Errorf("kvstore: stat %s: %w", s.path, err)
-	}
-	size := info.Size()
-	if size > maxLogBytes {
-		return fmt.Errorf("kvstore: %s: log of %d bytes exceeds the index's offset range", s.path, size)
-	}
-	if err := s.remap(size); err != nil {
-		return err
-	}
-	defer s.catchFault(debug.SetPanicOnFault(true), &err)
-	var off int64
-	for off < size {
-		key, _, n, ok := splitRecord(s.data[off:size])
-		if !ok {
-			break // torn tail
-		}
-		rec := s.data[off : off+int64(n)]
-		if crc32.Checksum(rec[crcSize:], crcTable) != binary.LittleEndian.Uint32(rec) {
-			break
-		}
-		// Probes during the walk compare against earlier records, so the
-		// readable bound moves with it.
-		s.tailOff = off + int64(n)
-		if err := s.indexPut(key, off, 0); err != nil {
-			return err
-		}
-		off = s.tailOff
-	}
-	s.tailOff = off
-	if off < size {
-		if err := s.f.Truncate(off); err != nil {
-			return fmt.Errorf("kvstore: truncate torn tail: %w", err)
-		}
-	}
-	if _, err := s.f.Seek(off, io.SeekStart); err != nil {
-		return fmt.Errorf("kvstore: seek %s: %w", s.path, err)
-	}
-	return nil
+	}, nil
 }
 
 // splitRecord parses the record at the head of b and returns its key, its
-// value and the bytes it occupies, without checking the CRC. ok is false
-// when b ends inside the record or a length is out of range. The slices
-// are capped, so an append through one cannot reach the next record.
+// value and the bytes it occupies. ok is false when b ends inside the
+// record or a length is out of range. The slices are capped, so an append
+// through one cannot reach the next record.
 func splitRecord(b []byte) (key, val []byte, size int, ok bool) {
-	if len(b) < crcSize {
-		return nil, nil, 0, false
-	}
-	klen, n1 := binary.Uvarint(b[crcSize:])
+	klen, n1 := binary.Uvarint(b)
 	if n1 <= 0 || klen > maxKeyLen {
 		return nil, nil, 0, false
 	}
-	vlen, n2 := binary.Uvarint(b[crcSize+n1:])
+	vlen, n2 := binary.Uvarint(b[n1:])
 	if n2 <= 0 || vlen > maxValLen {
 		return nil, nil, 0, false
 	}
-	k := crcSize + n1 + n2
+	k := n1 + n2
 	v := k + int(klen)
 	size = v + int(vlen)
 	if size > len(b) {
@@ -236,8 +172,8 @@ func (s *LogStore) record(off int64) (key, val []byte, size int, err error) {
 	}
 	key, val, size, ok := splitRecord(b)
 	if !ok {
-		// Only bytes changed behind the store's back get here: recovery
-		// and append both framed this record.
+		// Only bytes changed behind the store's back get here: append
+		// framed this record.
 		return nil, nil, 0, fmt.Errorf("kvstore: %s: corrupt record at offset %d", s.path, off)
 	}
 	return key, val, size, nil
@@ -270,8 +206,7 @@ func (s *LogStore) catchFault(prev bool, err *error) {
 }
 
 // remap replaces the mapping with one that covers at least need bytes.
-// Callers hold mu exclusively (or own the store outright, in open), so no
-// slice of the old mapping is live.
+// Callers hold mu exclusively, so no slice of the old mapping is live.
 func (s *LogStore) remap(need int64) error {
 	n := max(2*need, minMapBytes)
 	if int64(int(n)) != n {
@@ -283,10 +218,8 @@ func (s *LogStore) remap(need int64) error {
 	}
 	old := s.data
 	s.data = data
-	if old != nil {
-		if err := munmap(old); err != nil {
-			return fmt.Errorf("kvstore: unmap %s: %w", s.path, err)
-		}
+	if err := munmap(old); err != nil {
+		return fmt.Errorf("kvstore: unmap %s: %w", s.path, err)
 	}
 	return nil
 }
@@ -387,7 +320,7 @@ func (s *LogStore) growIndex(need int) error {
 // file store's buffer first when the record would overfill it, and indexes
 // it; more is passed on to indexPut.
 func (s *LogStore) appendRecord(key, val []byte, more int) error {
-	need := crcSize + uvarintLen(uint64(len(key))) + uvarintLen(uint64(len(val))) + len(key) + len(val)
+	need := uvarintLen(uint64(len(key))) + uvarintLen(uint64(len(val))) + len(key) + len(val)
 	if s.f != nil && len(s.tail) > 0 && len(s.tail)+need > writeBufBytes {
 		if err := s.flushLocked(); err != nil {
 			return err
@@ -398,12 +331,10 @@ func (s *LogStore) appendRecord(key, val []byte, more int) error {
 		return fmt.Errorf("kvstore: %s: log is full (%d bytes)", s.path, off)
 	}
 	start := len(s.tail)
-	s.tail = append(s.tail, 0, 0, 0, 0)
 	s.tail = binary.AppendUvarint(s.tail, uint64(len(key)))
 	s.tail = binary.AppendUvarint(s.tail, uint64(len(val)))
 	s.tail = append(s.tail, key...)
 	s.tail = append(s.tail, val...)
-	binary.LittleEndian.PutUint32(s.tail[start:], crc32.Checksum(s.tail[start+crcSize:], crcTable))
 	if err := s.indexPut(key, off, more); err != nil {
 		s.tail = s.tail[:start]
 		return err
@@ -414,8 +345,7 @@ func (s *LogStore) appendRecord(key, val []byte, more int) error {
 // PutBatch implements Store: the whole batch is framed and appended
 // under one lock acquisition and one pass through the append buffer — the
 // group commit lineage stores rely on — and the index grows at
-// most once, with room for the rest of the batch. A crash mid-batch tears
-// the log inside the batch; recovery truncates at the first bad record.
+// most once, with room for the rest of the batch.
 func (s *LogStore) PutBatch(kvs []KV) error {
 	if s.obs == nil {
 		return s.putBatch(kvs)

@@ -24,24 +24,24 @@ type Manager struct {
 }
 
 // NewManager creates a manager. If root is non-empty the directory is
-// created and stores persist there as one log file per namespace;
-// otherwise stores are in-memory. Every store the manager opens counts its
-// operations into kv; a nil kv counts nothing.
+// created and each store keeps its log in one file there; otherwise stores
+// are in-memory. Every store the manager opens counts its operations into
+// kv; a nil kv counts nothing.
 //
-// Earlier builds kept a metadata sidecar (".meta", written through
-// ".meta.tmp") beside each log. Nothing reads them now and dropping a
-// namespace removes only its log, so NewManager removes any left under
-// root.
+// The directory belongs to the manager and its logs to its process: no
+// store is read back, so NewManager removes every store file under root —
+// the logs an earlier process left and the ".meta"/".meta.tmp" sidecars
+// earlier builds wrote beside them.
 func NewManager(root string, kv *obs.KVObs) (*Manager, error) {
 	if root != "" {
 		if err := os.MkdirAll(root, 0o755); err != nil {
 			return nil, fmt.Errorf("kvstore: create root %s: %w", root, err)
 		}
-		for _, pattern := range []string{"*.meta", "*.meta.tmp"} {
+		for _, pattern := range []string{"*.log", "*.meta", "*.meta.tmp"} {
 			stale, _ := filepath.Glob(filepath.Join(root, pattern)) // the patterns are well-formed
 			for _, path := range stale {
 				if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-					return nil, fmt.Errorf("kvstore: remove stale sidecar: %w", err)
+					return nil, fmt.Errorf("kvstore: remove stale store file: %w", err)
 				}
 			}
 		}
@@ -49,7 +49,7 @@ func NewManager(root string, kv *obs.KVObs) (*Manager, error) {
 	return &Manager{root: root, stores: make(map[string]Store), kv: kv}, nil
 }
 
-// Open returns the store for a namespace, creating it on first use.
+// Open returns the store for a namespace, creating it empty on first use.
 // Namespaces are arbitrary strings; they are sanitized into file names.
 func (m *Manager) Open(namespace string) (Store, error) {
 	m.mu.Lock()
@@ -157,11 +157,6 @@ func (m *Manager) Close() error {
 // therefore injective. Because the output alphabet contains no uppercase
 // at all, injectivity survives case-insensitive filesystems ("Node" and
 // "node" get distinct files on macOS/Windows too).
-//
-// Layouts written by the older lossy mapping are not migrated: a legacy
-// file whose name no longer matches is simply never opened again, which
-// is safe because lineage is a recoverable cache — re-executing the
-// workflow rebuilds it.
 func sanitize(ns string) string {
 	if ns == "" {
 		// "_e_" is not producible by the escape above ('_' is always

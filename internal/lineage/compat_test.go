@@ -2,9 +2,7 @@ package lineage
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
-	"math/rand"
 	"testing"
 
 	"subzero/internal/bitmap"
@@ -151,84 +149,6 @@ func getKV(t *testing.T, kv kvstore.Store, key []byte) (val []byte, ok bool) {
 		t.Fatal(err)
 	}
 	return val, ok
-}
-
-// forEachStoredRecord calls fn with the id and bytes of every record in
-// kv's blocks.
-func forEachStoredRecord(t *testing.T, kv kvstore.Store, fn func(id uint64, rec []byte)) {
-	t.Helper()
-	var blk recordBlock
-	if err := kv.Scan(func(key, val []byte) bool {
-		if key[0] != keyBlock {
-			return true
-		}
-		b, _ := binary.Uvarint(key[1:])
-		if err := blk.parse(val); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < blk.n; i++ {
-			if rec := blk.record(i); rec != nil {
-				fn(b*blockIDs+uint64(i), rec)
-			}
-		}
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// A store written before pair records were kept in blocks holds one 'P' +
-// uvarint(id) key per record; one written before cell entries were keyed
-// per tile also holds one 'K' + slot + cell key per cell. No build reads
-// such a hashtable: NewBuilder refuses it, as it refuses any hashtable
-// holding records, so no store is written beside the old keys.
-func TestStaleCellKeysDegrade(t *testing.T) {
-	pairs := randomPairs(rand.New(rand.NewSource(6)), 40)
-	for _, strat := range append(oneStrategies(), StratFullMany) {
-		t.Run(strat.ID(), func(t *testing.T) {
-			written := toStorePairs(strat, pairs)
-			cur := kvstore.NewMem()
-			st := buildStore(t, cur, strat, written)
-			// A payload One store keeps no records, so only the tile
-			// layout changed what it holds.
-			var layouts []string
-			if st.storesRecords() {
-				layouts = append(layouts, "pre-block")
-			}
-			if strat.Enc == One {
-				layouts = append(layouts, "pre-tile")
-			}
-			for _, layout := range layouts {
-				t.Run(layout, func(t *testing.T) {
-					// The old layout: one key per pair record, and either
-					// the same tiles or per-cell keys in their place.
-					old := kvstore.NewMem()
-					forEachStoredRecord(t, cur, func(id uint64, rec []byte) {
-						putKV(t, old, binary.AppendUvarint([]byte{'P'}, id), rec)
-					})
-					if layout == "pre-tile" {
-						for id, rp := range written {
-							key := binary.BigEndian.AppendUint64([]byte{'K', 0}, rp.Out[0])
-							putKV(t, old, key, appendIDEntry(nil, []uint64{uint64(id)}))
-						}
-					} else if err := cur.Scan(func(key, val []byte) bool {
-						if key[0] == keyTile {
-							putKV(t, old, key, val)
-						}
-						return true
-					}); err != nil {
-						t.Fatal(err)
-					}
-					if old.Len() == 0 {
-						t.Fatal("the old layout holds no keys")
-					}
-					if _, err := NewBuilder(old, strat, tOutSpace, tInSpaces); err == nil {
-						t.Fatal("a builder took a hashtable holding a stale store")
-					}
-				})
-			}
-		})
-	}
 }
 
 // A record the store cannot use — a stale format, or a record that

@@ -3,7 +3,6 @@ package lineage
 import (
 	"bytes"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -12,6 +11,7 @@ import (
 	"subzero/internal/bitmap"
 	"subzero/internal/fault"
 	"subzero/internal/kvstore"
+	"subzero/internal/rtree"
 )
 
 // TestCrashPointMatrix arms every registered kvstore failpoint of the
@@ -22,9 +22,10 @@ import (
 // — or Flush returns a store that answers exactly as the reference does. A
 // store flushed before the point was armed answers exactly while it is.
 //
-// The matrix walks fault.Registered(), so a new write or sync site that
-// registers its failpoint (as CONTRIBUTING requires) is tested here with
-// no further wiring.
+// The matrix walks fault.Registered(), so a new write site that registers
+// its failpoint (as CONTRIBUTING requires) is tested here with no further
+// wiring, and every point must fire through the builder: one no store
+// operation reaches fails the matrix.
 func TestCrashPointMatrix(t *testing.T) {
 	var points []string
 	for _, p := range fault.Registered() {
@@ -83,23 +84,8 @@ func TestCrashPointMatrix(t *testing.T) {
 			if err != nil && stB != nil {
 				t.Fatalf("Flush failed at %s (%v) and returned a store", pt, err)
 			}
-			if fault.Hits(pt) == 0 && strings.HasPrefix(pt, "kvstore/file/") {
-				// The wrapped file's Sync is unreachable through the
-				// store: a file store deliberately never fsyncs its log
-				// (lineage is a recoverable cache). Drive the file
-				// layer directly so the point still proves out.
-				raw, err := os.Create(filepath.Join(dir, "direct"))
-				if err != nil {
-					t.Fatal(err)
-				}
-				wf := fault.WrapFile("kvstore/file", raw)
-				if _, err := wf.Write([]byte("x")); err == nil {
-					_ = wf.Sync()
-				}
-				_ = raw.Close()
-			}
 			if fault.Hits(pt) == 0 {
-				t.Fatalf("failpoint %s never fired", pt)
+				t.Fatalf("failpoint %s never fired under the builder", pt)
 			}
 			if !answers(t, stA, wantA) {
 				t.Fatalf("store flushed before %s was armed answers differently under it", pt)
@@ -115,8 +101,9 @@ func TestCrashPointMatrix(t *testing.T) {
 
 // TestRebuildByteIdentical: writing the same lineage into fresh stores
 // produces byte-identical logs — record for record, key and value, in the
-// same order — on either backing, and every store charges the same size:
-// its log plus the encoded size of its in-memory indexes. This is the
+// same order — and the same trees, item for item in walk order, on either
+// backing, and every store charges the same size: its log plus the encoded
+// size of its in-memory indexes. This is the
 // foundation of the self-healing path: a store rebuilt from re-execution
 // is indistinguishable from one that never saw corruption. The container
 // encoder's per-tile form choice is deterministic, so the property holds
@@ -128,12 +115,12 @@ func TestRebuildByteIdentical(t *testing.T) {
 			rng := rand.New(rand.NewSource(11))
 			pairs := randomPairs(rng, 80)
 			// build writes and flushes the pairs into kv and returns the
-			// store, its records in scan order and its encoded trees.
-			build := func(kv kvstore.Store) (*Store, []kvstore.KV, [][]byte) {
+			// store, its records in scan order and its trees' items.
+			build := func(kv kvstore.Store) (*Store, []kvstore.KV, [][]int) {
 				st := buildStore(t, kv, strat, toStorePairs(strat, pairs[:40]), toStorePairs(strat, pairs[40:]))
-				var trees [][]byte
+				var trees [][]int
 				for _, tr := range st.trees {
-					trees = append(trees, tr.Encode())
+					trees = append(trees, treeItems(tr))
 				}
 				var recs []kvstore.KV
 				if err := kv.Scan(func(k, v []byte) bool {
@@ -165,15 +152,15 @@ func TestRebuildByteIdentical(t *testing.T) {
 					}) {
 						t.Fatalf("%s store holds other records than the first file store (%d vs %d)", name, len(b), len(a))
 					}
-					if !slices.EqualFunc(trees, treesA, bytes.Equal) {
+					if !slices.EqualFunc(trees, treesA, slices.Equal) {
 						t.Fatalf("%s store built other trees than the first file store", name)
 					}
 					if kv.SizeBytes() != fsA.SizeBytes() {
 						t.Fatalf("%s log holds %d B, the first file store's %d B", name, kv.SizeBytes(), fsA.SizeBytes())
 					}
 					idx := 0
-					for _, tr := range trees {
-						idx += len(tr)
+					for _, tr := range st.trees {
+						idx += tr.EncodedLen()
 					}
 					if got, want := st.SizeBytes(), kv.SizeBytes()+int64(idx); got != want || got != stA.SizeBytes() {
 						t.Fatalf("SizeBytes = %d, want log %d + index %d = %d, as the first file store's %d",
@@ -183,4 +170,15 @@ func TestRebuildByteIdentical(t *testing.T) {
 			}
 		})
 	}
+}
+
+// treeItems lists a tree's items in walk order, each as its id, then its
+// low and its high bounds.
+func treeItems(tr *rtree.Tree) []int {
+	var items []int
+	tr.Walk(func(_, _ []int) bool { return true }, func(id uint64, lo, hi []int) bool {
+		items = append(append(append(items, int(id)), lo...), hi...)
+		return true
+	})
+	return items
 }

@@ -22,7 +22,7 @@ import (
 // executor falls back to re-running the operator (paper §VII-A).
 var ErrAborted = errors.New("lineage: lookup aborted by query-time optimizer")
 
-// ErrCorrupt marks a CRC/decode failure discovered at lookup time: a
+// ErrCorrupt marks a decode failure discovered at lookup time: a
 // record the hashtable returned but the codec cannot make sense of, or a
 // per-cell entry referencing a pair id the store does not hold. Lookups
 // returning it have already marked the store degraded; the query executor
@@ -32,8 +32,8 @@ var ErrAborted = errors.New("lineage: lookup aborted by query-time optimizer")
 var ErrCorrupt = errors.New("lineage: store corrupt")
 
 // fpDecode injects a decode failure at the record-lookup site, simulating
-// the corruption a bit-flip or software bug would produce past the kv
-// layer's CRC.
+// the corruption a bit-flip or software bug would produce; the kv layer
+// carries no checksum, so every such failure surfaces here.
 var fpDecode = fault.Register("lineage/lookup/decode")
 
 // StoreStats aggregates what the statistics collector records about one

@@ -2,13 +2,30 @@ package rtree
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"testing"
 
+	"subzero/internal/binenc"
 	"subzero/internal/grid"
 )
+
+// Encode serializes the tree's items (rank, count, then rect+id per item,
+// in tree order): the bytes whose length EncodedLen is. Nothing in the
+// program writes them; the tests pin trees through them.
+func (t *Tree) Encode() []byte {
+	buf := make([]byte, 0, 16+t.size*12)
+	buf = binary.AppendUvarint(buf, uint64(t.rank))
+	buf = binary.AppendUvarint(buf, uint64(t.size))
+	t.Walk(all, func(id uint64, lo, hi []int) bool {
+		buf = binenc.AppendRect(buf, grid.Rect{Lo: lo, Hi: hi})
+		buf = binary.AppendUvarint(buf, id)
+		return true
+	})
+	return buf
+}
 
 // goldenItems is a seeded insert sequence with many ties: small extents in
 // a small universe, so equal enlargements, equal areas and duplicate

@@ -1,30 +1,10 @@
 package rtree
 
-import (
-	"encoding/binary"
-
-	"subzero/internal/binenc"
-	"subzero/internal/grid"
-)
-
-// Encode serializes the tree's items (rank, count, then rect+id per item,
-// in tree order). Nothing decodes it: a store keeps its index in memory,
-// and EncodedLen, the size it charges for it, is the length of these
-// bytes, which tests pin.
-func (t *Tree) Encode() []byte {
-	buf := make([]byte, 0, 16+t.size*12)
-	buf = binary.AppendUvarint(buf, uint64(t.rank))
-	buf = binary.AppendUvarint(buf, uint64(t.size))
-	t.Walk(all, func(id uint64, lo, hi []int) bool {
-		buf = binenc.AppendRect(buf, grid.Rect{Lo: lo, Hi: hi})
-		buf = binary.AppendUvarint(buf, id)
-		return true
-	})
-	return buf
-}
-
-// EncodedLen returns len(Encode()) without materializing it; the cost
-// model charges this against the storage budget for *Many encodings.
+// EncodedLen returns the size of the tree's items serialized (rank, count,
+// then rect+id per item as uvarints, in tree order). Nothing writes those
+// bytes: a store keeps its index in memory and charges this size for it,
+// and the cost model charges it against the storage budget for *Many
+// encodings. The tests' Encode writes them, to pin trees and this length.
 func (t *Tree) EncodedLen() int {
 	n := uvarintLen(uint64(t.rank)) + uvarintLen(uint64(t.size))
 	t.Walk(all, func(id uint64, lo, hi []int) bool {

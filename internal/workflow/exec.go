@@ -194,7 +194,7 @@ func (e *Executor) runNode(sp *trace.Span, run *Run, node *Node, sources map[str
 			continue
 		}
 		ns := fmt.Sprintf("%s/%s/%s", run.ID, node.ID, strat.ID())
-		kv, err := e.openEmpty(ns)
+		kv, err := e.manager.Open(ns)
 		if err != nil {
 			return err
 		}
@@ -254,24 +254,6 @@ func (e *Executor) runNode(sp *trace.Span, run *Run, node *Node, sources map[str
 	run.mapCtxs[node.ID] = NewMapCtx(outSpace, inSpaces)
 	e.versions.Put(out.WithName(run.ID + "/" + node.ID))
 	return nil
-}
-
-// openEmpty opens a namespace's hashtable for a Builder to write into. Run
-// and heal ids restart with the process, so a storage directory may hold a
-// log an earlier process wrote under the same name; a store is written
-// once, into an empty hashtable, so that log is dropped, not appended to.
-func (e *Executor) openEmpty(ns string) (kvstore.Store, error) {
-	kv, err := e.manager.Open(ns)
-	if err != nil {
-		return nil, err
-	}
-	if kv.Len() == 0 {
-		return kv, nil
-	}
-	if err := e.manager.Drop(ns); err != nil {
-		return nil, err
-	}
-	return e.manager.Open(ns)
 }
 
 func (e *Executor) resolveInputs(run *Run, node *Node, sources map[string]*array.Array) ([]*array.Array, error) {
@@ -537,7 +519,7 @@ func (e *Executor) RebuildStore(ctx context.Context, run *Run, nodeID string, st
 		_ = e.manager.Drop(ns)
 		return fmt.Errorf("workflow: rebuild %q: %w", nodeID, err)
 	}
-	kv, err := e.openEmpty(ns)
+	kv, err := e.manager.Open(ns)
 	if err != nil {
 		return fail(err)
 	}

@@ -64,7 +64,9 @@ type config struct {
 }
 
 // WithStorageDir stores lineage in log-structured files under dir; the
-// default keeps lineage stores in memory.
+// default keeps lineage stores in memory. The directory belongs to the
+// System: NewSystem removes every *.log file in it, since no store outlives
+// the process that wrote it.
 func WithStorageDir(dir string) Option {
 	return func(c *config) { c.storageDir = dir }
 }
